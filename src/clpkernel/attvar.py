@@ -62,10 +62,6 @@ class AttributeRegistry:
     def lookup(self, name):
         return self._specs.get(name)
 
-    def specs(self):
-        """Registration order, which is also handler invocation order."""
-        return list(self._specs.values())
-
 
 def get_attr(var, name):
     var = deref(var)

@@ -17,11 +17,11 @@ from .arith import (array_dims, compare_numeric, dim_create, eval_arith,
                     subscript_get)
 from .attvar import AttributeSpec, add_attr, get_attr, get_var_bounds, \
     notify_constrained, set_var_bounds
-from .errors import (DomainError, FlounderingError, Halt, InstantiationError,
+from .errors import (DomainError, Halt, InstantiationError,
                      ExistenceError, RangeError, TypeError_, UnsupportedError)
 from .expand import struct_update_args
 from .solve import CutBarrier
-from .susp import SCHEDULED, SUSPENDED, Suspension
+from .susp import Suspension
 from .terms import (Atom, Breal, NIL, Struct, Var, arg_at, compare_terms,
                     copy_term, deref, is_callable_term, is_number, mk_list,
                     proper_list, term_vars, terms_equal)
@@ -65,13 +65,9 @@ def bi_findall(engine, args, module):
     watermark = engine._sid
     results = []
     for _ in engine.solve(goal, module, CutBarrier()):
-        fresh = [s for s in engine.suspensions.values()
-                 if s.sid > watermark and s.state in (SUSPENDED, SCHEDULED)]
-        if fresh:
-            goals = [engine.format_goal(s, module) for s in fresh]
-            raise FlounderingError(
-                "findall: a solution left goals delayed; the solution set "
-                "is not enumerable", goals)
+        engine.check_floundering(
+            watermark, module, "findall: a solution left goals delayed; "
+            "the solution set is not enumerable")
         results.append(copy_term(template, attr_hook=engine._copy_attr_hook))
     engine.store.drop_to(mark)
     return engine.store.unify(out, mk_list(results))

@@ -5,7 +5,9 @@
     clpk file.pl -g "solve(X)" -c       just count the solutions
     clpk file.pl                        interactive prompt
 
-Exit status: 0 when the goal succeeded, 1 when it failed, 2 on errors.
+Exit status: 0 when the goal succeeded, 1 when it failed, 2 on errors,
+Python's recursion and memory limits included.  An error is reported in
+one line on stderr.
 """
 
 from __future__ import annotations
@@ -133,24 +135,22 @@ def _repl_query(engine, goal, varmap, canonical):
 
 def main(argv=None):
     args = build_argparser().parse_args(argv)
-    engine = make_engine()
     try:
+        engine = make_engine()
         for path in args.files:
             engine.load_file(path)
-    except Halt as h:
-        return h.code
-    except (EngineError, OSError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    try:
         if args.goal is not None:
             return run_goal(engine, args.goal, show_all=args.all,
                             count=args.count, canonical=args.canonical)
         return repl(engine, canonical=args.canonical)
     except Halt as h:
         return h.code
-    except EngineError as e:
+    except (EngineError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as e:
+        # Python's own limits, not an answer: exit 1 would read as "no"
+        print("error: %s" % (str(e) or "out of memory"), file=sys.stderr)
         return 2
 
 

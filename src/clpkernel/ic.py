@@ -17,8 +17,12 @@ watching any aspect of the domain must get a chance to react to the
 strongest possible event.
 
 Domain bounds are stored exactly for integral domains (Python ints) and
-as outward-rounded floats for continuous ones; all constraint arithmetic
-is done in exact rationals, so propagation never cuts a feasible value.
+as outward-rounded floats for continuous ones.  All constraint arithmetic
+is exact, so propagation never cuts a feasible value: a linear constraint
+whose constant and coefficients are integers computes in Python ints over
+integral domains, dividing with floor or ceiling toward the inside of the
+domain; rational coefficients and continuous domains compute in
+Fractions, and their bounds are rounded outward only when stored.
 
 Linear constraints normalise to ``const + sum(c_i * x_i)  REL  0`` with
 REL one of =< / = / \\=, and are enforced by a single demon predicate,
@@ -126,30 +130,30 @@ def _dom_value(d):
 
 
 def exact_bounds(t):
-    """(lo, hi) of a term as exact Fractions (or +-inf floats)."""
+    """(lo, hi) of a term as exact numbers: ints for an integer and for
+    an integral domain, Fractions for other numbers and for continuous
+    domains, +-inf floats where a bound is missing."""
     t = deref(t)
     ty = type(t)
-    if ty is int:
-        return Fraction(t), Fraction(t)
-    if ty is Fraction:
-        return t, t
-    if ty is float:
-        if math.isinf(t):
-            return t, t
-        q = Fraction(t)
-        return q, q
-    if ty is Breal:
-        lo = t.lo if math.isinf(t.lo) else Fraction(t.lo)
-        hi = t.hi if math.isinf(t.hi) else Fraction(t.hi)
-        return lo, hi
     if ty is Var:
         d = get_domain(t)
         if d is None:
             return -_INF, _INF
-        lo = d.lo if isinstance(d.lo, float) and math.isinf(d.lo) else Fraction(d.lo)
-        hi = d.hi if isinstance(d.hi, float) and math.isinf(d.hi) else Fraction(d.hi)
-        return lo, hi
+        if d.integral:
+            return d.lo, d.hi
+        return _exact_float(d.lo), _exact_float(d.hi)
+    if ty is int or ty is Fraction:
+        return t, t
+    if ty is float:
+        q = _exact_float(t)
+        return q, q
+    if ty is Breal:
+        return _exact_float(t.lo), _exact_float(t.hi)
     raise TypeError_("not a numeric term: %r" % (t,))
+
+
+def _exact_float(f):
+    return f if math.isinf(f) else Fraction(f)
 
 
 def _to_float_down(q):
@@ -439,8 +443,34 @@ def _numq(q):
     return int(q) if isinstance(q, Fraction) and q.denominator == 1 else q
 
 
+def _exact(x):
+    """A constant as an exact number: an int when it is integral."""
+    return x if type(x) is int else _numq(Fraction(x))
+
+
+def _quotient(n, c):
+    """n / c exactly: an int when c divides n, else a Fraction."""
+    if type(n) is int and type(c) is int:
+        q, r = divmod(n, c)
+        return q if r == 0 else Fraction(n, c)
+    return n / c
+
+
+def _bound(n, c, v, up):
+    """n / c as a bound on the variable v.  Two ints over an integral
+    domain divide in int, rounded toward the inside of the domain (up:
+    the ceiling, for a lower bound; else the floor); anything else gives
+    the exact quotient, which impose_min / impose_max round themselves."""
+    if type(n) is int and type(c) is int:
+        d = get_domain(v)
+        if d is not None and d.integral:
+            return -(-n // c) if up else n // c
+    return _quotient(n, c)
+
+
 def normalize_linear(t):
-    """t -> (const, [(coeff, var)]) with exact Fraction arithmetic.
+    """t -> (const, [(coeff, var)]) in exact arithmetic: ints while
+    everything is integral, Fractions otherwise.
     Raises if t is not linear."""
     const, coeffs, order = _lin(t)
     pairs = [(coeffs[k], v) for k, v in order if coeffs[k] != 0]
@@ -451,22 +481,22 @@ def _lin(t):
     t = deref(t)
     ty = type(t)
     if ty is Var:
-        return Fraction(0), {id(t): Fraction(1)}, [(id(t), t)]
+        return 0, {id(t): 1}, [(id(t), t)]
     if ty is int or ty is Fraction:
-        return Fraction(t), {}, []
+        return t, {}, []
     if ty is float:
         if math.isinf(t) or math.isnan(t):
             raise DomainError("constraint constants must be finite: %r" % t)
-        return Fraction(t), {}, []
+        return _exact(t), {}, []
     if ty is Breal:
         raise UnsupportedError("bounded reals cannot appear in exact "
                                "linear constraints")
     if ty is Struct:
         n, a = t.name, t.args
         if n == "+" and len(a) == 2:
-            return _lin_merge(_lin(a[0]), _lin(a[1]), Fraction(1))
+            return _lin_merge(_lin(a[0]), _lin(a[1]), 1)
         if n == "-" and len(a) == 2:
-            return _lin_merge(_lin(a[0]), _lin(a[1]), Fraction(-1))
+            return _lin_merge(_lin(a[0]), _lin(a[1]), -1)
         if n == "-" and len(a) == 1:
             c, m, o = _lin(a[0])
             return -c, {k: -v for k, v in m.items()}, o
@@ -487,7 +517,8 @@ def _lin(t):
                 raise UnsupportedError("division in constraints needs a "
                                        "nonzero constant divisor")
             c, m, o = _lin(a[0])
-            return c / rc, {k: v / rc for k, v in m.items()}, o
+            return (_quotient(c, rc), {k: _quotient(v, rc) for k, v in m.items()},
+                    o)
         if n == "subscript" and len(a) == 2:
             idx = proper_list(a[1])
             if idx is None:
@@ -510,7 +541,7 @@ def _lin_merge(left, right, sign):
             order.append((k, v))
             seen.add(k)
     for k, v in rm.items():
-        m[k] = m.get(k, Fraction(0)) + sign * v
+        m[k] = m.get(k, 0) + sign * v
     return lc + sign * rc, m, order
 
 
@@ -529,14 +560,12 @@ _REL_FORMS = {
 # the linear-constraint demon
 
 def _parse_lin_goal(args):
-    const = deref(args[1])
-    const = Fraction(const) if not isinstance(const, Fraction) else const
+    const = _exact(deref(args[1]))
     items = proper_list(args[2])
     pairs = []
     for it in items:
         it = deref(it)
-        c = deref(it.args[0])
-        c = Fraction(c) if not isinstance(c, Fraction) else c
+        c = _exact(deref(it.args[0]))
         if c != 0:
             pairs.append((c, it.args[1]))
     return const, pairs
@@ -561,14 +590,14 @@ def _post_lin_con(engine, module, rel, const, pairs, goal):
         # a single variable against a constant is a plain domain update
         c, t = pairs[0]
         v = deref(t)
-        bound = -const / c
         if rel == "=<":
+            bound = _bound(-const, c, v, up=c < 0)
             return impose_max(engine, v, bound) if c > 0 else \
                 impose_min(engine, v, bound)
         if rel == "=":
-            return impose_min(engine, v, bound) and \
-                impose_max(engine, v, bound)
-        return exclude_value(engine, v, bound)
+            return impose_min(engine, v, _bound(-const, c, v, up=True)) and \
+                impose_max(engine, v, _bound(-const, c, v, up=False))
+        return exclude_value(engine, v, _quotient(-const, c))
     s = engine.make_suspension(goal, LIN_PRIORITY, module)
     s.payload = (const, pairs)
     for c, t in pairs:
@@ -657,7 +686,8 @@ def _propagate(engine, rel, const, pairs, s):
         if not (isinstance(clo, float) and n_min_inf > 1) and \
                 not (not isinstance(clo, float) and n_min_inf > 0):
             others_min = s_min - (0 if isinstance(clo, float) else clo)
-            bound = -others_min / c  # note: const folded into s_min
+            # note: const folded into s_min
+            bound = _bound(-others_min, c, v, up=c < 0)
             ok = impose_max(engine, v, bound) if c > 0 else \
                 impose_min(engine, v, bound)
             if not ok:
@@ -667,7 +697,7 @@ def _propagate(engine, rel, const, pairs, s):
                     (not isinstance(chi, float) and n_max_inf > 0):
                 continue
             others_max = s_max - (0 if isinstance(chi, float) else chi)
-            bound = -others_max / c
+            bound = _bound(-others_max, c, v, up=c > 0)
             ok = impose_min(engine, v, bound) if c > 0 else \
                 impose_max(engine, v, bound)
             if not ok:
@@ -678,7 +708,7 @@ def _propagate(engine, rel, const, pairs, s):
 def _propagate_neq(engine, const, pairs, s):
     free = []
     total = const
-    lo_acc = hi_acc = Fraction(0)
+    lo_acc = hi_acc = 0
     uncertain = False
     for c, t in pairs:
         v = deref(t)
@@ -708,8 +738,7 @@ def _propagate_neq(engine, const, pairs, s):
         return total != 0
     if len(free) == 1:
         c, v = free[0]
-        forbidden = -total / c
-        if not exclude_value(engine, v, forbidden):
+        if not exclude_value(engine, v, _quotient(-total, c)):
             return False
         if s is not None:
             engine.kill_suspension(s)
@@ -828,7 +857,7 @@ def _parse_domain_spec(spec):
         values = sorted(deref(eval_arith(i)) for i in items)
         if not all(isinstance(v, int) for v in values):
             raise TypeError_(":: enumerated domains must be integers")
-        return True, Fraction(values[0]), Fraction(values[-1]), values
+        return True, values[0], values[-1], values
     raise DomainError(":: domain must be Lo..Hi or a list of integers")
 
 
@@ -871,24 +900,22 @@ def install(engine):
         def fn(engine_, args, module):
             lc, lp = normalize_linear(args[0])
             rc, rp = normalize_linear(args[1])
-            const = sign * (lc - rc) + extra
+            const = _numq(sign * (lc - rc) + extra)
             coeffs = {}
             order = []
             for c, v in lp + [(-c2, v2) for c2, v2 in rp]:
                 k = id(deref(v))
                 if k not in coeffs:
-                    coeffs[k] = Fraction(0)
+                    coeffs[k] = 0
                     order.append((k, v))
                 coeffs[k] += sign * c
-            pairs = [(coeffs[k], v) for k, v in order if coeffs[k] != 0]
+            pairs = [(_numq(coeffs[k]), v) for k, v in order if coeffs[k] != 0]
             for _, v in pairs:
                 if not impose_integrality(engine_, v):
                     return False
-            cterm = _numq(const)
             goal = Struct("ic_lin_con",
-                          [Atom(rel), cterm,
-                           mk_list([Struct("*", [_numq(c), v])
-                                    for c, v in pairs])])
+                          [Atom(rel), const,
+                           mk_list([Struct("*", [c, v]) for c, v in pairs])])
             return _post_lin_con(engine_, module, rel, const, pairs, goal)
         return fn
 

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, FlounderingError, TypeError_
+from .errors import DomainError, TypeError_
 from .ic import get_domain
 from .solve import CutBarrier
-from .susp import SCHEDULED, SUSPENDED
 from .terms import Atom, Var, deref, proper_list
 
 
@@ -118,12 +117,8 @@ def bi_count_solutions(engine, args, module):
     watermark = engine._sid
     n = 0
     for _ in engine.solve(goal, module, CutBarrier()):
-        fresh = [s for s in engine.suspensions.values()
-                 if s.sid > watermark and s.state in (SUSPENDED, SCHEDULED)]
-        if fresh:
-            goals = [engine.format_goal(s, module) for s in fresh]
-            raise FlounderingError(
-                "count_solutions: a solution left goals delayed", goals)
+        engine.check_floundering(
+            watermark, module, "count_solutions: a solution left goals delayed")
         n += 1
     store.drop_to(mark)
     return store.unify(args[1], n)

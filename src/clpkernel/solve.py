@@ -20,6 +20,14 @@ after every resolution step.  While a woken goal runs, `running_priority`
 is lowered to its priority, so more urgent wakings interrupt it at its
 own resolution steps but less urgent ones wait.  Woken goals run
 semi-deterministically: their first solution is committed.
+
+A woken goal whose predicate is a builtin (every ic demon is one) is
+dispatched directly: `make_suspension` keeps the predicate on the
+suspension, and `drain` calls `_run_builtin` with the goal's own
+argument tuple, as the resolvent would, and commits to the mark that
+call pushes.  `current_suspension` is set meanwhile, so a builtin can
+tell a woken run (the suspension's goal arguments are its arguments)
+from a fresh post.  Other woken goals go through `run_goal_once`.
 """
 
 from __future__ import annotations
@@ -27,8 +35,9 @@ from __future__ import annotations
 import logging
 from types import GeneratorType
 
-from .errors import (EngineError, ExistenceError, ExpansionError, Halt,
-                     InstantiationError, ReaderError, TypeError_)
+from .errors import (EngineError, ExistenceError, ExpansionError,
+                     FlounderingError, Halt, InstantiationError, ReaderError,
+                     TypeError_)
 from .expand import (ExpandContext, expand_clause, install_kernel_macros,
                      mk_conj, parse_struct_decl)
 from .reader import Ops, Parser, standard_ops, tokenize
@@ -216,7 +225,7 @@ class Engine:
         self.sched = Scheduler()
         self.registry = AttributeRegistry()
         self.store.attr_registry = self.registry
-        self.store.scheduler = self._wake_hook
+        self.store.scheduler = self.wake
         self.suspensions = {}
         self._sid = 0
         self.event_log = []
@@ -259,9 +268,6 @@ class Engine:
         p.exported = exported
         return p
 
-    def _wake_hook(self, susps):
-        self.sched.schedule(susps, self.store)
-
     def wake(self, susps):
         self.sched.schedule(susps, self.store)
 
@@ -276,13 +282,13 @@ class Engine:
                 raise InstantiationError("suspension goal is unbound")
             raise TypeError_("suspension goal must be callable: %s"
                              % self.format_term(g))
-        demon = False
         name, arity = _functor_of(g)
         pred = module.lookup_pred(name, arity)
-        if pred is not None:
-            demon = pred.demon
+        demon = pred is not None and pred.demon
+        if pred is not None and pred.builtin is None:
+            pred = None  # resolved when woken, like any goal
         self._sid += 1
-        s = Suspension(self._sid, g, priority, module, demon=demon)
+        s = Suspension(self._sid, g, priority, module, demon=demon, pred=pred)
         self.suspensions[s.sid] = s
         sid = s.sid
         self.store.register_undo(lambda: self.suspensions.pop(sid, None))
@@ -309,6 +315,21 @@ class Engine:
         return [s for s in self.suspensions.values()
                 if s.state in (SUSPENDED, SCHEDULED)]
 
+    def check_floundering(self, watermark, module, message):
+        """Raise FlounderingError when a suspension made after the sid
+        ``watermark`` is still pending.  ``suspensions`` is in sid order
+        (sids only grow and are never re-inserted), so the scan stops at
+        the first older one."""
+        fresh = []
+        for s in reversed(self.suspensions.values()):
+            if s.sid <= watermark:
+                break
+            if s.state in (SUSPENDED, SCHEDULED):
+                fresh.append(s)
+        if fresh:
+            raise FlounderingError(message, [self.format_goal(s, module)
+                                             for s in reversed(fresh)])
+
     # ------------------------------------------------------------------
     # waking
 
@@ -317,16 +338,27 @@ class Engine:
         Returns False as soon as one of them fails."""
         s = self.sched.pop_runnable(self.running_priority)
         while s is not None:
+            store = self.store
             if s.demon:
-                self.store.set_slot(s, "state", SUSPENDED)
+                store.set_slot(s, "state", SUSPENDED)
             else:
-                self.store.set_slot(s, "state", EXECUTED)
+                store.set_slot(s, "state", EXECUTED)
             prev_p = self.running_priority
             prev_s = self.current_suspension
             self.running_priority = s.priority
             self.current_suspension = s
             try:
-                ok = self.run_goal_once(s.goal, s.module)
+                if s.pred is None:
+                    ok = self.run_goal_once(s.goal, s.module)
+                else:
+                    # _run_builtin pushes its mark first, at this height
+                    top = len(store.choicepoints)
+                    args = s.goal.args if type(s.goal) is Struct else ()
+                    ok = False
+                    for _ in self._run_builtin(s.pred, args, s.module):
+                        store.commit_to(store.choicepoints[top])
+                        ok = True
+                        break
             finally:
                 self.running_priority = prev_p
                 self.current_suspension = prev_s

@@ -270,12 +270,6 @@ class Store:
     def trail_length(self):
         return len(self.trail)
 
-    def trail_kind_counts(self, since=0):
-        counts = {"bind": 0, "val": 0, "undo": 0}
-        for entry in self.trail[since:]:
-            counts[entry[0]] += 1
-        return counts
-
     def value_entry_locations(self, since=0):
         """(id(owner), slot) of every value entry above ``since``."""
         return [(id(e[1]), e[2]) for e in self.trail[since:] if e[0] == "val"]

@@ -37,12 +37,14 @@ MAIN_PRIORITY = NUM_PRIORITIES + 1
 
 class Suspension:
     """A suspended goal.  ``conditions`` records the attach specs for
-    display; ``payload`` is free for propagators to cache data in."""
+    display; ``payload`` is free for propagators to cache data in.
+    ``pred`` is the goal's builtin predicate, which a drain calls
+    directly, or None for goals that go through the resolver."""
 
     __slots__ = ("sid", "goal", "priority", "module", "state", "demon",
-                 "payload", "conditions", "_stamps")
+                 "pred", "payload", "conditions", "_stamps")
 
-    def __init__(self, sid, goal, priority, module, demon=False):
+    def __init__(self, sid, goal, priority, module, demon=False, pred=None):
         if not isinstance(priority, int) or not 1 <= priority <= NUM_PRIORITIES:
             raise DomainError("suspension priority must be in 1..%d, got %r"
                               % (NUM_PRIORITIES, priority))
@@ -52,6 +54,7 @@ class Suspension:
         self.module = module
         self.state = SUSPENDED
         self.demon = demon
+        self.pred = pred
         self.payload = None
         self.conditions = []
         self._stamps = None
@@ -86,14 +89,3 @@ class Scheduler:
                 if s.state == SCHEDULED:
                     return s
         return None
-
-    def has_runnable(self, priority_limit):
-        top = min(priority_limit, NUM_PRIORITIES + 1)
-        for p in range(1, top):
-            for s in self.buckets[p]:
-                if s.state == SCHEDULED:
-                    return True
-        return False
-
-    def pending(self):
-        return [s for b in self.buckets for s in b if s.state == SCHEDULED]

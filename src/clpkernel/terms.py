@@ -148,13 +148,6 @@ def mk_struct(name, args):
     return Struct(name, args)
 
 
-def mk_rational(num, den):
-    from .errors import ArithmeticError_
-    if den == 0:
-        raise ArithmeticError_("rational with zero denominator")
-    return Fraction(num, den)
-
-
 def arg_at(i, t):
     """arg/3: 1-based argument access."""
     from .errors import RangeError, TypeError_

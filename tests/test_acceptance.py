@@ -76,7 +76,7 @@ def test_criterion_1_queens_end_to_end(engine, ask):
 # ----------------------------------------------------------------------
 # 2. propagation never loses a solution, and reaches a fixpoint
 
-def _random_instance(rng):
+def _random_instance(rng, coeffs):
     nv = rng.randint(1, 4)
     names = ["A", "B", "C", "D"][:nv]
     doms = []
@@ -87,7 +87,7 @@ def _random_instance(rng):
     con_txt = []
     for _ in range(rng.randint(1, 4)):
         rel = rng.choice(["#=", "#=<", "#>=", "#\\="])
-        pairs = [(i, rng.choice([-3, -2, -1, 1, 2, 3]))
+        pairs = [(i, rng.choice(coeffs))
                  for i in range(nv) if rng.random() < 0.75]
         if not pairs:
             pairs = [(rng.randrange(nv), 1)]
@@ -125,38 +125,95 @@ def test_criterion_2_propagation_soundness_and_fixpoint():
     eng = make_engine()
     problems = []
     for case in range(500):
-        names, doms, cons, dom_txt, con_txt = _random_instance(rng)
-        query = dom_txt + ", " + con_txt
-        ans = eng.once(query)
-        pts = feasible_points([set(range(lo, hi + 1)) for lo, hi in doms],
-                              cons)
-        if ans is None:
-            if pts:
-                problems.append("case %d: failed but %d assignments exist: %s"
-                                % (case, len(pts), query))
-            continue
-        narrowed = {}
-        for i, name in enumerate(names):
-            vals = _domain_values(ans, name)
-            narrowed[name] = vals
-            if not {p[i] for p in pts} <= vals:
-                problems.append("case %d: %s lost values: %s"
-                                % (case, name, query))
-        # fixpoint: posting the already-narrowed domains with the same
-        # constraints must not narrow anything further
-        redo = ", ".join("%s :: [%s]" %
-                         (n, ", ".join(str(v) for v in sorted(narrowed[n])))
-                         for n in names)
-        redo += ", " + con_txt
-        ans2 = eng.once(redo)
-        if ans2 is None:
-            problems.append("case %d: re-posting failed: %s" % (case, redo))
-            continue
-        for name in names:
-            if _domain_values(ans2, name) != narrowed[name]:
-                problems.append("case %d: not a fixpoint for %s: %s"
-                                % (case, name, redo))
+        _check_instance(eng, case, _random_instance(rng, (-3, -2, -1, 1, 2, 3)),
+                        problems)
     report(2, "propagation soundness + fixpoint, 500 instances", problems)
+
+
+def _check_instance(eng, case, instance, problems):
+    """Post one random instance; note lost values and a missed fixpoint.
+    Returns the feasible points and the narrowed domains (None when the
+    posting failed)."""
+    names, doms, cons, dom_txt, con_txt = instance
+    query = dom_txt + ", " + con_txt
+    ans = eng.once(query)
+    pts = feasible_points([set(range(lo, hi + 1)) for lo, hi in doms], cons)
+    if ans is None:
+        if pts:
+            problems.append("case %d: failed but %d assignments exist: %s"
+                            % (case, len(pts), query))
+        return pts, None
+    narrowed = {}
+    for i, name in enumerate(names):
+        vals = _domain_values(ans, name)
+        narrowed[name] = vals
+        if not {p[i] for p in pts} <= vals:
+            problems.append("case %d: %s lost values: %s"
+                            % (case, name, query))
+    # fixpoint: posting the already-narrowed domains with the same
+    # constraints must not narrow anything further
+    redo = ", ".join("%s :: [%s]" %
+                     (n, ", ".join(str(v) for v in sorted(narrowed[n])))
+                     for n in names)
+    redo += ", " + con_txt
+    ans2 = eng.once(redo)
+    if ans2 is None:
+        problems.append("case %d: re-posting failed: %s" % (case, redo))
+        return pts, narrowed
+    for name in names:
+        if _domain_values(ans2, name) != narrowed[name]:
+            problems.append("case %d: not a fixpoint for %s: %s"
+                            % (case, name, redo))
+    return pts, narrowed
+
+
+def test_integer_propagation_with_coefficients_that_do_not_divide():
+    # |c| up to 7 over bounds up to 12: most bound divisions have a
+    # remainder.  Rounded outward, a bound stays unsupported; rounded
+    # inward too far, or a #\= quotient that does not divide taken as
+    # an integer, values are lost.
+    rng = Random(5140723)
+    coeffs = [c for c in range(-7, 8) if c != 0]
+    eng = make_engine()
+    problems = []
+    for case in range(300):
+        instance = _random_instance(rng, coeffs)
+        names, _doms, cons, dom_txt, con_txt = instance
+        pts, narrowed = _check_instance(eng, case, instance, problems)
+        if narrowed is None:
+            continue
+        bounds = [(min(narrowed[n]), max(narrowed[n])) for n in names]
+        for bad in _unsupported_bounds(bounds, cons):
+            problems.append("case %d: unsupported bound %r: %s"
+                            % (case, bad, con_txt))
+        # labeling wakes #\= with one variable left, the case where the
+        # forbidden value is a quotient
+        labeled = "%s, %s, labeling([%s])" % (dom_txt, con_txt,
+                                              ", ".join(names))
+        sols = {tuple(deref(a[n]) for n in names) for a in eng.ask(labeled)}
+        if sols != set(pts):
+            problems.append("case %d: labeling found %d of %d solutions: %s"
+                            % (case, len(sols & set(pts)), len(pts), labeled))
+    assert not problems, problems[:10]
+
+
+def _unsupported_bounds(bounds, cons):
+    """Bounds that no real point of the other variables' boxes supports
+    in some =< or = constraint: bounds propagation must remove them."""
+    out = []
+    for rel, const, pairs in cons:
+        if rel == "\\=":
+            continue
+        lows = [min(c * bounds[i][0], c * bounds[i][1]) for i, c in pairs]
+        highs = [max(c * bounds[i][0], c * bounds[i][1]) for i, c in pairs]
+        for j, (i, c) in enumerate(pairs):
+            others_min = sum(lows) - lows[j]
+            others_max = sum(highs) - highs[j]
+            for b in bounds[i]:
+                if const + c * b + others_min > 0 or (
+                        rel == "=" and const + c * b + others_max < 0):
+                    out.append((i, b, rel, const, pairs))
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from clpkernel import cli
 from clpkernel.cli import main
 
 
@@ -56,6 +57,54 @@ def test_goal_errors_exit_2(capsys):
     rc, _, err = run_main(capsys, "-g", "f(")
     assert rc == 2
     assert "error:" in err
+
+
+def _lower_recursion_limit(headroom):
+    """Leave only ``headroom`` frames above the current depth."""
+    limit = 1
+    f = sys._getframe()
+    while f is not None:
+        limit, f = limit + 1, f.f_back
+    while True:  # the interpreter's depth also counts calls made from C
+        try:
+            sys.setrecursionlimit(limit)
+            break
+        except RecursionError:
+            limit += 1
+    sys.setrecursionlimit(limit + headroom)
+
+
+def test_recursion_limit_exits_2_with_one_line(capsys, monkeypatch, tmp_path):
+    # the goal runs a few frames below the recursion limit, so it
+    # overflows however deep the solver itself may recurse
+    real_run_goal = cli.run_goal
+
+    def shallow_run_goal(*args, **kwargs):
+        old = sys.getrecursionlimit()
+        _lower_recursion_limit(4)
+        try:
+            return real_run_goal(*args, **kwargs)
+        finally:
+            sys.setrecursionlimit(old)
+
+    monkeypatch.setattr(cli, "run_goal", shallow_run_goal)
+    f = tmp_path / "deep.pl"
+    f.write_text("count_to(N, N).\n"
+                 "count_to(I, N) :- I < N, I1 is I + 1, count_to(I1, N).\n")
+    rc, out, err = run_main(capsys, str(f), "-g", "count_to(0, 1000)")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
+
+
+def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "run_goal", exhausted)
+    rc, out, err = run_main(capsys, "-g", "true")
+    assert (rc, out, err) == (2, "", "error: out of memory\n")
 
 
 def test_loads_program_files(capsys, tmp_path):

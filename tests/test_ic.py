@@ -196,6 +196,39 @@ def test_eq_with_coefficients(first, fmt):
     assert fmt(a["Y"]) == "_{0..2}"
 
 
+def test_rational_coefficients_keep_exact_fractions(engine, fmt):
+    goal, varmap = engine.parse_goal("X :: 0..10, Y :: 0..10, X/2 + Y #= 3")
+    for _ in engine.solutions(goal):
+        assert fmt(varmap["X"]) == "_{0..6}"
+        assert fmt(varmap["Y"]) == "_{0..3}"
+        [s] = engine.delayed_goals()
+        const, pairs = s.payload
+        assert const == -3
+        assert [c for c, _ in pairs] == [Fraction(1, 2), 1]
+        break
+    else:
+        pytest.fail("X/2 + Y #= 3 failed")
+    sols = [(a["X"], a["Y"])
+            for a in engine.ask("X :: 0..10, Y :: 0..10, X/2 + Y #= 3, "
+                                "labeling([X, Y])")]
+    assert sols == [(0, 3), (2, 2), (4, 1), (6, 0)]
+
+
+def test_integer_constraint_rounds_a_continuous_bound_outward(first):
+    # 3X - 1 =< 0 with integer coefficients over a continuous X: the
+    # bound 1/3 is rounded up to the next float, never floored to 0
+    third_up = hx("0x1.5555555555556p-2")
+    a = first("X :: 0.0..1.0, ic_lin_con(=<, -1, [3*X]), get_max(X, H)")
+    assert a["H"] == third_up
+    assert Fraction(a["H"]) > Fraction(1, 3)
+    assert isinstance(get_domain(a["X"]).hi, float)
+    # the same bound from the propagator, with an integral partner
+    b = first("X :: 0.0..1.0, Y :: 0..5, ic_lin_con(=<, -1, [3*X, 3*Y]), "
+              "get_max(X, H)")
+    assert b["H"] == third_up
+    assert b["Y"] == 0
+
+
 def test_neq_punches_holes_until_instantiation(first, fmt):
     a = first("X :: 1..5, X #\\= 3")
     assert fmt(a["X"]) == "_{[1..2, 4..5]}"
