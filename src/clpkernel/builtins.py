@@ -465,11 +465,6 @@ def bi_set_var_bounds(engine, args, module):
 # ----------------------------------------------------------------------
 # misc
 
-def bi_log_event(engine, args, module):
-    engine.event_log.append(engine.format_term(args[0], module))
-    return True
-
-
 def bi_loop_for_setup(engine, args, module):
     frm = eval_arith(args[0])
     to = eval_arith(args[1])
@@ -556,5 +551,4 @@ def install(engine):
     bi("get_var_bounds", 3, bi_get_var_bounds)
     bi("set_var_bounds", 3, bi_set_var_bounds)
 
-    bi("log_event", 1, bi_log_event)
     bi("loop_for_setup", 6, bi_loop_for_setup)

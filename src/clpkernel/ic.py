@@ -1,9 +1,9 @@
 """Interval and finite-domain solver.
 
 A constrained variable carries an 'ic' attribute whose payload is a
-Domain: numeric bounds, an integrality flag, an optional set of excluded
-interior values (holes), and four solver suspension lists that wake on
-specific narrowing events:
+Domain: numeric bounds, an integrality flag, a frozenset of excluded
+values (holes), and four solver suspension lists that wake on specific
+narrowing events:
 
     w_min   lower bound raised          w_hole  interior value removed
     w_max   upper bound lowered         w_type  became integral
@@ -15,6 +15,13 @@ instantiate the variable when the domain collapses to a single value.
 Instantiating a constrained variable wakes all four solver lists: anyone
 watching any aspect of the domain must get a chance to react to the
 strongest possible event.
+
+Only integral domains have holes, and every hole lies strictly between
+lo and hi: a narrowing that would leave a hole at a bound moves the bound
+past it instead.  No operation enumerates lo..hi: printing walks the
+sorted holes, and labeling (search.py) filters them out lazily.  Posting
+an enumerated domain X :: [...] walks its span once, but every value it
+passes there is listed or becomes a hole.
 
 Domain bounds are stored exactly for integral domains (Python ints) and
 as outward-rounded floats for continuous ones.  All constraint arithmetic
@@ -77,21 +84,14 @@ _LIST_SLOTS = {"min": "w_min", "max": "w_max", "hole": "w_hole", "type": "w_type
 
 def format_domain(d):
     if d.integral and d.holes and d.lo != -_INF and d.hi != _INF:
+        # walk the sorted holes; adjacent holes leave no run between them
         segs = []
-        run_start = None
-        prev = None
-        for v in range(int(d.lo), int(d.hi) + 1):
-            if v in d.holes:
-                continue
-            if run_start is None:
-                run_start = prev = v
-            elif v == prev + 1:
-                prev = v
-            else:
-                segs.append(_seg(run_start, prev))
-                run_start = prev = v
-        if run_start is not None:
-            segs.append(_seg(run_start, prev))
+        start = int(d.lo)
+        for h in sorted(d.holes):
+            if h > start:
+                segs.append(_seg(start, h - 1))
+            start = h + 1
+        segs.append(_seg(start, int(d.hi)))
         return "{[%s]}" % ", ".join(segs)
     return "{%s..%s}" % (_bound_text(d.lo), _bound_text(d.hi))
 
@@ -597,7 +597,9 @@ def _post_lin_con(engine, module, rel, const, pairs, goal):
         if rel == "=":
             return impose_min(engine, v, _bound(-const, c, v, up=True)) and \
                 impose_max(engine, v, _bound(-const, c, v, up=False))
-        return exclude_value(engine, v, _quotient(-const, c))
+        d = get_domain(v)
+        if d is not None and d.integral:
+            return exclude_value(engine, v, _quotient(-const, c))
     s = engine.make_suspension(goal, LIN_PRIORITY, module)
     s.payload = (const, pairs)
     for c, t in pairs:
@@ -714,6 +716,8 @@ def _propagate_neq(engine, const, pairs, s):
         v = deref(t)
         if type(v) is Var:
             free.append((c, v))
+        elif type(v) is int:
+            total += c * v
         else:
             blo, bhi = exact_bounds(v)
             if blo == bhi:
@@ -738,7 +742,14 @@ def _propagate_neq(engine, const, pairs, s):
         return total != 0
     if len(free) == 1:
         c, v = free[0]
-        if not exclude_value(engine, v, _quotient(-total, c)):
+        q = _quotient(-total, c)
+        d = get_attr(v, "ic")
+        if d is None or not d.integral:
+            # no hole can be punched in a continuous domain: wait for v's
+            # value, failing now only when its domain is the point q
+            lo, hi = exact_bounds(v)
+            return lo != hi or lo != q
+        if not exclude_value(engine, v, q):
             return False
         if s is not None:
             engine.kill_suspension(s)
@@ -837,11 +848,29 @@ def bi_domain(engine, args, module):
             return False
         if not impose_max(engine, x, hi):
             return False
-        if values is not None:
-            for missing in _missing_values(values):
-                if not exclude_value(engine, deref(x), missing):
-                    return False
+        if values is not None and not _keep_only(engine, x, values):
+            return False
     return True
+
+
+def _keep_only(engine, x, values):
+    """Remove from x's integral domain every value not in the sorted list
+    values, whose span already bounds the domain: one update of the
+    holes, then the bounds move past any holes, waking w_hole once."""
+    x = deref(x)
+    present = set(values)
+    if type(x) is not Var:
+        lo, hi = exact_bounds(x)
+        return lo != hi or lo in present
+    d = get_domain(x)
+    lo, hi = d.lo, d.hi
+    holes = d.holes.union(v for v in range(lo + 1, hi) if v not in present)
+    if len(holes) > len(d.holes):
+        engine.store.set_slot(d, "holes", holes)
+        _wake(engine, d.w_hole, x.wake_constrained)
+    # impose_min and impose_max skip the holes just added
+    return ((lo in present or impose_min(engine, x, lo + 1))
+            and (hi in present or impose_max(engine, x, hi - 1)))
 
 
 def _parse_domain_spec(spec):
@@ -859,11 +888,6 @@ def _parse_domain_spec(spec):
             raise TypeError_(":: enumerated domains must be integers")
         return True, values[0], values[-1], values
     raise DomainError(":: domain must be Lo..Hi or a list of integers")
-
-
-def _missing_values(values):
-    present = set(values)
-    return [v for v in range(values[0], values[-1] + 1) if v not in present]
 
 
 # ----------------------------------------------------------------------

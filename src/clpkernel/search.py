@@ -2,7 +2,10 @@
 
 indomain/1 enumerates the values of a domain variable in ascending
 order, one choicepoint per value; labeling/1 applies it to a list in
-input order.  labeling/2 takes a selection strategy as its first
+input order.  The values are enumerated lazily from a snapshot of the
+domain's bounds and holes, never built as a list, so labeling a domain
+costs the values it tries and the holes it skips, not the domain's
+width.  labeling/2 takes a selection strategy as its first
 argument: input_order, or first_fail (always label a variable with the
 fewest remaining values next, which tends to hit dead ends early).
 
@@ -14,6 +17,7 @@ goals suspended: the count would silently ignore unproven constraints.
 from __future__ import annotations
 
 import math
+from itertools import filterfalse
 
 from .errors import DomainError, TypeError_
 from .ic import get_domain
@@ -21,10 +25,35 @@ from .solve import CutBarrier
 from .terms import Atom, Var, deref, proper_list
 
 
+def _size(lo, hi, holes):
+    """Values in lo..hi without the holes.  Holes lie strictly between lo
+    and hi, so each of them removes exactly one value."""
+    return hi - lo + 1 - len(holes)
+
+
+class _Values:
+    """The values of an integral finite domain with holes, ascending:
+    sized, and never built.  Iteration filters the holes out of lo..hi
+    lazily, so taking k values costs k plus the holes passed over."""
+
+    __slots__ = ("lo", "hi", "holes")
+
+    def __init__(self, lo, hi, holes):
+        self.lo, self.hi, self.holes = lo, hi, holes
+
+    def __len__(self):
+        return _size(self.lo, self.hi, self.holes)
+
+    def __iter__(self):
+        return filterfalse(self.holes.__contains__, range(self.lo, self.hi + 1))
+
+
 def _finite_values(d):
-    """Snapshot of an integral finite domain, ascending."""
-    holes = d.holes or frozenset()
-    return [v for v in range(int(d.lo), int(d.hi) + 1) if v not in holes]
+    """Snapshot of an integral finite domain, ascending: a range when it
+    has no holes, else a _Values."""
+    if d.holes:
+        return _Values(int(d.lo), int(d.hi), d.holes)
+    return range(int(d.lo), int(d.hi) + 1)
 
 
 def _require_finite(x):
@@ -38,8 +67,7 @@ def _dom_size(x):
     d = get_domain(x)
     if d is None or math.isinf(d.lo) or math.isinf(d.hi):
         return math.inf
-    n = int(d.hi) - int(d.lo) + 1
-    return n - len(d.holes) if d.holes else n
+    return _size(int(d.lo), int(d.hi), d.holes)
 
 
 def bi_indomain(engine, args, module):

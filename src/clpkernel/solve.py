@@ -228,7 +228,6 @@ class Engine:
         self.store.scheduler = self.wake
         self.suspensions = {}
         self._sid = 0
-        self.event_log = []
         self.running_priority = MAIN_PRIORITY
         self.current_suspension = None
         self.modules = {}

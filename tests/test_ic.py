@@ -1,18 +1,20 @@
 """Interval domains and the linear constraint solver."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from clpkernel import make_engine
+from clpkernel import ic, make_engine
+from clpkernel.attvar import init_attr
 from clpkernel.errors import (InstantiationError, TypeError_,
                               UncertaintyError, UnsupportedError)
 from clpkernel.ic import (Domain, ensure_domain, exclude_value, format_domain,
                           get_domain, impose_integrality, impose_max,
                           impose_min)
-from clpkernel.terms import Var, deref
+from clpkernel.terms import Var, deref, mk_list
 
 from brute import feasible_points
 
@@ -35,6 +37,48 @@ def test_format_domain_texts():
     assert (format_domain(Domain(2, 9, integral=True,
                                  holes=frozenset({3, 4, 7})))
             == "{[2, 5..6, 8..9]}")
+
+
+def test_format_domain_walks_holes():
+    # adjacent holes leave no empty run between them
+    assert (format_domain(Domain(1, 10, integral=True,
+                                 holes=frozenset({4, 5, 6})))
+            == "{[1..3, 7..10]}")
+    # holes next to the bounds leave single values at the ends
+    assert (format_domain(Domain(1, 10, integral=True,
+                                 holes=frozenset({2, 9})))
+            == "{[1, 3..8, 10]}")
+    assert (format_domain(Domain(1, 3, integral=True, holes=frozenset({2})))
+            == "{[1, 3]}")
+    # every other value gone
+    assert (format_domain(Domain(0, 20, integral=True,
+                                 holes=frozenset(range(1, 20, 2))))
+            == "{[%s]}" % ", ".join(str(v) for v in range(0, 21, 2)))
+
+
+def _scanned_domain_text(lo, hi, holes):
+    """The domain text found by scanning every value of lo..hi."""
+    runs = []
+    for v in range(lo, hi + 1):
+        if v in holes:
+            continue
+        if runs and runs[-1][1] == v - 1:
+            runs[-1][1] = v
+        else:
+            runs.append([v, v])
+    return "{[%s]}" % ", ".join(str(a) if a == b else "%d..%d" % (a, b)
+                                for a, b in runs)
+
+
+def test_format_domain_matches_a_scan_on_random_domains():
+    rng = Random(3)
+    for _ in range(300):
+        lo = rng.randint(-5, 5)
+        hi = lo + rng.randint(2, 25)
+        holes = frozenset(rng.sample(range(lo + 1, hi),
+                                     rng.randint(1, hi - lo - 1)))
+        d = Domain(lo, hi, integral=True, holes=holes)
+        assert format_domain(d) == _scanned_domain_text(lo, hi, holes)
 
 
 def test_impose_min_integral_rounds_up():
@@ -156,6 +200,36 @@ def test_domain_posting_over_lists_and_arrays(engine, first):
         assert (d.lo, d.hi) == (1, 4)
 
 
+def test_enumerated_domain_updates_holes_once(engine, monkeypatch):
+    calls = Counter()
+    for name in ("exclude_value", "impose_min", "impose_max"):
+        def counted(*args, _fn=getattr(ic, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(ic, name, counted)
+    store = engine.store
+    store.push_choicepoint()
+    x = Var()
+    trail_before = len(store.trail)
+    assert ic.bi_domain(engine, [x, mk_list([1, 20000])], engine.main)
+    # one holes update, not one exclusion per missing value
+    assert len(store.trail) - trail_before <= 8
+    assert sum(calls.values()) <= 4
+    assert format_domain(get_domain(x)) == "{[1, 20000]}"
+    assert len(get_domain(x).holes) == 19998
+
+
+def test_enumerated_domain_within_a_narrower_one(ask, first, fmt):
+    assert fmt(first("X :: 0..5, X :: [1, 3, 7]")["X"]) == "_{[1, 3]}"
+    # the bounds move past values the list leaves out
+    assert first("X :: 2..5, X :: [1, 3, 7]")["X"] == 3
+    assert fmt(first("X :: 2..6, X :: [1, 3, 4, 6, 9]")["X"]) == "_{[3..4, 6]}"
+    assert ask("X :: 4..6, X :: [1, 3, 7]") == []
+    # on a number the list is a membership test
+    assert len(ask("3 :: [1, 3, 7]")) == 1
+    assert ask("2 :: [1, 3, 7]") == []
+
+
 def test_singleton_range_binds_immediately(first):
     a = first("X :: 3..3")
     assert a["X"] == 3
@@ -234,6 +308,28 @@ def test_neq_punches_holes_until_instantiation(first, fmt):
     assert fmt(a["X"]) == "_{[1..2, 4..5]}"
     b = first("X :: 1..3, X #\\= 2, X #\\= 1")
     assert b["X"] == 3
+
+
+def test_neq_on_a_continuous_variable_stays_delayed(ask, first):
+    # no hole can be punched in a continuous domain: the constraint waits
+    a = first("X :: 0.0..1.0, Y :: 0..1, ic_lin_con(\\=, 0, [1*X, 1*Y]), "
+              "Y = 0")
+    assert a["Y"] == 0
+    assert len(a.delayed) == 1
+    b = first("X :: 0.0..1.0, ic_lin_con(\\=, 0, [2*X])")
+    assert len(b.delayed) == 1
+    # and decides once the variable is bound
+    assert ask("X :: 0.0..1.0, ic_lin_con(\\=, 0, [2*X]), X = 0.0") == []
+    assert ask("X :: 0.0..1.0, Y :: 0..1, ic_lin_con(\\=, 0, [1*X, 1*Y]), "
+               "Y = 0, X = 0") == []
+    c = first("X :: 0.0..1.0, ic_lin_con(\\=, 0, [2*X]), X = 0.5")
+    assert c is not None and c.delayed == []
+    # a continuous domain that is only the excluded point fails at once
+    e = make_engine()
+    x = Var()
+    init_attr(x, "ic", Domain(0.5, 0.5))
+    assert not ic._propagate_neq(e, Fraction(-1, 2), [(1, x)], None)
+    assert ic._propagate_neq(e, Fraction(-1, 4), [(1, x)], None)
 
 
 def test_entailed_constraint_leaves_nothing_delayed(first):

@@ -1,8 +1,15 @@
 """Labeling search: indomain, labeling/1,2, count_solutions."""
 
+import tracemalloc
+from random import Random
+
 import pytest
 
+from clpkernel import make_engine
 from clpkernel.errors import DomainError, FlounderingError, TypeError_
+from clpkernel.ic import (ensure_domain, exclude_value, get_domain,
+                          impose_integrality, impose_max, impose_min)
+from clpkernel.search import _dom_size, _finite_values
 from clpkernel.terms import Var, deref, proper_list
 
 from brute import queens_brute
@@ -127,3 +134,50 @@ def test_queens_matches_exhaustive_search(engine, ask):
         got = [tuple(as_ints(a["Qs"])) for a in ask("queens(%d, Qs)" % n)]
         assert got == sorted(got)
         assert got == queens_brute(n)
+
+
+# ----------------------------------------------------------------------
+# wide domains are never built
+
+def test_wide_domain_labels_and_prints_without_building_it(engine):
+    tracemalloc.start()
+    try:
+        got = engine.ask("X :: 1..2000000, X #\\= 2, X #\\= 3, "
+                         "X #\\= 1000000, indomain(X)", limit=4)
+        shown = engine.once("X :: 1..2000000, X #\\= 5, X #\\= 6, "
+                            "X #\\= 1999999")
+        text = engine.format_term(shown["X"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [a["X"] for a in got] == [1, 4, 5, 6]
+    assert text == "_{[1..4, 7..1999998, 2000000]}"
+    assert peak < 1 << 20
+
+
+def test_first_fail_over_a_wide_and_a_narrow_variable(ask):
+    got = ask("X :: 1..2000000, X #\\= 2, Y :: 1..3, Y #\\= 2, "
+              "labeling(first_fail, [X, Y])", limit=4)
+    # Y has two values left, so it is labelled first
+    assert [(a["X"], a["Y"]) for a in got] == [(1, 1), (3, 1), (4, 1), (5, 1)]
+
+
+def test_finite_values_agree_with_the_domain_size():
+    rng = Random(5)
+    for _ in range(200):
+        e = make_engine()
+        x = Var()
+        lo = rng.randint(-4, 4)
+        hi = lo + rng.randint(1, 20)
+        ensure_domain(e, x)
+        impose_integrality(e, x)
+        impose_min(e, x, lo)
+        impose_max(e, x, hi)
+        # at least two values stay, so x stays a variable
+        gone = rng.sample(range(lo, hi + 1), rng.randint(0, hi - lo - 1))
+        for v in gone:
+            assert exclude_value(e, x, v)
+        values = _finite_values(get_domain(x))
+        expected = [v for v in range(lo, hi + 1) if v not in gone]
+        assert list(values) == expected
+        assert len(values) == _dom_size(x) == len(expected)
