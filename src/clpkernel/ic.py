@@ -608,6 +608,10 @@ def _post_lin_con(engine, module, rel, const, pairs, goal):
             continue
         if rel == "\\=":
             engine.attach_suspension(s, v, "inst")
+            d = get_domain(v)
+            if d is not None and not d.integral:
+                # becoming integral lets the hole be punched before binding
+                engine.attach_to_list(s, d, "w_type", label="ic:type")
         else:
             d = ensure_domain(engine, v)
             if rel == "=" or c > 0:

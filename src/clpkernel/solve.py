@@ -28,6 +28,16 @@ argument tuple, as the resolvent would, and commits to the mark that
 call pushes.  `current_suspension` is set meanwhile, so a builtin can
 tell a woken run (the suspension's goal arguments are its arguments)
 from a fresh post.  Other woken goals go through `run_goal_once`.
+
+User clauses are compiled once, when they are added (`Clause`): each
+variable becomes a numbered slot, so a clause is a snapshot of its terms
+at that moment, as ISO ``assert`` takes one.  A call fills a fresh frame
+of slots while `match_head` walks the compiled head against the goal's
+arguments: a slot's first occurrence takes the goal subterm as it is,
+later occurrences unify, a compound term that meets an unbound goal
+variable is built and bound, and constants are compared in place.  Only
+when the head matched and the woken goals ran is the body built from the
+frame (`build`).  No clause is renamed by `copy_term`.
 """
 
 from __future__ import annotations
@@ -44,8 +54,8 @@ from .reader import Ops, Parser, standard_ops, tokenize
 from .store import Store
 from .susp import (EXECUTED, MAIN_PRIORITY, SCHEDULED, SUSPENDED, Scheduler,
                    Suspension)
-from .terms import (Atom, Struct, Var, copy_term, deref, is_callable_term,
-                    list_parts, term_vars)
+from .terms import (Atom, Breal, Struct, Var, copy_term, deref,
+                    is_callable_term, list_parts)
 from .attvar import AttributeRegistry
 from .writer import write_term
 
@@ -62,15 +72,160 @@ class CutBarrier:
 
 
 class Clause:
-    __slots__ = ("head", "body", "key")
+    """A user clause compiled into templates over numbered variable slots.
+
+    ``head`` holds the head's compiled arguments and ``body`` the compiled
+    body; ``nvars`` is the size of the frame a call fills.  A template is
+    a constant (kept as is), a `Tmpl` for a compound term, or a slot:
+    `First` at a variable's first occurrence in head-then-body order,
+    `Again` at every later one, and `FirstAttr` at the first occurrence of
+    a variable that carried attributes when the clause was compiled.  The
+    clause is a snapshot taken when it is added, as ISO ``assert`` does:
+    later bindings of its variables do not change it.
+    """
+
+    __slots__ = ("head", "body", "nvars", "key")
 
     def __init__(self, head, body):
-        self.head = head
-        self.body = body
-        self.key = None
+        slots = {}
         h = deref(head)
-        if isinstance(h, Struct) and h.args:
-            self.key = index_key(h.args[0])
+        args = h.args if type(h) is Struct else ()
+        self.head = [_compile(a, slots) for a in args]
+        self.body = _compile(body, slots)
+        self.nvars = len(slots)
+        self.key = index_key(args[0]) if args else None
+
+
+class First:
+    """A variable's first occurrence: takes the goal subterm it meets, or
+    a fresh variable when it is built."""
+
+    __slots__ = ("i",)
+
+    def __init__(self, i):
+        self.i = i
+
+
+class Again:
+    """A later occurrence: unifies with, or reuses, what the frame holds."""
+
+    __slots__ = ("i",)
+
+    def __init__(self, i):
+        self.i = i
+
+
+class FirstAttr:
+    """The first occurrence of a variable that had attributes: matched like
+    `First`, but built as a fresh variable whose attributes the registered
+    copy handlers fill from ``var``, as `copy_term` would."""
+
+    __slots__ = ("i", "var")
+
+    def __init__(self, i, var):
+        self.i = i
+        self.var = var
+
+
+class Tmpl:
+    """A compound term of a clause, with compiled arguments."""
+
+    __slots__ = ("name", "args")
+
+    def __init__(self, name, args):
+        self.name = name
+        self.args = args
+
+
+def _compile(t, slots):
+    t = deref(t)
+    ty = type(t)
+    if ty is Struct:
+        args = []
+        for a in t.args:  # slots and constants inline, one call per struct
+            while type(a) is Var and a.ref is not None:
+                a = a.ref
+            ta = type(a)
+            if ta is Struct:
+                a = _compile(a, slots)
+            elif ta is Var:
+                a = _slot(a, slots)
+            args.append(a)
+        return Tmpl(t.name, args)
+    if ty is Var:
+        return _slot(t, slots)
+    return t
+
+
+def _slot(v, slots):
+    again = slots.get(v)
+    if again is not None:
+        return again
+    i = len(slots)
+    slots[v] = Again(i)
+    return FirstAttr(i, v) if v.attrs else First(i)
+
+
+def match_head(targs, gargs, frame, store, hook):
+    """Unify compiled head arguments with a goal's arguments, filling the
+    frame.  Goal variables are bound in place; the caller holds a mark to
+    backtrack to when this returns False."""
+    for t, g in zip(targs, gargs):
+        tt = type(t)
+        if tt is First or tt is FirstAttr:
+            frame[t.i] = g
+            continue
+        if tt is Again:
+            if not store.unify(frame[t.i], g):
+                return False
+            continue
+        while type(g) is Var and g.ref is not None:
+            g = g.ref
+        tg = type(g)
+        if tt is Tmpl:
+            if tg is Struct:
+                if (g.name != t.name or len(g.args) != len(t.args)
+                        or not match_head(t.args, g.args, frame, store, hook)):
+                    return False
+            elif tg is not Var or not store.bind(g, build(t, frame, hook)):
+                return False
+        elif g is not t:  # a constant
+            if tg is Var:
+                if not store.bind(g, t):
+                    return False
+            elif tg is not tt or (t != g if tt is not Breal
+                                  else t.lo != g.lo or t.hi != g.hi):
+                return False
+    return True
+
+
+def build(t, frame, hook):
+    """The term a template stands for under the frame."""
+    tt = type(t)
+    if tt is Tmpl:
+        args = []
+        for a in t.args:  # slots and constants inline, one call per struct
+            ta = type(a)
+            if ta is Again:
+                args.append(frame[a.i])
+            elif ta is First:
+                v = frame[a.i] = Var()
+                args.append(v)
+            elif ta is Tmpl or ta is FirstAttr:
+                args.append(build(a, frame, hook))
+            else:
+                args.append(a)
+        return Struct(t.name, args)
+    if tt is Again:
+        return frame[t.i]
+    if tt is First:
+        v = frame[t.i] = Var()
+        return v
+    if tt is FirstAttr:
+        v = frame[t.i] = Var()
+        hook(t.var, v)
+        return v
+    return t
 
 
 def index_key(t):
@@ -471,27 +626,31 @@ class Engine:
         self.store.drop_to(mark)
 
     def _call_user(self, pred, goal, module):
-        mark = self.store.push_choicepoint()
+        store = self.store
+        mark = store.push_choicepoint()
         barrier = CutBarrier()
+        hook = self._copy_attr_hook
         goal_key = None
+        gargs = ()
         g = deref(goal)
-        if isinstance(g, Struct):
-            goal_key = index_key(g.args[0])
+        if type(g) is Struct:
+            gargs = g.args
+            goal_key = index_key(gargs[0])
         for clause in list(pred.clauses):
             if (clause.key is not None and goal_key is not None
                     and clause.key != goal_key):
                 continue
-            self.store.backtrack_to(mark)
-            renamed = copy_term(Struct(":-", [clause.head, clause.body]),
-                                attr_hook=self._copy_attr_hook)
-            if not self.store.unify(renamed.args[0], g):
+            store.backtrack_to(mark)
+            frame = [None] * clause.nvars
+            if not match_head(clause.head, gargs, frame, store, hook):
                 continue
             if not self.drain():
                 continue
-            yield from self.solve(renamed.args[1], pred.module, barrier)
+            yield from self.solve(build(clause.body, frame, hook),
+                                  pred.module, barrier)
             if barrier.hit:
                 break
-        self.store.drop_to(mark)
+        store.drop_to(mark)
 
     def _copy_attr_hook(self, old, fresh):
         for name, payload in old.attrs:

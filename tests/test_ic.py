@@ -332,6 +332,17 @@ def test_neq_on_a_continuous_variable_stays_delayed(ask, first):
     assert ic._propagate_neq(e, Fraction(-1, 4), [(1, x)], None)
 
 
+
+def test_neq_punches_its_hole_once_the_domain_becomes_integral(first, fmt):
+    # the constraint waits on the type list too, not only on binding
+    a = first("X :: 0.0..3.0, ic_lin_con(\\=, -1, [1*X]), "
+              "impose_integrality(X)")
+    assert fmt(a["X"]) == "_{[0, 2..3]}"
+    assert a.delayed == []
+    b = first("X :: 0.0..1.0, Y :: 0..1, ic_lin_con(\\=, 0, [1*X, 1*Y]), "
+              "Y = 0, impose_integrality(X)")
+    assert b["X"] == 1 and b.delayed == []
+
 def test_entailed_constraint_leaves_nothing_delayed(first):
     a = first("X :: 0..10, Y :: 0..10, X + Y #=< 100")
     assert a.delayed == []

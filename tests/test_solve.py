@@ -1,12 +1,23 @@
 """The resolution engine: control constructs, bindings, modules."""
 
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
+from random import Random
 
 import pytest
 
+from clpkernel import solve
 from clpkernel.errors import (ExistenceError, FlounderingError, Halt,
                               InstantiationError, ReaderError, TypeError_)
-from clpkernel.terms import Atom, Struct, Var, deref, proper_list
+from clpkernel.solve import Clause, Engine, build, match_head
+from clpkernel.store import Store
+from clpkernel.terms import (Atom, Struct, Var, copy_term, deref, is_variant,
+                             proper_list)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PQ = "p(1).\np(2).\np(3).\n"
 
@@ -282,3 +293,232 @@ def test_setarg_backtracks(engine):
     assert got["V"] is Atom("b")
     got = engine.ask("T = f(a), ( setarg(1, T, b), fail ; arg(1, T, V) )")
     assert got[0]["V"] is Atom("a")  # undone on backtracking
+
+
+# ----------------------------------------------------------------------
+# compiled clauses: the head is matched in place, the body built after
+
+NREV = """
+app([], L, L).
+app([H|T], L, [H|R]) :- app(T, L, R).
+nrev([], []).
+nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).
+"""
+
+
+def _random_term(rng, pool, depth=0):
+    k = rng.randrange(9 if depth < 2 else 6)
+    if k < 2:
+        return rng.choice(pool)
+    if k == 2:
+        return rng.choice((Atom("a"), Atom("b"), Atom("[]")))
+    if k == 3:
+        return rng.choice((1, 2, 1.0))
+    if k == 4:
+        return rng.choice(("a", "s"))
+    if k == 5:
+        return rng.choice(pool + [Atom("a"), 2])
+    name, arity = rng.choice((("f", 1), ("f", 2), ("g", 2), (".", 2)))
+    return Struct(name, [_random_term(rng, pool, depth + 1)
+                         for _ in range(arity)])
+
+
+def _reference_unify(a, b):
+    """Unification with occurs check over a substitution: True, False on a
+    clash, None when the occurs check stops it (a cyclic term would be
+    made without it)."""
+    subst = {}
+
+    def walk(t):
+        while type(t) is Var and t in subst:
+            t = subst[t]
+        return t
+
+    def occurs(v, t):
+        t = walk(t)
+        return t is v or (type(t) is Struct
+                          and any(occurs(v, x) for x in t.args))
+
+    stack = [(a, b)]
+    while stack:
+        x, y = (walk(t) for t in stack.pop())
+        if x is y:
+            continue
+        if type(x) is Var or type(y) is Var:
+            if type(x) is not Var:
+                x, y = y, x
+            if occurs(x, y):
+                return None
+            subst[x] = y
+        elif type(x) is Struct and type(y) is Struct:
+            if x.name != y.name or len(x.args) != len(y.args):
+                return False
+            stack.extend(zip(x.args, y.args))
+        elif type(x) is not type(y) or x != y:
+            return False
+    return True
+
+
+def test_compiled_head_matches_as_copy_and_unify_do():
+    """Differential test: compiling a clause, matching its head against a
+    goal and building its body agrees with renaming the whole clause by
+    copy_term and unifying the head with Store.unify."""
+    rng = Random(20261018)
+    outcomes = {True: 0, False: 0}
+    for _ in range(500):
+        hvars = [Var(), Var(), Var()]
+        gvars = [Var(), Var(), Var()]
+        arity = rng.randrange(1, 4)
+        head = Struct("p", [_random_term(rng, hvars) for _ in range(arity)])
+        goal = Struct("p", [_random_term(rng, gvars) for _ in range(arity)])
+        fresh = Var()
+        body = Struct("b", hvars + [fresh, Struct("f", [fresh])])
+        expected = _reference_unify(head, goal)
+        if expected is None:
+            continue
+        store = Store()
+        mark = store.push_choicepoint()
+        renamed = copy_term(Struct(":-", [head, body]))
+        ok_old = store.unify(renamed.args[0], goal)
+        old = ok_old and copy_term(Struct("r", [goal, renamed.args[1]]))
+        store.backtrack_to(mark)
+
+        clause = Clause(head, body)
+        frame = [None] * clause.nvars
+        ok_new = match_head(clause.head, goal.args, frame, store, None)
+        new = ok_new and copy_term(
+            Struct("r", [goal, build(clause.body, frame, None)]))
+        store.drop_to(mark)
+        assert store.trail == [] and store.choicepoints == []
+
+        assert ok_old == ok_new == expected, (head, goal)
+        if ok_new:
+            assert is_variant(old, new), (head, goal, old, new)
+        outcomes[ok_new] += 1
+    assert outcomes[True] >= 100 and outcomes[False] >= 100, outcomes
+
+
+def test_repeated_head_variable_unifies_goal_arguments(engine):
+    engine.load("same(X, X).")
+    got = engine.once("same(f(A), f(b))")
+    assert got["A"] is Atom("b")
+    assert engine.ask("same(f(a), f(b))") == []
+    # two fresh variables: the older one survives, as Store.unify keeps it
+    goal, varmap = engine.parse_goal("same(A, B)")
+    a, b = varmap["A"], varmap["B"]
+    assert a.serial < b.serial
+    for _ in engine.solutions(goal):
+        assert a.ref is None and deref(b) is a
+        break
+
+
+
+def test_passing_a_variable_to_a_clause_wakes_nothing(engine):
+    # a head variable takes the argument as it is: nothing is bound, so
+    # neither the bound nor the constrained list of the argument wakes
+    engine.load("p(_).\nq(Y) :- true.\n")
+    got = engine.once("suspend(true, 3, X->constrained), p(X)")
+    assert got.delayed == ["true"]
+    got = engine.once("suspend(true, 3, X->bound), q(X)")
+    assert got.delayed == ["true"]
+
+def test_compiled_clause_runs_in_generator_mode(engine):
+    engine.load(NREV)
+    got = engine.ask("app(X, Y, [1, 2])")
+    assert [(engine.format_term(a["X"]), engine.format_term(a["Y"]))
+            for a in got] == [("[]", "[1, 2]"), ("[1]", "[2]"),
+                              ("[1, 2]", "[]")]
+
+
+def test_body_only_variable_is_fresh_on_every_call(engine):
+    engine.load("mk(X) :- X = f(_).")
+    goal, varmap = engine.parse_goal("mk(A), mk(B)")
+    for _ in engine.solutions(goal):
+        va = deref(deref(varmap["A"]).args[0])
+        vb = deref(deref(varmap["B"]).args[0])
+        assert type(va) is Var and type(vb) is Var and va is not vb
+        break
+    else:
+        pytest.fail("mk(A), mk(B) failed")
+
+
+def test_cut_inside_a_compiled_body(engine):
+    engine.load("t(X) :- member(X, [1, 2, 3]), X > 1, !.\nt(9).\n")
+    assert sols(engine, "t(X)") == [2]
+
+
+def test_metacalled_loop_param_keeps_its_domain(engine):
+    got = engine.once("Q :: 1..3, call((foreach(R, [1, 2]), param(Q) do "
+                      "Q #\\= R))")
+    assert got is not None and got["Q"] == 3
+    # a variable local to the body is fresh in every iteration, with a
+    # copy of the domain it had when the loop was expanded
+    got = engine.once("X :: 1..5, call((foreach(E, [1, 2]) do "
+                      "get_max(X, 5), X #\\= E))")
+    assert got is not None and engine.format_term(got["X"]) == "_{1..5}"
+
+
+def test_clause_renaming_does_not_copy_terms(engine, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("copy_term called")
+    monkeypatch.setattr(solve, "copy_term", boom)
+    engine.load(NREV)
+    goal, varmap = engine.parse_goal("nrev([1, 2, 3, 4], R)")
+    got = [engine.format_term(varmap["R"]) for _ in engine.solutions(goal)]
+    assert got == ["[4, 3, 2, 1]"]
+
+
+def _count_inferences(monkeypatch, program, query):
+    """Predicate calls of a query counted as the benchmark counts them:
+    one per call of Engine._call_user or Engine._run_builtin."""
+    calls = [0]
+
+    def counting(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+        return wrapper
+
+    engine = Engine()
+    engine.load(program)
+    goal, _ = engine.parse_goal(query)
+    monkeypatch.setattr(Engine, "_call_user", counting(Engine._call_user))
+    monkeypatch.setattr(Engine, "_run_builtin",
+                        counting(Engine._run_builtin))
+    for _ in engine.solutions(goal):
+        break
+    monkeypatch.undo()
+    return calls[0]
+
+
+def test_inference_counts_the_benchmark_relies_on(monkeypatch):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    n = 10
+    assert _count_inferences(
+        monkeypatch, workloads.CORE_PROGRAM,
+        "nrev(%s, R)" % list(range(1, n + 1))) == (n + 1) * (n + 2) // 2
+    assert _count_inferences(monkeypatch, workloads.QUEENS_PROGRAM,
+                             "count_queens(6, first_fail, C)") == 998
+    assert _count_inferences(monkeypatch, workloads.LINEAR_PROGRAM,
+                             "send_more(L)") == 40
+
+
+def test_recursion_depth_floor():
+    """count_to(0, 240), the benchmark's depth probe, succeeds in a fresh
+    interpreter at the default recursion limit: a change that adds a
+    Python frame per call fails here."""
+    code = ("import sys\n"
+            "from clpkernel import Engine\n"
+            "assert sys.getrecursionlimit() == 1000\n"
+            "e = Engine()\n"
+            "e.load('count_to(N, N) :- !.\\n'\n"
+            "       'count_to(I, N) :- I1 is I + 1, count_to(I1, N).')\n"
+            "assert e.once('count_to(0, 240)') is not None\n")
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, timeout=120,
+                       env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert p.returncode == 0, p.stderr[-2000:]
