@@ -317,10 +317,6 @@ def compare_numeric(a, b):
     return _cmp_exact(a, b)
 
 
-def numeric_equal(a, b):
-    return compare_numeric(a, b) == 0
-
-
 def num_min(a, b):
     return a if compare_numeric(a, b) <= 0 else b
 

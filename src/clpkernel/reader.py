@@ -86,10 +86,6 @@ class Ops:
     def postfix_op(self, name):
         return self._lookup("postfix", name)
 
-    def is_op(self, name):
-        return (self.prefix_op(name) or self.infix_op(name)
-                or self.postfix_op(name)) is not None
-
 
 _STANDARD = [
     (1200, "xfx", ":-"), (1200, "xfx", "-->"),
@@ -329,10 +325,6 @@ class Parser:
         return True
 
     # -- grammar -------------------------------------------------------
-
-    def read_term(self, maxprec=1200):
-        term, _ = self.parse(maxprec)
-        return term
 
     def parse(self, maxprec, punct_ops=True):
         left, lprec = self.parse_primary(maxprec, punct_ops)

@@ -24,10 +24,16 @@ semi-deterministically: their first solution is committed.
 A woken goal whose predicate is a builtin (every ic demon is one) is
 dispatched directly: `make_suspension` keeps the predicate on the
 suspension, and `drain` calls `_run_builtin` with the goal's own
-argument tuple, as the resolvent would, and commits to the mark that
-call pushes.  `current_suspension` is set meanwhile, so a builtin can
-tell a woken run (the suspension's goal arguments are its arguments)
-from a fresh post.  Other woken goals go through `run_goal_once`.
+argument tuple, as the resolvent would.  A bool result is the outcome:
+no mark is pushed and no generator is built, and a failing demon's
+partial writes are undone by the mark of whoever called `drain`.  A
+generator result (a woken `indomain`, say) is run to its first solution
+that drains, and the marks it pushed are committed.  `current_suspension`
+is set meanwhile, so a builtin can tell a woken run (the suspension's
+goal arguments are its arguments) from a fresh post.  Other woken goals
+go through `run_goal_once`.  A builtin called from the resolvent goes
+through `_builtin_goal`, which holds a mark around the call and drains
+after each success; `_run_builtin` is the one call site of both paths.
 
 User clauses are compiled once, when they are added (`Clause`): each
 variable becomes a numbered slot, so a clause is a snapshot of its terms
@@ -349,14 +355,6 @@ class Module:
         self.aux_n += 1
         return "do__%d" % self.aux_n
 
-    def term_macro_hook(self):
-        def hook(t):
-            fn = self.lookup_term_macro(t.name, t.arity)
-            if fn is not None:
-                return fn(self, t)
-            return t
-        return hook
-
 
 class Answer:
     """One solution of a query, snapshotted so it survives backtracking."""
@@ -489,12 +487,18 @@ class Engine:
 
     def drain(self):
         """Run scheduled goals more urgent than the current priority.
-        Returns False as soon as one of them fails."""
+        Returns False as soon as one of them fails.
+
+        A woken builtin runs with no mark of its own: a failing one
+        leaves its partial writes in place, and whoever called `drain`
+        backtracks them away to the mark it holds (`_builtin_goal`,
+        `_call_user`, or the value loop of `search.label`)."""
         s = self.sched.pop_runnable(self.running_priority)
         while s is not None:
             store = self.store
             if s.demon:
-                store.set_slot(s, "state", SUSPENDED)
+                # untrailed: see the invariant in the susp module docstring
+                s.state = SUSPENDED
             else:
                 store.set_slot(s, "state", EXECUTED)
             prev_p = self.running_priority
@@ -505,14 +509,17 @@ class Engine:
                 if s.pred is None:
                     ok = self.run_goal_once(s.goal, s.module)
                 else:
-                    # _run_builtin pushes its mark first, at this height
                     top = len(store.choicepoints)
                     args = s.goal.args if type(s.goal) is Struct else ()
-                    ok = False
-                    for _ in self._run_builtin(s.pred, args, s.module):
-                        store.commit_to(store.choicepoints[top])
-                        ok = True
-                        break
+                    ok = res = self._run_builtin(s.pred, args, s.module)
+                    if type(res) is GeneratorType:
+                        ok = False
+                        for _ in res:
+                            if self.drain():
+                                ok = True
+                                break
+                        if ok and len(store.choicepoints) > top:
+                            store.commit_to(store.choicepoints[top])
             finally:
                 self.running_priority = prev_p
                 self.current_suspension = prev_s
@@ -586,7 +593,7 @@ class Engine:
             raise ExistenceError("procedure %s/%d is not defined in module %s"
                                  % (name, arity, module.name))
         if pred.builtin is not None:
-            yield from self._run_builtin(pred, args, module)
+            yield from self._builtin_goal(pred, args, module)
             return
         yield from self._call_user(pred, goal, module)
 
@@ -611,18 +618,22 @@ class Engine:
                 yield from self.solve(else_g, module, barrier)
 
     def _run_builtin(self, pred, args, module):
+        """Call a builtin: the one call site for every builtin call, woken
+        or not.  Returns its raw result, a bool or a generator."""
+        return pred.builtin(self, args, module)
+
+    def _builtin_goal(self, pred, args, module):
         mark = self.store.push_choicepoint()
-        res = pred.builtin(self, args, module)
-        if isinstance(res, GeneratorType):
+        res = self._run_builtin(pred, args, module)
+        if type(res) is GeneratorType:
             for _ in res:
                 if self.drain():
                     yield
                 # on waking failure the builtin's own backtracking undoes
                 # the woken goals' bindings before the next alternative
-        else:
-            if res:
-                if self.drain():
-                    yield
+        elif res:
+            if self.drain():
+                yield
         self.store.drop_to(mark)
 
     def _call_user(self, pred, goal, module):

@@ -7,9 +7,21 @@ through three states:
 
 Demons go back to ``suspended`` instead of ``executed`` when they are
 picked for execution, so the same suspension keeps living in its
-suspension lists and can fire again.  All state changes go through the
-store's value trail, so backtracking revives killed suspensions and
-un-schedules scheduled ones.
+suspension lists and can fire again.  Every other state change goes
+through the store's value trail, so backtracking revives killed
+suspensions and un-schedules scheduled ones.
+
+The demon's reset to ``suspended`` is a plain, untrailed write.  It
+relies on one invariant: when `Engine.drain` pops a demon, no choicepoint
+pushed since the demon was scheduled is still alive (drain pushes no
+mark per woken builtin, and a woken goal that pushes marks commits them
+before the less urgent goals it left queued are popped).  So no live
+choicepoint lies between the schedule and the pop, and the ``scheduled``
+entry that `Scheduler.schedule` trailed already restores ``suspended`` on
+any backtracking past the pop.  Usually the demon was scheduled in the
+current trail segment (``s._stamps["state"]`` equals the store's current
+stamp), where a trailed reset would add no entry anyway.  Killing a
+suspension and running a non-demon stay trailed.
 
 Waking is two-stage on purpose: events only move suspensions into the
 priority queue; the queued goals actually run at the next drain point,

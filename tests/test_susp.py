@@ -1,12 +1,18 @@
 """The suspension scheduler: priority buckets, demons, kill and revive."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
+from clpkernel import ic, make_engine
 from clpkernel.errors import DomainError
 from clpkernel.store import Store
 from clpkernel.susp import (EXECUTED, MAIN_PRIORITY, NUM_PRIORITIES, SCHEDULED,
                             SUSPENDED, Scheduler, Suspension)
 from clpkernel.terms import Atom, Struct, deref
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_priority_range_enforced():
@@ -183,3 +189,125 @@ def test_delayed_goal_reported_when_never_woken(first):
     got = first("suspend(true, 3, [X -> inst])")
     assert got is not None
     assert got.delayed == ["true"]
+
+
+# ----------------------------------------------------------------------
+# the wake path: woken builtins run without a mark of their own
+
+def _bound_in_a_solution(engine, text):
+    """Run ``text`` and leave its first solution's bindings in place:
+    returns the solution generator (kept open) and the variable map."""
+    goal, varmap = engine.parse_goal(text)
+    sols = engine.solutions(goal)
+    next(sols)
+    return sols, varmap
+
+
+def test_woken_bool_demon_pushes_no_choicepoint(engine, monkeypatch):
+    sols, vm = _bound_in_a_solution(engine, "[X, Y] :: 1..3, X #\\= Y")
+    st = engine.store
+    pushes = []
+    push = Store.push_choicepoint
+    monkeypatch.setattr(Store, "push_choicepoint",
+                        lambda self: pushes.append(1) or push(self))
+    height = len(st.choicepoints)
+    assert st.unify(vm["X"], 1)
+    assert engine.drain()
+    assert pushes == []
+    assert len(st.choicepoints) == height
+    assert engine.format_term(vm["Y"]) == "_{2..3}"
+    sols.close()
+
+
+@pytest.mark.parametrize("binding_clause", ["p(3).", "p(X) :- X = 3."])
+def test_failing_demon_writes_are_undone_by_the_callers_mark(
+        engine, monkeypatch, binding_clause):
+    """Binding X wakes `A + X #=< 10`, which narrows A, then `B #= X + 5`,
+    which narrows B's upper bound past the hole at 8 and then wipes B out.
+    The second clause sees the state from before the first one."""
+    snaps = []
+    narrowings = []
+    taken_at = []
+
+    def snapshot(eng, args, module):
+        snaps.append((
+            [eng.format_term(v) for v in args],
+            [eng.format_goal(s) for s in eng.delayed_goals()],
+            {sid: s.state for sid, s in eng.suspensions.items()}))
+        taken_at.append(len(narrowings))
+        return True
+
+    def recording(fn):
+        def wrapper(eng, x, b):
+            ok = fn(eng, x, b)
+            narrowings.append(ok)
+            return ok
+        return wrapper
+
+    engine.add_builtin(engine.main, "snapshot", 3, snapshot)
+    engine.load(binding_clause + "\np(_).")
+    goal, _ = engine.parse_goal(
+        "X :: 0..10, A :: 0..10, B :: [5, 6, 7, 9, 10],"
+        " A + X #=< 10, B #= X + 5, snapshot(X, A, B),"
+        " p(X), snapshot(X, A, B)")
+    monkeypatch.setattr(ic, "impose_max", recording(ic.impose_max))
+    monkeypatch.setattr(ic, "impose_min", recording(ic.impose_min))
+    sols = engine.solutions(goal)
+    next(sols)
+    before, after = snaps
+    assert before[0] == ["_{0..5}", "_{0..10}", "_{[5..7, 9..10]}"]
+    assert len(before[1]) == 2
+    assert after == before
+    # the first clause narrowed A to 0..7 and B to 5..7, then wiped B out
+    assert narrowings[taken_at[0]:taken_at[1]] == [True, True, False]
+    sols.close()
+
+
+def test_demons_are_popped_in_the_segment_that_scheduled_them(monkeypatch):
+    """The invariant behind the untrailed reset of a popped demon (see the
+    susp module docstring), checked over the benchmark's programs."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    store = [None]
+    checked = []
+    pop = Scheduler.pop_runnable
+
+    def checking(self, priority_limit):
+        s = pop(self, priority_limit)
+        if s is not None and s.demon:
+            assert s._stamps["state"] == store[0].current_stamp(), s
+            checked.append(s)
+        return s
+
+    monkeypatch.setattr(Scheduler, "pop_runnable", checking)
+    queens = [("count_queens(6, input_order, C)", 4),
+              ("count_queens(6, first_fail, C)", 4)]
+    linear = [("magic(C)", 8), ("coins(40, C)", 31), ("send_more(C)", None)]
+    for program, queries in ((workloads.QUEENS_PROGRAM, queens),
+                             (workloads.LINEAR_PROGRAM, linear)):
+        engine = make_engine()
+        store[0] = engine.store
+        engine.load(program)
+        for query, count in queries:
+            got = engine.once(query)
+            assert got is not None, query
+            if count is not None:
+                assert got["C"] == count, query
+    assert len(checked) > 1000
+
+
+def test_woken_generator_builtin_commits_its_first_solution(engine):
+    sols, vm = _bound_in_a_solution(
+        engine, "X :: 1..3, suspend(indomain(X), 3, Y -> inst)")
+    st = engine.store
+    height = len(st.choicepoints)
+    assert st.unify(vm["Y"], Atom("a"))
+    assert engine.drain()
+    assert deref(vm["X"]) == 1
+    assert len(st.choicepoints) == height
+    sols.close()
+    got = engine.once("X :: 1..3, suspend(indomain(X), 3, Y -> inst), Y = a")
+    assert got["X"] == 1
