@@ -31,7 +31,7 @@ can be read back, and vanish when the variable is instantiated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import InstantiationError, RegistrationError, UnsupportedError
@@ -47,7 +47,6 @@ class AttributeSpec:
     bounds_set: Optional[Callable] = None
     get_list: Optional[Callable] = None
     portray: Optional[Callable] = None
-    list_names: tuple = field(default_factory=tuple)
 
 
 class AttributeRegistry:

@@ -3,10 +3,10 @@
 Builtins are Python callables ``fn(engine, args, module) -> bool | generator``.
 A bool result is a deterministic success/failure; a generator yields once
 per solution and owns its backtracking (restore before each alternative,
-leave the store clean on exhaustion).  The engine wraps every builtin call
-in a choicepoint mark and runs the waking queue after each success, so
-builtins can bind variables freely and let waking failures turn into
-failure of the call.
+leave the store clean on exhaustion).  The engine runs the waking queue
+after each success and backtracks to a choicepoint below the call on
+failure, so builtins can bind variables freely and let waking failures
+turn into failure of the call.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .attvar import AttributeSpec, add_attr, get_attr, get_var_bounds, \
 from .errors import (DomainError, Halt, InstantiationError,
                      ExistenceError, RangeError, TypeError_, UnsupportedError)
 from .expand import struct_update_args
-from .solve import CutBarrier
 from .susp import Suspension
 from .terms import (Atom, Breal, NIL, Struct, Var, arg_at, compare_terms,
                     copy_term, deref, is_callable_term, is_number, mk_list,
@@ -42,7 +41,7 @@ def bi_call(engine, args, module):
             raise InstantiationError("call: unbound goal")
         else:
             raise TypeError_("call: goal is not callable")
-    return engine.solve(g, module, CutBarrier())
+    return engine.solve(g, module)
 
 
 def bi_once(engine, args, module):
@@ -52,7 +51,7 @@ def bi_once(engine, args, module):
 def bi_naf(engine, args, module):
     mark = engine.store.push_choicepoint()
     found = False
-    for _ in engine.solve(args[0], module, CutBarrier()):
+    for _ in engine.solve(args[0], module):
         found = True
         break
     engine.store.drop_to(mark)
@@ -61,15 +60,13 @@ def bi_naf(engine, args, module):
 
 def bi_findall(engine, args, module):
     template, goal, out = args
-    mark = engine.store.push_choicepoint()
     watermark = engine._sid
     results = []
-    for _ in engine.solve(goal, module, CutBarrier()):
+    for _ in engine.solve(goal, module):
         engine.check_floundering(
             watermark, module, "findall: a solution left goals delayed; "
             "the solution set is not enumerable")
         results.append(copy_term(template, attr_hook=engine._copy_attr_hook))
-    engine.store.drop_to(mark)
     return engine.store.unify(out, mk_list(results))
 
 
@@ -82,13 +79,13 @@ def bi_qualified(engine, args, module):
         out = Struct(":", [mods[-1], goal])
         for m in reversed(mods[:-1]):
             out = Struct(",", [Struct(":", [m, goal]), out])
-        return engine.solve(out, module, CutBarrier())
+        return engine.solve(out, module)
     if not isinstance(mt, Atom):
         raise TypeError_("qualified call: module must be an atom: %r" % (mt,))
     target = engine.modules.get(mt.name)
     if target is None:
         raise ExistenceError("module %s does not exist" % mt.name)
-    return engine.solve(goal, target, CutBarrier())
+    return engine.solve(goal, target)
 
 
 def bi_halt0(engine, args, module):

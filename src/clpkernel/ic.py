@@ -432,8 +432,7 @@ def _install_attribute(engine):
 
     engine.registry.register(AttributeSpec(
         name="ic", unify=on_unify, copy=on_copy, bounds_get=bounds_get,
-        bounds_set=bounds_set, get_list=get_list, portray=portray,
-        list_names=("min", "max", "hole", "type")))
+        bounds_set=bounds_set, get_list=get_list, portray=portray))
 
 
 # ----------------------------------------------------------------------

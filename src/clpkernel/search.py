@@ -21,7 +21,6 @@ from itertools import filterfalse
 
 from .errors import DomainError, TypeError_
 from .ic import get_domain
-from .solve import CutBarrier
 from .terms import Atom, Var, deref, proper_list
 
 
@@ -70,23 +69,46 @@ def _dom_size(x):
     return _size(int(d.lo), int(d.hi), d.holes)
 
 
+def _pick(pending, dynamic):
+    """(next variable, other unbound ones) of the (input position, term)
+    pairs, or None when all are instantiated."""
+    live = [(i, v) for i, (_, t) in enumerate(pending)
+            for v in (deref(t),) if type(v) is Var]
+    if not live:
+        return None
+    if dynamic:
+        i, v = min(live, key=lambda iv: (_dom_size(iv[1]), pending[iv[0]][0]))
+    else:
+        i, v = live[0]
+    return v, [pending[j] for j, _ in live if j != i]
+
+
+def _label(engine, pending, dynamic):
+    """Yield each labeling of the pending variables, one choicepoint per
+    variable.  The woken goals run before the next variable is picked;
+    after the last one, whoever resumes the generator runs them."""
+    picked = _pick(pending, dynamic)
+    if picked is None:
+        yield
+        return
+    v, rest = picked
+    values = _finite_values(_require_finite(v))
+    store = engine.store
+    mark = store.push_choicepoint()
+    for val in values:
+        store.backtrack_to(mark)
+        if store.bind(v, val) and (not rest or engine.drain()):
+            yield from _label(engine, rest, dynamic)
+    store.drop_to(mark)
+
+
 def bi_indomain(engine, args, module):
     x = deref(args[0])
     if type(x) is not Var:
         if isinstance(x, int):
             return True
         raise TypeError_("indomain: not an integer variable: %r" % (x,))
-    values = _finite_values(_require_finite(x))
-
-    def gen():
-        store = engine.store
-        mark = store.push_choicepoint()
-        for v in values:
-            store.backtrack_to(mark)
-            if store.bind(x, v):
-                yield
-        store.drop_to(mark)
-    return gen()
+    return _label(engine, [(0, x)], False)
 
 
 def bi_labeling2(engine, args, module):
@@ -102,54 +124,17 @@ def bi_labeling2(engine, args, module):
     items = proper_list(args[1])
     if items is None:
         raise TypeError_("labeling: needs a proper list of variables")
-
-    def pick(pending):
-        """-> (var, rest) or None when everything is instantiated."""
-        live = [(i, v) for i, (_, t) in enumerate(pending)
-                for v in (deref(t),) if type(v) is Var]
-        if not live:
-            return None
-        if dynamic:
-            i, v = min(live, key=lambda iv: (_dom_size(iv[1]), pending[iv[0]][0]))
-        else:
-            i, v = live[0]
-        return v, live, i
-
-    def label(pending):
-        # pending: [(input position, term)]
-        picked = pick(pending)
-        if picked is None:
-            yield
-            return
-        v, live, i = picked
-        rest = [pending[j] for j, _ in live if j != i]
-        values = _finite_values(_require_finite(v))
-        store = engine.store
-        mark = store.push_choicepoint()
-        for val in values:
-            store.backtrack_to(mark)
-            if not store.bind(v, val):
-                continue
-            if not engine.drain():
-                continue
-            yield from label(rest)
-        store.drop_to(mark)
-
-    return label(list(enumerate(items)))
+    return _label(engine, list(enumerate(items)), dynamic)
 
 
 def bi_count_solutions(engine, args, module):
-    goal = args[0]
-    store = engine.store
-    mark = store.push_choicepoint()
     watermark = engine._sid
     n = 0
-    for _ in engine.solve(goal, module, CutBarrier()):
+    for _ in engine.solve(args[0], module):
         engine.check_floundering(
             watermark, module, "count_solutions: a solution left goals delayed")
         n += 1
-    store.drop_to(mark)
-    return store.unify(args[1], n)
+    return engine.store.unify(args[1], n)
 
 
 _SEARCH_PRELUDE = """

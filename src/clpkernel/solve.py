@@ -1,18 +1,20 @@
 """The resolution engine.
 
-Goals are solved by recursive generators: each `solve` call yields once
-per solution, with bindings in place while the caller consumes the
-solution, and restores the store to its entry state before finishing.
-
-Mark discipline: every construct that creates alternatives (a predicate
-call, a builtin invocation, if-then-else) pushes its own choicepoint mark
-and is responsible for it.  Constructs that abandon a partially-consumed
-inner generator (once, if-then-else, woken goals) clean up with
-``commit_to``/``drop_to`` on their *own* mark, which also disposes of any
-marks the abandoned generator left above it.  For that reason none of the
-generators here use ``finally`` for store cleanup -- when a generator is
-closed early the enclosing frame's mark already covers its state, and a
-late ``close()`` from the garbage collector must not touch the store.
+Goals are solved by one loop, `solve`, over a linked continuation of
+``(goal, module, cut height, next)`` cells.  As in Warren's abstract
+machine, the store's choicepoints hold the backtracking state: a mark's
+``alt`` is a clause retry (pushed only when a second clause is a
+candidate under first-argument indexing), the other branch of a
+disjunction, or a builtin's generator (stepped to its next solution that
+drains, with the mark above the generator's own), and ``cont`` is the
+continuation it resumes.  An if-then-else pushes one mark, for its else
+branch, and runs the condition followed by a ``!`` whose height is that
+mark's index; a cut pops the choicepoints above its height.  A bare mark
+has no alternative: backtracking into one is an `InternalError`.  When
+exhausted, `solve` drops its base mark, which restores the store.  It has
+no ``finally``: a caller that abandons it (once, negation, woken goals)
+cleans up with ``commit_to``/``drop_to`` on its *own* mark, and a late
+``close()`` from the garbage collector must not touch the store.
 
 Suspended goals are woken through a two-stage scheme: events move
 suspensions into the scheduler's priority queues, and `drain` runs them
@@ -26,14 +28,14 @@ dispatched directly: `make_suspension` keeps the predicate on the
 suspension, and `drain` calls `_run_builtin` with the goal's own
 argument tuple, as the resolvent would.  A bool result is the outcome:
 no mark is pushed and no generator is built, and a failing demon's
-partial writes are undone by the mark of whoever called `drain`.  A
-generator result (a woken `indomain`, say) is run to its first solution
-that drains, and the marks it pushed are committed.  `current_suspension`
-is set meanwhile, so a builtin can tell a woken run (the suspension's
-goal arguments are its arguments) from a fresh post.  Other woken goals
-go through `run_goal_once`.  A builtin called from the resolvent goes
-through `_builtin_goal`, which holds a mark around the call and drains
-after each success; `_run_builtin` is the one call site of both paths.
+partial writes are undone when whoever called `drain` backtracks.  A
+generator result (a woken `indomain`, say) is stepped as the machine
+steps one, to its first solution that drains, and the marks it pushed
+are committed.  `current_suspension` is set meanwhile, so a builtin can
+tell a woken run (the suspension's goal arguments are its arguments)
+from a fresh post.  Other woken goals go through `run_goal_once`.
+`_run_builtin` is the one call site of every builtin call, woken or not,
+and `_call_user` of every user call.
 
 User clauses are compiled once, when they are added (`Clause`): each
 variable becomes a numbered slot, so a clause is a snapshot of its terms
@@ -51,8 +53,8 @@ from __future__ import annotations
 import logging
 from types import GeneratorType
 
-from .errors import (EngineError, ExistenceError, ExpansionError,
-                     FlounderingError, Halt, InstantiationError, ReaderError,
+from .errors import (EngineError, ExistenceError, FlounderingError, Halt,
+                     InstantiationError, InternalError, ReaderError,
                      TypeError_)
 from .expand import (ExpandContext, expand_clause, install_kernel_macros,
                      mk_conj, parse_struct_decl)
@@ -68,13 +70,8 @@ from .writer import write_term
 log = logging.getLogger("clpkernel")
 
 
-class CutBarrier:
-    """Cut target: '!' sets hit, the owning clause stops taking alternatives."""
-
-    __slots__ = ("hit",)
-
-    def __init__(self):
-        self.hit = False
+_BRANCH = "branch"  # a disjunction's alternative: resume the continuation
+_CUT = Atom("!")
 
 
 class Clause:
@@ -232,6 +229,14 @@ def build(t, frame, hook):
         hook(t.var, v)
         return v
     return t
+
+
+def _candidate(clauses, i, n, key):
+    """The first clause index from i on whose key can match, or n."""
+    if key is not None:
+        while i < n and clauses[i].key not in (None, key):
+            i += 1
+    return i
 
 
 def index_key(t):
@@ -491,8 +496,8 @@ class Engine:
 
         A woken builtin runs with no mark of its own: a failing one
         leaves its partial writes in place, and whoever called `drain`
-        backtracks them away to the mark it holds (`_builtin_goal`,
-        `_call_user`, or the value loop of `search.label`)."""
+        backtracks them away to a choicepoint below them (the machine in
+        `solve`, or the value loop of `search._label`)."""
         s = self.sched.pop_runnable(self.running_priority)
         while s is not None:
             store = self.store
@@ -513,11 +518,7 @@ class Engine:
                     args = s.goal.args if type(s.goal) is Struct else ()
                     ok = res = self._run_builtin(s.pred, args, s.module)
                     if type(res) is GeneratorType:
-                        ok = False
-                        for _ in res:
-                            if self.drain():
-                                ok = True
-                                break
+                        ok = self._next_drained(res)
                         if ok and len(store.choicepoints) > top:
                             store.commit_to(store.choicepoints[top])
             finally:
@@ -531,7 +532,7 @@ class Engine:
     def run_goal_once(self, goal, module):
         """Solve deterministically: commit to the first solution."""
         mark = self.store.push_choicepoint()
-        for _ in self.solve(goal, module, CutBarrier()):
+        for _ in self.solve(goal, module):
             self.store.commit_to(mark)
             return True
         self.store.drop_to(mark)
@@ -540,128 +541,143 @@ class Engine:
     # ------------------------------------------------------------------
     # the solver
 
-    def solve(self, goal, module, barrier):
-        goal = deref(goal)
-        if isinstance(goal, Var):
-            raise InstantiationError("unbound goal")
-        if isinstance(goal, Atom):
-            name, arity, args = goal.name, 0, ()
-        elif isinstance(goal, Struct):
-            name, arity, args = goal.name, goal.arity, goal.args
-        else:
-            raise TypeError_("goal is not callable: %s" % self.format_term(goal))
-
-        if arity == 2:
-            if name == ",":
-                yield from self._conj(args[0], args[1], module, barrier)
-                return
-            if name == ";":
-                left = deref(args[0])
-                if isinstance(left, Struct) and left.name == "->" and left.arity == 2:
-                    yield from self._ite(left.args[0], left.args[1], args[1],
-                                         module, barrier)
-                    return
-                yield from self.solve(args[0], module, barrier)
-                if barrier.hit:
-                    return
-                yield from self.solve(args[1], module, barrier)
-                return
-            if name == "->":
-                yield from self._ite(args[0], args[1], None, module, barrier)
-                return
-        elif arity == 0:
-            if name == "true":
+    def solve(self, goal, module):
+        """Yield once per solution, with its bindings in place."""
+        store = self.store
+        cps = store.choicepoints
+        base = store.push_choicepoint()
+        cont = (goal, module, len(cps), None)
+        while True:
+            if cont is None:
                 yield
-                return
-            if name in ("fail", "false"):
-                return
-            if name == "!":
-                barrier.hit = True
-                yield
-                return
+            else:
+                goal, module, cut, cont = cont
+                goal = deref(goal)
+                if type(goal) is Struct:
+                    name, args = goal.name, goal.args
+                elif type(goal) is Atom:
+                    name, args = goal.name, ()
+                elif type(goal) is Var:
+                    raise InstantiationError("unbound goal")
+                else:
+                    raise TypeError_("goal is not callable: %s"
+                                     % self.format_term(goal))
+                arity = len(args)
+                if arity == 2:
+                    if name == ",":
+                        cont = (args[0], module, cut,
+                                (args[1], module, cut, cont))
+                        continue
+                    if name == ";":
+                        m = store.push_choicepoint()
+                        m.alt, m.cont = _BRANCH, (args[1], module, cut, cont)
+                        c = deref(args[0])
+                        if type(c) is Struct and c.name == "->" and c.arity == 2:
+                            # condition, cut to below this mark, then-branch
+                            cont = (c.args[0], module, m.index + 1,
+                                    (_CUT, module, m.index,
+                                     (c.args[1], module, cut, cont)))
+                        else:
+                            cont = (c, module, cut, cont)
+                        continue
+                    if name == "->":
+                        h = len(cps)
+                        cont = (args[0], module, h, (
+                            _CUT, module, h, (args[1], module, cut, cont)))
+                        continue
+                elif arity == 0:
+                    if name == "true":
+                        continue
+                    if name == "!":
+                        if len(cps) > cut:
+                            store.commit_to(cps[cut])
+                        continue
+                # fail and false have no clauses: they backtrack below
+                if arity or (name != "fail" and name != "false"):
+                    pred = module.lookup_pred(name, arity)
+                    if pred is None:
+                        macro = module.lookup_goal_macro(name, arity)
+                        if macro is None:
+                            raise ExistenceError(
+                                "procedure %s/%d is not defined in module %s"
+                                % (name, arity, module.name))
+                        goal, aux = macro(ExpandContext(module, self), goal)
+                        for head, body in aux:
+                            self.add_clause(module, head, body)
+                        cont = (goal, module, cut, cont)
+                        continue
+                    if pred.builtin is None:
+                        cont = self._call_user(pred, args, cont)
+                        if cont is not None:
+                            continue
+                    else:
+                        res = self._run_builtin(pred, args, module)
+                        if type(res) is GeneratorType:
+                            if self._next_drained(res):
+                                m = store.push_choicepoint()
+                                m.alt, m.cont = res, cont
+                                continue
+                        elif res and self.drain():
+                            continue
+            # failure: resume the youngest alternative
+            while True:
+                m = cps[-1]
+                if m is base:
+                    store.drop_to(base)
+                    return
+                alt, cont = m.alt, m.cont
+                if alt is None:
+                    raise InternalError("backtracked into a bare mark %r" % m)
+                store.drop_to(m)
+                if alt is _BRANCH:
+                    break
+                if type(alt) is tuple:
+                    cont = self._try_clauses(*alt, m.index, cont)
+                    if cont is not None:
+                        break
+                elif self._next_drained(alt):
+                    m = store.push_choicepoint()
+                    m.alt, m.cont = alt, cont
+                    break
 
-        pred = module.lookup_pred(name, arity)
-        if pred is None:
-            macro = module.lookup_goal_macro(name, arity)
-            if macro is not None:
-                ctx = ExpandContext(module, self)
-                g2, aux = macro(ctx, goal)
-                for head, body in aux:
-                    self.add_clause(module, head, body)
-                yield from self.solve(g2, module, barrier)
-                return
-            raise ExistenceError("procedure %s/%d is not defined in module %s"
-                                 % (name, arity, module.name))
-        if pred.builtin is not None:
-            yield from self._builtin_goal(pred, args, module)
-            return
-        yield from self._call_user(pred, goal, module)
-
-    def _conj(self, a, b, module, barrier):
-        for _ in self.solve(a, module, barrier):
-            yield from self.solve(b, module, barrier)
-            if barrier.hit:
-                break
-
-    def _ite(self, cond, then_g, else_g, module, barrier):
-        mark = self.store.push_choicepoint()
-        got = False
-        for _ in self.solve(cond, module, CutBarrier()):
-            got = True
-            break
-        if got:
-            yield from self.solve(then_g, module, barrier)
-            self.store.drop_to(mark)
-        else:
-            self.store.drop_to(mark)
-            if else_g is not None:
-                yield from self.solve(else_g, module, barrier)
+    def _next_drained(self, gen):
+        """Step a builtin's generator to its next solution after which the
+        woken goals succeed (its own backtracking undoes them if not)."""
+        for _ in gen:
+            if self.drain():
+                return True
+        return False
 
     def _run_builtin(self, pred, args, module):
         """Call a builtin: the one call site for every builtin call, woken
         or not.  Returns its raw result, a bool or a generator."""
         return pred.builtin(self, args, module)
 
-    def _builtin_goal(self, pred, args, module):
-        mark = self.store.push_choicepoint()
-        res = self._run_builtin(pred, args, module)
-        if type(res) is GeneratorType:
-            for _ in res:
-                if self.drain():
-                    yield
-                # on waking failure the builtin's own backtracking undoes
-                # the woken goals' bindings before the next alternative
-        elif res:
-            if self.drain():
-                yield
-        self.store.drop_to(mark)
+    def _call_user(self, pred, args, cont):
+        """The one call site of every user call; it sees the clauses of now."""
+        key = index_key(args[0]) if args else None
+        return self._try_clauses(pred, args, key, 0, len(pred.clauses),
+                                 len(self.store.choicepoints), cont)
 
-    def _call_user(self, pred, goal, module):
-        store = self.store
-        mark = store.push_choicepoint()
-        barrier = CutBarrier()
+    def _try_clauses(self, pred, args, key, i, n, cut, cont):
+        """The continuation of the first candidate clause from the i-th on,
+        or None if its head does not match; a choicepoint to retry from
+        the next candidate, if there is one, is pushed first."""
+        clauses = pred.clauses
+        i = _candidate(clauses, i, n, key)
+        if i == n:
+            return None
+        j = _candidate(clauses, i + 1, n, key)
+        if j < n:
+            m = self.store.push_choicepoint()
+            m.alt, m.cont = (pred, args, key, j, n), cont
+        clause = clauses[i]
         hook = self._copy_attr_hook
-        goal_key = None
-        gargs = ()
-        g = deref(goal)
-        if type(g) is Struct:
-            gargs = g.args
-            goal_key = index_key(gargs[0])
-        for clause in list(pred.clauses):
-            if (clause.key is not None and goal_key is not None
-                    and clause.key != goal_key):
-                continue
-            store.backtrack_to(mark)
-            frame = [None] * clause.nvars
-            if not match_head(clause.head, gargs, frame, store, hook):
-                continue
-            if not self.drain():
-                continue
-            yield from self.solve(build(clause.body, frame, hook),
-                                  pred.module, barrier)
-            if barrier.hit:
-                break
-        store.drop_to(mark)
+        frame = [None] * clause.nvars
+        if (not match_head(clause.head, args, frame, self.store, hook)
+                or not self.drain()):
+            return None
+        return (build(clause.body, frame, hook), pred.module, cut, cont)
 
     def _copy_attr_hook(self, old, fresh):
         for name, payload in old.attrs:
@@ -830,7 +846,7 @@ class Engine:
         module = module or self.main
         mark = self.store.push_choicepoint()
         try:
-            yield from self.solve(goal, module, CutBarrier())
+            yield from self.solve(goal, module)
         finally:
             self.store.drop_to(mark)
 

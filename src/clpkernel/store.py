@@ -35,15 +35,18 @@ from .terms import Atom, Breal, Struct, Var, deref
 
 
 class Mark:
-    """A choicepoint handle: trail length + unique timestamp."""
+    """A choicepoint handle: trail length + unique timestamp, and the
+    ``alt`` and ``cont`` of `Engine.solve` (None on a bare mark)."""
 
-    __slots__ = ("trail_len", "stamp", "index", "alive")
+    __slots__ = ("trail_len", "stamp", "index", "alive", "alt", "cont")
 
     def __init__(self, trail_len, stamp, index):
         self.trail_len = trail_len
         self.stamp = stamp
         self.index = index
         self.alive = True
+        self.alt = None
+        self.cont = None
 
     def __repr__(self):
         return "<cp #%d stamp=%d trail=%d%s>" % (

@@ -11,7 +11,8 @@ import pytest
 
 from clpkernel import solve
 from clpkernel.errors import (ExistenceError, FlounderingError, Halt,
-                              InstantiationError, ReaderError, TypeError_)
+                              InstantiationError, InternalError, ReaderError,
+                              TypeError_)
 from clpkernel.solve import Clause, Engine, build, match_head
 from clpkernel.store import Store
 from clpkernel.terms import (Atom, Struct, Var, copy_term, deref, is_variant,
@@ -63,6 +64,8 @@ def test_unbound_and_non_callable_goals(engine):
 def test_cut_prunes_alternatives(engine):
     engine.load(PQ)
     assert sols(engine, "p(X), !") == [1]
+    assert sols(engine, "( X = 1 ; X = 2 ), !") == [1]
+    assert sols(engine, "X :: 1..3, indomain(X), !") == [1]
 
 
 def test_cut_is_clause_local(engine):
@@ -74,8 +77,10 @@ def test_cut_is_clause_local(engine):
 
 
 def test_cut_transparent_through_disjunction(engine):
-    engine.load(PQ + "s(X) :- ( p(X), ! ; X = 9 ).\n")
+    engine.load(PQ + "s(X) :- ( p(X), ! ; X = 9 ).\n"
+                "t(X) :- ( true -> p(X), ! ; X = 0 ).\nt(9).\n")
     assert sols(engine, "s(X)") == [1]
+    assert sols(engine, "t(X)") == [1]  # a cut in a then-branch, too
 
 
 def test_call_makes_cut_local(engine):
@@ -98,13 +103,22 @@ def test_ite_commits_to_first_condition_solution(engine):
 
 
 def test_ite_else_branch(engine):
+    engine.load(PQ + "u(1) :- ( fail -> true ).\nu(2).\n")
     assert sols(engine, "( fail -> R = 1 ; R = 2 )", "R") == [2]
     assert engine.ask("( fail -> R = 1 )") == []
+    assert sols(engine, "u(X)") == [2]
+    assert sols(engine, "( fail -> R = 1 ; ( fail -> R = 2 ; R = 3 ) )",
+                "R") == [3]
+    assert sols(engine, "( p(X), X > 5 -> R = X"
+                        " ; ( p(Y), Y > 1 -> R = Y ; R = 0 ) )", "R") == [2]
 
 
 def test_ite_then_branch_backtracks(engine):
     engine.load(PQ)
     assert sols(engine, "( true -> p(X) ; fail )") == [1, 2, 3]
+    got = engine.ask("( p(C) -> member(X, [a, b, c]) ; X = none )")
+    assert [(a["C"], a["X"].name) for a in got] == [(1, "a"), (1, "b"),
+                                                    (1, "c")]
 
 
 def test_ite_condition_bindings_visible_in_then(engine):
@@ -466,6 +480,28 @@ def test_clause_renaming_does_not_copy_terms(engine, monkeypatch):
     goal, varmap = engine.parse_goal("nrev([1, 2, 3, 4], R)")
     got = [engine.format_term(varmap["R"]) for _ in engine.solutions(goal)]
     assert got == ["[4, 3, 2, 1]"]
+
+
+def test_deterministic_recursion_pushes_no_choicepoints(engine, monkeypatch):
+    """First-argument indexing leaves nrev one candidate clause per call,
+    so only the query's own marks are pushed."""
+    engine.load(NREV)
+    pushes = []
+    push = Store.push_choicepoint
+    monkeypatch.setattr(Store, "push_choicepoint",
+                        lambda self: pushes.append(1) or push(self))
+    got = engine.once("nrev(%s, R)" % list(range(30)))
+    assert engine.format_term(got["R"]) == str(list(range(29, -1, -1)))
+    assert len(pushes) <= 2
+
+
+def test_backtracking_into_a_bare_mark_is_an_internal_error(engine):
+    def leaky(eng, args, module):
+        eng.store.push_choicepoint()  # neither dropped nor committed
+        return True
+    engine.add_builtin(engine.main, "leaky", 0, leaky)
+    with pytest.raises(InternalError):
+        engine.ask("leaky, fail")
 
 
 def _count_inferences(monkeypatch, program, query):
