@@ -704,21 +704,28 @@ class Engine:
         return pred
 
     def load(self, text, module=None, filename=None):
-        """Load program text: directives are executed, clauses compiled."""
+        """Load program text: directives are executed, clauses compiled.
+        An error is reported at the line its clause starts on, with the
+        store dropped back to the choicepoints it had before the load."""
         self._load_module = module or self.main
         tokens = tokenize(text, filename)
         parser = Parser(tokens, self._load_module.ops,
                         macro_hook=self._live_hook, filename=filename)
+        cps = self.store.choicepoints
+        height = len(cps)
         last_pred = None
         while not parser.at_eof():
             parser.ops = self._load_module.ops
+            line = parser.peek().line
             try:
                 term, _varmap, pos = parser.read_clause()
                 last_pred = self._load_term(term, pos, filename, last_pred)
             except (ReaderError, Halt):
                 raise
             except EngineError as e:
-                raise _position_error(e, filename, parser.peek().line)
+                if len(cps) > height:
+                    self.store.drop_to(cps[height])
+                raise _position_error(e, filename, line)
         return self._load_module
 
     def _live_hook(self, t):

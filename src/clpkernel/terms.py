@@ -236,37 +236,42 @@ def compare_terms(a, b):
 
     Var < numbers < atoms < strings < compound terms.  Variables order by
     age, compound terms by arity, then name, then arguments left to right.
+    The last arguments are compared in a loop, so long lists do not
+    recurse.
     """
-    a = deref(a)
-    b = deref(b)
-    ra = _rank_of(a)
-    rb = _rank_of(b)
-    if ra != rb:
-        return -1 if ra < rb else 1
-    if ra == _R_VAR:
-        if a is b:
-            return 0
-        return -1 if a.serial < b.serial else 1
-    if ra == _R_NUM:
-        return compare_numbers(a, b)
-    if ra == _R_ATOM:
-        return _cmp_py(a.name, b.name)
-    if ra == _R_STR:
-        return _cmp_py(a, b)
-    if ra == _R_STRUCT:
+    while True:
+        a = deref(a)
+        b = deref(b)
+        ra = _rank_of(a)
+        rb = _rank_of(b)
+        if ra != rb:
+            return -1 if ra < rb else 1
+        if ra == _R_VAR:
+            if a is b:
+                return 0
+            return -1 if a.serial < b.serial else 1
+        if ra == _R_NUM:
+            return compare_numbers(a, b)
+        if ra == _R_ATOM:
+            return _cmp_py(a.name, b.name)
+        if ra == _R_STR:
+            return _cmp_py(a, b)
+        if ra != _R_STRUCT:
+            # opaque values (suspensions): by identity, stable within a run
+            if a is b:
+                return 0
+            return -1 if id(a) < id(b) else 1
         if len(a.args) != len(b.args):
             return -1 if len(a.args) < len(b.args) else 1
         if a.name != b.name:
             return -1 if a.name < b.name else 1
-        for x, y in zip(a.args, b.args):
+        if not a.args:
+            return 0
+        for x, y in zip(a.args[:-1], b.args[:-1]):
             c = compare_terms(x, y)
             if c:
                 return c
-        return 0
-    # opaque values (suspensions): order by identity, stable within a run
-    if a is b:
-        return 0
-    return -1 if id(a) < id(b) else 1
+        a, b = a.args[-1], b.args[-1]
 
 
 def _cmp_py(a, b):
@@ -301,7 +306,8 @@ def copy_term(t, attr_hook=None):
     ``attr_hook(old_var, fresh_var)`` is consulted for every attributed
     variable encountered, letting solvers copy their payloads (the engine
     routes this through the registered copy handlers).  Plain variables
-    just become fresh plain variables.
+    just become fresh plain variables.  A compound term's last argument is
+    copied in a loop, so long lists do not recurse.
     """
     mapping = {}
 
@@ -316,9 +322,17 @@ def copy_term(t, attr_hook=None):
                 if x.attrs and attr_hook is not None:
                     attr_hook(x, nv)
             return nv
-        if ty is Struct:
-            return Struct(x.name, [walk(a) for a in x.args])
-        return x
+        if ty is not Struct:
+            return x
+        top = s = Struct(x.name, [walk(a) for a in x.args[:-1]])
+        while x.args:
+            x = deref(x.args[-1])
+            if type(x) is not Struct:
+                s.args.append(walk(x))
+                break
+            s.args.append(Struct(x.name, [walk(a) for a in x.args[:-1]]))
+            s = s.args[-1]
+        return top
 
     return walk(t)
 

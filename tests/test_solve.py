@@ -16,7 +16,7 @@ from clpkernel.errors import (ExistenceError, FlounderingError, Halt,
 from clpkernel.solve import Clause, Engine, build, match_head
 from clpkernel.store import Store
 from clpkernel.terms import (Atom, Struct, Var, copy_term, deref, is_variant,
-                             proper_list)
+                             mk_list, proper_list)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -251,6 +251,21 @@ def test_scoped_operator_declarations(engine):
     assert engine.ask("check(foo === foo)", module=engine.modules["m3"]) != []
     with pytest.raises(ReaderError):
         engine.ask("X = (a === b)")
+
+
+def test_load_error_names_the_line_its_clause_starts_on(engine):
+    with pytest.raises(TypeError_, match="^<text>:2: "):
+        engine.load("p :- X = 1, Y is foo.\n:- p.\n")
+    with pytest.raises(TypeError_, match="^<text>:3: "):
+        engine.load("q :-\n    true.\n:- X = 1,\n   Y is foo.\nr.\n")
+
+
+def test_load_error_leaves_the_store_as_it_was(engine):
+    st = engine.store
+    before = len(st.choicepoints), len(st.trail)
+    with pytest.raises(TypeError_):
+        engine.load("p :- X = 1, Y is foo.\n:- p.\n")
+    assert (len(st.choicepoints), len(st.trail)) == before
 
 
 def test_directive_failure_warns(engine, caplog):
@@ -504,6 +519,21 @@ def test_backtracking_into_a_bare_mark_is_an_internal_error(engine):
         engine.ask("leaky, fail")
 
 
+def test_long_lists_are_copied_and_compared_in_a_loop(engine):
+    """Answers, copy_term/2, findall/3 and term comparison on a list of
+    100k elements: none of them recurses along the list."""
+    n = 100000
+    engine.add_builtin(engine.main, "big", 1, lambda eng, args, module:
+                       eng.store.unify(args[0], mk_list(range(1, n + 1))))
+    got = engine.once("big(L), copy_term(L, C), findall(L, true, [F]),"
+                      " L == L, C == L, F == L, compare(O, L, C)")
+    assert got["O"] is Atom("=")
+    for name in "LCF":
+        items = proper_list(got[name])
+        assert len(items) == n and items[-1] == n
+    assert engine.ask("big(L), big(M), M = [_|T], L == T") == []
+
+
 def _count_inferences(monkeypatch, program, query):
     """Predicate calls of a query counted as the benchmark counts them:
     one per call of Engine._call_user or Engine._run_builtin."""
@@ -544,17 +574,28 @@ def test_inference_counts_the_benchmark_relies_on(monkeypatch):
 
 
 def test_recursion_depth_floor():
-    """count_to(0, 240), the benchmark's depth probe, succeeds in a fresh
-    interpreter at the default recursion limit: a change that adds a
-    Python frame per call fails here."""
+    """Deterministic recursion 100k deep succeeds, each case in a fresh
+    interpreter at the default recursion limit: count_to/2 (the
+    benchmark's depth probe), length/2 and a do-loop.  A change that adds
+    a Python frame per call fails here."""
     code = ("import sys\n"
             "from clpkernel import Engine\n"
             "assert sys.getrecursionlimit() == 1000\n"
             "e = Engine()\n"
-            "e.load('count_to(N, N) :- !.\\n'\n"
-            "       'count_to(I, N) :- I1 is I + 1, count_to(I1, N).')\n"
-            "assert e.once('count_to(0, 240)') is not None\n")
-    p = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                       text=True, timeout=120,
-                       env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
-    assert p.returncode == 0, p.stderr[-2000:]
+            "e.load(sys.argv[1])\n"
+            "got = e.once(sys.argv[2])\n"
+            "assert got is not None\n"
+            "assert got.bindings.get('N', 100000) == 100000\n")
+    cases = [("count_to(N, N) :- !.\n"
+              "count_to(I, N) :- I1 is I + 1, count_to(I1, N).",
+              "count_to(0, 100000)"),
+             ("", "length(_, 100000)"),
+             ("", "length(L, 100000),"
+                  " ( foreach(X, L), count(I, 1, N) do X = I )")]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    procs = [subprocess.Popen([sys.executable, "-c", code, program, goal],
+                              stderr=subprocess.PIPE, text=True, env=env)
+             for program, goal in cases]
+    for (_, goal), p in zip(cases, procs):
+        _, err = p.communicate(timeout=300)
+        assert p.returncode == 0, (goal, err[-2000:])
