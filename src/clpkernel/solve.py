@@ -654,7 +654,8 @@ class Engine:
         return pred.builtin(self, args, module)
 
     def _call_user(self, pred, args, cont):
-        """The one call site of every user call; it sees the clauses of now."""
+        """The one call site of every user call.  Clauses added after the
+        call began are not tried."""
         key = index_key(args[0]) if args else None
         return self._try_clauses(pred, args, key, 0, len(pred.clauses),
                                  len(self.store.choicepoints), cont)
