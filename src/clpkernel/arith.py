@@ -391,55 +391,59 @@ def subscript_get(array, indices):
 # evaluation
 
 def eval_arith(t):
-    """Evaluate an arithmetic expression term to a Python numeric value."""
-    t = deref(t)
-    ty = type(t)
-    if ty is Var:
-        raise InstantiationError("arithmetic: unbound variable")
-    if ty in (int, Fraction, float, Breal):
-        return t
-    if ty is Atom:
-        raise TypeError_("arithmetic: not a number: %s" % t.name)
-    if ty is not Struct:
-        raise TypeError_("arithmetic: not an expression: %r" % (t,))
+    """Evaluate an arithmetic expression term to a Python numeric value.
+    A float result out of range raises ArithmeticError_."""
+    try:
+        t = deref(t)
+        ty = type(t)
+        if ty is Var:
+            raise InstantiationError("arithmetic: unbound variable")
+        if ty in (int, Fraction, float, Breal):
+            return t
+        if ty is Atom:
+            raise TypeError_("arithmetic: not a number: %s" % t.name)
+        if ty is not Struct:
+            raise TypeError_("arithmetic: not an expression: %r" % (t,))
 
-    name, args = t.name, t.args
-    n = len(args)
-    if name == "subscript" and n == 2:
-        from .terms import proper_list
-        idx = proper_list(args[1])
-        if idx is None:
-            raise TypeError_("subscript: index list must be a proper list")
-        return eval_arith(subscript_get(args[0], idx))
-    if n == 1:
-        x = eval_arith(args[0])
-        if name == "-":
-            return num_neg(x)
-        if name == "+":
-            return x
-        if name == "abs":
-            return num_abs(x)
-        raise TypeError_("arithmetic: unknown function %s/1" % name)
-    if n == 2:
-        x = eval_arith(args[0])
-        y = eval_arith(args[1])
-        if name == "+":
-            return num_add(x, y)
-        if name == "-":
-            return num_sub(x, y)
-        if name == "*":
-            return num_mul(x, y)
-        if name == "/":
-            return num_div(x, y)
-        if name == "//":
-            return num_intdiv(x, y)
-        if name == "mod":
-            return num_mod(x, y)
-        if name == "min":
-            return num_min(x, y)
-        if name == "max":
-            return num_max(x, y)
-        if name == "^" or name == "**":
-            return num_pow(x, y)
-        raise TypeError_("arithmetic: unknown function %s/2" % name)
-    raise TypeError_("arithmetic: unknown function %s/%d" % (name, n))
+        name, args = t.name, t.args
+        n = len(args)
+        if name == "subscript" and n == 2:
+            from .terms import proper_list
+            idx = proper_list(args[1])
+            if idx is None:
+                raise TypeError_("subscript: index list must be a proper list")
+            return eval_arith(subscript_get(args[0], idx))
+        if n == 1:
+            x = eval_arith(args[0])
+            if name == "-":
+                return num_neg(x)
+            if name == "+":
+                return x
+            if name == "abs":
+                return num_abs(x)
+            raise TypeError_("arithmetic: unknown function %s/1" % name)
+        if n == 2:
+            x = eval_arith(args[0])
+            y = eval_arith(args[1])
+            if name == "+":
+                return num_add(x, y)
+            if name == "-":
+                return num_sub(x, y)
+            if name == "*":
+                return num_mul(x, y)
+            if name == "/":
+                return num_div(x, y)
+            if name == "//":
+                return num_intdiv(x, y)
+            if name == "mod":
+                return num_mod(x, y)
+            if name == "min":
+                return num_min(x, y)
+            if name == "max":
+                return num_max(x, y)
+            if name == "^" or name == "**":
+                return num_pow(x, y)
+            raise TypeError_("arithmetic: unknown function %s/2" % name)
+        raise TypeError_("arithmetic: unknown function %s/%d" % (name, n))
+    except OverflowError:
+        raise ArithmeticError_("arithmetic: float overflow") from None

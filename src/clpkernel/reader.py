@@ -67,6 +67,14 @@ class Ops:
         else:
             table[name] = (priority, optype, exported)
 
+    def copy(self):
+        """A table with the same entries and parents, to change on its own."""
+        new = Ops(self.parents)
+        new.prefix = dict(self.prefix)
+        new.infix = dict(self.infix)
+        new.postfix = dict(self.postfix)
+        return new
+
     def _lookup(self, which, name, exported_only=False):
         entry = getattr(self, which).get(name)
         if entry is not None and (not exported_only or entry[2]):
@@ -115,11 +123,19 @@ _STANDARD = [
 ]
 
 
-def standard_ops():
+def _build_standard_ops():
     ops = Ops()
     for prio, typ, name in _STANDARD:
         ops.declare(prio, typ, name, exported=True)
     return ops
+
+
+_STANDARD_OPS = _build_standard_ops()
+
+
+def standard_ops():
+    """A fresh copy of the standard operator table, built once at import."""
+    return _STANDARD_OPS.copy()
 
 
 # ----------------------------------------------------------------------

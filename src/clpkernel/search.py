@@ -152,4 +152,4 @@ def install(engine):
     engine.add_builtin(ic, "indomain", 1, bi_indomain)
     engine.add_builtin(ic, "labeling", 2, bi_labeling2)
     engine.add_builtin(ic, "count_solutions", 2, bi_count_solutions)
-    engine.load(_SEARCH_PRELUDE, module=ic, filename="<search>")
+    engine.load_prelude(_SEARCH_PRELUDE, ic, "<search>")

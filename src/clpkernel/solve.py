@@ -46,11 +46,27 @@ later occurrences unify, a compound term that meets an unbound goal
 variable is built and bound, and constants are compared in place.  Only
 when the head matched and the woken goals ran is the body built from the
 frame (`build`).  No clause is renamed by `copy_term`.
+
+The Prolog parts of the kernel, ic and search libraries (the preludes)
+are read once per process.  The first engine loads each one through
+`load` and records what the load did, in order: every clause as its
+compiled `Clause`, every declaration as its directive term, and the final
+``aux_n`` of each module loaded into.  Every later engine replays that
+record (`load_prelude`): it appends the shared `Clause` objects, which
+are snapshots holding no live variable, to its own predicates and runs
+the declarations through `_directive`.  A prelude may hold neither a goal
+directive, which could bind variables in a term all engines share, nor a
+clause with an attributed variable: recording either raises
+`InternalError`.  Whatever a user can change stays per engine: modules,
+predicates and their clause lists, operator tables (the kernel's is a
+copy of a table built at import), and the attribute registry with its
+hooks.
 """
 
 from __future__ import annotations
 
 import logging
+from fractions import Fraction
 from types import GeneratorType
 
 from .errors import (EngineError, ExistenceError, FlounderingError, Halt,
@@ -253,6 +269,47 @@ def index_key(t):
     return ("n",)  # numbers index together
 
 
+#: the largest goal `_variant_key` keys, in nodes: a bigger one (a loop
+#: over a long data list, which rarely recurs and which `_compile` would
+#: recurse along) is expanded every time
+_KEY_NODES = 256
+_KEY_CONSTANTS = (Atom, int, Fraction, str)
+
+
+def _variant_key(t):
+    """A key that two terms share exactly when they are variants, and the
+    term's distinct variables in first-occurrence order; None for a term
+    with an attributed variable, a constant of another type (a bounded
+    real has no value equality), or more than `_KEY_NODES` nodes.  Floats
+    are keyed by ``repr`` so that 0.0 and -0.0 differ."""
+    key, seen, goal_vars, stack = [], {}, [], [t]
+    nodes = 0
+    while stack:
+        nodes += 1
+        if nodes > _KEY_NODES:
+            return None
+        x = deref(stack.pop())
+        tx = type(x)
+        if tx is Struct:
+            key += (Struct, x.name, len(x.args))
+            stack.extend(reversed(x.args))
+        elif tx is Var:
+            if x.attrs:
+                return None
+            i = seen.get(x)
+            if i is None:
+                i = seen[x] = len(goal_vars)
+                goal_vars.append(x)
+            key += (Var, i)
+        elif tx is float:
+            key += (float, repr(x))
+        elif tx in _KEY_CONSTANTS:
+            key += (tx, x)
+        else:
+            return None
+    return tuple(key), goal_vars
+
+
 class Pred:
     __slots__ = ("name", "arity", "module", "clauses", "builtin", "exported",
                  "demon", "no_warn")
@@ -284,6 +341,7 @@ class Module:
         self.output_macros = {}
         self.structs = {}
         self.aux_n = 0
+        self.expansions = {}  # variant key of a metacalled loop -> Clause
 
     def __repr__(self):
         return "<module %s>" % self.name
@@ -389,13 +447,14 @@ class Engine:
         self.running_priority = MAIN_PRIORITY
         self.current_suspension = None
         self.modules = {}
+        self._record = None  # a prelude's record while it is being made
 
         self.kernel = self.new_module("kernel", imports=())
         self.kernel.ops = standard_ops()
         from . import builtins as _builtins
         _builtins.install(self)
         install_kernel_macros(self.kernel)
-        self.load(_KERNEL_PRELUDE, module=self.kernel, filename="<kernel>")
+        self.load_prelude(_KERNEL_PRELUDE, self.kernel, "<kernel>")
 
         from . import ic as _ic
         self.ic = self.new_module("ic", imports=(self.kernel,))
@@ -601,10 +660,8 @@ class Engine:
                             raise ExistenceError(
                                 "procedure %s/%d is not defined in module %s"
                                 % (name, arity, module.name))
-                        goal, aux = macro(ExpandContext(module, self), goal)
-                        for head, body in aux:
-                            self.add_clause(module, head, body)
-                        cont = (goal, module, cut, cont)
+                        cont = (self._expand_goal(macro, goal, module),
+                                module, cut, cont)
                         continue
                     if pred.builtin is None:
                         cont = self._call_user(pred, args, cont)
@@ -647,6 +704,28 @@ class Engine:
             if self.drain():
                 return True
         return False
+
+    def _expand_goal(self, macro, goal, module):
+        """A metacalled goal macro's expansion.  One that adds auxiliary
+        predicates (a do-loop) is expanded once per variant of the goal in
+        the module: the expansion is kept as a `Clause` whose head lists
+        the goal's variables in first-occurrence order, so a later variant
+        fills the frame with its own variables and builds the body, and
+        calls the auxiliary predicates already there."""
+        got = _variant_key(goal)
+        if got is not None:
+            key, goal_vars = got
+            hit = module.expansions.get(key)
+            if hit is not None:
+                frame = goal_vars + [None] * (hit.nvars - len(goal_vars))
+                return build(hit.body, frame, self._copy_attr_hook)
+        expanded, aux = macro(ExpandContext(module, self), goal)
+        for head, body in aux:
+            self.add_clause(module, head, body)
+        if aux and got is not None:
+            module.expansions[key] = Clause(Struct("vars", goal_vars),
+                                            expanded)
+        return expanded
 
     def _run_builtin(self, pred, args, module):
         """Call a builtin: the one call site for every builtin call, woken
@@ -729,6 +808,31 @@ class Engine:
                 raise _position_error(e, filename, line)
         return self._load_module
 
+    def load_prelude(self, text, module, filename):
+        """Load a library's source text into ``module``.  The first engine
+        in the process loads it and records what the load did; every later
+        engine replays that record instead of reading the text again."""
+        key = (module.name, text)
+        record = _PRELUDES.get(key)
+        if record is None:
+            steps = self._record = []
+            try:
+                self.load(text, module=module, filename=filename)
+            finally:
+                self._record = None
+            names = {module.name}.union(step[0] for step in steps)
+            _PRELUDES[key] = steps, {n: self.modules[n].aux_n for n in names}
+            return
+        steps, aux_n = record
+        for step in steps:
+            m = self.modules[step[0]]
+            if len(step) == 2:
+                self._directive(step[1], m, None, filename)
+            else:
+                m.ensure_pred(step[1], step[2]).clauses.append(step[3])
+        for name, n in aux_n.items():
+            self.modules[name].aux_n = n
+
     def _live_hook(self, t):
         fn = self._load_module.lookup_term_macro(t.name, t.arity)
         if fn is not None:
@@ -740,16 +844,28 @@ class Engine:
         t = deref(term)
         if isinstance(t, Struct) and t.name == ":-" and t.arity == 1:
             self._directive(t.args[0], module, pos, filename)
+            if self._record is not None:
+                self._record.append((module.name, t.args[0]))
             return last_pred
         ctx = ExpandContext(module, self)
         head, body, aux = expand_clause(ctx, t)
-        pred = self.add_clause(module, head, body)
+        pred = self._add_loaded(module, head, body)
         for h, b in aux:
-            self.add_clause(module, h, b)
+            self._add_loaded(module, h, b)
         if (last_pred is not None and pred is not last_pred
                 and len(pred.clauses) > 1 and not pred.no_warn):
             log.warning("%s: clauses of %s are not contiguous",
                         filename or "<text>", pred.indicator)
+        return pred
+
+    def _add_loaded(self, module, head, body):
+        pred = self.add_clause(module, head, body)
+        if self._record is not None:
+            clause = pred.clauses[-1]
+            if any(map(_has_attr_slot, clause.head + [clause.body])):
+                raise InternalError("a prelude clause of %s holds an "
+                                    "attributed variable" % pred.indicator)
+            self._record.append((module.name, pred.name, pred.arity, clause))
         return pred
 
     def _directive(self, d, module, pos, filename):
@@ -790,6 +906,9 @@ class Engine:
                     module.ensure_pred(n, a).no_warn = True
                 return
         # anything else: run it as a goal at load time
+        if self._record is not None:
+            raise InternalError("a prelude directive must be a declaration,"
+                                " not a goal: %s" % self.format_term(d, module))
         if not self.run_goal_once(d, module):
             log.warning("%s:%s: directive failed: %s",
                         filename or "<text>", pos[0], self.format_term(d, module))
@@ -863,10 +982,11 @@ class Engine:
         module = module or self.main
         goal, varmap = self.parse_goal(text, module)
         answers = []
+        query_vars = Struct("vars", list(varmap.values()))
         for _ in self.solutions(goal, module):
-            bindings = {}
-            for name, var in varmap.items():
-                bindings[name] = copy_term(var, attr_hook=self._copy_attr_hook)
+            # one copy for all bindings, so they keep sharing variables
+            copied = copy_term(query_vars, attr_hook=self._copy_attr_hook)
+            bindings = dict(zip(varmap, copied.args))
             delayed = [self.format_goal(s, module) for s in self.delayed_goals()]
             answers.append(Answer(bindings, delayed))
             if limit is not None and len(answers) >= limit:
@@ -889,6 +1009,12 @@ class Engine:
 
     def format_goal(self, susp, module=None, names=None):
         return self.format_term(susp.goal, module, names=names)
+
+
+def _has_attr_slot(t):
+    if type(t) is FirstAttr:
+        return True
+    return type(t) is Tmpl and any(map(_has_attr_slot, t.args))
 
 
 def _functor_of(g):
@@ -938,6 +1064,13 @@ def _position_error(e, filename, line):
     except Exception:
         return e
 
+
+#: what loading each prelude did, recorded by the first engine of the
+#: process and replayed by the others: (module name, text) -> (steps,
+#: aux_n).  A step is a clause, (module name, name, arity, Clause), or a
+#: declaration, (module name, directive term); aux_n maps each module
+#: loaded into to its ``aux_n`` after the load.
+_PRELUDES = {}
 
 _KERNEL_PRELUDE = """
 :- export(member/2).

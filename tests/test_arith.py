@@ -237,6 +237,17 @@ def test_compare_overlapping_breals_is_uncertain():
 # ----------------------------------------------------------------------
 # the same through the goal interface
 
+@pytest.mark.parametrize("goal", [
+    "X is 2.0 ** 10000",
+    "X is 10 ** 400 + 0.5",
+    "X is 10 ** 400 / 1.0",
+    "X is 10 ** 400, Y is X * 1.5",
+])
+def test_float_overflow_is_an_arithmetic_error(engine, goal):
+    with pytest.raises(ArithmeticError_, match="float overflow"):
+        engine.ask(goal)
+
+
 def test_is_and_comparisons(ask, first):
     assert first("X is 3 + 1_2")["X"] == Fraction(7, 2)
     assert first("X is 2 ** -1")["X"] == Fraction(1, 2)

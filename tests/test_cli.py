@@ -59,6 +59,11 @@ def test_goal_errors_exit_2(capsys):
     assert "error:" in err
 
 
+def test_float_overflow_exits_2_with_one_line(capsys):
+    rc, out, err = run_main(capsys, "-g", "X is 2.0 ** 10000")
+    assert (rc, out, err) == (2, "", "error: arithmetic: float overflow\n")
+
+
 def _lower_recursion_limit(headroom):
     """Leave only ``headroom`` frames above the current depth."""
     limit = 1

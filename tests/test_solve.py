@@ -2,6 +2,7 @@
 
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -300,6 +301,97 @@ def test_member_append_length(engine):
     assert len(engine.ask("length(L, 2)")) == 1
 
 
+# ----------------------------------------------------------------------
+# the prelude record: the first engine of a process loads the preludes,
+# later ones replay what that load did
+
+def _declared_state(engine):
+    """Modules, predicates with their clause counts and flags, operator
+    tables, aux_n and imports, as plain values."""
+    return {name: ({key: (len(p.clauses), p.exported, p.demon, p.no_warn)
+                    for key, p in m.preds.items()},
+                   (m.ops.prefix, m.ops.infix, m.ops.postfix),
+                   m.aux_n, [i.name for i in m.imports])
+            for name, m in engine.modules.items()}
+
+
+PRELUDE_QUERIES = (
+    "member(X, [a, b, c])",
+    "append(X, Y, [1, 2])",
+    "length(L, 2)",
+    "length([a, b], N)",
+    "X :: 1..4, Y :: 2..3, geq(Y, X), labeling([X, Y])",
+    "X :: 1..3, geq(X, 2)",
+)
+
+
+def _answers(engine, text):
+    return [re.sub(r"_\d+", "_", ", ".join(
+        "%s = %s" % (name, engine.format_term(value))
+        for name, value in answer.bindings.items()))
+        for answer in engine.ask(text)]
+
+
+def test_prelude_replay_matches_a_full_load(monkeypatch):
+    Engine()  # the record exists from here on
+    replayed = Engine()
+    monkeypatch.setattr(solve, "_PRELUDES", {})
+    loaded = Engine()
+    assert len(solve._PRELUDES) == 3  # loaded read all three again
+    assert _declared_state(replayed) == _declared_state(loaded)
+    for text in PRELUDE_QUERIES:
+        assert _answers(replayed, text) == _answers(loaded, text), text
+        assert _answers(replayed, text)
+
+
+def test_prelude_changes_stay_in_their_engine():
+    before = Engine()
+    a = Engine()
+    a.load(":- module(kernel).\n:- export(op(700, xfx, ~~~)).\n"
+           "member(zzz, _).\n")
+    after = Engine()
+    assert sols(a, "member(X, [])") == [Atom("zzz")]
+    assert a.ask("X = (p ~~~ q)") != []
+    for other in (before, after):
+        assert sols(other, "member(X, [])") == []
+        assert len(other.kernel.preds[("member", 2)].clauses) == 2
+        with pytest.raises(ReaderError):
+            other.ask("X = (p ~~~ q)")
+
+
+def test_later_engines_do_not_read_the_preludes(monkeypatch):
+    Engine()
+    calls = []
+    tokenize = solve.tokenize
+    monkeypatch.setattr(solve, "tokenize",
+                        lambda *args: calls.append(args) or tokenize(*args))
+    Engine()
+    assert calls == []
+
+
+def test_a_prelude_goal_directive_is_refused(monkeypatch):
+    monkeypatch.setattr(solve, "_PRELUDES", {})
+    e = Engine()
+    with pytest.raises(InternalError, match="not a goal"):
+        e.load_prelude(":- export(p/0).\np.\n:- p.\n", e.main, "<test>")
+    assert (e.main.name, ":- export(p/0).\np.\n:- p.\n") not in \
+        solve._PRELUDES
+
+
+def test_a_prelude_clause_with_an_attributed_variable_is_refused(
+        monkeypatch):
+    monkeypatch.setattr(solve, "_PRELUDES", {})
+    e = Engine()
+
+    def attributed(module, t):
+        v = Var()
+        v.attrs = (("test", None),)
+        return v
+    e.main.add_term_macro("av", 1, attributed)
+    with pytest.raises(InternalError, match="attributed variable"):
+        e.load_prelude("p(av(x)).\n", e.main, "<test>")
+
+
 def test_term_inspection(engine):
     got = engine.once("functor(f(a, b), N, A)")
     assert got["N"] is Atom("f") and got["A"] == 2
@@ -322,6 +414,16 @@ def test_setarg_backtracks(engine):
     assert got["V"] is Atom("b")
     got = engine.ask("T = f(a), ( setarg(1, T, b), fail ; arg(1, T, V) )")
     assert got[0]["V"] is Atom("a")  # undone on backtracking
+
+
+def test_answer_bindings_share_variables(engine):
+    got = engine.once("X = f(Y)")
+    assert got["X"].args[0] is got["Y"]
+    got = engine.once("X :: 1..3, Y = g(X)")
+    x = got["X"]
+    assert deref(got["Y"]).args[0] is x
+    assert len(x.attrs) == 1
+    assert engine.format_term(got["Y"]) == "g(_{1..3})"
 
 
 # ----------------------------------------------------------------------
@@ -485,6 +587,28 @@ def test_metacalled_loop_param_keeps_its_domain(engine):
     got = engine.once("X :: 1..5, call((foreach(E, [1, 2]) do "
                       "get_max(X, 5), X #\\= E))")
     assert got is not None and engine.format_term(got["X"]) == "_{1..5}"
+
+
+def test_metacalled_loop_reuses_its_auxiliary_predicate(engine):
+    engine.load("r(0) :- !.\n"
+                "r(N) :- G = (foreach(E, [1, 2]) do true), call(G),"
+                " N1 is N - 1, r(N1).\n"
+                "t(S) :- G = (for(I, 1, 3), fromto(0, A, B, S) do B is A + I),"
+                " call(G).\n")
+    assert engine.once("r(1)") is not None
+    n = len(engine.main.preds)
+    assert engine.once("r(40)") is not None
+    assert len(engine.main.preds) == n
+    # a reused expansion runs on the variables of the goal it was built for
+    got = engine.once("t(S1), t(S2), t(S3)")
+    assert (got["S1"], got["S2"], got["S3"]) == (6, 6, 6)
+    assert len(engine.main.preds) == n + 1
+
+
+def test_metacalled_loop_over_an_attributed_variable_is_not_kept(engine):
+    got = engine.once("X :: 1..5, call((foreach(E, [1, 2]) do X #\\= E))")
+    assert got is not None
+    assert engine.main.expansions == {}
 
 
 def test_clause_renaming_does_not_copy_terms(engine, monkeypatch):
