@@ -22,6 +22,11 @@ iteration role: a base clause whose head unifies the stop conditions
 Iteration bodies only see variables introduced by their own iteration
 specifiers (plus ``param`` variables); a body variable that also occurs
 outside the loop is almost always a bug, so it gets a warning.
+
+A metacalled loop (built at run time and called) is expanded on every
+call, and its data may differ each time, so its auxiliary predicate is
+listed in no module: the goals that call it carry it in their name (see
+`Engine.unlisted_pred`), and it goes away with the last of them.
 """
 
 from __future__ import annotations
@@ -160,10 +165,15 @@ _CONTROL2 = {",", ";", "->"}
 
 
 class ExpandContext:
-    def __init__(self, module, engine=None, clause_counts=None):
+    """Where a goal is expanded: ``metacall`` is set for a goal expanded
+    as it is called, not as part of a clause being loaded."""
+
+    def __init__(self, module, engine=None, clause_counts=None,
+                 metacall=False):
         self.module = module
         self.engine = engine
         self.clause_counts = clause_counts or {}
+        self.metacall = metacall
 
 
 def expand_body(ctx, goal):
@@ -344,7 +354,6 @@ def expand_do(ctx, t):
 
     body_x, aux = expand_body(ctx, body)
 
-    name = ctx.module.next_aux_name()
     setup, call_args, base_args, rec_head, rec_call, pre = [], [], [], [], [], []
     for p in plans:
         setup.extend(p.setup)
@@ -353,6 +362,10 @@ def expand_do(ctx, t):
         rec_head.extend(p.rec_head)
         rec_call.extend(p.rec_call)
         pre.extend(p.pre)
+    if ctx.metacall:
+        name = ctx.engine.unlisted_pred(ctx.module, "$do_loop", len(call_args))
+    else:
+        name = ctx.module.next_aux_name()
 
     base_clause = (Struct(name, base_args), Atom("!"))
     rec_clause = (Struct(name, rec_head),

@@ -995,7 +995,7 @@ def install(engine):
 
     ic.add_output_macro("ic_lin_con", 3, _lin_con_display, exported=True)
 
-    engine.load_prelude(_IC_PRELUDE, ic, "<ic>")
+    engine._load_prelude(_IC_PRELUDE, ic, "<ic>")
 
 
 def _lin_con_display(t):

@@ -152,4 +152,4 @@ def install(engine):
     engine.add_builtin(ic, "indomain", 1, bi_indomain)
     engine.add_builtin(ic, "labeling", 2, bi_labeling2)
     engine.add_builtin(ic, "count_solutions", 2, bi_count_solutions)
-    engine.load_prelude(_SEARCH_PRELUDE, ic, "<search>")
+    engine._load_prelude(_SEARCH_PRELUDE, ic, "<search>")

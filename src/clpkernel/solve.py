@@ -52,7 +52,7 @@ are read once per process.  The first engine loads each one through
 `load` and records what the load did, in order: every clause as its
 compiled `Clause`, every declaration as its directive term, and the final
 ``aux_n`` of each module loaded into.  Every later engine replays that
-record (`load_prelude`): it appends the shared `Clause` objects, which
+record (`_load_prelude`): it appends the shared `Clause` objects, which
 are snapshots holding no live variable, to its own predicates and runs
 the declarations through `_directive`.  A prelude may hold neither a goal
 directive, which could bind variables in a term all engines share, nor a
@@ -66,7 +66,6 @@ hooks.
 from __future__ import annotations
 
 import logging
-from fractions import Fraction
 from types import GeneratorType
 
 from .errors import (EngineError, ExistenceError, FlounderingError, Halt,
@@ -269,47 +268,6 @@ def index_key(t):
     return ("n",)  # numbers index together
 
 
-#: the largest goal `_variant_key` keys, in nodes: a bigger one (a loop
-#: over a long data list, which rarely recurs and which `_compile` would
-#: recurse along) is expanded every time
-_KEY_NODES = 256
-_KEY_CONSTANTS = (Atom, int, Fraction, str)
-
-
-def _variant_key(t):
-    """A key that two terms share exactly when they are variants, and the
-    term's distinct variables in first-occurrence order; None for a term
-    with an attributed variable, a constant of another type (a bounded
-    real has no value equality), or more than `_KEY_NODES` nodes.  Floats
-    are keyed by ``repr`` so that 0.0 and -0.0 differ."""
-    key, seen, goal_vars, stack = [], {}, [], [t]
-    nodes = 0
-    while stack:
-        nodes += 1
-        if nodes > _KEY_NODES:
-            return None
-        x = deref(stack.pop())
-        tx = type(x)
-        if tx is Struct:
-            key += (Struct, x.name, len(x.args))
-            stack.extend(reversed(x.args))
-        elif tx is Var:
-            if x.attrs:
-                return None
-            i = seen.get(x)
-            if i is None:
-                i = seen[x] = len(goal_vars)
-                goal_vars.append(x)
-            key += (Var, i)
-        elif tx is float:
-            key += (float, repr(x))
-        elif tx in _KEY_CONSTANTS:
-            key += (tx, x)
-        else:
-            return None
-    return tuple(key), goal_vars
-
-
 class Pred:
     __slots__ = ("name", "arity", "module", "clauses", "builtin", "exported",
                  "demon", "no_warn")
@@ -329,6 +287,13 @@ class Pred:
         return "%s/%d" % (self.name, self.arity)
 
 
+class PredName(str):
+    """The name of a predicate that no module lists, such as the auxiliary
+    predicate of a metacalled do-loop, which is expanded on every call: a
+    goal with this name that its module does not resolve calls ``pred``.
+    The predicate is freed with the last term that names it."""
+
+
 class Module:
     def __init__(self, name, engine, imports=()):
         self.name = name
@@ -341,7 +306,6 @@ class Module:
         self.output_macros = {}
         self.structs = {}
         self.aux_n = 0
-        self.expansions = {}  # variant key of a metacalled loop -> Clause
 
     def __repr__(self):
         return "<module %s>" % self.name
@@ -454,7 +418,7 @@ class Engine:
         from . import builtins as _builtins
         _builtins.install(self)
         install_kernel_macros(self.kernel)
-        self.load_prelude(_KERNEL_PRELUDE, self.kernel, "<kernel>")
+        self._load_prelude(_KERNEL_PRELUDE, self.kernel, "<kernel>")
 
         from . import ic as _ic
         self.ic = self.new_module("ic", imports=(self.kernel,))
@@ -654,14 +618,19 @@ class Engine:
                 # fail and false have no clauses: they backtrack below
                 if arity or (name != "fail" and name != "false"):
                     pred = module.lookup_pred(name, arity)
+                    if pred is None and type(name) is PredName:
+                        pred = name.pred
                     if pred is None:
                         macro = module.lookup_goal_macro(name, arity)
                         if macro is None:
                             raise ExistenceError(
                                 "procedure %s/%d is not defined in module %s"
                                 % (name, arity, module.name))
-                        cont = (self._expand_goal(macro, goal, module),
-                                module, cut, cont)
+                        goal, aux = macro(
+                            ExpandContext(module, self, metacall=True), goal)
+                        for head, body in aux:
+                            self.add_clause(module, head, body)
+                        cont = (goal, module, cut, cont)
                         continue
                     if pred.builtin is None:
                         cont = self._call_user(pred, args, cont)
@@ -704,28 +673,6 @@ class Engine:
             if self.drain():
                 return True
         return False
-
-    def _expand_goal(self, macro, goal, module):
-        """A metacalled goal macro's expansion.  One that adds auxiliary
-        predicates (a do-loop) is expanded once per variant of the goal in
-        the module: the expansion is kept as a `Clause` whose head lists
-        the goal's variables in first-occurrence order, so a later variant
-        fills the frame with its own variables and builds the body, and
-        calls the auxiliary predicates already there."""
-        got = _variant_key(goal)
-        if got is not None:
-            key, goal_vars = got
-            hit = module.expansions.get(key)
-            if hit is not None:
-                frame = goal_vars + [None] * (hit.nvars - len(goal_vars))
-                return build(hit.body, frame, self._copy_attr_hook)
-        expanded, aux = macro(ExpandContext(module, self), goal)
-        for head, body in aux:
-            self.add_clause(module, head, body)
-        if aux and got is not None:
-            module.expansions[key] = Clause(Struct("vars", goal_vars),
-                                            expanded)
-        return expanded
 
     def _run_builtin(self, pred, args, module):
         """Call a builtin: the one call site for every builtin call, woken
@@ -777,11 +724,21 @@ class Engine:
         else:
             raise TypeError_("clause head is not callable: %s"
                              % self.format_term(h))
-        pred = module.ensure_pred(name, arity)
+        if type(name) is PredName:
+            pred = name.pred
+        else:
+            pred = module.ensure_pred(name, arity)
         if pred.builtin is not None:
             raise EngineError("cannot add clauses to builtin %s" % pred.indicator)
         pred.clauses.append(Clause(h, deref(body)))
         return pred
+
+    def unlisted_pred(self, module, name, arity):
+        """A new predicate whose clauses run in ``module`` but that no
+        module lists, returned as its name: a `PredName`."""
+        pname = PredName(name)
+        pname.pred = Pred(pname, arity, module)
+        return pname
 
     def load(self, text, module=None, filename=None):
         """Load program text: directives are executed, clauses compiled.
@@ -808,10 +765,13 @@ class Engine:
                 raise _position_error(e, filename, line)
         return self._load_module
 
-    def load_prelude(self, text, module, filename):
-        """Load a library's source text into ``module``.  The first engine
-        in the process loads it and records what the load did; every later
-        engine replays that record instead of reading the text again."""
+    def _load_prelude(self, text, module, filename):
+        """Load a library's source text into ``module`` while the engine is
+        being built.  The first engine in the process loads it and records
+        what the load did; every later engine replays that record instead
+        of reading the text again.  The record is keyed by module name and
+        text only, so it is right only for a module in the state a new
+        engine gives it: call this from engine set-up, never later."""
         key = (module.name, text)
         record = _PRELUDES.get(key)
         if record is None:

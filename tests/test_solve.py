@@ -1,5 +1,6 @@
 """The resolution engine: control constructs, bindings, modules."""
 
+import gc
 import logging
 import os
 import re
@@ -373,7 +374,7 @@ def test_a_prelude_goal_directive_is_refused(monkeypatch):
     monkeypatch.setattr(solve, "_PRELUDES", {})
     e = Engine()
     with pytest.raises(InternalError, match="not a goal"):
-        e.load_prelude(":- export(p/0).\np.\n:- p.\n", e.main, "<test>")
+        e._load_prelude(":- export(p/0).\np.\n:- p.\n", e.main, "<test>")
     assert (e.main.name, ":- export(p/0).\np.\n:- p.\n") not in \
         solve._PRELUDES
 
@@ -389,7 +390,7 @@ def test_a_prelude_clause_with_an_attributed_variable_is_refused(
         return v
     e.main.add_term_macro("av", 1, attributed)
     with pytest.raises(InternalError, match="attributed variable"):
-        e.load_prelude("p(av(x)).\n", e.main, "<test>")
+        e._load_prelude("p(av(x)).\n", e.main, "<test>")
 
 
 def test_term_inspection(engine):
@@ -589,26 +590,37 @@ def test_metacalled_loop_param_keeps_its_domain(engine):
     assert got is not None and engine.format_term(got["X"]) == "_{1..5}"
 
 
-def test_metacalled_loop_reuses_its_auxiliary_predicate(engine):
+def _unlisted_preds():
+    gc.collect()
+    return sum(type(o) is solve.Pred and type(o.name) is solve.PredName
+               for o in gc.get_objects())
+
+
+def test_metacalled_loops_add_no_predicate(engine):
     engine.load("r(0) :- !.\n"
                 "r(N) :- G = (foreach(E, [1, 2]) do true), call(G),"
                 " N1 is N - 1, r(N1).\n"
+                "q(0) :- !.\n"
+                "q(N) :- G = (for(I, 1, N), foreach(X, Xs), param(N) do"
+                " X is I * N), call(G), length(Xs, N), N1 is N - 1, q(N1).\n"
                 "t(S) :- G = (for(I, 1, 3), fromto(0, A, B, S) do B is A + I),"
                 " call(G).\n")
-    assert engine.once("r(1)") is not None
-    n = len(engine.main.preds)
-    assert engine.once("r(40)") is not None
+    n, unlisted = len(engine.main.preds), _unlisted_preds()
+    # neither the same loop again nor loops over other data add one
+    assert engine.once("r(40), q(40), t(S1), t(S2)") is not None
     assert len(engine.main.preds) == n
-    # a reused expansion runs on the variables of the goal it was built for
-    got = engine.once("t(S1), t(S2), t(S3)")
-    assert (got["S1"], got["S2"], got["S3"]) == (6, 6, 6)
-    assert len(engine.main.preds) == n + 1
+    assert engine.main.aux_n == 0
+    # and the predicates the loops ran through are freed
+    assert _unlisted_preds() == unlisted
+    got = engine.once("t(S1), t(S2)")
+    assert (got["S1"], got["S2"]) == (6, 6)
 
 
-def test_metacalled_loop_over_an_attributed_variable_is_not_kept(engine):
-    got = engine.once("X :: 1..5, call((foreach(E, [1, 2]) do X #\\= E))")
-    assert got is not None
-    assert engine.main.expansions == {}
+def test_metacalled_loop_body_is_renamed_as_it_was_called(engine):
+    # Y occurs in the data and the body: the body's Y is local, fresh in
+    # every iteration, even after the data bound the outer Y
+    got = engine.once("call((foreach(X, [Y, W]) do X = 1, Z = Y, var(Z)))")
+    assert got is not None and (got["Y"], got["W"]) == (1, 1)
 
 
 def test_clause_renaming_does_not_copy_terms(engine, monkeypatch):
