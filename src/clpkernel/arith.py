@@ -192,30 +192,34 @@ def _coerce_pair(a, b):
     return Fraction(a), Fraction(b)
 
 
-def _norm(x):
-    # keep Fractions as Fractions even when integral: 1_2 + 1_2 is 1_1
-    return x
+def _finite(r, a, b):
+    """The result r of a float operation on a and b, or an overflow error
+    when finite operands gave an infinity."""
+    if (type(r) is float and math.isinf(r) and math.isfinite(a)
+            and math.isfinite(b)):
+        raise ArithmeticError_("arithmetic: float overflow")
+    return r
 
 
 def num_add(a, b):
     a, b = _coerce_pair(a, b)
     if type(a) is Breal:
         return breal_add(a, b)
-    return _norm(a + b)
+    return _finite(a + b, a, b)
 
 
 def num_sub(a, b):
     a, b = _coerce_pair(a, b)
     if type(a) is Breal:
         return breal_sub(a, b)
-    return _norm(a - b)
+    return _finite(a - b, a, b)
 
 
 def num_mul(a, b):
     a, b = _coerce_pair(a, b)
     if type(a) is Breal:
         return breal_mul(a, b)
-    return _norm(a * b)
+    return _finite(a * b, a, b)
 
 
 def num_div(a, b):
@@ -230,7 +234,7 @@ def num_div(a, b):
         return Fraction(a, b)
     if b == 0:
         raise ArithmeticError_("division by zero")
-    return _norm(a / b)
+    return _finite(a / b, a, b)
 
 
 def num_neg(a):

@@ -1,12 +1,16 @@
 """Kernel builtin predicates.
 
-Builtins are Python callables ``fn(engine, args, module) -> bool | generator``.
-A bool result is a deterministic success/failure; a generator yields once
-per solution and owns its backtracking (restore before each alternative,
-leave the store clean on exhaustion).  The engine runs the waking queue
-after each success and backtracks to a choicepoint below the call on
-failure, so builtins can bind variables freely and let waking failures
-turn into failure of the call.
+Builtins are Python callables ``fn(engine, args, module)`` with three
+kinds of result.  A bool is a deterministic success or failure.  A
+generator yields once per solution and owns its backtracking (restore
+before each alternative, leave the store clean on exhaustion).  A
+``(goal, module)`` pair, returned by a builtin that binds nothing, asks
+the engine to run that goal in the call's place, opaque to cut: this is
+how ``call/N``, ``once/1``, ``\\+/1``, ``not/1`` and ``:/2`` run, in the
+engine's one resolution loop.  The engine runs the waking queue after
+each success and backtracks to a choicepoint below the call on failure,
+so builtins can bind variables freely and let waking failures turn into
+failure of the call.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from .errors import (DomainError, Halt, InstantiationError,
                      ExistenceError, RangeError, TypeError_, UnsupportedError)
 from .expand import struct_update_args
 from .susp import Suspension
-from .terms import (Atom, Breal, NIL, Struct, Var, arg_at, compare_terms,
-                    copy_term, deref, is_callable_term, is_number, mk_list,
-                    proper_list, term_vars, terms_equal)
+from .terms import (TRUE, Atom, Breal, Struct, Var, arg_at,
+                    compare_terms, copy_term, deref, is_callable_term,
+                    is_number, mk_list, proper_list, term_vars, terms_equal)
 
 
 # ----------------------------------------------------------------------
@@ -41,21 +45,15 @@ def bi_call(engine, args, module):
             raise InstantiationError("call: unbound goal")
         else:
             raise TypeError_("call: goal is not callable")
-    return engine.solve(g, module)
+    return g, module
 
 
 def bi_once(engine, args, module):
-    return engine.run_goal_once(args[0], module)
+    return Struct("->", [args[0], TRUE]), module
 
 
 def bi_naf(engine, args, module):
-    mark = engine.store.push_choicepoint()
-    found = False
-    for _ in engine.solve(args[0], module):
-        found = True
-        break
-    engine.store.drop_to(mark)
-    return not found
+    return Struct(";", [Struct("->", [args[0], Atom("fail")]), TRUE]), module
 
 
 def bi_findall(engine, args, module):
@@ -79,13 +77,13 @@ def bi_qualified(engine, args, module):
         out = Struct(":", [mods[-1], goal])
         for m in reversed(mods[:-1]):
             out = Struct(",", [Struct(":", [m, goal]), out])
-        return engine.solve(out, module)
+        return out, module
     if not isinstance(mt, Atom):
         raise TypeError_("qualified call: module must be an atom: %r" % (mt,))
     target = engine.modules.get(mt.name)
     if target is None:
         raise ExistenceError("module %s does not exist" % mt.name)
-    return engine.solve(goal, target)
+    return goal, target
 
 
 def bi_halt0(engine, args, module):
@@ -401,9 +399,7 @@ def _attach_cond(engine, s, v, cond, module):
         if got is None:
             raise UnsupportedError("suspend: attribute %r has no list %r"
                                    % (attr_t.name, list_t.name))
-        owner, slot = got
-        engine.attach_to_list(s, owner, slot,
-                              label="%s:%s" % (attr_t.name, list_t.name))
+        engine.attach_to_list(s, *got)
         return 1
     raise DomainError("suspend: unknown waking condition %s"
                       % engine.format_term(cond, module))

@@ -610,13 +610,13 @@ def _post_lin_con(engine, module, rel, const, pairs, goal):
             d = get_domain(v)
             if d is not None and not d.integral:
                 # becoming integral lets the hole be punched before binding
-                engine.attach_to_list(s, d, "w_type", label="ic:type")
+                engine.attach_to_list(s, d, "w_type")
         else:
             d = ensure_domain(engine, v)
             if rel == "=" or c > 0:
-                engine.attach_to_list(s, d, "w_min", label="ic:min")
+                engine.attach_to_list(s, d, "w_min")
             if rel == "=" or c < 0:
-                engine.attach_to_list(s, d, "w_max", label="ic:max")
+                engine.attach_to_list(s, d, "w_max")
     return _propagate(engine, rel, const, pairs, s)
 
 

@@ -86,20 +86,36 @@ def _pick(pending, dynamic):
 def _label(engine, pending, dynamic):
     """Yield each labeling of the pending variables, one choicepoint per
     variable.  The woken goals run before the next variable is picked;
-    after the last one, whoever resumes the generator runs them."""
-    picked = _pick(pending, dynamic)
-    if picked is None:
-        yield
-        return
-    v, rest = picked
-    values = _finite_values(_require_finite(v))
+    after the last one, whoever resumes the generator runs them.  The
+    variables being labeled are a stack of (variable, values left, mark,
+    variables after it) levels, so labeling adds no Python frame per
+    variable."""
     store = engine.store
-    mark = store.push_choicepoint()
+    levels = []
+    picked = _pick(pending, dynamic)
+    while True:
+        if picked is None:
+            yield
+        else:
+            v, rest = picked
+            values = iter(_finite_values(_require_finite(v)))
+            levels.append((v, values, store.push_choicepoint(), rest))
+        while levels and not _next_value(engine, *levels[-1]):
+            store.drop_to(levels.pop()[2])
+        if not levels:
+            return
+        picked = _pick(levels[-1][3], dynamic)
+
+
+def _next_value(engine, v, values, mark, rest):
+    """Bind v to its next value after which, unless v is the last
+    variable, the woken goals succeed; False when no value is left."""
+    store = engine.store
     for val in values:
         store.backtrack_to(mark)
         if store.bind(v, val) and (not rest or engine.drain()):
-            yield from _label(engine, rest, dynamic)
-    store.drop_to(mark)
+            return True
+    return False
 
 
 def bi_indomain(engine, args, module):

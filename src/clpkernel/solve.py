@@ -10,11 +10,18 @@ drains, with the mark above the generator's own), and ``cont`` is the
 continuation it resumes.  An if-then-else pushes one mark, for its else
 branch, and runs the condition followed by a ``!`` whose height is that
 mark's index; a cut pops the choicepoints above its height.  A bare mark
-has no alternative: backtracking into one is an `InternalError`.  When
-exhausted, `solve` drops its base mark, which restores the store.  It has
-no ``finally``: a caller that abandons it (once, negation, woken goals)
-cleans up with ``commit_to``/``drop_to`` on its *own* mark, and a late
-``close()`` from the garbage collector must not touch the store.
+has no alternative: backtracking into one is an `InternalError`.  A
+metacall runs in the same loop: ``call/N``, ``once/1``, ``\\+/1``,
+``not/1`` and ``:/2`` return a ``(goal, module)`` pair, and the loop
+pushes one cell for it whose cut height is the choicepoint height at the
+call, so a cut in the goal prunes only what the goal pushed.  Only
+`findall/3` and `count_solutions/2` (every solution in one call),
+`run_goal_once` (woken goals that are not builtins, goal directives) and
+`solutions` (the top level) enter `solve` again.  When exhausted, `solve`
+drops its base mark, which restores the store.  It has no ``finally``: a
+caller that abandons it (`run_goal_once`, a closed `solutions`) cleans up
+with ``commit_to``/``drop_to`` on its *own* mark, and a late ``close()``
+from the garbage collector must not touch the store.
 
 Suspended goals are woken through a two-stage scheme: events move
 suspensions into the scheduler's priority queues, and `drain` runs them
@@ -31,9 +38,10 @@ no mark is pushed and no generator is built, and a failing demon's
 partial writes are undone when whoever called `drain` backtracks.  A
 generator result (a woken `indomain`, say) is stepped as the machine
 steps one, to its first solution that drains, and the marks it pushed
-are committed.  `current_suspension` is set meanwhile, so a builtin can
-tell a woken run (the suspension's goal arguments are its arguments)
-from a fresh post.  Other woken goals go through `run_goal_once`.
+are committed.  Any other woken goal, a pair result (a woken ``call/1``)
+or a goal that is not a builtin's, runs through `run_goal_once`.
+`current_suspension` is set meanwhile, so a builtin can tell a woken run
+(the suspension's goal arguments are its arguments) from a fresh post.
 `_run_builtin` is the one call site of every builtin call, woken or not,
 and `_call_user` of every user call.
 
@@ -68,9 +76,9 @@ from __future__ import annotations
 import logging
 from types import GeneratorType
 
-from .errors import (EngineError, ExistenceError, FlounderingError, Halt,
-                     InstantiationError, InternalError, ReaderError,
-                     TypeError_)
+from .errors import (DomainError, EngineError, ExistenceError,
+                     FlounderingError, Halt, InstantiationError,
+                     InternalError, ReaderError, TypeError_)
 from .expand import (ExpandContext, expand_clause, install_kernel_macros,
                      mk_conj, parse_struct_decl)
 from .reader import Ops, Parser, standard_ops, tokenize
@@ -462,8 +470,7 @@ class Engine:
                 raise InstantiationError("suspension goal is unbound")
             raise TypeError_("suspension goal must be callable: %s"
                              % self.format_term(g))
-        name, arity = _functor_of(g)
-        pred = module.lookup_pred(name, arity)
+        pred = module.lookup_pred(g.name, g.arity if type(g) is Struct else 0)
         demon = pred is not None and pred.demon
         if pred is not None and pred.builtin is None:
             pred = None  # resolved when woken, like any goal
@@ -478,14 +485,11 @@ class Engine:
         slot = {"inst": "wake_inst", "bound": "wake_bound",
                 "constrained": "wake_constrained"}.get(cond)
         if slot is None:
-            from .errors import DomainError
             raise DomainError("unknown waking condition: %r" % (cond,))
         self.store.set_slot(var, slot, getattr(var, slot) + (susp,))
-        susp.conditions.append((cond, var))
 
-    def attach_to_list(self, susp, owner, slot, label=None):
+    def attach_to_list(self, susp, owner, slot):
         self.store.set_slot(owner, slot, getattr(owner, slot) + (susp,))
-        susp.conditions.append((label or slot, owner))
 
     def kill_suspension(self, susp):
         if susp.state != EXECUTED:
@@ -534,16 +538,19 @@ class Engine:
             self.running_priority = s.priority
             self.current_suspension = s
             try:
+                top = len(store.choicepoints)
                 if s.pred is None:
-                    ok = self.run_goal_once(s.goal, s.module)
+                    res = (s.goal, s.module)
                 else:
-                    top = len(store.choicepoints)
                     args = s.goal.args if type(s.goal) is Struct else ()
-                    ok = res = self._run_builtin(s.pred, args, s.module)
-                    if type(res) is GeneratorType:
-                        ok = self._next_drained(res)
-                        if ok and len(store.choicepoints) > top:
-                            store.commit_to(store.choicepoints[top])
+                    res = self._run_builtin(s.pred, args, s.module)
+                ok = res
+                if type(res) is tuple:
+                    ok = self.run_goal_once(*res)
+                elif type(res) is GeneratorType:
+                    ok = self._next_drained(res)
+                    if ok and len(store.choicepoints) > top:
+                        store.commit_to(store.choicepoints[top])
             finally:
                 self.running_priority = prev_p
                 self.current_suspension = prev_s
@@ -643,6 +650,9 @@ class Engine:
                                 m = store.push_choicepoint()
                                 m.alt, m.cont = res, cont
                                 continue
+                        elif type(res) is tuple:  # run in the call's place
+                            cont = (res[0], res[1], len(cps), cont)
+                            continue
                         elif res and self.drain():
                             continue
             # failure: resume the youngest alternative
@@ -675,8 +685,8 @@ class Engine:
         return False
 
     def _run_builtin(self, pred, args, module):
-        """Call a builtin: the one call site for every builtin call, woken
-        or not.  Returns its raw result, a bool or a generator."""
+        """The one call site of every builtin call, woken or not: returns
+        the builtin's raw result, a bool, a generator or a pair."""
         return pred.builtin(self, args, module)
 
     def _call_user(self, pred, args, cont):
@@ -975,13 +985,6 @@ def _has_attr_slot(t):
     if type(t) is FirstAttr:
         return True
     return type(t) is Tmpl and any(map(_has_attr_slot, t.args))
-
-
-def _functor_of(g):
-    g = deref(g)
-    if isinstance(g, Atom):
-        return g.name, 0
-    return g.name, g.arity
 
 
 def _atom_name(t, what):

@@ -48,13 +48,12 @@ MAIN_PRIORITY = NUM_PRIORITIES + 1
 
 
 class Suspension:
-    """A suspended goal.  ``conditions`` records the attach specs for
-    display; ``payload`` is free for propagators to cache data in.
-    ``pred`` is the goal's builtin predicate, which a drain calls
-    directly, or None for goals that go through the resolver."""
+    """A suspended goal.  ``payload`` is free for propagators to cache
+    data in.  ``pred`` is the goal's builtin predicate, which a drain
+    calls directly, or None for goals that go through the resolver."""
 
     __slots__ = ("sid", "goal", "priority", "module", "state", "demon",
-                 "pred", "payload", "conditions", "_stamps")
+                 "pred", "payload", "_stamps")
 
     def __init__(self, sid, goal, priority, module, demon=False, pred=None):
         if not isinstance(priority, int) or not 1 <= priority <= NUM_PRIORITIES:
@@ -68,7 +67,6 @@ class Suspension:
         self.demon = demon
         self.pred = pred
         self.payload = None
-        self.conditions = []
         self._stamps = None
 
     def __repr__(self):

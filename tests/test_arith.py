@@ -14,7 +14,8 @@ import pytest
 from clpkernel.arith import (breal_add, breal_div, breal_from_exact, breal_mul,
                              breal_pow, breal_sub, compare_numeric, eval_arith,
                              float_down, float_up, num_add, num_div,
-                             num_intdiv, num_mod, num_pow, to_breal)
+                             num_intdiv, num_mod, num_mul, num_pow, num_sub,
+                             to_breal)
 from clpkernel.errors import (ArithmeticError_, InstantiationError, TypeError_,
                               UncertaintyError)
 from clpkernel.reader import parse_term
@@ -242,10 +243,21 @@ def test_compare_overlapping_breals_is_uncertain():
     "X is 10 ** 400 + 0.5",
     "X is 10 ** 400 / 1.0",
     "X is 10 ** 400, Y is X * 1.5",
+    "X is 1.0e308 * 10",
+    "X is 1.0e308 + 1.0e308",
+    "X is -1.0e308 - 1.0e308",
+    "X is 1.0e308 / 0.5",
 ])
 def test_float_overflow_is_an_arithmetic_error(engine, goal):
     with pytest.raises(ArithmeticError_, match="float overflow"):
         engine.ask(goal)
+
+
+def test_infinite_operands_are_not_an_overflow():
+    assert num_add(math.inf, 1.0) == math.inf
+    assert num_mul(-math.inf, 2.0) == -math.inf
+    assert num_div(math.inf, 0.5) == math.inf
+    assert math.isnan(num_sub(math.inf, math.inf))
 
 
 def test_is_and_comparisons(ask, first):

@@ -89,6 +89,19 @@ def test_call_makes_cut_local(engine):
     engine.load(PQ)
     assert sols(engine, "p(X), call(!)") == [1, 2, 3]
     assert sols(engine, "p(X), once(true)") == [1, 2, 3]
+    assert sols(engine, "p(X), \\+ \\+ !") == [1, 2, 3]
+    assert sols(engine, "p(X), main:!") == [1, 2, 3]
+
+
+def test_once_and_negation_leave_the_choicepoint_stack_as_found(engine):
+    engine.load(PQ)
+    engine.add_builtin(engine.main, "height", 1, lambda eng, args, module:
+                       eng.store.unify(args[0], len(eng.store.choicepoints)))
+    for goal in ("once(p(X))", "\\+ p(4)", "\\+ \\+ p(X)", "not(p(4))"):
+        got = engine.once("height(A), %s, height(B)" % goal)
+        assert got is not None and got["A"] == got["B"], goal
+    assert engine.ask("height(A), \\+ p(X), height(B)") == []
+    assert engine.store.choicepoints == []
 
 
 def test_cut_in_condition_is_local_to_the_condition(engine):
@@ -707,13 +720,24 @@ def test_inference_counts_the_benchmark_relies_on(monkeypatch):
                              "count_queens(6, first_fail, C)") == 998
     assert _count_inferences(monkeypatch, workloads.LINEAR_PROGRAM,
                              "send_more(L)") == 40
+    # a metacall is one call more than its goal; \+ \+ is two
+    xs = list(range(1, n + 1))
+    for query, count in [("call(nrev(%s, R))" % xs, 67),
+                         ("once(nrev(%s, R))" % xs, 67),
+                         ("main:nrev(%s, R)" % xs, 67),
+                         ("call(nrev, %s, R)" % xs, 67),
+                         ("\\+ \\+ nrev(%s, R)" % xs, 68)]:
+        assert _count_inferences(monkeypatch, workloads.CORE_PROGRAM,
+                                 query) == count, query
 
 
 def test_recursion_depth_floor():
     """Deterministic recursion 100k deep succeeds, each case in a fresh
     interpreter at the default recursion limit: count_to/2 (the
-    benchmark's depth probe), length/2 and a do-loop.  A change that adds
-    a Python frame per call fails here."""
+    benchmark's depth probe), length/2, a do-loop, and recursion through
+    each metacall; labeling/2 labels a few thousand variables.  A change
+    that adds a Python frame per call or per labeled variable fails
+    here.  At most three interpreters run at once."""
     code = ("import sys\n"
             "from clpkernel import Engine\n"
             "assert sys.getrecursionlimit() == 1000\n"
@@ -728,10 +752,19 @@ def test_recursion_depth_floor():
              ("", "length(_, 100000)"),
              ("", "length(L, 100000),"
                   " ( foreach(X, L), count(I, 1, N) do X = I )")]
+    for call in ("call(r(N1))", "once(r(N1))", "\\+ \\+ r(N1)",
+                 "main:r(N1)"):
+        cases.append(("r(0) :- !.\nr(N) :- N1 is N - 1, %s." % call,
+                      "r(100000)"))
+    for strategy, n in (("input_order", 2000), ("first_fail", 1500)):
+        cases.append(("", "length(L, %d), L :: 0..1, labeling(%s, L)"
+                      % (n, strategy)))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    procs = [subprocess.Popen([sys.executable, "-c", code, program, goal],
-                              stderr=subprocess.PIPE, text=True, env=env)
-             for program, goal in cases]
-    for (_, goal), p in zip(cases, procs):
-        _, err = p.communicate(timeout=300)
-        assert p.returncode == 0, (goal, err[-2000:])
+    for batch in range(0, len(cases), 3):
+        procs = [(goal, subprocess.Popen(
+            [sys.executable, "-c", code, program, goal],
+            stderr=subprocess.PIPE, text=True, env=env))
+            for program, goal in cases[batch:batch + 3]]
+        for goal, p in procs:
+            _, err = p.communicate(timeout=300)
+            assert p.returncode == 0, (goal, err[-2000:])

@@ -185,6 +185,12 @@ def test_suspend_goal_runs_on_instantiation(first):
     assert got.delayed == []
 
 
+def test_woken_metacall_runs_its_goal(first):
+    got = first("suspend(call(X = 1), 3, [Y -> inst]), Y = a")
+    assert got is not None and got["X"] == 1
+    assert got.delayed == []
+
+
 def test_delayed_goal_reported_when_never_woken(first):
     got = first("suspend(true, 3, [X -> inst])")
     assert got is not None
