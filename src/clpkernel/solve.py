@@ -25,10 +25,13 @@ from the garbage collector must not touch the store.
 
 Suspended goals are woken through a two-stage scheme: events move
 suspensions into the scheduler's priority queues, and `drain` runs them
-after every resolution step.  While a woken goal runs, `running_priority`
-is lowered to its priority, so more urgent wakings interrupt it at its
-own resolution steps but less urgent ones wait.  Woken goals run
-semi-deterministically: their first solution is committed.
+after every resolution step.  `drain` is entered at every such point
+but returns at once when the scheduler counts no queued entry, so a step
+with nothing woken pays one call and one test.  While a woken goal runs,
+`running_priority` is lowered to its priority, so more urgent wakings
+interrupt it at its own resolution steps but less urgent ones wait.
+Woken goals run semi-deterministically: their first solution is
+committed.
 
 A woken goal whose predicate is a builtin (every ic demon is one) is
 dispatched directly: `make_suspension` keeps the predicate on the
@@ -262,18 +265,23 @@ def _candidate(clauses, i, n, key):
     return i
 
 
+_NUMBER_KEY = ("number",)
+
+
 def index_key(t):
-    """A coarse first-argument index key; None matches anything."""
-    t = deref(t)
-    if isinstance(t, Var):
-        return None
-    if isinstance(t, Atom):
-        return ("a", t.name)
-    if isinstance(t, Struct):
-        return ("f", t.name, t.arity)
-    if isinstance(t, str):
-        return ("s", t)
-    return ("n",)  # numbers index together
+    """A coarse first-argument index key; None matches anything.  An atom
+    (interned) and a string are their own keys, a compound term's is its
+    name and arity, and numbers index together."""
+    while type(t) is Var:
+        if t.ref is None:
+            return None
+        t = t.ref
+    ty = type(t)
+    if ty is Atom or ty is str:
+        return t
+    if ty is Struct:
+        return (t.name, len(t.args))
+    return _NUMBER_KEY
 
 
 class Pred:
@@ -524,7 +532,10 @@ class Engine:
         A woken builtin runs with no mark of its own: a failing one
         leaves its partial writes in place, and whoever called `drain`
         backtracks them away to a choicepoint below them (the machine in
-        `solve`, or the value loop of `search._label`)."""
+        `solve`, or the value loop of `search._label`).  With nothing
+        queued it returns at once."""
+        if not self.sched.count:
+            return True
         s = self.sched.pop_runnable(self.running_priority)
         while s is not None:
             store = self.store

@@ -6,6 +6,17 @@ Three kinds of trail entries:
 * ('val', owner, slot, old)      -- restore a slot to its old value
 * ('undo', closure)              -- run an arbitrary undo action
 
+Bind entries are conditional, as in Warren's abstract machine: a binding
+is trailed only when the variable is no newer than the youngest live
+choicepoint, that is when its serial is at most the ``var_serial`` its
+mark took at push time.  A newer variable was made after every live
+choicepoint, so nothing reachable after backtracking to one of them can
+refer to it; resetting it would be wasted work, and deterministic
+recursion, which binds mostly fresh variables, would grow the trail
+without bound.  Without any choicepoint nothing is trailed.  Code that
+keeps a variable across a backtrack must make it before the mark it
+backtracks to (`search._label` picks a variable, then pushes its mark).
+
 Value entries carry timestamp-based deduplication: a slot is trailed at
 most once per choicepoint segment.  Timestamps are a plain monotone
 counter, bumped on every choicepoint push, so stamps of dead (popped or
@@ -35,15 +46,18 @@ from .terms import Atom, Breal, Struct, Var, deref
 
 
 class Mark:
-    """A choicepoint handle: trail length + unique timestamp, and the
-    ``alt`` and ``cont`` of `Engine.solve` (None on a bare mark)."""
+    """A choicepoint handle: trail length, unique timestamp, the serial of
+    the newest variable when it was pushed, and the ``alt`` and ``cont``
+    of `Engine.solve` (None on a bare mark)."""
 
-    __slots__ = ("trail_len", "stamp", "index", "alive", "alt", "cont")
+    __slots__ = ("trail_len", "stamp", "index", "var_serial", "alive", "alt",
+                 "cont")
 
-    def __init__(self, trail_len, stamp, index):
+    def __init__(self, trail_len, stamp, index, var_serial):
         self.trail_len = trail_len
         self.stamp = stamp
         self.index = index
+        self.var_serial = var_serial
         self.alive = True
         self.alt = None
         self.cont = None
@@ -77,7 +91,8 @@ class Store:
 
     def push_choicepoint(self):
         self._stamp_counter += 1
-        m = Mark(len(self.trail), self._stamp_counter, len(self.choicepoints))
+        m = Mark(len(self.trail), self._stamp_counter, len(self.choicepoints),
+                 Var._counter)
         self.choicepoints.append(m)
         return m
 
@@ -187,7 +202,9 @@ class Store:
         if var.ref is not None:
             raise InternalError("bind: variable already bound")
         var.ref = value
-        self.trail.append(("bind", var))
+        cps = self.choicepoints
+        if cps and var.serial <= cps[-1].var_serial:
+            self.trail.append(("bind", var))
 
         value = deref(value)
         aliasing = type(value) is Var

@@ -27,8 +27,10 @@ Waking is two-stage on purpose: events only move suspensions into the
 priority queue; the queued goals actually run at the next drain point,
 most urgent bucket first (priority 1 is the most urgent of the 12
 levels), FIFO within a bucket.  The queue itself is not trailed; stale
-entries (whose state was restored by backtracking) are skipped when
-popped.
+entries (whose state was restored by backtracking, or that were killed)
+are skipped when popped.  The scheduler counts the entries in its
+buckets, stale ones included until they are popped, so `Engine.drain`
+sees in O(1) that nothing is queued.
 """
 
 from __future__ import annotations
@@ -74,10 +76,12 @@ class Suspension:
 
 
 class Scheduler:
-    """Twelve FIFO buckets of scheduled suspensions."""
+    """Twelve FIFO buckets of scheduled suspensions.  ``count`` is the
+    number of entries in the buckets, stale ones included."""
 
     def __init__(self):
         self.buckets = [deque() for _ in range(NUM_PRIORITIES + 1)]  # index 1..12
+        self.count = 0
 
     def schedule(self, susps, store):
         """Move suspended suspensions into the queue.  Already-scheduled and
@@ -86,6 +90,7 @@ class Scheduler:
             if s.state == SUSPENDED:
                 store.set_slot(s, "state", SCHEDULED)
                 self.buckets[s.priority].append(s)
+                self.count += 1
 
     def pop_runnable(self, priority_limit):
         """Most urgent scheduled suspension with priority < priority_limit,
@@ -96,6 +101,7 @@ class Scheduler:
             bucket = self.buckets[p]
             while bucket:
                 s = bucket.popleft()
+                self.count -= 1
                 if s.state == SCHEDULED:
                     return s
         return None

@@ -99,7 +99,29 @@ class Writer:
     # -- dispatch ----------------------------------------------------------
 
     def _write(self, t, maxprec, transform=True):
+        """The text of t.  The last argument of a compound term, the right
+        operand of an infix operator and the operand of a prefix operator
+        are written in a loop, with the text that closes each enclosing
+        term kept on a stack, so terms nested in those positions do not
+        recurse."""
         t = deref(t)
+        if type(t) is not Struct:
+            return self._atomic_text(t)
+        out = []
+        closing = []
+        while True:
+            step = self._open_struct(t, maxprec, transform, out, closing)
+            if step is None:
+                break
+            t, maxprec, transform = step
+            t = deref(t)
+            if type(t) is not Struct:
+                out.append(self._atomic_text(t))
+                break
+        out.extend(reversed(closing))
+        return "".join(out)
+
+    def _atomic_text(self, t):
         if isinstance(t, Var):
             return self._var_text(t)
         if isinstance(t, bool):
@@ -118,8 +140,6 @@ class Writer:
             return t
         if isinstance(t, Atom):
             return self._atom_text(t.name)
-        if isinstance(t, Struct):
-            return self._write_struct(t, maxprec, transform)
         return "<%s@%x>" % (type(t).__name__, id(t))
 
     def _atom_text(self, name):
@@ -127,46 +147,67 @@ class Writer:
             return _quote_atom(name)
         return name
 
-    def _write_struct(self, t, maxprec, transform):
+    def _open_struct(self, t, maxprec, transform, out, closing):
+        """Append the text of the compound term t up to the subterm it
+        ends with, push the text that closes t, and return that subterm
+        with its maximal priority and transform flag.  A term written
+        whole returns None."""
         if transform and self.transforms is not None:
             fn = self.transforms(t.name, t.arity)
             if fn is not None:
-                out = fn(t)
-                if out is not t:
-                    return self._write(out, maxprec, transform=False)
+                new = fn(t)
+                if new is not t:
+                    return new, maxprec, False
 
         # list notation
         if t.name == "." and t.arity == 2:
-            return self._write_list(t)
+            out.append(self._write_list(t))
+            return None
 
         if not self.canonical:
             # {Goal}
             if t.name == "{}" and t.arity == 1:
-                return "{%s}" % self._write(t.args[0], 1200)
+                out.append("{")
+                closing.append("}")
+                return t.args[0], 1200, True
             # subscript sugar: Base[I1, I2]
             if t.name == "subscript" and t.arity == 2:
                 s = self._subscript_text(t)
                 if s is not None:
-                    return s
+                    out.append(s)
+                    return None
             # operators
             if self.ops is not None:
-                s = self._op_text(t, maxprec)
-                if s is not None:
-                    return s
+                op = self._operator(t)
+                if op is not None:
+                    return self._open_op(t, maxprec, op, out, closing)
 
-        args = ", ".join(self._write_arg(a) for a in t.args)
-        return "%s(%s)" % (self._atom_text(t.name), args)
+        if not t.args:
+            out.append(self._atom_text(t.name) + "()")
+            return None
+        out.append(self._atom_text(t.name) + "(")
+        for a in t.args[:-1]:
+            out.append(self._write_arg(a) + ", ")
+        closing.append(")")
+        last = t.args[-1]
+        if self._needs_arg_parens(last):
+            out.append("(")
+            closing.append(")")
+        return last, 1200, True
 
     def _write_arg(self, t):
         """Argument / list-element position: full priority, but a term whose
         principal functor is ','/2 must be parenthesised to survive the
         reader's argument terminator."""
         s = self._write(t, 1200)
-        td = deref(t)
-        if (not self.canonical and isinstance(td, Struct)
-                and td.name == "," and td.arity == 2):
+        if self._needs_arg_parens(t):
             return "(%s)" % s
         return s
+
+    def _needs_arg_parens(self, t):
+        t = deref(t)
+        return (not self.canonical and type(t) is Struct
+                and t.name == "," and t.arity == 2)
 
     def _write_list(self, t):
         items, tail = list_parts(t)
@@ -192,42 +233,41 @@ class Writer:
             return None
         return "%s[%s]" % (base_s, ", ".join(self._write_arg(i) for i in items))
 
-    def _op_text(self, t, maxprec):
-        name = t.name
+    def _operator(self, t):
+        """(kind, (priority, type)) of the operator t is written with, or
+        None."""
         if t.arity == 2:
-            entry = self.ops.infix_op(name)
-            if entry is None:
-                return None
-            prio, typ = entry
-            lmax = prio - 1 if typ in ("xfx", "xfy") else prio
-            rmax = prio if typ == "xfy" else prio - 1
-            left = self._write(t.args[0], lmax)
-            right = self._write(t.args[1], rmax)
-            if name == ",":
-                s = "%s, %s" % (left, right)
-            else:
-                s = "%s %s %s" % (left, self._atom_text(name), right)
-            return self._paren(s, prio, maxprec)
-        if t.arity == 1:
-            entry = self.ops.prefix_op(name)
+            entry = self.ops.infix_op(t.name)
             if entry is not None:
-                prio, typ = entry
-                sub = prio if typ == "fy" else prio - 1
-                s = "%s %s" % (self._atom_text(name), self._write(t.args[0], sub))
-                return self._paren(s, prio, maxprec)
-            entry = self.ops.postfix_op(name)
+                return "infix", entry
+        elif t.arity == 1:
+            entry = self.ops.prefix_op(t.name)
             if entry is not None:
-                prio, typ = entry
-                sub = prio if typ == "yf" else prio - 1
-                s = "%s %s" % (self._write(t.args[0], sub), self._atom_text(name))
-                return self._paren(s, prio, maxprec)
+                return "prefix", entry
+            entry = self.ops.postfix_op(t.name)
+            if entry is not None:
+                return "postfix", entry
         return None
 
-    @staticmethod
-    def _paren(s, prio, maxprec):
+    def _open_op(self, t, maxprec, op, out, closing):
+        """`_open_struct` for a term written in operator notation."""
+        kind, (prio, typ) = op
+        name = self._atom_text(t.name)
         if prio > maxprec:
-            return "(%s)" % s
-        return s
+            out.append("(")
+            closing.append(")")
+        if kind == "postfix":
+            sub = prio if typ == "yf" else prio - 1
+            out.append("%s %s" % (self._write(t.args[0], sub), name))
+            return None
+        if kind == "prefix":
+            out.append(name + " ")
+            return t.args[0], prio if typ == "fy" else prio - 1, True
+        lmax = prio - 1 if typ in ("xfx", "xfy") else prio
+        rmax = prio if typ == "xfy" else prio - 1
+        left = self._write(t.args[0], lmax)
+        out.append(left + (", " if t.name == "," else " %s " % name))
+        return t.args[1], rmax, True
 
 
 def write_term(t, ops=None, quoted=False, canonical=False, names=None,

@@ -20,9 +20,12 @@ def run_main(capsys, *argv):
 
 
 def run_repl(text, *argv):
+    # the child imports the engine from this checkout, as the tests do
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     return subprocess.run(
         [sys.executable, "-m", "clpkernel.cli"] + list(argv),
-        input=text, capture_output=True, text=True, timeout=30)
+        input=text, capture_output=True, text=True, timeout=30, env=env)
 
 
 def test_goal_first_solution(capsys):

@@ -269,3 +269,29 @@ def test_quoted_atoms_round_trip():
     assert write_term(Atom("it's"), quoted=True) == "'it\\'s'"
     assert write_term(Atom("abc"), quoted=True) == "abc"
     assert write_term("a \"b\"", quoted=True) == '"a \\"b\\""'
+
+
+@pytest.mark.parametrize("shape", ["compound", "conjunction", "prefix"])
+def test_right_nested_terms_print_at_any_depth(shape):
+    """A compound term's last argument, an infix operator's right operand
+    and a prefix operator's operand are written in a loop, so nesting in
+    those positions does not recurse."""
+    depth = 100000
+    t = Atom("z")
+    if shape == "compound":
+        for _ in range(depth):
+            t = Struct("f", [t])
+        text = "f(" * depth + "z" + ")" * depth
+        canon = text
+    elif shape == "conjunction":
+        for _ in range(depth):
+            t = Struct(",", [Atom("a"), t])
+        text = "a, " * depth + "z"
+        canon = "','(a, " * depth + "z" + ")" * depth
+    else:
+        for _ in range(depth):
+            t = Struct("-", [t])
+        text = "- " * depth + "z"
+        canon = "-(" * depth + "z" + ")" * depth
+    assert write_term(t, ops=standard_ops()) == text
+    assert write_term(t, canonical=True) == canon

@@ -17,6 +17,7 @@ from clpkernel.errors import (ExistenceError, FlounderingError, Halt,
                               TypeError_)
 from clpkernel.solve import Clause, Engine, build, match_head
 from clpkernel.store import Store
+from clpkernel.susp import Scheduler
 from clpkernel.terms import (Atom, Struct, Var, copy_term, deref, is_variant,
                              mk_list, proper_list)
 
@@ -768,3 +769,39 @@ def test_recursion_depth_floor():
         for goal, p in procs:
             _, err = p.communicate(timeout=300)
             assert p.returncode == 0, (goal, err[-2000:])
+
+
+NREV = """
+app([], L, L).
+app([H|T], L, [H|R]) :- app(T, L, R).
+nrev([], []).
+nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).
+count_to(N, N) :- !.
+count_to(I, N) :- I1 is I + 1, count_to(I1, N).
+"""
+
+
+@pytest.mark.parametrize("query", [
+    "count_to(0, 100000)", "nrev(%s, R)" % list(range(100))],
+    ids=["count_to", "nrev"])
+def test_deterministic_recursion_keeps_the_trail_bounded(engine, query):
+    """Bindings of variables made after the youngest choicepoint are not
+    trailed, so deterministic recursion does not grow the trail."""
+    engine.load(NREV)
+    goal, _ = engine.parse_goal(query)
+    sols = engine.solutions(goal)
+    next(sols)
+    assert len(engine.store.trail) < 100
+    sols.close()
+
+
+def test_pure_resolution_never_polls_the_queue(engine, monkeypatch):
+    """With nothing woken, `drain` returns before it looks at the queue."""
+    calls = []
+    pop = Scheduler.pop_runnable
+    monkeypatch.setattr(Scheduler, "pop_runnable",
+                        lambda self, limit: calls.append(1) or pop(self, limit))
+    engine.load(NREV)
+    got = engine.once("nrev(%s, R)" % list(range(30)))
+    assert engine.format_term(got["R"]) == str(list(range(29, -1, -1)))
+    assert calls == []

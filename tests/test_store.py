@@ -200,3 +200,100 @@ def test_randomized_restoration():
             mark, snap = stack[0]
             st.backtrack_to(mark)
             assert snapshot(cells, vars_) == snap
+
+
+# ----------------------------------------------------------------------
+# conditional trailing: a binding is trailed only when the variable is no
+# newer than the youngest choicepoint
+
+def _bind_entries(st):
+    return sum(1 for e in st.trail if e[0] == "bind")
+
+
+def test_binding_an_older_variable_is_trailed():
+    st = Store()
+    old = Var()
+    st.push_choicepoint()
+    st.bind(old, 1)
+    assert _bind_entries(st) == 1
+
+
+def test_binding_a_newer_variable_is_not_trailed():
+    st = Store()
+    st.push_choicepoint()
+    new = Var()
+    st.bind(new, 1)
+    assert _bind_entries(st) == 0
+
+
+def test_commit_lowers_the_trailing_horizon():
+    st = Store()
+    st.push_choicepoint()
+    mid, mid2 = Var(), Var()
+    inner = st.push_choicepoint()
+    st.bind(mid, 1)              # older than the top mark: trailed
+    assert _bind_entries(st) == 1
+    st.commit_to(inner)
+    st.bind(mid2, 2)             # newer than the new top: not trailed
+    assert _bind_entries(st) == 1
+
+
+def _sig(t):
+    t = deref(t)
+    if isinstance(t, Var):
+        return ("var", id(t))
+    if isinstance(t, Struct):
+        return (t.name,) + tuple(_sig(a) for a in t.args)
+    return ("val", t)
+
+
+def test_conditional_trailing_keeps_backtracking_sound():
+    """Each level creates fresh variables after its mark and binds fresh
+    and older ones, some older ones to structs holding fresh ones, and
+    aliases variables.  A level is sometimes committed, leaving its
+    bindings to the enclosing level's backtrack.  After each backtrack
+    every variable older than the mark is as it was."""
+    rng = random.Random(20261018)
+    untrailed = [0]
+
+    for _trial in range(80):
+        st = Store()
+
+        def work(vars_):
+            for _ in range(rng.randint(2, 8)):
+                v = deref(rng.choice(vars_))
+                if type(v) is not Var:
+                    continue
+                # embed only still-unbound variables: bind times then
+                # order the reference graph, so no cycles
+                free = [w for w in map(deref, vars_)
+                        if type(w) is Var and w is not v]
+                before = len(st.trail)
+                r = rng.random()
+                if r < 0.4 or not free:
+                    st.bind(v, rng.randint(0, 9))
+                elif r < 0.8:
+                    st.bind(v, Struct("f", [rng.choice(free), Atom("a")]))
+                else:
+                    assert st.unify(v, rng.choice(free))
+                if len(st.trail) == before:
+                    untrailed[0] += 1
+
+        def run_level(depth, older):
+            before = [_sig(v) for v in older]
+            tlen = st.trail_length()
+            mark = st.push_choicepoint()
+            vars_ = older + [Var() for _ in range(rng.randint(1, 4))]
+            work(vars_)
+            if depth < 3 and rng.random() < 0.7:
+                run_level(depth + 1, vars_)
+                work(vars_)
+            if depth and rng.random() < 0.3:
+                st.commit_to(mark)   # the enclosing level undoes this one
+                return
+            st.drop_to(mark)
+            assert [_sig(v) for v in older] == before
+            assert st.trail_length() == tlen
+
+        run_level(0, [Var() for _ in range(6)])
+    assert untrailed[0] > 100, "no binding went untrailed"

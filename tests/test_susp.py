@@ -1,5 +1,6 @@
 """The suspension scheduler: priority buckets, demons, kill and revive."""
 
+import random
 import sys
 from pathlib import Path
 
@@ -195,6 +196,34 @@ def test_delayed_goal_reported_when_never_woken(first):
     got = first("suspend(true, 3, [X -> inst])")
     assert got is not None
     assert got.delayed == ["true"]
+
+
+def test_scheduler_count_stays_exact(engine):
+    """Random schedules, kills, backtracks and pops keep the count equal
+    to the entries in the buckets, stale ones included."""
+    rng = random.Random(20261018)
+    st, sched = engine.store, engine.sched
+    susps = [engine.make_suspension(Atom("true"), rng.randint(1, NUM_PRIORITIES))
+             for _ in range(10)]
+    marks = [st.push_choicepoint()]
+    for _ in range(2000):
+        r = rng.random()
+        if r < 0.3:
+            sched.schedule(rng.sample(susps, rng.randint(1, 4)), st)
+        elif r < 0.45:
+            engine.kill_suspension(rng.choice(susps))
+        elif r < 0.6:
+            marks.append(st.push_choicepoint())
+        elif r < 0.7:
+            k = rng.randrange(len(marks))
+            del marks[k + 1:]
+            st.backtrack_to(marks[k])
+        else:
+            s = sched.pop_runnable(rng.randint(1, MAIN_PRIORITY))
+            if s is not None:
+                st.set_slot(s, "state", rng.choice([SUSPENDED, EXECUTED]))
+        assert sched.count == sum(map(len, sched.buckets))
+    assert sched.count > 0
 
 
 # ----------------------------------------------------------------------
