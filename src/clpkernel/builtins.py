@@ -1,16 +1,13 @@
 """Kernel builtin predicates.
 
-Builtins are Python callables ``fn(engine, args, module)`` with three
-kinds of result.  A bool is a deterministic success or failure.  A
-generator yields once per solution and owns its backtracking (restore
-before each alternative, leave the store clean on exhaustion).  A
-``(goal, module)`` pair, returned by a builtin that binds nothing, asks
-the engine to run that goal in the call's place, opaque to cut: this is
-how ``call/N``, ``once/1``, ``\\+/1``, ``not/1`` and ``:/2`` run, in the
-engine's one resolution loop.  The engine runs the waking queue after
-each success and backtracks to a choicepoint below the call on failure,
-so builtins can bind variables freely and let waking failures turn into
-failure of the call.
+Builtins are Python callables ``fn(engine, args, module)`` that return a
+bool, a deterministic success or failure, or a ``(goal, module)`` pair,
+which the engine runs in the call's place, opaque to cut (see `solve`):
+``call/N``, ``once/1``, ``\\+/1``, ``not/1`` and ``:/2`` return a term,
+findall/3 a step that keeps its collector on the choicepoint stack.  The
+engine runs the waking queue after each success and backtracks to a
+choicepoint below the call on failure, so builtins can bind variables
+freely and let waking failures turn into failure of the call.
 """
 
 from __future__ import annotations
@@ -57,15 +54,36 @@ def bi_naf(engine, args, module):
 
 
 def bi_findall(engine, args, module):
-    template, goal, out = args
-    watermark = engine._sid
-    results = []
-    for _ in engine.solve(goal, module):
-        engine.check_floundering(
-            watermark, module, "findall: a solution left goals delayed; "
-            "the solution set is not enumerable")
-        results.append(copy_term(template, attr_hook=engine._copy_attr_hook))
-    return engine.store.unify(out, mk_list(results))
+    return all_solutions(engine, args[1], module, args[0], args[2], (
+        "findall: a solution left goals delayed; "
+        "the solution set is not enumerable"))
+
+
+def all_solutions(engine, goal, module, template, out, message):
+    """The pair findall/3, or count_solutions/2 with no template, returns:
+    a step that pushes a collector mark, then runs the goal, cut height
+    above the mark, and a step that records the solution and fails.  The
+    exhausted goal backtracks into the mark, which unifies the output."""
+    store, watermark, found = engine.store, engine._sid, []
+
+    def run(cont):
+        m = store.push_choicepoint()
+        m.alt, m.cont = collected, cont
+        return goal, module, m.index + 1, (collect, module, 0, None)
+
+    def collect(cont):
+        engine.check_floundering(watermark, module, message)
+        found.append(None if template is None else copy_term(
+            template, attr_hook=engine._copy_attr_hook))
+        return False
+
+    def collected(mark):
+        store.drop_to(mark)
+        result = len(found) if template is None else mk_list(found)
+        if store.unify(out, result) and engine.drain():
+            return mark.cont
+        return False
+    return run, module
 
 
 def bi_qualified(engine, args, module):

@@ -1,13 +1,12 @@
 """Labeling search over finite integer domains.
 
-indomain/1 enumerates the values of a domain variable in ascending
-order, one choicepoint per value; labeling/1 applies it to a list in
-input order.  The values are enumerated lazily from a snapshot of the
+indomain/1 and labeling/1,2 bind variables to their values in ascending
+order, one choicepoint per variable (`_label`).  labeling/2 takes a
+selection strategy first: input_order, or first_fail (label a variable
+with the fewest remaining values next, which tends to hit dead ends
+early).  The values are enumerated lazily from a snapshot of the
 domain's bounds and holes, never built as a list, so labeling a domain
-costs the values it tries and the holes it skips, not the domain's
-width.  labeling/2 takes a selection strategy as its first
-argument: input_order, or first_fail (always label a variable with the
-fewest remaining values next, which tends to hit dead ends early).
+costs the values it tries and the holes it skips, not its width.
 
 count_solutions/2 counts how often a goal succeeds without keeping the
 bindings.  Like findall, it refuses to count when a solution leaves
@@ -17,8 +16,10 @@ goals suspended: the count would silently ignore unproven constraints.
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import filterfalse
 
+from .builtins import all_solutions
 from .errors import DomainError, TypeError_
 from .ic import get_domain
 from .terms import Atom, Var, deref, proper_list
@@ -69,52 +70,57 @@ def _dom_size(x):
     return _size(int(d.lo), int(d.hi), d.holes)
 
 
-def _pick(pending, dynamic):
-    """(next variable, other unbound ones) of the (input position, term)
-    pairs, or None when all are instantiated."""
-    live = [(i, v) for i, (_, t) in enumerate(pending)
-            for v in (deref(t),) if type(v) is Var]
-    if not live:
-        return None
-    if dynamic:
-        i, v = min(live, key=lambda iv: (_dom_size(iv[1]), pending[iv[0]][0]))
-    else:
-        i, v = live[0]
-    return v, [pending[j] for j, _ in live if j != i]
+def _pick(items, start, dynamic):
+    """(next variable, its position) to label, or None when all terms are
+    instantiated: in input order the first from ``start`` on (those before
+    are instantiated), in first-fail order the first smallest domain."""
+    best = None
+    for i in range(0 if dynamic else start, len(items)):
+        v = deref(items[i])
+        if type(v) is Var:
+            if not dynamic:
+                return v, i
+            size = _dom_size(v)
+            if best is None or size < best_size:
+                best, best_size = (v, i), size
+    return best
 
 
-def _label(engine, pending, dynamic):
-    """Yield each labeling of the pending variables, one choicepoint per
-    variable.  The woken goals run before the next variable is picked;
-    after the last one, whoever resumes the generator runs them.  The
-    variables being labeled are a stack of (variable, values left, mark,
-    variables after it) levels, so labeling adds no Python frame per
-    variable."""
+def _label(engine, items, dynamic, start, cont):
+    """The step indomain/1 and labeling/2 return, partly applied: label
+    the terms of ``items`` from position ``start`` on, in this loop.  A
+    variable's mark is its level, whose ``alt`` is `_retry` over the
+    variable, its values left and its position."""
     store = engine.store
-    levels = []
-    picked = _pick(pending, dynamic)
     while True:
+        picked = _pick(items, start, dynamic)
         if picked is None:
-            yield
-        else:
-            v, rest = picked
-            values = iter(_finite_values(_require_finite(v)))
-            levels.append((v, values, store.push_choicepoint(), rest))
-        while levels and not _next_value(engine, *levels[-1]):
-            store.drop_to(levels.pop()[2])
-        if not levels:
-            return
-        picked = _pick(levels[-1][3], dynamic)
+            return cont
+        v, start = picked
+        values = iter(_finite_values(_require_finite(v)))
+        m = store.push_choicepoint()  # after the pick: see `store`
+        m.alt = partial(_retry, engine, items, dynamic, v, values, start)
+        m.cont = cont
+        if not _next_value(engine, v, values, m):
+            return False
+        start += 1
 
 
-def _next_value(engine, v, values, mark, rest):
-    """Bind v to its next value after which, unless v is the last
-    variable, the woken goals succeed; False when no value is left."""
+def _retry(engine, items, dynamic, v, values, i, mark):
+    """Backtracking into a level: bind its next value, then label on."""
+    return (_next_value(engine, v, values, mark)
+            and _label(engine, items, dynamic, i + 1, mark.cont))
+
+
+def _next_value(engine, v, values, mark):
+    """Bind v to its next value after which the woken goals succeed;
+    False, with the mark dropped, when no value is left."""
     store = engine.store
     for val in values:
         store.backtrack_to(mark)
-        if store.bind(v, val) and (not rest or engine.drain()):
+        if store.bind(v, val) and engine.drain():
             return True
+    store.drop_to(mark)
     return False
 
 
@@ -124,33 +130,29 @@ def bi_indomain(engine, args, module):
         if isinstance(x, int):
             return True
         raise TypeError_("indomain: not an integer variable: %r" % (x,))
-    return _label(engine, [(0, x)], False)
+    return partial(_label, engine, [x], False, 0), module
+
+
+#: labeling/2 strategies: is the next variable picked by domain size?
+_STRATEGIES = {"input_order": False, "first_fail": True, "ff": True}
 
 
 def bi_labeling2(engine, args, module):
     method = deref(args[0])
     if not isinstance(method, Atom):
         raise TypeError_("labeling: strategy must be an atom")
-    if method.name in ("first_fail", "ff"):
-        dynamic = True
-    elif method.name == "input_order":
-        dynamic = False
-    else:
+    dynamic = _STRATEGIES.get(method.name)
+    if dynamic is None:
         raise DomainError("labeling: unknown strategy %s" % method.name)
     items = proper_list(args[1])
     if items is None:
         raise TypeError_("labeling: needs a proper list of variables")
-    return _label(engine, list(enumerate(items)), dynamic)
+    return partial(_label, engine, items, dynamic, 0), module
 
 
 def bi_count_solutions(engine, args, module):
-    watermark = engine._sid
-    n = 0
-    for _ in engine.solve(args[0], module):
-        engine.check_floundering(
-            watermark, module, "count_solutions: a solution left goals delayed")
-        n += 1
-    return engine.store.unify(args[1], n)
+    return all_solutions(engine, args[0], module, None, args[1],
+                         "count_solutions: a solution left goals delayed")
 
 
 _SEARCH_PRELUDE = """

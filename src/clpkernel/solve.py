@@ -2,26 +2,30 @@
 
 Goals are solved by one loop, `solve`, over a linked continuation of
 ``(goal, module, cut height, next)`` cells.  As in Warren's abstract
-machine, the store's choicepoints hold the backtracking state: a mark's
-``alt`` is a clause retry (pushed only when a second clause is a
+machine, every alternative is a mark on the store's choicepoint stack:
+its ``alt`` is a clause retry (pushed only when a second clause is a
 candidate under first-argument indexing), the other branch of a
-disjunction, or a builtin's generator (stepped to its next solution that
-drains, with the mark above the generator's own), and ``cont`` is the
-continuation it resumes.  An if-then-else pushes one mark, for its else
-branch, and runs the condition followed by a ``!`` whose height is that
-mark's index; a cut pops the choicepoints above its height.  A bare mark
-has no alternative: backtracking into one is an `InternalError`.  A
-metacall runs in the same loop: ``call/N``, ``once/1``, ``\\+/1``,
-``not/1`` and ``:/2`` return a ``(goal, module)`` pair, and the loop
-pushes one cell for it whose cut height is the choicepoint height at the
-call, so a cut in the goal prunes only what the goal pushed.  Only
-`findall/3` and `count_solutions/2` (every solution in one call),
-`run_goal_once` (woken goals that are not builtins, goal directives) and
-`solutions` (the top level) enter `solve` again.  When exhausted, `solve`
-drops its base mark, which restores the store.  It has no ``finally``: a
-caller that abandons it (`run_goal_once`, a closed `solutions`) cleans up
-with ``commit_to``/``drop_to`` on its *own* mark, and a late ``close()``
-from the garbage collector must not touch the store.
+disjunction, or a builtin's, and ``cont`` is the continuation it
+resumes.  An if-then-else pushes one mark, for its else branch, and runs
+the condition followed by a ``!`` whose height is that mark's index; a
+cut pops the choicepoints above its height.  Backtracking into a bare
+mark, which has no alternative, is an `InternalError`.
+
+A builtin returns a bool or a ``(goal, module)`` pair, which runs in the
+call's place with the choicepoint height at the call as its cut height,
+so a cut in the goal prunes only what the goal pushed (``call/N``,
+``once/1``, ``\\+/1``, ``not/1``, ``:/2``).  The goal may be a step, a
+callable that is not a term, which the loop calls with the continuation.
+A step's alternatives are marks whose ``alt`` is a callable, called with
+its mark, still live: a labeled variable, the collector of findall/3 and
+count_solutions/2.  Both return the continuation to go on with, or False
+to backtrack.  Only `run_goal_once` (woken goals that are not builtins,
+goal directives) and `solutions` (the top level) enter `solve`.  When
+exhausted, `solve` drops its base mark, which restores the store.  It
+has no ``finally``: a caller that abandons it (`run_goal_once`, a closed
+`solutions`) cleans up with ``commit_to``/``drop_to`` on its *own* mark,
+and a late ``close()`` from the garbage collector must not touch the
+store.
 
 Suspended goals are woken through a two-stage scheme: events move
 suspensions into the scheduler's priority queues, and `drain` runs them
@@ -37,16 +41,13 @@ A woken goal whose predicate is a builtin (every ic demon is one) is
 dispatched directly: `make_suspension` keeps the predicate on the
 suspension, and `drain` calls `_run_builtin` with the goal's own
 argument tuple, as the resolvent would.  A bool result is the outcome:
-no mark is pushed and no generator is built, and a failing demon's
-partial writes are undone when whoever called `drain` backtracks.  A
-generator result (a woken `indomain`, say) is stepped as the machine
-steps one, to its first solution that drains, and the marks it pushed
-are committed.  Any other woken goal, a pair result (a woken ``call/1``)
-or a goal that is not a builtin's, runs through `run_goal_once`.
-`current_suspension` is set meanwhile, so a builtin can tell a woken run
-(the suspension's goal arguments are its arguments) from a fresh post.
-`_run_builtin` is the one call site of every builtin call, woken or not,
-and `_call_user` of every user call.
+no mark is pushed, and a failing demon's partial writes are undone when
+whoever called `drain` backtracks.  A pair result (a woken ``call/1`` or
+``indomain/1``) or a goal that is not a builtin's runs through
+`run_goal_once`.  `current_suspension` is set meanwhile, so a builtin
+can tell a woken run (the suspension's goal arguments are its arguments)
+from a fresh post.  `_run_builtin` is the one call site of every builtin
+call, woken or not, and `_call_user` of every user call.
 
 User clauses are compiled once, when they are added (`Clause`): each
 variable becomes a numbered slot, so a clause is a snapshot of its terms
@@ -77,7 +78,6 @@ hooks.
 from __future__ import annotations
 
 import logging
-from types import GeneratorType
 
 from .errors import (DomainError, EngineError, ExistenceError,
                      FlounderingError, Halt, InstantiationError,
@@ -527,41 +527,29 @@ class Engine:
 
     def drain(self):
         """Run scheduled goals more urgent than the current priority.
-        Returns False as soon as one of them fails.
-
-        A woken builtin runs with no mark of its own: a failing one
-        leaves its partial writes in place, and whoever called `drain`
-        backtracks them away to a choicepoint below them (the machine in
-        `solve`, or the value loop of `search._label`).  With nothing
-        queued it returns at once."""
+        Returns False as soon as one of them fails, and at once when
+        nothing is queued."""
         if not self.sched.count:
             return True
         s = self.sched.pop_runnable(self.running_priority)
         while s is not None:
-            store = self.store
             if s.demon:
                 # untrailed: see the invariant in the susp module docstring
                 s.state = SUSPENDED
             else:
-                store.set_slot(s, "state", EXECUTED)
+                self.store.set_slot(s, "state", EXECUTED)
             prev_p = self.running_priority
             prev_s = self.current_suspension
             self.running_priority = s.priority
             self.current_suspension = s
             try:
-                top = len(store.choicepoints)
                 if s.pred is None:
-                    res = (s.goal, s.module)
+                    ok = (s.goal, s.module)
                 else:
                     args = s.goal.args if type(s.goal) is Struct else ()
-                    res = self._run_builtin(s.pred, args, s.module)
-                ok = res
-                if type(res) is tuple:
-                    ok = self.run_goal_once(*res)
-                elif type(res) is GeneratorType:
-                    ok = self._next_drained(res)
-                    if ok and len(store.choicepoints) > top:
-                        store.commit_to(store.choicepoints[top])
+                    ok = self._run_builtin(s.pred, args, s.module)
+                if type(ok) is tuple:
+                    ok = self.run_goal_once(*ok)
             finally:
                 self.running_priority = prev_p
                 self.current_suspension = prev_s
@@ -600,9 +588,14 @@ class Engine:
                     name, args = goal.name, ()
                 elif type(goal) is Var:
                     raise InstantiationError("unbound goal")
-                else:
+                elif not callable(goal):
                     raise TypeError_("goal is not callable: %s"
                                      % self.format_term(goal))
+                else:  # a builtin's step
+                    cont = goal(cont)
+                    if cont is not False:
+                        continue
+                    name, args = "fail", ()  # backtrack, as fail/0 does
                 arity = len(args)
                 if arity == 2:
                     if name == ",":
@@ -652,16 +645,11 @@ class Engine:
                         continue
                     if pred.builtin is None:
                         cont = self._call_user(pred, args, cont)
-                        if cont is not None:
+                        if cont is not False:
                             continue
                     else:
                         res = self._run_builtin(pred, args, module)
-                        if type(res) is GeneratorType:
-                            if self._next_drained(res):
-                                m = store.push_choicepoint()
-                                m.alt, m.cont = res, cont
-                                continue
-                        elif type(res) is tuple:  # run in the call's place
+                        if type(res) is tuple:  # run in the call's place
                             cont = (res[0], res[1], len(cps), cont)
                             continue
                         elif res and self.drain():
@@ -673,31 +661,22 @@ class Engine:
                     store.drop_to(base)
                     return
                 alt, cont = m.alt, m.cont
-                if alt is None:
-                    raise InternalError("backtracked into a bare mark %r" % m)
-                store.drop_to(m)
                 if alt is _BRANCH:
+                    store.drop_to(m)
                     break
                 if type(alt) is tuple:
+                    store.drop_to(m)
                     cont = self._try_clauses(*alt, m.index, cont)
-                    if cont is not None:
-                        break
-                elif self._next_drained(alt):
-                    m = store.push_choicepoint()
-                    m.alt, m.cont = alt, cont
+                elif alt is None:
+                    raise InternalError("backtracked into a bare mark %r" % m)
+                else:  # a step's alternative, resumed from its live mark
+                    cont = alt(m)
+                if cont is not False:
                     break
-
-    def _next_drained(self, gen):
-        """Step a builtin's generator to its next solution after which the
-        woken goals succeed (its own backtracking undoes them if not)."""
-        for _ in gen:
-            if self.drain():
-                return True
-        return False
 
     def _run_builtin(self, pred, args, module):
         """The one call site of every builtin call, woken or not: returns
-        the builtin's raw result, a bool, a generator or a pair."""
+        the builtin's raw result, a bool or a pair."""
         return pred.builtin(self, args, module)
 
     def _call_user(self, pred, args, cont):
@@ -709,12 +688,12 @@ class Engine:
 
     def _try_clauses(self, pred, args, key, i, n, cut, cont):
         """The continuation of the first candidate clause from the i-th on,
-        or None if its head does not match; a choicepoint to retry from
+        or False if its head does not match; a choicepoint to retry from
         the next candidate, if there is one, is pushed first."""
         clauses = pred.clauses
         i = _candidate(clauses, i, n, key)
         if i == n:
-            return None
+            return False
         j = _candidate(clauses, i + 1, n, key)
         if j < n:
             m = self.store.push_choicepoint()
@@ -724,7 +703,7 @@ class Engine:
         frame = [None] * clause.nvars
         if (not match_head(clause.head, args, frame, self.store, hook)
                 or not self.drain()):
-            return None
+            return False
         return (build(clause.body, frame, hook), pred.module, cut, cont)
 
     def _copy_attr_hook(self, old, fresh):

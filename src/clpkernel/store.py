@@ -15,7 +15,8 @@ refer to it; resetting it would be wasted work, and deterministic
 recursion, which binds mostly fresh variables, would grow the trail
 without bound.  Without any choicepoint nothing is trailed.  Code that
 keeps a variable across a backtrack must make it before the mark it
-backtracks to (`search._label` picks a variable, then pushes its mark).
+backtracks to (`search._label` picks a variable, then pushes the mark
+of its level).
 
 Value entries carry timestamp-based deduplication: a slot is trailed at
 most once per choicepoint segment.  Timestamps are a plain monotone

@@ -10,6 +10,7 @@ from clpkernel.errors import DomainError, FlounderingError, TypeError_
 from clpkernel.ic import (ensure_domain, exclude_value, get_domain,
                           impose_integrality, impose_max, impose_min)
 from clpkernel.search import _dom_size, _finite_values
+from clpkernel.solve import Engine, Module
 from clpkernel.terms import Var, deref, proper_list
 
 from brute import queens_brute
@@ -134,6 +135,30 @@ def test_queens_matches_exhaustive_search(engine, ask):
         got = [tuple(as_ints(a["Qs"])) for a in ask("queens(%d, Qs)" % n)]
         assert got == sorted(got)
         assert got == queens_brute(n)
+
+
+def test_builtins_return_a_bool_or_a_pair(engine, monkeypatch):
+    """The builtin protocol: a result is a bool or a (goal, module) pair,
+    so labeling and all-solutions keep their alternatives on the
+    choicepoint stack, woken or not."""
+    results = []
+    run = Engine._run_builtin
+
+    def recording(self, pred, args, module):
+        results.append(run(self, pred, args, module))
+        return results[-1]
+    monkeypatch.setattr(Engine, "_run_builtin", recording)
+    engine.load(QUEENS_SRC)
+    got = engine.once(
+        "count_solutions(queens(6, _), C),"
+        " findall(X-Y, (X :: 1..2, Y :: 1..2, labeling(first_fail, [X, Y])),"
+        " L), Z :: 1..3, suspend(indomain(Z), 3, W -> inst), W = a")
+    assert got["C"] == 4 and got["Z"] == 1
+    assert engine.format_term(got["L"]) == "[1 - 1, 1 - 2, 2 - 1, 2 - 2]"
+    assert any(type(r) is tuple for r in results)
+    for r in results:
+        assert type(r) is bool or (
+            type(r) is tuple and len(r) == 2 and type(r[1]) is Module), r
 
 
 # ----------------------------------------------------------------------

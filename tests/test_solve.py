@@ -190,6 +190,57 @@ def test_findall_accepts_solutions_whose_suspensions_resolved(engine):
     assert [deref(x) for x in proper_list(got["L"])] == [Atom("b")]
 
 
+def test_findall_cut_in_the_goal_is_local(engine):
+    engine.load(PQ)
+    got = engine.ask("member(Y, [a, b]), findall(X, (p(X), !), L)")
+    assert [(a["Y"].name, engine.format_term(a["L"])) for a in got] == [
+        ("a", "[1]"), ("b", "[1]")]
+
+
+def test_nested_findall(engine):
+    engine.load(PQ)
+    got = engine.once("findall(Y-L, (member(Y, [a, b]),"
+                      " findall(X, (p(X), X > 1), L)), R)")
+    assert engine.format_term(got["R"]) == "[a - [2, 3], b - [2, 3]]"
+
+
+def test_all_solutions_fail_when_the_output_does_not_unify(engine):
+    engine.load(PQ)
+    assert engine.ask("findall(X, p(X), [1, 2])") == []
+    assert engine.ask("count_solutions(p(_), 2)") == []
+    assert len(engine.ask("findall(X, p(X), [1, 2, 3]),"
+                          " count_solutions(p(_), 3)")) == 1
+
+
+@pytest.mark.parametrize("query, error", [
+    ("findall(X, (p(X), call(_)), L)", InstantiationError),
+    ("member(Y, [a, b]), findall(Y, (p(X), dif(X, _)), L)", FlounderingError),
+    ("count_solutions((p(X), X > 1, call(_)), N)", InstantiationError),
+    ("member(Y, [a, b]), count_solutions(dif(Y, _), N)", FlounderingError)])
+def test_an_error_inside_all_solutions_leaves_the_store_empty(
+        engine, query, error):
+    engine.load(PQ)
+    with pytest.raises(error):
+        engine.ask(query)
+    assert engine.store.choicepoints == [] and engine.store.trail == []
+
+
+def test_all_solutions_run_in_the_callers_loop(engine, monkeypatch):
+    """findall/3 and count_solutions/2 keep their collector on the
+    choicepoint stack: a query enters `Engine.solve` once."""
+    engine.load(PQ)
+    calls = []
+    solve_ = Engine.solve
+    monkeypatch.setattr(Engine, "solve", lambda self, goal, module:
+                        calls.append(1) or solve_(self, goal, module))
+    for query in ("findall(X, p(X), L)", "count_solutions(p(_), 3)",
+                  "findall(L, (p(X), findall(Y, p(Y), L)), R)",
+                  "X :: 1..3, count_solutions(indomain(X), 3)"):
+        calls.clear()
+        assert engine.once(query) is not None, query
+        assert len(calls) == 1, query
+
+
 # ----------------------------------------------------------------------
 # metacall
 
@@ -736,9 +787,10 @@ def test_recursion_depth_floor():
     """Deterministic recursion 100k deep succeeds, each case in a fresh
     interpreter at the default recursion limit: count_to/2 (the
     benchmark's depth probe), length/2, a do-loop, and recursion through
-    each metacall; labeling/2 labels a few thousand variables.  A change
-    that adds a Python frame per call or per labeled variable fails
-    here.  At most three interpreters run at once."""
+    each metacall, findall/3 and count_solutions/2; labeling/2 labels a
+    few thousand variables.  A change that adds a Python frame per call
+    or per labeled variable fails here.  At most three interpreters run
+    at once."""
     code = ("import sys\n"
             "from clpkernel import Engine\n"
             "assert sys.getrecursionlimit() == 1000\n"
@@ -754,7 +806,8 @@ def test_recursion_depth_floor():
              ("", "length(L, 100000),"
                   " ( foreach(X, L), count(I, 1, N) do X = I )")]
     for call in ("call(r(N1))", "once(r(N1))", "\\+ \\+ r(N1)",
-                 "main:r(N1)"):
+                 "main:r(N1)", "findall(x, r(N1), _)",
+                 "count_solutions(r(N1), _)"):
         cases.append(("r(0) :- !.\nr(N) :- N1 is N - 1, %s." % call,
                       "r(100000)"))
     for strategy, n in (("input_order", 2000), ("first_fail", 1500)):
