@@ -49,15 +49,19 @@ can tell a woken run (the suspension's goal arguments are its arguments)
 from a fresh post.  `_run_builtin` is the one call site of every builtin
 call, woken or not, and `_call_user` of every user call.
 
-User clauses are compiled once, when they are added (`Clause`): each
-variable becomes a numbered slot, so a clause is a snapshot of its terms
-at that moment, as ISO ``assert`` takes one.  A call fills a fresh frame
-of slots while `match_head` walks the compiled head against the goal's
-arguments: a slot's first occurrence takes the goal subterm as it is,
-later occurrences unify, a compound term that meets an unbound goal
-variable is built and bound, and constants are compared in place.  Only
-when the head matched and the woken goals ran is the body built from the
-frame (`build`).  No clause is renamed by `copy_term`.
+User clauses run as generated Python functions (the `clauses` module).
+A clause is compiled when it is added, so it is a snapshot of its terms
+at that moment, as ISO ``assert`` takes one, and it gets its function on
+its first call.  The function matches the head against the goal's
+arguments in place: a variable's first occurrence takes the goal
+subterm as it is, later occurrences unify, a compound term that meets
+an unbound goal variable is built and bound, and constants are
+compared.  Only when the head matched and the woken goals ran does it
+build the body, already split into one continuation cell per goal.  No
+clause is renamed by `copy_term`.  A call tries only the clauses its
+predicate's first-argument switch selects (`Pred`), and a retry mark
+keeps the call's tuple of them, so clauses added after the call began
+are not tried.
 
 The Prolog parts of the kernel, ic and search libraries (the preludes)
 are read once per process.  The first engine loads each one through
@@ -79,6 +83,7 @@ from __future__ import annotations
 
 import logging
 
+from .clauses import Clause, first_arg_switch, index_key
 from .errors import (DomainError, EngineError, ExistenceError,
                      FlounderingError, Halt, InstantiationError,
                      InternalError, ReaderError, TypeError_)
@@ -88,8 +93,8 @@ from .reader import Ops, Parser, standard_ops, tokenize
 from .store import Store
 from .susp import (EXECUTED, MAIN_PRIORITY, SCHEDULED, SUSPENDED, Scheduler,
                    Suspension)
-from .terms import (Atom, Breal, Struct, Var, copy_term, deref,
-                    is_callable_term, list_parts)
+from .terms import (Atom, Struct, Var, copy_term, deref, is_callable_term,
+                    list_parts)
 from .attvar import AttributeRegistry
 from .writer import write_term
 
@@ -100,199 +105,23 @@ _BRANCH = "branch"  # a disjunction's alternative: resume the continuation
 _CUT = Atom("!")
 
 
-class Clause:
-    """A user clause compiled into templates over numbered variable slots.
-
-    ``head`` holds the head's compiled arguments and ``body`` the compiled
-    body; ``nvars`` is the size of the frame a call fills.  A template is
-    a constant (kept as is), a `Tmpl` for a compound term, or a slot:
-    `First` at a variable's first occurrence in head-then-body order,
-    `Again` at every later one, and `FirstAttr` at the first occurrence of
-    a variable that carried attributes when the clause was compiled.  The
-    clause is a snapshot taken when it is added, as ISO ``assert`` does:
-    later bindings of its variables do not change it.
-    """
-
-    __slots__ = ("head", "body", "nvars", "key")
-
-    def __init__(self, head, body):
-        slots = {}
-        h = deref(head)
-        args = h.args if type(h) is Struct else ()
-        self.head = [_compile(a, slots) for a in args]
-        self.body = _compile(body, slots)
-        self.nvars = len(slots)
-        self.key = index_key(args[0]) if args else None
-
-
-class First:
-    """A variable's first occurrence: takes the goal subterm it meets, or
-    a fresh variable when it is built."""
-
-    __slots__ = ("i",)
-
-    def __init__(self, i):
-        self.i = i
-
-
-class Again:
-    """A later occurrence: unifies with, or reuses, what the frame holds."""
-
-    __slots__ = ("i",)
-
-    def __init__(self, i):
-        self.i = i
-
-
-class FirstAttr:
-    """The first occurrence of a variable that had attributes: matched like
-    `First`, but built as a fresh variable whose attributes the registered
-    copy handlers fill from ``var``, as `copy_term` would."""
-
-    __slots__ = ("i", "var")
-
-    def __init__(self, i, var):
-        self.i = i
-        self.var = var
-
-
-class Tmpl:
-    """A compound term of a clause, with compiled arguments."""
-
-    __slots__ = ("name", "args")
-
-    def __init__(self, name, args):
-        self.name = name
-        self.args = args
-
-
-def _compile(t, slots):
-    t = deref(t)
-    ty = type(t)
-    if ty is Struct:
-        args = []
-        for a in t.args:  # slots and constants inline, one call per struct
-            while type(a) is Var and a.ref is not None:
-                a = a.ref
-            ta = type(a)
-            if ta is Struct:
-                a = _compile(a, slots)
-            elif ta is Var:
-                a = _slot(a, slots)
-            args.append(a)
-        return Tmpl(t.name, args)
-    if ty is Var:
-        return _slot(t, slots)
-    return t
-
-
-def _slot(v, slots):
-    again = slots.get(v)
-    if again is not None:
-        return again
-    i = len(slots)
-    slots[v] = Again(i)
-    return FirstAttr(i, v) if v.attrs else First(i)
-
-
-def match_head(targs, gargs, frame, store, hook):
-    """Unify compiled head arguments with a goal's arguments, filling the
-    frame.  Goal variables are bound in place; the caller holds a mark to
-    backtrack to when this returns False."""
-    for t, g in zip(targs, gargs):
-        tt = type(t)
-        if tt is First or tt is FirstAttr:
-            frame[t.i] = g
-            continue
-        if tt is Again:
-            if not store.unify(frame[t.i], g):
-                return False
-            continue
-        while type(g) is Var and g.ref is not None:
-            g = g.ref
-        tg = type(g)
-        if tt is Tmpl:
-            if tg is Struct:
-                if (g.name != t.name or len(g.args) != len(t.args)
-                        or not match_head(t.args, g.args, frame, store, hook)):
-                    return False
-            elif tg is not Var or not store.bind(g, build(t, frame, hook)):
-                return False
-        elif g is not t:  # a constant
-            if tg is Var:
-                if not store.bind(g, t):
-                    return False
-            elif tg is not tt or (t != g if tt is not Breal
-                                  else t.lo != g.lo or t.hi != g.hi):
-                return False
-    return True
-
-
-def build(t, frame, hook):
-    """The term a template stands for under the frame."""
-    tt = type(t)
-    if tt is Tmpl:
-        args = []
-        for a in t.args:  # slots and constants inline, one call per struct
-            ta = type(a)
-            if ta is Again:
-                args.append(frame[a.i])
-            elif ta is First:
-                v = frame[a.i] = Var()
-                args.append(v)
-            elif ta is Tmpl or ta is FirstAttr:
-                args.append(build(a, frame, hook))
-            else:
-                args.append(a)
-        return Struct(t.name, args)
-    if tt is Again:
-        return frame[t.i]
-    if tt is First:
-        v = frame[t.i] = Var()
-        return v
-    if tt is FirstAttr:
-        v = frame[t.i] = Var()
-        hook(t.var, v)
-        return v
-    return t
-
-
-def _candidate(clauses, i, n, key):
-    """The first clause index from i on whose key can match, or n."""
-    if key is not None:
-        while i < n and clauses[i].key not in (None, key):
-            i += 1
-    return i
-
-
-_NUMBER_KEY = ("number",)
-
-
-def index_key(t):
-    """A coarse first-argument index key; None matches anything.  An atom
-    (interned) and a string are their own keys, a compound term's is its
-    name and arity, and numbers index together."""
-    while type(t) is Var:
-        if t.ref is None:
-            return None
-        t = t.ref
-    ty = type(t)
-    if ty is Atom or ty is str:
-        return t
-    if ty is Struct:
-        return (t.name, len(t.args))
-    return _NUMBER_KEY
-
-
 class Pred:
-    __slots__ = ("name", "arity", "module", "clauses", "builtin", "exported",
-                 "demon", "no_warn")
+    """A predicate: its clauses, or a builtin, and its declarations.
+
+    ``switch`` is the `first_arg_switch` of ``clauses``, as Warren's
+    ``switch_on_term``.  It is built on the first call after a change and
+    dropped by `add`, so the tuple of candidates a call takes from it is
+    the snapshot of the clauses that call may try."""
+
+    __slots__ = ("name", "arity", "module", "clauses", "switch", "builtin",
+                 "exported", "demon", "no_warn")
 
     def __init__(self, name, arity, module):
         self.name = name
         self.arity = arity
         self.module = module
         self.clauses = []
+        self.switch = None
         self.builtin = None
         self.exported = False
         self.demon = False
@@ -301,6 +130,10 @@ class Pred:
     @property
     def indicator(self):
         return "%s/%d" % (self.name, self.arity)
+
+    def add(self, clause):
+        self.clauses.append(clause)
+        self.switch = None
 
 
 class PredName(str):
@@ -682,29 +515,27 @@ class Engine:
     def _call_user(self, pred, args, cont):
         """The one call site of every user call.  Clauses added after the
         call began are not tried."""
-        key = index_key(args[0]) if args else None
-        return self._try_clauses(pred, args, key, 0, len(pred.clauses),
+        switch = pred.switch
+        if switch is None:
+            switch = pred.switch = first_arg_switch(pred.clauses)
+        clauses = switch[0].get(index_key(args[0]) if args else None,
+                                switch[1])
+        return self._try_clauses(pred.module, clauses, 0, args,
                                  len(self.store.choicepoints), cont)
 
-    def _try_clauses(self, pred, args, key, i, n, cut, cont):
-        """The continuation of the first candidate clause from the i-th on,
-        or False if its head does not match; a choicepoint to retry from
-        the next candidate, if there is one, is pushed first."""
-        clauses = pred.clauses
-        i = _candidate(clauses, i, n, key)
-        if i == n:
-            return False
-        j = _candidate(clauses, i + 1, n, key)
-        if j < n:
+    def _try_clauses(self, module, clauses, i, args, cut, cont):
+        """The continuation of the i-th of a call's candidate clauses, or
+        False if its head does not match; a choicepoint to retry from the
+        next candidate, if there is one, is pushed first."""
+        if i + 1 < len(clauses):
             m = self.store.push_choicepoint()
-            m.alt, m.cont = (pred, args, key, j, n), cont
-        clause = clauses[i]
-        hook = self._copy_attr_hook
-        frame = [None] * clause.nvars
-        if (not match_head(clause.head, args, frame, self.store, hook)
-                or not self.drain()):
+            m.alt, m.cont = (module, clauses, i + 1, args), cont
+        elif not clauses:
             return False
-        return (build(clause.body, frame, hook), pred.module, cut, cont)
+        clause = clauses[i]
+        return (clause.fn or clause.compile())(
+            args, self.store, self.drain, self._copy_attr_hook, module, cut,
+            cont)
 
     def _copy_attr_hook(self, old, fresh):
         for name, payload in old.attrs:
@@ -730,7 +561,7 @@ class Engine:
             pred = module.ensure_pred(name, arity)
         if pred.builtin is not None:
             raise EngineError("cannot add clauses to builtin %s" % pred.indicator)
-        pred.clauses.append(Clause(h, deref(body)))
+        pred.add(Clause(h, deref(body)))
         return pred
 
     def unlisted_pred(self, module, name, arity):
@@ -789,7 +620,7 @@ class Engine:
             if len(step) == 2:
                 self._directive(step[1], m, None, filename)
             else:
-                m.ensure_pred(step[1], step[2]).clauses.append(step[3])
+                m.ensure_pred(step[1], step[2]).add(step[3])
         for name, n in aux_n.items():
             self.modules[name].aux_n = n
 
@@ -822,7 +653,7 @@ class Engine:
         pred = self.add_clause(module, head, body)
         if self._record is not None:
             clause = pred.clauses[-1]
-            if any(map(_has_attr_slot, clause.head + [clause.body])):
+            if "A" in clause.shape:
                 raise InternalError("a prelude clause of %s holds an "
                                     "attributed variable" % pred.indicator)
             self._record.append((module.name, pred.name, pred.arity, clause))
@@ -969,12 +800,6 @@ class Engine:
 
     def format_goal(self, susp, module=None, names=None):
         return self.format_term(susp.goal, module, names=names)
-
-
-def _has_attr_slot(t):
-    if type(t) is FirstAttr:
-        return True
-    return type(t) is Tmpl and any(map(_has_attr_slot, t.args))
 
 
 def _atom_name(t, what):

@@ -11,11 +11,13 @@ from random import Random
 
 import pytest
 
-from clpkernel import solve
+from clpkernel import clauses, solve
+from clpkernel.clauses import Clause
 from clpkernel.errors import (ExistenceError, FlounderingError, Halt,
                               InstantiationError, InternalError, ReaderError,
                               TypeError_)
-from clpkernel.solve import Clause, Engine, build, match_head
+from clpkernel.expand import mk_conj
+from clpkernel.solve import Engine
 from clpkernel.store import Store
 from clpkernel.susp import Scheduler
 from clpkernel.terms import (Atom, Struct, Var, copy_term, deref, is_variant,
@@ -520,6 +522,28 @@ def _random_term(rng, pool, depth=0):
                          for _ in range(arity)])
 
 
+def _random_deep_term(rng, pool, depth=0):
+    if depth < 4 and rng.random() < 0.6:
+        name, arity = rng.choice((("f", 1), ("g", 2), (".", 2)))
+        return Struct(name, [_random_deep_term(rng, pool, depth + 1)
+                             for _ in range(arity)])
+    return _random_term(rng, pool, 2)
+
+
+def _instance_of(rng, t, pool):
+    """A term shaped like t: each subterm of t is kept, or replaced by a
+    variable of the pool or by another random term; t's own variables
+    are replaced."""
+    k = rng.random()
+    if k < 0.2 or type(t) is Var:
+        return rng.choice(pool)
+    if k < 0.25:
+        return _random_term(rng, pool, 1)
+    if type(t) is Struct:
+        return Struct(t.name, [_instance_of(rng, a, pool) for a in t.args])
+    return t
+
+
 def _reference_unify(a, b):
     """Unification with occurs check over a substitution: True, False on a
     clash, None when the occurs check stops it (a cyclic term would be
@@ -556,18 +580,19 @@ def _reference_unify(a, b):
     return True
 
 
-def test_compiled_head_matches_as_copy_and_unify_do():
-    """Differential test: compiling a clause, matching its head against a
-    goal and building its body agrees with renaming the whole clause by
-    copy_term and unifying the head with Store.unify."""
-    rng = Random(20261018)
+def _compiled_against_copy_and_unify(rng, head_arg, goal_arg):
+    """Differential check: a clause's generated function, matching its
+    head against a goal and building its body, agrees with renaming the
+    whole clause by copy_term and unifying the head with Store.unify.
+    ``head_arg(rng, pool)`` and ``goal_arg(rng, head argument, pool)``
+    make the arguments of 500 random heads and goals."""
     outcomes = {True: 0, False: 0}
     for _ in range(500):
         hvars = [Var(), Var(), Var()]
         gvars = [Var(), Var(), Var()]
         arity = rng.randrange(1, 4)
-        head = Struct("p", [_random_term(rng, hvars) for _ in range(arity)])
-        goal = Struct("p", [_random_term(rng, gvars) for _ in range(arity)])
+        head = Struct("p", [head_arg(rng, hvars) for _ in range(arity)])
+        goal = Struct("p", [goal_arg(rng, a, gvars) for a in head.args])
         fresh = Var()
         body = Struct("b", hvars + [fresh, Struct("f", [fresh])])
         expected = _reference_unify(head, goal)
@@ -580,11 +605,11 @@ def test_compiled_head_matches_as_copy_and_unify_do():
         old = ok_old and copy_term(Struct("r", [goal, renamed.args[1]]))
         store.backtrack_to(mark)
 
-        clause = Clause(head, body)
-        frame = [None] * clause.nvars
-        ok_new = match_head(clause.head, goal.args, frame, store, None)
-        new = ok_new and copy_term(
-            Struct("r", [goal, build(clause.body, frame, None)]))
+        got = Clause(head, body).compile()(
+            goal.args, store, lambda: True, None, None, 0, None)
+        ok_new = got is not False
+        new = ok_new and copy_term(Struct("r", [goal, got[0]]))
+        assert not ok_new or got[1:] == (None, 0, None)
         store.drop_to(mark)
         assert store.trail == [] and store.choicepoints == []
 
@@ -592,6 +617,22 @@ def test_compiled_head_matches_as_copy_and_unify_do():
         if ok_new:
             assert is_variant(old, new), (head, goal, old, new)
         outcomes[ok_new] += 1
+    return outcomes
+
+
+def test_compiled_head_matches_as_copy_and_unify_do():
+    outcomes = _compiled_against_copy_and_unify(
+        Random(20261018), _random_term,
+        lambda rng, _, pool: _random_term(rng, pool))
+    assert outcomes[True] >= 100 and outcomes[False] >= 100, outcomes
+
+
+def test_compiled_deep_heads_match_as_copy_and_unify_do():
+    """Heads nested up to five levels, against goals shaped like them, so
+    compound head terms with compound arguments meet unbound variables
+    below matched compound terms."""
+    outcomes = _compiled_against_copy_and_unify(
+        Random(20261019), _random_deep_term, _instance_of)
     assert outcomes[True] >= 100 and outcomes[False] >= 100, outcomes
 
 
@@ -696,6 +737,127 @@ def test_clause_renaming_does_not_copy_terms(engine, monkeypatch):
     goal, varmap = engine.parse_goal("nrev([1, 2, 3, 4], R)")
     got = [engine.format_term(varmap["R"]) for _ in engine.solutions(goal)]
     assert got == ["[4, 3, 2, 1]"]
+
+
+def _pushes(engine, monkeypatch, query):
+    """Choicepoints pushed while finding the first answer of a query."""
+    pushes = []
+    push = Store.push_choicepoint
+    monkeypatch.setattr(Store, "push_choicepoint",
+                        lambda self: pushes.append(1) or push(self))
+    got = engine.once(query)
+    monkeypatch.undo()
+    return got, len(pushes)
+
+
+def test_switch_tries_one_of_a_thousand_facts(engine, monkeypatch):
+    engine.load("".join("f(%d, sq(%d)).\n" % (i, i * i) for i in range(1000)))
+    facts = engine.main.preds[("f", 2)].clauses
+    _, base = _pushes(engine, monkeypatch, "true")
+    got, pushed = _pushes(engine, monkeypatch, "f(500, X)")
+    assert engine.format_term(got["X"]) == "sq(250000)"
+    assert pushed == base  # only the query's own marks
+    # a clause's function is generated on its first call: one was run
+    assert [i for i, c in enumerate(facts) if c.fn is not None] == [500]
+
+
+def test_switch_keeps_clause_order_over_variable_first_clauses(engine):
+    engine.load("m(a, 1).\nm(_, 2).\nm(b, 3).\nm(a, 4).\nm(_, 5).\n"
+                "m(f(_), 6).\nm(7, 7).\n")
+    assert sols(engine, "m(a, X)") == [1, 2, 4, 5]
+    assert sols(engine, "m(K, X)") == [1, 2, 3, 4, 5, 6, 7]
+    assert sols(engine, "m(c, X)") == [2, 5]  # a key no clause has
+    assert sols(engine, "m(f(z), X)") == [2, 5, 6]
+    assert sols(engine, "m(7, X)") == [2, 5, 7]
+    assert sols(engine, "m(7.0, X)") == [2, 5]  # an equal key, no match
+    assert sols(engine, "K = a, m(K, X)") == [1, 2, 4, 5]
+
+
+def test_clause_added_during_a_call_is_tried_by_the_next_call(engine):
+    added = iter(range(10, 20))
+
+    def grow(eng, args, module):
+        eng.add_clause(module, Struct("g", [next(added)]), Atom("true"))
+        return True
+    engine.add_builtin(engine.main, "grow", 0, grow)
+    engine.load("g(1).\ng(2).\n")
+    got = engine.once("findall(X, (g(X), grow), L), findall(Y, g(Y), M)")
+    assert engine.format_term(got["L"]) == "[1, 2]"
+    assert engine.format_term(got["M"]) == "[1, 2, 10, 11]"
+    assert len(engine.ask("g(11)")) == 1
+
+
+def test_generated_code_looks_up_the_store_at_call_time(engine, monkeypatch):
+    """Clause functions outlive any patch of `Store` (prelude clauses are
+    shared by every engine), so they call its methods as they are."""
+    assert engine.once("member(X, [a])") is not None  # generated here
+    calls = []
+    for name in ("bind", "unify"):
+        method = getattr(Store, name)
+        monkeypatch.setattr(Store, name, lambda self, *args, _m=method, _n=name:
+                            calls.append(_n) or _m(self, *args))
+    assert engine.once("member(X, [a]), member(b, [Y])") is not None
+    # the head [X|_] unifies the goal list's first element with X
+    assert calls == ["unify", "bind", "unify", "bind"]
+
+
+def test_clauses_of_one_shape_share_generated_code(engine, monkeypatch):
+    engine.load("r(0) :- !.\n"
+                "r(N) :- G = (foreach(E, [1, 2]) do true), call(G),"
+                " N1 is N - 1, r(N1).\n")
+    assert engine.once("r(3)") is not None
+    made = []
+    factory = clauses._factory
+    monkeypatch.setattr(clauses, "_factory",
+                        lambda shape: made.append(shape) or factory(shape))
+    # each call of the loop adds two clauses of the shapes already made
+    assert engine.once("r(40)") is not None
+    assert made == []
+    # constants are parameters, not part of the shape; an arity of 37
+    # keeps this shape new to the process
+    rest = ", 1" * 36
+    engine.load("k(1%s).\nk(a%s).\nk(2.5%s).\n" % (rest, rest, rest))
+    assert sols(engine, "k(X%s)" % rest) == [1, Atom("a"), 2.5]
+    assert [shape[:3] for shape in made] == [(37, 0, "K")]
+
+
+def test_head_constants_compare_as_unify_does(engine):
+    engine.load('b(1.0__2.0, 1_3, "s", 2.5, 3, x).')
+    assert len(engine.ask('b(1.0__2.0, 1_3, "s", 2.5, 3, x)')) == 1
+    for goal in ('b(1.0__3.0, _, _, _, _, _)', 'b(_, 2_3, _, _, _, _)',
+                 'b(_, _, "t", _, _, _)', 'b(_, _, _, 2, _, _)',
+                 'b(_, _, _, _, 3.0, _)', 'b(_, _, _, _, _, y)',
+                 'b(_, _, s, _, _, _)', 'b(_, _, _, _, _, "x")'):
+        assert engine.ask(goal) == [], goal
+    got = engine.once("X = 3, b(A, B, C, D, X, E)")
+    assert [engine.format_term(got[v], quoted=True) for v in "ABCDE"] == \
+        ["1.0__2.0", "1_3", '"s"', "2.5", "x"]
+
+
+def test_large_clauses_load_and_run_at_the_default_recursion_limit(engine):
+    """Clause code is generated flat, and its compiler walks with a
+    stack: a head term nested 5000 deep, 300- and 10000-element lists in
+    a head and a body, and a 1000-goal body."""
+    assert sys.getrecursionlimit() == 1000
+    deep = Atom("a")
+    for _ in range(5000):
+        deep = Struct("f", [deep])
+    engine.add_clause(engine.main, Struct("deep", [deep]), Atom("true"))
+    assert engine.ask("deep(X), deep(X), \\+ deep(f(b))") != []
+    for n in (300, 10000):
+        items = ", ".join(map(str, range(n)))
+        engine.load("l%d([%s], L) :- L = [%s]." % (n, items, items))
+        got = engine.once("l%d(A, B), l%d(A, C), A == B, B == C" % (n, n))
+        assert got is not None
+        assert [deref(x) for x in proper_list(got["A"])] == list(range(n))
+    n0 = Var()
+    goals, prev = [], n0
+    for _ in range(1000):
+        nxt = Var()
+        goals.append(Struct("is", [nxt, Struct("+", [prev, 1])]))
+        prev = nxt
+    engine.add_clause(engine.main, Struct("many", [n0, prev]), mk_conj(goals))
+    assert engine.once("many(0, N)")["N"] == 1000
 
 
 def test_deterministic_recursion_pushes_no_choicepoints(engine, monkeypatch):
