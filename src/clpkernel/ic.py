@@ -31,13 +31,22 @@ integral domains, dividing with floor or ceiling toward the inside of the
 domain; rational coefficients and continuous domains compute in
 Fractions, and their bounds are rounded outward only when stored.
 
-Linear constraints normalise to ``const + sum(c_i * x_i)  REL  0`` with
-REL one of =< / = / \\=, and are enforced by a single demon predicate,
-ic_lin_con/3, at priority 5.  The demon attaches itself to the bound
-lists its coefficients make it sensitive to (=< and =), or to the
-instantiation lists (\\=, which waits until at most one variable is
-free, then excludes the forced value).  alldifferent/1 is a
-forward-checking demon at priority 4.
+Linear constraints normalise (linear.py) to ``const + sum(c_i * x_i)
+REL  0`` with REL one of =< / = / \\=, and are enforced by a single
+demon predicate, ic_lin_con/3, at priority 5.  The demon attaches itself
+to the w_min / w_max lists its coefficients make it sensitive to (=< and
+=), or to the variables' bound lists (\\=, which waits until at most one
+variable is free, then excludes the forced value).  A bound list wakes on
+instantiation and on aliasing, and a disequality sums the coefficients
+of the variables that alias each other, so ``X #\\= Y, X = Y`` fails at
+once.  The propagator is chosen at posting and kept in the suspension's
+payload with the constant and the pairs, so a woken run calls it
+directly.  A disequality over two variables with int coefficients and
+constant decides in constant time: once one side is bound, it excludes
+the other side's quotient from an integral domain if the division is
+exact, and dies either way.  alldifferent/1 is a forward-checking
+demon at priority 4 on the bound lists too; it fails when two of its
+variables alias.
 """
 
 from __future__ import annotations
@@ -46,10 +55,12 @@ import math
 import sys
 from fractions import Fraction
 
-from .arith import eval_arith, float_down, float_up, subscript_get
+from .arith import eval_arith, float_down, float_up
 from .attvar import AttributeSpec, add_attr, get_attr, init_attr
 from .errors import (DomainError, InstantiationError, TypeError_,
-                     UncertaintyError, UnsupportedError)
+                     UncertaintyError)
+from .linear import (exact_number, exact_quotient, int_if_integral,
+                     normalize_relation)
 from .terms import (Atom, Breal, Struct, Var, deref, is_number, mk_list,
                     proper_list, term_vars)
 
@@ -250,33 +261,44 @@ def impose_max(engine, x, b):
 def exclude_value(engine, x, v):
     """x != v for an exact value v; integral domains only."""
     x = deref(x)
-    if is_number(x):
-        lo, hi = exact_bounds(x)
-        if lo == hi:
-            return lo != v
-        # an uncertain ground value against != stays undecided; be safe
-        return True
-    d = ensure_domain(engine, x)
-    if not d.integral:
-        raise TypeError_("exclude: variable does not have an integer domain")
-    if isinstance(v, float):
-        if math.isinf(v):
+    d = None
+    if type(v) is int and type(x) is Var:
+        # get_attr(x, "ic") inline: this is every woken disequality's path
+        for name, d in x.attrs:
+            if name == "ic":
+                break
+        else:
+            d = None
+    if d is None or not d.integral:
+        # the general case: anything but an int against an integral domain
+        if is_number(x):
+            lo, hi = exact_bounds(x)
+            if lo == hi:
+                return lo != v
+            # an uncertain ground value against != stays undecided; be safe
             return True
-        if not v.is_integer():
+        d = ensure_domain(engine, x)
+        if not d.integral:
+            raise TypeError_(
+                "exclude: variable does not have an integer domain")
+        if isinstance(v, float):
+            if math.isinf(v):
+                return True
+            if not v.is_integer():
+                return True
+            v = int(v)
+        if isinstance(v, Fraction) and v.denominator != 1:
             return True
         v = int(v)
-    if isinstance(v, Fraction) and v.denominator != 1:
-        return True
-    vi = int(v)
-    if vi < d.lo or vi > d.hi or (d.holes and vi in d.holes):
+    if v < d.lo or v > d.hi or (d.holes and v in d.holes):
         return True
     if d.lo == d.hi:
         return False  # excluding the only value
-    if vi == d.lo:
-        return impose_min(engine, x, vi + 1)
-    if vi == d.hi:
-        return impose_max(engine, x, vi - 1)
-    engine.store.set_slot(d, "holes", (d.holes or frozenset()) | {vi})
+    if v == d.lo:
+        return impose_min(engine, x, v + 1)
+    if v == d.hi:
+        return impose_max(engine, x, v - 1)
+    engine.store.set_slot(d, "holes", (d.holes or frozenset()) | {v})
     _wake(engine, d.w_hole, x.wake_constrained)
     return True
 
@@ -371,7 +393,8 @@ def _install_attribute(engine):
                 hi = math.floor(Fraction(hi))
         if lo > hi:
             return False
-        holes = frozenset(h for h in holes if lo < h < hi)
+        # a hole of either side at the new bound moves that bound
+        holes = frozenset(h for h in holes if lo <= h <= hi)
         if integral:
             while lo in holes:
                 lo += 1
@@ -436,24 +459,7 @@ def _install_attribute(engine):
 
 
 # ----------------------------------------------------------------------
-# linear constraint normalisation
-
-def _numq(q):
-    return int(q) if isinstance(q, Fraction) and q.denominator == 1 else q
-
-
-def _exact(x):
-    """A constant as an exact number: an int when it is integral."""
-    return x if type(x) is int else _numq(Fraction(x))
-
-
-def _quotient(n, c):
-    """n / c exactly: an int when c divides n, else a Fraction."""
-    if type(n) is int and type(c) is int:
-        q, r = divmod(n, c)
-        return q if r == 0 else Fraction(n, c)
-    return n / c
-
+# the linear-constraint demon
 
 def _bound(n, c, v, up):
     """n / c as a bound on the variable v.  Two ints over an integral
@@ -464,122 +470,31 @@ def _bound(n, c, v, up):
         d = get_domain(v)
         if d is not None and d.integral:
             return -(-n // c) if up else n // c
-    return _quotient(n, c)
+    return exact_quotient(n, c)
 
-
-def normalize_linear(t):
-    """t -> (const, [(coeff, var)]) in exact arithmetic: ints while
-    everything is integral, Fractions otherwise.
-    Raises if t is not linear."""
-    const, coeffs, order = _lin(t)
-    pairs = [(coeffs[k], v) for k, v in order if coeffs[k] != 0]
-    return const, pairs
-
-
-def _lin(t):
-    t = deref(t)
-    ty = type(t)
-    if ty is Var:
-        return 0, {id(t): 1}, [(id(t), t)]
-    if ty is int or ty is Fraction:
-        return t, {}, []
-    if ty is float:
-        if math.isinf(t) or math.isnan(t):
-            raise DomainError("constraint constants must be finite: %r" % t)
-        return _exact(t), {}, []
-    if ty is Breal:
-        raise UnsupportedError("bounded reals cannot appear in exact "
-                               "linear constraints")
-    if ty is Struct:
-        n, a = t.name, t.args
-        if n == "+" and len(a) == 2:
-            return _lin_merge(_lin(a[0]), _lin(a[1]), 1)
-        if n == "-" and len(a) == 2:
-            return _lin_merge(_lin(a[0]), _lin(a[1]), -1)
-        if n == "-" and len(a) == 1:
-            c, m, o = _lin(a[0])
-            return -c, {k: -v for k, v in m.items()}, o
-        if n == "+" and len(a) == 1:
-            return _lin(a[0])
-        if n == "*" and len(a) == 2:
-            lc, lm, lo = _lin(a[0])
-            rc, rm, ro = _lin(a[1])
-            if lm and rm:
-                raise UnsupportedError("nonlinear term: %r" % (t,))
-            if lm:
-                lc, lm, lo, rc, rm, ro = rc, rm, ro, lc, lm, lo
-            # lc is the scalar now
-            return rc * lc, {k: v * lc for k, v in rm.items()}, ro
-        if n == "/" and len(a) == 2:
-            rc, rm, _ = _lin(a[1])
-            if rm or rc == 0:
-                raise UnsupportedError("division in constraints needs a "
-                                       "nonzero constant divisor")
-            c, m, o = _lin(a[0])
-            return (_quotient(c, rc), {k: _quotient(v, rc) for k, v in m.items()},
-                    o)
-        if n == "subscript" and len(a) == 2:
-            idx = proper_list(a[1])
-            if idx is None:
-                raise TypeError_("subscript: index list must be a proper list")
-            idx = [eval_arith(i) for i in idx]
-            return _lin(subscript_get(a[0], idx))
-        raise UnsupportedError("not usable in a linear constraint: %s/%d"
-                               % (n, len(a)))
-    raise TypeError_("not usable in a linear constraint: %r" % (t,))
-
-
-def _lin_merge(left, right, sign):
-    lc, lm, lo = left
-    rc, rm, ro = right
-    m = dict(lm)
-    order = list(lo)
-    seen = {k for k, _ in lo}
-    for k, v in ro:
-        if k not in seen:
-            order.append((k, v))
-            seen.add(k)
-    for k, v in rm.items():
-        m[k] = m.get(k, 0) + sign * v
-    return lc + sign * rc, m, order
-
-
-# relation -> (lhs-rhs transform): every one becomes  lin REL 0
-_REL_FORMS = {
-    "#=":  ("=", 1, 0),    # L - R = 0
-    "#\\=": ("\\=", 1, 0),
-    "#=<": ("=<", 1, 0),   # L - R =< 0
-    "#>=": ("=<", -1, 0),  # R - L =< 0
-    "#<":  ("=<", 1, 1),   # L - R + 1 =< 0
-    "#>":  ("=<", -1, 1),  # R - L + 1 =< 0
-}
-
-
-# ----------------------------------------------------------------------
-# the linear-constraint demon
 
 def _parse_lin_goal(args):
-    const = _exact(deref(args[1]))
+    const = exact_number(deref(args[1]))
     items = proper_list(args[2])
     pairs = []
     for it in items:
         it = deref(it)
-        c = _exact(deref(it.args[0]))
+        c = exact_number(deref(it.args[0]))
         if c != 0:
             pairs.append((c, it.args[1]))
     return const, pairs
 
 
 def bi_ic_lin_con(engine, args, module):
-    rel = deref(args[0]).name
     s = engine.current_suspension
-    if s is not None and isinstance(s.goal, Struct) and s.goal.args is args:
+    if s is not None and type(s.goal) is Struct and s.goal.args is args:
         # woken run of an installed constraint
-        const, pairs = s.payload
-        return _propagate(engine, rel, const, pairs, s)
+        propagate, const, pairs = s.payload
+        return propagate(engine, const, pairs, s)
     const, pairs = _parse_lin_goal(args)
     goal = Struct("ic_lin_con", list(args))
-    return _post_lin_con(engine, module, rel, const, pairs, goal)
+    return _post_lin_con(engine, module, deref(args[0]).name, const, pairs,
+                         goal)
 
 
 def _post_lin_con(engine, module, rel, const, pairs, goal):
@@ -598,15 +513,16 @@ def _post_lin_con(engine, module, rel, const, pairs, goal):
                 impose_max(engine, v, _bound(-const, c, v, up=False))
         d = get_domain(v)
         if d is not None and d.integral:
-            return exclude_value(engine, v, _quotient(-const, c))
+            return exclude_value(engine, v, exact_quotient(-const, c))
+    propagate = _PROPAGATORS[rel]
     s = engine.make_suspension(goal, LIN_PRIORITY, module)
-    s.payload = (const, pairs)
+    s.payload = (propagate, const, pairs)
     for c, t in pairs:
         v = deref(t)
         if type(v) is not Var:
             continue
         if rel == "\\=":
-            engine.attach_suspension(s, v, "inst")
+            engine.attach_suspension(s, v, "bound")
             d = get_domain(v)
             if d is not None and not d.integral:
                 # becoming integral lets the hole be punched before binding
@@ -617,7 +533,7 @@ def _post_lin_con(engine, module, rel, const, pairs, goal):
                 engine.attach_to_list(s, d, "w_min")
             if rel == "=" or c < 0:
                 engine.attach_to_list(s, d, "w_max")
-    return _propagate(engine, rel, const, pairs, s)
+    return propagate(engine, const, pairs, s)
 
 
 def _decide_ground(rel, const, pairs):
@@ -647,10 +563,16 @@ def _decide_ground(rel, const, pairs):
     raise UncertaintyError("cannot decide disequality over bounded reals")
 
 
-def _propagate(engine, rel, const, pairs, s):
-    if rel == "\\=":
-        return _propagate_neq(engine, const, pairs, s)
+def _propagate_le(engine, const, pairs, s):
+    return _propagate_bounds(engine, False, const, pairs, s)
 
+
+def _propagate_eq(engine, const, pairs, s):
+    return _propagate_bounds(engine, True, const, pairs, s)
+
+
+def _propagate_bounds(engine, eq, const, pairs, s):
+    """Bounds propagation of ``const + sum(c*x) =< 0``, or ``= 0`` when eq."""
     # contribution bounds per pair; infinities tracked by count
     info = []
     n_min_inf = n_max_inf = 0
@@ -670,15 +592,15 @@ def _propagate(engine, rel, const, pairs, s):
 
     if n_min_inf == 0 and s_min > 0:
         return False
-    if rel == "=" and n_max_inf == 0 and s_max < 0:
+    if eq and n_max_inf == 0 and s_max < 0:
         return False
 
     # entailment
-    if rel == "=<" and n_max_inf == 0 and s_max <= 0:
+    if not eq and n_max_inf == 0 and s_max <= 0:
         if s is not None:
             engine.kill_suspension(s)
         return True
-    if rel == "=" and n_min_inf == 0 and n_max_inf == 0 and s_min == s_max:
+    if eq and n_min_inf == 0 and n_max_inf == 0 and s_min == s_max:
         if s is not None:
             engine.kill_suspension(s)
         return s_min == 0
@@ -697,7 +619,7 @@ def _propagate(engine, rel, const, pairs, s):
                 impose_min(engine, v, bound)
             if not ok:
                 return False
-        if rel == "=":
+        if eq:
             if (isinstance(chi, float) and n_max_inf > 1) or \
                     (not isinstance(chi, float) and n_max_inf > 0):
                 continue
@@ -711,14 +633,34 @@ def _propagate(engine, rel, const, pairs, s):
 
 
 def _propagate_neq(engine, const, pairs, s):
-    free = []
+    """``const + sum(c*x) \\= 0``: waits until at most one variable is
+    free, then excludes the value that variable is forced off."""
+    if len(pairs) == 2 and type(const) is int:
+        (c1, t1), (c2, t2) = pairs
+        if type(c1) is int and type(c2) is int:
+            x, y = deref(t1), deref(t2)
+            tx, ty = type(x), type(y)
+            if tx is Var:
+                if ty is int:
+                    return _neq_one(engine, c1, x, const + c2 * y, s)
+                if ty is Var and x is not y:
+                    return True
+            elif tx is int:
+                if ty is Var:
+                    return _neq_one(engine, c2, y, const + c1 * x, s)
+                if ty is int:
+                    if s is not None:
+                        engine.kill_suspension(s)
+                    return const + c1 * x + c2 * y != 0
+    merged = {}  # id -> (coefficient, variable): aliases sum coefficients
     total = const
     lo_acc = hi_acc = 0
     uncertain = False
     for c, t in pairs:
         v = deref(t)
         if type(v) is Var:
-            free.append((c, v))
+            seen = merged.get(id(v))
+            merged[id(v)] = (c, v) if seen is None else (seen[0] + c, v)
         elif type(v) is int:
             total += c * v
         else:
@@ -730,6 +672,7 @@ def _propagate_neq(engine, const, pairs, s):
                 clo, chi = (c * blo, c * bhi) if c > 0 else (c * bhi, c * blo)
                 lo_acc += clo
                 hi_acc += chi
+    free = [(c, v) for c, v in merged.values() if c != 0]
     if uncertain:
         lo, hi = total + lo_acc, total + hi_acc
         if len(free) == 0:
@@ -745,7 +688,7 @@ def _propagate_neq(engine, const, pairs, s):
         return total != 0
     if len(free) == 1:
         c, v = free[0]
-        q = _quotient(-total, c)
+        q = exact_quotient(-total, c)
         d = get_attr(v, "ic")
         if d is None or not d.integral:
             # no hole can be punched in a continuous domain: wait for v's
@@ -760,6 +703,29 @@ def _propagate_neq(engine, const, pairs, s):
     return True
 
 
+def _neq_one(engine, c, v, rest, s):
+    """``c*v + rest \\= 0`` for ints c and rest and a variable v: constant
+    time.  An integral v excludes the quotient when it is exact and then
+    the demon dies; otherwise the general path decides."""
+    for name, d in v.attrs:  # get_attr(v, "ic") inline
+        if name == "ic":
+            break
+    else:
+        d = None
+    if d is None or not d.integral:
+        return _propagate_neq(engine, rest, [(c, v)], s)
+    q, r = divmod(-rest, c)
+    if r == 0 and not exclude_value(engine, v, q):
+        return False
+    if s is not None:
+        engine.kill_suspension(s)
+    return True
+
+
+_PROPAGATORS = {"=<": _propagate_le, "=": _propagate_eq,
+                "\\=": _propagate_neq}
+
+
 # ----------------------------------------------------------------------
 # alldifferent
 
@@ -768,23 +734,16 @@ def bi_alldifferent(engine, args, module):
     if items is None:
         raise InstantiationError("alldifferent: needs a proper list")
     s = engine.current_suspension
-    installed = (s is not None and isinstance(s.goal, Struct)
+    installed = (s is not None and type(s.goal) is Struct
                  and s.goal.args is args)
     if not installed:
-        seen_vars = set()
-        free = []
-        for t in items:
-            v = deref(t)
-            if type(v) is Var:
-                if id(v) in seen_vars:
-                    return False  # the same variable twice can never differ
-                seen_vars.add(id(v))
-                free.append(v)
+        # a variable listed twice fails in _alldiff_check
+        free = [v for v in map(deref, items) if type(v) is Var]
         if free:
             s = engine.make_suspension(Struct("alldifferent", list(args)),
                                        ALLDIFF_PRIORITY, module)
             for v in free:
-                engine.attach_suspension(s, v, "inst")
+                engine.attach_suspension(s, v, "bound")
         else:
             s = None
     return _alldiff_check(engine, items, s)
@@ -792,11 +751,13 @@ def bi_alldifferent(engine, args, module):
 
 def _alldiff_check(engine, items, s):
     ground = []
-    free = []
+    free = {}
     for t in items:
         v = deref(t)
         if type(v) is Var:
-            free.append(v)
+            if id(v) in free:
+                return False  # aliased: the same variable twice
+            free[id(v)] = v
         else:
             ground.append(v)
     seen = set()
@@ -807,7 +768,7 @@ def _alldiff_check(engine, items, s):
         if blo in seen:
             return False
         seen.add(blo)
-    for v in free:
+    for v in free.values():
         d = get_domain(v)
         if d is not None and d.integral:
             for val in seen:
@@ -901,7 +862,7 @@ def _get_bound(engine, x, which):
     if is_number(x):
         lo, hi = exact_bounds(x)
         q = lo if which == "lo" else hi
-        return _numq(q) if isinstance(q, Fraction) else q
+        return int_if_integral(q) if isinstance(q, Fraction) else q
     d = get_domain(x)
     if d is None:
         raise InstantiationError("variable has no domain")
@@ -922,21 +883,8 @@ def install(engine):
     bi("::", 2, bi_domain)
 
     def rel_builtin(relname):
-        rel, sign, extra = _REL_FORMS[relname]
-
         def fn(engine_, args, module):
-            lc, lp = normalize_linear(args[0])
-            rc, rp = normalize_linear(args[1])
-            const = _numq(sign * (lc - rc) + extra)
-            coeffs = {}
-            order = []
-            for c, v in lp + [(-c2, v2) for c2, v2 in rp]:
-                k = id(deref(v))
-                if k not in coeffs:
-                    coeffs[k] = 0
-                    order.append((k, v))
-                coeffs[k] += sign * c
-            pairs = [(_numq(coeffs[k]), v) for k, v in order if coeffs[k] != 0]
+            rel, const, pairs = normalize_relation(relname, args[0], args[1])
             for _, v in pairs:
                 if not impose_integrality(engine_, v):
                     return False

@@ -101,6 +101,10 @@ from .writer import write_term
 log = logging.getLogger("clpkernel")
 
 
+#: a waking condition -> the variable's suspension list it names
+_WAKE_SLOTS = {"inst": "wake_inst", "bound": "wake_bound",
+               "constrained": "wake_constrained"}
+
 _BRANCH = "branch"  # a disjunction's alternative: resume the continuation
 _CUT = Atom("!")
 
@@ -323,8 +327,7 @@ class Engine:
         return s
 
     def attach_suspension(self, susp, var, cond):
-        slot = {"inst": "wake_inst", "bound": "wake_bound",
-                "constrained": "wake_constrained"}.get(cond)
+        slot = _WAKE_SLOTS.get(cond)
         if slot is None:
             raise DomainError("unknown waking condition: %r" % (cond,))
         self.store.set_slot(var, slot, getattr(var, slot) + (susp,))

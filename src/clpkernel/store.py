@@ -22,8 +22,12 @@ Value entries carry timestamp-based deduplication: a slot is trailed at
 most once per choicepoint segment.  Timestamps are a plain monotone
 counter, bumped on every choicepoint push, so stamps of dead (popped or
 cut) choicepoints are never reused and a simple equality test decides
-"already trailed in this segment".  Undo entries are never deduplicated:
-the closures may be non-idempotent.
+"already trailed in this segment".  `set_slot`, the write behind every
+solver and scheduler update, makes that test inline against the top
+choicepoint's stamp, so a trailed write costs one Python call;
+`trail_value` applies the same rule for `set_arg`, which writes the
+argument itself.  Undo entries are never deduplicated: the closures may
+be non-idempotent.
 
 An integer slot means ``owner.args[slot]`` (struct arguments); a string
 slot means ``setattr(owner, slot, ...)``.  Owners participating in value
@@ -148,7 +152,9 @@ class Store:
     # trailing primitives
 
     def trail_value(self, owner, slot, old):
-        """Record the old value of owner/slot, at most once per segment."""
+        """Record the old value of owner/slot, at most once per segment,
+        for `set_arg`, which makes its own write; `set_slot` applies the
+        same rule inline."""
         cur = self.current_stamp()
         stamps = owner._stamps
         if stamps is None:
@@ -160,10 +166,20 @@ class Store:
         self.trail.append(("val", owner, slot, old))
 
     def set_slot(self, owner, slot, new):
+        """Write ``owner.slot``, trailing its old value at most once per
+        segment.  The stamp test is inline, so a write is one call."""
         old = getattr(owner, slot)
         if old is new:
             return
-        self.trail_value(owner, slot, old)
+        cps = self.choicepoints
+        cur = cps[-1].stamp if cps else 0
+        stamps = owner._stamps
+        if stamps is None:
+            owner._stamps = {slot: cur}
+            self.trail.append(("val", owner, slot, old))
+        elif stamps.get(slot) != cur:
+            stamps[slot] = cur
+            self.trail.append(("val", owner, slot, old))
         setattr(owner, slot, new)
 
     def register_undo(self, closure):

@@ -30,7 +30,11 @@ levels), FIFO within a bucket.  The queue itself is not trailed; stale
 entries (whose state was restored by backtracking, or that were killed)
 are skipped when popped.  The scheduler counts the entries in its
 buckets, stale ones included until they are popped, so `Engine.drain`
-sees in O(1) that nothing is queued.
+sees in O(1) that nothing is queued.  It also keeps ``low``: every
+bucket more urgent than ``low`` is empty.  Scheduling lowers it; a pop
+starts its scan there and leaves it at the bucket where the scan
+stopped, so the empty buckets more urgent than the most urgent queued
+entry are not rescanned on every pop.
 """
 
 from __future__ import annotations
@@ -77,11 +81,13 @@ class Suspension:
 
 class Scheduler:
     """Twelve FIFO buckets of scheduled suspensions.  ``count`` is the
-    number of entries in the buckets, stale ones included."""
+    number of entries in the buckets, stale ones included.  Every bucket
+    more urgent than ``low`` is empty."""
 
     def __init__(self):
         self.buckets = [deque() for _ in range(NUM_PRIORITIES + 1)]  # index 1..12
         self.count = 0
+        self.low = NUM_PRIORITIES + 1
 
     def schedule(self, susps, store):
         """Move suspended suspensions into the queue.  Already-scheduled and
@@ -89,19 +95,28 @@ class Scheduler:
         for s in susps:
             if s.state == SUSPENDED:
                 store.set_slot(s, "state", SCHEDULED)
-                self.buckets[s.priority].append(s)
+                p = s.priority
+                self.buckets[p].append(s)
                 self.count += 1
+                if p < self.low:
+                    self.low = p
 
     def pop_runnable(self, priority_limit):
         """Most urgent scheduled suspension with priority < priority_limit,
         or None.  Skips stale queue entries (state reverted by
-        backtracking or killed while queued)."""
+        backtracking or killed while queued).  The scan starts at ``low``
+        and leaves it at the bucket it stopped in."""
         top = min(priority_limit, NUM_PRIORITIES + 1)
-        for p in range(1, top):
-            bucket = self.buckets[p]
+        buckets = self.buckets
+        p = self.low
+        while p < top:
+            bucket = buckets[p]
             while bucket:
                 s = bucket.popleft()
                 self.count -= 1
                 if s.state == SCHEDULED:
+                    self.low = p
                     return s
+            p += 1
+        self.low = p
         return None

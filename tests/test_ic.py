@@ -276,7 +276,8 @@ def test_rational_coefficients_keep_exact_fractions(engine, fmt):
         assert fmt(varmap["X"]) == "_{0..6}"
         assert fmt(varmap["Y"]) == "_{0..3}"
         [s] = engine.delayed_goals()
-        const, pairs = s.payload
+        propagate, const, pairs = s.payload
+        assert propagate is ic._propagate_eq
         assert const == -3
         assert [c for c, _ in pairs] == [Fraction(1, 2), 1]
         break
@@ -342,6 +343,31 @@ def test_neq_punches_its_hole_once_the_domain_becomes_integral(first, fmt):
     b = first("X :: 0.0..1.0, Y :: 0..1, ic_lin_con(\\=, 0, [1*X, 1*Y]), "
               "Y = 0, impose_integrality(X)")
     assert b["X"] == 1 and b.delayed == []
+
+@pytest.mark.parametrize("query", [
+    "X :: 1..3, Y :: 1..3, X #\\= Y, X = Y",
+    "X #\\= Y, X = Y",
+    "X + 1 #\\= Y + 1, X = Y",
+    "alldifferent([X, Y]), X = Y",
+])
+def test_disequality_wakes_on_aliasing(ask, query):
+    assert ask(query) == []
+
+
+def test_aliasing_sums_the_coefficients_of_a_disequality(first, fmt):
+    a = first("[X, Y] :: 1..3, X #\\= Y + 1, X = Y")
+    assert a["X"] is a["Y"] and a.delayed == []
+    b = first("[X, Y, Z] :: 0..5, X + Y + Z #\\= 4, X = Y, Z = 2")
+    assert fmt(b["X"]) == "_{[0, 2..5]}" and b.delayed == []
+    c = first("[X, Y] :: 0..5, 2 * X #\\= Y + 1, X = Y")
+    assert fmt(c["X"]) == "_{[0, 2..5]}" and c.delayed == []
+
+
+def test_aliasing_keeps_a_hole_at_the_merged_bound(ask, first, fmt):
+    a = first("X :: 2..3, Y :: 2..5, Y #\\= 3, X = Y")
+    assert a["X"] == 2
+    assert ask("X :: 2..3, Y :: 2..5, Y #\\= 3, X = Y, X = 3") == []
+
 
 def test_entailed_constraint_leaves_nothing_delayed(first):
     a = first("X :: 0..10, Y :: 0..10, X + Y #=< 100")
@@ -518,3 +544,122 @@ def test_propagation_sound_against_enumeration():
             for i in range(n):
                 need = {p[i] for p in pts}
                 assert need <= _answer_values(ans, names[i]), query
+
+
+# ----------------------------------------------------------------------
+# the woken path: binding and aliasing after the constraints are posted
+
+def _lin_text(const, coeffs, names):
+    txt = " + ".join("%d * %s" % (c, names[i]) for i, c in coeffs)
+    return txt.replace("+ -", "- ") + (" + %d" % const if const >= 0
+                                       else " - %d" % -const)
+
+
+def _live_values(v):
+    v = deref(v)
+    if type(v) is not Var:
+        return {v}
+    d = get_domain(v)
+    return set(range(d.lo, d.hi + 1)) - set(d.holes)
+
+
+def _state_text(xs):
+    """Each variable's binding or domain text, and which ones are aliased."""
+    out = []
+    for x in xs:
+        x = deref(x)
+        if type(x) is Var:
+            alias = next(i for i, y in enumerate(xs) if deref(y) is x)
+            out.append((alias, format_domain(get_domain(x))))
+        else:
+            out.append(x)
+    return out
+
+
+def _neq_forward_checked(con, xs):
+    """A disequality left with at most one distinct free variable (aliases
+    sum their coefficients) must hold for every value still possible."""
+    _, const, coeffs = con
+    total, free = const, {}
+    for i, c in coeffs:
+        x = deref(xs[i])
+        if type(x) is Var:
+            k, c0 = free.get(id(x), (x, 0))
+            free[id(x)] = (x, c0 + c)
+        else:
+            total += c * x
+    free = [(x, c) for x, c in free.values() if c != 0]
+    if not free:
+        return total != 0
+    if len(free) == 1:
+        x, c = free[0]
+        return all(total + c * val != 0 for val in _live_values(x))
+    return True
+
+
+def test_woken_propagation_sound_against_enumeration():
+    """Random #\\= and #= networks over 2-4 variables, then one binding or
+    aliasing at a time.  After each step a failure means no feasible point
+    is left, every domain keeps the feasible points' projection, every
+    disequality with one free variable is forward checked, and a ground
+    state fails exactly when it is infeasible.  Backtracking over the
+    steps restores every domain text."""
+    rng = Random(20261020)
+    names = ["A", "B", "C", "D"]
+    for _ in range(150):
+        n = rng.randint(2, 4)
+        doms = []
+        for _i in range(n):
+            lo = rng.randint(0, 3)
+            doms.append(list(range(lo, lo + rng.randint(1, 4) + 1)))
+        cons = []
+        for _c in range(rng.randint(1, 3)):
+            k = rng.randint(2, min(n, 3))
+            idxs = sorted(rng.sample(range(n), k))
+            coeffs = [(i, rng.choice([-3, -2, -1, 1, 2, 3])) for i in idxs]
+            rel = "\\=" if rng.random() < 0.7 else "="
+            cons.append((rel, rng.randint(-6, 6), coeffs))
+        query = ", ".join("%s :: %d..%d" % (names[i], d[0], d[-1])
+                          for i, d in enumerate(doms))
+        for rel, const, coeffs in cons:
+            query += ", %s #%s 0" % (_lin_text(const, coeffs, names), rel)
+
+        eng = make_engine()
+        goal, varmap = eng.parse_goal(query)
+        posted = eng.run_goal_once(goal, eng.main)
+        if not posted:
+            assert feasible_points(doms, cons) == [], query
+            continue
+        xs = [varmap[names[i]] for i in range(n)]
+        steps, marks = [], []
+        for _s in range(rng.randint(1, 4)):
+            i = rng.randrange(n)
+            j = rng.randrange(n)
+            if i != j and rng.random() < 0.4:
+                step = ("=", 0, [(i, 1), (j, -1)])
+                other = xs[j]
+            else:
+                val = rng.choice(sorted(_live_values(xs[i]))
+                                 if rng.random() < 0.8 else doms[i])
+                step = ("=", -val, [(i, 1)])
+                other = val
+            marks.append((eng.store.push_choicepoint(), _state_text(xs)))
+            steps.append(step)
+            ok = eng.store.unify(xs[i], other) and eng.drain()
+            pts = feasible_points(doms, cons + steps)
+            where = "%s; steps %s" % (query, steps)
+            if not ok:
+                assert pts == [], where
+                break
+            for k in range(n):
+                assert {p[k] for p in pts} <= _live_values(xs[k]), where
+            for con in cons:
+                if con[0] == "\\=":
+                    assert _neq_forward_checked(con, xs), where
+            if all(type(deref(x)) is not Var for x in xs):
+                assert pts != [], where
+                assert eng.delayed_goals() == [], where
+                break
+        for mark, text in reversed(marks):
+            eng.store.drop_to(mark)
+            assert _state_text(xs) == text, query

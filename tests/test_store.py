@@ -202,6 +202,48 @@ def test_randomized_restoration():
             assert snapshot(cells, vars_) == snap
 
 
+class _Slots:
+    __slots__ = ("value", "_stamps")
+
+    def __init__(self, value):
+        self.value = value
+        self._stamps = None
+
+
+def test_set_slot_and_set_arg_trail_alike():
+    """set_slot makes the segment-stamp test inline and set_arg through
+    trail_value: the same writes, choicepoints, cuts and backtracks give
+    the same value entries and restore the same values."""
+    rng = random.Random(20261022)
+    for _ in range(40):
+        st = Store()
+        objs = [_Slots(i) for i in range(3)]
+        cells = [Struct("cell", [i]) for i in range(3)]
+        marks = []
+        for _step in range(rng.randrange(10, 80)):
+            op = rng.random()
+            if op < 0.25 or not marks:
+                marks.append(st.push_choicepoint())
+            elif op < 0.75:
+                k = rng.randrange(3)
+                # set_slot skips a write of the value already there
+                new = rng.choice([v for v in range(5) if v != objs[k].value])
+                before = len(st.trail)
+                st.set_slot(objs[k], "value", new)
+                by_slot = st.trail[before:]
+                st.set_arg(1, cells[k], new)
+                by_arg = st.trail[before + len(by_slot):]
+                assert [e[3] for e in by_slot] == [e[3] for e in by_arg]
+            else:
+                k = rng.randrange(len(marks))
+                del marks[k + 1:]
+                if rng.random() < 0.3:
+                    st.commit_to(marks.pop())
+                else:
+                    st.backtrack_to(marks[k])
+            assert [o.value for o in objs] == [c.args[0] for c in cells]
+
+
 # ----------------------------------------------------------------------
 # conditional trailing: a binding is trailed only when the variable is no
 # newer than the youngest choicepoint

@@ -226,6 +226,42 @@ def test_scheduler_count_stays_exact(engine):
     assert sched.count > 0
 
 
+def test_scheduler_pops_what_a_full_scan_finds(engine):
+    """The scan that starts at ``low`` pops what scanning every bucket
+    from priority 1 would, and no entry sits in a bucket above ``low``."""
+    rng = random.Random(20261021)
+    st, sched = engine.store, engine.sched
+    susps = [engine.make_suspension(Atom("true"),
+                                    rng.randint(1, NUM_PRIORITIES))
+             for _ in range(12)]
+    marks = [st.push_choicepoint()]
+    hits = 0
+    for _ in range(3000):
+        r = rng.random()
+        if r < 0.35:
+            sched.schedule(rng.sample(susps, rng.randint(1, 4)), st)
+        elif r < 0.45:
+            engine.kill_suspension(rng.choice(susps))
+        elif r < 0.55:
+            marks.append(st.push_choicepoint())
+        elif r < 0.65:
+            k = rng.randrange(len(marks))
+            del marks[k + 1:]
+            st.backtrack_to(marks[k])
+        else:
+            limit = rng.randint(1, MAIN_PRIORITY)
+            want = next((s for p in range(1, min(limit, NUM_PRIORITIES + 1))
+                         for s in sched.buckets[p] if s.state == SCHEDULED),
+                        None)
+            s = sched.pop_runnable(limit)
+            assert s is want
+            if s is not None:
+                hits += 1
+                st.set_slot(s, "state", rng.choice([SUSPENDED, EXECUTED]))
+        assert not any(sched.buckets[1:sched.low])
+    assert hits > 100
+
+
 # ----------------------------------------------------------------------
 # the wake path: woken builtins run without a mark of their own
 
