@@ -36,7 +36,9 @@ _MAXF = sys.float_info.max
 
 
 def float_down(x):
-    """Largest float <= x (x exact: int or Fraction)."""
+    """Largest float <= x; a float, infinities included, is its own."""
+    if type(x) is float:
+        return x
     try:
         f = float(x)
     except OverflowError:
@@ -47,7 +49,9 @@ def float_down(x):
 
 
 def float_up(x):
-    """Smallest float >= x."""
+    """Smallest float >= x; a float, infinities included, is its own."""
+    if type(x) is float:
+        return x
     try:
         f = float(x)
     except OverflowError:
@@ -61,17 +65,18 @@ def breal_from_exact(x):
     return Breal(float_down(x), float_up(x))
 
 
+def exact_float(f):
+    """A float as an exact number: a Fraction, or the float when infinite."""
+    return f if math.isinf(f) else Fraction(f)
+
+
 def _exact_bounds(b):
     """Breal endpoints as exact numbers (Fractions, or inf floats)."""
-    lo = b.lo if math.isinf(b.lo) else Fraction(b.lo)
-    hi = b.hi if math.isinf(b.hi) else Fraction(b.hi)
-    return lo, hi
+    return exact_float(b.lo), exact_float(b.hi)
 
 
 def _outward(lo, hi):
-    flo = lo if isinstance(lo, float) and math.isinf(lo) else float_down(lo)
-    fhi = hi if isinstance(hi, float) and math.isinf(hi) else float_up(hi)
-    return Breal(flo, fhi)
+    return Breal(float_down(lo), float_up(hi))
 
 
 def to_breal(x):

@@ -8,20 +8,28 @@ narrowing events:
     w_min   lower bound raised          w_hole  interior value removed
     w_max   upper bound lowered         w_type  became integral
 
-Narrowing goes through impose_min / impose_max / exclude_value /
-impose_integrality, which trail every change, wake precisely the lists
-affected by the event (plus the variable's generic constrained list), and
-instantiate the variable when the domain collapses to a single value.
-Instantiating a constrained variable wakes all four solver lists: anyone
-watching any aspect of the domain must get a chance to react to the
-strongest possible event.
+One function, _update, writes a domain's bounds, holes and integrality;
+impose_min, impose_max, exclude_value, impose_integrality, X :: [...]
+and aliasing check their arguments, return early when nothing would
+change, and hand it the new bounds and holes.  It normalises them, fails
+on an empty domain, and instantiates the variable when one value is
+left, which wakes all four solver lists: anyone watching any aspect of
+the domain must get a chance to react to the strongest possible event.
+Otherwise it trails the slots that changed and wakes the lists of the
+events that happened (min and max when a bound moves, hole when a value
+strictly inside the new bounds goes, type when the domain becomes
+integral), then the variable's constrained list.  Aliasing two domain
+variables intersects their domains and wakes each side's lists for the
+events its own domain saw; the younger variable's lists then join the
+survivor's.
 
 Only integral domains have holes, and every hole lies strictly between
 lo and hi: a narrowing that would leave a hole at a bound moves the bound
-past it instead.  No operation enumerates lo..hi: printing walks the
-sorted holes, and labeling (search.py) filters them out lazily.  Posting
-an enumerated domain X :: [...] walks its span once, but every value it
-passes there is listed or becomes a hole.
+past it instead, which is a bound event, not a hole event.  No operation
+enumerates lo..hi: printing walks the sorted holes, and labeling
+(search.py) filters them out lazily.  Posting an enumerated domain
+X :: [...] walks its span once, but every value it passes there is
+listed or becomes a hole.
 
 Domain bounds are stored exactly for integral domains (Python ints) and
 as outward-rounded floats for continuous ones.  All constraint arithmetic
@@ -52,19 +60,17 @@ variables alias.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 
-from .arith import eval_arith, float_down, float_up
+from .arith import eval_arith, exact_float, float_down, float_up
 from .attvar import AttributeSpec, add_attr, get_attr, init_attr
 from .errors import (DomainError, InstantiationError, TypeError_,
                      UncertaintyError)
 from .linear import (exact_number, exact_quotient, int_if_integral,
                      normalize_relation)
 from .terms import (Atom, Breal, Struct, Var, deref, is_number, mk_list,
-                    proper_list, term_vars)
+                    proper_list)
 
-_MAXF = sys.float_info.max
 _INF = float("inf")
 
 LIN_PRIORITY = 5
@@ -133,13 +139,6 @@ def ensure_domain(engine, v):
     return d
 
 
-def _dom_value(d):
-    """The single value of a collapsed domain, or None."""
-    if d.lo == d.hi:
-        return int(d.lo) if d.integral else float(d.lo)
-    return None
-
-
 def exact_bounds(t):
     """(lo, hi) of a term as exact numbers: ints for an integer and for
     an integral domain, Fractions for other numbers and for continuous
@@ -152,47 +151,89 @@ def exact_bounds(t):
             return -_INF, _INF
         if d.integral:
             return d.lo, d.hi
-        return _exact_float(d.lo), _exact_float(d.hi)
+        return exact_float(d.lo), exact_float(d.hi)
     if ty is int or ty is Fraction:
         return t, t
     if ty is float:
-        q = _exact_float(t)
+        q = exact_float(t)
         return q, q
     if ty is Breal:
-        return _exact_float(t.lo), _exact_float(t.hi)
+        return exact_float(t.lo), exact_float(t.hi)
     raise TypeError_("not a numeric term: %r" % (t,))
-
-
-def _exact_float(f):
-    return f if math.isinf(f) else Fraction(f)
-
-
-def _to_float_down(q):
-    if isinstance(q, float):
-        return q
-    return float_down(q)
-
-
-def _to_float_up(q):
-    if isinstance(q, float):
-        return q
-    return float_up(q)
 
 
 # ----------------------------------------------------------------------
 # narrowing operations
 
-def _wake(engine, *lists):
-    for l in lists:
-        if l:
-            engine.wake(l)
+def _woken(d, lo, hi, holes, integral):
+    """The lists of d that wake when d becomes lo..hi less holes."""
+    wake = d.w_min if lo > d.lo else ()
+    if hi < d.hi:
+        wake += d.w_max
+    if holes is not d.holes and not holes <= d.holes:
+        wake += d.w_hole
+    if integral and not d.integral:
+        wake += d.w_type
+    return wake
 
 
-def _maybe_instantiate(engine, v, d):
-    val = _dom_value(d)
-    if val is None:
-        return True
-    return engine.store.bind(v, val)
+def _update(engine, x, d, lo, hi, holes, integral, joined=None):
+    """Make x's domain d the values of lo..hi outside holes: the one write
+    of a domain.  Integral bounds round inward and past the holes,
+    continuous ones outward, and only the holes strictly inside stay.  An
+    empty domain fails and a single value binds x.  Otherwise a slot is
+    written only when its value or type changes, and the lists of the
+    events that happened wake, then x's constrained list.  ``joined`` is
+    the domain of a variable aliased to x: its lists wake for its own
+    events, then join d's."""
+    if integral:
+        if type(lo) is not int and lo != -_INF:
+            lo = math.ceil(lo)
+        if type(hi) is not int and hi != _INF:
+            hi = math.floor(hi)
+        if holes:
+            while lo in holes:
+                lo += 1
+            while hi in holes:
+                hi -= 1
+            # d's holes lie strictly inside its bounds and a value a caller
+            # adds lies within them, so only a moved bound or joined's
+            # holes can leave one outside
+            if lo != d.lo or hi != d.hi or joined is not None:
+                holes = frozenset(h for h in holes if lo < h < hi)
+    else:
+        lo = float_down(lo)
+        hi = float_up(hi)
+    if lo > hi:
+        return False
+    store = engine.store
+    wake = _woken(d, lo, hi, holes, integral)
+    if joined is not None:
+        wake += _woken(joined, lo, hi, holes, integral)
+        for slot in _LIST_SLOTS.values():
+            extra = getattr(joined, slot)
+            if extra:
+                store.set_slot(d, slot, getattr(d, slot) + extra)
+    if lo == hi:
+        return store.bind(x, lo)
+    changed = False
+    if lo is not d.lo and (lo != d.lo or type(lo) is not type(d.lo)):
+        store.set_slot(d, "lo", lo)
+        changed = True
+    if hi is not d.hi and (hi != d.hi or type(hi) is not type(d.hi)):
+        store.set_slot(d, "hi", hi)
+        changed = True
+    if holes is not d.holes and holes != d.holes:
+        store.set_slot(d, "holes", holes)
+        changed = True
+    if integral is not d.integral:
+        store.set_slot(d, "integral", integral)
+        changed = True
+    if changed:
+        wake += x.wake_constrained
+    if wake:
+        engine.wake(wake)
+    return True
 
 
 def impose_min(engine, x, b):
@@ -202,30 +243,11 @@ def impose_min(engine, x, b):
         lo, hi = exact_bounds(x)
         return hi >= b
     if isinstance(b, float) and math.isinf(b):
-        if b > 0:
-            return False
-        return True
+        return b < 0
     d = ensure_domain(engine, x)
-    if d.integral:
-        new_lo = math.ceil(b)
-        while d.holes and new_lo in d.holes:
-            new_lo += 1
-    else:
-        new_lo = _to_float_down(b)
-    if new_lo <= d.lo:
+    if b <= d.lo:
         return True
-    if new_lo > d.hi:
-        return False
-    store = engine.store
-    store.set_slot(d, "lo", new_lo)
-    if d.holes:
-        store.set_slot(d, "holes",
-                       frozenset(h for h in d.holes if d.lo < h < d.hi))
-    if not _maybe_instantiate(engine, x, d):
-        return False
-    if type(deref(x)) is Var:
-        _wake(engine, d.w_min, x.wake_constrained)
-    return True
+    return _update(engine, x, d, b, d.hi, d.holes, d.integral)
 
 
 def impose_max(engine, x, b):
@@ -236,26 +258,9 @@ def impose_max(engine, x, b):
     if isinstance(b, float) and math.isinf(b):
         return b > 0
     d = ensure_domain(engine, x)
-    if d.integral:
-        new_hi = math.floor(b)
-        while d.holes and new_hi in d.holes:
-            new_hi -= 1
-    else:
-        new_hi = _to_float_up(b)
-    if new_hi >= d.hi:
+    if b >= d.hi:
         return True
-    if new_hi < d.lo:
-        return False
-    store = engine.store
-    store.set_slot(d, "hi", new_hi)
-    if d.holes:
-        store.set_slot(d, "holes",
-                       frozenset(h for h in d.holes if d.lo < h < d.hi))
-    if not _maybe_instantiate(engine, x, d):
-        return False
-    if type(deref(x)) is Var:
-        _wake(engine, d.w_max, x.wake_constrained)
-    return True
+    return _update(engine, x, d, d.lo, b, d.holes, d.integral)
 
 
 def exclude_value(engine, x, v):
@@ -292,15 +297,7 @@ def exclude_value(engine, x, v):
         v = int(v)
     if v < d.lo or v > d.hi or (d.holes and v in d.holes):
         return True
-    if d.lo == d.hi:
-        return False  # excluding the only value
-    if v == d.lo:
-        return impose_min(engine, x, v + 1)
-    if v == d.hi:
-        return impose_max(engine, x, v - 1)
-    engine.store.set_slot(d, "holes", (d.holes or frozenset()) | {v})
-    _wake(engine, d.w_hole, x.wake_constrained)
-    return True
+    return _update(engine, x, d, d.lo, d.hi, d.holes | {v}, True)
 
 
 def impose_integrality(engine, x):
@@ -316,28 +313,7 @@ def impose_integrality(engine, x):
     d = ensure_domain(engine, x)
     if d.integral:
         return True
-    store = engine.store
-    store.set_slot(d, "integral", True)
-    moved_lo = moved_hi = False
-    if not (isinstance(d.lo, float) and math.isinf(d.lo)):
-        new_lo = math.ceil(Fraction(d.lo))
-        moved_lo = new_lo > d.lo
-        store.set_slot(d, "lo", new_lo)
-    if not (isinstance(d.hi, float) and math.isinf(d.hi)):
-        new_hi = math.floor(Fraction(d.hi))
-        moved_hi = new_hi < d.hi
-        store.set_slot(d, "hi", new_hi)
-    if d.lo > d.hi:
-        return False
-    if not _maybe_instantiate(engine, x, d):
-        return False
-    if type(deref(x)) is Var:
-        _wake(engine, d.w_type, x.wake_constrained)
-        if moved_lo:
-            _wake(engine, d.w_min)
-        if moved_hi:
-            _wake(engine, d.w_max)
-    return True
+    return _update(engine, x, d, d.lo, d.hi, d.holes, True)
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +329,9 @@ def _install_attribute(engine):
             if other is None:
                 add_attr(store, value, "ic", d)
                 return True
-            return _merge_domains(engine, value, other, d)
+            return _update(engine, value, other, max(other.lo, d.lo),
+                           min(other.hi, d.hi), other.holes | d.holes,
+                           other.integral or d.integral, d)
         return _check_value(engine, value, d)
 
     def _check_value(engine_, value, d):
@@ -378,64 +356,17 @@ def _install_attribute(engine):
         else:
             ok = False
         if ok:
-            _wake(engine_, d.w_min, d.w_max, d.w_hole, d.w_type)
+            wake = d.w_min + d.w_max + d.w_hole + d.w_type
+            if wake:
+                engine_.wake(wake)
         return ok
-
-    def _merge_domains(engine_, survivor, ds, dd):
-        lo = max(ds.lo, dd.lo)
-        hi = min(ds.hi, dd.hi)
-        integral = ds.integral or dd.integral
-        holes = (ds.holes or frozenset()) | (dd.holes or frozenset())
-        if integral:
-            if not (isinstance(lo, float) and math.isinf(lo)):
-                lo = math.ceil(Fraction(lo))
-            if not (isinstance(hi, float) and math.isinf(hi)):
-                hi = math.floor(Fraction(hi))
-        if lo > hi:
-            return False
-        # a hole of either side at the new bound moves that bound
-        holes = frozenset(h for h in holes if lo <= h <= hi)
-        if integral:
-            while lo in holes:
-                lo += 1
-            while hi in holes:
-                hi -= 1
-            holes = frozenset(h for h in holes if lo < h < hi)
-            if lo > hi:
-                return False
-        st = engine_.store
-        lo_event = lo > ds.lo or lo > dd.lo
-        hi_event = hi < ds.hi or hi < dd.hi
-        type_event = integral and not (ds.integral and dd.integral)
-        hole_event = holes != (ds.holes or frozenset()) or holes != (dd.holes or frozenset())
-        st.set_slot(ds, "lo", lo)
-        st.set_slot(ds, "hi", hi)
-        st.set_slot(ds, "integral", integral)
-        st.set_slot(ds, "holes", holes)
-        for slot in ("w_min", "w_max", "w_hole", "w_type"):
-            extra = getattr(dd, slot)
-            if extra:
-                st.set_slot(ds, slot, getattr(ds, slot) + extra)
-        if lo_event:
-            _wake(engine_, ds.w_min)
-        if hi_event:
-            _wake(engine_, ds.w_max)
-        if hole_event:
-            _wake(engine_, ds.w_hole)
-        if type_event:
-            _wake(engine_, ds.w_type)
-        _wake(engine_, survivor.wake_constrained)
-        return _maybe_instantiate(engine_, survivor, ds)
 
     def on_copy(payload, fresh):
         init_attr(fresh, "ic",
                   Domain(payload.lo, payload.hi, payload.integral, payload.holes))
 
     def bounds_get(var, payload):
-        return (_to_float_down(payload.lo) if not isinstance(payload.lo, float)
-                else payload.lo,
-                _to_float_up(payload.hi) if not isinstance(payload.hi, float)
-                else payload.hi)
+        return float_down(payload.lo), float_up(payload.hi)
 
     def bounds_set(var, payload, lo, hi):
         if not impose_min(engine, var, lo if isinstance(lo, float) and math.isinf(lo)
@@ -819,22 +750,18 @@ def bi_domain(engine, args, module):
 
 def _keep_only(engine, x, values):
     """Remove from x's integral domain every value not in the sorted list
-    values, whose span already bounds the domain: one update of the
-    holes, then the bounds move past any holes, waking w_hole once."""
+    values, whose span already bounds the domain, in one update."""
     x = deref(x)
     present = set(values)
     if type(x) is not Var:
         lo, hi = exact_bounds(x)
         return lo != hi or lo in present
     d = get_domain(x)
-    lo, hi = d.lo, d.hi
-    holes = d.holes.union(v for v in range(lo + 1, hi) if v not in present)
-    if len(holes) > len(d.holes):
-        engine.store.set_slot(d, "holes", holes)
-        _wake(engine, d.w_hole, x.wake_constrained)
-    # impose_min and impose_max skip the holes just added
-    return ((lo in present or impose_min(engine, x, lo + 1))
-            and (hi in present or impose_max(engine, x, hi - 1)))
+    holes = d.holes.union(v for v in range(d.lo, d.hi + 1)
+                          if v not in present)
+    if len(holes) == len(d.holes):
+        return True
+    return _update(engine, x, d, d.lo, d.hi, holes, True)
 
 
 def _parse_domain_spec(spec):

@@ -371,6 +371,21 @@ WAKING_EVENTS = [
     ("impose type", "X :: 1.0..9.0", "impose_integrality(X)",
      {"inst": 0, "bound": 0, "constrained": 1,
       "ic:min": 0, "ic:max": 0, "ic:hole": 0, "ic:type": 1}),
+    # aliasing wakes each side's lists for the events of its own domain:
+    # here X's domain does not change ...
+    ("alias, X inside Y", "X :: 6..9, Y :: 1..9", "X = Y",
+     {"inst": 0, "bound": 1, "constrained": 1,
+      "ic:min": 0, "ic:max": 0, "ic:hole": 0, "ic:type": 0}),
+    # ... here its bound moves past a hole, which is then gone, but no
+    # value inside the new bounds is removed ...
+    ("alias, raise min over a hole", "X :: 1..9, exclude(X, 5), Y :: 6..9",
+     "X = Y",
+     {"inst": 0, "bound": 1, "constrained": 1,
+      "ic:min": 1, "ic:max": 0, "ic:hole": 0, "ic:type": 0}),
+    # ... and here X is the younger variable, whose lists join Y's
+    ("alias, younger X inside Y", "Y :: 1..9, X :: 6..9", "X = Y",
+     {"inst": 0, "bound": 1, "constrained": 1,
+      "ic:min": 0, "ic:max": 0, "ic:hole": 0, "ic:type": 0}),
 ]
 
 

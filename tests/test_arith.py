@@ -170,6 +170,11 @@ def test_directional_rounding_brackets_the_exact_value():
     assert float_down(q) == math.nextafter(float_up(q), -math.inf)
 
 
+def test_a_float_is_its_own_rounding():
+    for f in (0.1, -2.5, math.inf, -math.inf):
+        assert float_down(f) == f and float_up(f) == f
+
+
 def test_float_conversion_saturates_on_overflow():
     huge = Fraction(10) ** 5000
     assert float_up(huge) == math.inf

@@ -14,7 +14,7 @@ from clpkernel.errors import (InstantiationError, TypeError_,
 from clpkernel.ic import (Domain, ensure_domain, exclude_value, format_domain,
                           get_domain, impose_integrality, impose_max,
                           impose_min)
-from clpkernel.terms import Var, deref, mk_list
+from clpkernel.terms import Atom, Struct, Var, deref, mk_list
 
 from brute import feasible_points
 
@@ -124,6 +124,23 @@ def test_continuous_bounds_round_outward():
     assert d.lo < Fraction(1, 3) < dy.hi
 
 
+def test_a_bound_that_rounds_back_changes_and_wakes_nothing():
+    # 1/3 lies above the stored bound but rounds down onto it again: a
+    # demon that woke on such a non-change could wake itself forever
+    e = make_engine()
+    x = Var()
+    d = ensure_domain(e, x)
+    assert impose_min(e, x, Fraction(1, 3))
+    s = e.make_suspension(Struct("true", []), 3)
+    e.attach_to_list(s, d, "w_min")
+    e.attach_suspension(s, x, "constrained")
+    e.store.push_choicepoint()
+    trail = len(e.store.trail)
+    assert impose_min(e, x, Fraction(1, 3))
+    assert len(e.store.trail) == trail
+    assert s.state == "suspended"
+
+
 def test_exclude_value_variants():
     e = make_engine()
     x = Var()
@@ -168,6 +185,206 @@ def test_singleton_domain_instantiates():
     assert not impose_min(e, x, 4)
     assert not exclude_value(e, x, 3)
     assert exclude_value(e, x, 7)
+
+
+# ----------------------------------------------------------------------
+# every domain change against a model of the value set
+
+class _Model:
+    """The values of a domain: the ints of a finite set when integral,
+    else the reals of lo..hi (exact halves, so the float bounds are too)."""
+
+    def __init__(self, integral, lo, hi, ints):
+        self.integral, self.lo, self.hi, self.ints = integral, lo, hi, ints
+
+    @staticmethod
+    def real(lo, hi):
+        if lo > hi:
+            return None
+        return _Model(False, lo, hi,
+                      frozenset(range(math.ceil(lo), math.floor(hi) + 1)))
+
+    @staticmethod
+    def of_ints(values):
+        values = frozenset(values)
+        if not values:
+            return None
+        return _Model(True, min(values), max(values), values)
+
+    def single(self):
+        return self.lo == self.hi
+
+
+def _model_step(m, op, arg):
+    """The model after one operation, or None when it empties."""
+    if op == "min":
+        if m.integral:
+            return _Model.of_ints(v for v in m.ints if v >= arg)
+        return _Model.real(max(m.lo, arg), m.hi)
+    if op == "max":
+        if m.integral:
+            return _Model.of_ints(v for v in m.ints if v <= arg)
+        return _Model.real(m.lo, min(m.hi, arg))
+    if op == "exclude":
+        return _Model.of_ints(m.ints - {arg})
+    if op == "list":
+        return _Model.of_ints(m.ints & set(arg))
+    if op == "integral":
+        return _Model.of_ints(m.ints)
+    # aliasing with another model
+    if not (m.integral or arg.integral):
+        return _Model.real(max(m.lo, arg.lo), min(m.hi, arg.hi))
+    return _Model.of_ints(m.ints & arg.ints)
+
+
+def _model_events(old, new):
+    """The ic lists a change from old to new wakes: all four when one
+    value is left; else min and max for a moved bound, hole for a value
+    of old removed strictly inside the new bounds, type for integrality."""
+    if new.single():
+        return {"min", "max", "hole", "type"}
+    events = set()
+    if new.lo > old.lo:
+        events.add("min")
+    if new.hi < old.hi:
+        events.add("max")
+    if new.integral and not old.integral:
+        events.add("type")
+    if new.integral and any(new.lo < v < new.hi and v not in new.ints
+                            for v in old.ints):
+        events.add("hole")
+    return events
+
+
+def _check_against_model(x, m, where):
+    v = deref(x)
+    if m.single():
+        assert type(v) is not Var and v == m.lo, where
+        return
+    d = get_domain(v)
+    if not m.integral:
+        assert not d.integral and not d.holes, where
+        assert (d.lo, d.hi) == (m.lo, m.hi), where
+        return
+    assert d.integral, where
+    assert type(d.lo) is int and type(d.hi) is int, where
+    assert all(d.lo < h < d.hi for h in d.holes), where
+    assert d.lo not in d.holes and d.hi not in d.holes, where
+    assert set(range(d.lo, d.hi + 1)) - d.holes == m.ints, where
+
+
+def _texts(xs):
+    out = []
+    for x in xs:
+        v = deref(x)
+        if type(v) is not Var:
+            out.append(v)
+        else:
+            d = get_domain(v)
+            out.append((id(v), None if d is None else format_domain(d)))
+    return out
+
+
+def _random_bound(rng, integral):
+    """An int, or a half as a Fraction or a float."""
+    b = Fraction(rng.randint(-2, 26), 2)
+    if integral and rng.random() < 0.5:
+        return int(b)
+    return float(b) if rng.random() < 0.5 else b
+
+
+def _post_model(eng, rng, v):
+    """Give the variable v a random domain of two or more values; return
+    its model."""
+    if rng.random() < 0.3:
+        lo = Fraction(rng.randint(0, 10), 2)
+        hi = lo + Fraction(rng.randint(1, 12), 2)
+        assert impose_min(eng, v, lo) and impose_max(eng, v, hi)
+        return _Model.real(lo, hi)
+    lo = rng.randint(0, 6)
+    values = set(range(lo, lo + rng.randint(2, 8)))
+    assert impose_integrality(eng, v)
+    assert impose_min(eng, v, lo) and impose_max(eng, v, max(values))
+    inside = sorted(values)[1:-1]
+    for w in rng.sample(inside, rng.randint(0, min(2, len(inside)))):
+        values.discard(w)
+        assert exclude_value(eng, v, w)
+    return _Model.of_ints(values)
+
+
+def test_every_domain_change_matches_a_model_of_its_values():
+    """Random sequences of impose_min, impose_max, exclude_value, X :: [...],
+    impose_integrality and aliasing over small domains.  After each step
+    the domain holds the model's values in its normal form, and probes on
+    ic:min, ic:max, ic:hole and ic:type fire exactly for the events the
+    model saw.  Backtracking over the steps restores every domain text."""
+    rng = Random(20261018)
+    lists = {"min": "w_min", "max": "w_max", "hole": "w_hole",
+             "type": "w_type"}
+    for trial in range(300):
+        eng = make_engine()
+        fired = set()
+
+        def probe(engine, args, module, fired=fired):
+            fired.add(deref(args[0]).name)
+            return True
+
+        eng.add_builtin(eng.main, "probe", 1, probe).demon = True
+        # the older variable survives aliasing: spares on both sides of x
+        older = [Var(), Var()]
+        x = Var()
+        spares = older + [Var(), Var()]
+        every = [x] + spares
+        m = _post_model(eng, rng, x)
+        d = get_domain(x)
+        for event, slot in lists.items():
+            s = eng.make_suspension(Struct("probe", [Atom(event)]), 3)
+            eng.attach_to_list(s, d, slot)
+        marks = []
+        where = ["trial %d" % trial]
+        for _step in range(rng.randint(1, 8)):
+            marks.append((eng.store.push_choicepoint(), _texts(every)))
+            ops = ["min", "max", "list", "integral"]
+            if m.integral:
+                ops.append("exclude")
+            if spares:
+                ops.append("alias")
+            op = rng.choice(ops)
+            if op == "min":
+                arg = _random_bound(rng, m.integral)
+                ok = impose_min(eng, x, arg)
+            elif op == "max":
+                arg = _random_bound(rng, m.integral)
+                ok = impose_max(eng, x, arg)
+            elif op == "exclude":
+                arg = rng.randint(-1, 13)
+                ok = exclude_value(eng, x, arg)
+            elif op == "list":
+                arg = sorted(rng.sample(range(-1, 14), rng.randint(1, 6)))
+                ok = ic.bi_domain(eng, [x, mk_list(arg)], eng.main)
+            elif op == "integral":
+                arg = None
+                ok = impose_integrality(eng, x)
+            else:
+                y = spares.pop(rng.randrange(len(spares)))
+                arg = _post_model(eng, rng, y)
+                ok = eng.store.unify(x, y)
+            where.append((op, arg if op != "alias" else
+                          (arg.integral, arg.lo, arg.hi, sorted(arg.ints))))
+            new = _model_step(m, op, arg)
+            if new is None:
+                assert not ok, where
+                break
+            assert ok and eng.drain(), where
+            _check_against_model(x, new, where)
+            assert fired == _model_events(m, new), where
+            fired.clear()
+            m = new
+            if m.single():
+                break
+        for mark, texts in reversed(marks):
+            eng.store.drop_to(mark)
+            assert _texts(every) == texts, where
 
 
 # ----------------------------------------------------------------------
