@@ -1,6 +1,8 @@
 """Attributed variables: named payloads plus handler hooks.
 
-An attribute is registered once, globally, with a bundle of handlers:
+Everything attached to a variable is an attribute (Holzbaur, PLILP
+1992): binding a variable runs its attributes' unify handlers and nothing
+else.  An attribute is registered once per engine with its handlers:
 
 * unify(value, payload, var) -> bool
       invoked immediately after ``var`` (which carried ``payload``) was
@@ -8,7 +10,9 @@ An attribute is registered once, globally, with a bundle of handlers:
       value.  Returning False vetoes the unification.  For variable-
       variable unification ``value`` is the surviving variable and the
       handler is responsible for merging payloads (e.g. intersecting
-      domains).
+      domains); the survivor's attributes that ``var`` lacks run with
+      payload None.  ``value`` is dereferenced before each handler, as
+      an earlier one may have bound it.
 * copy(payload, fresh_var)
       invoked by copy_term for each attributed variable; typically
       attaches a copy of the payload (minus suspension lists) to the
@@ -18,11 +22,15 @@ An attribute is registered once, globally, with a bundle of handlers:
       generic numeric-bounds access: get intersects over all
       bounds-capable attributes, set broadcasts to all of them.
 * get_list(engine, var, list_name) -> (owner, slot) or None
-      resolves a solver-defined suspension list (e.g. ic's min/max/
-      hole/type) to a trailable location so that generic attach code
-      can append to it.
+      resolves a suspension list (e.g. ic's min/max/hole/type) to a
+      trailable location so that `Engine.attach_suspension` can append
+      to it.
 * portray(var, payload) -> str or None
       a print hook for the writer ("_{1..5}" and friends).
+
+The ``suspend`` attribute (`install`) holds the generic suspension lists
+in a `Suspend` record made on the first attach.  Its unify handler alone
+decides what wakes and how a bound variable's lists join the survivor's.
 
 Attributes without handlers are inert: they ride along on the variable,
 can be read back, and vanish when the variable is instantiated.
@@ -52,14 +60,12 @@ class AttributeSpec:
 class AttributeRegistry:
     def __init__(self):
         self._specs = {}
+        self.lookup = self._specs.get  # called per attribute per binding
 
     def register(self, spec):
         if spec.name in self._specs:
             raise RegistrationError("attribute %r already registered" % spec.name)
         self._specs[spec.name] = spec
-
-    def lookup(self, name):
-        return self._specs.get(name)
 
 
 def get_attr(var, name):
@@ -92,9 +98,64 @@ def init_attr(var, name, payload):
 
 def notify_constrained(engine, var):
     """Signal a generic 'became more constrained' event on var."""
-    var = deref(var)
-    if type(var) is Var and var.wake_constrained:
-        engine.wake(var.wake_constrained)
+    rec = get_attr(var, "suspend")
+    if rec is not None and rec.constrained:
+        engine.wake(rec.constrained)
+
+
+def join_lists(store, into, extra, slots):
+    """Append extra's lists ``slots`` to into's: how lists join on aliasing."""
+    for slot in slots:
+        lst = getattr(extra, slot)
+        if lst:
+            store.set_slot(into, slot, getattr(into, slot) + lst)
+
+
+class Suspend:
+    """The ``suspend`` attribute's payload.  ``inst`` wakes on
+    instantiation, ``bound`` also on aliasing, ``constrained`` also on
+    any narrowing (`notify_constrained`, ic's domain writer)."""
+
+    __slots__ = ("inst", "bound", "constrained", "_stamps")
+
+    def __init__(self):
+        self.inst = self.bound = self.constrained = ()
+        self._stamps = None
+
+
+def install(engine):
+    """Register the ``suspend`` attribute with the engine's registry."""
+    lists = ("inst", "bound", "constrained")
+
+    def on_unify(value, payload, var):
+        if type(value) is not Var:  # instantiation
+            if payload is not None:  # else value's own binding woke it
+                engine.wake(payload.inst + payload.bound + payload.constrained)
+            return True
+        other = get_attr(value, "suspend")
+        if payload is None:
+            engine.wake(other.bound + other.constrained)
+        elif other is None:
+            engine.wake(payload.bound + payload.constrained)
+            add_attr(engine.store, value, "suspend", payload)
+        else:
+            engine.wake(payload.bound + payload.constrained + other.bound
+                        + other.constrained)
+            join_lists(engine.store, other, payload, lists)
+        return True
+
+    def get_list(eng, var, name):
+        if name not in lists:
+            return None
+        for n, rec in var.attrs:  # get_attr(var, "suspend") inline
+            if n == "suspend":
+                return rec, name
+        rec = Suspend()
+        add_attr(eng.store, var, "suspend", rec)
+        return rec, name
+
+    engine.registry.register(AttributeSpec(
+        name="suspend", unify=on_unify, get_list=get_list))
 
 
 def _point_bounds(value):

@@ -19,7 +19,7 @@ from .arith import (array_dims, compare_numeric, dim_create, eval_arith,
 from .attvar import AttributeSpec, add_attr, get_attr, get_var_bounds, \
     notify_constrained, set_var_bounds
 from .errors import (DomainError, Halt, InstantiationError,
-                     ExistenceError, RangeError, TypeError_, UnsupportedError)
+                     ExistenceError, RangeError, TypeError_)
 from .expand import struct_update_args
 from .susp import Suspension
 from .terms import (TRUE, Atom, Breal, Struct, Var, arg_at,
@@ -401,23 +401,14 @@ def bi_suspend(engine, args, module):
 
 
 def _attach_cond(engine, s, v, cond, module):
-    if type(cond) is Atom:
-        engine.attach_suspension(s, v, cond.name)
-        return 1
+    if type(cond) is Atom:  # short for suspend:Cond
+        cond = Struct(":", [Atom("suspend"), cond])
     if type(cond) is Struct and cond.name == ":" and cond.arity == 2:
         attr_t = deref(cond.args[0])
         list_t = deref(cond.args[1])
         if type(attr_t) is not Atom or type(list_t) is not Atom:
             raise DomainError("suspend: bad attribute condition")
-        spec = engine.registry.lookup(attr_t.name)
-        if spec is None or spec.get_list is None:
-            raise UnsupportedError("suspend: attribute %r has no suspension "
-                                   "lists" % attr_t.name)
-        got = spec.get_list(engine, v, list_t.name)
-        if got is None:
-            raise UnsupportedError("suspend: attribute %r has no list %r"
-                                   % (attr_t.name, list_t.name))
-        engine.attach_to_list(s, *got)
+        engine.attach_suspension(s, v, list_t.name, attr_t.name)
         return 1
     raise DomainError("suspend: unknown waking condition %s"
                       % engine.format_term(cond, module))
@@ -443,8 +434,13 @@ def bi_add_attr(engine, args, module):
     name = deref(args[1])
     if type(name) is not Atom:
         raise TypeError_("add_attr: attribute name must be an atom")
-    if engine.registry.lookup(name.name) is None:
+    spec = engine.registry.lookup(name.name)
+    if spec is None:
         engine.registry.register(AttributeSpec(name=name.name))
+    elif spec.unify is not None:
+        # its handlers would read an arbitrary term as their own payload
+        raise DomainError("add_attr: attribute %r belongs to a solver"
+                          % name.name)
     add_attr(engine.store, args[0], name.name, args[2])
     return True
 

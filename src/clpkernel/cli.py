@@ -44,8 +44,8 @@ def _answer_lines(engine, varmap, canonical):
         if name.startswith("_"):
             continue
         d = deref(v)
-        if d is v and not v.attrs:
-            continue  # still a plain free variable: nothing to report
+        if d is v and all(n == "suspend" for n, _ in v.attrs):
+            continue  # still free; its suspensions show as delayed goals
         local = names
         if names.get(id(d)) == name:
             # a variable does not name itself in its own binding

@@ -18,10 +18,11 @@ the domain must get a chance to react to the strongest possible event.
 Otherwise it trails the slots that changed and wakes the lists of the
 events that happened (min and max when a bound moves, hole when a value
 strictly inside the new bounds goes, type when the domain becomes
-integral), then the variable's constrained list.  Aliasing two domain
-variables intersects their domains and wakes each side's lists for the
-events its own domain saw; the younger variable's lists then join the
-survivor's.
+integral), then the constrained list of its suspend attribute.  Aliasing
+two domain variables intersects their domains and wakes each side's
+lists for the events its own domain saw; the younger variable's lists
+then join the survivor's.  A variable without a domain aliased to one
+leaves the survivor's domain as it is (payload None).
 
 Only integral domains have holes, and every hole lies strictly between
 lo and hi: a narrowing that would leave a hole at a bound moves the bound
@@ -63,7 +64,7 @@ import math
 from fractions import Fraction
 
 from .arith import eval_arith, exact_float, float_down, float_up
-from .attvar import AttributeSpec, add_attr, get_attr, init_attr
+from .attvar import AttributeSpec, add_attr, get_attr, init_attr, join_lists
 from .errors import (DomainError, InstantiationError, TypeError_,
                      UncertaintyError)
 from .linear import (exact_number, exact_quotient, int_if_integral,
@@ -210,10 +211,7 @@ def _update(engine, x, d, lo, hi, holes, integral, joined=None):
     wake = _woken(d, lo, hi, holes, integral)
     if joined is not None:
         wake += _woken(joined, lo, hi, holes, integral)
-        for slot in _LIST_SLOTS.values():
-            extra = getattr(joined, slot)
-            if extra:
-                store.set_slot(d, slot, getattr(d, slot) + extra)
+        join_lists(store, d, joined, _LIST_SLOTS.values())
     if lo == hi:
         return store.bind(x, lo)
     changed = False
@@ -230,7 +228,9 @@ def _update(engine, x, d, lo, hi, holes, integral, joined=None):
         store.set_slot(d, "integral", integral)
         changed = True
     if changed:
-        wake += x.wake_constrained
+        for name, p in x.attrs:  # get_attr(x, "suspend") inline
+            if name == "suspend":
+                wake += p.constrained
     if wake:
         engine.wake(wake)
     return True
@@ -324,6 +324,8 @@ def _install_attribute(engine):
 
     def on_unify(value, payload, var):
         d = payload
+        if d is None:
+            return True  # var had no domain: the survivor keeps its own
         if type(value) is Var:
             other = get_attr(value, "ic")
             if other is None:

@@ -84,9 +84,9 @@ from __future__ import annotations
 import logging
 
 from .clauses import Clause, first_arg_switch, index_key
-from .errors import (DomainError, EngineError, ExistenceError,
-                     FlounderingError, Halt, InstantiationError,
-                     InternalError, ReaderError, TypeError_)
+from .errors import (EngineError, ExistenceError, FlounderingError, Halt,
+                     InstantiationError, InternalError, ReaderError,
+                     TypeError_, UnsupportedError)
 from .expand import (ExpandContext, expand_clause, install_kernel_macros,
                      mk_conj, parse_struct_decl)
 from .reader import Ops, Parser, standard_ops, tokenize
@@ -95,15 +95,11 @@ from .susp import (EXECUTED, MAIN_PRIORITY, SCHEDULED, SUSPENDED, Scheduler,
                    Suspension)
 from .terms import (Atom, Struct, Var, copy_term, deref, is_callable_term,
                     list_parts)
-from .attvar import AttributeRegistry
+from . import attvar
 from .writer import write_term
 
 log = logging.getLogger("clpkernel")
 
-
-#: a waking condition -> the variable's suspension list it names
-_WAKE_SLOTS = {"inst": "wake_inst", "bound": "wake_bound",
-               "constrained": "wake_constrained"}
 
 _BRANCH = "branch"  # a disjunction's alternative: resume the continuation
 _CUT = Atom("!")
@@ -256,9 +252,9 @@ class Engine:
         self.out = out if out is not None else sys.stdout
         self.store = Store()
         self.sched = Scheduler()
-        self.registry = AttributeRegistry()
+        self.registry = attvar.AttributeRegistry()
         self.store.attr_registry = self.registry
-        self.store.scheduler = self.wake
+        attvar.install(self)
         self.suspensions = {}
         self._sid = 0
         self.running_priority = MAIN_PRIORITY
@@ -326,11 +322,17 @@ class Engine:
         self.store.register_undo(lambda: self.suspensions.pop(sid, None))
         return s
 
-    def attach_suspension(self, susp, var, cond):
-        slot = _WAKE_SLOTS.get(cond)
-        if slot is None:
-            raise DomainError("unknown waking condition: %r" % (cond,))
-        self.store.set_slot(var, slot, getattr(var, slot) + (susp,))
+    def attach_suspension(self, susp, var, cond, attr="suspend"):
+        """Append susp to the list ``attr:cond`` of a dereferenced free var."""
+        spec = self.registry.lookup(attr)
+        if spec is None or spec.get_list is None:
+            raise UnsupportedError("suspend: attribute %r has no suspension "
+                                   "lists" % attr)
+        got = spec.get_list(self, var, cond)
+        if got is None:
+            raise UnsupportedError("suspend: attribute %r has no list %r"
+                                   % (attr, cond))
+        self.attach_to_list(susp, *got)
 
     def attach_to_list(self, susp, owner, slot):
         self.store.set_slot(owner, slot, getattr(owner, slot) + (susp,))

@@ -36,10 +36,10 @@ entry; the dict entry is dropped again when the entry is unwound, so a
 later update in the same (restarted) segment re-trails correctly.
 
 Unification lives here too, because it is the operation that creates most
-trail entries and triggers waking.  The store is usable standalone; the
-engine injects a scheduler hook (called with lists of suspensions to
-schedule) and an attribute registry (consulted when attributed variables
-are bound).
+trail entries.  A binding sets ``ref``, trails it and runs the unify
+handlers of both sides' attributes (attvar.py), which do all the waking:
+the store holds no scheduler.  The store is usable standalone; the
+engine injects the attribute registry.
 """
 
 from __future__ import annotations
@@ -77,9 +77,7 @@ class Store:
         self.trail = []
         self.choicepoints = []
         self._stamp_counter = 0
-        # engine hooks; no-ops when unset so the store works standalone
-        self.scheduler = None        # callable(list_of_suspensions)
-        self.attr_registry = None    # AttributeRegistry
+        self.attr_registry = None    # the engine's; None when standalone
 
     # ------------------------------------------------------------------
     # variables
@@ -199,21 +197,13 @@ class Store:
         struct.args[i - 1] = new
 
     # ------------------------------------------------------------------
-    # binding and waking
-
-    def _schedule(self, susps):
-        if susps and self.scheduler is not None:
-            self.scheduler(susps)
-
-    def _append_list(self, var, slot, extra):
-        if extra:
-            self.set_slot(var, slot, getattr(var, slot) + tuple(extra))
+    # binding
 
     def bind(self, var, value):
-        """Bind an unbound variable, run attribute handlers, wake lists.
+        """Bind an unbound variable and run the attributes' unify handlers.
 
-        Returns False when an attribute handler vetoes the binding.  The
-        partial state is left in place; the caller is expected to hold a
+        Returns False when a handler vetoes the binding.  The partial
+        state is left in place; the caller is expected to hold a
         choicepoint and backtrack on failure.
         """
         if var.ref is not None:
@@ -222,29 +212,22 @@ class Store:
         cps = self.choicepoints
         if cps and var.serial <= cps[-1].var_serial:
             self.trail.append(("bind", var))
-
-        value = deref(value)
-        aliasing = type(value) is Var
-
-        if aliasing:
-            # merge suspension lists into the surviving variable, then wake
-            # the bound/constrained lists of both (not inst: no instantiation)
-            wake = var.wake_bound + var.wake_constrained \
-                + value.wake_bound + value.wake_constrained
-            self._append_list(value, "wake_inst", var.wake_inst)
-            self._append_list(value, "wake_bound", var.wake_bound)
-            self._append_list(value, "wake_constrained", var.wake_constrained)
-        else:
-            wake = var.wake_inst + var.wake_bound + var.wake_constrained
-
-        if var.attrs and self.attr_registry is not None:
-            for name, payload in var.attrs:
-                spec = self.attr_registry.lookup(name)
+        attrs = var.attrs
+        if type(value) is Var:
+            value = deref(value)
+            if type(value) is Var and value.attrs:
+                attrs += tuple((name, None) for name, _ in value.attrs
+                               if name not in dict(attrs))
+        if attrs and self.attr_registry is not None:
+            lookup = self.attr_registry.lookup
+            for name, payload in attrs:
+                spec = lookup(name)
                 if spec is not None and spec.unify is not None:
+                    if type(value) is Var:
+                        # an earlier handler may have bound the survivor
+                        value = deref(value)
                     if not spec.unify(value, payload, var):
-                        self._schedule(wake)
                         return False
-        self._schedule(wake)
         return True
 
     # ------------------------------------------------------------------

@@ -24,17 +24,16 @@ from fractions import Fraction
 
 
 class Var:
-    """A logic variable: an assignable cell plus suspension lists.
+    """A logic variable: an assignable cell.
 
     ``ref`` is None while unbound, otherwise the term this variable was
-    bound to (possibly another Var, forming a chain).  The three generic
-    suspension lists live directly on the variable; solver-specific lists
-    live inside attribute payloads.  ``attrs`` is a tuple of (name, payload)
-    pairs; a variable with at least one attribute is an attributed variable.
+    bound to (possibly another Var, forming a chain).  ``attrs`` is a
+    tuple of (name, payload) pairs holding all that is attached to the
+    variable: solver data such as ic's domain, and the generic suspension
+    lists (the ``suspend`` attribute).
     """
 
-    __slots__ = ("ref", "serial", "name", "wake_inst", "wake_bound",
-                 "wake_constrained", "attrs", "_stamps")
+    __slots__ = ("ref", "serial", "name", "attrs", "_stamps")
 
     _counter = 0
 
@@ -43,9 +42,6 @@ class Var:
         self.serial = Var._counter
         self.ref = None
         self.name = name
-        self.wake_inst = ()
-        self.wake_bound = ()
-        self.wake_constrained = ()
         self.attrs = ()
         self._stamps = None
 
@@ -90,7 +86,26 @@ class Struct:
         return len(self.args)
 
     def __repr__(self):
-        return "%s(%s)" % (self.name, ", ".join(repr(a) for a in self.args))
+        """Functional notation, every argument by its ``repr``.  Compound
+        arguments are expanded from an explicit stack of pending text and
+        terms, so the depth of a term is bounded by memory, not by
+        Python's recursion limit."""
+        out = []
+        todo = [self]
+        while todo:
+            t = todo.pop()
+            if type(t) is not Struct:
+                out.append(t)  # text: arguments are pushed as their repr
+                continue
+            out.append(t.name + "(")
+            todo.append(")")
+            args = t.args
+            for i in range(len(args) - 1, -1, -1):
+                a = args[i]
+                todo.append(a if type(a) is Struct else repr(a))
+                if i:
+                    todo.append(", ")
+        return "".join(out)
 
 
 class Breal:

@@ -62,6 +62,16 @@ def test_goal_errors_exit_2(capsys):
     assert "error:" in err
 
 
+def test_add_attr_of_a_solver_attribute_exits_2_with_one_line(capsys):
+    for name in ("ic", "suspend"):
+        rc, out, err = run_main(capsys, "-g", "add_attr(X, %s, foo), X = 2"
+                                % name)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 def test_float_overflow_exits_2_with_one_line(capsys):
     rc, out, err = run_main(capsys, "-g", "X is 2.0 ** 10000")
     assert (rc, out, err) == (2, "", "error: arithmetic: float overflow\n")
@@ -150,6 +160,10 @@ def test_delayed_goals_are_reported(capsys):
                    "Delayed goals:\n"
                    "    X{0..4} + Y{0..4} + -4 #= 0\n"
                    "yes\n")
+    # a variable that only has suspensions waiting on it is still free
+    rc, out, _ = run_main(capsys, "-g", "suspend(true, 3, X -> inst)")
+    assert rc == 0
+    assert out == "Delayed goals:\n    true\nyes\n"
 
 
 def test_canonical_answers(capsys):

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from clpkernel.terms import (Atom, Breal, Struct, Var, compare_numbers,
+from clpkernel import make_engine
+from clpkernel.terms import (NIL, Atom, Breal, Struct, Var, compare_numbers,
                              compare_terms, copy_term, deref, is_variant,
                              list_parts, mk_list, proper_list, term_vars,
                              terms_equal)
@@ -131,3 +132,32 @@ def test_is_variant():
     assert is_variant(Struct("f", [x, x]), Struct("f", [y, y]))
     assert not is_variant(Struct("f", [x, x]), Struct("f", [y, z]))
     assert not is_variant(Struct("f", [x]), Struct("g", [y]))
+
+
+def test_struct_repr_text():
+    assert repr(Struct("f", [Atom("a"), 1, Fraction(1, 3), 1.5, "it",
+                             Breal(1, 2)])) == \
+        "f(a, 1, Fraction(1, 3), 1.5, 'it', 1.0__2.0)"
+    assert repr(mk_list([1, Struct("g", [Struct("h", [Atom("b")]), NIL])],
+                        Atom("t"))) == ".(1, .(g(h(b), []), t))"
+    assert repr(Struct("+", [Struct("+", [Atom("a"), Atom("b")]),
+                             Atom("c")])) == "+(+(a, b), c)"
+    assert repr(Struct("f", [])) == "f()"
+    x = Var("X")
+    assert repr(Struct("f", [x, x])) == "f(%r, %r)" % (x, x)
+
+
+def test_struct_repr_depth_is_bounded_by_memory():
+    n = 100000
+    text = repr(mk_list(range(n)))
+    assert text.startswith(".(0, .(1, ") and text.endswith(", []" + ")" * n)
+    t = Atom("a")
+    for _ in range(n):
+        t = Struct("+", [t, 1])
+    assert repr(t) == "+(" * n + "a" + ", 1)" * n
+    e = make_engine()
+    e.load("upto(I, H, []) :- I > H.\n"
+           "upto(I, H, [I|T]) :- I =< H, I1 is I + 1, upto(I1, H, T).\n")
+    text = repr(e.once("upto(1, 3000, L)"))
+    assert text.startswith("Answer({'L': .(1, .(2, ") and \
+        text.endswith(".(3000, [])" + ")" * 2999 + "}, delayed=[])")

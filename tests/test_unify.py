@@ -1,7 +1,10 @@
 """Unification with attributed variables: handler hooks and waking events."""
 
+import pytest
+
 from clpkernel.attvar import (AttributeSpec, add_attr, get_attr,
                               notify_constrained)
+from clpkernel.errors import EngineError
 from clpkernel.susp import SUSPENDED
 from clpkernel.terms import Atom, Struct, deref
 
@@ -59,7 +62,7 @@ def test_aliasing_merges_lists_into_survivor(engine):
     assert deref(younger) is older
     assert engine.drain()
     assert calls == []  # aliasing is not an instantiation
-    assert s in older.wake_inst
+    assert s in get_attr(older, "suspend").inst
     assert st.unify(older, 42)
     assert engine.drain()
     assert calls == ["mig"]
@@ -153,3 +156,25 @@ def test_inert_attribute_rides_along(engine):
     add_attr(st, x, "luggage", ["a", "b"])
     assert st.unify(x, Struct("f", [Atom("y")]))
     assert deref(x).name == "f"
+
+
+def test_plain_variables_stay_plain(engine):
+    # nothing waits on them, so binding them attaches nothing
+    st = engine.store
+    xs = [st.new_var() for _ in range(6)]
+    assert st.unify(xs[0], xs[1])
+    assert st.unify(xs[2], xs[1])
+    assert st.unify(xs[3], Struct("f", [xs[4], xs[0]]))
+    assert st.unify(Struct("g", [xs[5], xs[4]]),
+                    Struct("g", [xs[2], Struct("h", [xs[0]])]))
+    assert deref(xs[5]) is deref(xs[0])
+    assert all(x.attrs == () for x in xs)
+
+
+def test_add_attr_refuses_a_solver_attribute(engine):
+    # their unify handlers would read the term as their own payload
+    for name in ("ic", "suspend"):
+        with pytest.raises(EngineError, match="add_attr"):
+            engine.once("add_attr(X, %s, foo), X = 2" % name)
+    got = engine.once("add_attr(X, tag, foo), get_attr(X, tag, V), X = 2")
+    assert got["V"] is Atom("foo") and got["X"] == 2
