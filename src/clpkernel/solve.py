@@ -4,12 +4,13 @@ Goals are solved by one loop, `solve`, over a linked continuation of
 ``(goal, module, cut height, next)`` cells.  As in Warren's abstract
 machine, every alternative is a mark on the store's choicepoint stack:
 its ``alt`` is a clause retry (pushed only when a second clause is a
-candidate under first-argument indexing), the other branch of a
-disjunction, or a builtin's, and ``cont`` is the continuation it
-resumes.  An if-then-else pushes one mark, for its else branch, and runs
-the condition followed by a ``!`` whose height is that mark's index; a
-cut pops the choicepoints above its height.  Backtracking into a bare
-mark, which has no alternative, is an `InternalError`.
+candidate under first-argument indexing, so a call with one candidate
+pushes none), the other branch of a disjunction, or a builtin's, and
+``cont`` is the continuation it resumes.  An if-then-else pushes one
+mark, for its else branch, and runs the condition followed by a ``!``
+whose height is that mark's index; a cut pops the choicepoints above its
+height.  Backtracking into a bare mark, which has no alternative, is an
+`InternalError`.
 
 A builtin returns a bool or a ``(goal, module)`` pair, which runs in the
 call's place with the choicepoint height at the call as its cut height,
@@ -29,13 +30,14 @@ store.
 
 Suspended goals are woken through a two-stage scheme: events move
 suspensions into the scheduler's priority queues, and `drain` runs them
-after every resolution step.  `drain` is entered at every such point
-but returns at once when the scheduler counts no queued entry, so a step
-with nothing woken pays one call and one test.  While a woken goal runs,
-`running_priority` is lowered to its priority, so more urgent wakings
-interrupt it at its own resolution steps but less urgent ones wait.
-Woken goals run semi-deterministically: their first solution is
-committed.
+after every resolution step.  A clause function tests the scheduler's
+``count`` and calls `drain` only when some entry is queued, so a head
+match that woke nothing pays one test.  Elsewhere `drain` is entered at
+every such point and returns at once when nothing is queued.  While a
+woken goal runs, `running_priority` is lowered to its priority, so more
+urgent wakings interrupt it at its own resolution steps but less urgent
+ones wait.  Woken goals run semi-deterministically: their first solution
+is committed.
 
 A woken goal whose predicate is a builtin (every ic demon is one) is
 dispatched directly: `make_suspension` keeps the predicate on the
@@ -47,7 +49,16 @@ whoever called `drain` backtracks.  A pair result (a woken ``call/1`` or
 `run_goal_once`.  `current_suspension` is set meanwhile, so a builtin
 can tell a woken run (the suspension's goal arguments are its arguments)
 from a fresh post.  `_run_builtin` is the one call site of every builtin
-call, woken or not, and `_call_user` of every user call.
+call, woken or not, and `_call_user` of every user call.  Both are
+looked up on the engine at each call, so a wrapper put on the class sees
+every call.
+
+A goal is resolved by one rule, `Module.lookup_pred`, in the loop and
+in `make_suspension`: the calling module's own predicate, else an
+exported one of its imports, else that of a `PredName`.  The loop reads
+the module's own ``preds`` inline and calls the rest of the rule,
+`Module.lookup_imported`, only when that misses.  Nothing is cached, so a definition, an import or an
+export counts from the next call on.
 
 User clauses run as generated Python functions (the `clauses` module).
 A clause is compiled when it is added, so it is a snapshot of its terms
@@ -61,7 +72,10 @@ build the body, already split into one continuation cell per goal.  No
 clause is renamed by `copy_term`.  A call tries only the clauses its
 predicate's first-argument switch selects (`Pred`), and a retry mark
 keeps the call's tuple of them, so clauses added after the call began
-are not tried.
+are not tried.  `_call_user` computes the first-argument key itself and,
+as WAM's ``switch_on_term`` does, enters a single candidate directly:
+only a call with two or more candidates goes through `_try_clauses`,
+which pushes the retry mark, and so does each retry.
 
 The Prolog parts of the kernel, ic and search libraries (the preludes)
 are read once per process.  The first engine loads each one through
@@ -175,13 +189,23 @@ class Module:
         return p
 
     def lookup_pred(self, name, arity):
+        """The predicate a goal ``name/arity`` calls in this module: its
+        own, else an import's exported one, else that of a `PredName`;
+        None when there is none.  Nothing is cached, so a predicate, an
+        import or an export added later counts from the next call on."""
         p = self.preds.get((name, arity))
         if p is not None:
             return p
+        return self.lookup_imported(name, arity)
+
+    def lookup_imported(self, name, arity):
+        """`lookup_pred` for a name this module has no predicate of."""
         for m in self.imports:
             p = m.preds.get((name, arity))
             if p is not None and p.exported:
                 return p
+        if type(name) is PredName:
+            return name.pred
         return None
 
     # -- macro / struct visibility ---------------------------------------
@@ -419,7 +443,8 @@ class Engine:
                 yield
             else:
                 goal, module, cut, cont = cont
-                goal = deref(goal)
+                if type(goal) is Var:
+                    goal = deref(goal)
                 if type(goal) is Struct:
                     name, args = goal.name, goal.args
                 elif type(goal) is Atom:
@@ -466,9 +491,8 @@ class Engine:
                         continue
                 # fail and false have no clauses: they backtrack below
                 if arity or (name != "fail" and name != "false"):
-                    pred = module.lookup_pred(name, arity)
-                    if pred is None and type(name) is PredName:
-                        pred = name.pred
+                    pred = (module.preds.get((name, arity))
+                            or module.lookup_imported(name, arity))
                     if pred is None:
                         macro = module.lookup_goal_macro(name, arity)
                         if macro is None:
@@ -518,15 +542,39 @@ class Engine:
         return pred.builtin(self, args, module)
 
     def _call_user(self, pred, args, cont):
-        """The one call site of every user call.  Clauses added after the
-        call began are not tried."""
+        """The one call site of every user call: the continuation of its
+        first candidate clause, or False.  The first-argument switch
+        (`first_arg_switch`) is read with the key computed here, as
+        `index_key` computes it.  A single candidate is entered at once,
+        with no retry mark; more go through `_try_clauses`.  Clauses added
+        after the call began are not tried."""
         switch = pred.switch
         if switch is None:
             switch = pred.switch = first_arg_switch(pred.clauses)
-        clauses = switch[0].get(index_key(args[0]) if args else None,
-                                switch[1])
+        table = switch[0]
+        if args:
+            t = args[0]
+            while type(t) is Var and t.ref is not None:
+                t = t.ref
+            ty = type(t)
+            if ty is Struct:
+                clauses = table.get((t.name, len(t.args)), switch[1])
+            elif ty is Var:
+                clauses = table[None]
+            elif ty is Atom or ty is int:
+                clauses = table.get(t, switch[1])
+            else:
+                clauses = table.get(index_key(t), switch[1])
+        else:
+            clauses = table[None]
+        store = self.store
+        if len(clauses) == 1:
+            clause = clauses[0]
+            return (clause.fn or clause.compile())(
+                args, self, store, self.sched, pred.module,
+                len(store.choicepoints), cont)
         return self._try_clauses(pred.module, clauses, 0, args,
-                                 len(self.store.choicepoints), cont)
+                                 len(store.choicepoints), cont)
 
     def _try_clauses(self, module, clauses, i, args, cut, cont):
         """The continuation of the i-th of a call's candidate clauses, or
@@ -539,8 +587,7 @@ class Engine:
             return False
         clause = clauses[i]
         return (clause.fn or clause.compile())(
-            args, self.store, self.drain, self._copy_attr_hook, module, cut,
-            cont)
+            args, self, self.store, self.sched, module, cut, cont)
 
     def _copy_attr_hook(self, old, fresh):
         for name, payload in old.attrs:

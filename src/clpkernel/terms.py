@@ -353,11 +353,14 @@ def copy_term(t, attr_hook=None):
 
 
 def is_variant(a, b):
-    """True when a and b are identical up to a bijective variable renaming."""
+    """True when a and b are identical up to a bijective variable renaming.
+    Pairs of subterms are compared from a work stack, left to right, so
+    any depth of nesting is walked in constant Python stack."""
     fwd = {}
     bwd = {}
-
-    def walk(x, y):
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
         x = deref(x)
         y = deref(y)
         tx, ty = type(x), type(y)
@@ -365,18 +368,19 @@ def is_variant(a, b):
             if tx is not Var or ty is not Var:
                 return False
             if id(x) in fwd:
-                return fwd[id(x)] is y and bwd.get(id(y)) is x
+                if fwd[id(x)] is not y or bwd.get(id(y)) is not x:
+                    return False
+                continue
             if id(y) in bwd:
                 return False
             fwd[id(x)] = y
             bwd[id(y)] = x
-            return True
-        if tx is not ty:
+        elif tx is not ty:
             return False
-        if tx is Struct:
+        elif tx is Struct:
             if x.name != y.name or len(x.args) != len(y.args):
                 return False
-            return all(walk(p, q) for p, q in zip(x.args, y.args))
-        return compare_terms(x, y) == 0
-
-    return walk(a, b)
+            stack += zip(reversed(x.args), reversed(y.args))
+        elif compare_terms(x, y) != 0:
+            return False
+    return True

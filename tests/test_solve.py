@@ -313,6 +313,22 @@ def test_same_name_in_two_modules(engine):
         is not engine.modules["m2"].lookup_pred("pub", 1)
 
 
+def test_a_local_definition_after_an_imported_call_is_called_next(engine):
+    engine.load(MODS + ":- module(main).\n:- import(m1).\n")
+    assert sols(engine, "pub(X)") == [1]
+    engine.load("pub(5).")
+    assert sols(engine, "pub(X)") == [5]
+    assert sols(engine, "m1:pub(X)") == [1]
+
+
+def test_an_export_after_a_failed_lookup_resolves_the_next_call(engine):
+    engine.load(MODS + ":- module(main).\n:- import(m1).\n")
+    with pytest.raises(ExistenceError):
+        engine.ask("priv(X)")
+    engine.load(":- export(priv/1).", module=engine.modules["m1"])
+    assert sols(engine, "priv(X)") == [2]
+
+
 def test_scoped_operator_declarations(engine):
     engine.load(":- module(m3).\n:- local op(700, xfx, ===).\n"
                 "check(A === B) :- A = B.\n")
@@ -606,7 +622,7 @@ def _compiled_against_copy_and_unify(rng, head_arg, goal_arg):
         store.backtrack_to(mark)
 
         got = Clause(head, body).compile()(
-            goal.args, store, lambda: True, None, None, 0, None)
+            goal.args, None, store, Scheduler(), None, 0, None)
         ok_new = got is not False
         new = ok_new and copy_term(Struct("r", [goal, got[0]]))
         assert not ok_new or got[1:] == (None, 0, None)
@@ -1008,6 +1024,47 @@ def test_deterministic_recursion_keeps_the_trail_bounded(engine, query):
     next(sols)
     assert len(engine.store.trail) < 100
     sols.close()
+
+
+def test_a_call_pushes_a_choicepoint_only_for_a_second_candidate(
+        engine, monkeypatch):
+    """A call with one candidate clause, under first-argument indexing,
+    pushes no choicepoint; a call with two pushes exactly one."""
+    engine.load("one(a).\ntwo(a).\ntwo(b).\nzero :- true.\n")
+    pushes = []
+    push = Store.push_choicepoint
+
+    def counting(store):
+        pushes.append(1)
+        return push(store)
+
+    monkeypatch.setattr(Store, "push_choicepoint", counting)
+
+    def pushed(query):
+        goal, _ = engine.parse_goal(query)
+        pushes.clear()
+        for _ in engine.solutions(goal):
+            return len(pushes) - 2  # the top level's mark and solve's base
+        pytest.fail("%s failed" % query)
+
+    for query in ("zero", "one(X)", "one(a)", "two(a)", "two(b)"):
+        assert pushed(query) == 0, query
+    assert pushed("two(X)") == 1
+    assert pushed("two(_), one(_)") == 1
+
+
+def test_a_clause_added_during_a_call_is_not_tried_by_it(engine):
+    """With two candidates (a retry mark) and with one (none)."""
+    def grow(eng, args, module):
+        eng.add_clause(module, Struct(deref(args[0]).name, [9]), Atom("true"))
+        return True
+
+    engine.add_builtin(engine.main, "grow", 1, grow)
+    engine.load("p(1).\np(2).\nq(1).\n")
+    assert sols(engine, "p(X), grow(p)") == [1, 2]
+    assert sols(engine, "q(X), grow(q)") == [1]
+    assert sols(engine, "p(X)") == [1, 2, 9, 9]
+    assert sols(engine, "q(X)") == [1, 9]
 
 
 def test_pure_resolution_never_polls_the_queue(engine, monkeypatch):

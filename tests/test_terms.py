@@ -134,6 +134,24 @@ def test_is_variant():
     assert not is_variant(Struct("f", [x]), Struct("g", [y]))
 
 
+def test_is_variant_depth_is_bounded_by_memory():
+    """Left-nested terms 100000 deep, with a variable at the bottom and
+    one in every right argument."""
+    n = 100000
+
+    def left(bottom, right):
+        t = bottom
+        for _ in range(n):
+            t = Struct("+", [t, right])
+        return t
+
+    x, y, z = Var(), Var(), Var()
+    assert is_variant(left(x, x), left(y, y))
+    assert not is_variant(left(x, x), left(y, z))
+    assert not is_variant(left(Atom("a"), x), left(Atom("b"), y))
+    assert is_variant(left(Atom("a"), 1), left(Atom("a"), 1))
+
+
 def test_struct_repr_text():
     assert repr(Struct("f", [Atom("a"), 1, Fraction(1, 3), 1.5, "it",
                              Breal(1, 2)])) == \
