@@ -29,8 +29,10 @@ else.  An attribute is registered once per engine with its handlers:
       a print hook for the writer ("_{1..5}" and friends).
 
 The ``suspend`` attribute (`install`) holds the generic suspension lists
-in a `Suspend` record made on the first attach.  Its unify handler alone
-decides what wakes and how a bound variable's lists join the survivor's.
+in a `Suspend` record, which `suspend_record` finds or makes on the first
+attach, for the attribute's ``get_list`` and for ic's posting alike.  Its
+unify handler alone decides what wakes and how a bound variable's lists
+join the survivor's.
 
 Attributes without handlers are inert: they ride along on the variable,
 can be read back, and vanish when the variable is instantiated.
@@ -123,6 +125,17 @@ class Suspend:
         self._stamps = None
 
 
+def suspend_record(engine, var):
+    """The `Suspend` record of the free variable var, made on first use:
+    the one way to find the record that a suspension is attached to."""
+    for n, rec in var.attrs:  # get_attr(var, "suspend") inline
+        if n == "suspend":
+            return rec
+    rec = Suspend()
+    add_attr(engine.store, var, "suspend", rec)
+    return rec
+
+
 def install(engine):
     """Register the ``suspend`` attribute with the engine's registry."""
     lists = ("inst", "bound", "constrained")
@@ -147,12 +160,7 @@ def install(engine):
     def get_list(eng, var, name):
         if name not in lists:
             return None
-        for n, rec in var.attrs:  # get_attr(var, "suspend") inline
-            if n == "suspend":
-                return rec, name
-        rec = Suspend()
-        add_attr(eng.store, var, "suspend", rec)
-        return rec, name
+        return suspend_record(eng, var), name
 
     engine.registry.register(AttributeSpec(
         name="suspend", unify=on_unify, get_list=get_list))

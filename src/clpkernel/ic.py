@@ -64,7 +64,8 @@ import math
 from fractions import Fraction
 
 from .arith import eval_arith, exact_float, float_down, float_up
-from .attvar import AttributeSpec, add_attr, get_attr, init_attr, join_lists
+from .attvar import (AttributeSpec, add_attr, get_attr, init_attr, join_lists,
+                     suspend_record)
 from .errors import (DomainError, InstantiationError, TypeError_,
                      UncertaintyError)
 from .linear import (exact_number, exact_quotient, int_if_integral,
@@ -450,22 +451,24 @@ def _post_lin_con(engine, module, rel, const, pairs, goal):
     propagate = _PROPAGATORS[rel]
     s = engine.make_suspension(goal, LIN_PRIORITY, module)
     s.payload = (propagate, const, pairs)
+    set_slot = engine.store.set_slot
     for c, t in pairs:
         v = deref(t)
         if type(v) is not Var:
             continue
         if rel == "\\=":
-            engine.attach_suspension(s, v, "bound")
-            d = get_domain(v)
+            rec = suspend_record(engine, v)
+            set_slot(rec, "bound", rec.bound + (s,))
+            d = get_attr(v, "ic")
             if d is not None and not d.integral:
                 # becoming integral lets the hole be punched before binding
-                engine.attach_to_list(s, d, "w_type")
+                set_slot(d, "w_type", d.w_type + (s,))
         else:
             d = ensure_domain(engine, v)
             if rel == "=" or c > 0:
-                engine.attach_to_list(s, d, "w_min")
+                set_slot(d, "w_min", d.w_min + (s,))
             if rel == "=" or c < 0:
-                engine.attach_to_list(s, d, "w_max")
+                set_slot(d, "w_max", d.w_max + (s,))
     return propagate(engine, const, pairs, s)
 
 
@@ -815,7 +818,9 @@ def install(engine):
         def fn(engine_, args, module):
             rel, const, pairs = normalize_relation(relname, args[0], args[1])
             for _, v in pairs:
-                if not impose_integrality(engine_, v):
+                d = get_attr(v, "ic")
+                if (d is None or not d.integral) and \
+                        not impose_integrality(engine_, v):
                     return False
             goal = Struct("ic_lin_con",
                           [Atom(rel), const,

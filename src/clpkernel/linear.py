@@ -3,9 +3,15 @@
 `normalize_relation` brings ``L REL R``, for the six ic relations #=,
 #\\=, #=<, #>=, #< and #>, to ``const + sum(c_i * x_i)  REL  0`` with REL
 one of =< / = / \\=.  Every variable occurs once among the pairs, with a
-nonzero coefficient.  Numbers stay exact: ints while everything is
-integral, Fractions otherwise.  The ic solver (ic.py) posts and
-propagates what this module produces.
+nonzero coefficient, and the pairs come in the order of the variables'
+first occurrence in ``L`` then ``R``.  Numbers stay exact: ints while
+everything is integral, Fractions otherwise.  The ic solver (ic.py) posts
+and propagates what this module produces.
+
+Both sides are linearised in one walk over an explicit stack, summing
+coefficients into one dict keyed by the variable (variables hash by
+identity), so a sum of n terms costs O(n), nested left or right, and its
+depth is bounded by memory, not by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -36,83 +42,6 @@ def exact_quotient(n, c):
     return n / c
 
 
-def normalize_linear(t):
-    """t -> (const, [(coeff, var)]) in exact arithmetic: ints while
-    everything is integral, Fractions otherwise.
-    Raises if t is not linear."""
-    const, coeffs, order = _lin(t)
-    pairs = [(coeffs[k], v) for k, v in order if coeffs[k] != 0]
-    return const, pairs
-
-
-def _lin(t):
-    t = deref(t)
-    ty = type(t)
-    if ty is Var:
-        return 0, {id(t): 1}, [(id(t), t)]
-    if ty is int or ty is Fraction:
-        return t, {}, []
-    if ty is float:
-        if math.isinf(t) or math.isnan(t):
-            raise DomainError("constraint constants must be finite: %r" % t)
-        return exact_number(t), {}, []
-    if ty is Breal:
-        raise UnsupportedError("bounded reals cannot appear in exact "
-                               "linear constraints")
-    if ty is Struct:
-        n, a = t.name, t.args
-        if n == "+" and len(a) == 2:
-            return _lin_merge(_lin(a[0]), _lin(a[1]), 1)
-        if n == "-" and len(a) == 2:
-            return _lin_merge(_lin(a[0]), _lin(a[1]), -1)
-        if n == "-" and len(a) == 1:
-            c, m, o = _lin(a[0])
-            return -c, {k: -v for k, v in m.items()}, o
-        if n == "+" and len(a) == 1:
-            return _lin(a[0])
-        if n == "*" and len(a) == 2:
-            lc, lm, lo = _lin(a[0])
-            rc, rm, ro = _lin(a[1])
-            if lm and rm:
-                raise UnsupportedError("nonlinear term: %r" % (t,))
-            if lm:
-                lc, lm, lo, rc, rm, ro = rc, rm, ro, lc, lm, lo
-            # lc is the scalar now
-            return rc * lc, {k: v * lc for k, v in rm.items()}, ro
-        if n == "/" and len(a) == 2:
-            rc, rm, _ = _lin(a[1])
-            if rm or rc == 0:
-                raise UnsupportedError("division in constraints needs a "
-                                       "nonzero constant divisor")
-            c, m, o = _lin(a[0])
-            return (exact_quotient(c, rc),
-                    {k: exact_quotient(v, rc) for k, v in m.items()}, o)
-        if n == "subscript" and len(a) == 2:
-            idx = proper_list(a[1])
-            if idx is None:
-                raise TypeError_("subscript: index list must be a proper list")
-            idx = [eval_arith(i) for i in idx]
-            return _lin(subscript_get(a[0], idx))
-        raise UnsupportedError("not usable in a linear constraint: %s/%d"
-                               % (n, len(a)))
-    raise TypeError_("not usable in a linear constraint: %r" % (t,))
-
-
-def _lin_merge(left, right, sign):
-    lc, lm, lo = left
-    rc, rm, ro = right
-    m = dict(lm)
-    order = list(lo)
-    seen = {k for k, _ in lo}
-    for k, v in ro:
-        if k not in seen:
-            order.append((k, v))
-            seen.add(k)
-    for k, v in rm.items():
-        m[k] = m.get(k, 0) + sign * v
-    return lc + sign * rc, m, order
-
-
 # relation name -> (rel, sign, extra): ``L name R`` becomes
 # ``sign * (L - R) + extra  rel  0``
 _REL_FORMS = {
@@ -125,9 +54,116 @@ _REL_FORMS = {
 }
 
 
+_BINARY = frozenset(("+", "-", "*", "/", "subscript"))
+_ZERO_DIVISOR = "division in constraints needs a nonzero constant divisor"
+#: on the stack in place of a term: one side of a product or quotient,
+#: linearised on its own, is complete
+_SIDE_DONE = object()
+
+
 def normalize_relation(relname, lhs, rhs):
-    """``lhs RELNAME rhs`` -> (rel, const, [(coeff, var)])."""
+    """``lhs RELNAME rhs`` -> (rel, const, [(coeff, var)]).
+
+    One walk over an explicit stack of (term, multiplier) pairs, lhs with
+    multiplier ``sign`` and rhs with ``-sign``: a sum pushes its operands
+    with the multiplier, a negation negates it, and a product or quotient
+    by a number scales it.  Any other product or quotient linearises each
+    side on its own, in a fresh sum that a ``_SIDE_DONE`` entry closes,
+    and then adds the scaled variable side to the sum it interrupted."""
     rel, sign, extra = _REL_FORMS[relname]
-    const, pairs = normalize_linear(Struct("-", [lhs, rhs]))
-    return (rel, int_if_integral(sign * const + extra),
-            [(int_if_integral(sign * c), v) for c, v in pairs])
+    const = extra
+    coeffs = {}       # variable -> coefficient, in order of first occurrence
+    outer = []        # the sums that product and quotient sides interrupted
+    stack = [(rhs, -sign), (lhs, sign)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        t, m = pop()
+        if t is _SIDE_DONE:
+            node, m, first = m
+            if first is None and node.name == "*":
+                # the left factor is done: the right one comes next
+                push((_SIDE_DONE, (node, m, (const, coeffs))))
+                push((node.args[1], 1))
+                const, coeffs = 0, {}
+                continue
+            side_const, side = const, coeffs
+            const, coeffs = outer.pop()
+            if node.name == "/":
+                if side or side_const == 0:
+                    raise UnsupportedError(_ZERO_DIVISOR)
+                push((node.args[0], exact_quotient(m, side_const)))
+                continue
+            k, first_vars = first
+            if first_vars:
+                if side:
+                    raise UnsupportedError("nonlinear term: %r" % (node,))
+                k, side_const, side = side_const, k, first_vars
+            k *= m
+            const += k * side_const
+            for v, c in side.items():
+                coeffs[v] = coeffs.get(v, 0) + k * c
+            continue
+        t = deref(t)
+        ty = type(t)
+        if ty is Var:
+            coeffs[t] = coeffs.get(t, 0) + m
+        elif ty is int or ty is Fraction:
+            const += m * t
+        elif ty is Struct:
+            n, a = t.name, t.args
+            if len(a) == 1 and (n == "-" or n == "+"):
+                push((a[0], -m if n == "-" else m))
+                continue
+            if len(a) != 2 or n not in _BINARY:
+                raise UnsupportedError("not usable in a linear constraint: "
+                                       "%s/%d" % (n, len(a)))
+            x, y = a
+            if n == "+":
+                push((y, m))
+                push((x, m))
+                continue
+            if n == "-":
+                push((y, -m))
+                push((x, m))
+                continue
+            if n == "subscript":
+                idx = proper_list(y)
+                if idx is None:
+                    raise TypeError_(
+                        "subscript: index list must be a proper list")
+                push((subscript_get(x, [eval_arith(i) for i in idx]), m))
+                continue
+            k = deref(y)
+            if n == "*":
+                if type(k) is int or type(k) is Fraction:
+                    push((x, m * k))
+                    continue
+                k = deref(x)
+                if type(k) is int or type(k) is Fraction:
+                    push((y, m * k))
+                    continue
+                sub = x
+            else:  # "/"
+                if type(k) is int or type(k) is Fraction:
+                    if k == 0:
+                        raise UnsupportedError(_ZERO_DIVISOR)
+                    push((x, exact_quotient(m, k)))
+                    continue
+                sub = y  # the divisor first
+            outer.append((const, coeffs))
+            const, coeffs = 0, {}
+            push((_SIDE_DONE, (t, m, None)))
+            push((sub, 1))
+        elif ty is float:
+            if math.isinf(t) or math.isnan(t):
+                raise DomainError("constraint constants must be finite: %r"
+                                  % t)
+            const += m * exact_number(t)
+        elif ty is Breal:
+            raise UnsupportedError("bounded reals cannot appear in exact "
+                                   "linear constraints")
+        else:
+            raise TypeError_("not usable in a linear constraint: %r" % (t,))
+    return (rel, int_if_integral(const),
+            [(c if type(c) is int else int_if_integral(c), v)
+             for v, c in coeffs.items() if c != 0])

@@ -30,13 +30,13 @@ store.
 
 Suspended goals are woken through a two-stage scheme: events move
 suspensions into the scheduler's priority queues, and `drain` runs them
-after every resolution step.  A clause function tests the scheduler's
-``count`` and calls `drain` only when some entry is queued, so a head
-match that woke nothing pays one test.  Elsewhere `drain` is entered at
-every such point and returns at once when nothing is queued.  While a
-woken goal runs, `running_priority` is lowered to its priority, so more
-urgent wakings interrupt it at its own resolution steps but less urgent
-ones wait.  Woken goals run semi-deterministically: their first solution
+after every resolution step.  A clause function and the loop's builtin
+branch test the scheduler's ``count`` and call `drain` only when some
+entry is queued, so a head match or builtin call that woke nothing pays
+one test.  Elsewhere `drain` is entered at every such point and returns
+at once when nothing is queued.  While a woken goal runs,
+`running_priority` is lowered to its priority, so more urgent wakings
+interrupt it at its own resolution steps but less urgent ones wait.  Woken goals run semi-deterministically: their first solution
 is committed.
 
 A woken goal whose predicate is a builtin (every ic demon is one) is
@@ -514,7 +514,8 @@ class Engine:
                         if type(res) is tuple:  # run in the call's place
                             cont = (res[0], res[1], len(cps), cont)
                             continue
-                        elif res and self.drain():
+                        elif res and (not self.sched.count
+                                      or self.drain()):
                             continue
             # failure: resume the youngest alternative
             while True:

@@ -22,9 +22,11 @@ Value entries carry timestamp-based deduplication: a slot is trailed at
 most once per choicepoint segment.  Timestamps are a plain monotone
 counter, bumped on every choicepoint push, so stamps of dead (popped or
 cut) choicepoints are never reused and a simple equality test decides
-"already trailed in this segment".  `set_slot`, the write behind every
-solver and scheduler update, makes that test inline against the top
-choicepoint's stamp, so a trailed write costs one Python call;
+"already trailed in this segment".  Two places make that test inline
+against the top choicepoint's stamp: `set_slot`, the write behind every
+solver update, so a trailed write costs one Python call, and
+`Scheduler.schedule` (susp.py), which reads the stamp once per call and
+applies the rule to the ``state`` write of each suspension it queues.
 `trail_value` applies the same rule for `set_arg`, which writes the
 argument itself.  Undo entries are never deduplicated: the closures may
 be non-idempotent.

@@ -9,7 +9,10 @@ Demons go back to ``suspended`` instead of ``executed`` when they are
 picked for execution, so the same suspension keeps living in its
 suspension lists and can fire again.  Every other state change goes
 through the store's value trail, so backtracking revives killed
-suspensions and un-schedules scheduled ones.
+suspensions and un-schedules scheduled ones.  `Scheduler.schedule`
+makes its trailed writes itself: it reads the top choicepoint's stamp
+once per call and applies `Store.set_slot`'s once-per-segment rule
+inline to each suspension it queues, pushing the same ``val`` entries.
 
 The demon's reset to ``suspended`` is a plain, untrailed write.  It
 relies on one invariant: when `Engine.drain` pops a demon, no choicepoint
@@ -91,15 +94,33 @@ class Scheduler:
 
     def schedule(self, susps, store):
         """Move suspended suspensions into the queue.  Already-scheduled and
-        executed ones are skipped (redundant waking is harmless)."""
+        executed ones are skipped (redundant waking is harmless).  Each
+        ``state`` write is trailed as `Store.set_slot` would trail it, at
+        most once per segment, against the top choicepoint's stamp read
+        once for the whole call."""
+        cps = store.choicepoints
+        cur = cps[-1].stamp if cps else 0
+        trail = store.trail
+        buckets = self.buckets
+        low = self.low
+        n = 0
         for s in susps:
             if s.state == SUSPENDED:
-                store.set_slot(s, "state", SCHEDULED)
+                stamps = s._stamps
+                if stamps is None:
+                    s._stamps = {"state": cur}
+                    trail.append(("val", s, "state", SUSPENDED))
+                elif stamps.get("state") != cur:
+                    stamps["state"] = cur
+                    trail.append(("val", s, "state", SUSPENDED))
+                s.state = SCHEDULED
                 p = s.priority
-                self.buckets[p].append(s)
-                self.count += 1
-                if p < self.low:
-                    self.low = p
+                buckets[p].append(s)
+                n += 1
+                if p < low:
+                    low = p
+        self.count += n
+        self.low = low
 
     def pop_runnable(self, priority_limit):
         """Most urgent scheduled suspension with priority < priority_limit,

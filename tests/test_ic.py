@@ -8,13 +8,14 @@ from random import Random
 import pytest
 
 from clpkernel import ic, make_engine
-from clpkernel.attvar import init_attr
-from clpkernel.errors import (InstantiationError, TypeError_,
+from clpkernel.attvar import get_attr, init_attr
+from clpkernel.errors import (DomainError, InstantiationError, TypeError_,
                               UncertaintyError, UnsupportedError)
 from clpkernel.ic import (Domain, ensure_domain, exclude_value, format_domain,
                           get_domain, impose_integrality, impose_max,
                           impose_min)
-from clpkernel.terms import Atom, Struct, Var, deref, mk_list
+from clpkernel.linear import normalize_relation
+from clpkernel.terms import Atom, Breal, Struct, Var, deref, mk_list
 
 from brute import feasible_points
 
@@ -599,6 +600,215 @@ def test_unsatisfiable_relation_fails(ask):
 def test_nonlinear_terms_are_rejected(engine):
     with pytest.raises(UnsupportedError):
         engine.once("X :: 1..5, Y :: 1..5, X * Y #= 6")
+
+
+# ----------------------------------------------------------------------
+# linearization
+
+#: relation -> (rel, sign, extra): ``L name R`` means
+#: ``sign * (L - R) + extra  rel  0``
+_REL_MEANING = {"#=": ("=", 1, 0), "#\\=": ("\\=", 1, 0),
+                "#=<": ("=<", 1, 0), "#>=": ("=<", -1, 0),
+                "#<": ("=<", 1, 1), "#>": ("=<", -1, 1)}
+
+
+def _random_linear_tree(rng, xs, depth):
+    """A random linear term over xs: sums, differences, negations, and
+    products and quotients by int or Fraction constants; variables repeat,
+    and ``E - E`` subterms cancel."""
+    r = rng.random()
+    if depth == 0 or r < 0.2:
+        if rng.random() < 0.6:
+            return rng.choice(xs)
+        if rng.random() < 0.7:
+            return rng.randint(-5, 5)
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    sub = _random_linear_tree(rng, xs, depth - 1)
+    if r < 0.35:
+        return Struct(rng.choice("+-"), [sub])
+    if r < 0.5:
+        return Struct("-", [sub, sub])  # cancels
+    if r < 0.65:
+        k = rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2)])
+        return Struct("*", [k, sub] if rng.random() < 0.5 else [sub, k])
+    if r < 0.75:
+        k = rng.choice([rng.choice([-3, -2, -1, 1, 2, 3]),
+                        Fraction(rng.choice([-3, -1, 1, 5]), 2)])
+        return Struct("/", [sub, k])
+    return Struct(rng.choice("+-"),
+                  [sub, _random_linear_tree(rng, xs, depth - 1)])
+
+
+def _tree_value(t, point):
+    """The exact value of a linear tree with each variable at point[id]."""
+    t = deref(t)
+    if type(t) is Var:
+        return point[id(t)]
+    if type(t) is not Struct:
+        return Fraction(t)
+    vals = [_tree_value(a, point) for a in t.args]
+    if len(vals) == 1:
+        return -vals[0] if t.name == "-" else vals[0]
+    a, b = vals
+    if t.name == "+":
+        return a + b
+    if t.name == "-":
+        return a - b
+    return a * b if t.name == "*" else a / b
+
+
+def _first_occurrences(t, out):
+    t = deref(t)
+    if type(t) is Var:
+        if all(v is not t for v in out):
+            out.append(t)
+    elif type(t) is Struct:
+        for a in t.args:
+            _first_occurrences(a, out)
+    return out
+
+
+def _is_canonical(q):
+    return type(q) is int or (type(q) is Fraction and q.denominator != 1)
+
+
+def test_linearization_matches_the_value_of_random_trees():
+    """const + sum(c * v) is sign * (L - R) + extra at random integer
+    points; the pairs are the variables with a nonzero coefficient, in
+    the order of first occurrence in L then R; integral numbers are
+    ints."""
+    rng = Random(20261019)
+    for _ in range(400):
+        xs = [Var() for _i in range(rng.randint(1, 4))]
+        lhs = _random_linear_tree(rng, xs, rng.randint(0, 5))
+        rhs = _random_linear_tree(rng, xs, rng.randint(0, 3))
+        relname = rng.choice(sorted(_REL_MEANING))
+        want_rel, sign, extra = _REL_MEANING[relname]
+        rel, const, pairs = normalize_relation(relname, lhs, rhs)
+        assert rel == want_rel
+
+        def value(point):
+            return sign * (_tree_value(lhs, point)
+                           - _tree_value(rhs, point)) + extra
+
+        zero = {id(v): 0 for v in xs}
+        assert const == value(zero)
+        coeff = {}
+        for v in xs:
+            unit = dict(zero)
+            unit[id(v)] = 1
+            coeff[id(v)] = value(unit) - const
+        order = _first_occurrences(rhs, _first_occurrences(lhs, []))
+        assert [v for _, v in pairs] == [v for v in order if coeff[id(v)]]
+        assert all(c == coeff[id(v)] and c != 0 for c, v in pairs)
+        assert _is_canonical(const) and all(_is_canonical(c)
+                                            for c, _ in pairs)
+        for _p in range(3):
+            point = {id(v): rng.randint(-9, 9) for v in xs}
+            assert const + sum(c * point[id(v)] for c, v in pairs) \
+                == value(point)
+
+
+_X, _Y = Var(), Var()
+
+
+@pytest.mark.parametrize("term, error", [
+    (Struct("*", [_X, _Y]), UnsupportedError),
+    (Struct("*", [Struct("-", [_X, _X]), _Y]), UnsupportedError),
+    (Struct("/", [_X, _Y]), UnsupportedError),
+    (Struct("/", [_X, 0]), UnsupportedError),
+    (Struct("/", [_X, Struct("-", [2, 2])]), UnsupportedError),
+    (Struct("+", [_X, math.inf]), DomainError),
+    (Struct("*", [_X, -math.inf]), DomainError),
+    (Struct("-", [_X, math.nan]), DomainError),
+    (Struct("+", [_X, Breal(1.0, 2.0)]), UnsupportedError),
+    (Struct("+", [_X, Atom("foo")]), TypeError_),
+    (Struct("+", [_X, Struct("f", [1])]), UnsupportedError),
+])
+def test_linearization_errors(term, error):
+    with pytest.raises(error):
+        normalize_relation("#=", term, 0)
+    with pytest.raises(error):
+        normalize_relation("#=", 1, term)
+
+
+def test_linearization_of_general_products_and_quotients():
+    x, y = Var(), Var()
+    # a product or quotient whose number is itself a term
+    assert normalize_relation("#=", Struct("*", [Struct("+", [1, 1]), x]),
+                              Struct("/", [y, Struct("-", [5, 3])])) \
+        == ("=", 0, [(2, x), (Fraction(-1, 2), y)])
+    assert normalize_relation("#=<", Struct("*", [x, 2.5]), 1.5) \
+        == ("=<", Fraction(-3, 2), [(Fraction(5, 2), x)])
+    # subscripts are evaluated
+    arr = Struct("[]", [x, y])
+    assert normalize_relation(
+        "#>=", Struct("subscript", [arr, mk_list([2])]), 3) \
+        == ("=<", 3, [(-1, y)])
+
+
+def test_linearization_of_long_sums():
+    xs = [Var() for _ in range(100000)]
+    left = xs[0]
+    for x in xs[1:]:
+        left = Struct("+", [left, x])
+    rel, const, pairs = normalize_relation("#=", left, 7)
+    assert (rel, const, len(pairs)) == ("=", -7, len(xs))
+    assert all(c == 1 and v is x for (c, v), x in zip(pairs, xs))
+    right = 0
+    for x in reversed(xs):
+        right = Struct("-", [x, right])
+    rel, const, pairs = normalize_relation("#=", 0, right)
+    assert [c for c, _ in pairs[:4]] == [-1, 1, -1, 1]
+    assert all(v is x for (_, v), x in zip(pairs, xs))
+
+
+def test_a_constraint_over_a_long_sum_runs(engine):
+    engine.load("""
+        mk(0, 0, []) :- !.
+        mk(N, E+X, [X|Xs]) :- N1 is N-1, mk(N1, E, Xs).
+        t(N, F) :- mk(N, E, Xs), Xs :: 0..1, E #= N, Xs = [F|_].
+    """)
+    a = engine.once("t(5000, F)")
+    assert a["F"] == 1 and a.delayed == []
+
+
+# ----------------------------------------------------------------------
+# posting a linear constraint
+
+def test_posting_makes_a_continuous_domain_integral(first, fmt):
+    a = first("X :: 0.5..2.5, Y :: 0..5, X #\\= Y")
+    assert fmt(a["X"]) == "_{1..2}"
+    assert fmt(a["Y"]) == "_{0..5}"
+
+
+def _in_first_solution(engine, text, check):
+    goal, varmap = engine.parse_goal(text)
+    for _ in engine.solutions(goal):
+        check(varmap)
+        break
+    else:
+        pytest.fail(text + " failed")
+
+
+def test_posting_over_plain_variables_gives_integral_domains(engine):
+    def check(vs):
+        for name in "XY":
+            d = get_domain(vs[name])
+            assert d is not None and d.integral
+    _in_first_solution(engine, "X #\\= Y", check)
+
+
+def test_the_first_constraint_makes_the_suspend_record(engine):
+    def check(vs):
+        x, y, z = (deref(vs[n]) for n in "XYZ")
+        assert [n for n, _ in x.attrs].count("suspend") == 1
+        rec = get_attr(x, "suspend")
+        [s, t] = engine.delayed_goals()
+        assert rec.bound == (s, t)
+        assert get_attr(y, "suspend").bound == (s,)
+        assert get_attr(z, "suspend").bound == (t,)
+    _in_first_solution(engine, "X #\\= Y, X #\\= Z + 1", check)
 
 
 def test_backtracking_restores_bounds(first):

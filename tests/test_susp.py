@@ -262,6 +262,73 @@ def test_scheduler_pops_what_a_full_scan_finds(engine):
     assert hits > 100
 
 
+def _trail_shape(store, susps):
+    return [(e[0], susps.index(e[1]), e[2], e[3]) if e[0] == "val" else e[0]
+            for e in store.trail]
+
+
+def test_schedule_trails_state_as_set_slot_does():
+    """Random schedules, kills, pops, choicepoints and backtracks, done
+    once through `Scheduler.schedule` and once with every state write
+    through `Store.set_slot`: states, trail entries and segment stamps
+    agree after every step, and each backtrack restores the states seen
+    when its mark was pushed."""
+    rng = random.Random(20261019)
+    prios = [rng.randint(1, NUM_PRIORITIES) for _ in range(10)]
+    worlds = []
+    for _ in range(2):
+        susps = [Suspension(i, Atom("g"), p, None)
+                 for i, p in enumerate(prios)]
+        worlds.append((Store(), Scheduler(), susps))
+
+    def states(w):
+        return [s.state for s in w[2]]
+
+    marks = []  # (mark of each world, states when pushed)
+    moved = trailed = 0
+    for _ in range(3000):
+        r = rng.random()
+        picked = rng.sample(range(10), rng.randint(1, 5))
+        if r < 0.3:
+            st, sched, susps = worlds[0]
+            before = len(st.trail)
+            moved += sum(susps[i].state == SUSPENDED for i in picked)
+            sched.schedule([susps[i] for i in picked], st)
+            trailed += len(st.trail) - before
+            st, _, susps = worlds[1]
+            for i in picked:
+                if susps[i].state == SUSPENDED:
+                    st.set_slot(susps[i], "state", SCHEDULED)
+        elif r < 0.45:
+            for st, _, susps in worlds:
+                if susps[picked[0]].state != EXECUTED:
+                    st.set_slot(susps[picked[0]], "state", EXECUTED)
+        elif r < 0.55:
+            # a popped demon's untrailed reset, in the segment that
+            # scheduled it (the invariant in the susp module docstring)
+            for st, _, susps in worlds:
+                s = susps[picked[0]]
+                if s.state == SCHEDULED and \
+                        s._stamps.get("state") == st.current_stamp():
+                    s.state = SUSPENDED
+        elif r < 0.75 or not marks:
+            marks.append(([w[0].push_choicepoint() for w in worlds],
+                          states(worlds[0])))
+        else:
+            k = rng.randrange(len(marks))
+            del marks[k + 1:]
+            for w, m in zip(worlds, marks[k][0]):
+                w[0].backtrack_to(m)
+            assert states(worlds[0]) == marks[k][1]
+        assert states(worlds[0]) == states(worlds[1])
+        assert _trail_shape(worlds[0][0], worlds[0][2]) \
+            == _trail_shape(worlds[1][0], worlds[1][2])
+        assert [s._stamps for s in worlds[0][2]] \
+            == [s._stamps for s in worlds[1][2]]
+    # both the first write of a segment and a repeated one were seen
+    assert moved > trailed > 100
+
+
 # ----------------------------------------------------------------------
 # the wake path: woken builtins run without a mark of their own
 
