@@ -80,7 +80,7 @@ def all_solutions(engine, goal, module, template, out, message):
     def collected(mark):
         store.drop_to(mark)
         result = len(found) if template is None else mk_list(found)
-        if store.unify(out, result) and engine.drain():
+        if store.unify(out, result):
             return mark.cont
         return False
     return run, module

@@ -31,14 +31,12 @@ class Clause:
     The first call makes ``fn``: the factory generated for the shape
     (`_factory`, once per shape in a process) is called with the
     parameters, and the shape and parameters are dropped.  ``fn(args,
-    engine, store, sched, module, cut, cont)`` matches the head against
-    the goal's arguments, runs the woken goals, and returns False or the
-    body's continuation: one ``(goal, module, cut, next)`` cell per goal,
-    ending in ``cont``.  ``store`` and ``sched`` are the engine's.  The
-    woken goals run only when the scheduler's ``count`` says some are
-    queued, through ``engine.drain``, looked up on each such call so that
-    a wrapper of `Engine.drain` sees it.  An attributed variable of the
-    clause is copied with ``engine._copy_attr_hook``.
+    engine, store, module, cut, cont)`` matches the head against the
+    goal's arguments and returns False or the body's continuation: one
+    ``(goal, module, cut, next)`` cell per goal, ending in ``cont``.
+    ``store`` is the engine's.  Goals the head match woke run in
+    `Engine.solve`, before the first body goal.  An attributed variable
+    of the clause is copied with ``engine._copy_attr_hook``.
     """
 
     __slots__ = ("key", "shape", "params", "fn")
@@ -123,7 +121,7 @@ def _factory(shape):
     if gen.np > _CELLS:
         names.append("*P")
     source = ("def make(%s):\n"
-              "    def clause(args, engine, store, sched, module, cut, cont):\n"
+              "    def clause(args, engine, store, module, cut, cont):\n"
               "%s\n"
               "    return clause\n" % (", ".join(names), body))
     namespace = {"Var": Var, "Struct": Struct, "_open": _open,
@@ -205,8 +203,8 @@ class _Codegen:
     it met in ``s<j>``; its arguments are generated after it, each for
     both choices, and it is built into ``t<j>`` after its last argument.
     Fresh variables are made and the copy hook called in prefix order,
-    as a recursive build would.  The body is built after the woken goals
-    ran, one statement per compound term below a goal."""
+    as a recursive build would.  The body is built after the head
+    matched, one statement per compound term below a goal."""
 
     def __init__(self, shape):
         self.shape = shape
@@ -265,8 +263,6 @@ class _Codegen:
         self.head(roots)
         if arity:
             self.lines.insert(0, "        %s, = args" % ", ".join(roots))
-        self.emit(2, "if sched.count and not engine.drain():")
-        self.emit(3, "return False")
         goals = [self.build(2) for _ in range(ngoals)]
         if not goals:
             self.emit(2, "return cont")

@@ -1,12 +1,14 @@
 """Labeling search over finite integer domains.
 
 indomain/1 and labeling/1,2 bind variables to their values in ascending
-order, one choicepoint per variable (`_label`).  labeling/2 takes a
-selection strategy first: input_order, or first_fail (label a variable
-with the fewest remaining values next, which tends to hit dead ends
-early).  The values are enumerated lazily from a snapshot of the
-domain's bounds and holes, never built as a list, so labeling a domain
-costs the values it tries and the holes it skips, not its width.
+order, one choicepoint per variable (`_label`), and return to the
+resolution loop after each binding, so propagation runs before the next
+variable is picked.  labeling/2 takes a selection strategy first:
+input_order, or first_fail (label a variable with the fewest remaining
+values next, which tends to hit dead ends early).  The values are
+enumerated lazily from a snapshot of the domain's bounds and holes,
+never built as a list, so labeling a domain costs the values it tries
+and the holes it skips, not its width.
 
 count_solutions/2 counts how often a goal succeeds without keeping the
 bindings.  Like findall, it refuses to count when a solution leaves
@@ -88,38 +90,30 @@ def _pick(items, start, dynamic):
 
 def _label(engine, items, dynamic, start, cont):
     """The step indomain/1 and labeling/2 return, partly applied: label
-    the terms of ``items`` from position ``start`` on, in this loop.  A
-    variable's mark is its level, whose ``alt`` is `_retry` over the
-    variable, its values left and its position."""
-    store = engine.store
-    while True:
-        picked = _pick(items, start, dynamic)
-        if picked is None:
-            return cont
-        v, start = picked
-        values = iter(_finite_values(_require_finite(v)))
-        m = store.push_choicepoint()  # after the pick: see `store`
-        m.alt = partial(_retry, engine, items, dynamic, v, values, start)
-        m.cont = cont
-        if not _next_value(engine, v, values, m):
-            return False
-        start += 1
+    the terms of ``items`` from position ``start`` on.  A variable's mark
+    is its level, whose ``alt`` is `_next_value` over the variable and its
+    values left; each value goes back to the loop, which runs the goals it
+    woke before this step picks the next variable."""
+    picked = _pick(items, start, dynamic)
+    if picked is None:
+        return cont
+    v, i = picked
+    values = iter(_finite_values(_require_finite(v)))
+    m = engine.store.push_choicepoint()  # after the pick: see `store`
+    m.alt = partial(_next_value, engine, v, values,
+                    partial(_label, engine, items, dynamic, i + 1))
+    m.cont = cont
+    return m.alt(m)
 
 
-def _retry(engine, items, dynamic, v, values, i, mark):
-    """Backtracking into a level: bind its next value, then label on."""
-    return (_next_value(engine, v, values, mark)
-            and _label(engine, items, dynamic, i + 1, mark.cont))
-
-
-def _next_value(engine, v, values, mark):
-    """Bind v to its next value after which the woken goals succeed;
-    False, with the mark dropped, when no value is left."""
+def _next_value(engine, v, values, step, mark):
+    """Bind v to its next value and go on with ``step``, the labeling of
+    the rest; False, with the mark dropped, when no value is left."""
     store = engine.store
     for val in values:
         store.backtrack_to(mark)
-        if store.bind(v, val) and engine.drain():
-            return True
+        if store.bind(v, val):
+            return step, None, 0, mark.cont
     store.drop_to(mark)
     return False
 

@@ -20,62 +20,64 @@ callable that is not a term, which the loop calls with the continuation.
 A step's alternatives are marks whose ``alt`` is a callable, called with
 its mark, still live: a labeled variable, the collector of findall/3 and
 count_solutions/2.  Both return the continuation to go on with, or False
-to backtrack.  Only `run_goal_once` (woken goals that are not builtins,
-goal directives) and `solutions` (the top level) enter `solve`.  When
-exhausted, `solve` drops its base mark, which restores the store.  It
-has no ``finally``: a caller that abandons it (`run_goal_once`, a closed
-`solutions`) cleans up with ``commit_to``/``drop_to`` on its *own* mark,
-and a late ``close()`` from the garbage collector must not touch the
-store.
+to backtrack.  Only `run_goal_once` (goal directives) and `solutions`
+(the top level) enter `solve`.  When exhausted, `solve` drops its base
+mark, which restores the store.  It has no ``finally``: a caller that
+abandons it (`run_goal_once`, a closed `solutions`) cleans up with
+``commit_to``/``drop_to`` on its *own* mark, and a late ``close()`` from
+the garbage collector must not touch the store.
 
 Suspended goals are woken through a two-stage scheme: events move
-suspensions into the scheduler's priority queues, and `drain` runs them
-after every resolution step.  A clause function and the loop's builtin
-branch test the scheduler's ``count`` and call `drain` only when some
-entry is queued, so a head match or builtin call that woke nothing pays
-one test.  Elsewhere `drain` is entered at every such point and returns
-at once when nothing is queued.  While a woken goal runs,
-`running_priority` is lowered to its priority, so more urgent wakings
-interrupt it at its own resolution steps but less urgent ones wait.  Woken goals run semi-deterministically: their first solution
-is committed.
-
-A woken goal whose predicate is a builtin (every ic demon is one) is
-dispatched directly: `make_suspension` keeps the predicate on the
+suspensions into the scheduler's priority queues, and the loop drains
+them, as coroutining WAMs do, at one point: before it takes each goal
+and before it yields a solution, when the scheduler's ``count`` says
+some entry is queued, so a step that woke nothing pays one test.
+`drain` runs the entries more urgent than `running_priority`, most
+urgent first.  A woken goal whose predicate is a builtin (every ic demon
+is one) is called directly: `make_suspension` keeps the predicate on the
 suspension, and `drain` calls `_run_builtin` with the goal's own
 argument tuple, as the resolvent would.  A bool result is the outcome:
-no mark is pushed, and a failing demon's partial writes are undone when
-whoever called `drain` backtracks.  A pair result (a woken ``call/1`` or
-``indomain/1``) or a goal that is not a builtin's runs through
-`run_goal_once`.  `current_suspension` is set meanwhile, so a builtin
-can tell a woken run (the suspension's goal arguments are its arguments)
-from a fresh post.  `_run_builtin` is the one call site of every builtin
+no mark is pushed, and a failing demon's partial writes are undone by
+the loop's backtracking.  `current_suspension` is set meanwhile, so a
+builtin can tell a woken run (the suspension's goal arguments are its
+arguments) from a fresh post.  Any other woken goal, a user predicate's
+or a pair a builtin returns (a woken ``call/1`` or ``indomain/1``), is
+an ordinary subgoal: it runs as cells in front of the continuation, the
+goal with the choicepoint height as its cut height (so its cut is local
+to it), then a step that restores the running priority, and it may
+leave alternatives.  While it runs, `running_priority` is its priority,
+so more urgent wakings interrupt it before its next goal and less
+urgent ones wait.  `running_priority` is value-trailed on the engine,
+so backtracking into a woken goal's alternative runs it at the goal's
+priority again, and backtracking past it restores the priority it
+interrupted.  `_run_builtin` is the one call site of every builtin
 call, woken or not, and `_call_user` of every user call.  Both are
-looked up on the engine at each call, so a wrapper put on the class sees
-every call.
+looked up on the engine at each call, so a wrapper put on the class
+sees every call.
 
 A goal is resolved by one rule, `Module.lookup_pred`, in the loop and
 in `make_suspension`: the calling module's own predicate, else an
 exported one of its imports, else that of a `PredName`.  The loop reads
 the module's own ``preds`` inline and calls the rest of the rule,
-`Module.lookup_imported`, only when that misses.  Nothing is cached, so a definition, an import or an
-export counts from the next call on.
+`Module.lookup_imported`, only when that misses.  Nothing is cached, so
+a definition, an import or an export counts from the next call on.
 
 User clauses run as generated Python functions (the `clauses` module).
 A clause is compiled when it is added, so it is a snapshot of its terms
 at that moment, as ISO ``assert`` takes one, and it gets its function on
 its first call.  The function matches the head against the goal's
-arguments in place: a variable's first occurrence takes the goal
-subterm as it is, later occurrences unify, a compound term that meets
-an unbound goal variable is built and bound, and constants are
-compared.  Only when the head matched and the woken goals ran does it
-build the body, already split into one continuation cell per goal.  No
-clause is renamed by `copy_term`.  A call tries only the clauses its
-predicate's first-argument switch selects (`Pred`), and a retry mark
-keeps the call's tuple of them, so clauses added after the call began
-are not tried.  `_call_user` computes the first-argument key itself and,
-as WAM's ``switch_on_term`` does, enters a single candidate directly:
-only a call with two or more candidates goes through `_try_clauses`,
-which pushes the retry mark, and so does each retry.
+arguments in place: a variable's first occurrence takes the goal subterm
+as it is, later occurrences unify, a compound term that meets an unbound
+goal variable is built and bound, and constants are compared.  Only when
+the head matched does it build the body, already split into one
+continuation cell per goal.  No clause is renamed by `copy_term`.  A
+call tries only the clauses its predicate's first-argument switch
+selects (`Pred`), and a retry mark keeps the call's tuple of them, so
+clauses added after the call began are not tried.  `_call_user` computes
+the first-argument key itself and, as WAM's ``switch_on_term`` does,
+enters a single candidate directly: only a call with two or more
+candidates goes through `_try_clauses`, which pushes the retry mark, and
+so does each retry.
 
 The Prolog parts of the kernel, ic and search libraries (the preludes)
 are read once per process.  The first engine loads each one through
@@ -96,6 +98,7 @@ hooks.
 from __future__ import annotations
 
 import logging
+from functools import partial
 
 from .clauses import Clause, first_arg_switch, index_key
 from .errors import (EngineError, ExistenceError, FlounderingError, Halt,
@@ -282,6 +285,7 @@ class Engine:
         self.suspensions = {}
         self._sid = 0
         self.running_priority = MAIN_PRIORITY
+        self._stamps = None  # running_priority is value-trailed
         self.current_suspension = None
         self.modules = {}
         self._record = None  # a prelude's record while it is being made
@@ -387,41 +391,55 @@ class Engine:
     # ------------------------------------------------------------------
     # waking
 
-    def drain(self):
-        """Run scheduled goals more urgent than the current priority.
-        Returns False as soon as one of them fails, and at once when
-        nothing is queued."""
-        if not self.sched.count:
-            return True
-        s = self.sched.pop_runnable(self.running_priority)
+    def drain(self, cont=None):
+        """Run the queued goals more urgent than the running priority, most
+        urgent first, until one needs the resolvent.  A builtin's goal is
+        called directly, with `current_suspension` set, and its bool result
+        is its outcome.  Any other goal (a user predicate's, or a pair a
+        builtin returns, such as a woken ``call/1`` or ``indomain/1``) is
+        returned as cells that run before ``cont``: the goal, with the
+        choicepoint height as its cut height, then a step that restores the
+        running priority, which is lowered to the goal's meanwhile.
+        Returns True when every goal it ran succeeded and none needs the
+        resolvent, False as soon as one fails, else those cells."""
+        sched = self.sched
+        store = self.store
+        cps = store.choicepoints
+        cur = cps[-1].stamp if cps else 0  # builtins leave no choicepoint
+        s = sched.pop_runnable(self.running_priority)
         while s is not None:
+            if s._stamps.get("state") != cur:
+                # see the re-queue rule in the susp module docstring
+                store.register_undo(partial(sched.requeue, s))
             if s.demon:
-                # untrailed: see the invariant in the susp module docstring
-                s.state = SUSPENDED
+                s.state = SUSPENDED  # untrailed: see the susp docstring
             else:
-                self.store.set_slot(s, "state", EXECUTED)
-            prev_p = self.running_priority
-            prev_s = self.current_suspension
-            self.running_priority = s.priority
-            self.current_suspension = s
-            try:
-                if s.pred is None:
-                    ok = (s.goal, s.module)
-                else:
-                    args = s.goal.args if type(s.goal) is Struct else ()
-                    ok = self._run_builtin(s.pred, args, s.module)
-                if type(ok) is tuple:
-                    ok = self.run_goal_once(*ok)
-            finally:
-                self.running_priority = prev_p
-                self.current_suspension = prev_s
-            if not ok:
+                store.set_slot(s, "state", EXECUTED)
+            if s.pred is None:
+                res = s.goal, s.module
+            else:
+                self.current_suspension = s
+                try:
+                    res = self._run_builtin(
+                        s.pred, s.goal.args if type(s.goal) is Struct else (),
+                        s.module)
+                finally:
+                    self.current_suspension = None
+            if type(res) is tuple:
+                prev = self.running_priority
+
+                def restore(cont):
+                    store.set_slot(self, "running_priority", prev)
+                    return cont
+                store.set_slot(self, "running_priority", s.priority)
+                return res[0], res[1], len(cps), (restore, res[1], 0, cont)
+            if not res:
                 return False
-            s = self.sched.pop_runnable(self.running_priority)
+            s = sched.pop_runnable(self.running_priority)
         return True
 
     def run_goal_once(self, goal, module):
-        """Solve deterministically: commit to the first solution."""
+        """Solve a goal directive: commit to its first solution."""
         mark = self.store.push_choicepoint()
         for _ in self.solve(goal, module):
             self.store.commit_to(mark)
@@ -435,11 +453,16 @@ class Engine:
     def solve(self, goal, module):
         """Yield once per solution, with its bindings in place."""
         store = self.store
+        sched = self.sched
         cps = store.choicepoints
         base = store.push_choicepoint()
         cont = (goal, module, len(cps), None)
         while True:
-            if cont is None:
+            if sched.count and (woken := self.drain(cont)) is not True:
+                if woken is not False:
+                    cont = woken
+                    continue
+            elif cont is None:
                 yield
             else:
                 goal, module, cut, cont = cont
@@ -514,8 +537,7 @@ class Engine:
                         if type(res) is tuple:  # run in the call's place
                             cont = (res[0], res[1], len(cps), cont)
                             continue
-                        elif res and (not self.sched.count
-                                      or self.drain()):
+                        elif res:
                             continue
             # failure: resume the youngest alternative
             while True:
@@ -572,8 +594,7 @@ class Engine:
         if len(clauses) == 1:
             clause = clauses[0]
             return (clause.fn or clause.compile())(
-                args, self, store, self.sched, pred.module,
-                len(store.choicepoints), cont)
+                args, self, store, pred.module, len(store.choicepoints), cont)
         return self._try_clauses(pred.module, clauses, 0, args,
                                  len(store.choicepoints), cont)
 
@@ -588,7 +609,7 @@ class Engine:
             return False
         clause = clauses[i]
         return (clause.fn or clause.compile())(
-            args, self, self.store, self.sched, module, cut, cont)
+            args, self, self.store, module, cut, cont)
 
     def _copy_attr_hook(self, old, fresh):
         for name, payload in old.attrs:

@@ -14,30 +14,36 @@ makes its trailed writes itself: it reads the top choicepoint's stamp
 once per call and applies `Store.set_slot`'s once-per-segment rule
 inline to each suspension it queues, pushing the same ``val`` entries.
 
-The demon's reset to ``suspended`` is a plain, untrailed write.  It
-relies on one invariant: when `Engine.drain` pops a demon, no choicepoint
-pushed since the demon was scheduled is still alive (drain pushes no
-mark per woken builtin, and a woken goal that pushes marks commits them
-before the less urgent goals it left queued are popped).  So no live
-choicepoint lies between the schedule and the pop, and the ``scheduled``
-entry that `Scheduler.schedule` trailed already restores ``suspended`` on
-any backtracking past the pop.  Usually the demon was scheduled in the
-current trail segment (``s._stamps["state"]`` equals the store's current
-stamp), where a trailed reset would add no entry anyway.  Killing a
+The demon's reset to ``suspended`` when `Engine.drain` pops it is a
+plain, untrailed write.  When the pop happens in the trail segment that
+scheduled the demon (``s._stamps["state"]`` equals the store's current
+stamp), the ``scheduled`` entry that `Scheduler.schedule` trailed there
+already restores ``suspended`` on any backtracking past the pop, so a
+trailed reset would add nothing.  A woken goal that is not a builtin
+runs in the resolvent and may leave choicepoints, and a less urgent
+entry scheduled before such a choicepoint may be popped after it.
+Backtracking into the choicepoint must then find the entry queued again,
+though the queue itself is not trailed.  So the re-queue rule: a pop in
+another segment than the last trailed write of the entry's state (a
+younger one, or an older one after a cut) pushes an undo entry,
+`Scheduler.requeue`, which puts the entry back in state ``scheduled`` at
+the front of its bucket.  Every pop in the benchmark's programs happens
+in the segment that scheduled the entry (`tests/test_susp.py` checks
+this), so there the rule costs one stamp comparison per pop.  Killing a
 suspension and running a non-demon stay trailed.
 
 Waking is two-stage on purpose: events only move suspensions into the
-priority queue; the queued goals actually run at the next drain point,
-most urgent bucket first (priority 1 is the most urgent of the 12
-levels), FIFO within a bucket.  The queue itself is not trailed; stale
-entries (whose state was restored by backtracking, or that were killed)
-are skipped when popped.  The scheduler counts the entries in its
-buckets, stale ones included until they are popped, so `Engine.drain`
-sees in O(1) that nothing is queued.  It also keeps ``low``: every
-bucket more urgent than ``low`` is empty.  Scheduling lowers it; a pop
-starts its scan there and leaves it at the bucket where the scan
-stopped, so the empty buckets more urgent than the most urgent queued
-entry are not rescanned on every pop.
+priority queue; the queued goals actually run when the resolution loop
+next drains the queue, before its next goal, most urgent bucket first
+(priority 1 is the most urgent of the 12 levels), FIFO within a bucket.
+The queue itself is not trailed; stale entries (whose state was restored
+by backtracking, or that were killed) are skipped when popped.  The
+scheduler counts the entries in its buckets, stale ones included until
+they are popped, so the loop sees in O(1) that nothing is queued.  It
+also keeps ``low``: every bucket more urgent than ``low`` is empty.
+Scheduling lowers it; a pop starts its scan there and leaves it at the
+bucket where the scan stopped, so the empty buckets more urgent than the
+most urgent queued entry are not rescanned on every pop.
 """
 
 from __future__ import annotations
@@ -121,6 +127,18 @@ class Scheduler:
                     low = p
         self.count += n
         self.low = low
+
+    def requeue(self, s):
+        """Undo the pop of ``s``: the undo entry `Engine.drain` trails
+        when it pops ``s`` in another segment than the one that last
+        trailed its state.  ``s`` goes back to the front of its bucket,
+        where the pop took it from."""
+        s.state = SCHEDULED
+        p = s.priority
+        self.buckets[p].appendleft(s)
+        self.count += 1
+        if p < self.low:
+            self.low = p
 
     def pop_runnable(self, priority_limit):
         """Most urgent scheduled suspension with priority < priority_limit,

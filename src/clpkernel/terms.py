@@ -251,9 +251,11 @@ def compare_terms(a, b):
 
     Var < numbers < atoms < strings < compound terms.  Variables order by
     age, compound terms by arity, then name, then arguments left to right.
-    The last arguments are compared in a loop, so long lists do not
-    recurse.
+    The first arguments of two compound terms are compared next, and the
+    pairs of arguments after them wait on a work stack, so the depth of a
+    term is bounded by memory, not by Python's stack.
     """
+    todo = []
     while True:
         a = deref(a)
         b = deref(b)
@@ -261,32 +263,33 @@ def compare_terms(a, b):
         rb = _rank_of(b)
         if ra != rb:
             return -1 if ra < rb else 1
-        if ra == _R_VAR:
-            if a is b:
-                return 0
-            return -1 if a.serial < b.serial else 1
-        if ra == _R_NUM:
-            return compare_numbers(a, b)
-        if ra == _R_ATOM:
-            return _cmp_py(a.name, b.name)
-        if ra == _R_STR:
-            return _cmp_py(a, b)
-        if ra != _R_STRUCT:
-            # opaque values (suspensions): by identity, stable within a run
-            if a is b:
-                return 0
-            return -1 if id(a) < id(b) else 1
-        if len(a.args) != len(b.args):
-            return -1 if len(a.args) < len(b.args) else 1
-        if a.name != b.name:
-            return -1 if a.name < b.name else 1
-        if not a.args:
-            return 0
-        for x, y in zip(a.args[:-1], b.args[:-1]):
-            c = compare_terms(x, y)
+        if ra == _R_STRUCT:
+            n = len(a.args)
+            if n != len(b.args):
+                return -1 if n < len(b.args) else 1
+            if a.name != b.name:
+                return -1 if a.name < b.name else 1
+            if n:
+                todo += zip(a.args[:0:-1], b.args[:0:-1])
+                a, b = a.args[0], b.args[0]
+                continue
+        else:
+            if ra == _R_VAR:
+                c = 0 if a is b else -1 if a.serial < b.serial else 1
+            elif ra == _R_NUM:
+                c = compare_numbers(a, b)
+            elif ra == _R_ATOM:
+                c = _cmp_py(a.name, b.name)
+            elif ra == _R_STR:
+                c = _cmp_py(a, b)
+            else:
+                # opaque values (suspensions): by identity, stable in a run
+                c = 0 if a is b else -1 if id(a) < id(b) else 1
             if c:
                 return c
-        a, b = a.args[-1], b.args[-1]
+        if not todo:
+            return 0
+        a, b = todo.pop()
 
 
 def _cmp_py(a, b):
@@ -321,35 +324,39 @@ def copy_term(t, attr_hook=None):
     ``attr_hook(old_var, fresh_var)`` is consulted for every attributed
     variable encountered, letting solvers copy their payloads (the engine
     routes this through the registered copy handlers).  Plain variables
-    just become fresh plain variables.  A compound term's last argument is
-    copied in a loop, so long lists do not recurse.
+    just become fresh plain variables, made in order of first occurrence.
+    A compound term is copied with its constants in place; each of its
+    variable and compound arguments waits on a work stack with the place
+    its copy goes, so the depth of a term is bounded by memory, not by
+    Python's stack.
     """
     mapping = {}
-
-    def walk(x):
-        x = deref(x)
+    out = [None]
+    todo = [(t, out, 0)]
+    while todo:
+        x, dest, i = todo.pop()
+        while type(x) is Var and x.ref is not None:
+            x = x.ref
         ty = type(x)
         if ty is Var:
-            nv = mapping.get(id(x))
+            nv = mapping.get(x)
             if nv is None:
-                nv = Var()
-                mapping[id(x)] = nv
+                nv = mapping[x] = Var()
                 if x.attrs and attr_hook is not None:
                     attr_hook(x, nv)
-            return nv
-        if ty is not Struct:
-            return x
-        top = s = Struct(x.name, [walk(a) for a in x.args[:-1]])
-        while x.args:
-            x = deref(x.args[-1])
-            if type(x) is not Struct:
-                s.args.append(walk(x))
-                break
-            s.args.append(Struct(x.name, [walk(a) for a in x.args[:-1]]))
-            s = s.args[-1]
-        return top
-
-    return walk(t)
+            dest[i] = nv
+        elif ty is Struct:
+            args = x.args
+            s = Struct(x.name, args)  # its constants are copied already
+            dest[i] = s
+            k = len(args)
+            for a in reversed(args):
+                k -= 1
+                if type(a) is Var or type(a) is Struct:
+                    todo.append((a, s.args, k))
+        else:
+            dest[i] = x
+    return out[0]
 
 
 def is_variant(a, b):

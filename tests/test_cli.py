@@ -239,3 +239,16 @@ def test_repl_reports_errors_and_carries_on():
 def test_repl_halt():
     p = run_repl("halt(4).\n")
     assert p.returncode == 4
+
+
+@pytest.mark.parametrize("goal, lines", [
+    ("suspend(member(X, [1,2,3]), 3, Y -> inst), Y = 1, X > 1",
+     "X = 2\nY = 1\n"),
+    ("X :: 1..3, suspend(indomain(X), 3, Y -> inst), Y = 1, X > 1",
+     "X = 2\nY = 1\n"),
+    ("findall(X, (suspend(member(X, [1,2,3]), 3, Y -> inst), Y = 1), L)",
+     "L = [1, 2, 3]\n"),
+])
+def test_woken_goals_leave_their_alternatives(capsys, goal, lines):
+    rc, out, _ = run_main(capsys, "-g", goal)
+    assert (rc, out) == (0, lines + "yes\n")

@@ -771,6 +771,13 @@ def test_a_constraint_over_a_long_sum_runs(engine):
     """)
     a = engine.once("t(5000, F)")
     assert a["F"] == 1 and a.delayed == []
+    # the answer's copy of the long sum
+    a = engine.once("mk(1000, E, Xs), Xs :: 0..1, E #= 1000")
+    e = a["E"]
+    for _ in range(1000):
+        assert e.name == "+" and e.args[1] == 1
+        e = e.args[0]
+    assert e == 0 and a.delayed == []
 
 
 # ----------------------------------------------------------------------

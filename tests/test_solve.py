@@ -622,7 +622,7 @@ def _compiled_against_copy_and_unify(rng, head_arg, goal_arg):
         store.backtrack_to(mark)
 
         got = Clause(head, body).compile()(
-            goal.args, None, store, Scheduler(), None, 0, None)
+            goal.args, None, store, None, 0, None)
         ok_new = got is not False
         new = ok_new and copy_term(Struct("r", [goal, got[0]]))
         assert not ok_new or got[1:] == (None, 0, None)
@@ -1068,7 +1068,8 @@ def test_a_clause_added_during_a_call_is_not_tried_by_it(engine):
 
 
 def test_pure_resolution_never_polls_the_queue(engine, monkeypatch):
-    """With nothing woken, `drain` returns before it looks at the queue."""
+    """With nothing woken, the loop never calls `drain`, which polls the
+    queue."""
     calls = []
     pop = Scheduler.pop_runnable
     monkeypatch.setattr(Scheduler, "pop_runnable",

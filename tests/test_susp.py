@@ -1,5 +1,6 @@
 """The suspension scheduler: priority buckets, demons, kill and revive."""
 
+import io
 import random
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from clpkernel import ic, make_engine
-from clpkernel.errors import DomainError
+from clpkernel.errors import DomainError, EngineError
 from clpkernel.store import Store
 from clpkernel.susp import (EXECUTED, MAIN_PRIORITY, NUM_PRIORITIES, SCHEDULED,
                             SUSPENDED, Scheduler, Suspension)
@@ -156,27 +157,28 @@ def test_more_urgent_wakings_interrupt_a_running_goal(engine):
     engine.load("mid :- emit(mid1), kick(hi), kick(lazy), emit(mid2).")
     susps["hi"] = engine.make_suspension(Struct("emit", [Atom("hi")]), 2)
     susps["lazy"] = engine.make_suspension(Struct("emit", [Atom("lazy")]), 11)
-    s_mid = engine.make_suspension(Atom("mid"), 8)
-    engine.wake([s_mid])
-    assert engine.drain()
+    assert engine.once("suspend(mid, 8, Y -> inst), Y = go") is not None
     # hi (prio 2) cut in while mid (prio 8) was running; lazy (prio 11) waited
     assert events == ["mid1", "hi", "mid2", "lazy"]
 
 
-def test_woken_goal_commits_to_its_first_solution(engine):
+def test_woken_goal_leaves_its_alternatives(engine):
     engine.load("pick(1).\npick(2).")
-    st = engine.store
-    x = st.new_var()
-    s = engine.make_suspension(Struct("pick", [x]), 5)
-    engine.wake([s])
-    assert engine.drain()
-    assert deref(x) == 1
+    got = engine.ask("suspend(pick(X), 5, Y -> inst), Y = a")
+    assert [a["X"] for a in got] == [1, 2]
+    got = engine.once("suspend(pick(X), 5, Y -> inst), Y = a, X > 1")
+    assert got["X"] == 2 and got.delayed == []
 
 
 def test_drain_reports_waking_failure(engine):
-    s = engine.make_suspension(Atom("fail"), 5)
+    s = engine.make_suspension(Struct("=", [Atom("a"), Atom("b")]), 5)
     engine.wake([s])
     assert not engine.drain()
+
+
+def test_a_failing_woken_goal_fails_its_query(first):
+    assert first("suspend(fail, 5, Y -> inst), Y = a") is None
+    assert first("suspend(fail, 5, Y -> inst)").delayed == ["fail"]
 
 
 def test_suspend_goal_runs_on_instantiation(first):
@@ -402,8 +404,9 @@ def test_failing_demon_writes_are_undone_by_the_callers_mark(
 
 
 def test_demons_are_popped_in_the_segment_that_scheduled_them(monkeypatch):
-    """The invariant behind the untrailed reset of a popped demon (see the
-    susp module docstring), checked over the benchmark's programs."""
+    """Every pop in the benchmark's programs happens in the segment that
+    last trailed the entry's state, so none of them trails a re-queue
+    entry (the re-queue rule in the susp module docstring)."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import workloads
@@ -415,7 +418,7 @@ def test_demons_are_popped_in_the_segment_that_scheduled_them(monkeypatch):
 
     def checking(self, priority_limit):
         s = pop(self, priority_limit)
-        if s is not None and s.demon:
+        if s is not None:
             assert s._stamps["state"] == store[0].current_stamp(), s
             checked.append(s)
         return s
@@ -437,15 +440,103 @@ def test_demons_are_popped_in_the_segment_that_scheduled_them(monkeypatch):
     assert len(checked) > 1000
 
 
-def test_woken_generator_builtin_commits_its_first_solution(engine):
-    sols, vm = _bound_in_a_solution(
-        engine, "X :: 1..3, suspend(indomain(X), 3, Y -> inst)")
-    st = engine.store
-    height = len(st.choicepoints)
-    assert st.unify(vm["Y"], Atom("a"))
-    assert engine.drain()
-    assert deref(vm["X"]) == 1
-    assert len(st.choicepoints) == height
-    sols.close()
-    got = engine.once("X :: 1..3, suspend(indomain(X), 3, Y -> inst), Y = a")
-    assert got["X"] == 1
+def test_woken_generator_builtin_leaves_its_alternatives(ask):
+    got = ask("X :: 1..3, suspend(indomain(X), 3, Y -> inst), Y = a")
+    assert [a["X"] for a in got] == [1, 2, 3]
+    assert all(a.delayed == [] for a in got)
+
+
+# ----------------------------------------------------------------------
+# woken goals in the resolvent: alternatives, cuts and priorities
+
+@pytest.mark.parametrize("query, name, want", [
+    ("suspend(member(X, [1,2,3]), 3, Y -> inst), Y = 1, X > 1", "X", "2"),
+    ("X :: 1..3, suspend(indomain(X), 3, Y -> inst), Y = 1, X > 1", "X", "2"),
+    ("findall(X, (suspend(member(X, [1,2,3]), 3, Y -> inst), Y = 1), L)",
+     "L", "[1, 2, 3]"),
+])
+def test_backtracking_reaches_a_woken_goals_alternatives(first, fmt, query,
+                                                          name, want):
+    got = first(query)
+    assert fmt(got[name]) == want and got.delayed == []
+
+
+def test_a_woken_goals_cut_is_local_to_it(first):
+    got = first("member(A, [1,2]), suspend((true, !), 3, Y -> inst), Y = 1,"
+                " A > 1")
+    assert got["A"] == 2
+
+
+def test_a_woken_goal_that_fails_backtracks_into_the_youngest_alternative(
+        ask):
+    got = ask("member(A, [1,2,3]), suspend(A >= 2, 3, Y -> inst), Y = 1")
+    assert [a["A"] for a in got] == [2, 3]
+
+
+def test_entries_queued_before_a_woken_goals_choicepoint_run_again(first,
+                                                                    ask, fmt):
+    """The #\\= demon is queued with the more urgent member/2 goal, popped
+    after member/2 pushed its clause retry, and must run again in the
+    second clause: the pop re-queues it on backtracking."""
+    got = first("Y :: 1..2, X :: 1..2, X #\\= Y,"
+                " suspend(member(Z, [1, 2]), 2, Y -> inst), Y = 1, Z >= 2")
+    assert (got["X"], got["Z"]) == (2, 2) and got.delayed == []
+    got = first("findall(Z, (suspend(member(Z, [2, 1]), 2, Y -> inst),"
+                " suspend(Z >= 2, 5, Y -> inst), Y = a), L)")
+    assert fmt(got["L"]) == "[2]"
+    # the less urgent goal is re-queued for each of three alternatives
+    assert [a["Z"] for a in ask(
+        "suspend(member(Z, [1, 2, 3]), 2, Y -> inst),"
+        " suspend(Z >= 2, 5, Y -> inst), Y = a")] == [2, 3]
+
+
+def test_backtracking_restores_a_woken_goals_priority(engine):
+    """g(1) runs at priority 5 and wakes the priority-7 goal, which waits
+    until g's goal is done; backtracking into member/2 runs the second
+    clause at priority 5 again, so lazy waits again."""
+    import io
+    out = io.StringIO()
+    engine.out = out
+    got = engine.once(
+        "suspend((member(Z, [1, 2]), W = go, writeln(g(Z))), 5, Y -> inst),"
+        " suspend(writeln(lazy), 7, W -> inst), Y = a, Z >= 2")
+    assert got["Z"] == 2
+    assert out.getvalue().split() == ["g(1)", "lazy", "g(2)", "lazy"]
+    assert engine.running_priority == MAIN_PRIORITY
+
+
+def test_the_running_priority_is_restored_after_a_failure_or_an_error(
+        engine):
+    assert engine.once("suspend(fail, 3, Y -> inst), Y = a") is None
+    assert engine.running_priority == MAIN_PRIORITY
+    with pytest.raises(EngineError):
+        engine.once("suspend(no_such_predicate, 3, Y -> inst), Y = a")
+    assert engine.running_priority == MAIN_PRIORITY
+    assert engine.store.choicepoints == [] and engine.store.trail == []
+
+
+def test_a_pop_in_a_younger_segment_is_undone_by_backtracking(engine):
+    """`drain` pops a demon scheduled below a live choicepoint; backtracking
+    to that choicepoint puts it back at the front of its bucket."""
+    runs = []
+
+    def bi(eng, args, module):
+        runs.append(1)
+        return True
+
+    pred = engine.add_builtin(engine.main, "tick", 0, bi)
+    pred.demon = True
+    st, sched = engine.store, engine.sched
+    s = engine.make_suspension(Atom("tick"), 4)
+    other = engine.make_suspension(Atom("tick"), 4)
+    base = st.push_choicepoint()
+    engine.wake([s, other])
+    m = st.push_choicepoint()
+    assert engine.drain() and runs == [1, 1]
+    assert s.state == SUSPENDED and sched.count == 0
+    st.backtrack_to(m)
+    assert s.state == SCHEDULED and other.state == SCHEDULED
+    assert list(sched.buckets[4]) == [s, other] and sched.count == 2
+    st.backtrack_to(base)
+    assert s.state == SUSPENDED
+    assert sched.pop_runnable(MAIN_PRIORITY) is None  # stale entries

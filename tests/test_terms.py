@@ -127,6 +127,53 @@ def test_copy_term_attr_hook_sees_attributed_vars():
     assert seen[0][1] is not x
 
 
+def _left_nested(n, bottom, right):
+    t = bottom
+    for _ in range(n):
+        t = Struct("+", [t, right])
+    return t
+
+
+def test_copy_term_makes_fresh_variables_in_first_occurrence_order():
+    """So copies keep the standard order of their variables."""
+    xs = [Var() for _ in range(5)]
+    t = Struct("f", [Struct("g", [xs[3], Struct("h", [xs[1]])]), xs[4],
+                     mk_list([xs[0], xs[3], xs[2]])])
+    c = copy_term(t)
+    fresh = term_vars(c)
+    assert len(fresh) == 5 and is_variant(t, c)
+    assert [v.serial for v in fresh] == sorted(v.serial for v in fresh)
+
+
+def test_copy_term_depth_is_bounded_by_memory():
+    """A left-nested `+` chain and a nested list, 100000 deep, each with
+    variables at the bottom and in every right argument."""
+    n = 100000
+    x, y = Var(), Var()
+    c = copy_term(_left_nested(n, x, y))
+    for _ in range(n):
+        assert c.name == "+" and c.args[1] is not y
+        right = c.args[1]
+        c = c.args[0]
+    assert type(c) is Var and c is not x and c is not right
+    assert right.serial > c.serial  # the bottom occurs first
+    t = x
+    for _ in range(n):
+        t = mk_list([t, y])
+    c = copy_term(t)
+    for _ in range(n):
+        c = c.args[0]
+    assert type(c) is Var and c is not x
+
+
+def test_compare_terms_depth_is_bounded_by_memory():
+    n = 100000
+    a, b = _left_nested(n, Atom("a"), 1), _left_nested(n, Atom("a"), 1)
+    assert compare_terms(a, b) == 0
+    assert compare_terms(a, _left_nested(n, Atom("b"), 1)) < 0
+    assert compare_terms(_left_nested(n, Atom("a"), 2), a) > 0
+
+
 def test_is_variant():
     x, y, z = Var(), Var(), Var()
     assert is_variant(Struct("f", [x, x]), Struct("f", [y, y]))
@@ -179,3 +226,15 @@ def test_struct_repr_depth_is_bounded_by_memory():
     text = repr(e.once("upto(1, 3000, L)"))
     assert text.startswith("Answer({'L': .(1, .(2, ") and \
         text.endswith(".(3000, [])" + ")" * 2999 + "}, delayed=[])")
+
+
+def test_comparison_builtins_on_deep_terms():
+    """==, compare/3 and sort/2 on left-nested terms 100000 deep."""
+    e = make_engine()
+    e.load("nest(0, T, T) :- !.\n"
+           "nest(N, T0, T) :- N1 is N - 1, nest(N1, T0 + 1, T).\n")
+    got = e.once("nest(100000, a, A), nest(100000, a, B), A == B,"
+                 " compare(O, A, B), nest(100000, b, C), compare(O2, A, C),"
+                 " sort([C, B, A], L), length(L, N)")
+    assert got is not None
+    assert (got["O"].name, got["O2"].name, got["N"]) == ("=", "<", 2)
