@@ -31,7 +31,9 @@ Suspended goals are woken through a two-stage scheme: events move
 suspensions into the scheduler's priority queues, and the loop drains
 them, as coroutining WAMs do, at one point: before it takes each goal
 and before it yields a solution, when the scheduler's ``count`` says
-some entry is queued, so a step that woke nothing pays one test.
+some entry is queued and its ``low`` bound says one may be more urgent
+than the running priority, so a step that woke nothing pays one test,
+and a woken goal with only less urgent entries queued pays two.
 `drain` runs the entries more urgent than `running_priority`, most
 urgent first.  A woken goal whose predicate is a builtin (every ic demon
 is one) is called directly: `make_suspension` keeps the predicate on the
@@ -458,7 +460,8 @@ class Engine:
         base = store.push_choicepoint()
         cont = (goal, module, len(cps), None)
         while True:
-            if sched.count and (woken := self.drain(cont)) is not True:
+            if (sched.count and sched.low < self.running_priority
+                    and (woken := self.drain(cont)) is not True):
                 if woken is not False:
                     cont = woken
                     continue

@@ -9,14 +9,16 @@ Three kinds of trail entries:
 Bind entries are conditional, as in Warren's abstract machine: a binding
 is trailed only when the variable is no newer than the youngest live
 choicepoint, that is when its serial is at most the ``var_serial`` its
-mark took at push time.  A newer variable was made after every live
-choicepoint, so nothing reachable after backtracking to one of them can
-refer to it; resetting it would be wasted work, and deterministic
-recursion, which binds mostly fresh variables, would grow the trail
-without bound.  Without any choicepoint nothing is trailed.  Code that
-keeps a variable across a backtrack must make it before the mark it
-backtracks to (`search._label` picks a variable, then pushes the mark
-of its level).
+mark took at push time.  A mark takes that serial from the variables'
+own counter (`terms.serials`), so it is above every older variable's
+serial and below every newer one's.  A newer variable was made after
+every live choicepoint, so nothing reachable after backtracking to one
+of them can refer to it; resetting it would be wasted work, and
+deterministic recursion, which binds mostly fresh variables, would grow
+the trail without bound.  Without any choicepoint nothing is trailed.
+Code that keeps a variable across a backtrack must make it before the
+mark it backtracks to (`search._label` picks a variable, then pushes the
+mark of its level).
 
 Value entries carry timestamp-based deduplication: a slot is trailed at
 most once per choicepoint segment.  Timestamps are a plain monotone
@@ -49,13 +51,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InternalError, RangeError, TypeError_
-from .terms import Atom, Breal, Struct, Var, deref
+from .terms import Atom, Breal, Struct, Var, deref, serials
 
 
 class Mark:
-    """A choicepoint handle: trail length, unique timestamp, the serial of
-    the newest variable when it was pushed, and the ``alt`` and ``cont``
-    of `Engine.solve` (None on a bare mark)."""
+    """A choicepoint handle: trail length, unique timestamp, a serial
+    between those of the variables made before and after its push, and
+    the ``alt`` and ``cont`` of `Engine.solve` (None on a bare mark)."""
 
     __slots__ = ("trail_len", "stamp", "index", "var_serial", "alive", "alt",
                  "cont")
@@ -97,7 +99,7 @@ class Store:
     def push_choicepoint(self):
         self._stamp_counter += 1
         m = Mark(len(self.trail), self._stamp_counter, len(self.choicepoints),
-                 Var._counter)
+                 next(serials))
         self.choicepoints.append(m)
         return m
 

@@ -21,6 +21,10 @@ compare =:= where that is decidable.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
+
+#: creation serials of variables, and of choicepoint marks (store.py)
+serials = count(1)
 
 
 class Var:
@@ -30,16 +34,21 @@ class Var:
     bound to (possibly another Var, forming a chain).  ``attrs`` is a
     tuple of (name, payload) pairs holding all that is attached to the
     variable: solver data such as ic's domain, and the generic suspension
-    lists (the ``suspend`` attribute).
+    lists (the ``suspend`` attribute).  ``serial`` orders variables by
+    age; it is drawn from the module-level counter `serials`.
+
+    No attribute of this class (or of any other class of the package) is
+    written after import.  On CPython 3.11 and later such a write resets
+    the class's type version, which throws away the interpreter's
+    specialised attribute reads on its instances (PEP 659): ``.ref`` in
+    `deref` and in the generated clause code would slow down two- to
+    threefold.
     """
 
     __slots__ = ("ref", "serial", "name", "attrs", "_stamps")
 
-    _counter = 0
-
     def __init__(self, name=None):
-        Var._counter += 1
-        self.serial = Var._counter
+        self.serial = next(serials)
         self.ref = None
         self.name = name
         self.attrs = ()
@@ -72,13 +81,18 @@ class Atom:
 
 class Struct:
     """A compound term.  Arguments are held in a list so that setarg/3 can
-    update them destructively (with trailing handled by the store)."""
+    update them destructively (with trailing handled by the store).
+
+    A `Struct` owns the list it is given: it keeps it, without a copy, so
+    the caller passes a list that nothing else holds (a fresh literal, or
+    ``list(...)`` of a sequence it keeps or of another term's ``args``).
+    Otherwise a setarg/3 on one term would write into the other."""
 
     __slots__ = ("name", "args", "_stamps")
 
     def __init__(self, name, args):
         self.name = name
-        self.args = list(args)
+        self.args = args
         self._stamps = None
 
     @property
@@ -160,7 +174,7 @@ def mk_struct(name, args):
         raise TypeError_("struct name must be a string, got %r" % (name,))
     if len(args) == 0:
         raise ArityError("struct %r needs at least one argument; use an atom" % name)
-    return Struct(name, args)
+    return Struct(name, list(args))
 
 
 def arg_at(i, t):
@@ -347,7 +361,7 @@ def copy_term(t, attr_hook=None):
             dest[i] = nv
         elif ty is Struct:
             args = x.args
-            s = Struct(x.name, args)  # its constants are copied already
+            s = Struct(x.name, list(args))  # its constants are copied already
             dest[i] = s
             k = len(args)
             for a in reversed(args):

@@ -11,7 +11,7 @@ from random import Random
 
 import pytest
 
-from clpkernel import clauses, solve
+from clpkernel import clauses, make_engine, solve
 from clpkernel.clauses import Clause
 from clpkernel.errors import (ExistenceError, FlounderingError, Halt,
                               InstantiationError, InternalError, ReaderError,
@@ -887,6 +887,18 @@ def test_deterministic_recursion_pushes_no_choicepoints(engine, monkeypatch):
     got = engine.once("nrev(%s, R)" % list(range(30)))
     assert engine.format_term(got["R"]) == str(list(range(29, -1, -1)))
     assert len(pushes) <= 2
+
+
+def test_solving_writes_no_class_attribute(class_changes):
+    """Clause renaming, ic posting, propagation and labeling through one
+    engine leave every class of the package as it was imported."""
+    engine = make_engine()
+    engine.load(NREV)
+    got = engine.once("nrev([1, 2, 3], R), [X, Y, Z] :: 1..3, "
+                      "alldifferent([X, Y, Z]), X #< Y, labeling([X, Y, Z])")
+    assert engine.format_term(got["R"]) == "[3, 2, 1]"
+    assert [got[v] for v in "XYZ"] == [1, 2, 3]
+    assert class_changes() == []
 
 
 def test_backtracking_into_a_bare_mark_is_an_internal_error(engine):

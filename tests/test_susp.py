@@ -162,6 +162,25 @@ def test_more_urgent_wakings_interrupt_a_running_goal(engine):
     assert events == ["mid1", "hi", "mid2", "lazy"]
 
 
+def test_a_less_urgent_entry_does_not_make_the_loop_poll(engine, monkeypatch):
+    """While a woken goal runs, a queued entry less urgent than it waits
+    without a drain before each of the goal's subgoals."""
+    pops = []
+    pop_runnable = Scheduler.pop_runnable
+
+    def counted(self, limit):
+        pops.append(limit)
+        return pop_runnable(self, limit)
+    monkeypatch.setattr(Scheduler, "pop_runnable", counted)
+    engine.load("count(N, N) :- !.\n"
+                "count(I, N) :- I1 is I + 1, count(I1, N).")
+    got = engine.ask("suspend(count(0, 1000), 5, Y -> inst), "
+                     "suspend(Z = late, 7, Y -> inst), Y = go")
+    assert [(a["Y"].name, a["Z"].name, a.delayed) for a in got] == [
+        ("go", "late", [])]
+    assert len(pops) <= 5
+
+
 def test_woken_goal_leaves_its_alternatives(engine):
     engine.load("pick(1).\npick(2).")
     got = engine.ask("suspend(pick(X), 5, Y -> inst), Y = a")

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from clpkernel import make_engine
+from clpkernel.builtins import bi_call
 from clpkernel.terms import (NIL, Atom, Breal, Struct, Var, compare_numbers,
                              compare_terms, copy_term, deref, is_variant,
                              list_parts, mk_list, proper_list, term_vars,
@@ -238,3 +239,62 @@ def test_comparison_builtins_on_deep_terms():
                  " sort([C, B, A], L), length(L, N)")
     assert got is not None
     assert (got["O"].name, got["O2"].name, got["N"]) == ("=", "<", 2)
+
+
+# ----------------------------------------------------------------------
+# a Struct owns its argument list: setarg/3 on a term built from another
+# one leaves the other as it was
+
+def test_struct_keeps_the_list_it_is_given():
+    args = [1, 2]
+    assert Struct("f", args).args is args
+
+
+def test_copy_term_gives_each_copy_its_own_lists():
+    a, x = Atom("a"), Var()
+    x.attrs = (("tag", 7),)
+    t = Struct("f", [a, Struct("g", [x, 1]), x])
+    c = copy_term(t, attr_hook=lambda old, new: None)
+    st = make_engine().store
+    st.set_arg(1, c, Atom("z"))
+    st.set_arg(1, c.args[1], Atom("y"))
+    assert t.args[0] is a and t.args[1].args[0] is x and t.args[2] is x
+    assert c.args[1].args == [Atom("y"), 1]
+
+
+OWNERSHIP_QUERIES = [
+    # copy_term/2, of plain and of attributed variables
+    ("T = f(a, g(b)), copy_term(T, C), setarg(1, C, z), arg(2, C, I), "
+     "setarg(1, I, y)", {"T": "f(a, g(b))", "C": "f(z, g(y))"}),
+    ("X :: 1..3, T = f(X, a, g(X)), copy_term(T, C), setarg(2, C, z), "
+     "arg(3, C, I), setarg(1, I, y), T = f(X1, _, g(X2)), "
+     "( X1 == X, X2 == X -> S = same ; S = other )",
+     {"S": "same", "T": "f(_{1..3}, a, g(_{1..3}))",
+      "C": "f(_{1..3}, z, g(y))"}),
+    # =../2, composing and decomposing
+    ("L = [f, a, b], T =.. L, setarg(1, T, z)", {"L": "[f, a, b]",
+                                                  "T": "f(z, b)"}),
+    ("T = f(a, b), T =.. [_ | As], setarg(1, As, z)", {"T": "f(a, b)"}),
+    # update_struct/4, as the builtin (a metacall) and expanded in place
+    ("G = update_struct(emp, [age: 34], Old, New), call(G), "
+     "setarg(1, New, ann)", {"Old": "emp(_, _)", "New": "emp(ann, 34)"}),
+    ("update_struct(emp, [age: 34], Old, New), setarg(1, New, ann)",
+     {"Old": "emp(_, _)", "New": "emp(ann, 34)"}),
+]
+
+
+@pytest.mark.parametrize("query, want", OWNERSHIP_QUERIES)
+def test_setarg_on_a_built_term_leaves_its_source_alone(first, fmt, engine,
+                                                        query, want):
+    engine.load(":- local struct(emp(name, age)).")
+    got = first(query)
+    assert {k: fmt(got[k]) for k in want} == want
+
+
+def test_call_with_extra_arguments_builds_a_term_of_its_own(engine):
+    g = Struct("p", [Atom("a")])
+    for goal in (g, Atom("p")):
+        call = Struct("call", [goal, Atom("b")])
+        new, _ = bi_call(engine, call.args, engine.main)
+        engine.store.set_arg(1, new, Atom("z"))
+        assert call.args == [goal, Atom("b")] and g.args == [Atom("a")]
