@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .errors import (ArithmeticError_, DomainError, InstantiationError,
                      RangeError, TypeError_, UncertaintyError)
-from .terms import Atom, Breal, Struct, Var, deref, mk_struct
+from .terms import Atom, Breal, Struct, Var, deref
 
 _MAXF = sys.float_info.max
 

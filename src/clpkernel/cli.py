@@ -17,7 +17,7 @@ import sys
 
 from .errors import EngineError, Halt
 from .solve import make_engine
-from .terms import Var, deref
+from .terms import deref
 
 
 def build_argparser():

@@ -27,10 +27,6 @@ class RangeError(EngineError):
     """An index or size was out of range."""
 
 
-class ArityError(EngineError):
-    """A functor/arity combination was malformed."""
-
-
 class ExistenceError(EngineError):
     """A referenced predicate, module or attribute does not exist."""
 

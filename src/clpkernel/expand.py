@@ -34,7 +34,7 @@ from __future__ import annotations
 import logging
 
 from .errors import ExpansionError
-from .terms import Atom, Struct, Var, deref, list_parts, mk_list, term_vars
+from .terms import Atom, Struct, Var, deref, list_parts, term_vars
 
 log = logging.getLogger("clpkernel")
 

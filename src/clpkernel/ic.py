@@ -50,12 +50,15 @@ instantiation and on aliasing, and a disequality sums the coefficients
 of the variables that alias each other, so ``X #\\= Y, X = Y`` fails at
 once.  The propagator is chosen at posting and kept in the suspension's
 payload with the constant and the pairs, so a woken run calls it
-directly.  A disequality over two variables with int coefficients and
-constant decides in constant time: once one side is bound, it excludes
-the other side's quotient from an integral domain if the division is
-exact, and dies either way.  alldifferent/1 is a forward-checking
-demon at priority 4 on the bound lists too; it fails when two of its
-variables alias.
+directly.  A run of the bounds propagator (=< and =) reads each
+variable's domain once, sums the terms' bounds, and then narrows each
+variable to the slack the other terms leave, calling impose_min /
+impose_max only where that bound tightens the domain.  A disequality
+over two variables with int coefficients and constant decides in
+constant time: once one side is bound, it excludes the other side's
+quotient from an integral domain if the division is exact, and dies
+either way.  alldifferent/1 is a forward-checking demon at priority 4
+on the bound lists too; it fails when two of its variables alias.
 """
 
 from __future__ import annotations
@@ -395,15 +398,14 @@ def _install_attribute(engine):
 # ----------------------------------------------------------------------
 # the linear-constraint demon
 
-def _bound(n, c, v, up):
-    """n / c as a bound on the variable v.  Two ints over an integral
-    domain divide in int, rounded toward the inside of the domain (up:
-    the ceiling, for a lower bound; else the floor); anything else gives
-    the exact quotient, which impose_min / impose_max round themselves."""
-    if type(n) is int and type(c) is int:
-        d = get_domain(v)
-        if d is not None and d.integral:
-            return -(-n // c) if up else n // c
+def _bound(n, c, integral, up):
+    """n / c as a bound on a variable, over an integral domain when
+    integral.  Two ints over an integral domain divide in int, rounded
+    toward the inside of the domain (up: the ceiling, for a lower bound;
+    else the floor); anything else gives the exact quotient, which
+    impose_min / impose_max round themselves."""
+    if integral and type(n) is int and type(c) is int:
+        return -(-n // c) if up else n // c
     return exact_quotient(n, c)
 
 
@@ -438,15 +440,16 @@ def _post_lin_con(engine, module, rel, const, pairs, goal):
         # a single variable against a constant is a plain domain update
         c, t = pairs[0]
         v = deref(t)
+        d = get_domain(v)
+        integral = d is not None and d.integral
         if rel == "=<":
-            bound = _bound(-const, c, v, up=c < 0)
+            bound = _bound(-const, c, integral, up=c < 0)
             return impose_max(engine, v, bound) if c > 0 else \
                 impose_min(engine, v, bound)
         if rel == "=":
-            return impose_min(engine, v, _bound(-const, c, v, up=True)) and \
-                impose_max(engine, v, _bound(-const, c, v, up=False))
-        d = get_domain(v)
-        if d is not None and d.integral:
+            return impose_min(engine, v, _bound(-const, c, integral, up=True)) \
+                and impose_max(engine, v, _bound(-const, c, integral, up=False))
+        if integral:
             return exclude_value(engine, v, exact_quotient(-const, c))
     propagate = _PROPAGATORS[rel]
     s = engine.make_suspension(goal, LIN_PRIORITY, module)
@@ -508,23 +511,54 @@ def _propagate_eq(engine, const, pairs, s):
 
 
 def _propagate_bounds(engine, eq, const, pairs, s):
-    """Bounds propagation of ``const + sum(c*x) =< 0``, or ``= 0`` when eq."""
-    # contribution bounds per pair; infinities tracked by count
+    """Bounds propagation of ``const + sum(c*x) =< 0``, or ``= 0`` when eq.
+
+    One read of each domain: the summing loop derefs each pair, finds a
+    variable's ic domain and keeps (c, x, domain, c*lo, c*hi); the
+    narrowing loop bounds each variable by the slack the other terms leave
+    in those sums, as read at the start of the pass.  A bound is imposed
+    only where it tightens the domain (below hi for an upper bound, above
+    lo for a lower one): any other call of impose_max / impose_min would
+    change nothing."""
     info = []
-    n_min_inf = n_max_inf = 0
+    n_min_inf = n_max_inf = 0  # infinite contributions, counted
     s_min = s_max = const
-    for c, t in pairs:
-        blo, bhi = exact_bounds(t)
-        clo, chi = (c * blo, c * bhi) if c > 0 else (c * bhi, c * blo)
-        if isinstance(clo, float):          # -inf
+    for c, v in pairs:
+        while type(v) is Var:  # deref(v) inline
+            r = v.ref
+            if r is None:
+                break
+            v = r
+        ty = type(v)
+        if ty is int:
+            v *= c
+            s_min += v
+            s_max += v
+            continue
+        if ty is Var:
+            for name, d in v.attrs:  # get_attr(v, "ic") inline
+                if name == "ic":
+                    break
+            else:
+                # posting gave every variable a domain, and aliasing keeps one
+                d = ensure_domain(engine, v)
+            if d.integral:
+                lo, hi = d.lo, d.hi
+            else:
+                lo, hi = exact_float(d.lo), exact_float(d.hi)
+        else:
+            lo, hi = exact_bounds(v)
+        clo, chi = (c * lo, c * hi) if c > 0 else (c * hi, c * lo)
+        if type(clo) is float:              # -inf
             n_min_inf += 1
         else:
             s_min += clo
-        if isinstance(chi, float):          # +inf
+        if type(chi) is float:              # +inf
             n_max_inf += 1
         else:
             s_max += chi
-        info.append((c, t, clo, chi))
+        if ty is Var:
+            info.append((c, v, d, clo, chi))
 
     if n_min_inf == 0 and s_min > 0:
         return False
@@ -541,30 +575,46 @@ def _propagate_bounds(engine, eq, const, pairs, s):
             engine.kill_suspension(s)
         return s_min == 0
 
-    for c, t, clo, chi in info:
-        v = deref(t)
-        if type(v) is not Var:
+    for c, v, d, clo, chi in info:
+        if v.ref is not None:
+            continue  # bound this pass, by another pair over the same v
+        # int bounds divide as _bound does, toward the inside of the domain
+        whole = d.integral and type(c) is int
+        # c*x =< -(const + the other terms' minimum)
+        if type(clo) is float:
+            n = None if n_min_inf > 1 else -s_min
+        else:
+            n = None if n_min_inf else clo - s_min
+        if n is not None:
+            whole_n = whole and type(n) is int
+            if c > 0:
+                b = n // c if whole_n else exact_quotient(n, c)
+                if b < d.hi and not impose_max(engine, v, b):
+                    return False
+            else:
+                b = -(-n // c) if whole_n else exact_quotient(n, c)
+                if b > d.lo and not impose_min(engine, v, b):
+                    return False
+        if not eq:
             continue
-        # x bounded by the slack the other terms leave:  c*x =< -const-others_min
-        if not (isinstance(clo, float) and n_min_inf > 1) and \
-                not (not isinstance(clo, float) and n_min_inf > 0):
-            others_min = s_min - (0 if isinstance(clo, float) else clo)
-            # note: const folded into s_min
-            bound = _bound(-others_min, c, v, up=c < 0)
-            ok = impose_max(engine, v, bound) if c > 0 else \
-                impose_min(engine, v, bound)
-            if not ok:
-                return False
-        if eq:
-            if (isinstance(chi, float) and n_max_inf > 1) or \
-                    (not isinstance(chi, float) and n_max_inf > 0):
-                continue
-            others_max = s_max - (0 if isinstance(chi, float) else chi)
-            bound = _bound(-others_max, c, v, up=c > 0)
-            ok = impose_min(engine, v, bound) if c > 0 else \
-                impose_max(engine, v, bound)
-            if not ok:
-                return False
+        # c*x >= -(const + the other terms' maximum).  If the narrowing
+        # above bound x, it bound it to the bound of d it kept (lo for
+        # c > 0, hi for c < 0), so the test below still reads x's value,
+        # and impose_min / impose_max deref x themselves.
+        if type(chi) is float:
+            n = None if n_max_inf > 1 else -s_max
+        else:
+            n = None if n_max_inf else chi - s_max
+        if n is not None:
+            whole_n = whole and type(n) is int
+            if c > 0:
+                b = -(-n // c) if whole_n else exact_quotient(n, c)
+                if b > d.lo and not impose_min(engine, v, b):
+                    return False
+            else:
+                b = n // c if whole_n else exact_quotient(n, c)
+                if b < d.hi and not impose_max(engine, v, b):
+                    return False
     return True
 
 

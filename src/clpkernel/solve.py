@@ -107,7 +107,7 @@ from .errors import (EngineError, ExistenceError, FlounderingError, Halt,
                      InstantiationError, InternalError, ReaderError,
                      TypeError_, UnsupportedError)
 from .expand import (ExpandContext, expand_clause, install_kernel_macros,
-                     mk_conj, parse_struct_decl)
+                     parse_struct_decl)
 from .reader import Ops, Parser, standard_ops, tokenize
 from .store import Store
 from .susp import (EXECUTED, MAIN_PRIORITY, SCHEDULED, SUSPENDED, Scheduler,

@@ -168,15 +168,6 @@ def is_callable_term(t):
     return type(t) is Atom or type(t) is Struct
 
 
-def mk_struct(name, args):
-    from .errors import ArityError, TypeError_
-    if not isinstance(name, str):
-        raise TypeError_("struct name must be a string, got %r" % (name,))
-    if len(args) == 0:
-        raise ArityError("struct %r needs at least one argument; use an atom" % name)
-    return Struct(name, list(args))
-
-
 def arg_at(i, t):
     """arg/3: 1-based argument access."""
     from .errors import RangeError, TypeError_

@@ -1,8 +1,10 @@
 """Interval domains and the linear constraint solver."""
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -18,6 +20,8 @@ from clpkernel.linear import normalize_relation
 from clpkernel.terms import Atom, Breal, Struct, Var, deref, mk_list
 
 from brute import feasible_points
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def hx(s):
@@ -1097,3 +1101,244 @@ def test_woken_propagation_sound_against_enumeration():
         for mark, text in reversed(marks):
             eng.store.drop_to(mark)
             assert _state_text(xs) == text, query
+
+
+# ----------------------------------------------------------------------
+# bounds propagation against a reference fixpoint in exact arithmetic
+
+def _bounds_fixpoint(doms, cons):
+    """The textbook bounds rule iterated to its fixpoint, in Fractions.
+    doms: [lo, hi, integral] per variable (+-inf floats for missing
+    bounds); cons: (rel, const, [(c, i)]) meaning const + sum(c*x_i) REL 0
+    with REL =< or =.  Each variable is bounded by the slack the other
+    terms leave; integral bounds round inward.  Returns the (lo, hi) of
+    each variable, or None when a domain empties."""
+    lo = [d[0] for d in doms]
+    hi = [d[1] for d in doms]
+    for _ in range(10000):
+        changed = False
+        for rel, const, terms in cons:
+            for k, (c, i) in enumerate(terms):
+                rest = [(c2, j) for m, (c2, j) in enumerate(terms) if m != k]
+                rmin = const + sum(min(c2 * lo[j], c2 * hi[j]) for c2, j in rest)
+                rmax = const + sum(max(c2 * lo[j], c2 * hi[j]) for c2, j in rest)
+                new_lo, new_hi = lo[i], hi[i]
+                if not math.isinf(rmin):       # c*x =< -rmin
+                    q = Fraction(-rmin) / c
+                    if c > 0:
+                        new_hi = min(new_hi, q)
+                    else:
+                        new_lo = max(new_lo, q)
+                if rel == "=" and not math.isinf(rmax):   # c*x >= -rmax
+                    q = Fraction(-rmax) / c
+                    if c > 0:
+                        new_lo = max(new_lo, q)
+                    else:
+                        new_hi = min(new_hi, q)
+                if doms[i][2]:
+                    if not math.isinf(new_lo):
+                        new_lo = math.ceil(new_lo)
+                    if not math.isinf(new_hi):
+                        new_hi = math.floor(new_hi)
+                if new_lo > new_hi:
+                    return None
+                if (new_lo, new_hi) != (lo[i], hi[i]):
+                    lo[i], hi[i] = new_lo, new_hi
+                    changed = True
+        if not changed:
+            return list(zip(lo, hi))
+    raise AssertionError("the reference fixpoint did not converge")
+
+
+def _number_text(q):
+    q = Fraction(q)
+    return str(q.numerator) if q.denominator == 1 \
+        else "%d_%d" % (q.numerator, q.denominator)
+
+
+def _random_bounds_problem(rng, continuous):
+    """Domain goals, the reference domains and a point inside them, for
+    two or three variables.  One variable at most is bounded on one side
+    only, so that the integral reference fixpoint is finite."""
+    n = rng.randint(2, 3)
+    one_sided = rng.randrange(n) if rng.random() < 0.5 else None
+    goals, doms, point = [], [], []
+    for i in range(n):
+        x = "X%d" % i
+        if i == one_sided:
+            k = rng.randint(-4, 4)
+            up = rng.random() < 0.5
+            integral = not (continuous and rng.random() < 0.5)
+            if integral:
+                goals.append("%s %s %d" % (x, "#=<" if up else "#>=", k))
+            else:
+                # a domain without integrality, from the narrowing builtins
+                goals.append("impose_%s(%s, %d)"
+                             % ("max" if up else "min", x, k))
+            doms.append([-math.inf, k, integral] if up
+                        else [k, math.inf, integral])
+            point.append(k + rng.randint(0, 3) * (-1 if up else 1))
+        elif continuous and rng.random() < 0.7:
+            a = rng.randint(-8, 8) / 2
+            b = a + rng.randint(1, 12) / 2
+            goals.append("%s :: %r .. %r" % (x, a, b))
+            doms.append([Fraction(a), Fraction(b), False])
+            point.append(Fraction(a) + (Fraction(b) - Fraction(a))
+                         * Fraction(rng.randint(0, 4), 4))
+        else:
+            a = rng.randint(-5, 5)
+            b = a + rng.randint(1, 8)
+            goals.append("%s :: %d .. %d" % (x, a, b))
+            doms.append([a, b, True])
+            point.append(rng.randint(a, b))
+    return goals, doms, point
+
+
+def _random_linear(rng, point, rational):
+    """const + sum(c*x_i) REL 0 over two or more of the variables; most
+    constraints hold at point, the others have a random constant."""
+    idxs = sorted(rng.sample(range(len(point)), rng.randint(2, len(point))))
+    terms = [(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                       rng.choice([1, 2, 3]) if rational else 1), i)
+             for i in idxs]
+    rel = rng.choice(["=<", "="])
+    if rng.random() < 0.25:
+        const = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3]))
+    else:
+        const = -sum(c * point[i] for c, i in terms)
+        if rel == "=<":
+            const -= Fraction(rng.randint(0, 6), rng.choice([1, 2]))
+    return rel, const, terms
+
+
+def test_bounds_propagation_matches_a_reference_fixpoint():
+    """Random #= and #=< problems with rational coefficients and
+    constants, continuous domains and one-sided infinite bounds.  Over
+    integral domains with integer coefficients the answer's bounds equal
+    the reference fixpoint (and a failure means it is empty); otherwise
+    they contain it.  A problem with a continuous domain posts one
+    constraint, through ic_lin_con (#= would make its domains
+    integral), so that the exact reference terminates."""
+    rng = Random(20261019)
+    exact_checked = contained_checked = 0
+    for _ in range(300):
+        continuous = rng.random() < 0.4
+        rational = rng.random() < 0.5
+        goals, doms, point = _random_bounds_problem(rng, continuous)
+        n = len(point)
+        cons = [_random_linear(rng, point, rational)
+                for _c in range(1 if continuous else rng.randint(1, 3))]
+        for rel, const, terms in cons:
+            if continuous:
+                goals.append("ic_lin_con(%s, %s, [%s])" % (
+                    rel, _number_text(const), ", ".join(
+                        "%s*X%d" % (_number_text(c), i) for c, i in terms)))
+            else:
+                lhs = " + ".join("%s * X%d" % (_number_text(c), i)
+                                 for c, i in terms)
+                goals.append("%s + %s #%s 0" % (lhs, _number_text(const), rel))
+        query = ", ".join(goals).replace("+ -", "- ")
+        integral = all(d[2] for d in doms)
+        exact = integral and all(c.denominator == 1
+                                 for _, _, ts in cons for c, _ in ts)
+        want = _bounds_fixpoint(doms, cons)
+        ans = make_engine().once(query)
+        if ans is None:
+            assert want is None, query
+            continue
+        if exact:
+            assert want is not None, query
+        got = [ic.exact_bounds(ans["X%d" % i]) for i in range(n)]
+        if exact:
+            assert got == want, query
+            exact_checked += 1
+        elif want is not None:
+            for (glo, ghi), (wlo, whi) in zip(got, want):
+                assert glo <= wlo and whi <= ghi, (query, got, want)
+            contained_checked += 1
+    assert exact_checked > 50 and contained_checked > 100
+
+
+# ----------------------------------------------------------------------
+# the one-read pass: a narrowing is made only where a bound tightens
+
+def _domain_state(x):
+    x = deref(x)
+    if type(x) is not Var:
+        return x
+    d = get_domain(x)
+    return d.lo, d.hi, d.holes, d.integral
+
+
+def test_every_narrowing_of_the_bounds_pass_tightens_or_fails(monkeypatch):
+    """Over the benchmark's linear programs, every impose_min / impose_max
+    call that _propagate_bounds makes changes the domain or fails."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    in_pass = [0]
+    calls = []
+
+    def passing(fn):
+        def wrapper(*args):
+            in_pass[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                in_pass[0] -= 1
+        return wrapper
+
+    def narrowing(fn):
+        def wrapper(engine, x, b):
+            if not in_pass[0]:
+                return fn(engine, x, b)
+            before = _domain_state(x)
+            ok = fn(engine, x, b)
+            calls.append((fn.__name__, before, b, ok, _domain_state(x)))
+            return ok
+        return wrapper
+
+    monkeypatch.setattr(ic, "_propagate_bounds",
+                        passing(ic._propagate_bounds))
+    monkeypatch.setattr(ic, "impose_min", narrowing(ic.impose_min))
+    monkeypatch.setattr(ic, "impose_max", narrowing(ic.impose_max))
+    engine = make_engine()
+    engine.load(workloads.LINEAR_PROGRAM)
+    assert engine.once("coins(40, C)")["C"] == 31
+    assert engine.once("send_more(L)") is not None
+    assert len(calls) > 50
+    idle = [c for c in calls if c[3] and c[1] == c[4]]
+    assert idle == []
+
+
+def test_a_pass_that_binds_a_variable_narrows_it_no_further(monkeypatch):
+    """A narrowing can bind a variable that the same pass reads again:
+    3*X + Y #= 6 reads X in 1..5 and Y in 1..2 (or 1..3); its =< side
+    lowers X's maximum to 1, which binds X, and its = side then needs
+    X >= 2 (or X >= 1), which fails (or holds without a call).  After
+    X = Y, X + Y + 3*Z #= 11 holds two pairs over X; the first binds it
+    and the second is left alone."""
+    on_bound = []
+
+    def recording(fn):
+        def wrapper(engine, x, b):
+            bound = deref(x)
+            ok = fn(engine, x, b)
+            if type(bound) is not Var:
+                on_bound.append((fn.__name__, bound, b, ok))
+            return ok
+        return wrapper
+
+    monkeypatch.setattr(ic, "impose_min", recording(ic.impose_min))
+    monkeypatch.setattr(ic, "impose_max", recording(ic.impose_max))
+    assert make_engine().once("X :: 1..5, Y :: 1..2, 3*X + Y #= 6") is None
+    assert on_bound == [("impose_min", 1, 2, False)]
+    del on_bound[:]
+    a = make_engine().once("X :: 1..5, Y :: 1..3, 3*X + Y #= 6")
+    assert (a["X"], a["Y"], a.delayed) == (1, 3, [])
+    a = make_engine().once("X :: 2..5, Y :: 3..4, Z :: 1..6, "
+                           "X + Y + 3*Z #= 11, X = Y")
+    assert (a["X"], a["Y"], a["Z"], a.delayed) == (4, 4, 1, [])
+    assert on_bound == []
