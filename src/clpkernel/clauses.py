@@ -1,12 +1,15 @@
-"""User clauses compiled to Python functions.
+"""User clauses and predicates compiled to Python functions.
 
 After the compiled code of Warren's abstract machine, every clause runs
 as a Python function that matches its head against a goal's arguments
 and builds its body (`Clause`).  The functions are generated from Python
 source, once per clause shape in a process, so clauses that differ only
-in their names and constants share one piece of code.  A predicate's
-clauses are indexed on their first argument (`index_key`,
-`first_arg_switch`).
+in their names and constants share one piece of code.  A predicate runs
+as one more function, its code (`pred_code`), which switches on the
+goal's first argument as WAM's ``switch_on_term`` does: it tests a few
+keys in a chain, or reads many from a dict, and enters the candidate
+clauses.  A single candidate whose key the chain tested runs inline in
+the predicate's code, generated once per predicate shape.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ class Clause:
 
     The first call makes ``fn``: the factory generated for the shape
     (`_factory`, once per shape in a process) is called with the
-    parameters, and the shape and parameters are dropped.  ``fn(args,
+    parameters.  The shape and parameters are kept, as the code of the
+    clause's predicate may inline the clause (`pred_code`).  ``fn(args,
     engine, store, module, cut, cont)`` matches the head against the
     goal's arguments and returns False or the body's continuation: one
     ``(goal, module, cut, next)`` cell per goal, ending in ``cont``.
@@ -54,7 +58,6 @@ class Clause:
         if make is None:
             make = _FACTORIES[self.shape] = _factory(self.shape)
         fn = self.fn = make(*self.params)
-        self.shape = self.params = None
         return fn
 
 
@@ -116,17 +119,24 @@ def _factory(shape):
     """Generate, compile and return the factory for clauses of a shape:
     called with a clause's parameters, it returns the clause's function."""
     gen = _Codegen(shape)
-    body = gen.clause()
-    names = ["p%d" % i for i in range(min(gen.np, _CELLS))]
+    return _make(gen, [], "clause(args, engine, store, module, cut, cont)",
+                 gen.clause())
+
+
+def _make(gen, names, header, body):
+    """Compile the factory of a function with this header and body, whose
+    parameters are ``names`` and those ``gen`` numbered."""
+    names = names + ["p%d" % i for i in range(min(gen.np, _CELLS))]
     if gen.np > _CELLS:
         names.append("*P")
+    name = header[:header.index("(")]
     source = ("def make(%s):\n"
-              "    def clause(args, engine, store, module, cut, cont):\n"
+              "    def %s:\n"
               "%s\n"
-              "    return clause\n" % (", ".join(names), body))
-    namespace = {"Var": Var, "Struct": Struct, "_open": _open,
-                 "_const": _const}
-    exec(compile(source, "<clause>", "exec"), namespace)
+              "    return %s\n" % (", ".join(names), header, body, name))
+    namespace = {"Var": Var, "Struct": Struct, "Fraction": Fraction,
+                 "_open": _open, "_const": _const, "_KEYED": _KEYED}
+    exec(compile(source, "<%s>" % name, "exec"), namespace)
     return namespace["make"]
 
 
@@ -165,17 +175,21 @@ class _Node:
     """A compound term met while generating code: its number ``j``, its
     name parameter, how many arguments are ``left`` to generate, the next
     argument's index ``k``, the expressions of its arguments as built,
-    and the node it is an argument of (None for a head argument)."""
+    the node it is an argument of (None for a head argument), and whether
+    its arguments are matched only when ``m<j>`` says it met a compound
+    term (``cond``): not so for the head's arguments, nor for a first
+    argument whose key the predicate's code has tested."""
 
-    __slots__ = ("j", "name", "left", "k", "vals", "parent")
+    __slots__ = ("j", "name", "left", "k", "vals", "parent", "cond")
 
-    def __init__(self, j, name, left, parent):
+    def __init__(self, j, name, left, parent, cond=True):
         self.j = j
         self.name = name
         self.left = left
         self.k = 0
         self.vals = []
         self.parent = parent
+        self.cond = cond
 
 
 def _is_compound(tok):
@@ -204,7 +218,12 @@ class _Codegen:
     both choices, and it is built into ``t<j>`` after its last argument.
     Fresh variables are made and the copy hook called in prefix order,
     as a recursive build would.  The body is built after the head
-    matched, one statement per compound term below a goal."""
+    matched, one statement per compound term below a goal.
+
+    Inlined in a predicate's code that has tested the first argument's
+    key, a clause skips that argument's constant, and reads a compound
+    term's arguments from the goal term with no `_open`; its own
+    arguments need no ``m<j>``, as it cannot meet a variable."""
 
     def __init__(self, shape):
         self.shape = shape
@@ -257,12 +276,23 @@ class _Codegen:
             return v
         return v if kind == "again" else p
 
-    def clause(self):
+    def clause(self, first=None, inline=False):
+        """The body of a clause function.  ``inline`` for a clause inlined
+        in its predicate's code, which computes the cut height itself;
+        ``first`` is then the local holding the goal's first argument,
+        dereferenced, when the code has tested that it has the key of the
+        head's first argument."""
         arity, ngoals = self.take(), self.take()
         roots = ["a%d" % k for k in range(arity)]
-        self.head(roots)
-        if arity:
+        if first is not None:
+            roots[0] = first
+        self.head(roots, first is not None)
+        if first is not None:
+            roots[0] = "_"
+        if roots and roots != ["_"]:
             self.lines.insert(0, "        %s, = args" % ", ".join(roots))
+        if inline and ngoals:
+            self.emit(2, "cut = len(store.choicepoints)")
         goals = [self.build(2) for _ in range(ngoals)]
         if not goals:
             self.emit(2, "return cont")
@@ -272,14 +302,17 @@ class _Codegen:
             self.emit(2, "return (%s, module, cut, cont)" % goals[0])
         return "\n".join(self.lines)
 
-    def head(self, roots):
+    def head(self, roots, proven=False):
         """Emit the matching of the head arguments, whose goal arguments
         are the locals ``roots``: a head argument that is a first
-        occurrence renames its root instead."""
-        node = _Node(None, None, len(roots), None)
+        occurrence renames its root instead.  When ``proven``, the first
+        goal argument has the first head argument's key: a constant there
+        is matched already, and a compound term's arguments are read from
+        it directly."""
+        node = _Node(None, None, len(roots), None, False)
         while node is not None:
             if not node.left:
-                if node.j is not None:
+                if node.cond:
                     self.close(node)
                 node = node.parent
                 continue
@@ -289,14 +322,16 @@ class _Codegen:
             tok = self.take()
             src = roots[k] if node.j is None else "s%d[%d]" % (node.j, k)
             if _is_compound(tok):
-                node = self.open(node, src, -1 - tok) or node
+                node = self.open(node, src, -1 - tok, proven) or node
+                proven = False
                 continue
             leaf = self.leaf(tok)
-            if node.j is None:
-                if leaf[0] == "F" or leaf[0] == "A":
+            if not node.cond:
+                if node.j is None and (leaf[0] == "F" or leaf[0] == "A"):
                     roots[k] = leaf[1]
-                else:
+                elif not proven:
                     self.match_leaf(2, leaf, src)
+                proven = False
                 continue
             # this leaf and the leaves right after it, for both choices
             group = [(leaf, src)]
@@ -315,23 +350,32 @@ class _Codegen:
             if len(self.lines) == n:  # constants and later occurrences
                 self.lines.pop()
 
-    def open(self, parent, src, n):
+    def open(self, parent, src, n, proven=False):
         """Emit the matching of a head compound of arity n met at ``src``.
         A compound whose arguments are all leaves is done here; for any
-        other, return its node, whose arguments come next."""
+        other, and for one met at a ``proven`` compound goal term, return
+        its node, whose arguments come next."""
         emit = self.emit
         name = self.param()
         j = self.nj
         self.nj += 1
+        if proven:
+            toks = self.shape[self.pos:self.pos + n]
+            if n and all(tok == "F" or tok == "A" for tok in toks):
+                emit(2, "%s, = %s.args" % (", ".join(
+                    [self.leaf(self.take())[1] for _ in toks]), src))
+                return None
+            emit(2, "s%d = %s.args" % (j, src))
+            return _Node(j, name, n, parent, False)
         if any(map(_is_compound, self.shape[self.pos:self.pos + n])):
             emit(2, "s%d = _open(%s, %s, %d)%s" % (
                 j, src, name, n,
-                "" if parent.j is None else " if m%d else False" % parent.j))
+                "" if not parent.cond else " if m%d else False" % parent.j))
             emit(2, "if s%d is None:" % j)
             emit(3, "return False")
             emit(2, "m%d = type(s%d) is list" % (j, j))
             return _Node(j, name, n, parent)
-        d = 2 if parent.j is None else 3
+        d = 3 if parent.cond else 2
         if d == 3:
             emit(2, "if m%d:" % parent.j)
         leaves = [self.leaf(self.take()) for _ in range(n)]
@@ -362,7 +406,7 @@ class _Codegen:
         self.emit(2, "if not m%d:" % j)
         self.emit(3, "t%d = Struct(%s, [%s])" % (j, node.name,
                                                ", ".join(node.vals)))
-        if parent.j is None:
+        if not parent.cond:
             self.emit(3, "if not store.bind(s%d, t%d):" % (j, j))
         else:
             self.emit(3, "if m%d and not store.bind(s%d, t%d):"
@@ -398,6 +442,10 @@ class _Codegen:
 #: the index key of every bounded real and every opaque value
 _OTHER_KEY = ("other",)
 
+#: the types whose terms are keys of their own (a compound term's key is
+#: its name and arity)
+_KEYED = frozenset({Struct, Atom, int, float, str, Fraction})
+
 
 def index_key(t):
     """The first-argument index key of a term; None for an unbound
@@ -413,29 +461,215 @@ def index_key(t):
     ty = type(t)
     if ty is Struct:
         return (t.name, len(t.args))
-    if ty is Atom or ty is int or ty is str or ty is float or ty is Fraction:
+    if ty in _KEYED:
         return t
     return _OTHER_KEY
 
 
-def first_arg_switch(clauses):
-    """The first-argument switch over a predicate's clauses: a dict from
-    each index key some clause has to the tuple of the clauses a goal
-    with that key may match (every clause under None, the key of an
-    unbound argument), and the tuple of the clauses whose first argument
-    is a variable, which a goal with any other key may match."""
+#: predicates with more first-argument keys than this find a call's
+#: candidate clauses in a dict; the others test the keys one by one
+_CHAIN = 8
+
+#: a single candidate clause with a longer shape is called, not inlined
+#: in its predicate's code: its code is made once, as the clause's own
+_INLINE = 64
+
+#: the factory of every predicate shape generated so far in this process.
+#: It holds code only: no clause, term or predicate.
+_PREDS = {}
+
+#: the test of a chain for a first-argument key of each type, on the
+#: dereferenced goal argument ``x``; a compound key is tested by name and
+#: arity, and None stands for the key bounded reals and opaque values share
+_TESTS = {Atom: "x is {0}",
+          int: "type(x) is int and x == {0}",
+          float: "(x is {0} or type(x) is float and x == {0})",
+          str: "type(x) is str and x == {0}",
+          Fraction: "type(x) is Fraction and x == {0}",
+          None: "type(x) not in _KEYED"}
+
+
+def pred_code(pred):
+    """Make the code of a predicate, keep it as ``pred.code`` and return
+    it: ``code(args, engine, cont)`` returns the continuation of the
+    call's first candidate clause, or False.
+
+    As Warren's ``switch_on_term``, the code selects the candidates by
+    the goal's first argument: the clauses with its key and those whose
+    first argument is a variable, in source order, or every clause for an
+    unbound argument.  A single candidate is entered with no retry mark;
+    of several, the code pushes the mark, whose ``alt`` keeps their tuple
+    (so a clause added later is not tried by the call), and enters the
+    first.  Retries run through `Engine._try_clauses`.
+
+    A predicate with up to `_CHAIN` keys tests them in a chain, each by
+    its type and value, so ``3``, ``3.0`` and ``3_1`` select only their
+    own clauses; its code is generated from Python source once per
+    predicate shape (`_PREDS`), like a clause's.  A single candidate with
+    a short shape runs inline, and when the chain has tested its key the
+    match of its first argument starts from what the test proved.  A
+    predicate with more keys reads its candidates from a dict under
+    `index_key` (`_indexed`), and calls its clauses' functions."""
+    clauses = pred.clauses
+    chain = _few_keys(clauses)
+    table, rest = _switch(clauses, chain)
+    if not chain:
+        code = pred.code = _indexed(pred.module, table, rest, tuple(clauses))
+        return code
+    shape = [pred.arity]
+    params = []
+
+    def enter(cands):
+        if len(cands) != 1:
+            shape.append(2 if cands else 0)
+            if cands:
+                params.append(cands)
+        elif len(cands[0].shape) > _INLINE:
+            shape.append(1)
+            params.append(cands[0])
+        else:
+            shape.append(cands[0].shape)
+            params.extend(cands[0].params)
+
+    enter(tuple(clauses))
+    if table:
+        for (ty, key), cands in table.items():
+            if key is _OTHER_KEY:
+                shape.append(None)
+            elif ty is tuple:
+                shape.append(key[1])
+                params.append(key[0])
+            else:
+                shape.append(ty)
+                params.append(key)
+            enter(cands)
+        enter(rest)
+    shape = tuple(shape)
+    make = _PREDS.get(shape)
+    if make is None:
+        make = _PREDS[shape] = _pred_factory(shape)
+    code = pred.code = make(pred.module, *params)
+    return code
+
+
+def _few_keys(clauses):
+    """Whether the clauses have at most `_CHAIN` exact keys (`_switch`)."""
+    keys = set()
+    for c in clauses:
+        if c.key is not None:
+            keys.add((type(c.key), c.key))
+            if len(keys) > _CHAIN:
+                return False
+    return True
+
+
+def _switch(clauses, exact):
+    """The candidates of each first-argument key some clause has, in
+    source order, and the clauses whose first argument is a variable,
+    which a goal with any other key may match.  An exact key is the
+    `index_key` with its type, so numbers of different types have
+    different keys, as head matching tells them apart."""
     table = {}
     rest = []
     for c in clauses:
-        if c.key is None:
+        key = c.key
+        if key is None:
             rest.append(c)
-            for tried in table.values():
-                tried.append(c)
+            for cands in table.values():
+                cands.append(c)
+            continue
+        if exact:
+            key = type(key), key
+        cands = table.get(key)
+        if cands is None:
+            cands = table[key] = rest.copy()
+        cands.append(c)
+    return {key: tuple(cands) for key, cands in table.items()}, tuple(rest)
+
+
+def _pred_factory(shape):
+    """Generate, compile and return the factory for predicates of a
+    shape: called with the module and the parameters, it returns the
+    predicate's code.  The shape is the arity, the run of an unbound first
+    argument, then, if some clause has a key, each key's test and run, and
+    the run of a key no clause has.  A test is a type, an arity or None
+    (`_TESTS`); a run is 0 (no candidate), 1 (one, called), 2 (several) or
+    the shape of the one candidate, inlined."""
+    gen = _Codegen(shape)
+    if len(shape) == 2:  # nothing to switch on
+        _run(gen, 2, shape[1], False)
+    else:
+        gen.emit(2, "x = args[0]")
+        gen.emit(2, "while type(x) is Var:")
+        gen.emit(3, "if x.ref is None:")
+        _run(gen, 4, shape[1], False)
+        gen.emit(3, "x = x.ref")
+        for i in range(2, len(shape) - 1, 2):
+            test = shape[i]
+            if test is None:
+                gen.emit(2, "if %s:" % _TESTS[None])
+            elif type(test) is int:
+                gen.emit(2, "if type(x) is Struct and x.name == %s "
+                            "and len(x.args) == %d:" % (gen.param(), test))
+            else:
+                gen.emit(2, "if %s:" % _TESTS[test].format(gen.param()))
+            _run(gen, 3, shape[i + 1], test is not None)
+        _run(gen, 2, shape[-1], False)
+    return _make(gen, ["module"], "pred(args, engine, cont)",
+                 "        store = engine.store\n" + "\n".join(gen.lines))
+
+
+def _run(gen, d, run, proven):
+    """Emit, at depth d, the code that enters a run's candidates (see
+    `_pred_factory`): a clause inlined matches its first argument from
+    ``x`` when ``proven``."""
+    if run == 0:
+        gen.emit(d, "return False")
+    elif run == 1:
+        c = gen.param()
+        gen.emit(d, "return (%s.fn or %s.compile())(args, engine, store, "
+                    "module, len(store.choicepoints), cont)" % (c, c))
+    elif run == 2:
+        cands = gen.param()
+        gen.emit(d, "cut = len(store.choicepoints)")
+        gen.emit(d, "m = store.push_choicepoint()")
+        gen.emit(d, "m.alt, m.cont = (module, %s, 1, args), cont" % cands)
+        gen.emit(d, "c = %s[0]" % cands)
+        gen.emit(d, "return (c.fn or c.compile())(args, engine, store, "
+                    "module, cut, cont)")
+    else:
+        sub = _Codegen(run)
+        sub.np = gen.np
+        indent = "    " * (d - 2)
+        gen.lines += [indent + line for line in
+                      sub.clause("x" if proven else None, True).split("\n")]
+        gen.np = sub.np
+
+
+def _indexed(module, table, rest, every):
+    """The code of a predicate with more keys than a chain tests."""
+    def pred(args, engine, cont):
+        t = args[0]
+        while type(t) is Var:
+            if t.ref is None:
+                cands = every
+                break
+            t = t.ref
         else:
-            tried = table.get(c.key)
-            if tried is None:
-                tried = table[c.key] = rest.copy()
-            tried.append(c)
-    table = {key: tuple(tried) for key, tried in table.items()}
-    table[None] = tuple(clauses)
-    return table, tuple(rest)
+            ty = type(t)
+            if ty is Struct:
+                cands = table.get((t.name, len(t.args)), rest)
+            elif ty is Atom or ty is int:
+                cands = table.get(t, rest)
+            else:
+                cands = table.get(index_key(t), rest)
+        store = engine.store
+        cut = len(store.choicepoints)
+        if len(cands) > 1:
+            m = store.push_choicepoint()
+            m.alt, m.cont = (module, cands, 1, args), cont
+        elif not cands:
+            return False
+        c = cands[0]
+        return (c.fn or c.compile())(args, engine, store, module, cut, cont)
+    return pred

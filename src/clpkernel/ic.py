@@ -73,8 +73,8 @@ from .errors import (DomainError, InstantiationError, TypeError_,
                      UncertaintyError)
 from .linear import (exact_number, exact_quotient, int_if_integral,
                      normalize_relation)
-from .terms import (Atom, Breal, Struct, Var, deref, is_number, mk_list,
-                    proper_list)
+from .terms import (NIL, Atom, Breal, Struct, Var, deref, is_number,
+                    list_parts, mk_list, proper_list)
 
 _INF = float("inf")
 
@@ -410,15 +410,43 @@ def _bound(n, c, integral, up):
 
 
 def _parse_lin_goal(args):
-    const = exact_number(deref(args[1]))
-    items = proper_list(args[2])
+    """The relation, constant and (coefficient, term) pairs of a goal
+    ``ic_lin_con(Rel, C, [C1*X1, ...])``, each argument checked."""
+    rel = deref(args[0])
+    if rel not in _LIN_RELS:
+        _lin_error(rel, "a relation", DomainError)
+    const = _lin_number(args[1])
+    items, tail = list_parts(args[2])
+    if tail is not NIL:
+        _lin_error(tail, "a list")
     pairs = []
     for it in items:
         it = deref(it)
-        c = exact_number(deref(it.args[0]))
+        if type(it) is not Struct or it.name != "*" or len(it.args) != 2:
+            _lin_error(it, "C*X")
+        c = _lin_number(it.args[0])
         if c != 0:
             pairs.append((c, it.args[1]))
-    return const, pairs
+    return rel.name, const, pairs
+
+
+def _lin_number(t):
+    """A constant or coefficient of ic_lin_con/3 as an exact number."""
+    t = deref(t)
+    if type(t) not in (int, Fraction, float):
+        _lin_error(t, "a number")
+    if not math.isfinite(t):
+        _lin_error(t, "a number", DomainError)
+    return exact_number(t)
+
+
+def _lin_error(t, what, atom_error=TypeError_):
+    """Raise the error of an argument of ic_lin_con/3 that is not
+    ``what``: unbound, an atom (``atom_error``) or another term."""
+    if type(t) is Var:
+        raise InstantiationError("ic_lin_con: %s is unbound" % what)
+    raise (atom_error if type(t) is Atom else TypeError_)(
+        "ic_lin_con: not %s: %r" % (what, t))
 
 
 def bi_ic_lin_con(engine, args, module):
@@ -427,10 +455,9 @@ def bi_ic_lin_con(engine, args, module):
         # woken run of an installed constraint
         propagate, const, pairs = s.payload
         return propagate(engine, const, pairs, s)
-    const, pairs = _parse_lin_goal(args)
+    rel, const, pairs = _parse_lin_goal(args)
     goal = Struct("ic_lin_con", list(args))
-    return _post_lin_con(engine, module, deref(args[0]).name, const, pairs,
-                         goal)
+    return _post_lin_con(engine, module, rel, const, pairs, goal)
 
 
 def _post_lin_con(engine, module, rel, const, pairs, goal):
@@ -710,6 +737,7 @@ def _neq_one(engine, c, v, rest, s):
 
 _PROPAGATORS = {"=<": _propagate_le, "=": _propagate_eq,
                 "\\=": _propagate_neq}
+_LIN_RELS = frozenset(map(Atom, _PROPAGATORS))
 
 
 # ----------------------------------------------------------------------

@@ -73,13 +73,15 @@ as it is, later occurrences unify, a compound term that meets an unbound
 goal variable is built and bound, and constants are compared.  Only when
 the head matched does it build the body, already split into one
 continuation cell per goal.  No clause is renamed by `copy_term`.  A
-call tries only the clauses its predicate's first-argument switch
-selects (`Pred`), and a retry mark keeps the call's tuple of them, so
-clauses added after the call began are not tried.  `_call_user` computes
-the first-argument key itself and, as WAM's ``switch_on_term`` does,
-enters a single candidate directly: only a call with two or more
-candidates goes through `_try_clauses`, which pushes the retry mark, and
-so does each retry.
+predicate's code (`Pred`, made by `pred_code`) is what `_call_user`
+calls.  As WAM's ``switch_on_term`` does, it selects the candidate
+clauses by the goal's first argument and enters a single one directly,
+with no retry mark; where it has tested that candidate's key, the
+clause's head and body run inline and its first-argument match starts
+from what the test proved.  Of two or more candidates it pushes the
+retry mark, which keeps the call's tuple of them, so clauses added after
+the call began are not tried, and enters the first; each retry goes
+through `_try_clauses`.
 
 The Prolog parts of the kernel, ic and search libraries (the preludes)
 are read once per process.  The first engine loads each one through
@@ -102,7 +104,7 @@ from __future__ import annotations
 import logging
 from functools import partial
 
-from .clauses import Clause, first_arg_switch, index_key
+from .clauses import Clause, pred_code
 from .errors import (EngineError, ExistenceError, FlounderingError, Halt,
                      InstantiationError, InternalError, ReaderError,
                      TypeError_, UnsupportedError)
@@ -127,12 +129,13 @@ _CUT = Atom("!")
 class Pred:
     """A predicate: its clauses, or a builtin, and its declarations.
 
-    ``switch`` is the `first_arg_switch` of ``clauses``, as Warren's
-    ``switch_on_term``.  It is built on the first call after a change and
-    dropped by `add`, so the tuple of candidates a call takes from it is
-    the snapshot of the clauses that call may try."""
+    ``code`` is the predicate's call code (`pred_code`): it switches on
+    the first argument, as Warren's ``switch_on_term``, and enters the
+    candidate clauses.  It is made on the first call after a change and
+    dropped by `add`, so the candidates a call takes from it are the
+    snapshot of the clauses that call may try."""
 
-    __slots__ = ("name", "arity", "module", "clauses", "switch", "builtin",
+    __slots__ = ("name", "arity", "module", "clauses", "code", "builtin",
                  "exported", "demon", "no_warn")
 
     def __init__(self, name, arity, module):
@@ -140,7 +143,7 @@ class Pred:
         self.arity = arity
         self.module = module
         self.clauses = []
-        self.switch = None
+        self.code = None
         self.builtin = None
         self.exported = False
         self.demon = False
@@ -152,7 +155,7 @@ class Pred:
 
     def add(self, clause):
         self.clauses.append(clause)
-        self.switch = None
+        self.code = None
 
 
 class PredName(str):
@@ -569,37 +572,8 @@ class Engine:
 
     def _call_user(self, pred, args, cont):
         """The one call site of every user call: the continuation of its
-        first candidate clause, or False.  The first-argument switch
-        (`first_arg_switch`) is read with the key computed here, as
-        `index_key` computes it.  A single candidate is entered at once,
-        with no retry mark; more go through `_try_clauses`.  Clauses added
-        after the call began are not tried."""
-        switch = pred.switch
-        if switch is None:
-            switch = pred.switch = first_arg_switch(pred.clauses)
-        table = switch[0]
-        if args:
-            t = args[0]
-            while type(t) is Var and t.ref is not None:
-                t = t.ref
-            ty = type(t)
-            if ty is Struct:
-                clauses = table.get((t.name, len(t.args)), switch[1])
-            elif ty is Var:
-                clauses = table[None]
-            elif ty is Atom or ty is int:
-                clauses = table.get(t, switch[1])
-            else:
-                clauses = table.get(index_key(t), switch[1])
-        else:
-            clauses = table[None]
-        store = self.store
-        if len(clauses) == 1:
-            clause = clauses[0]
-            return (clause.fn or clause.compile())(
-                args, self, store, pred.module, len(store.choicepoints), cont)
-        return self._try_clauses(pred.module, clauses, 0, args,
-                                 len(store.choicepoints), cont)
+        first candidate clause, or False, from the predicate's code."""
+        return (pred.code or pred_code(pred))(args, self, cont)
 
     def _try_clauses(self, module, clauses, i, args, cut, cont):
         """The continuation of the i-th of a call's candidate clauses, or
@@ -608,8 +582,6 @@ class Engine:
         if i + 1 < len(clauses):
             m = self.store.push_choicepoint()
             m.alt, m.cont = (module, clauses, i + 1, args), cont
-        elif not clauses:
-            return False
         clause = clauses[i]
         return (clause.fn or clause.compile())(
             args, self, self.store, module, cut, cont)

@@ -72,6 +72,12 @@ def test_add_attr_of_a_solver_attribute_exits_2_with_one_line(capsys):
         assert "Traceback" not in err
 
 
+def test_a_builtin_that_raises_exits_2_with_one_line(capsys):
+    rc, out, err = run_main(capsys, "-g", "ic_lin_con(a, foo, [X])")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_float_overflow_exits_2_with_one_line(capsys):
     rc, out, err = run_main(capsys, "-g", "X is 2.0 ** 10000")
     assert (rc, out, err) == (2, "", "error: arithmetic: float overflow\n")

@@ -526,6 +526,31 @@ def test_integer_constraint_rounds_a_continuous_bound_outward(first):
     assert b["Y"] == 0
 
 
+@pytest.mark.parametrize("goal, error", [
+    ("ic_lin_con(a, foo, [X])", DomainError),
+    ('ic_lin_con(a, "str", 1)', DomainError),
+    ("ic_lin_con(a, 0, [X, Y])", DomainError),
+    ("ic_lin_con(foo, 0, [1*X])", DomainError),
+    ("ic_lin_con(R, 0, [1*X])", InstantiationError),
+    ('ic_lin_con("=<", 0, [1*X])', TypeError_),
+    ("ic_lin_con(=<, foo, [X])", TypeError_),
+    ('ic_lin_con(=<, "str", 1)', TypeError_),
+    ("ic_lin_con(=<, 1.0__2.0, [1*X])", TypeError_),
+    ("ic_lin_con(=<, C, [1*X])", InstantiationError),
+    ("ic_lin_con(=<, 0, 1)", TypeError_),
+    ("ic_lin_con(=<, 0, [1*X|T])", InstantiationError),
+    ("ic_lin_con(=<, 0, [X, Y])", InstantiationError),
+    ("ic_lin_con(=<, 0, [f(1, 2, 3)])", TypeError_),
+    ("ic_lin_con(=<, 0, [a*X])", TypeError_),
+    ("ic_lin_con(=<, 0, [C*X])", InstantiationError),
+])
+def test_ic_lin_con_checks_its_arguments(ask, goal, error):
+    """A direct call of the demon's predicate with a bad relation,
+    constant, list or item raises the matching EngineError."""
+    with pytest.raises(error):
+        ask(goal)
+
+
 def test_neq_punches_holes_until_instantiation(first, fmt):
     a = first("X :: 1..5, X #\\= 3")
     assert fmt(a["X"]) == "_{[1..2, 4..5]}"

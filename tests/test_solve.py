@@ -6,8 +6,10 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -599,7 +601,9 @@ def _reference_unify(a, b):
 def _compiled_against_copy_and_unify(rng, head_arg, goal_arg):
     """Differential check: a clause's generated function, matching its
     head against a goal and building its body, agrees with renaming the
-    whole clause by copy_term and unifying the head with Store.unify.
+    whole clause by copy_term and unifying the head with Store.unify; so
+    does the code of a predicate of that one clause, which runs it inline,
+    from the first argument it tested when the head's is not a variable.
     ``head_arg(rng, pool)`` and ``goal_arg(rng, head argument, pool)``
     make the arguments of 500 random heads and goals."""
     outcomes = {True: 0, False: 0}
@@ -621,17 +625,22 @@ def _compiled_against_copy_and_unify(rng, head_arg, goal_arg):
         old = ok_old and copy_term(Struct("r", [goal, renamed.args[1]]))
         store.backtrack_to(mark)
 
-        got = Clause(head, body).compile()(
-            goal.args, None, store, None, 0, None)
-        ok_new = got is not False
-        new = ok_new and copy_term(Struct("r", [goal, got[0]]))
-        assert not ok_new or got[1:] == (None, 0, None)
+        pred = solve.Pred("p", arity, None)
+        pred.add(Clause(head, body))
+        for run in (lambda: pred.clauses[0].compile()(
+                        goal.args, None, store, None, 1, None),
+                    lambda: clauses.pred_code(pred)(
+                        goal.args, SimpleNamespace(store=store), None)):
+            got = run()
+            ok_new = got is not False
+            new = ok_new and copy_term(Struct("r", [goal, got[0]]))
+            assert not ok_new or got[1:] == (None, 1, None)
+            store.backtrack_to(mark)
+            assert ok_old == ok_new == expected, (head, goal)
+            if ok_new:
+                assert is_variant(old, new), (head, goal, old, new)
         store.drop_to(mark)
         assert store.trail == [] and store.choicepoints == []
-
-        assert ok_old == ok_new == expected, (head, goal)
-        if ok_new:
-            assert is_variant(old, new), (head, goal, old, new)
         outcomes[ok_new] += 1
     return outcomes
 
@@ -777,6 +786,28 @@ def test_switch_tries_one_of_a_thousand_facts(engine, monkeypatch):
     assert [i for i, c in enumerate(facts) if c.fn is not None] == [500]
 
 
+def test_large_fact_tables_stay_cheap_to_call(engine):
+    """A predicate with thousands of keys makes no code per clause: its
+    first call and an enumeration of all its clauses stay cheap, and
+    neither factory cache grows by more than a shape or two."""
+    engine.load("".join("f(%d, g(%d)).\n" % (i, i) for i in range(5000)))
+    engine.load("".join("h(k%d, %d).\n" % (i, i) for i in range(5000)))
+    caches = clauses._FACTORIES, clauses._PREDS
+    before = [len(cache) for cache in caches]
+    for query, count in [("f(4321, X)", 1), ("h(k17, X)", 1),
+                         ("f(I, X)", 5000)]:
+        start = time.process_time()
+        got = engine.ask(query)
+        assert time.process_time() - start < 0.5, query
+        assert len(got) == count, query
+    assert engine.format_term(sols(engine, "f(4321, X)")[0]) == "g(4321)"
+    assert sols(engine, "h(k17, X)") == [17]
+    assert all(len(cache) - n <= 2 for cache, n in zip(caches, before))
+    for name in "fh":
+        code = engine.main.preds[(name, 2)].code.__code__
+        assert len(code.co_code) < 4096, name  # inlines no clause
+
+
 def test_switch_keeps_clause_order_over_variable_first_clauses(engine):
     engine.load("m(a, 1).\nm(_, 2).\nm(b, 3).\nm(a, 4).\nm(_, 5).\n"
                 "m(f(_), 6).\nm(7, 7).\n")
@@ -787,6 +818,58 @@ def test_switch_keeps_clause_order_over_variable_first_clauses(engine):
     assert sols(engine, "m(7, X)") == [2, 5, 7]
     assert sols(engine, "m(7.0, X)") == [2, 5]  # an equal key, no match
     assert sols(engine, "K = a, m(K, X)") == [1, 2, 4, 5]
+
+
+DISPATCH = """
+d(a, 1).
+d(3, 2).
+d(_, 3).
+d(12345678901234567890, 4).
+d(3.0, 5).
+d(3_1, 6).
+d("s", 7).
+d(_, 8).
+d(f(x), 9).
+d(f(x, y), 10).
+d(1.0__2.0, 11).
+"""
+
+#: each goal's answers for d/2 above, in source order
+DISPATCH_ANSWERS = [
+    ("d(a, X)", [1, 3, 8]),
+    ("d(3, X)", [2, 3, 8]),
+    ("d(12345678901234567890, X)", [3, 4, 8]),
+    ("d(12345678901234567891, X)", [3, 8]),
+    ("d(3.0, X)", [3, 5, 8]),
+    ("d(3_1, X)", [3, 6, 8]),
+    ('d("s", X)', [3, 7, 8]),
+    ("d(f(x), X)", [3, 8, 9]),
+    ("d(f(z), X)", [3, 8]),
+    ("d(f(x, y), X)", [3, 8, 10]),
+    ("d(1.0__2.0, X)", [3, 8, 11]),
+    ("d(1.0__3.0, X)", [3, 8]),
+    ("d(b, X)", [3, 8]),
+    ("d(g(x), X)", [3, 8]),
+    ("K = f(x), d(K, X)", [3, 8, 9]),
+    ("d(K, X)", list(range(1, 12))),
+]
+
+
+@pytest.mark.parametrize("chain", [9, 8], ids=["chain", "dict"])
+def test_switch_on_every_key_kind(engine, monkeypatch, chain):
+    """d/2 has nine first-argument keys: tested in a chain when that many
+    fit one, read from a dict otherwise.  Either way each goal gets the
+    answers of its key's clauses and of the variable-first ones, in source
+    order, and a clause added between calls counts from the next call."""
+    monkeypatch.setattr(clauses, "_CHAIN", chain)
+    engine.load(DISPATCH)
+    for query, expected in DISPATCH_ANSWERS:
+        assert sols(engine, query) == expected, query
+    code = engine.main.preds[("d", 2)].code
+    assert (code.__code__.co_filename == "<pred>") == (chain == 9)
+    engine.load("d(_, 12).")
+    for query, expected in DISPATCH_ANSWERS:
+        assert sols(engine, query) == expected + [12], query
 
 
 def test_clause_added_during_a_call_is_tried_by_the_next_call(engine):
