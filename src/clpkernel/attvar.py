@@ -2,7 +2,12 @@
 
 Everything attached to a variable is an attribute (Holzbaur, PLILP
 1992): binding a variable runs its attributes' unify handlers and nothing
-else.  An attribute is registered once per engine with its handlers:
+else.  ``Var.attrs`` maps each attribute's name to its payload, in the
+order the attributes were attached, so a solver reaches its own with
+``attrs.get(name)``.  The mapping is never changed in place: `add_attr`
+and `init_attr` write a new dict, so the trail restores the old mapping
+on backtracking.  An attribute is registered once per engine with its
+handlers:
 
 * unify(value, payload, var) -> bool
       invoked immediately after ``var`` (which carried ``payload``) was
@@ -74,19 +79,16 @@ def get_attr(var, name):
     var = deref(var)
     if type(var) is not Var:
         return None
-    for n, payload in var.attrs:
-        if n == name:
-            return payload
-    return None
+    return var.attrs.get(name)
 
 
 def add_attr(store, var, name, payload):
-    """Attach (or replace) an attribute.  The change is trailed."""
+    """Attach (or replace, in its place) an attribute.  The change is
+    trailed: the mapping is replaced, so the trail keeps the old one."""
     var = deref(var)
     if type(var) is not Var:
         raise InstantiationError("add_attr: not an unbound variable: %r" % (var,))
-    kept = tuple((n, p) for n, p in var.attrs if n != name)
-    store.set_slot(var, "attrs", kept + ((name, payload),))
+    store.set_slot(var, "attrs", {**var.attrs, name: payload})
     return var
 
 
@@ -95,7 +97,7 @@ def init_attr(var, name, payload):
     Newborn variables (copy_term output, renamed clause variables) have no
     prior state to restore, and their attributes must survive a backtrack
     past the point of copying."""
-    var.attrs = var.attrs + ((name, payload),)
+    var.attrs = {**var.attrs, name: payload}
 
 
 def notify_constrained(engine, var):
@@ -128,11 +130,10 @@ class Suspend:
 def suspend_record(engine, var):
     """The `Suspend` record of the free variable var, made on first use:
     the one way to find the record that a suspension is attached to."""
-    for n, rec in var.attrs:  # get_attr(var, "suspend") inline
-        if n == "suspend":
-            return rec
-    rec = Suspend()
-    add_attr(engine.store, var, "suspend", rec)
+    rec = var.attrs.get("suspend")
+    if rec is None:
+        rec = Suspend()
+        add_attr(engine.store, var, "suspend", rec)
     return rec
 
 
@@ -181,7 +182,7 @@ def get_var_bounds(registry, v):
         return _point_bounds(v)
     lo, hi = -math.inf, math.inf
     if type(v) is Var:
-        for name, payload in v.attrs:
+        for name, payload in v.attrs.items():
             spec = registry.lookup(name)
             if spec is not None and spec.bounds_get is not None:
                 got = spec.bounds_get(v, payload)
@@ -203,7 +204,7 @@ def set_var_bounds(registry, v, lo, hi):
     if type(v) is not Var:
         raise UnsupportedError("set_var_bounds: not a variable or number: %r" % (v,))
     handlers = []
-    for name, payload in v.attrs:
+    for name, payload in v.attrs.items():
         spec = registry.lookup(name)
         if spec is not None and spec.bounds_set is not None:
             handlers.append((spec, payload))

@@ -135,7 +135,8 @@ def _make(gen, names, header, body):
               "%s\n"
               "    return %s\n" % (", ".join(names), header, body, name))
     namespace = {"Var": Var, "Struct": Struct, "Fraction": Fraction,
-                 "_open": _open, "_const": _const, "_KEYED": _KEYED}
+                 "_open": _open, "_const": _const, "_KEYED": _KEYED,
+                 "enter": enter}
     exec(compile(source, "<%s>" % name, "exec"), namespace)
     return namespace["make"]
 
@@ -442,18 +443,17 @@ class _Codegen:
 #: the index key of every bounded real and every opaque value
 _OTHER_KEY = ("other",)
 
-#: the types whose terms are keys of their own (a compound term's key is
-#: its name and arity)
+#: the types whose terms have keys of their own
 _KEYED = frozenset({Struct, Atom, int, float, str, Fraction})
 
 
 def index_key(t):
     """The first-argument index key of a term; None for an unbound
-    variable.  A compound term's key is its name and arity; an atom
-    (interned), a string, an integer, a float and a rational are their
-    own keys; bounded reals and opaque values share one key.  Terms that
-    do not unify may have equal keys (``3``, ``3.0`` and ``3_1``), so a
-    key may select too many clauses, never too few."""
+    variable.  A compound term's key is its name and arity, an atom
+    (interned) is its own key, and a number or a string is keyed by its
+    type and value, so ``3``, ``3.0`` and ``3_1`` have different keys, as
+    head matching tells them apart; bounded reals and opaque values share
+    one key."""
     while type(t) is Var:
         if t.ref is None:
             return None
@@ -461,16 +461,32 @@ def index_key(t):
     ty = type(t)
     if ty is Struct:
         return (t.name, len(t.args))
-    if ty in _KEYED:
+    if ty is Atom:
         return t
+    if ty in _KEYED:
+        return ty, t
     return _OTHER_KEY
+
+
+def enter(engine, module, cands, i, args, cut, cont):
+    """The continuation of the i-th of a call's candidate clauses, or
+    False if its head does not match; a choicepoint to retry from the
+    next candidate, if there is one, is pushed first.  Its ``alt`` keeps
+    the call's tuple of candidates, so a clause added later is not tried
+    by the call."""
+    store = engine.store
+    if i + 1 < len(cands):
+        m = store.push_choicepoint()
+        m.alt, m.cont = (module, cands, i + 1, args), cont
+    c = cands[i]
+    return (c.fn or c.compile())(args, engine, store, module, cut, cont)
 
 
 #: predicates with more first-argument keys than this find a call's
 #: candidate clauses in a dict; the others test the keys one by one
 _CHAIN = 8
 
-#: a single candidate clause with a longer shape is called, not inlined
+#: a single candidate clause with a longer shape is entered, not inlined
 #: in its predicate's code: its code is made once, as the clause's own
 _INLINE = 64
 
@@ -495,55 +511,52 @@ def pred_code(pred):
     call's first candidate clause, or False.
 
     As Warren's ``switch_on_term``, the code selects the candidates by
-    the goal's first argument: the clauses with its key and those whose
-    first argument is a variable, in source order, or every clause for an
-    unbound argument.  A single candidate is entered with no retry mark;
-    of several, the code pushes the mark, whose ``alt`` keeps their tuple
-    (so a clause added later is not tried by the call), and enters the
-    first.  Retries run through `Engine._try_clauses`.
+    the goal's first argument: the clauses with its key (`index_key`) and
+    those whose first argument is a variable, in source order, or every
+    clause for an unbound argument.  It enters them with `enter`, which
+    pushes a retry mark when there are several.
 
     A predicate with up to `_CHAIN` keys tests them in a chain, each by
-    its type and value, so ``3``, ``3.0`` and ``3_1`` select only their
-    own clauses; its code is generated from Python source once per
+    its type and value; its code is generated from Python source once per
     predicate shape (`_PREDS`), like a clause's.  A single candidate with
     a short shape runs inline, and when the chain has tested its key the
     match of its first argument starts from what the test proved.  A
-    predicate with more keys reads its candidates from a dict under
-    `index_key` (`_indexed`), and calls its clauses' functions."""
+    predicate with more keys reads its candidates from a dict
+    (`_indexed`)."""
     clauses = pred.clauses
-    chain = _few_keys(clauses)
-    table, rest = _switch(clauses, chain)
-    if not chain:
+    table, rest = _switch(clauses)
+    if len(table) > _CHAIN:
         code = pred.code = _indexed(pred.module, table, rest, tuple(clauses))
         return code
     shape = [pred.arity]
     params = []
 
-    def enter(cands):
-        if len(cands) != 1:
-            shape.append(2 if cands else 0)
-            if cands:
-                params.append(cands)
-        elif len(cands[0].shape) > _INLINE:
+    def run(cands):
+        if not cands:
+            shape.append(0)
+        elif len(cands) > 1 or len(cands[0].shape) > _INLINE:
             shape.append(1)
-            params.append(cands[0])
+            params.append(cands)
         else:
             shape.append(cands[0].shape)
             params.extend(cands[0].params)
 
-    enter(tuple(clauses))
+    run(tuple(clauses))
     if table:
-        for (ty, key), cands in table.items():
+        for key, cands in table.items():
             if key is _OTHER_KEY:
                 shape.append(None)
-            elif ty is tuple:
+            elif type(key) is Atom:
+                shape.append(Atom)
+                params.append(key)
+            elif key[0] in _TESTS:  # a number's or a string's type and value
+                shape.append(key[0])
+                params.append(key[1])
+            else:  # a compound term's name and arity
                 shape.append(key[1])
                 params.append(key[0])
-            else:
-                shape.append(ty)
-                params.append(key)
-            enter(cands)
-        enter(rest)
+            run(cands)
+        run(rest)
     shape = tuple(shape)
     make = _PREDS.get(shape)
     if make is None:
@@ -552,23 +565,10 @@ def pred_code(pred):
     return code
 
 
-def _few_keys(clauses):
-    """Whether the clauses have at most `_CHAIN` exact keys (`_switch`)."""
-    keys = set()
-    for c in clauses:
-        if c.key is not None:
-            keys.add((type(c.key), c.key))
-            if len(keys) > _CHAIN:
-                return False
-    return True
-
-
-def _switch(clauses, exact):
+def _switch(clauses):
     """The candidates of each first-argument key some clause has, in
     source order, and the clauses whose first argument is a variable,
-    which a goal with any other key may match.  An exact key is the
-    `index_key` with its type, so numbers of different types have
-    different keys, as head matching tells them apart."""
+    which a goal with any other key may match."""
     table = {}
     rest = []
     for c in clauses:
@@ -578,8 +578,6 @@ def _switch(clauses, exact):
             for cands in table.values():
                 cands.append(c)
             continue
-        if exact:
-            key = type(key), key
         cands = table.get(key)
         if cands is None:
             cands = table[key] = rest.copy()
@@ -593,8 +591,8 @@ def _pred_factory(shape):
     predicate's code.  The shape is the arity, the run of an unbound first
     argument, then, if some clause has a key, each key's test and run, and
     the run of a key no clause has.  A test is a type, an arity or None
-    (`_TESTS`); a run is 0 (no candidate), 1 (one, called), 2 (several) or
-    the shape of the one candidate, inlined."""
+    (`_TESTS`); a run is 0 (no candidate), 1 (a tuple of candidates,
+    entered) or the shape of the one candidate, inlined."""
     gen = _Codegen(shape)
     if len(shape) == 2:  # nothing to switch on
         _run(gen, 2, shape[1], False)
@@ -626,17 +624,8 @@ def _run(gen, d, run, proven):
     if run == 0:
         gen.emit(d, "return False")
     elif run == 1:
-        c = gen.param()
-        gen.emit(d, "return (%s.fn or %s.compile())(args, engine, store, "
-                    "module, len(store.choicepoints), cont)" % (c, c))
-    elif run == 2:
-        cands = gen.param()
-        gen.emit(d, "cut = len(store.choicepoints)")
-        gen.emit(d, "m = store.push_choicepoint()")
-        gen.emit(d, "m.alt, m.cont = (module, %s, 1, args), cont" % cands)
-        gen.emit(d, "c = %s[0]" % cands)
-        gen.emit(d, "return (c.fn or c.compile())(args, engine, store, "
-                    "module, cut, cont)")
+        gen.emit(d, "return enter(engine, module, %s, 0, args, "
+                    "len(store.choicepoints), cont)" % gen.param())
     else:
         sub = _Codegen(run)
         sub.np = gen.np
@@ -649,27 +638,10 @@ def _run(gen, d, run, proven):
 def _indexed(module, table, rest, every):
     """The code of a predicate with more keys than a chain tests."""
     def pred(args, engine, cont):
-        t = args[0]
-        while type(t) is Var:
-            if t.ref is None:
-                cands = every
-                break
-            t = t.ref
-        else:
-            ty = type(t)
-            if ty is Struct:
-                cands = table.get((t.name, len(t.args)), rest)
-            elif ty is Atom or ty is int:
-                cands = table.get(t, rest)
-            else:
-                cands = table.get(index_key(t), rest)
-        store = engine.store
-        cut = len(store.choicepoints)
-        if len(cands) > 1:
-            m = store.push_choicepoint()
-            m.alt, m.cont = (module, cands, 1, args), cont
-        elif not cands:
+        key = index_key(args[0])
+        cands = every if key is None else table.get(key, rest)
+        if not cands:
             return False
-        c = cands[0]
-        return (c.fn or c.compile())(args, engine, store, module, cut, cont)
+        return enter(engine, module, cands, 0, args,
+                     len(engine.store.choicepoints), cont)
     return pred

@@ -44,7 +44,7 @@ def _answer_lines(engine, varmap, canonical):
         if name.startswith("_"):
             continue
         d = deref(v)
-        if d is v and all(n == "suspend" for n, _ in v.attrs):
+        if d is v and all(n == "suspend" for n in v.attrs):
             continue  # still free; its suspensions show as delayed goals
         local = names
         if names.get(id(d)) == name:

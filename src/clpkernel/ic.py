@@ -232,9 +232,9 @@ def _update(engine, x, d, lo, hi, holes, integral, joined=None):
         store.set_slot(d, "integral", integral)
         changed = True
     if changed:
-        for name, p in x.attrs:  # get_attr(x, "suspend") inline
-            if name == "suspend":
-                wake += p.constrained
+        rec = x.attrs.get("suspend")
+        if rec is not None:
+            wake += rec.constrained
     if wake:
         engine.wake(wake)
     return True
@@ -270,14 +270,7 @@ def impose_max(engine, x, b):
 def exclude_value(engine, x, v):
     """x != v for an exact value v; integral domains only."""
     x = deref(x)
-    d = None
-    if type(v) is int and type(x) is Var:
-        # get_attr(x, "ic") inline: this is every woken disequality's path
-        for name, d in x.attrs:
-            if name == "ic":
-                break
-        else:
-            d = None
+    d = x.attrs.get("ic") if type(v) is int and type(x) is Var else None
     if d is None or not d.integral:
         # the general case: anything but an int against an integral domain
         if is_number(x):
@@ -563,12 +556,8 @@ def _propagate_bounds(engine, eq, const, pairs, s):
             s_max += v
             continue
         if ty is Var:
-            for name, d in v.attrs:  # get_attr(v, "ic") inline
-                if name == "ic":
-                    break
-            else:
-                # posting gave every variable a domain, and aliasing keeps one
-                d = ensure_domain(engine, v)
+            # posting gave every variable a domain, and aliasing keeps one
+            d = v.attrs.get("ic") or ensure_domain(engine, v)
             if d.integral:
                 lo, hi = d.lo, d.hi
             else:
@@ -720,11 +709,7 @@ def _neq_one(engine, c, v, rest, s):
     """``c*v + rest \\= 0`` for ints c and rest and a variable v: constant
     time.  An integral v excludes the quotient when it is exact and then
     the demon dies; otherwise the general path decides."""
-    for name, d in v.attrs:  # get_attr(v, "ic") inline
-        if name == "ic":
-            break
-    else:
-        d = None
+    d = v.attrs.get("ic")
     if d is None or not d.integral:
         return _propagate_neq(engine, rest, [(c, v)], s)
     q, r = divmod(-rest, c)

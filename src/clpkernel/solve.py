@@ -75,13 +75,13 @@ the head matched does it build the body, already split into one
 continuation cell per goal.  No clause is renamed by `copy_term`.  A
 predicate's code (`Pred`, made by `pred_code`) is what `_call_user`
 calls.  As WAM's ``switch_on_term`` does, it selects the candidate
-clauses by the goal's first argument and enters a single one directly,
-with no retry mark; where it has tested that candidate's key, the
-clause's head and body run inline and its first-argument match starts
-from what the test proved.  Of two or more candidates it pushes the
-retry mark, which keeps the call's tuple of them, so clauses added after
-the call began are not tried, and enters the first; each retry goes
-through `_try_clauses`.
+clauses by the goal's first argument.  Where it has tested the key of a
+single candidate, the clause's head and body run inline and its
+first-argument match starts from what the test proved.  Otherwise it
+enters the candidates through `clauses.enter`, which pushes a retry mark
+only when there are two or more; the mark keeps the call's tuple of
+them, so clauses added after the call began are not tried, and each
+retry goes through `enter` again.
 
 The Prolog parts of the kernel, ic and search libraries (the preludes)
 are read once per process.  The first engine loads each one through
@@ -104,7 +104,7 @@ from __future__ import annotations
 import logging
 from functools import partial
 
-from .clauses import Clause, pred_code
+from .clauses import Clause, enter, pred_code
 from .errors import (EngineError, ExistenceError, FlounderingError, Halt,
                      InstantiationError, InternalError, ReaderError,
                      TypeError_, UnsupportedError)
@@ -557,7 +557,7 @@ class Engine:
                     break
                 if type(alt) is tuple:
                     store.drop_to(m)
-                    cont = self._try_clauses(*alt, m.index, cont)
+                    cont = enter(self, *alt, m.index, cont)
                 elif alt is None:
                     raise InternalError("backtracked into a bare mark %r" % m)
                 else:  # a step's alternative, resumed from its live mark
@@ -575,19 +575,8 @@ class Engine:
         first candidate clause, or False, from the predicate's code."""
         return (pred.code or pred_code(pred))(args, self, cont)
 
-    def _try_clauses(self, module, clauses, i, args, cut, cont):
-        """The continuation of the i-th of a call's candidate clauses, or
-        False if its head does not match; a choicepoint to retry from the
-        next candidate, if there is one, is pushed first."""
-        if i + 1 < len(clauses):
-            m = self.store.push_choicepoint()
-            m.alt, m.cont = (module, clauses, i + 1, args), cont
-        clause = clauses[i]
-        return (clause.fn or clause.compile())(
-            args, self, self.store, module, cut, cont)
-
     def _copy_attr_hook(self, old, fresh):
-        for name, payload in old.attrs:
+        for name, payload in old.attrs.items():
             spec = self.registry.lookup(name)
             if spec is not None and spec.copy is not None:
                 spec.copy(payload, fresh)

@@ -204,7 +204,10 @@ class Store:
     # binding
 
     def bind(self, var, value):
-        """Bind an unbound variable and run the attributes' unify handlers.
+        """Bind an unbound variable and run the attributes' unify handlers:
+        its own, in the order they were attached, then, when it is aliased
+        to a variable, those of the survivor's attributes it lacks, with
+        payload None.
 
         Returns False when a handler vetoes the binding.  The partial
         state is left in place; the caller is expected to hold a
@@ -220,11 +223,11 @@ class Store:
         if type(value) is Var:
             value = deref(value)
             if type(value) is Var and value.attrs:
-                attrs += tuple((name, None) for name, _ in value.attrs
-                               if name not in dict(attrs))
+                attrs = {**attrs, **{name: None for name in value.attrs
+                                     if name not in attrs}}
         if attrs and self.attr_registry is not None:
             lookup = self.attr_registry.lookup
-            for name, payload in attrs:
+            for name, payload in attrs.items():
                 spec = lookup(name)
                 if spec is not None and spec.unify is not None:
                     if type(value) is Var:

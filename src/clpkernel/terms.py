@@ -22,19 +22,26 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
+from types import MappingProxyType
 
 #: creation serials of variables, and of choicepoint marks (store.py)
 serials = count(1)
+
+#: the attributes of every plain variable: one shared, read-only mapping
+NO_ATTRS = MappingProxyType({})
 
 
 class Var:
     """A logic variable: an assignable cell.
 
     ``ref`` is None while unbound, otherwise the term this variable was
-    bound to (possibly another Var, forming a chain).  ``attrs`` is a
-    tuple of (name, payload) pairs holding all that is attached to the
-    variable: solver data such as ic's domain, and the generic suspension
-    lists (the ``suspend`` attribute).  ``serial`` orders variables by
+    bound to (possibly another Var, forming a chain).  ``attrs`` maps
+    attribute names to payloads, in the order they were attached: all
+    that is attached to the variable, solver data such as ic's domain and
+    the generic suspension lists (the ``suspend`` attribute).  A plain
+    variable holds `NO_ATTRS`; an attributed one a dict that is replaced
+    on every write, never changed in place, so the trail can restore the
+    old one (attvar.py).  ``serial`` orders variables by
     age; it is drawn from the module-level counter `serials`.
 
     No attribute of this class (or of any other class of the package) is
@@ -51,7 +58,7 @@ class Var:
         self.serial = next(serials)
         self.ref = None
         self.name = name
-        self.attrs = ()
+        self.attrs = NO_ATTRS
         self._stamps = None
 
     def __repr__(self):

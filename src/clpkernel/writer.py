@@ -81,7 +81,7 @@ class Writer:
         else:
             base = "_G%d" % v.serial
         if not self.canonical and self.registry is not None and v.attrs:
-            for name, payload in v.attrs:
+            for name, payload in v.attrs.items():
                 spec = self.registry.lookup(name)
                 if spec is not None and spec.portray is not None:
                     txt = spec.portray(v, payload)

@@ -471,7 +471,7 @@ def test_a_prelude_clause_with_an_attributed_variable_is_refused(
 
     def attributed(module, t):
         v = Var()
-        v.attrs = (("test", None),)
+        v.attrs = {"test": None}
         return v
     e.main.add_term_macro("av", 1, attributed)
     with pytest.raises(InternalError, match="attributed variable"):
@@ -777,6 +777,7 @@ def _pushes(engine, monkeypatch, query):
 
 def test_switch_tries_one_of_a_thousand_facts(engine, monkeypatch):
     engine.load("".join("f(%d, sq(%d)).\n" % (i, i * i) for i in range(1000)))
+    engine.load("f(500.0, float).\nf(500_1, rational).\n")
     facts = engine.main.preds[("f", 2)].clauses
     _, base = _pushes(engine, monkeypatch, "true")
     got, pushed = _pushes(engine, monkeypatch, "f(500, X)")
@@ -784,6 +785,10 @@ def test_switch_tries_one_of_a_thousand_facts(engine, monkeypatch):
     assert pushed == base  # only the query's own marks
     # a clause's function is generated on its first call: one was run
     assert [i for i, c in enumerate(facts) if c.fn is not None] == [500]
+    # numbers of other types have keys of their own
+    for query, value in [("f(500.0, X)", "float"), ("f(500_1, X)", "rational")]:
+        got, pushed = _pushes(engine, monkeypatch, query)
+        assert got["X"] is Atom(value) and pushed == base, query
 
 
 def test_large_fact_tables_stay_cheap_to_call(engine):

@@ -120,7 +120,7 @@ def test_copy_term_preserves_sharing():
 
 def test_copy_term_attr_hook_sees_attributed_vars():
     x = Var()
-    x.attrs = (("tag", 7),)
+    x.attrs = {"tag": 7}
     seen = []
     copy_term(Struct("f", [x]), attr_hook=lambda old, new: seen.append((old, new)))
     assert len(seen) == 1
@@ -252,7 +252,7 @@ def test_struct_keeps_the_list_it_is_given():
 
 def test_copy_term_gives_each_copy_its_own_lists():
     a, x = Atom("a"), Var()
-    x.attrs = (("tag", 7),)
+    x.attrs = {"tag": 7}
     t = Struct("f", [a, Struct("g", [x, 1]), x])
     c = copy_term(t, attr_hook=lambda old, new: None)
     st = make_engine().store

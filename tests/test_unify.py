@@ -6,7 +6,7 @@ from clpkernel.attvar import (AttributeSpec, add_attr, get_attr,
                               notify_constrained)
 from clpkernel.errors import EngineError
 from clpkernel.susp import SUSPENDED
-from clpkernel.terms import Atom, Struct, deref
+from clpkernel.terms import NO_ATTRS, Atom, Struct, deref
 
 
 def probe(engine):
@@ -140,6 +140,52 @@ def test_attribute_attach_is_trailed(engine):
     assert get_attr(x, "tag") is None
 
 
+def test_backtracking_past_the_first_attribute_restores_no_attrs(engine):
+    st = engine.store
+    x = st.new_var()
+    m = st.push_choicepoint()
+    add_attr(st, x, "tag", 7)
+    add_attr(st, x, "other", 8)
+    st.backtrack_to(m)
+    assert x.attrs is NO_ATTRS
+
+
+def test_a_replaced_attribute_keeps_its_place(engine):
+    st = engine.store
+    x = st.new_var()
+    add_attr(st, x, "tag", 1)
+    add_attr(st, x, "other", 2)
+    add_attr(st, x, "tag", 3)
+    assert list(x.attrs.items()) == [("tag", 3), ("other", 2)]
+
+
+def test_aliasing_runs_handlers_in_attach_order(engine):
+    # the bound variable's own handlers in the order they were attached,
+    # then the survivor's other attributes with payload None
+    calls = []
+
+    def recorder(name):
+        def unify(value, payload, var):
+            calls.append((name, payload))
+            return True
+        return unify
+
+    for name in ("a", "b", "c", "d"):
+        engine.registry.register(AttributeSpec(name=name,
+                                               unify=recorder(name)))
+    st = engine.store
+    survivor = st.new_var()
+    add_attr(st, survivor, "d", "d0")
+    add_attr(st, survivor, "a", "a0")
+    add_attr(st, survivor, "c", "c0")
+    bound = st.new_var()  # younger, so unify binds it to the survivor
+    add_attr(st, bound, "b", "b1")
+    add_attr(st, bound, "a", "a1")
+    assert st.unify(survivor, bound)
+    assert deref(bound) is survivor
+    assert calls == [("b", "b1"), ("a", "a1"), ("d", None), ("c", None)]
+
+
 def test_attribute_replaced_not_duplicated(engine):
     st = engine.store
     x = st.new_var()
@@ -168,7 +214,7 @@ def test_plain_variables_stay_plain(engine):
     assert st.unify(Struct("g", [xs[5], xs[4]]),
                     Struct("g", [xs[2], Struct("h", [xs[0]])]))
     assert deref(xs[5]) is deref(xs[0])
-    assert all(x.attrs == () for x in xs)
+    assert all(x.attrs is NO_ATTRS for x in xs)
 
 
 def test_add_attr_refuses_a_solver_attribute(engine):
