@@ -41,24 +41,28 @@ domain; rational coefficients and continuous domains compute in
 Fractions, and their bounds are rounded outward only when stored.
 
 Linear constraints normalise (linear.py) to ``const + sum(c_i * x_i)
-REL  0`` with REL one of =< / = / \\=, and are enforced by a single
-demon predicate, ic_lin_con/3, at priority 5.  The demon attaches itself
-to the w_min / w_max lists its coefficients make it sensitive to (=< and
-=), or to the variables' bound lists (\\=, which waits until at most one
-variable is free, then excludes the forced value).  A bound list wakes on
-instantiation and on aliasing, and a disequality sums the coefficients
-of the variables that alias each other, so ``X #\\= Y, X = Y`` fails at
-once.  The propagator is chosen at posting and kept in the suspension's
-payload with the constant and the pairs, so a woken run calls it
-directly.  A run of the bounds propagator (=< and =) reads each
+REL  0`` with REL one of =< / = / \\=, and each is enforced by a demon
+at priority 5: a suspension whose ``run`` is its propagator, chosen at
+posting, with the relation, the constant and the pairs as its payload.
+A woken run is one call of that run; no goal term is built at posting,
+only when something prints the delayed goal (``ic_lin_con(Rel, C,
+[C1*X1, ...])``, shown as ``#=`` and the like).  The demon attaches
+itself to the w_min / w_max lists its coefficients make it sensitive to
+(=< and =), or to the variables' bound lists (\\=, which waits until at
+most one variable is free, then excludes the forced value).  A bound
+list wakes on instantiation and on aliasing, and a disequality sums the
+coefficients of the variables that alias each other, so ``X #\\= Y, X =
+Y`` fails at once.  A run of the bounds propagator (=< and =) reads each
 variable's domain once, sums the terms' bounds, and then narrows each
 variable to the slack the other terms leave, calling impose_min /
 impose_max only where that bound tightens the domain.  A disequality
-over two variables with int coefficients and constant decides in
-constant time: once one side is bound, it excludes the other side's
-quotient from an integral domain if the division is exact, and dies
-either way.  alldifferent/1 is a forward-checking demon at priority 4
-on the bound lists too; it fails when two of its variables alias.
+over two variables with int coefficients and constant has its own run,
+which decides in constant time: once one side is bound, it excludes the
+other side's quotient from an integral domain if the division is exact,
+and dies either way.  ic_lin_con/3 posts such a constraint from its
+arguments.  alldifferent/1 is a forward-checking demon at priority 4 on
+the bound lists too, with its list as its payload; it fails when two of
+its variables alias.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ from .errors import (DomainError, InstantiationError, TypeError_,
                      UncertaintyError)
 from .linear import (exact_number, exact_quotient, int_if_integral,
                      normalize_relation)
+from .susp import EXECUTED
 from .terms import (NIL, Atom, Breal, Struct, Var, deref, is_number,
                     list_parts, mk_list, proper_list)
 
@@ -443,17 +448,14 @@ def _lin_error(t, what, atom_error=TypeError_):
 
 
 def bi_ic_lin_con(engine, args, module):
-    s = engine.current_suspension
-    if s is not None and type(s.goal) is Struct and s.goal.args is args:
-        # woken run of an installed constraint
-        propagate, const, pairs = s.payload
-        return propagate(engine, const, pairs, s)
     rel, const, pairs = _parse_lin_goal(args)
-    goal = Struct("ic_lin_con", list(args))
-    return _post_lin_con(engine, module, rel, const, pairs, goal)
+    return _post_lin_con(engine, module, rel, const, pairs,
+                         Struct("ic_lin_con", list(args)))
 
 
-def _post_lin_con(engine, module, rel, const, pairs, goal):
+def _post_lin_con(engine, module, rel, const, pairs, goal=None):
+    """Post ``const + sum(c*x) REL 0``.  A demon's goal term is ``goal``,
+    or, when None, built from its payload if something prints it."""
     if not any(type(deref(t)) is Var for _, t in pairs):
         return _decide_ground(rel, const, pairs)
     if len(pairs) == 1:
@@ -471,9 +473,16 @@ def _post_lin_con(engine, module, rel, const, pairs, goal):
                 and impose_max(engine, v, _bound(-const, c, integral, up=False))
         if integral:
             return exclude_value(engine, v, exact_quotient(-const, c))
-    propagate = _PROPAGATORS[rel]
-    s = engine.make_suspension(goal, LIN_PRIORITY, module)
-    s.payload = (propagate, const, pairs)
+    if rel != "\\=":
+        run = _propagate_bounds
+    elif (len(pairs) == 2 and type(const) is int
+          and type(pairs[0][0]) is int and type(pairs[1][0]) is int):
+        run = _neq2
+    else:
+        run = _propagate_neq
+    s = engine.make_suspension(_lin_goal if goal is None else goal,
+                               LIN_PRIORITY, module, run)
+    s.payload = (rel, const, pairs)
     set_slot = engine.store.set_slot
     for c, t in pairs:
         v = deref(t)
@@ -492,7 +501,14 @@ def _post_lin_con(engine, module, rel, const, pairs, goal):
                 set_slot(d, "w_min", d.w_min + (s,))
             if rel == "=" or c < 0:
                 set_slot(d, "w_max", d.w_max + (s,))
-    return propagate(engine, const, pairs, s)
+    return run(engine, s, module)
+
+
+def _lin_goal(s):
+    """The goal term of a linear constraint posted without one."""
+    rel, const, pairs = s.payload
+    return Struct("ic_lin_con", [
+        Atom(rel), const, mk_list([Struct("*", [c, v]) for c, v in pairs])])
 
 
 def _decide_ground(rel, const, pairs):
@@ -522,16 +538,8 @@ def _decide_ground(rel, const, pairs):
     raise UncertaintyError("cannot decide disequality over bounded reals")
 
 
-def _propagate_le(engine, const, pairs, s):
-    return _propagate_bounds(engine, False, const, pairs, s)
-
-
-def _propagate_eq(engine, const, pairs, s):
-    return _propagate_bounds(engine, True, const, pairs, s)
-
-
-def _propagate_bounds(engine, eq, const, pairs, s):
-    """Bounds propagation of ``const + sum(c*x) =< 0``, or ``= 0`` when eq.
+def _propagate_bounds(engine, s, module):
+    """The run of ``const + sum(c*x) =< 0``, or ``= 0``: bounds propagation.
 
     One read of each domain: the summing loop derefs each pair, finds a
     variable's ic domain and keeps (c, x, domain, c*lo, c*hi); the
@@ -540,6 +548,8 @@ def _propagate_bounds(engine, eq, const, pairs, s):
     only where it tightens the domain (below hi for an upper bound, above
     lo for a lower one): any other call of impose_max / impose_min would
     change nothing."""
+    rel, const, pairs = s.payload
+    eq = rel == "="
     info = []
     n_min_inf = n_max_inf = 0  # infinite contributions, counted
     s_min = s_max = const
@@ -583,12 +593,10 @@ def _propagate_bounds(engine, eq, const, pairs, s):
 
     # entailment
     if not eq and n_max_inf == 0 and s_max <= 0:
-        if s is not None:
-            engine.kill_suspension(s)
+        engine.kill_suspension(s)
         return True
     if eq and n_min_inf == 0 and n_max_inf == 0 and s_min == s_max:
-        if s is not None:
-            engine.kill_suspension(s)
+        engine.kill_suspension(s)
         return s_min == 0
 
     for c, v, d, clo, chi in info:
@@ -634,26 +642,11 @@ def _propagate_bounds(engine, eq, const, pairs, s):
     return True
 
 
-def _propagate_neq(engine, const, pairs, s):
-    """``const + sum(c*x) \\= 0``: waits until at most one variable is
-    free, then excludes the value that variable is forced off."""
-    if len(pairs) == 2 and type(const) is int:
-        (c1, t1), (c2, t2) = pairs
-        if type(c1) is int and type(c2) is int:
-            x, y = deref(t1), deref(t2)
-            tx, ty = type(x), type(y)
-            if tx is Var:
-                if ty is int:
-                    return _neq_one(engine, c1, x, const + c2 * y, s)
-                if ty is Var and x is not y:
-                    return True
-            elif tx is int:
-                if ty is Var:
-                    return _neq_one(engine, c2, y, const + c1 * x, s)
-                if ty is int:
-                    if s is not None:
-                        engine.kill_suspension(s)
-                    return const + c1 * x + c2 * y != 0
+def _propagate_neq(engine, s, module):
+    """The run of ``const + sum(c*x) \\= 0``: waits until at most one
+    variable is free, then excludes the value that variable is forced
+    off."""
+    _, const, pairs = s.payload
     merged = {}  # id -> (coefficient, variable): aliases sum coefficients
     total = const
     lo_acc = hi_acc = 0
@@ -679,14 +672,12 @@ def _propagate_neq(engine, const, pairs, s):
         lo, hi = total + lo_acc, total + hi_acc
         if len(free) == 0:
             if lo > 0 or hi < 0:
-                if s is not None:
-                    engine.kill_suspension(s)
+                engine.kill_suspension(s)
                 return True
             raise UncertaintyError("cannot decide disequality over bounded reals")
         return True
     if len(free) == 0:
-        if s is not None:
-            engine.kill_suspension(s)
+        engine.kill_suspension(s)
         return total != 0
     if len(free) == 1:
         c, v = free[0]
@@ -699,30 +690,51 @@ def _propagate_neq(engine, const, pairs, s):
             return lo != hi or lo != q
         if not exclude_value(engine, v, q):
             return False
-        if s is not None:
-            engine.kill_suspension(s)
+        engine.kill_suspension(s)
         return True
     return True
 
 
-def _neq_one(engine, c, v, rest, s):
-    """``c*v + rest \\= 0`` for ints c and rest and a variable v: constant
-    time.  An integral v excludes the quotient when it is exact and then
-    the demon dies; otherwise the general path decides."""
-    d = v.attrs.get("ic")
+def _neq2(engine, s, module):
+    """The run of ``c1*x + c2*y + k \\= 0`` with ints c1, c2 and k, in
+    constant time.  Once one side is an int, the other side's integral
+    domain loses the quotient, if it is exact and still in the domain,
+    and the demon dies.  Aliasing, a domain that is not integral and a
+    side bound to another number take the general path."""
+    _, k, ((c1, x), (c2, y)) = s.payload
+    while type(x) is Var:  # deref inline
+        r = x.ref
+        if r is None:
+            break
+        x = r
+    while type(y) is Var:
+        r = y.ref
+        if r is None:
+            break
+        y = r
+    if type(y) is int:
+        if type(x) is int:
+            engine.store.set_slot(s, "state", EXECUTED)
+            return k + c1 * x + c2 * y != 0
+        c, v, k = c1, x, k + c2 * y
+    elif type(x) is int:
+        c, v, k = c2, y, k + c1 * x
+    elif type(x) is Var and type(y) is Var and x is not y:
+        return True
+    else:
+        return _propagate_neq(engine, s, module)
+    d = v.attrs.get("ic") if type(v) is Var else None
     if d is None or not d.integral:
-        return _propagate_neq(engine, rest, [(c, v)], s)
-    q, r = divmod(-rest, c)
-    if r == 0 and not exclude_value(engine, v, q):
+        return _propagate_neq(engine, s, module)
+    q, r = divmod(-k, c)
+    if (r == 0 and d.lo <= q <= d.hi and q not in d.holes
+            and not _update(engine, v, d, d.lo, d.hi, d.holes | {q}, True)):
         return False
-    if s is not None:
-        engine.kill_suspension(s)
+    engine.store.set_slot(s, "state", EXECUTED)
     return True
 
 
-_PROPAGATORS = {"=<": _propagate_le, "=": _propagate_eq,
-                "\\=": _propagate_neq}
-_LIN_RELS = frozenset(map(Atom, _PROPAGATORS))
+_LIN_RELS = frozenset(map(Atom, ("=<", "=", "\\=")))
 
 
 # ----------------------------------------------------------------------
@@ -732,20 +744,24 @@ def bi_alldifferent(engine, args, module):
     items = proper_list(args[0])
     if items is None:
         raise InstantiationError("alldifferent: needs a proper list")
-    s = engine.current_suspension
-    installed = (s is not None and type(s.goal) is Struct
-                 and s.goal.args is args)
-    if not installed:
-        # a variable listed twice fails in _alldiff_check
-        free = [v for v in map(deref, items) if type(v) is Var]
-        if free:
-            s = engine.make_suspension(Struct("alldifferent", list(args)),
-                                       ALLDIFF_PRIORITY, module)
-            for v in free:
-                engine.attach_suspension(s, v, "bound")
-        else:
-            s = None
+    # a variable listed twice fails in _alldiff_check
+    free = [v for v in map(deref, items) if type(v) is Var]
+    if not free:
+        return _alldiff_check(engine, items, None)
+    s = engine.make_suspension(_alldiff_goal, ALLDIFF_PRIORITY, module,
+                               _alldiff_run)
+    s.payload = items
+    for v in free:
+        engine.attach_suspension(s, v, "bound")
     return _alldiff_check(engine, items, s)
+
+
+def _alldiff_run(engine, s, module):
+    return _alldiff_check(engine, s.payload, s)
+
+
+def _alldiff_goal(s):
+    return Struct("alldifferent", [mk_list(s.payload)])
 
 
 def _alldiff_check(engine, items, s):
@@ -885,19 +901,14 @@ def install(engine):
                 if (d is None or not d.integral) and \
                         not impose_integrality(engine_, v):
                     return False
-            goal = Struct("ic_lin_con",
-                          [Atom(rel), const,
-                           mk_list([Struct("*", [c, v]) for c, v in pairs])])
-            return _post_lin_con(engine_, module, rel, const, pairs, goal)
+            return _post_lin_con(engine_, module, rel, const, pairs)
         return fn
 
     for relname in ("#=", "#\\=", "#<", "#>", "#=<", "#>="):
         bi(relname, 2, rel_builtin(relname))
 
-    p = bi("ic_lin_con", 3, bi_ic_lin_con)
-    p.demon = True
-    p = bi("alldifferent", 1, bi_alldifferent)
-    p.demon = True
+    bi("ic_lin_con", 3, bi_ic_lin_con)
+    bi("alldifferent", 1, bi_alldifferent)
 
     def bi_get_min(engine_, args, module):
         return engine_.store.unify(args[1], _get_bound(engine_, args[0], "lo"))

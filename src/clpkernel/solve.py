@@ -35,27 +35,29 @@ some entry is queued and its ``low`` bound says one may be more urgent
 than the running priority, so a step that woke nothing pays one test,
 and a woken goal with only less urgent entries queued pays two.
 `drain` runs the entries more urgent than `running_priority`, most
-urgent first.  A woken goal whose predicate is a builtin (every ic demon
-is one) is called directly: `make_suspension` keeps the predicate on the
-suspension, and `drain` calls `_run_builtin` with the goal's own
-argument tuple, as the resolvent would.  A bool result is the outcome:
-no mark is pushed, and a failing demon's partial writes are undone by
-the loop's backtracking.  `current_suspension` is set meanwhile, so a
-builtin can tell a woken run (the suspension's goal arguments are its
-arguments) from a fresh post.  Any other woken goal, a user predicate's
-or a pair a builtin returns (a woken ``call/1`` or ``indomain/1``), is
-an ordinary subgoal: it runs as cells in front of the continuation, the
-goal with the choicepoint height as its cut height (so its cut is local
-to it), then a step that restores the running priority, and it may
-leave alternatives.  While it runs, `running_priority` is its priority,
-so more urgent wakings interrupt it before its next goal and less
-urgent ones wait.  `running_priority` is value-trailed on the engine,
-so backtracking into a woken goal's alternative runs it at the goal's
-priority again, and backtracking past it restores the priority it
-interrupted.  `_run_builtin` is the one call site of every builtin
-call, woken or not, and `_call_user` of every user call.  Both are
-looked up on the engine at each call, so a wrapper put on the class
-sees every call.
+urgent first.  Every suspension that needs no resolvent has a ``run``,
+set when it is made, and `drain` calls it through `_run_builtin` with the
+suspension as the arguments: the ic demons' runs are their propagators,
+which find their data in the suspension's payload, and a builtin goal
+delayed by ``suspend/3`` or ``dif/2`` gets a run that calls its builtin
+with the goal's arguments.  So a woken run is one dispatch, and posting
+a demon builds no goal term: one is built from the payload only when
+something prints it (`Suspension.goal_term`).  A bool result is the
+outcome: no mark is pushed, and a failing demon's partial writes are
+undone by the loop's backtracking.  The goal of a suspension without a
+run (a user predicate's), or a pair a run returns (a woken ``call/1`` or
+``indomain/1``), is an ordinary subgoal: it runs as cells in front of
+the continuation, the goal with the choicepoint height as its cut
+height (so its cut is local to it), then a step that restores the
+running priority, and it may leave alternatives.  While it runs,
+`running_priority` is its priority, so more urgent wakings interrupt it
+before its next goal and less urgent ones wait.  `running_priority` is
+value-trailed on the engine, so backtracking into a woken goal's
+alternative runs it at the goal's priority again, and backtracking past
+it restores the priority it interrupted.  `_run_builtin` is the one call
+site of every builtin call and every woken run, and `_call_user` of
+every user call.  Both are looked up on the engine at each call, so a
+wrapper put on the class sees every call.
 
 A goal is resolved by one rule, `Module.lookup_pred`, in the loop and
 in `make_suspension`: the calling module's own predicate, else an
@@ -291,6 +293,9 @@ class Engine:
         self._sid = 0
         self.running_priority = MAIN_PRIORITY
         self._stamps = None  # running_priority is value-trailed
+        # always None: a woken run gets its suspension as its arguments.
+        # Kept because perfbench/tracer.py reads it to tell woken ic runs
+        # from posts.
         self.current_suspension = None
         self.modules = {}
         self._record = None  # a prelude's record while it is being made
@@ -336,20 +341,32 @@ class Engine:
     # ------------------------------------------------------------------
     # suspensions
 
-    def make_suspension(self, goal, priority, module=None):
+    def make_suspension(self, goal, priority, module=None, run=None):
+        """A new suspension, pending.  A caller that passes its ``run`` (a
+        solver's propagator) makes a demon, which runs on every waking
+        until it kills itself, and ``goal`` may be a function that builds
+        the goal term from the suspension (see `Suspension`).  Otherwise
+        ``goal`` is a callable term, resolved here as the loop would: a
+        builtin's goal gets a run that calls the builtin with its
+        arguments, any other runs in the resolvent, and a ``demon``
+        declaration of its predicate counts."""
         module = module or self.main
-        g = deref(goal)
-        if not is_callable_term(g):
-            if isinstance(g, Var):
-                raise InstantiationError("suspension goal is unbound")
-            raise TypeError_("suspension goal must be callable: %s"
-                             % self.format_term(g))
-        pred = module.lookup_pred(g.name, g.arity if type(g) is Struct else 0)
-        demon = pred is not None and pred.demon
-        if pred is not None and pred.builtin is None:
-            pred = None  # resolved when woken, like any goal
+        demon = run is not None
+        if run is None:
+            goal = deref(goal)
+            if not is_callable_term(goal):
+                if isinstance(goal, Var):
+                    raise InstantiationError("suspension goal is unbound")
+                raise TypeError_("suspension goal must be callable: %s"
+                                 % self.format_term(goal))
+            pred = module.lookup_pred(
+                goal.name, goal.arity if type(goal) is Struct else 0)
+            if pred is not None:
+                demon = pred.demon
+                if pred.builtin is not None:
+                    run = partial(_call_builtin, pred.builtin)
         self._sid += 1
-        s = Suspension(self._sid, g, priority, module, demon=demon, pred=pred)
+        s = Suspension(self._sid, goal, priority, module, demon, run)
         self.suspensions[s.sid] = s
         sid = s.sid
         self.store.register_undo(lambda: self.suspensions.pop(sid, None))
@@ -398,10 +415,11 @@ class Engine:
 
     def drain(self, cont=None):
         """Run the queued goals more urgent than the running priority, most
-        urgent first, until one needs the resolvent.  A builtin's goal is
-        called directly, with `current_suspension` set, and its bool result
-        is its outcome.  Any other goal (a user predicate's, or a pair a
-        builtin returns, such as a woken ``call/1`` or ``indomain/1``) is
+        urgent first, until one needs the resolvent.  A suspension's
+        ``run`` is called through `_run_builtin`, with the suspension as
+        its arguments, and its bool result is its outcome.  Any other goal
+        (that of a suspension without a run, or a pair a run returns, such
+        as a woken ``call/1`` or ``indomain/1``) is
         returned as cells that run before ``cont``: the goal, with the
         choicepoint height as its cut height, then a step that restores the
         running priority, which is lowered to the goal's meanwhile.
@@ -420,16 +438,11 @@ class Engine:
                 s.state = SUSPENDED  # untrailed: see the susp docstring
             else:
                 store.set_slot(s, "state", EXECUTED)
-            if s.pred is None:
+            run = s.run
+            if run is None:
                 res = s.goal, s.module
             else:
-                self.current_suspension = s
-                try:
-                    res = self._run_builtin(
-                        s.pred, s.goal.args if type(s.goal) is Struct else (),
-                        s.module)
-                finally:
-                    self.current_suspension = None
+                res = self._run_builtin(run, s, s.module)
             if type(res) is tuple:
                 prev = self.running_priority
 
@@ -539,7 +552,7 @@ class Engine:
                         if cont is not False:
                             continue
                     else:
-                        res = self._run_builtin(pred, args, module)
+                        res = self._run_builtin(pred.builtin, args, module)
                         if type(res) is tuple:  # run in the call's place
                             cont = (res[0], res[1], len(cps), cont)
                             continue
@@ -565,10 +578,12 @@ class Engine:
                 if cont is not False:
                     break
 
-    def _run_builtin(self, pred, args, module):
-        """The one call site of every builtin call, woken or not: returns
-        the builtin's raw result, a bool or a pair."""
-        return pred.builtin(self, args, module)
+    def _run_builtin(self, fn, args, module):
+        """The one call site of every builtin call, ``fn`` with the goal's
+        arguments, and of every woken run, ``fn`` a suspension's ``run``
+        with the suspension as ``args``: returns the raw result, a bool or
+        a pair."""
+        return fn(self, args, module)
 
     def _call_user(self, pred, args, cont):
         """The one call site of every user call: the continuation of its
@@ -837,7 +852,14 @@ class Engine:
                           transforms=module.lookup_output_macro)
 
     def format_goal(self, susp, module=None, names=None):
-        return self.format_term(susp.goal, module, names=names)
+        return self.format_term(susp.goal_term(), module, names=names)
+
+
+def _call_builtin(fn, engine, s, module):
+    """The run of a suspended builtin goal: the builtin, called with the
+    goal's arguments."""
+    goal = s.goal
+    return fn(engine, goal.args if type(goal) is Struct else (), module)
 
 
 def _atom_name(t, what):

@@ -22,9 +22,11 @@ mark of its level).
 
 Value entries carry timestamp-based deduplication: a slot is trailed at
 most once per choicepoint segment.  Timestamps are a plain monotone
-counter, bumped on every choicepoint push, so stamps of dead (popped or
-cut) choicepoints are never reused and a simple equality test decides
-"already trailed in this segment".  Two places make that test inline
+counter, bumped on every choicepoint push and on every backtrack to a
+mark, which restarts the mark's segment under a fresh stamp.  So the
+stamps of dead (popped or cut) choicepoints and of undone segments are
+never reused, and a simple equality test decides "already trailed in
+this segment".  Two places make that test inline
 against the top choicepoint's stamp: `set_slot`, the write behind every
 solver update, so a trailed write costs one Python call, and
 `Scheduler.schedule` (susp.py), which reads the stamp once per call and
@@ -36,8 +38,9 @@ be non-idempotent.
 An integer slot means ``owner.args[slot]`` (struct arguments); a string
 slot means ``setattr(owner, slot, ...)``.  Owners participating in value
 trailing carry a ``_stamps`` dict mapping slot -> stamp of the last trail
-entry; the dict entry is dropped again when the entry is unwound, so a
-later update in the same (restarted) segment re-trails correctly.
+entry.  Unwinding an entry leaves its stamp in the dict: the stamp
+belongs to an undone segment, so it equals no live stamp, and a later
+update in the restarted segment re-trails correctly.
 
 Unification lives here too, because it is the operation that creates most
 trail entries.  A binding sets ``ref``, trails it and runs the unify
@@ -116,6 +119,9 @@ class Store:
         cps = self.choicepoints
         while len(cps) > mark.index + 1:
             cps.pop().alive = False
+        # the restarted segment: no slot is trailed in it yet
+        self._stamp_counter += 1
+        mark.stamp = self._stamp_counter
 
     def commit_to(self, mark):
         """Discard the mark and everything above it without unwinding
@@ -140,13 +146,10 @@ class Store:
                 entry[1].ref = None
             elif kind == "val":
                 _, owner, slot, old = entry
-                if isinstance(slot, int):
-                    owner.args[slot] = old
-                else:
+                if type(slot) is str:
                     setattr(owner, slot, old)
-                stamps = owner._stamps
-                if stamps is not None:
-                    stamps.pop(slot, None)
+                else:
+                    owner.args[slot] = old
             else:  # undo closure
                 entry[1]()
 

@@ -63,14 +63,18 @@ MAIN_PRIORITY = NUM_PRIORITIES + 1
 
 
 class Suspension:
-    """A suspended goal.  ``payload`` is free for propagators to cache
-    data in.  ``pred`` is the goal's builtin predicate, which a drain
-    calls directly, or None for goals that go through the resolver."""
+    """A suspended goal.  ``run`` is what a drain calls to run it,
+    ``run(engine, s, module)``, returning a bool or a ``(goal, module)``
+    pair as a builtin does; it is None for a goal that runs in the
+    resolvent.  ``payload`` is free for a run to keep its data in.
+    ``goal`` is the goal term, or, for a demon posted without one, a
+    function of the suspension that builds it from the payload; whatever
+    prints a suspension reads its goal through `goal_term`."""
 
     __slots__ = ("sid", "goal", "priority", "module", "state", "demon",
-                 "pred", "payload", "_stamps")
+                 "run", "payload", "_stamps")
 
-    def __init__(self, sid, goal, priority, module, demon=False, pred=None):
+    def __init__(self, sid, goal, priority, module, demon=False, run=None):
         if not isinstance(priority, int) or not 1 <= priority <= NUM_PRIORITIES:
             raise DomainError("suspension priority must be in 1..%d, got %r"
                               % (NUM_PRIORITIES, priority))
@@ -80,9 +84,15 @@ class Suspension:
         self.module = module
         self.state = SUSPENDED
         self.demon = demon
-        self.pred = pred
+        self.run = run
         self.payload = None
         self._stamps = None
+
+    def goal_term(self):
+        """The suspended goal as a term, built now when it was posted
+        without one."""
+        goal = self.goal
+        return goal(self) if callable(goal) else goal
 
     def __repr__(self):
         return "<susp %d prio %d %s>" % (self.sid, self.priority, self.state)

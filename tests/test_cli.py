@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from clpkernel import cli
+from clpkernel import cli, make_engine
 from clpkernel.cli import main
+from clpkernel.errors import FlounderingError
 
 
 def run_main(capsys, *argv):
@@ -170,6 +171,67 @@ def test_delayed_goals_are_reported(capsys):
     rc, out, _ = run_main(capsys, "-g", "suspend(true, 3, X -> inst)")
     assert rc == 0
     assert out == "Delayed goals:\n    true\nyes\n"
+
+
+# Delayed goals as they print: an answer's list (`Engine.ask`) and the
+# lines of clpk.  ic demons keep no goal term; theirs is built from the
+# payload when printed, and must read as the posted term always did.
+_DELAYED_GOLDEN = [
+    ("X :: 1..5, Y :: 1..5, 2 * X - 3 * Y #\\= 1",
+     ["2 * _{1..5} + -3 * _{1..5} + -1 #\\= 0"],
+     "X = _{1..5}\nY = _{1..5}\nDelayed goals:\n"
+     "    2 * X{1..5} + -3 * Y{1..5} + -1 #\\= 0\n"),
+    ("X :: 1..9, Y :: 1..9, X #\\= Y + 2",
+     ["_{1..9} + -1 * _{1..9} + -2 #\\= 0"],
+     "X = _{1..9}\nY = _{1..9}\nDelayed goals:\n"
+     "    X{1..9} + -1 * Y{1..9} + -2 #\\= 0\n"),
+    ("X :: 0.0..3.0, ic_lin_con(\\=, -1, [1*X, 0*Y, 2*Z])",
+     ["_{0.0..3.0} + 0 * _ + 2 * _ + -1 #\\= 0"],
+     "X = _{0.0..3.0}\nDelayed goals:\n"
+     "    X{0.0..3.0} + 0 * Y + 2 * Z + -1 #\\= 0\n"),
+    ("[X, Y, Z] :: 1..3, alldifferent([X, Y, 3, Z])",
+     ["alldifferent([_{1..2}, _{1..2}, 3, _{1..2}])"],
+     "X = _{1..2}\nY = _{1..2}\nZ = _{1..2}\nDelayed goals:\n"
+     "    alldifferent([X{1..2}, Y{1..2}, 3, Z{1..2}])\n"),
+    ("dif(f(X, b), f(a, Y))",
+     ["dif(f(_, b), f(a, _))"],
+     "Delayed goals:\n    dif(f(X, b), f(a, Y))\n"),
+    ("suspend(X > 1, 2, X -> inst)",
+     ["_ > 1"],
+     "Delayed goals:\n    X > 1\n"),
+    ("suspend(integer(Y), 3, [X, Y] -> inst)",
+     ["integer(_)"],
+     "Delayed goals:\n    integer(Y)\n"),
+]
+
+
+@pytest.mark.parametrize("goal, delayed, lines", _DELAYED_GOLDEN)
+def test_delayed_goals_print_as_posted(capsys, goal, delayed, lines):
+    engine = make_engine()
+    assert engine.once(goal).delayed == delayed
+    rc, out, _ = run_main(capsys, "-g", goal)
+    assert rc == 0
+    assert out == lines + "yes\n"
+
+
+@pytest.mark.parametrize("goal, message, goals", [
+    ("findall(X, (X :: 1..3, Y :: 1..3, X #\\= Y), L)",
+     "findall: a solution left goals delayed; the solution set is not "
+     "enumerable", ["_{1..3} + -1 * _{1..3} #\\= 0"]),
+    ("findall(X, alldifferent([X, Y]), L)",
+     "findall: a solution left goals delayed; the solution set is not "
+     "enumerable", ["alldifferent([_, _])"]),
+    ("count_solutions(dif(X, a), N)",
+     "count_solutions: a solution left goals delayed", ["dif(_, a)"]),
+    ("findall(X, suspend(X > 1, 2, X -> inst), L)",
+     "findall: a solution left goals delayed; the solution set is not "
+     "enumerable", ["_ > 1"]),
+])
+def test_floundering_messages_print_the_delayed_goals(goal, message, goals):
+    with pytest.raises(FlounderingError) as e:
+        make_engine().ask(goal)
+    assert str(e.value) == message
+    assert e.value.goals == goals
 
 
 def test_canonical_answers(capsys):

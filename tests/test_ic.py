@@ -17,6 +17,7 @@ from clpkernel.ic import (Domain, ensure_domain, exclude_value, format_domain,
                           get_domain, impose_integrality, impose_max,
                           impose_min)
 from clpkernel.linear import normalize_relation
+from clpkernel.susp import SUSPENDED
 from clpkernel.terms import Atom, Breal, Struct, Var, deref, mk_list
 
 from brute import feasible_points
@@ -498,10 +499,12 @@ def test_rational_coefficients_keep_exact_fractions(engine, fmt):
         assert fmt(varmap["X"]) == "_{0..6}"
         assert fmt(varmap["Y"]) == "_{0..3}"
         [s] = engine.delayed_goals()
-        propagate, const, pairs = s.payload
-        assert propagate is ic._propagate_eq
-        assert const == -3
+        rel, const, pairs = s.payload
+        assert s.run is ic._propagate_bounds
+        assert rel == "="
+        assert const == -3 and type(const) is int
         assert [c for c, _ in pairs] == [Fraction(1, 2), 1]
+        assert type(pairs[1][0]) is int
         break
     else:
         pytest.fail("X/2 + Y #= 3 failed")
@@ -576,8 +579,12 @@ def test_neq_on_a_continuous_variable_stays_delayed(ask, first):
     e = make_engine()
     x = Var()
     init_attr(x, "ic", Domain(0.5, 0.5))
-    assert not ic._propagate_neq(e, Fraction(-1, 2), [(1, x)], None)
-    assert ic._propagate_neq(e, Fraction(-1, 4), [(1, x)], None)
+    for const, ok in [(Fraction(-1, 2), False), (Fraction(-1, 4), True)]:
+        s = e.make_suspension(ic._lin_goal, ic.LIN_PRIORITY,
+                              run=ic._propagate_neq)
+        s.payload = ("\\=", const, [(1, x)])
+        assert ic._propagate_neq(e, s, e.main) is ok
+        assert s.state == SUSPENDED
 
 
 
@@ -1126,6 +1133,140 @@ def test_woken_propagation_sound_against_enumeration():
         for mark, text in reversed(marks):
             eng.store.drop_to(mark)
             assert _state_text(xs) == text, query
+
+
+# ----------------------------------------------------------------------
+# the two-variable disequality kernel: c1*X + c2*Y + k #\= 0
+
+_KERNEL_CASES = ("plain", "alias_before", "alias_after", "ground_x",
+                 "ground_both", "float_x", "continuous")
+
+
+def _kernel_solutions(eng, query, names):
+    """The (X, Y) values of every answer of ``query, labeling(names)``."""
+    got = eng.ask("%s, labeling([%s])" % (query, ", ".join(names)))
+    assert eng.store.choicepoints == []
+    return sorted(tuple(deref(a[n]) for n in "XY") for a in got)
+
+
+def _kernel_forward_check(eng, query, a, b, c, rng):
+    """Post, then bind one side to a value it still has: the other side's
+    values lose exactly the forced one and the demon is gone."""
+    goal, varmap = eng.parse_goal(query)
+    assert eng.run_goal_once(goal, eng.main), query
+    x, y = varmap["X"], varmap["Y"]
+    [s] = eng.delayed_goals()
+    assert s.run is ic._neq2
+    (cb, bound, other), ca = rng.choice([((a, x, y), b), ((b, y, x), a)])
+    before = _live_values(other)
+    val = rng.choice(sorted(_live_values(bound)))
+    rest = c + cb * val
+    forced = {-rest // ca} if rest % ca == 0 else set()
+    mark = eng.store.push_choicepoint()
+    ok = eng.store.unify(bound, val) and eng.drain()
+    where = "%s; bound to %d" % (query, val)
+    assert ok == bool(before - forced), where
+    if ok:
+        assert _live_values(other) == before - forced, where
+        assert eng.delayed_goals() == [], where
+    eng.store.drop_to(mark)
+    assert _live_values(other) == before, where
+
+
+def test_two_variable_disequality_kernel_against_enumeration():
+    """Random ``a*X + b*Y + c #\\= 0`` with coefficients of both signs,
+    not only +-1, over small integral domains, in seven cases: both sides
+    free; X = Y before or after posting; X an int, or both ints, or X a
+    float when ic_lin_con/3 posts it; and X continuous, which takes the
+    general path until X becomes integral.  Every answer set equals the
+    brute-force one, and after a binding the other side loses exactly the
+    forced value."""
+    rng = Random(20261024)
+    seen = Counter()
+    for _ in range(240):
+        case = rng.choice(_KERNEL_CASES)
+        seen[case] += 1
+        a, b = (rng.choice([-3, -2, -1, 1, 2, 3]) for _ in "ab")
+        c = rng.randint(-9, 9)
+        doms = []
+        for _i in "XY":
+            lo = rng.randint(-2, 3)
+            doms.append(list(range(lo, lo + rng.randint(1, 5) + 1)))
+        decl = "X :: %d .. %d, Y :: %d .. %d" % (
+            doms[0][0], doms[0][-1], doms[1][0], doms[1][-1])
+        cons = [("\\=", c, [(0, a), (1, b)])]
+        post = "ic_lin_con(\\=, %d, [%d*X, %d*Y])" % (c, a, b)
+        text = "%s #\\= 0" % _lin_text(c, [(0, a), (1, b)], "XY")
+        eng = make_engine()
+        if case == "continuous":
+            _kernel_continuous(eng, a, b, c, doms[1], rng)
+            continue
+        if case == "plain":
+            query = "%s, %s" % (decl, text)
+            _kernel_forward_check(eng, query, a, b, c, rng)
+        elif case == "alias_before":
+            query = "%s, X = Y, %s" % (decl, text)
+            cons.append(("=", 0, [(0, 1), (1, -1)]))
+        elif case == "alias_after":
+            query = "%s, %s, X = Y" % (decl, text)
+            cons.append(("=", 0, [(0, 1), (1, -1)]))
+            _kernel_alias_check(eng, "%s, %s" % (decl, text), a + b, c)
+        elif case == "ground_x":
+            v = rng.choice(doms[0])
+            query = "%s, X = %d, %s" % (decl, v, post)
+            doms[0] = [v]
+        elif case == "ground_both":
+            doms = [[rng.choice(doms[0])], [rng.choice(doms[1])]]
+            query = "X = %d, Y = %d, %s" % (doms[0][0], doms[1][0], post)
+        else:  # float_x
+            v = rng.choice([1.0, 2.0, 0.5, -1.5])
+            query = "Y :: %d .. %d, X = %r, %s" % (doms[1][0], doms[1][-1],
+                                                   v, post)
+            doms[0] = [v]
+        want = sorted(feasible_points(doms, cons))
+        labeled = "Y" if case == "float_x" else "XY"
+        assert _kernel_solutions(eng, query, labeled) == want, query
+    assert set(seen) == set(_KERNEL_CASES)
+
+
+def _kernel_alias_check(eng, query, ab, c):
+    """Post, then alias X and Y: the demon sums the coefficients, so the
+    merged domain loses exactly the value ``ab*X + c`` forbids."""
+    goal, varmap = eng.parse_goal(query)
+    assert eng.run_goal_once(goal, eng.main), query
+    x, y = varmap["X"], varmap["Y"]
+    [s] = eng.delayed_goals()
+    assert s.run is ic._neq2
+    both = _live_values(x) & _live_values(y)
+    if ab:
+        forced = {-c // ab} if c % ab == 0 else set()
+    else:
+        forced = both if c == 0 else set()
+    mark = eng.store.push_choicepoint()
+    ok = eng.store.unify(x, y) and eng.drain()
+    assert ok == bool(both - forced), query
+    if ok:
+        assert _live_values(x) == both - forced, query
+    eng.store.drop_to(mark)
+
+
+def _kernel_continuous(eng, a, b, c, ys, rng):
+    """X continuous: binding Y leaves X's domain and the demon as they
+    are; X becoming integral then loses exactly the forced value."""
+    query = ("X :: 0.0..4.0, Y :: %d .. %d, ic_lin_con(\\=, %d, [%d*X, %d*Y])"
+             % (ys[0], ys[-1], c, a, b))
+    goal, varmap = eng.parse_goal(query)
+    assert eng.run_goal_once(goal, eng.main), query
+    x, y = varmap["X"], varmap["Y"]
+    val = rng.choice(ys)
+    assert eng.store.unify(y, val) and eng.drain(), query
+    assert format_domain(get_domain(x)) == "{0.0..4.0}", query
+    assert len(eng.delayed_goals()) == 1, query
+    rest = c + b * val
+    forced = {-rest // a} if rest % a == 0 else set()
+    assert impose_integrality(eng, x) and eng.drain(), query
+    assert _live_values(x) == set(range(5)) - forced, query
+    assert eng.delayed_goals() == [], query
 
 
 # ----------------------------------------------------------------------

@@ -170,22 +170,33 @@ def snapshot(cells, vars_):
     return ([deref(c.args[0]) for c in cells], [deref(v) for v in vars_])
 
 
+def _val_entries(st, since):
+    return [e for e in st.trail[since:] if e[0] == "val"]
+
+
 def test_randomized_restoration():
     """Random interleavings of binds, destructive writes, choicepoints
-    and backtracks always restore exactly the snapshotted state."""
+    and backtracks always restore exactly the snapshotted state.  After
+    each backtrack, a slot written before it is trailed again exactly
+    once in the restarted segment, by set_arg and by set_slot alike."""
     rng = random.Random(20240811)
     for _ in range(60):
         st = Store()
         cells = [Struct("cell", [i]) for i in range(4)]
+        objs = [_Slots(i) for i in range(4)]
         vars_ = [Var() for _ in range(6)]
+        written = set()  # indices of the cells and objs written so far
         stack = []  # (mark, snapshot)
         for _step in range(rng.randrange(10, 60)):
             op = rng.random()
             if op < 0.35 or not stack:
-                stack.append((st.push_choicepoint(), snapshot(cells, vars_)))
+                stack.append((st.push_choicepoint(), snapshot(cells, vars_)
+                              + ([o.value for o in objs],)))
             elif op < 0.65:
-                c = rng.choice(cells)
-                st.set_arg(1, c, rng.randrange(100))
+                k = rng.randrange(len(cells))
+                st.set_arg(1, cells[k], rng.randrange(100))
+                st.set_slot(objs[k], "value", rng.randrange(100))
+                written.add(k)
             elif op < 0.85:
                 free = [v for v in vars_ if deref(v) is v]
                 if free:
@@ -195,11 +206,23 @@ def test_randomized_restoration():
                 mark, snap = stack[idx]
                 del stack[idx:]
                 st.backtrack_to(mark)
-                assert snapshot(cells, vars_) == snap
+                assert snapshot(cells, vars_) + ([o.value for o in objs],) \
+                    == snap
+                if written:
+                    k = rng.choice(sorted(written))
+                    before = st.trail_length()
+                    st.set_arg(1, cells[k], 100)
+                    st.set_arg(1, cells[k], 101)
+                    st.set_slot(objs[k], "value", 100)
+                    st.set_slot(objs[k], "value", 101)
+                    assert _val_entries(st, before) == [
+                        ("val", cells[k], 0, snap[0][k]),
+                        ("val", objs[k], "value", snap[2][k])]
         if stack:
             mark, snap = stack[0]
             st.backtrack_to(mark)
-            assert snapshot(cells, vars_) == snap
+            assert snapshot(cells, vars_) + ([o.value for o in objs],) \
+                == snap
 
 
 class _Slots:
