@@ -165,15 +165,22 @@ _CONTROL2 = {",", ";", "->"}
 
 
 class ExpandContext:
-    """Where a goal is expanded: ``metacall`` is set for a goal expanded
-    as it is called, not as part of a clause being loaded."""
+    """Where a goal is expanded: ``clause`` is the program clause being
+    loaded, and ``metacall`` is set for a goal expanded as it is called."""
 
-    def __init__(self, module, engine=None, clause_counts=None,
-                 metacall=False):
+    def __init__(self, module, engine=None, clause=None, metacall=False):
         self.module = module
         self.engine = engine
-        self.clause_counts = clause_counts or {}
+        self.clause = clause
         self.metacall = metacall
+        self._counts = None
+
+    def clause_counts(self):
+        """Occurrences of each variable of the clause, by id.  Only
+        do-loops read them, so they are counted on the first one."""
+        if self._counts is None:
+            self._counts = {} if self.clause is None else _var_counts(self.clause)
+        return self._counts
 
 
 def expand_body(ctx, goal):
@@ -197,7 +204,8 @@ def expand_body(ctx, goal):
             if isinstance(mod_t, Atom) and ctx.engine is not None:
                 target = ctx.engine.modules.get(mod_t.name)
                 if target is not None:
-                    sub = ExpandContext(target, ctx.engine, ctx.clause_counts)
+                    sub = ExpandContext(target, ctx.engine, ctx.clause,
+                                        ctx.metacall)
                     inner, aux = expand_body(sub, g.args[1])
                     return Struct(":", [mod_t, inner]), aux
             return g, []
@@ -215,7 +223,7 @@ def expand_clause(ctx, term):
     """Expand one program clause; returns (head, body, aux_clauses)."""
     t = deref(term)
     if isinstance(t, Struct) and t.name == ":-" and t.arity == 2:
-        ctx.clause_counts = _var_counts(t)
+        ctx.clause = t
         body, aux = expand_body(ctx, t.args[1])
         return t.args[0], body, aux
     return t, TRUE, []
@@ -344,9 +352,8 @@ def expand_do(ctx, t):
 
     plans = []
     iter_var_ids = set()
-    compile_time = bool(ctx.clause_counts)
     for it in iters:
-        got = _iter_plan(it, strict=compile_time)
+        got = _iter_plan(it, strict=not ctx.metacall)
         plans.extend(got if isinstance(got, list) else [got])
         iter_var_ids.update(id(v) for v in term_vars(it))
 
@@ -375,14 +382,15 @@ def expand_do(ctx, t):
 
 
 def _warn_body_scope(ctx, do_term, body, iter_var_ids):
-    if not ctx.clause_counts:
+    if ctx.clause is None:
         return
+    counts = ctx.clause_counts()
     do_counts = _var_counts(do_term)
     for v in term_vars(body):
         vid = id(v)
         if vid in iter_var_ids:
             continue
-        outside = ctx.clause_counts.get(vid, 0) - do_counts.get(vid, 0)
+        outside = counts.get(vid, 0) - do_counts.get(vid, 0)
         if outside > 0:
             log.warning("variable %s occurs in a do-loop body and outside it; "
                         "loop bodies do not share variables with the clause "

@@ -30,7 +30,7 @@ import re
 from fractions import Fraction
 
 from .errors import ReaderError
-from .terms import Atom, Breal, Struct, Var, mk_list
+from .terms import NIL, Atom, Breal, Struct, Var, mk_list
 
 # ----------------------------------------------------------------------
 # operator tables
@@ -41,18 +41,32 @@ POSTFIX_TYPES = ("xf", "yf")
 ALL_TYPES = PREFIX_TYPES + INFIX_TYPES + POSTFIX_TYPES
 
 
+#: ',' and '|' as the reader takes them, whatever the table says
+_READ_INFIX = {",": (1000, "xfy"), "|": (1100, "xfy")}  # '|' reads as ';'
+
+#: bumped on every change to any operator table or its parents, which
+#: makes every table rebuild its merged views on the next lookup
+_changes = [0]
+
+
 class Ops:
     """An operator table with a chain of parent tables (imports).
 
-    Entries are (priority, type, exported); parent lookup only sees
-    exported entries.
+    ``prefix``, ``infix`` and ``postfix`` map the name of each operator
+    declared here to (priority, type); ``exports`` holds the same for the
+    exported ones, the only ones a table importing this one sees.  `views`
+    merges a table with what it sees of its parents, so a lookup is one
+    dict read per kind.
     """
 
     def __init__(self, parents=()):
         self.prefix = {}
         self.infix = {}
         self.postfix = {}
+        self.exports = ({}, {}, {})
         self.parents = list(parents)
+        self._views = self._exported = None
+        self._stamp = self._exported_stamp = -1
 
     def declare(self, priority, optype, name, exported=False):
         from .errors import DomainError
@@ -60,12 +74,21 @@ class Ops:
             raise DomainError("bad operator type: %r" % (optype,))
         if not isinstance(priority, int) or not 0 <= priority <= 1200:
             raise DomainError("operator priority must be in 0..1200: %r" % (priority,))
-        table = (self.prefix if optype in PREFIX_TYPES
-                 else self.infix if optype in INFIX_TYPES else self.postfix)
-        if priority == 0:
-            table.pop(name, None)
-        else:
-            table[name] = (priority, optype, exported)
+        kind = (0 if optype in PREFIX_TYPES
+                else 1 if optype in INFIX_TYPES else 2)
+        table = (self.prefix, self.infix, self.postfix)[kind]
+        exports = self.exports[kind]
+        table.pop(name, None)
+        exports.pop(name, None)
+        if priority != 0:
+            table[name] = (priority, optype)
+            if exported:
+                exports[name] = (priority, optype)
+        _changes[0] += 1
+
+    def add_parent(self, ops):
+        self.parents.append(ops)
+        _changes[0] += 1
 
     def copy(self):
         """A table with the same entries and parents, to change on its own."""
@@ -73,26 +96,49 @@ class Ops:
         new.prefix = dict(self.prefix)
         new.infix = dict(self.infix)
         new.postfix = dict(self.postfix)
+        new.exports = tuple(dict(d) for d in self.exports)
         return new
 
-    def _lookup(self, which, name, exported_only=False):
-        entry = getattr(self, which).get(name)
-        if entry is not None and (not exported_only or entry[2]):
-            return entry[:2]
-        for p in self.parents:
-            got = p._lookup(which, name, exported_only=True)
-            if got is not None:
-                return got
-        return None
+    def views(self):
+        """(prefix, infix, postfix, read_infix): the first three map the
+        name of every operator of that kind this table sees (its own, then
+        each parent's exported ones, in order) to (priority, type).  The
+        reader takes the infix operators from ``read_infix``, in which ','
+        and '|' always have the priorities the reader gives them."""
+        if self._stamp != _changes[0]:
+            prefix, infix, postfix = self._merged(False, [])
+            read_infix = dict(infix)
+            read_infix.update(_READ_INFIX)
+            self._views = prefix, infix, postfix, read_infix
+            self._stamp = _changes[0]
+        return self._views
+
+    def _merged(self, exported_only, path):
+        if exported_only and self._exported_stamp == _changes[0]:
+            return self._exported
+        path.append(self)
+        views = ({}, {}, {})
+        for p in reversed(self.parents):
+            if p not in path:  # an import cycle adds nothing new
+                for view, seen in zip(views, p._merged(True, path)):
+                    view.update(seen)
+        path.pop()
+        own = self.exports if exported_only else (self.prefix, self.infix,
+                                                  self.postfix)
+        for view, entries in zip(views, own):
+            view.update(entries)
+        if exported_only:
+            self._exported, self._exported_stamp = views, _changes[0]
+        return views
 
     def prefix_op(self, name):
-        return self._lookup("prefix", name)
+        return self.views()[0].get(name)
 
     def infix_op(self, name):
-        return self._lookup("infix", name)
+        return self.views()[1].get(name)
 
     def postfix_op(self, name):
-        return self._lookup("postfix", name)
+        return self.views()[2].get(name)
 
 
 _STANDARD = [
@@ -156,21 +202,47 @@ class Token:
 
 
 _NUM = r"\d+\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d+"
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<lc>%[^\n]*)"
-    r"|(?P<bc>/\*.*?\*/)"
-    r"|(?P<breal>(?:" + _NUM + r")__-?(?:" + _NUM + r"))"
-    r"|(?P<float>\d+\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)"
-    r"|(?P<rat>\d+_\d+)"
-    r"|(?P<int>\d+)"
-    r"|(?P<name>[a-z][A-Za-z0-9_]*)"
-    r"|(?P<var>[A-Z_][A-Za-z0-9_]*)"
-    r"|(?P<qatom>'(?:[^'\\]|\\x[0-9a-fA-F]+\\|\\.|'')*')"
-    r"|(?P<str>\"(?:[^\"\\]|\\x[0-9a-fA-F]+\\|\\.|\"\")*\")"
-    r"|(?P<sym>[+\-*/\\^<>=~:.?@#&$]+)"
-    r"|(?P<solo>[()\[\]{},|!;])",
+# One alternation, the most frequent lexemes first.  Branches that share a
+# first character keep their order (a block comment before a symbol atom,
+# the numeric forms longest first); the last branch takes any other
+# character, which the scan reports as unexpected.
+_LEXEME_RE = re.compile(
+    r"\s+"
+    r"|[a-z][A-Za-z0-9_]*"
+    r"|[()\[\]{},|!;]"
+    r"|[A-Z_][A-Za-z0-9_]*"
+    r"|(?:" + _NUM + r")__-?(?:" + _NUM + r")"
+    r"|\d+\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+"
+    r"|\d+_\d+|\d+"
+    r"|%[^\n]*"
+    r"|/\*.*?\*/"
+    r"|[+\-*/\\^<>=~:.?@#&$]+"
+    r"|'(?:[^'\\]|\\x[0-9a-fA-F]+\\|\\.|'')*'"
+    r"|\"(?:[^\"\\]|\\x[0-9a-fA-F]+\\|\\.|\"\")*\""
+    r"|.",
     re.DOTALL)
+
+
+def _char_class(c):
+    """The class of a lexeme that starts with c."""
+    if c.isspace():
+        return "ws"
+    if c.isdecimal():
+        return "num"
+    if "a" <= c <= "z":
+        return "atom"
+    if "A" <= c <= "Z" or c == "_":
+        return "var"
+    if c in "()[]{},|":
+        return "punct"
+    if c in "!;":
+        return "atom"
+    if c in "+-*/\\^<>=~:.?@#&$":
+        return "sym"
+    return {"%": "comment", "'": "'", '"': '"'}.get(c, "bad")
+
+
+_CLASS = {chr(n): _char_class(chr(n)) for n in range(128)}
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "a": "\a", "b": "\b",
             "f": "\f", "v": "\v", "\\": "\\", "'": "'", '"': '"', "`": "`",
@@ -207,78 +279,80 @@ def _unescape(body, quote, filename, line, col):
     return "".join(out)
 
 
+def _number(lexeme, filename, line, col):
+    """(kind, value) of a numeric lexeme."""
+    if lexeme.isdigit():
+        return "int", int(lexeme)
+    if "__" in lexeme:
+        lo_txt, hi_txt = lexeme.split("__", 1)
+        return "breal", (float(lo_txt), float(hi_txt))
+    if "_" in lexeme:
+        num_txt, den_txt = lexeme.split("_", 1)
+        if int(den_txt) == 0:
+            raise ReaderError("rational with zero denominator", filename, line, col)
+        return "rat", Fraction(int(num_txt), int(den_txt))
+    return "float", float(lexeme)
+
+
 def tokenize(text, filename=None):
+    """The tokens of text, layout and comments left out, ending with an
+    ``eof`` token.  One regex scan splits the text into lexemes; each is
+    classified by its first character."""
     tokens = []
-    pos = 0
+    append = tokens.append
+    classes = _CLASS
     line = 1
-    line_start = 0
+    line_start = 0  # offset of the first character of the line
+    pos = 0  # offset of the lexeme
     adjacent = False
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        col = pos - line_start + 1
-        if m is None:
-            if text.startswith("/*", pos):
-                raise ReaderError("unterminated block comment", filename, line, col)
-            raise ReaderError("unexpected character %r" % text[pos], filename, line, col)
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind == "sym" and lexeme.startswith("/*"):
-            # the comment regex failed to find a closing '*/'
-            raise ReaderError("unterminated block comment", filename, line, col)
-        if kind in ("ws", "lc", "bc"):
+    for lex in _LEXEME_RE.findall(text):
+        c = lex[0]
+        cls = classes.get(c) or _char_class(c)
+        if cls == "ws":
+            if "\n" in lex:
+                line += lex.count("\n")
+                line_start = pos + lex.rindex("\n") + 1
+            pos += len(lex)
             adjacent = False
-        elif kind == "breal":
-            lo_txt, hi_txt = lexeme.split("__", 1)
-            tokens.append(Token("breal", (float(lo_txt), float(hi_txt)), line, col, adjacent))
-            adjacent = True
-        elif kind == "float":
-            tokens.append(Token("float", float(lexeme), line, col, adjacent))
-            adjacent = True
-        elif kind == "rat":
-            num_txt, den_txt = lexeme.split("_", 1)
-            if int(den_txt) == 0:
-                raise ReaderError("rational with zero denominator", filename, line, col)
-            tokens.append(Token("rat", Fraction(int(num_txt), int(den_txt)), line, col, adjacent))
-            adjacent = True
-        elif kind == "int":
-            tokens.append(Token("int", int(lexeme), line, col, adjacent))
-            adjacent = True
-        elif kind == "name":
-            tokens.append(Token("atom", lexeme, line, col, adjacent))
-            adjacent = True
-        elif kind == "var":
-            tokens.append(Token("var", lexeme, line, col, adjacent))
-            adjacent = True
-        elif kind == "qatom":
-            tokens.append(Token("atom", _unescape(lexeme[1:-1], "'", filename, line, col),
-                                line, col, adjacent))
-            adjacent = True
-        elif kind == "str":
-            tokens.append(Token("str", _unescape(lexeme[1:-1], '"', filename, line, col),
-                                line, col, adjacent))
-            adjacent = True
-        elif kind == "sym":
-            if lexeme == ".":
-                nxt = text[m.end():m.end() + 1]
-                if nxt == "" or nxt.isspace() or nxt == "%":
-                    tokens.append(Token("end", ".", line, col, adjacent))
-                else:
-                    tokens.append(Token("atom", ".", line, col, adjacent))
+            continue
+        col = pos - line_start + 1
+        if cls == "atom" or cls == "punct" or cls == "var":
+            append(Token(cls, lex, line, col, adjacent))
+        elif cls == "sym":
+            if lex == ".":
+                nxt = text[pos + 1:pos + 2]
+                kind = "end" if nxt == "" or nxt.isspace() or nxt == "%" else "atom"
+                append(Token(kind, ".", line, col, adjacent))
+            elif lex[:2] == "/*":
+                if len(lex) < 4 or lex[-2:] != "*/":
+                    # the block comment branch found no closing '*/'
+                    raise ReaderError("unterminated block comment", filename, line, col)
+                if "\n" in lex:
+                    line += lex.count("\n")
+                    line_start = pos + lex.rindex("\n") + 1
+                pos += len(lex)
+                adjacent = False
+                continue
             else:
-                tokens.append(Token("atom", lexeme, line, col, adjacent))
-            adjacent = True
-        else:  # solo
-            if lexeme in "!;":
-                tokens.append(Token("atom", lexeme, line, col, adjacent))
-            else:
-                tokens.append(Token("punct", lexeme, line, col, adjacent))
-            adjacent = True
-        line += lexeme.count("\n")
-        if "\n" in lexeme:
-            line_start = pos + lexeme.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(Token("eof", None, line, n - line_start + 1, False))
+                append(Token("atom", lex, line, col, adjacent))
+        elif cls == "num":
+            kind, val = _number(lex, filename, line, col)
+            append(Token(kind, val, line, col, adjacent))
+        elif cls == "comment":
+            pos += len(lex)
+            adjacent = False
+            continue
+        elif (cls == "'" or cls == '"') and len(lex) > 1:
+            val = _unescape(lex[1:-1], c, filename, line, col)
+            append(Token("atom" if c == "'" else "str", val, line, col, adjacent))
+            if "\n" in lex:
+                line += lex.count("\n")
+                line_start = pos + lex.rindex("\n") + 1
+        else:
+            raise ReaderError("unexpected character %r" % c, filename, line, col)
+        pos += len(lex)
+        adjacent = True
+    tokens.append(Token("eof", None, line, pos - line_start + 1, False))
     return tokens
 
 
@@ -286,21 +360,60 @@ def tokenize(text, filename=None):
 # parser
 
 _NUMERIC_KINDS = ("int", "rat", "float", "breal")
+_LITERAL_KINDS = ("int", "rat", "float", "str")
+
+# What an open construct on the parser's stack waits for.  Each frame
+# ends with the priority context to resume in: (maxprec, punct).
+_INFIX = "infix"          # (tag, name, left operand, priority, ...)
+_PREFIX = "prefix"        # (tag, name, priority, ...)
+_PAREN = "paren"          # (tag, ...): a ')'
+_CURLY = "curly"          # (tag, ...): a '}', then {}/1
+_ARGS = "args"            # (tag, name, args, ...): ',' or ')'
+_SUGAR = "sugar"          # (tag, name, fields, ...): ',' or '}'
+_LIST = "list"            # (tag, items, ...): ',' '|' or ']'
+_TAIL = "tail"            # (tag, items, ...): ']' after the tail
+_SUBSCRIPT = "subscript"  # (tag, base, indices, ...): ',' or ']'
+
+
+class _AllKeys:
+    """A container that holds every key: a macro hook without keys is
+    offered every compound."""
+
+    def __contains__(self, key):
+        return True
+
+
+def _infix_only(tok, after, prefix, infix, postfix):
+    """True when the atom tok can only be an infix or postfix operator
+    here, e.g. the '=' in (- = ...): then a prefix operator before it is
+    read as an atom.  An operator atom followed by '(' is a functor call,
+    not an operator."""
+    name = tok.val
+    if name in prefix or (name not in infix and name not in postfix):
+        return False
+    return not (after.kind == "punct" and after.val == "(" and after.adjacent)
 
 
 class Parser:
-    def __init__(self, tokens, ops, macro_hook=None, filename=None):
+    """Reads terms from a token list.  ``macro_hook``, when given, is
+    called on each compound term as it is built, innermost first, and its
+    result is used in place of the term; given ``macro_keys`` as well,
+    only on a compound whose (name, arity) is in it."""
+
+    def __init__(self, tokens, ops, macro_hook=None, filename=None,
+                 macro_keys=None):
         self.tokens = tokens
         self.i = 0
         self.ops = ops
         self.macro_hook = macro_hook
+        self.macro_keys = macro_keys
         self.filename = filename
         self.varmap = {}
 
     # -- plumbing ------------------------------------------------------
 
-    def peek(self, ahead=0):
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    def peek(self):
+        return self.tokens[self.i]
 
     def next(self):
         t = self.tokens[self.i]
@@ -312,257 +425,279 @@ class Parser:
         tok = tok or self.peek()
         raise ReaderError(msg, self.filename, tok.line, tok.col)
 
-    def expect_punct(self, p):
-        t = self.next()
-        if t.kind != "punct" or t.val != p:
-            self.error("expected %r" % p, t)
-        return t
-
-    def _mk(self, name, args):
-        t = Struct(name, args)
-        if self.macro_hook is not None:
-            t = self.macro_hook(t)
-        return t
-
-    def _var(self, name):
-        if name == "_":
-            return Var("_")
-        v = self.varmap.get(name)
-        if v is None:
-            v = Var(name)
-            self.varmap[name] = v
-        return v
-
-    def _can_start_term(self, tok):
-        if tok.kind in ("eof", "end"):
-            return False
-        if tok.kind == "punct":
-            return tok.val in "([{"
-        return True
+    def at_eof(self):
+        return self.tokens[self.i].kind == "eof"
 
     # -- grammar -------------------------------------------------------
 
     def parse(self, maxprec, punct_ops=True):
-        left, lprec = self.parse_primary(maxprec, punct_ops)
-        return self.parse_infix(left, lprec, maxprec, punct_ops)
+        """A term of priority at most maxprec; returns (term, priority).
+        With punct_ops false a bare ',' or '|' ends the term, as in an
+        argument or a list element.
 
-    def parse_arg(self):
-        """An argument or list element: any term, but a bare ',' or '|'
-        ends it (conjunctions need parentheses there)."""
-        return self.parse(1200, punct_ops=False)[0]
+        Operator-precedence parsing in one loop: a primary term is read,
+        then the infix and postfix operators that fit the context.  What
+        an open construct still waits for (an operator's right operand,
+        the next argument, a closing bracket) is a frame on an explicit
+        stack, with the left operands and arguments read so far and the
+        context to resume in, so nesting depth is bounded by memory."""
+        toks = self.tokens
+        i = self.i
+        prefix, infix, postfix, read_infix = self.ops.views()
+        hook = self.macro_hook
+        keys = self.macro_keys
+        if hook is None:
+            keys = ()
+        elif keys is None:
+            keys = _AllKeys()
+        varmap = self.varmap
+        error = self.error
+        frames = []
+        punct = punct_ops
 
-    def parse_infix(self, left, lprec, maxprec, punct_ops=True):
+        def mk(name, args):
+            t = Struct(name, args)
+            if (name, len(args)) in keys:
+                return hook(t)
+            return t
+
         while True:
-            tok = self.peek()
-            if tok.kind == "atom":
+            # -- a primary term, in the context (maxprec, punct)
+            tok = toks[i]
+            kind = tok.kind
+            i += 1
+            lprec = 0
+            if kind == "atom":
                 name = tok.val
-            elif tok.kind == "punct" and tok.val == ",":
-                if not punct_ops:
-                    return left, lprec
-                name = ","
-            elif tok.kind == "punct" and tok.val == "|":
-                if not punct_ops:
-                    return left, lprec
-                name = "|"
-            else:
-                return left, lprec
-            entry = self.ops.infix_op(name) if name not in (",", "|") else \
-                (1000, "xfy") if name == "," else (1100, "xfy")
-            if entry is None:
-                post = self.ops.postfix_op(name)
-                if post is not None:
-                    prio, typ = post
-                    lmax = prio - 1 if typ == "xf" else prio
-                    if prio <= maxprec and lprec <= lmax:
-                        self.next()
-                        left = self._mk(name, [left])
-                        lprec = prio
+                nxt = toks[i]
+                nkind = nxt.kind
+                if nkind == "punct" and nxt.adjacent and nxt.val in "({":
+                    # a functor application, or struct sugar: name{...}
+                    i += 1
+                    if nxt.val == "(":
+                        frames.append((_ARGS, name, [], maxprec, punct))
+                        maxprec, punct = 1200, False
                         continue
-                return left, lprec
-            prio, typ = entry
-            lmax = prio - 1 if typ in ("xfx", "xfy") else prio
-            rmax = prio if typ == "xfy" else prio - 1
-            if prio > maxprec or lprec > lmax:
-                return left, lprec
-            if not self._can_start_term(self.peek(1)):
-                return left, lprec
-            self.next()
-            right, _ = self.parse(rmax, punct_ops)
-            if name == "|":
-                name = ";"  # '|' as an infix is an alias for disjunction
-            left = self._mk(name, [left, right])
-            lprec = prio
-
-    def parse_primary(self, maxprec, punct_ops=True):
-        tok = self.next()
-        kind = tok.kind
-
-        if kind in ("int", "float", "rat", "str"):
-            return tok.val, 0
-        if kind == "breal":
-            lo, hi = tok.val
-            if lo > hi:
-                self.error("breal bounds out of order: %r > %r" % (lo, hi), tok)
-            return Breal(lo, hi), 0
-        if kind == "var":
-            return self.maybe_subscript(self._var(tok.val)), 0
-        if kind == "punct":
-            return self.parse_punct_primary(tok)
-        if kind == "atom":
-            return self.parse_atom_primary(tok, maxprec, punct_ops)
-        self.error("unexpected token", tok)
-
-    def parse_punct_primary(self, tok):
-        if tok.val == "(":
-            t, _ = self.parse(1200)
-            self.expect_punct(")")
-            return t, 0
-        if tok.val == "[":
-            if self.peek().kind == "punct" and self.peek().val == "]":
-                self.next()
-                return self.atom_or_apply("[]"), 0
-            items = [self.parse_arg()]
-            tail = Atom("[]")
-            while True:
-                nxt = self.next()
-                if nxt.kind == "punct" and nxt.val == ",":
-                    items.append(self.parse_arg())
-                elif nxt.kind == "punct" and nxt.val == "|":
-                    tail = self.parse_arg()
-                    self.expect_punct("]")
-                    break
-                elif nxt.kind == "punct" and nxt.val == "]":
-                    break
-                else:
-                    self.error("expected ',' '|' or ']' in list", nxt)
-            out = tail
-            for x in reversed(items):
-                out = self._mk(".", [x, out])
-            return out, 0
-        if tok.val == "{":
-            if self.peek().kind == "punct" and self.peek().val == "}":
-                self.next()
-                return self.atom_or_apply("{}"), 0
-            t, _ = self.parse(1200)
-            self.expect_punct("}")
-            return self._mk("{}", [t]), 0
-        self.error("unexpected %r" % tok.val, tok)
-
-    def atom_or_apply(self, name):
-        """An atom, or name(Args...) when '(' follows adjacently."""
-        nxt = self.peek()
-        if nxt.kind == "punct" and nxt.val == "(" and nxt.adjacent:
-            self.next()
-            args = [self.parse_arg()]
-            while True:
-                t = self.next()
-                if t.kind == "punct" and t.val == ",":
-                    args.append(self.parse_arg())
-                elif t.kind == "punct" and t.val == ")":
-                    break
-                else:
-                    self.error("expected ',' or ')' in argument list", t)
-            return self._mk(name, args)
-        return Atom(name)
-
-    def parse_atom_primary(self, tok, maxprec, punct_ops=True):
-        name = tok.val
-        nxt = self.peek()
-
-        # functor application: atom immediately followed by '('
-        if nxt.kind == "punct" and nxt.val == "(" and nxt.adjacent:
-            return self.atom_or_apply(name), 0
-
-        # struct sugar: atom immediately followed by '{'
-        if nxt.kind == "punct" and nxt.val == "{" and nxt.adjacent:
-            self.next()
-            fields = []
-            if not (self.peek().kind == "punct" and self.peek().val == "}"):
-                fields.append(self.parse_arg())
-                while True:
-                    t = self.next()
-                    if t.kind == "punct" and t.val == ",":
-                        fields.append(self.parse_arg())
-                    elif t.kind == "punct" and t.val == "}":
-                        break
+                    if toks[i].kind == "punct" and toks[i].val == "}":
+                        i += 1
+                        left = mk("with", [Atom(name), NIL])
                     else:
-                        self.error("expected ',' or '}' in struct fields", t)
-            else:
-                self.next()
-            return self._mk("with", [Atom(name), mk_list(fields)]), 0
-
-        # negative numeric literals: prefix '-' adjacent to a number token
-        if name == "-" and nxt.kind in _NUMERIC_KINDS and nxt.adjacent:
-            self.next()
-            if nxt.kind == "breal":
-                lo, hi = nxt.val
-                lo = -lo
-                if lo > hi:
-                    self.error("breal bounds out of order", nxt)
-                return Breal(lo, hi), 0
-            return -nxt.val, 0
-
-        # prefix operator
-        pre = self.ops.prefix_op(name)
-        if pre is not None and self._can_start_term(nxt) and not self._starts_infix_only(nxt):
-            prio, typ = pre
-            if prio <= maxprec:
-                sub = prio if typ == "fy" else prio - 1
-                operand, _ = self.parse(sub, punct_ops)
-                return self._mk(name, [operand]), prio
-
-        return Atom(name), 0
-
-    def _starts_infix_only(self, tok):
-        """True when tok is an atom usable only as an infix operator here,
-        e.g. the '=' in (- = ...): then '-' must be read as an atom."""
-        if tok.kind != "atom":
-            return False
-        name = tok.val
-        if self.ops.infix_op(name) is None and self.ops.postfix_op(name) is None:
-            return False
-        if self.ops.prefix_op(name) is not None:
-            return False
-        # an operator atom followed by '(' is a functor call, not an operator
-        after = self.peek(1)
-        if after.kind == "punct" and after.val == "(" and after.adjacent:
-            return False
-        return True
-
-    def maybe_subscript(self, base):
-        """Wrap a variable (or chained subscript) in subscript/2 terms for
-        each immediately following '[...]' group."""
-        while True:
-            nxt = self.peek()
-            if not (nxt.kind == "punct" and nxt.val == "[" and nxt.adjacent):
-                return base
-            self.next()
-            idx = [self.parse_arg()]
-            while True:
-                t = self.next()
-                if t.kind == "punct" and t.val == ",":
-                    idx.append(self.parse_arg())
-                elif t.kind == "punct" and t.val == "]":
-                    break
+                        frames.append((_SUGAR, name, [], maxprec, punct))
+                        maxprec, punct = 1200, False
+                        continue
+                elif name == "-" and nkind in _NUMERIC_KINDS and nxt.adjacent:
+                    # a negative numeric literal
+                    i += 1
+                    if nkind == "breal":
+                        lo, hi = nxt.val
+                        if -lo > hi:
+                            error("breal bounds out of order", nxt)
+                        left = Breal(-lo, hi)
+                    else:
+                        left = -nxt.val
                 else:
-                    self.error("expected ',' or ']' in subscript", t)
-            base = self._mk("subscript", [base, mk_list(idx)])
+                    pre = prefix.get(name)
+                    if (pre is not None and pre[0] <= maxprec
+                            and nkind != "eof" and nkind != "end"
+                            and (nkind != "punct" or nxt.val in "([{")
+                            and not (nkind == "atom" and _infix_only(
+                                nxt, toks[i + 1], prefix, infix, postfix))):
+                        prio, typ = pre
+                        frames.append((_PREFIX, name, prio, maxprec, punct))
+                        if typ != "fy":
+                            maxprec = prio - 1
+                        else:
+                            maxprec = prio
+                        continue
+                    left = Atom(name)
+            elif kind == "var":
+                name = tok.val
+                if name == "_":
+                    left = Var("_")
+                else:
+                    left = varmap.get(name)
+                    if left is None:
+                        left = varmap[name] = Var(name)
+                nxt = toks[i]
+                if nxt.kind == "punct" and nxt.val == "[" and nxt.adjacent:
+                    i += 1
+                    frames.append((_SUBSCRIPT, left, [], maxprec, punct))
+                    maxprec, punct = 1200, False
+                    continue
+            elif kind in _LITERAL_KINDS:
+                left = tok.val
+            elif kind == "punct":
+                val = tok.val
+                if val == "(":
+                    frames.append((_PAREN, maxprec, punct))
+                    maxprec, punct = 1200, True
+                    continue
+                if val != "[" and val != "{":
+                    error("unexpected %r" % val, tok)
+                nxt = toks[i]
+                if nxt.kind == "punct" and nxt.val == ("]" if val == "[" else "}"):
+                    # '[]' or '{}': an atom, or a functor when '(' follows
+                    i += 1
+                    name = val + nxt.val
+                    nxt = toks[i]
+                    if nxt.kind == "punct" and nxt.val == "(" and nxt.adjacent:
+                        i += 1
+                        frames.append((_ARGS, name, [], maxprec, punct))
+                        maxprec, punct = 1200, False
+                        continue
+                    left = Atom(name)
+                elif val == "[":
+                    frames.append((_LIST, [], maxprec, punct))
+                    maxprec, punct = 1200, False
+                    continue
+                else:
+                    frames.append((_CURLY, maxprec, punct))
+                    maxprec, punct = 1200, True
+                    continue
+            elif kind == "breal":
+                lo, hi = tok.val
+                if lo > hi:
+                    error("breal bounds out of order: %r > %r" % (lo, hi), tok)
+                left = Breal(lo, hi)
+            else:
+                error("unexpected token", tok)
 
-    def at_eof(self):
-        return self.peek().kind == "eof"
+            # -- infix and postfix operators, then the enclosing frames
+            while True:
+                tok = toks[i]
+                kind = tok.kind
+                if kind == "atom":
+                    name = tok.val
+                    entry = read_infix.get(name)
+                    if entry is None:
+                        post = postfix.get(name)
+                        if post is not None:
+                            prio, typ = post
+                            if prio <= maxprec and lprec <= (
+                                    prio - 1 if typ == "xf" else prio):
+                                i += 1
+                                left = mk(name, [left])
+                                lprec = prio
+                                continue
+                elif kind == "punct" and punct and tok.val in ",|":
+                    name = tok.val
+                    entry = _READ_INFIX[name]
+                else:
+                    entry = None
+                if entry is not None:
+                    prio, typ = entry
+                    if prio <= maxprec and lprec <= (
+                            prio if typ == "yfx" else prio - 1):
+                        nxt = toks[i + 1]
+                        nkind = nxt.kind
+                        if (nkind != "eof" and nkind != "end"
+                                and (nkind != "punct" or nxt.val in "([{")):
+                            i += 1
+                            frames.append((_INFIX, ";" if name == "|" else name,
+                                           left, prio, maxprec, punct))
+                            if typ != "xfy":
+                                maxprec = prio - 1
+                            else:
+                                maxprec = prio
+                            break
+
+                # the term in this context is complete
+                if not frames:
+                    self.i = i
+                    return left, lprec
+                f = frames.pop()
+                tag = f[0]
+                if tag is _INFIX:
+                    _, name, first, lprec, maxprec, punct = f
+                    left = Struct(name, [first, left])
+                    if (name, 2) in keys:
+                        left = hook(left)
+                    continue
+                if tag is _PREFIX:
+                    _, name, lprec, maxprec, punct = f
+                    left = mk(name, [left])
+                    continue
+                tok = toks[i]
+                i += 1
+                sep = tok.val if tok.kind == "punct" else None
+                lprec = 0
+                if tag is _ARGS:
+                    f[2].append(left)
+                    if sep == ",":
+                        frames.append(f)
+                        maxprec, punct = 1200, False
+                        break
+                    if sep != ")":
+                        error("expected ',' or ')' in argument list", tok)
+                    _, name, args, maxprec, punct = f
+                    left = Struct(name, args)
+                    if (name, len(args)) in keys:
+                        left = hook(left)
+                elif tag is _LIST or tag is _TAIL:
+                    items = f[1]
+                    if tag is _LIST:
+                        items.append(left)
+                        if sep == "," or sep == "|":
+                            frames.append(f if sep == "," else (_TAIL,) + f[1:])
+                            maxprec, punct = 1200, False
+                            break
+                        if sep != "]":
+                            error("expected ',' '|' or ']' in list", tok)
+                        left = NIL
+                    elif sep != "]":
+                        error("expected %r" % "]", tok)
+                    _, _, maxprec, punct = f
+                    if (".", 2) in keys:
+                        for x in reversed(items):
+                            left = hook(Struct(".", [x, left]))
+                    else:
+                        for x in reversed(items):
+                            left = Struct(".", [x, left])
+                elif tag is _PAREN or tag is _CURLY:
+                    close = ")" if tag is _PAREN else "}"
+                    if sep != close:
+                        error("expected %r" % close, tok)
+                    _, maxprec, punct = f
+                    if tag is _CURLY:
+                        left = mk("{}", [left])
+                elif tag is _SUGAR:
+                    f[2].append(left)
+                    if sep == ",":
+                        frames.append(f)
+                        maxprec, punct = 1200, False
+                        break
+                    if sep != "}":
+                        error("expected ',' or '}' in struct fields", tok)
+                    _, name, fields, maxprec, punct = f
+                    left = mk("with", [Atom(name), mk_list(fields)])
+                else:  # _SUBSCRIPT
+                    f[2].append(left)
+                    if sep == ",":
+                        frames.append(f)
+                        maxprec, punct = 1200, False
+                        break
+                    if sep != "]":
+                        error("expected ',' or ']' in subscript", tok)
+                    _, base, idx, maxprec, punct = f
+                    left = mk("subscript", [base, mk_list(idx)])
+                    nxt = toks[i]
+                    if nxt.kind == "punct" and nxt.val == "[" and nxt.adjacent:
+                        i += 1
+                        frames.append((_SUBSCRIPT, left, [], maxprec, punct))
+                        maxprec, punct = 1200, False
+                        break
 
     def read_clause(self):
         """One term terminated by '.'; returns (term, varmap) and resets
         the variable map for the next clause."""
         self.varmap = {}
-        start = self.peek()
+        start = self.tokens[self.i]
         term, _ = self.parse(1200)
         t = self.next()
         if t.kind != "end":
             self.error("operator expected before %r, or missing '.'"
                        % (t.val,), t)
-        vm = self.varmap
-        return term, vm, (start.line, start.col)
+        return term, self.varmap, (start.line, start.col)
 
 
 def parse_term(text, ops=None, macro_hook=None, filename=None):
@@ -573,9 +708,7 @@ def parse_term(text, ops=None, macro_hook=None, filename=None):
     if t.kind not in ("eof", "end"):
         p.error("unexpected trailing input", t)
     if not p.at_eof():
-        t2 = p.peek()
-        if t2.kind != "eof":
-            p.error("unexpected trailing input", t2)
+        p.error("unexpected trailing input", p.peek())
     return term, p.varmap
 
 

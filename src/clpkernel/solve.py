@@ -187,7 +187,7 @@ class Module:
         if module is self or module in self.imports:
             return
         self.imports.append(module)
-        self.ops.parents.append(module.ops)
+        self.ops.add_parent(module.ops)
 
     # -- predicates -----------------------------------------------------
 
@@ -222,6 +222,7 @@ class Module:
 
     def add_term_macro(self, name, arity, fn, exported=False):
         self.term_macros[(name, arity)] = (fn, exported)
+        self.engine.term_macro_keys.add((name, arity))
 
     def add_goal_macro(self, name, arity, fn, exported=False):
         self.goal_macros[(name, arity)] = (fn, exported)
@@ -298,6 +299,9 @@ class Engine:
         # from posts.
         self.current_suspension = None
         self.modules = {}
+        # (name, arity) of every term macro of any module: the reader
+        # offers only these compounds to `_live_hook`
+        self.term_macro_keys = set()
         self._record = None  # a prelude's record while it is being made
 
         self.kernel = self.new_module("kernel", imports=())
@@ -631,7 +635,8 @@ class Engine:
         self._load_module = module or self.main
         tokens = tokenize(text, filename)
         parser = Parser(tokens, self._load_module.ops,
-                        macro_hook=self._live_hook, filename=filename)
+                        macro_hook=self._live_hook, filename=filename,
+                        macro_keys=self.term_macro_keys)
         cps = self.store.choicepoints
         height = len(cps)
         last_pred = None
@@ -804,7 +809,8 @@ class Engine:
         module = module or self.main
         tokens = tokenize(text)
         self._load_module = module
-        parser = Parser(tokens, module.ops, macro_hook=self._live_hook)
+        parser = Parser(tokens, module.ops, macro_hook=self._live_hook,
+                        macro_keys=self.term_macro_keys)
         goal, _ = parser.parse(1200)
         t = parser.next()
         if t.kind not in ("eof", "end"):

@@ -49,6 +49,15 @@ def _float_text(f):
     return repr(f)
 
 
+def _operand_prios(kind, entry):
+    """The maximal priorities of an operator's operands, left to right."""
+    prio, typ = entry
+    if kind == "infix":
+        return (prio - 1 if typ in ("xfx", "xfy") else prio,
+                prio if typ == "xfy" else prio - 1)
+    return (prio if typ in ("fy", "yf") else prio - 1,)
+
+
 class Writer:
     def __init__(self, ops=None, quoted=False, canonical=False, names=None,
                  registry=None, transforms=None):
@@ -99,26 +108,23 @@ class Writer:
     # -- dispatch ----------------------------------------------------------
 
     def _write(self, t, maxprec, transform=True):
-        """The text of t.  The last argument of a compound term, the right
-        operand of an infix operator and the operand of a prefix operator
-        are written in a loop, with the text that closes each enclosing
-        term kept on a stack, so terms nested in those positions do not
-        recurse."""
-        t = deref(t)
-        if type(t) is not Struct:
-            return self._atomic_text(t)
+        """The text of t.  A work stack holds the subterms still to write,
+        each with its maximal priority and transform flag, between the
+        pieces of text that separate and close them, so no nesting of
+        terms recurses."""
         out = []
-        closing = []
-        while True:
-            step = self._open_struct(t, maxprec, transform, out, closing)
-            if step is None:
-                break
-            t, maxprec, transform = step
+        todo = [(t, maxprec, transform)]
+        while todo:
+            item = todo.pop()
+            if type(item) is str:
+                out.append(item)
+                continue
+            t, maxprec, transform = item
             t = deref(t)
-            if type(t) is not Struct:
+            if type(t) is Struct:
+                todo.extend(reversed(self._parts(t, maxprec, transform)))
+            else:
                 out.append(self._atomic_text(t))
-                break
-        out.extend(reversed(closing))
         return "".join(out)
 
     def _atomic_text(self, t):
@@ -147,91 +153,110 @@ class Writer:
             return _quote_atom(name)
         return name
 
-    def _open_struct(self, t, maxprec, transform, out, closing):
-        """Append the text of the compound term t up to the subterm it
-        ends with, push the text that closes t, and return that subterm
-        with its maximal priority and transform flag.  A term written
-        whole returns None."""
+    def _parts(self, t, maxprec, transform):
+        """The text of the compound term t as a list of pieces in order:
+        strings, and (subterm, maximal priority, transform flag) items to
+        write in their place."""
         if transform and self.transforms is not None:
             fn = self.transforms(t.name, t.arity)
             if fn is not None:
                 new = fn(t)
                 if new is not t:
-                    return new, maxprec, False
+                    return [(new, maxprec, False)]
 
         # list notation
         if t.name == "." and t.arity == 2:
-            out.append(self._write_list(t))
-            return None
+            return self._list_parts(t)
 
         if not self.canonical:
             # {Goal}
             if t.name == "{}" and t.arity == 1:
-                out.append("{")
-                closing.append("}")
-                return t.args[0], 1200, True
+                return ["{", (t.args[0], 1200, True), "}"]
             # subscript sugar: Base[I1, I2]
             if t.name == "subscript" and t.arity == 2:
-                s = self._subscript_text(t)
-                if s is not None:
-                    out.append(s)
-                    return None
+                parts = self._subscript_parts(t)
+                if parts is not None:
+                    return parts
             # operators
             if self.ops is not None:
                 op = self._operator(t)
                 if op is not None:
-                    return self._open_op(t, maxprec, op, out, closing)
+                    return self._op_parts(t, maxprec, op)
 
         if not t.args:
-            out.append(self._atom_text(t.name) + "()")
-            return None
-        out.append(self._atom_text(t.name) + "(")
-        for a in t.args[:-1]:
-            out.append(self._write_arg(a) + ", ")
-        closing.append(")")
-        last = t.args[-1]
-        if self._needs_arg_parens(last):
-            out.append("(")
-            closing.append(")")
-        return last, 1200, True
+            return [self._atom_text(t.name) + "()"]
+        parts = [self._atom_text(t.name) + "("]
+        for a in t.args:
+            parts += self._arg_parts(a)
+            parts.append(", ")
+        parts[-1] = ")"
+        return parts
 
-    def _write_arg(self, t):
-        """Argument / list-element position: full priority, but a term whose
-        principal functor is ','/2 must be parenthesised to survive the
-        reader's argument terminator."""
-        s = self._write(t, 1200)
-        if self._needs_arg_parens(t):
-            return "(%s)" % s
-        return s
+    def _arg_parts(self, t):
+        """Argument / list-element position: full priority, but a term that
+        would show a ',' operator outside brackets is bracketed, as the
+        reader ends an argument at a bare ','."""
+        if self._shows_comma(t):
+            return ["(", (t, 1200, True), ")"]
+        return [(t, 1200, True)]
 
-    def _needs_arg_parens(self, t):
-        t = deref(t)
-        return (not self.canonical and type(t) is Struct
-                and t.name == "," and t.arity == 2)
+    def _shows_comma(self, t):
+        """True when t, written at full priority, shows a ',' operator
+        outside brackets."""
+        if self.canonical:
+            return False
+        todo = [(t, 1200)]
+        while todo:
+            t, maxprec = todo.pop()
+            t = deref(t)
+            if type(t) is not Struct:
+                continue
+            if t.name == "," and t.arity == 2:
+                return True
+            op = self._operator(t) if self.ops is not None else None
+            if op is not None and op[1][0] <= maxprec:
+                for arg, sub in zip(t.args, _operand_prios(*op)):
+                    if sub >= 1000:  # where a ',' term fits unbracketed
+                        todo.append((arg, sub))
+        return False
 
-    def _write_list(self, t):
+    def _list_parts(self, t):
         items, tail = list_parts(t)
-        parts = [self._write_arg(x) for x in items]
+        parts = ["["]
+        for x in items:
+            parts += self._arg_parts(x)
+            parts.append(", ")
         tail = deref(tail)
         if isinstance(tail, Atom) and tail.name == "[]":
-            return "[%s]" % ", ".join(parts)
-        return "[%s|%s]" % (", ".join(parts), self._write_arg(tail))
-
-    def _subscript_text(self, t):
-        base, idx = t.args
-        base = deref(base)
-        if isinstance(base, Var):
-            base_s = self._var_text(base)
-        elif isinstance(base, Struct) and base.name == "subscript" and base.arity == 2:
-            base_s = self._subscript_text(base)
-            if base_s is None:
-                return None
+            parts[-1] = "]"
         else:
+            parts[-1] = "|"
+            parts += self._arg_parts(tail)
+            parts.append("]")
+        return parts
+
+    def _subscript_parts(self, t):
+        """Base[I1, ...][J1, ...] for a chain of subscript/2 terms whose
+        innermost base is a variable and whose indices are proper,
+        non-empty lists, or None."""
+        layers = []
+        while type(t) is Struct and t.name == "subscript" and t.arity == 2:
+            items, tail = list_parts(t.args[1])
+            tail = deref(tail)
+            if not (items and isinstance(tail, Atom) and tail.name == "[]"):
+                return None
+            layers.append(items)
+            t = deref(t.args[0])
+        if not isinstance(t, Var):
             return None
-        items, tail = list_parts(idx)
-        if not (isinstance(deref(tail), Atom) and deref(tail).name == "[]") or not items:
-            return None
-        return "%s[%s]" % (base_s, ", ".join(self._write_arg(i) for i in items))
+        parts = [self._var_text(t)]
+        for items in reversed(layers):
+            parts.append("[")
+            for x in items:
+                parts += self._arg_parts(x)
+                parts.append(", ")
+            parts[-1] = "]"
+        return parts
 
     def _operator(self, t):
         """(kind, (priority, type)) of the operator t is written with, or
@@ -249,25 +274,32 @@ class Writer:
                 return "postfix", entry
         return None
 
-    def _open_op(self, t, maxprec, op, out, closing):
-        """`_open_struct` for a term written in operator notation."""
+    def _op_parts(self, t, maxprec, op):
+        """`_parts` for a term written in operator notation."""
         kind, (prio, typ) = op
         name = self._atom_text(t.name)
-        if prio > maxprec:
-            out.append("(")
-            closing.append(")")
+        subs = _operand_prios(kind, (prio, typ))
         if kind == "postfix":
-            sub = prio if typ == "yf" else prio - 1
-            out.append("%s %s" % (self._write(t.args[0], sub), name))
-            return None
-        if kind == "prefix":
-            out.append(name + " ")
-            return t.args[0], prio if typ == "fy" else prio - 1, True
-        lmax = prio - 1 if typ in ("xfx", "xfy") else prio
-        rmax = prio if typ == "xfy" else prio - 1
-        left = self._write(t.args[0], lmax)
-        out.append(left + (", " if t.name == "," else " %s " % name))
-        return t.args[1], rmax, True
+            parts = self._operand(t.args[0], subs[0])
+            parts.append(" " + name)
+        elif kind == "prefix":
+            parts = [name + " "] + self._operand(t.args[0], subs[0])
+        else:
+            parts = self._operand(t.args[0], subs[0])
+            parts.append(", " if t.name == "," else " %s " % name)
+            parts += self._operand(t.args[1], subs[1])
+        if prio > maxprec:
+            return ["("] + parts + [")"]
+        return parts
+
+    def _operand(self, t, maxprec):
+        """An operand of an operator.  An atom that is an operator itself
+        is bracketed, so that it is not read as one."""
+        t = deref(t)
+        if type(t) is Atom and (self.ops.prefix_op(t.name) or self.ops.infix_op(t.name)
+                                or self.ops.postfix_op(t.name)):
+            return ["(", (t, 1200, True), ")"]
+        return [(t, maxprec, True)]
 
 
 def write_term(t, ops=None, quoted=False, canonical=False, names=None,

@@ -160,6 +160,16 @@ def test_loop_errors(engine):
         engine.load("p :- ( foreach(X, [1]), param(3) do writeln(X) ).")
 
 
+@pytest.mark.parametrize("head", ["q", "q(_)"])
+def test_param_of_a_non_variable_is_refused_in_any_source_clause(engine,
+                                                                 head):
+    """Whether the clause has variables does not matter: a source clause
+    is expanded strictly, a metacalled loop is not."""
+    with pytest.raises(ExpansionError, match="param"):
+        engine.load("%s :- ( fromto(a, b, b, b), param(a) do true )." % head)
+    assert engine.ask("( fromto(b, b, b, b), param(a) do true )") != []
+
+
 def test_body_variable_scope_warning(engine, caplog):
     with caplog.at_level(logging.WARNING, logger="clpkernel"):
         engine.load("bad(Y) :- ( foreach(X, [1, 2]) do p(X, Y) ).")

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from clpkernel.errors import ReaderError
-from clpkernel.reader import Ops, parse_term, read_terms, standard_ops, tokenize
+from clpkernel.reader import (Ops, Parser, parse_term, read_terms, standard_ops,
+                              tokenize)
 from clpkernel.terms import (Atom, Breal, Struct, Var, deref, is_variant,
                              terms_equal)
 from clpkernel.writer import write_term
@@ -295,3 +296,111 @@ def test_right_nested_terms_print_at_any_depth(shape):
         canon = "-(" * depth + "z" + ")" * depth
     assert write_term(t, ops=standard_ops()) == text
     assert write_term(t, canonical=True) == canon
+
+
+# ----------------------------------------------------------------------
+# depth: the reader and the writer walk explicit stacks
+
+DEPTH = 100000
+
+DEEP_SHAPES = {
+    "compound": "f(" * DEPTH + "a" + ")" * DEPTH,
+    "list": "[" * DEPTH + "a" + "]" * DEPTH,
+    "prefix": "- " * DEPTH + "a",
+    "conjunction": "(a, " * DEPTH + "a" + ")" * DEPTH,
+    "xfy": "a^" * DEPTH + "a",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_deep_terms_read_through_every_entry_point(shape, engine, capsys):
+    """Nesting depth is bounded by memory: each shape reads through
+    `parse_term`, `Engine.once` and `clpk`, and its copy compares equal."""
+    from clpkernel.cli import main
+    from clpkernel.terms import compare_terms, copy_term
+    text = DEEP_SHAPES[shape]
+    t, _ = parse_term(text)
+    assert compare_terms(t, copy_term(t)) == 0
+    answer = engine.once("X = " + text)
+    assert is_variant(answer["X"], t)
+    assert main(["-g", "X = " + text]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("X = ") and out.endswith("\nyes\n")
+    back, _ = parse_term(out[len("X = "):-len("\nyes\n")])
+    assert is_variant(back, t)
+
+
+@pytest.mark.parametrize("shape", ["left-nested", "list"])
+def test_left_positions_print_and_read_back_at_any_depth(shape):
+    """A left operand and a list element are written from the writer's
+    work stack as well, so a left-nested chain and a list nested in
+    element position print at any depth and read back."""
+    t = Atom("a")
+    for _ in range(DEPTH):
+        t = Struct("+", [t, Atom("a")]) if shape == "left-nested" \
+            else Struct(".", [t, Atom("[]")])
+    text = write_term(t, ops=standard_ops(), quoted=True)
+    if shape == "left-nested":
+        assert text == "a" + " + a" * DEPTH
+    else:
+        assert text == "[" * DEPTH + "a" + "]" * DEPTH
+    back, _ = parse_term(text)
+    assert is_variant(back, t)
+
+
+def test_a_delayed_constraint_over_a_long_sum_prints(engine):
+    """`ask` prints the delayed goal, a left-nested sum of 400 terms."""
+    engine.load("""
+        mk(0, 0, []) :- !.
+        mk(N, E+X, [X|Xs]) :- N1 is N-1, mk(N1, E, Xs).
+    """)
+    a = engine.once("mk(400, E, Xs), Xs :: 0..1, E #>= 1")
+    [goal] = a.delayed
+    assert goal.count("-1 * _{0..1}") == 400 and goal.endswith("#=< 0")
+
+
+# ----------------------------------------------------------------------
+# operator tables and term macros
+
+def test_operator_views_follow_later_declarations_and_imports():
+    parent = Ops()
+    child = Ops(parents=[parent])
+    assert child.infix_op("~>") is None
+    parent.declare(700, "xfx", "~>", exported=True)
+    assert child.infix_op("~>") == (700, "xfx")
+    child.declare(200, "xfx", "~>")
+    assert child.infix_op("~>") == (200, "xfx")
+    child.declare(0, "xfx", "~>")  # removing its own shows the parent's again
+    assert child.infix_op("~>") == (700, "xfx")
+    other = Ops()
+    other.declare(900, "fy", "~>", exported=True)
+    assert child.prefix_op("~>") is None
+    child.add_parent(other)
+    assert child.prefix_op("~>") == (900, "fy")
+    assert parse_term("~> a ~> b", ops=child)[0].name == "~>"
+
+
+def test_the_first_parent_that_exports_an_operator_wins():
+    first, second = Ops(), Ops()
+    first.declare(300, "yfx", "@@", exported=True)
+    second.declare(400, "yfx", "@@", exported=True)
+    assert Ops(parents=[first, second]).infix_op("@@") == (300, "yfx")
+    assert Ops(parents=[second, first]).infix_op("@@") == (400, "yfx")
+
+
+def test_only_compounds_with_a_term_macro_reach_the_hook(engine):
+    seen = []
+
+    def hook(t):
+        seen.append((t.name, t.arity))
+        return t
+    engine.load(":- local struct(pt(x, y)).")
+    engine._load_module = engine.main
+    p = Parser(tokenize("f(g(a), [b], pt{x: 1}, P of pt) :- h(P)."),
+               engine.main.ops, macro_hook=hook,
+               macro_keys=engine.term_macro_keys)
+    p.read_clause()
+    assert seen == [("with", 2), ("of", 2)]
+    seen.clear()
+    parse_term("f(g(a), [b])", macro_hook=hook)  # no keys: every compound
+    assert seen == [("g", 1), (".", 2), ("f", 2)]
