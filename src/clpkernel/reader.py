@@ -373,14 +373,12 @@ _SUGAR = "sugar"          # (tag, name, fields, ...): ',' or '}'
 _LIST = "list"            # (tag, items, ...): ',' '|' or ']'
 _TAIL = "tail"            # (tag, items, ...): ']' after the tail
 _SUBSCRIPT = "subscript"  # (tag, base, indices, ...): ',' or ']'
-
-
-class _AllKeys:
-    """A container that holds every key: a macro hook without keys is
-    offered every compound."""
-
-    def __contains__(self, key):
-        return True
+_CLOSE = {
+    _ARGS: (")", "expected ',' or ')' in argument list"),
+    _SUGAR: ("}", "expected ',' or '}' in struct fields"),
+    _LIST: ("]", "expected ',' '|' or ']' in list"),
+    _SUBSCRIPT: ("]", "expected ',' or ']' in subscript"),
+}
 
 
 def _infix_only(tok, after, prefix, infix, postfix):
@@ -395,13 +393,12 @@ def _infix_only(tok, after, prefix, infix, postfix):
 
 
 class Parser:
-    """Reads terms from a token list.  ``macro_hook``, when given, is
-    called on each compound term as it is built, innermost first, and its
-    result is used in place of the term; given ``macro_keys`` as well,
-    only on a compound whose (name, arity) is in it."""
+    """Reads terms from a token list.  ``macro_hook`` is called on each
+    compound term whose (name, arity) is in ``macro_keys`` as it is built,
+    innermost first, and its result is used in place of the term."""
 
     def __init__(self, tokens, ops, macro_hook=None, filename=None,
-                 macro_keys=None):
+                 macro_keys=()):
         self.tokens = tokens
         self.i = 0
         self.ops = ops
@@ -446,10 +443,6 @@ class Parser:
         prefix, infix, postfix, read_infix = self.ops.views()
         hook = self.macro_hook
         keys = self.macro_keys
-        if hook is None:
-            keys = ()
-        elif keys is None:
-            keys = _AllKeys()
         varmap = self.varmap
         error = self.error
         frames = []
@@ -504,10 +497,7 @@ class Parser:
                                 nxt, toks[i + 1], prefix, infix, postfix))):
                         prio, typ = pre
                         frames.append((_PREFIX, name, prio, maxprec, punct))
-                        if typ != "fy":
-                            maxprec = prio - 1
-                        else:
-                            maxprec = prio
+                        maxprec = prio if typ == "fy" else prio - 1
                         continue
                     left = Atom(name)
             elif kind == "var":
@@ -595,10 +585,7 @@ class Parser:
                             i += 1
                             frames.append((_INFIX, ";" if name == "|" else name,
                                            left, prio, maxprec, punct))
-                            if typ != "xfy":
-                                maxprec = prio - 1
-                            else:
-                                maxprec = prio
+                            maxprec = prio if typ == "xfy" else prio - 1
                             break
 
                 # the term in this context is complete
@@ -621,65 +608,48 @@ class Parser:
                 i += 1
                 sep = tok.val if tok.kind == "punct" else None
                 lprec = 0
-                if tag is _ARGS:
-                    f[2].append(left)
-                    if sep == ",":
-                        frames.append(f)
-                        maxprec, punct = 1200, False
-                        break
-                    if sep != ")":
-                        error("expected ',' or ')' in argument list", tok)
-                    _, name, args, maxprec, punct = f
-                    left = Struct(name, args)
-                    if (name, len(args)) in keys:
-                        left = hook(left)
-                elif tag is _LIST or tag is _TAIL:
-                    items = f[1]
-                    if tag is _LIST:
-                        items.append(left)
-                        if sep == "," or sep == "|":
-                            frames.append(f if sep == "," else (_TAIL,) + f[1:])
-                            maxprec, punct = 1200, False
-                            break
-                        if sep != "]":
-                            error("expected ',' '|' or ']' in list", tok)
-                        left = NIL
-                    elif sep != "]":
-                        error("expected %r" % "]", tok)
-                    _, _, maxprec, punct = f
-                    if (".", 2) in keys:
-                        for x in reversed(items):
-                            left = hook(Struct(".", [x, left]))
-                    else:
-                        for x in reversed(items):
-                            left = Struct(".", [x, left])
-                elif tag is _PAREN or tag is _CURLY:
+                if tag is _PAREN or tag is _CURLY:
                     close = ")" if tag is _PAREN else "}"
                     if sep != close:
                         error("expected %r" % close, tok)
                     _, maxprec, punct = f
                     if tag is _CURLY:
                         left = mk("{}", [left])
-                elif tag is _SUGAR:
-                    f[2].append(left)
-                    if sep == ",":
-                        frames.append(f)
-                        maxprec, punct = 1200, False
-                        break
-                    if sep != "}":
-                        error("expected ',' or '}' in struct fields", tok)
-                    _, name, fields, maxprec, punct = f
-                    left = mk("with", [Atom(name), mk_list(fields)])
-                else:  # _SUBSCRIPT
-                    f[2].append(left)
-                    if sep == ",":
-                        frames.append(f)
-                        maxprec, punct = 1200, False
-                        break
+                    continue
+                if tag is _TAIL:
                     if sep != "]":
-                        error("expected ',' or ']' in subscript", tok)
-                    _, base, idx, maxprec, punct = f
-                    left = mk("subscript", [base, mk_list(idx)])
+                        error("expected %r" % "]", tok)
+                    _, items, maxprec, punct = f
+                else:
+                    # a sequence: arguments, list elements, struct fields
+                    # or indices, separated by ','
+                    items = f[-3]
+                    items.append(left)
+                    if sep == "," or (sep == "|" and tag is _LIST):
+                        frames.append(f if sep == "," else (_TAIL,) + f[1:])
+                        maxprec, punct = 1200, False
+                        break
+                    close, expected = _CLOSE[tag]
+                    if sep != close:
+                        error(expected, tok)
+                    maxprec, punct = f[-2:]
+                if tag is _ARGS:
+                    left = Struct(f[1], items)
+                    if (f[1], len(items)) in keys:
+                        left = hook(left)
+                elif tag is _LIST or tag is _TAIL:
+                    if tag is _LIST:
+                        left = NIL
+                    if (".", 2) in keys:
+                        for x in reversed(items):
+                            left = hook(Struct(".", [x, left]))
+                    else:
+                        for x in reversed(items):
+                            left = Struct(".", [x, left])
+                elif tag is _SUGAR:
+                    left = mk("with", [Atom(f[1]), mk_list(items)])
+                else:  # _SUBSCRIPT: Base[I, ...], perhaps followed by more
+                    left = mk("subscript", [f[1], mk_list(items)])
                     nxt = toks[i]
                     if nxt.kind == "punct" and nxt.val == "[" and nxt.adjacent:
                         i += 1
@@ -700,9 +670,9 @@ class Parser:
         return term, self.varmap, (start.line, start.col)
 
 
-def parse_term(text, ops=None, macro_hook=None, filename=None):
+def parse_term(text, ops=None, filename=None):
     """Parse a single term (a trailing '.' is allowed but not required)."""
-    p = Parser(tokenize(text, filename), ops or standard_ops(), macro_hook, filename)
+    p = Parser(tokenize(text, filename), ops or standard_ops(), filename=filename)
     term, _ = p.parse(1200)
     t = p.next()
     if t.kind not in ("eof", "end"):
@@ -712,8 +682,8 @@ def parse_term(text, ops=None, macro_hook=None, filename=None):
     return term, p.varmap
 
 
-def read_terms(text, ops=None, macro_hook=None, filename=None):
+def read_terms(text, ops=None, filename=None):
     """Yield (term, varmap, (line, col)) for each clause in text."""
-    p = Parser(tokenize(text, filename), ops or standard_ops(), macro_hook, filename)
+    p = Parser(tokenize(text, filename), ops or standard_ops(), filename=filename)
     while not p.at_eof():
         yield p.read_clause()

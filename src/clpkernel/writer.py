@@ -196,6 +196,9 @@ class Writer:
         """Argument / list-element position: full priority, but a term that
         would show a ',' operator outside brackets is bracketed, as the
         reader ends an argument at a bare ','."""
+        t = deref(t)
+        if type(t) is not Struct:
+            return [self._atomic_text(t)]
         if self._shows_comma(t):
             return ["(", (t, 1200, True), ")"]
         return [(t, 1200, True)]
@@ -296,10 +299,14 @@ class Writer:
         """An operand of an operator.  An atom that is an operator itself
         is bracketed, so that it is not read as one."""
         t = deref(t)
-        if type(t) is Atom and (self.ops.prefix_op(t.name) or self.ops.infix_op(t.name)
+        if type(t) is Struct:
+            return [(t, maxprec, True)]
+        text = self._atomic_text(t)
+        if type(t) is Atom and (self.ops.prefix_op(t.name)
+                                or self.ops.infix_op(t.name)
                                 or self.ops.postfix_op(t.name)):
-            return ["(", (t, 1200, True), ")"]
-        return [(t, maxprec, True)]
+            return ["(" + text + ")"]
+        return [text]
 
 
 def write_term(t, ops=None, quoted=False, canonical=False, names=None,
