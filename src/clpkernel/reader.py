@@ -20,8 +20,11 @@ into a negative literal; for a bounded real the sign applies to the first
 endpoint lexically (-1.01__-0.99 has lo = -1.01).
 
 The parser applies registered term macros bottom-up while building, via a
-``macro_hook`` callable, so arguments are already transformed when an
-enclosing term is handed to its own transformer.
+``macro_hook`` callable called on the compounds whose (name, arity) is in
+``macro_keys``, so arguments are already transformed when an enclosing
+term is handed to its own transformer.  It keeps what it has still to
+finish on explicit stacks, not Python's, so the depth of a term is
+bounded by memory.
 """
 
 from __future__ import annotations

@@ -281,7 +281,7 @@ class Writer:
         """`_parts` for a term written in operator notation."""
         kind, (prio, typ) = op
         name = self._atom_text(t.name)
-        subs = _operand_prios(kind, (prio, typ))
+        subs = _operand_prios(*op)
         if kind == "postfix":
             parts = self._operand(t.args[0], subs[0])
             parts.append(" " + name)
