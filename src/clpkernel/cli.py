@@ -6,13 +6,14 @@
     clpk file.pl                        interactive prompt
 
 Exit status: 0 when the goal succeeded, 1 when it failed, 2 on errors,
-Python's recursion and memory limits included.  An error is reported in
-one line on stderr.
+Python's recursion and memory limits included, and 130 when interrupted
+(Ctrl-C).  An error or an interrupt is reported in one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .errors import EngineError, Halt
@@ -136,22 +137,37 @@ def _repl_query(engine, goal, varmap, canonical):
 def main(argv=None):
     args = build_argparser().parse_args(argv)
     try:
-        engine = make_engine()
-        for path in args.files:
-            engine.load_file(path)
-        if args.goal is not None:
-            return run_goal(engine, args.goal, show_all=args.all,
-                            count=args.count, canonical=args.canonical)
-        return repl(engine, canonical=args.canonical)
+        return _run(args)
     except Halt as h:
         return h.code
     except (EngineError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    except (RecursionError, MemoryError) as e:
+    except RecursionError as e:
         # Python's own limits, not an answer: exit 1 would read as "no"
-        print("error: %s" % (str(e) or "out of memory"), file=sys.stderr)
+        print("error: %s" % e, file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
+    except MemoryError:
+        # the traceback holds _run's frame and so the engine: leaving the
+        # handler drops both, and the collector frees the engine's cycles
+        # before the report needs memory
+        pass
+    gc.collect()
+    print("error: out of memory", file=sys.stderr)
+    return 2
+
+
+def _run(args):
+    engine = make_engine()
+    for path in args.files:
+        engine.load_file(path)
+    if args.goal is not None:
+        return run_goal(engine, args.goal, show_all=args.all,
+                        count=args.count, canonical=args.canonical)
+    return repl(engine, canonical=args.canonical)
 
 
 if __name__ == "__main__":

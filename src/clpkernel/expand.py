@@ -17,7 +17,22 @@ iteration role: a base clause whose head unifies the stop conditions
 (guarded by a cut) and a recursive clause running the body::
 
     do__1(S, S, []) :- !.
-    do__1(I, S, [X|T]) :- p(I, X), I1 is I + 1, do__1(I1, S, T).
+    do__1(I, S, [X|T]) :- I1 is I + 1, p(I, X), do__1(I1, S, T).
+
+A ``fromto`` or ``foreach`` whose end is an atom or a number when the
+loop is expanded (``[]`` for every ``foreach``) passes no end argument:
+the end itself stands in the base clause's head, as in the translation
+of Schimpf's *Logical Loops* (ICLP 2002).  Any other end is passed, as
+``S`` is here::
+
+    ( foreach(X, Xs), fromto(0, A0, A, S) do A is A0 + X )
+
+    do__2([], B, B) :- !.
+    do__2([X|T], A0, S) :- A is A0 + X, do__2(T, A, S).
+
+With such an iterator first, first-argument indexing picks one clause
+per step, so the loop pushes no choicepoint until the current value
+could be the end.
 
 Iteration bodies only see variables introduced by their own iteration
 specifiers (plus ``param`` variables); a body variable that also occurs
@@ -32,6 +47,7 @@ listed in no module: the goals that call it carry it in their name (see
 from __future__ import annotations
 
 import logging
+from fractions import Fraction
 
 from .errors import ExpansionError
 from .terms import Atom, Struct, Var, deref, list_parts, term_vars
@@ -283,7 +299,13 @@ class IterPlan:
         self.pre = pre
 
 
+#: the ends a ``fromto`` holds in its base clause's head
+_CONSTANTS = (Atom, int, float, Fraction)
+
+
 def _fromto_plan(f, i, o, t):
+    if type(deref(t)) in _CONSTANTS:
+        return IterPlan([], [f], [t], [i], [o], [])
     stop = Var()
     base = Var()
     return IterPlan([], [f, t], [base, base], [i, stop], [o, stop], [])

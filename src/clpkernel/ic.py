@@ -195,7 +195,22 @@ def _update(engine, x, d, lo, hi, holes, integral, joined=None):
     written only when its value or type changes, and the lists of the
     events that happened wake, then x's constrained list.  ``joined`` is
     the domain of a variable aliased to x: its lists wake for its own
-    events, then join d's."""
+    events, then join d's.
+
+    The most common write, new holes strictly inside the unchanged bounds
+    of an integral domain, takes a short branch: with lo and hi outside
+    the holes and lo < hi, at least two values are left and only the
+    hole event happens, so it is one write of ``holes`` and the wakes of
+    the hole list and the constrained list, as the general path gives."""
+    if (integral and lo is d.lo and hi is d.hi and joined is None
+            and d.integral and lo < hi and lo not in holes
+            and hi not in holes and holes > d.holes):
+        engine.store.set_slot(d, "holes", holes)
+        rec = x.attrs.get("suspend")
+        wake = d.w_hole if rec is None else d.w_hole + rec.constrained
+        if wake:
+            engine.wake(wake)
+        return True
     if integral:
         if type(lo) is not int and lo != -_INF:
             lo = math.ceil(lo)
@@ -456,13 +471,16 @@ def bi_ic_lin_con(engine, args, module):
 def _post_lin_con(engine, module, rel, const, pairs, goal=None):
     """Post ``const + sum(c*x) REL 0``.  A demon's goal term is ``goal``,
     or, when None, built from its payload if something prints it."""
-    if not any(type(deref(t)) is Var for _, t in pairs):
+    for _, t in pairs:
+        if type(deref(t)) is Var:
+            break
+    else:
         return _decide_ground(rel, const, pairs)
     if len(pairs) == 1:
         # a single variable against a constant is a plain domain update
         c, t = pairs[0]
         v = deref(t)
-        d = get_domain(v)
+        d = v.attrs.get("ic")
         integral = d is not None and d.integral
         if rel == "=<":
             bound = _bound(-const, c, integral, up=c < 0)
@@ -491,12 +509,12 @@ def _post_lin_con(engine, module, rel, const, pairs, goal=None):
         if rel == "\\=":
             rec = suspend_record(engine, v)
             set_slot(rec, "bound", rec.bound + (s,))
-            d = get_attr(v, "ic")
+            d = v.attrs.get("ic")
             if d is not None and not d.integral:
                 # becoming integral lets the hole be punched before binding
                 set_slot(d, "w_type", d.w_type + (s,))
         else:
-            d = ensure_domain(engine, v)
+            d = v.attrs.get("ic") or ensure_domain(engine, v)
             if rel == "=" or c > 0:
                 set_slot(d, "w_min", d.w_min + (s,))
             if rel == "=" or c < 0:
@@ -713,9 +731,6 @@ def _neq2(engine, s, module):
             break
         y = r
     if type(y) is int:
-        if type(x) is int:
-            engine.store.set_slot(s, "state", EXECUTED)
-            return k + c1 * x + c2 * y != 0
         c, v, k = c1, x, k + c2 * y
     elif type(x) is int:
         c, v, k = c2, y, k + c1 * x
@@ -723,15 +738,29 @@ def _neq2(engine, s, module):
         return True
     else:
         return _propagate_neq(engine, s, module)
-    d = v.attrs.get("ic") if type(v) is Var else None
-    if d is None or not d.integral:
-        return _propagate_neq(engine, s, module)
-    q, r = divmod(-k, c)
-    if (r == 0 and d.lo <= q <= d.hi and q not in d.holes
-            and not _update(engine, v, d, d.lo, d.hi, d.holes | {q}, True)):
-        return False
-    engine.store.set_slot(s, "state", EXECUTED)
-    return True
+    if type(v) is int:  # both sides are ints
+        ok = k + c * v != 0
+    else:
+        d = v.attrs.get("ic") if type(v) is Var else None
+        if d is None or not d.integral:
+            return _propagate_neq(engine, s, module)
+        q, r = divmod(-k, c)
+        if (r == 0 and d.lo <= q <= d.hi and q not in d.holes
+                and not _update(engine, v, d, d.lo, d.hi, d.holes | {q},
+                                True)):
+            return False
+        ok = True
+    # the kill: a plain write when the state was trailed in this segment,
+    # as the susp module docstring explains
+    store = engine.store
+    cps = store.choicepoints
+    stamps = s._stamps
+    if stamps is not None and stamps.get("state") == (
+            cps[-1].stamp if cps else 0):
+        s.state = EXECUTED
+    else:
+        store.set_slot(s, "state", EXECUTED)
+    return ok
 
 
 _LIN_RELS = frozenset(map(Atom, ("=<", "=", "\\=")))
@@ -896,8 +925,8 @@ def install(engine):
     def rel_builtin(relname):
         def fn(engine_, args, module):
             rel, const, pairs = normalize_relation(relname, args[0], args[1])
-            for _, v in pairs:
-                d = get_attr(v, "ic")
+            for _, v in pairs:  # normalize_relation dereferenced them
+                d = v.attrs.get("ic")
                 if (d is None or not d.integral) and \
                         not impose_integrality(engine_, v):
                     return False

@@ -73,18 +73,35 @@ def _dom_size(x):
 
 
 def _pick(items, start, dynamic):
-    """(next variable, its position) to label, or None when all terms are
-    instantiated: in input order the first from ``start`` on (those before
-    are instantiated), in first-fail order the first smallest domain."""
-    best = None
-    for i in range(0 if dynamic else start, len(items)):
+    """(next variable to label, the next pick's ``start``), or None when
+    all terms are instantiated.  The items before ``start`` are
+    instantiated.  In input order the pick is the first free item, and
+    the next pick starts after it.  In first-fail order it is the first
+    with the smallest domain, and the next pick starts at the first free
+    item, since everything before it stays bound for the rest of the
+    branch.  The scan reads each domain from the variable's attributes
+    and stops at the first of size 2, the least a free variable can have.
+    A variable without an integral domain counts as infinitely large, and
+    so does an integral one with an infinite bound, so either is picked
+    only when no free variable has a finite integral domain, and labeling
+    it raises a DomainError."""
+    best = first = None
+    for i in range(start, len(items)):
         v = deref(items[i])
         if type(v) is Var:
             if not dynamic:
-                return v, i
-            size = _dom_size(v)
+                return v, i + 1
+            if first is None:
+                first = i
+            d = v.attrs.get("ic")
+            if d is None or not d.integral:
+                size = math.inf
+            else:
+                size = d.hi - d.lo + 1 - len(d.holes)
+                if size == 2:
+                    return v, first
             if best is None or size < best_size:
-                best, best_size = (v, i), size
+                best, best_size = (v, first), size
     return best
 
 
@@ -97,11 +114,11 @@ def _label(engine, items, dynamic, start, cont):
     picked = _pick(items, start, dynamic)
     if picked is None:
         return cont
-    v, i = picked
+    v, start = picked
     values = iter(_finite_values(_require_finite(v)))
     m = engine.store.push_choicepoint()  # after the pick: see `store`
     m.alt = partial(_next_value, engine, v, values,
-                    partial(_label, engine, items, dynamic, i + 1))
+                    partial(_label, engine, items, dynamic, start))
     m.cont = cont
     return m.alt(m)
 

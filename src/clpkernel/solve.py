@@ -419,25 +419,24 @@ class Engine:
 
     def drain(self, cont=None):
         """Run the queued goals more urgent than the running priority, most
-        urgent first, until one needs the resolvent.  A suspension's
-        ``run`` is called through `_run_builtin`, with the suspension as
-        its arguments, and its bool result is its outcome.  Any other goal
-        (that of a suspension without a run, or a pair a run returns, such
-        as a woken ``call/1`` or ``indomain/1``) is
-        returned as cells that run before ``cont``: the goal, with the
-        choicepoint height as its cut height, then a step that restores the
-        running priority, which is lowered to the goal's meanwhile.
-        Returns True when every goal it ran succeeded and none needs the
-        resolvent, False as soon as one fails, else those cells."""
-        sched = self.sched
+        urgent first, until one needs the resolvent (see the module
+        docstring).  Returns True when every goal it ran succeeded and none
+        needs the resolvent, False as soon as one fails, else the cells
+        that run that goal before ``cont``: the goal, with the choicepoint
+        height as its cut height, then a step that restores the running
+        priority, which is lowered to the goal's meanwhile.  Only that
+        return changes the running priority, so the limit is read once, and
+        `Scheduler.pop_runnable` is looked up once per call."""
+        pop = self.sched.pop_runnable
+        limit = self.running_priority
         store = self.store
         cps = store.choicepoints
         cur = cps[-1].stamp if cps else 0  # builtins leave no choicepoint
-        s = sched.pop_runnable(self.running_priority)
+        s = pop(limit)
         while s is not None:
             if s._stamps.get("state") != cur:
                 # see the re-queue rule in the susp module docstring
-                store.register_undo(partial(sched.requeue, s))
+                store.register_undo(partial(self.sched.requeue, s))
             if s.demon:
                 s.state = SUSPENDED  # untrailed: see the susp docstring
             else:
@@ -448,16 +447,14 @@ class Engine:
             else:
                 res = self._run_builtin(run, s, s.module)
             if type(res) is tuple:
-                prev = self.running_priority
-
                 def restore(cont):
-                    store.set_slot(self, "running_priority", prev)
+                    store.set_slot(self, "running_priority", limit)
                     return cont
                 store.set_slot(self, "running_priority", s.priority)
                 return res[0], res[1], len(cps), (restore, res[1], 0, cont)
             if not res:
                 return False
-            s = sched.pop_runnable(self.running_priority)
+            s = pop(limit)
         return True
 
     def run_goal_once(self, goal, module):

@@ -29,8 +29,16 @@ younger one, or an older one after a cut) pushes an undo entry,
 `Scheduler.requeue`, which puts the entry back in state ``scheduled`` at
 the front of its bucket.  Every pop in the benchmark's programs happens
 in the segment that scheduled the entry (`tests/test_susp.py` checks
-this), so there the rule costs one stamp comparison per pop.  Killing a
-suspension and running a non-demon stay trailed.
+this), so there the rule costs one stamp comparison per pop.  Running a
+non-demon stays trailed.
+
+A demon's kill is a `Store.set_slot` write of ``executed``, so it is
+trailed only when its ``state`` stamp is not the current segment's.
+When the demon was scheduled in this segment, the ``suspended`` entry
+that `Scheduler.schedule` trailed already restores it on backtracking,
+and the kill is a plain write.  ``ic._neq2``, the demon that dies most
+often, makes that stamp test inline and writes the state itself.
+Either way, backtracking past the kill revives the demon.
 
 Waking is two-stage on purpose: events only move suspensions into the
 priority queue; the queued goals actually run when the resolution loop
@@ -154,11 +162,11 @@ class Scheduler:
         """Most urgent scheduled suspension with priority < priority_limit,
         or None.  Skips stale queue entries (state reverted by
         backtracking or killed while queued).  The scan starts at ``low``
-        and leaves it at the bucket it stopped in."""
-        top = min(priority_limit, NUM_PRIORITIES + 1)
+        and leaves it at the bucket it stopped in.  The limit is at most
+        `MAIN_PRIORITY`, one past the last bucket."""
         buckets = self.buckets
         p = self.low
-        while p < top:
+        while p < priority_limit:
             bucket = buckets[p]
             while bucket:
                 s = bucket.popleft()

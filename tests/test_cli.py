@@ -132,6 +132,56 @@ def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):
     assert (rc, out, err) == (2, "", "error: out of memory\n")
 
 
+def test_interrupt_exits_130_with_one_line(capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_goal", interrupted)
+    rc, out, err = run_main(capsys, "-g", "true")
+    assert (rc, out, err) == (130, "", "interrupted\n")
+
+
+#: the address space of a child that is meant to run out of memory: room
+#: for the interpreter and the engine, and little more
+CHILD_MEMORY = 200 * 2 ** 20
+
+
+def clpk_child(tmp_path, program, goal, **kwargs):
+    """Start ``clpk`` on a program file in a child process, unbuffered, as
+    `run_repl` does."""
+    f = tmp_path / "prog.pl"
+    f.write_text(program)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.Popen(
+        [sys.executable, "-u", "-m", "clpkernel.cli", str(f), "-g", goal],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        **kwargs)
+
+
+def test_running_out_of_memory_exits_2_with_one_line(tmp_path):
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():  # in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+    p = clpk_child(tmp_path, "p :- p, q.\n", "p", preexec_fn=limit_memory)
+    out, err = p.communicate(timeout=60)
+    assert (p.returncode, out, err) == (2, "", "error: out of memory\n")
+
+
+def test_ctrl_c_exits_130_with_one_line(tmp_path):
+    signal = pytest.importorskip("signal")
+    p = clpk_child(tmp_path, "loop :- loop.\n", "write(started), nl, loop")
+    try:
+        assert p.stdout.readline() == "started\n"  # the loop is running
+        p.send_signal(signal.SIGINT)
+        out, err = p.communicate(timeout=30)
+    finally:
+        p.kill()
+    assert (p.returncode, out, err) == (130, "", "interrupted\n")
+
+
 def test_loads_program_files(capsys, tmp_path):
     f = tmp_path / "facts.pl"
     f.write_text("p(1).\np(2).\n")

@@ -244,3 +244,174 @@ def test_struct_declarations_are_module_scoped(engine):
     engine.load(":- module(m1).\n:- local struct(point(x, y)).\n")
     assert engine.modules["m1"].lookup_struct("point") is not None
     assert engine.main.lookup_struct("point") is None
+
+
+# ----------------------------------------------------------------------
+# a seeded differential test of do-loops against a Python model
+#
+# A loop stops at the first step where every iterator can stop: the base
+# clause's head matches, and its cut drops the recursive clause.  Where
+# one cannot stop, every iterator steps and the body runs; a step or a
+# body goal that fails fails the loop.  Each generated loop has a guard,
+# an accumulator G (a ``fromto`` with a variable end) whose body test
+# ``G1 =< P`` bounds its steps by the parameter P, so every loop ends.
+
+class _Seq:
+    """A list walked by ``foreach`` or by ``fromto(L, [H|T], T, [])``, or
+    a Peano numeral walked by ``fromto(Z, s(Y), Y, z)``: the known items,
+    and whether the tail is ``[]``/``z`` or unbound."""
+
+    def __init__(self, role, name, items, open_tail):
+        self.role, self.name = role, name
+        self.items, self.open_tail = list(items), open_tail
+
+    def source(self):
+        """The binding of the input, or None for an unbound one."""
+        if not self.items and self.open_tail:
+            return None
+        if self.role == "peano":
+            return "%s = %s" % (self.name, _peano(len(self.items),
+                                                  "T" + self.name
+                                                  if self.open_tail else "z"))
+        tail = "|T%s" % self.name if self.open_tail else ""
+        return "%s = [%s%s]" % (self.name, ", ".join(map(str, self.items)),
+                                tail)
+
+    def iterator(self, k):
+        if self.role == "foreach":
+            return "foreach(X%d, %s)" % (k, self.name)
+        if self.role == "walk":
+            return "fromto(%s, [H%d|R%d], R%d, [])" % (self.name, k, k, k)
+        return "fromto(%s, s(Y%d), Y%d, z)" % (self.name, k, k)
+
+    def body(self, k):
+        """Fill an element that the walk made up with the step number."""
+        elem = {"foreach": "X%d", "walk": "H%d"}.get(self.role)
+        return None if elem is None else \
+            "( var(%s) -> %s = G1 ; true )" % (elem % k, elem % k)
+
+
+def _peano(n, end="z"):
+    return "s(" * n + end + ")" * n
+
+
+def _loop_case(rng):
+    """(loop goal text, input bindings, the walks, the other iterators):
+    ``others`` maps "count", "down" and "end" to the count's end, the
+    countdown's start and the variable end, None for an unbound end, for
+    those that the loop has."""
+    seqs = []
+    for k in range(rng.randint(1, 2)):
+        role = rng.choice(["foreach", "walk", "peano"])
+        shape = rng.choice(["proper", "partial", "unbound"])
+        n = rng.randint(0, 4) if shape != "unbound" else 0
+        items = [rng.randint(0, 9) for _ in range(n)]
+        seqs.append(_Seq(role, "L%d" % k, items, shape != "proper"))
+    iters = ["fromto(0, G0, G1, S)", "param(P)"]
+    body = ["G1 is G0 + 1", "G1 =< P"]
+    setup = [s.source() for s in seqs]
+    for k, s in enumerate(seqs):
+        iters.append(s.iterator(k))
+        body.append(s.body(k))
+    others = {}
+    if rng.random() < 0.5:
+        others["count"] = n = rng.choice([None, rng.randint(0, 4)])
+        iters.append("count(I, 1, N)")
+        setup.append(None if n is None else "N = %d" % n)
+    if rng.random() < 0.5:
+        others["down"] = n = rng.randint(0, 4)
+        iters.append("fromto(%d, D0, D1, 0)" % n)
+        body += ["D0 > 0", "D1 is D0 - 1"]
+    if rng.random() < 0.5:
+        others["end"] = n = rng.choice([None, rng.randint(0, 4)])
+        iters.append("fromto(0, J0, J1, E)")
+        body.append("J1 is J0 + 1")
+        setup.append(None if n is None else "E = %d" % n)
+    rng.shuffle(iters)
+    loop = "( %s do %s )" % (", ".join(iters),
+                             ", ".join(b for b in body if b is not None))
+    return loop, [s for s in setup if s is not None], seqs, others
+
+
+def _model(seqs, others, p):
+    """The bindings the loop leaves, as text, or None when it fails."""
+    made = [[] for _ in seqs]      # the elements each walk made up
+    pos = [0] * len(seqs)
+    step = 0
+    count, end = others.get("count"), others.get("end")
+    down = others.get("down")
+    while True:
+        if (all(pos[k] == len(s.items) for k, s in enumerate(seqs))
+                and count in (None, step) and end in (None, step)
+                and down in (None, step)):
+            break
+        for k, s in enumerate(seqs):
+            if pos[k] < len(s.items):
+                pos[k] += 1
+            elif s.open_tail:
+                made[k].append(step + 1)
+            else:
+                return None
+        step += 1
+        if step > p or (down is not None and step > down):
+            return None  # G1 =< P fails, or D0 > 0
+    out = {"S": str(step)}
+    if "count" in others and count is None:
+        out["N"] = str(step)
+    if "end" in others and end is None:
+        out["E"] = str(step)
+    for k, s in enumerate(seqs):
+        if s.role == "peano":
+            out[s.name] = _peano(len(s.items) + len(made[k]))
+        else:
+            out[s.name] = "[%s]" % ", ".join(map(str, s.items + made[k]))
+    return out
+
+
+def _answers(engine, goal, names):
+    return [{n: engine.format_term(a[n]) for n in names}
+            for a in engine.ask(goal)]
+
+
+def test_do_loops_agree_with_a_model():
+    rng = random.Random(2602)
+    engine = make_engine()
+    for case in range(300):
+        loop, setup, seqs, others = _loop_case(rng)
+        ps = sorted(rng.sample(range(0, 8), 3))
+        expected = [a for a in (_model(seqs, others, p) for p in ps)
+                    if a is not None]
+        names = list(expected[0]) if expected else []
+        members = "member(P, %s)" % plist(ps)
+        # called: expanded as it runs
+        goal = ", ".join([members] + setup + [loop])
+        got = _answers(engine, goal, names)
+        assert got == expected, goal
+        # in a program clause: expanded as it loads
+        head = "loop_%d(P, S, N, E, %s)" % (
+            case, ", ".join(s.name for s in seqs))
+        engine.load("%s :- %s." % (head, loop))
+        goal = ", ".join([members] + setup + [head])
+        assert _answers(engine, goal, names) == expected, goal
+
+
+def test_a_constant_end_loop_pushes_no_choicepoint_per_step(
+        engine, monkeypatch):
+    from clpkernel.store import Store
+    pushed = []
+    push = Store.push_choicepoint
+
+    def counted(self):
+        pushed.append(1)
+        return push(self)
+
+    engine.load("walk(L, S) :- ( foreach(X, L), fromto(0, A0, A, S) "
+                "do A is A0 + X ).\n"
+                "down(N) :- ( fromto(N, I0, I, 0) do I is I0 - 1 ).")
+    xs = list(range(1000))
+    monkeypatch.setattr(Store, "push_choicepoint", counted)
+    assert engine.once("walk(%s, S)" % plist(xs))["S"] == sum(xs)
+    assert engine.once("down(1000)") is not None
+    # a few per query: its base mark, the call of each, and the last step,
+    # where the end could also be the current value
+    assert len(pushed) < 10

@@ -17,7 +17,7 @@ from clpkernel.ic import (Domain, ensure_domain, exclude_value, format_domain,
                           get_domain, impose_integrality, impose_max,
                           impose_min)
 from clpkernel.linear import normalize_relation
-from clpkernel.susp import SUSPENDED
+from clpkernel.susp import EXECUTED, SCHEDULED, SUSPENDED
 from clpkernel.terms import Atom, Breal, Struct, Var, deref, mk_list
 
 from brute import feasible_points
@@ -1508,3 +1508,156 @@ def test_a_pass_that_binds_a_variable_narrows_it_no_further(monkeypatch):
                            "X + Y + 3*Z #= 11, X = Y")
     assert (a["X"], a["Y"], a["Z"], a.delayed) == (4, 4, 1, [])
     assert on_bound == []
+
+
+# ----------------------------------------------------------------------
+# a seeded oracle for the domain writer and the disequality kill
+
+_LISTS = ("min", "max", "hole", "type", "constrained")
+
+
+def _domain(e, x, lo, hi):
+    """x :: lo..hi."""
+    return impose_integrality(e, x) and impose_min(e, x, lo) \
+        and impose_max(e, x, hi)
+
+
+def _marked_var(e, lo, hi, holes, runs):
+    """A variable over lo..hi less holes, with a marker demon on each of
+    its four ic lists and its constrained list that records its list's
+    name in ``runs`` when it runs."""
+    x = Var()
+    assert _domain(e, x, lo, hi)
+    for h in holes:
+        assert exclude_value(e, x, h)
+    for name in _LISTS:
+        def run(engine, s, module, name=name):
+            runs.append(name)
+            return True
+        s = e.make_suspension(lambda s: Atom("marker"), 7, run=run)
+        e.attach_suspension(s, x, name,
+                            "suspend" if name == "constrained" else "ic")
+    return x
+
+
+def _exclusion_case(rng):
+    """(lo, hi, holes, the value excluded), the value at a chosen place."""
+    lo = rng.randint(-3, 3)
+    place = rng.choice(["inside", "lo", "hi", "hole", "outside", "one"])
+    if place == "one":  # two values left: excluding one leaves one
+        hi = lo + rng.randint(1, 5)
+        return lo, hi, set(range(lo + 1, hi)), rng.choice([lo, hi])
+    hi = lo + rng.randint(2, 8)
+    inner = list(range(lo + 1, hi))
+    holes = set(rng.sample(inner, rng.randint(0, len(inner) - 1)))
+    free = [v for v in inner if v not in holes]
+    v = {"inside": rng.choice(free), "lo": lo, "hi": hi,
+         "hole": rng.choice(sorted(holes)) if holes else lo - 1,
+         "outside": rng.choice([lo - rng.randint(1, 3),
+                                hi + rng.randint(1, 3)])}[place]
+    return lo, hi, holes, v
+
+
+def _expected_wakes(lo, hi, holes, v):
+    """The lists that wake by the event rule of `ic._update`: all of them
+    when one value is left, else min, max and hole for a raised lower
+    bound, a lowered upper bound and a value gone strictly inside, then
+    constrained when anything changed."""
+    before = set(range(lo, hi + 1)) - holes
+    after = before - {v}
+    if after == before:
+        return after, []
+    if len(after) == 1:
+        return after, list(_LISTS)
+    woke = []
+    if min(after) > lo:
+        woke.append("min")
+    if max(after) < hi:
+        woke.append("max")
+    if min(after) < v < max(after):
+        woke.append("hole")
+    return after, woke + ["constrained"]
+
+
+def _values(x):
+    x = deref(x)
+    if type(x) is int:
+        return {x}
+    d = get_domain(x)
+    return set(range(d.lo, d.hi + 1)) - d.holes
+
+
+@pytest.mark.parametrize("through", ["exclude_value", "#\\="])
+def test_domain_writer_agrees_with_brute_force_and_the_event_rule(through):
+    rng = Random(2603)
+    for _ in range(400):
+        lo, hi, holes, v = _exclusion_case(rng)
+        e = make_engine()
+        runs = []
+        x = _marked_var(e, lo, hi, holes, runs)
+        assert e.drain() and runs == []
+        if through == "exclude_value":
+            assert exclude_value(e, x, v)
+        else:
+            # post X #\= Z, then give Z its value: the demon excludes it
+            z = Var()
+            post = e.ic.preds["#\\=", 2].builtin
+            assert post(e, [x, z], e.main)
+            assert e.store.unify(z, v)
+        assert e.drain()
+        values, woke = _expected_wakes(lo, hi, holes, v)
+        assert _values(x) == values, (lo, hi, holes, v)
+        assert (type(deref(x)) is int) == (len(values) == 1)
+        assert runs == woke, (lo, hi, holes, v)
+
+
+def test_a_disequality_killed_in_its_scheduling_segment_trails_no_kill():
+    e = make_engine()
+    st = e.store
+    x, y = Var(), Var()
+    for v in (x, y):
+        assert _domain(e, v, 1, 5)
+    assert e.ic.preds["#\\=", 2].builtin(e, [x, y], e.main)
+    s = list(e.suspensions.values())[-1]
+
+    def state_entries(since):
+        return [t for t in st.trail[since:] if t[0] == "val" and t[1] is s]
+
+    m = st.push_choicepoint()
+    n = len(st.trail)
+    assert st.unify(x, 3) and e.drain()
+    # the one entry is the one the scheduling made, not the kill's
+    assert state_entries(n) == [("val", s, "state", SUSPENDED)]
+    assert s.state == EXECUTED and _values(y) == {1, 2, 4, 5}
+    st.backtrack_to(m)
+    assert s.state == SUSPENDED and _values(y) == {1, 2, 3, 4, 5}
+    assert st.unify(x, 4) and e.drain()  # revived, it fires again
+    assert s.state == EXECUTED and _values(y) == {1, 2, 3, 5}
+    st.backtrack_to(m)
+
+    # scheduled below a younger choicepoint, popped and killed above it:
+    # the kill is trailed, and backtracking to that choicepoint queues
+    # the demon again
+    assert st.unify(x, 2)
+    m2 = st.push_choicepoint()
+    n = len(st.trail)
+    assert e.drain()
+    assert state_entries(n) == [("val", s, "state", SUSPENDED)]
+    assert s.state == EXECUTED and _values(y) == {1, 3, 4, 5}
+    st.backtrack_to(m2)
+    assert s.state == SCHEDULED and _values(y) == {1, 2, 3, 4, 5}
+    assert e.drain()
+    assert s.state == EXECUTED and _values(y) == {1, 3, 4, 5}
+    st.drop_to(m)
+
+
+def test_a_single_value_left_binds_whatever_the_write():
+    """`ic._update` binds when lo == hi, also when its arguments are those
+    of the short branch for new holes (bounds that do not move)."""
+    e = make_engine()
+    for holes in ({5}, {0, 9}):
+        x = Var()
+        d = Domain(3, 3, integral=True)
+        init_attr(x, "ic", d)
+        assert ic._update(e, x, d, d.lo, d.hi, frozenset(holes), True)
+        assert deref(x) == 3

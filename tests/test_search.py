@@ -1,5 +1,6 @@
 """Labeling search: indomain, labeling/1,2, count_solutions."""
 
+import time
 import tracemalloc
 from random import Random
 
@@ -9,7 +10,7 @@ from clpkernel import make_engine
 from clpkernel.errors import DomainError, FlounderingError, TypeError_
 from clpkernel.ic import (ensure_domain, exclude_value, get_domain,
                           impose_integrality, impose_max, impose_min)
-from clpkernel.search import _dom_size, _finite_values
+from clpkernel.search import _dom_size, _finite_values, _pick
 from clpkernel.solve import Engine, Module
 from clpkernel.terms import Var, deref, proper_list
 
@@ -206,3 +207,51 @@ def test_finite_values_agree_with_the_domain_size():
         expected = [v for v in range(lo, hi + 1) if v not in gone]
         assert list(values) == expected
         assert len(values) == _dom_size(x) == len(expected)
+
+
+def test_first_fail_picks_the_first_smallest_domain():
+    """The scan starts at the first free item and stops at a domain of
+    size 2, and still picks what a scan of every item by size picks."""
+    rng = Random(2604)
+    for _ in range(300):
+        e = make_engine()
+        items, sizes = [], []
+        for _ in range(rng.randint(1, 12)):
+            if rng.random() < 0.3:
+                items.append(rng.randint(0, 9))  # already labeled
+                continue
+            x = Var()
+            lo = rng.randint(-5, 5)
+            hi = lo + rng.randint(1, 6)
+            ensure_domain(e, x)
+            impose_integrality(e, x)
+            impose_min(e, x, lo)
+            impose_max(e, x, hi)
+            inner = list(range(lo + 1, hi))
+            for v in rng.sample(inner, rng.randint(0, len(inner))):
+                assert exclude_value(e, x, v)
+            items.append(x)
+        free = [i for i, t in enumerate(items) if type(deref(t)) is Var]
+        # the old rule: the first of the smallest, by counting values
+        size = {i: len(list(_finite_values(get_domain(items[i]))))
+                for i in free}
+        start = rng.randint(0, free[0] if free else len(items))
+        picked = _pick(items, start, True)
+        if not free:
+            assert picked is None
+            continue
+        best = min(free, key=lambda i: (size[i], i))
+        assert picked == (items[best], free[0])
+
+
+def test_first_fail_is_linear_in_the_variables():
+    def cpu(method):
+        e = make_engine()
+        t = time.process_time()
+        assert e.once("length(L, 3000), L :: 0..1, labeling(%s, L)"
+                      % method) is not None
+        return time.process_time() - t
+
+    # best of two each, against the machine's own drift
+    assert min(cpu("first_fail") for _ in range(2)) < \
+        3 * min(cpu("input_order") for _ in range(2))
