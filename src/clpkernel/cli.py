@@ -13,7 +13,6 @@ Python's recursion and memory limits included, and 130 when interrupted
 from __future__ import annotations
 
 import argparse
-import gc
 import sys
 
 from .errors import EngineError, Halt
@@ -151,11 +150,9 @@ def main(argv=None):
         print("interrupted", file=sys.stderr)
         return 130
     except MemoryError:
-        # the traceback holds _run's frame and so the engine: leaving the
-        # handler drops both, and the collector frees the engine's cycles
-        # before the report needs memory
+        # the traceback holds _run's frame and so the engine: report after
+        # leaving the handler, which drops both
         pass
-    gc.collect()
     print("error: out of memory", file=sys.stderr)
     return 2
 

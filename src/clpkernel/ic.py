@@ -195,22 +195,7 @@ def _update(engine, x, d, lo, hi, holes, integral, joined=None):
     written only when its value or type changes, and the lists of the
     events that happened wake, then x's constrained list.  ``joined`` is
     the domain of a variable aliased to x: its lists wake for its own
-    events, then join d's.
-
-    The most common write, new holes strictly inside the unchanged bounds
-    of an integral domain, takes a short branch: with lo and hi outside
-    the holes and lo < hi, at least two values are left and only the
-    hole event happens, so it is one write of ``holes`` and the wakes of
-    the hole list and the constrained list, as the general path gives."""
-    if (integral and lo is d.lo and hi is d.hi and joined is None
-            and d.integral and lo < hi and lo not in holes
-            and hi not in holes and holes > d.holes):
-        engine.store.set_slot(d, "holes", holes)
-        rec = x.attrs.get("suspend")
-        wake = d.w_hole if rec is None else d.w_hole + rec.constrained
-        if wake:
-            engine.wake(wake)
-        return True
+    events, then join d's."""
     if integral:
         if type(lo) is not int and lo != -_INF:
             lo = math.ceil(lo)
@@ -750,16 +735,7 @@ def _neq2(engine, s, module):
                                 True)):
             return False
         ok = True
-    # the kill: a plain write when the state was trailed in this segment,
-    # as the susp module docstring explains
-    store = engine.store
-    cps = store.choicepoints
-    stamps = s._stamps
-    if stamps is not None and stamps.get("state") == (
-            cps[-1].stamp if cps else 0):
-        s.state = EXECUTED
-    else:
-        store.set_slot(s, "state", EXECUTED)
+    engine.store.set_slot(s, "state", EXECUTED)
     return ok
 
 

@@ -29,16 +29,10 @@ younger one, or an older one after a cut) pushes an undo entry,
 `Scheduler.requeue`, which puts the entry back in state ``scheduled`` at
 the front of its bucket.  Every pop in the benchmark's programs happens
 in the segment that scheduled the entry (`tests/test_susp.py` checks
-this), so there the rule costs one stamp comparison per pop.  Running a
-non-demon stays trailed.
-
-A demon's kill is a `Store.set_slot` write of ``executed``, so it is
-trailed only when its ``state`` stamp is not the current segment's.
-When the demon was scheduled in this segment, the ``suspended`` entry
-that `Scheduler.schedule` trailed already restores it on backtracking,
-and the kill is a plain write.  ``ic._neq2``, the demon that dies most
-often, makes that stamp test inline and writes the state itself.
-Either way, backtracking past the kill revives the demon.
+this), so there the rule costs one stamp comparison per pop.  A kill
+goes through `Store.set_slot`, so a demon killed in the segment that
+scheduled it adds no trail entry: the scheduling's entry revives it.
+Running a non-demon stays trailed.
 
 Waking is two-stage on purpose: events only move suspensions into the
 priority queue; the queued goals actually run when the resolution loop

@@ -1652,8 +1652,8 @@ def test_a_disequality_killed_in_its_scheduling_segment_trails_no_kill():
 
 
 def test_a_single_value_left_binds_whatever_the_write():
-    """`ic._update` binds when lo == hi, also when its arguments are those
-    of the short branch for new holes (bounds that do not move)."""
+    """`ic._update` binds when lo == hi, also when its arguments only add
+    holes and leave the bounds where they are."""
     e = make_engine()
     for holes in ({5}, {0, 9}):
         x = Var()

@@ -244,7 +244,9 @@ def test_first_fail_picks_the_first_smallest_domain():
         assert picked == (items[best], free[0])
 
 
-def test_first_fail_is_linear_in_the_variables():
+def test_first_fail_over_two_value_domains_is_linear():
+    """Every pick stops at the first free variable, whose domain has the
+    least size; over wider domains a pick still scans every free one."""
     def cpu(method):
         e = make_engine()
         t = time.process_time()
