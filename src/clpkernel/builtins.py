@@ -20,7 +20,6 @@ from .attvar import AttributeSpec, add_attr, get_attr, get_var_bounds, \
     notify_constrained, set_var_bounds
 from .errors import (DomainError, Halt, InstantiationError,
                      ExistenceError, RangeError, TypeError_)
-from .expand import struct_update_args
 from .susp import Suspension
 from .terms import (TRUE, Atom, Breal, Struct, Var, arg_at,
                     compare_terms, copy_term, deref, is_callable_term,
@@ -357,15 +356,6 @@ def bi_subscript(engine, args, module):
     return engine.store.unify(args[2], subscript_get(args[0], idx))
 
 
-def bi_update_struct(engine, args, module):
-    name_t = deref(args[0])
-    if type(name_t) is not Atom:
-        raise TypeError_("update_struct: struct name must be an atom")
-    old_args, new_args = struct_update_args(module, name_t.name, args[1])
-    return (engine.store.unify(args[2], Struct(name_t.name, old_args))
-            and engine.store.unify(args[3], Struct(name_t.name, new_args)))
-
-
 # ----------------------------------------------------------------------
 # suspensions
 
@@ -546,7 +536,6 @@ def install(engine):
 
     bi("dim", 2, bi_dim)
     bi("subscript", 3, bi_subscript)
-    bi("update_struct", 4, bi_update_struct)
 
     bi("make_suspension", 3, bi_make_suspension)
     bi("suspend", 3, bi_suspend)

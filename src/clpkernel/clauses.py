@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .terms import TRUE, Atom, Breal, Struct, Var, deref
+from .terms import TRUE, Atom, Breal, Struct, Var, deref, flatten_conj
 
 
 class Clause:
@@ -70,14 +70,7 @@ def _compile(args, body):
     variable as a parameter, if it has attributes), a later occurrence the
     variable's number, and a constant ``"K"`` (its value a parameter).
     Variables are numbered by first occurrence, head then body."""
-    goals = []
-    stack = [body]
-    while stack:
-        g = deref(stack.pop())
-        if type(g) is Struct and g.name == "," and len(g.args) == 2:
-            stack += g.args[1], g.args[0]
-        elif g is not TRUE:
-            goals.append(g)
+    goals = [g for g in flatten_conj(body) if g is not TRUE]
     shape = [len(args), len(goals)]
     params = []
     slots = {}

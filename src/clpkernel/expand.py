@@ -8,31 +8,32 @@ Three layers, all driven from per-module registries:
   goals at run time (do-loops, ``update_struct/4``);
 * output transforms, applied by the writer (registered elsewhere).
 
-A do-loop
+A do-loop compiles into a fresh auxiliary predicate: a base clause,
+guarded by a cut, and a recursive clause running the body.  Each
+iteration specifier is, as in Schimpf's *Logical Loops* (ICLP 2002),
+goals that set it up, ``fromto(First, In, Out, Last)`` quadruples, and
+goals each step starts with (`_iter_plan`):
 
-    ( for(I, 1, N), foreach(X, Xs) do p(I, X) )
+* ``foreach(X, L)`` is ``fromto(L, [X|T], T, [])``;
+* ``count(I, Min, Max)`` is ``fromto(Min-1, I0, I, Max)`` and ``I is I0+1``;
+* ``for(I, F, L, Step)`` is ``fromto(F1, I, I1, Stop)`` and ``I1 is
+  I+Step``, after ``loop_for_setup`` computes ``F1`` and ``Stop``;
+* ``foreacharg(X, T, Idx)`` is a parameter for ``T`` and ``fromto(1,
+  Idx, I1, N+1)`` with ``arg(Idx, T, X)``; ``param(V)`` has no ``Last``.
 
-compiles into a fresh auxiliary predicate with one argument position per
-iteration role: a base clause whose head unifies the stop conditions
-(guarded by a cut) and a recursive clause running the body::
+First goes to the call, In to the recursive head, Out to the recursive
+call.  A Last that is an atom or a number when the loop is expanded
+stands in the base clause's head; any other is passed and unified
+there.  So ``( for(I, 1, N), foreach(X, Xs) do p(I, X) )`` becomes::
+
+    loop_for_setup(1, N, 1, F, _, Stop), do__1(F, Stop, Xs)
 
     do__1(S, S, []) :- !.
     do__1(I, S, [X|T]) :- I1 is I + 1, p(I, X), do__1(I1, S, T).
 
-A ``fromto`` or ``foreach`` whose end is an atom or a number when the
-loop is expanded (``[]`` for every ``foreach``) passes no end argument:
-the end itself stands in the base clause's head, as in the translation
-of Schimpf's *Logical Loops* (ICLP 2002).  Any other end is passed, as
-``S`` is here::
-
-    ( foreach(X, Xs), fromto(0, A0, A, S) do A is A0 + X )
-
-    do__2([], B, B) :- !.
-    do__2([X|T], A0, S) :- A is A0 + X, do__2(T, A, S).
-
-With such an iterator first, first-argument indexing picks one clause
-per step, so the loop pushes no choicepoint until the current value
-could be the end.
+With a constant Last first (a ``foreach`` first), first-argument
+indexing picks one clause per step, so the loop pushes no choicepoint
+until the current value could be the end.
 
 Iteration bodies only see variables introduced by their own iteration
 specifiers (plus ``param`` variables); a body variable that also occurs
@@ -50,31 +51,17 @@ import logging
 from fractions import Fraction
 
 from .errors import ExpansionError
-from .terms import Atom, Struct, Var, deref, list_parts, term_vars
+from .terms import (NIL, TRUE, Atom, Struct, Var, deref, flatten_conj,
+                    proper_list, term_vars)
 
 log = logging.getLogger("clpkernel")
-
-TRUE = Atom("true")
 
 
 # ----------------------------------------------------------------------
 # conjunction helpers
 
-def flatten_conj(t):
-    out = []
-    stack = [t]
-    while stack:
-        g = deref(stack.pop())
-        if isinstance(g, Struct) and g.name == "," and g.arity == 2:
-            stack.append(g.args[1])
-            stack.append(g.args[0])
-        else:
-            out.append(g)
-    return out
-
-
 def mk_conj(goals):
-    goals = [g for g in goals if not (isinstance(g, Atom) and g.name == "true")]
+    goals = [g for g in goals if g is not TRUE]
     if not goals:
         return TRUE
     out = goals[-1]
@@ -107,10 +94,6 @@ class StructDecl:
     def index(self, field):
         return self._index.get(field)
 
-    @property
-    def arity(self):
-        return len(self.fields)
-
 
 def parse_struct_decl(term):
     """Validate a declaration like struct(emp(name, age))."""
@@ -128,35 +111,47 @@ def parse_struct_decl(term):
     return StructDecl(t.name, fields)
 
 
-def expand_with(module, t):
-    """emp{age: A, name: N}  ==>  emp(N, A)  (declared field order)."""
-    name_t, fields_t = (deref(a) for a in t.args)
-    if not isinstance(name_t, Atom):
-        raise ExpansionError("struct name must be an atom: %r" % (name_t,))
-    decl = module.lookup_struct(name_t.name)
+def _field_values(module, name, fields, what):
+    """The declaration of the struct ``name`` and the values that the
+    field list ``fields`` (``[field:Value, ...]``) gives, by argument
+    position.  ``what`` names the construct in error messages."""
+    name = deref(name)
+    if not isinstance(name, Atom):
+        raise ExpansionError("%s: struct name must be an atom: %r"
+                             % (what, name))
+    decl = module.lookup_struct(name.name)
     if decl is None:
-        raise ExpansionError("unknown structure %r" % name_t.name)
-    args = [Var() for _ in range(decl.arity)]
-    items, tail = list_parts(fields_t)
-    if not (isinstance(deref(tail), Atom) and deref(tail).name == "[]"):
-        raise ExpansionError("struct fields must be a proper list")
-    seen = set()
+        raise ExpansionError("unknown structure %r" % name.name)
+    items = proper_list(fields)
+    if items is None:
+        raise ExpansionError("%s: struct fields must be a proper list" % what)
+    values = {}
     for item in items:
         item = deref(item)
         if not (isinstance(item, Struct) and item.name == ":" and item.arity == 2):
-            raise ExpansionError("struct field must be written name:Value: %r" % (item,))
-        fname = deref(item.args[0])
-        if not isinstance(fname, Atom):
-            raise ExpansionError("struct field name must be an atom: %r" % (fname,))
-        idx = decl.index(fname.name)
-        if idx is None:
+            raise ExpansionError("%s: struct field must be written "
+                                 "name:Value: %r" % (what, item))
+        field = deref(item.args[0])
+        if not isinstance(field, Atom):
+            raise ExpansionError("%s: struct field name must be an atom: %r"
+                                 % (what, field))
+        i = decl.index(field.name)
+        if i is None:
             raise ExpansionError("structure %r has no field %r"
-                                 % (name_t.name, fname.name))
-        if fname.name in seen:
-            raise ExpansionError("duplicate field %r" % fname.name)
-        seen.add(fname.name)
-        args[idx - 1] = item.args[1]
-    return Struct(name_t.name, args)
+                                 % (name.name, field.name))
+        if i in values:
+            raise ExpansionError("duplicate field %r" % field.name)
+        values[i] = item.args[1]
+    return decl, values
+
+
+def expand_with(module, t):
+    """emp{age: A, name: N}  ==>  emp(N, A)  (declared field order)."""
+    decl, values = _field_values(module, t.args[0], t.args[1], "with")
+    args = [Var() for _ in decl.fields]
+    for i, v in values.items():
+        args[i - 1] = v
+    return Struct(decl.name, args)
 
 
 def expand_of(module, t):
@@ -248,110 +243,63 @@ def expand_clause(ctx, term):
 # ----------------------------------------------------------------------
 # update_struct/4
 
-def struct_update_args(module, name, fields_t):
-    """(old_args, new_args) for an update of struct `name`: fresh variables
-    throughout, with the listed fields replaced in new_args."""
-    decl = module.lookup_struct(name)
-    if decl is None:
-        raise ExpansionError("unknown structure %r" % name)
-    old_args = [Var() for _ in range(decl.arity)]
-    new_args = list(old_args)
-    items, tail = list_parts(fields_t)
-    if not (isinstance(deref(tail), Atom) and deref(tail).name == "[]"):
-        raise ExpansionError("update_struct: fields must be a proper list")
-    seen = set()
-    for item in items:
-        item = deref(item)
-        if not (isinstance(item, Struct) and item.name == ":" and item.arity == 2):
-            raise ExpansionError("update_struct: field must be name:Value")
-        fname = deref(item.args[0])
-        if not isinstance(fname, Atom) or decl.index(fname.name) is None:
-            raise ExpansionError("structure %r has no field %r" % (name, fname))
-        if fname.name in seen:
-            raise ExpansionError("duplicate field %r" % fname.name)
-        seen.add(fname.name)
-        new_args[decl.index(fname.name) - 1] = item.args[1]
-    return old_args, new_args
-
-
 def expand_update_struct(ctx, t):
-    name_t, fields_t, old_t, new_t = (deref(a) for a in t.args)
-    if not isinstance(name_t, Atom):
-        raise ExpansionError("update_struct: struct name must be an atom")
-    old_args, new_args = struct_update_args(ctx.module, name_t.name, fields_t)
-    goal = mk_conj([Struct("=", [old_t, Struct(name_t.name, old_args)]),
-                    Struct("=", [new_t, Struct(name_t.name, new_args)])])
-    return goal, []
+    """update_struct(emp, [age: A], Old, New)  ==>
+    Old = emp(N, _), New = emp(N, A)."""
+    decl, values = _field_values(ctx.module, t.args[0], t.args[1],
+                                 "update_struct")
+    old = [Var() for _ in decl.fields]
+    new = list(old)
+    for i, v in values.items():
+        new[i - 1] = v
+    return mk_conj([Struct("=", [t.args[2], Struct(decl.name, old)]),
+                    Struct("=", [t.args[3], Struct(decl.name, new)])]), []
 
 
 # ----------------------------------------------------------------------
 # do-loops
 
-class IterPlan:
-    __slots__ = ("setup", "call_args", "base_args", "rec_head", "rec_call", "pre")
-
-    def __init__(self, setup, call_args, base_args, rec_head, rec_call, pre):
-        self.setup = setup
-        self.call_args = call_args
-        self.base_args = base_args
-        self.rec_head = rec_head
-        self.rec_call = rec_call
-        self.pre = pre
-
-
-#: the ends a ``fromto`` holds in its base clause's head
+#: the ends that stand in the base clause's head
 _CONSTANTS = (Atom, int, float, Fraction)
 
 
-def _fromto_plan(f, i, o, t):
-    if type(deref(t)) in _CONSTANTS:
-        return IterPlan([], [f], [t], [i], [o], [])
-    stop = Var()
-    base = Var()
-    return IterPlan([], [f, t], [base, base], [i, stop], [o, stop], [])
-
-
 def _iter_plan(it, strict=True):
+    """One iteration specifier as (the goals that set it up, its
+    ``(First, In, Out, Last)`` quadruples, the goals each step starts
+    with).  ``Last`` is None for a parameter."""
     it = deref(it)
     if isinstance(it, Struct):
-        name, n = it.name, it.arity
-        a = it.args
+        name, n, a = it.name, it.arity, it.args
         if name == "fromto" and n == 4:
-            return _fromto_plan(*a)
+            return [], [tuple(a)], []
         if name == "foreach" and n == 2:
             tail = Var()
-            return _fromto_plan(a[1], Struct(".", [a[0], tail]), tail, Atom("[]"))
+            return [], [(a[1], Struct(".", [a[0], tail]), tail, NIL)], []
         if name == "count" and n == 3:
-            i0, f0, stop, base = Var(), Var(), Var(), Var()
-            return IterPlan([Struct("is", [f0, Struct("-", [a[1], 1])])],
-                            [f0, a[2]], [base, base], [i0, stop], [a[0], stop],
-                            [Struct("is", [a[0], Struct("+", [i0, 1])])])
+            first, i0 = Var(), Var()
+            return ([Struct("is", [first, Struct("-", [a[1], 1])])],
+                    [(first, i0, a[0], a[2])],
+                    [Struct("is", [a[0], Struct("+", [i0, 1])])])
         if name == "for" and n in (3, 4):
-            frm, to = a[1], a[2]
             step = deref(a[3]) if n == 4 else 1
-            f1, stop, i1, base, s = Var(), Var(), Var(), Var(), Var()
+            first, i1, stop, sv = Var(), Var(), Var(), Var()
+            quads = [(first, a[0], i1, stop)]
             if isinstance(step, int):
-                # constant step: inline it in the increment
-                setup = [Struct("loop_for_setup",
-                                [frm, to, step, f1, Var(), stop])]
-                return IterPlan(setup, [f1, stop], [base, base],
-                                [a[0], s], [i1, s],
-                                [Struct("is", [i1, Struct("+", [a[0], step])])])
-            sv, sv2 = Var(), Var()
-            setup = [Struct("loop_for_setup", [frm, to, step, f1, sv, stop])]
-            return IterPlan(setup, [f1, sv, stop], [base, Var(), base],
-                            [a[0], sv2, s], [i1, sv2, s],
-                            [Struct("is", [i1, Struct("+", [a[0], sv2])])])
+                inc = step  # constant step: inline it in the increment
+            else:
+                inc = sv
+                quads.append((sv, sv, sv, None))
+            return ([Struct("loop_for_setup",
+                            [a[1], a[2], step, first, sv, stop])],
+                    quads, [Struct("is", [i1, Struct("+", [a[0], inc])])])
         if name == "foreacharg" and n in (2, 3):
-            arr = a[1]
-            n_v, s1, av, i0, i1, stop, base = (Var() for _ in range(7))
-            idx = a[2] if n == 3 else i0
-            setup = [Struct("functor", [arr, Var(), n_v]),
-                     Struct("is", [s1, Struct("+", [n_v, 1])])]
-            return IterPlan(setup, [arr, 1, s1], [Var(), base, base],
-                            [av, idx, stop], [av, i1, stop],
-                            [Struct("arg", [idx, av, a[0]]),
-                             Struct("is", [i1, Struct("+", [idx, 1])])])
+            size, last, term, i1 = Var(), Var(), Var(), Var()
+            idx = a[2] if n == 3 else Var()
+            return ([Struct("functor", [a[1], Var(), size]),
+                     Struct("is", [last, Struct("+", [size, 1])])],
+                    [(a[1], term, term, None), (1, idx, i1, last)],
+                    [Struct("arg", [idx, term, a[0]]),
+                     Struct("is", [i1, Struct("+", [idx, 1])])])
         if name == "param":
             if strict:
                 # in source clauses param must name variables; a metacalled
@@ -360,47 +308,56 @@ def _iter_plan(it, strict=True):
                     if not isinstance(deref(v), Var):
                         raise ExpansionError("param arguments must be "
                                              "variables: %r" % (deref(v),))
-            plans = [IterPlan([], [v], [Var()], [v], [v], []) for v in a]
-            return plans
+            return [], [(v, v, v, None) for v in a], []
     raise ExpansionError("unknown iteration specifier: %r" % (it,))
 
 
 def expand_do(ctx, t):
     iters_t, body = t.args
     iters = flatten_conj(iters_t)
-    if not iters or (len(iters) == 1 and isinstance(deref(iters[0]), Atom)
-                     and deref(iters[0]).name == "true"):
+    if iters[0] is TRUE and len(iters) == 1:
         raise ExpansionError("do-loop without iteration specifiers")
 
-    plans = []
+    setup, quads, pre = [], [], []
     iter_var_ids = set()
     for it in iters:
-        got = _iter_plan(it, strict=not ctx.metacall)
-        plans.extend(got if isinstance(got, list) else [got])
+        s, q, p = _iter_plan(it, strict=not ctx.metacall)
+        setup += s
+        quads += q
+        pre += p
         iter_var_ids.update(id(v) for v in term_vars(it))
 
     _warn_body_scope(ctx, t, body, iter_var_ids)
 
     body_x, aux = expand_body(ctx, body)
 
-    setup, call_args, base_args, rec_head, rec_call, pre = [], [], [], [], [], []
-    for p in plans:
-        setup.extend(p.setup)
-        call_args.extend(p.call_args)
-        base_args.extend(p.base_args)
-        rec_head.extend(p.rec_head)
-        rec_call.extend(p.rec_call)
-        pre.extend(p.pre)
+    # the arguments of the call, the base clause's head, the recursive
+    # clause's head and its recursive call
+    call, base, head, rec = [], [], [], []
+    for first, in_, out, last in quads:
+        call.append(first)
+        head.append(in_)
+        rec.append(out)
+        if last is None:
+            base.append(Var())
+        elif type(deref(last)) in _CONSTANTS:
+            base.append(last)
+        else:
+            end, stop = Var(), Var()
+            call.append(last)
+            base += end, end
+            head.append(stop)
+            rec.append(stop)
     if ctx.metacall:
-        name = ctx.engine.unlisted_pred(ctx.module, "$do_loop", len(call_args))
+        name = ctx.engine.unlisted_pred(ctx.module, "$do_loop", len(call))
     else:
         name = ctx.module.next_aux_name()
 
-    base_clause = (Struct(name, base_args), Atom("!"))
-    rec_clause = (Struct(name, rec_head),
-                  mk_conj(pre + [body_x, Struct(name, rec_call)]))
+    base_clause = (Struct(name, base), Atom("!"))
+    rec_clause = (Struct(name, head),
+                  mk_conj(pre + [body_x, Struct(name, rec)]))
     aux = aux + [base_clause, rec_clause]
-    return mk_conj(setup + [Struct(name, call_args)]), aux
+    return mk_conj(setup + [Struct(name, call)]), aux
 
 
 def _warn_body_scope(ctx, do_term, body, iter_var_ids):

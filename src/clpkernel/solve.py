@@ -116,8 +116,8 @@ from .reader import Ops, Parser, standard_ops, tokenize
 from .store import Store
 from .susp import (EXECUTED, MAIN_PRIORITY, SCHEDULED, SUSPENDED, Scheduler,
                    Suspension)
-from .terms import (Atom, Struct, Var, copy_term, deref, is_callable_term,
-                    list_parts)
+from .terms import (Atom, Struct, Var, copy_term, deref, flatten_conj,
+                    is_callable_term, proper_list)
 from . import attvar
 from .writer import write_term
 
@@ -253,14 +253,7 @@ class Module:
         self.structs[decl.name] = (decl, exported)
 
     def lookup_struct(self, name):
-        got = self.structs.get(name)
-        if got is not None:
-            return got[0]
-        for m in self.imports:
-            got = m.structs.get(name)
-            if got is not None and got[1]:
-                return got[0]
-        return None
+        return self._macro_lookup("structs", name)
 
     def next_aux_name(self):
         self.aux_n += 1
@@ -730,13 +723,9 @@ class Engine:
                         raise ExistenceError("module %s does not exist" % mname)
                     module.add_import(target)
                 return
-            if name == "export" and len(args) == 1:
+            if name in ("export", "local") and len(args) == 1:
                 for item in _conj_items(args[0]):
-                    self._export_item(module, item)
-                return
-            if name == "local" and len(args) == 1:
-                for item in _conj_items(args[0]):
-                    self._local_item(module, item)
+                    self._declare_item(module, item, name == "export")
                 return
             if name == "op" and len(args) == 3:
                 self._op_directive(module, args, exported=False)
@@ -759,27 +748,19 @@ class Engine:
             log.warning("%s:%s: directive failed: %s",
                         filename or "<text>", pos[0], self.format_term(d, module))
 
-    def _export_item(self, module, item):
+    def _declare_item(self, module, item, exported):
+        """One item of an ``export/1`` or ``local/1`` directive: an
+        operator, a struct or a predicate."""
         item = deref(item)
         if isinstance(item, Struct) and item.name == "op" and item.arity == 3:
-            self._op_directive(module, item.args, exported=True)
-            return
-        if isinstance(item, Struct) and item.name == "struct" and item.arity == 1:
-            module.declare_struct(parse_struct_decl(item.args[0]), exported=True)
-            return
-        n, a = _pred_indicator(item)
-        module.ensure_pred(n, a).exported = True
-
-    def _local_item(self, module, item):
-        item = deref(item)
-        if isinstance(item, Struct) and item.name == "op" and item.arity == 3:
-            self._op_directive(module, item.args, exported=False)
-            return
-        if isinstance(item, Struct) and item.name == "struct" and item.arity == 1:
-            module.declare_struct(parse_struct_decl(item.args[0]), exported=False)
-            return
-        n, a = _pred_indicator(item)
-        module.ensure_pred(n, a)
+            self._op_directive(module, item.args, exported)
+        elif (isinstance(item, Struct) and item.name == "struct"
+              and item.arity == 1):
+            module.declare_struct(parse_struct_decl(item.args[0]), exported)
+        else:
+            pred = module.ensure_pred(*_pred_indicator(item))
+            if exported:
+                pred.exported = True
 
     def _op_directive(self, module, args, exported):
         prio = deref(args[0])
@@ -787,11 +768,7 @@ class Engine:
             raise TypeError_("operator priority must be an integer: %r" % (prio,))
         typ = _atom_name(args[1], "operator type")
         names = deref(args[2])
-        items, tail = list_parts(names)
-        if not (items and isinstance(deref(tail), Atom)
-                and deref(tail).name == "[]"):
-            items = [names]
-        for it in items:
+        for it in proper_list(names) or [names]:
             module.ops.declare(prio, typ, _atom_name(it, "operator name"),
                                exported=exported)
 
@@ -874,20 +851,7 @@ def _atom_name(t, what):
 
 def _conj_items(t):
     """Split a ','-conjunction or a list into items."""
-    t = deref(t)
-    items, tail = list_parts(t)
-    if items and isinstance(deref(tail), Atom) and deref(tail).name == "[]":
-        return items
-    out = []
-    stack = [t]
-    while stack:
-        x = deref(stack.pop())
-        if isinstance(x, Struct) and x.name == "," and x.arity == 2:
-            stack.append(x.args[1])
-            stack.append(x.args[0])
-        else:
-            out.append(x)
-    return out
+    return proper_list(t) or flatten_conj(t)
 
 
 def _pred_indicator(t):

@@ -211,6 +211,19 @@ def proper_list(t):
     return items if tail is NIL else None
 
 
+def flatten_conj(t):
+    """The goals of a ``,``-conjunction, left to right, dereferenced."""
+    out = []
+    stack = [t]
+    while stack:
+        g = deref(stack.pop())
+        if type(g) is Struct and g.name == "," and len(g.args) == 2:
+            stack += g.args[1], g.args[0]
+        else:
+            out.append(g)
+    return out
+
+
 def _num_bounds(t):
     # every number is viewed as an interval for ordering purposes
     if type(t) is Breal:

@@ -2,10 +2,11 @@
 
 Every failure must reach the user as an `EngineError`: a builtin called
 with any arguments answers, fails, or raises one, never a raw Python
-exception.  Each builtin of every module an `Engine()` makes is called
-with arguments drawn from a fixed pool of terms, after a prefix that
-gives one variable a domain and another a suspension, so the posting
-paths of the solvers see constrained and suspended variables too.  After
+exception.  Each builtin of every module an `Engine()` makes, and each
+goal macro, which a call expands as it runs, is called with arguments
+drawn from a fixed pool of terms, after a prefix that gives one variable
+a domain and another a suspension, so the posting paths of the solvers
+see constrained and suspended variables too.  After
 each query the store must hold no choicepoint and the engine must run at
 the main resolvent's priority, as the ``ask`` fixture requires.
 """
@@ -33,6 +34,10 @@ POOL = ["a", "[]", "'hello world'", "0", "3", "-7", "12345678901234567890",
         "X{} -> inst"]
 
 PREFIX = "C :: 1..5, suspend(true, 3, S -> inst), "
+
+#: the struct of the update_struct/4 example, declared in every engine
+#: that the calls run in
+STRUCT = ":- local struct(emp(name, age)).\n"
 
 #: builtins left out, with the reason
 EXCLUDED = {
@@ -74,6 +79,8 @@ EXAMPLES = {
     ("count_solutions", 2): ["member(Q, [a, b])", "N{}"],
     ("is", 2): ["X{}", "1 + 2"],
     ("compare", 3): ["O{}", "a", "b"],
+    ("do", 2): ["foreach(X{}, [a, b])", "true"],
+    ("update_struct", 4): ["emp", "[age: 3]", "X{}", "Y{}"],
 }
 
 CALLS_PER_BUILTIN = 250
@@ -86,6 +93,17 @@ def builtins_of(engine):
                   for m in engine.modules.values()
                   for (name, arity), p in m.preds.items()
                   if p.builtin is not None)
+
+
+def macros_of(engine):
+    """(name, arity) of every goal macro, in a fixed order."""
+    return sorted(k for m in engine.modules.values() for k in m.goal_macros)
+
+
+def judge_engine(**kwargs):
+    engine = make_engine(**kwargs)
+    engine.load(STRUCT)
+    return engine
 
 
 def quoted(name):
@@ -110,9 +128,11 @@ def random_goal(rng, name, arity):
 
 
 def test_every_builtin_is_called():
-    engine = make_engine()
+    engine = judge_engine()
     called = [b for b in builtins_of(engine) if b not in EXCLUDED]
     assert len(called) > 70
+    macros = macros_of(engine)
+    called += macros
     assert set(builtins_of(engine)) >= set(EXCLUDED)
     assert set(called) >= set(EXAMPLES)
     for name, arity in EXAMPLES:
@@ -121,7 +141,10 @@ def test_every_builtin_is_called():
                 for i, a in enumerate(EXAMPLES[name, arity])]
         assert engine.ask(PREFIX + "%s(%s)" % (quoted(name), ", ".join(args)))
     for name, arity in called:
-        assert engine.main.lookup_pred(name, arity).builtin is not None
+        if (name, arity) in macros:
+            assert engine.main.lookup_goal_macro(name, arity) is not None
+        else:
+            assert engine.main.lookup_pred(name, arity).builtin is not None
         # the quoting reads back as the builtin's name
         goal, _ = engine.parse_goal(random_goal(Random(0), name, arity))
         assert goal.name == name
@@ -132,10 +155,11 @@ def test_builtins_answer_fail_or_raise_an_engine_error():
     broken = []
     outcomes = {"answered": 0, "failed": 0, "raised": 0}
     t0 = time.process_time()
-    for name, arity in builtins_of(make_engine()):
+    made = make_engine()
+    for name, arity in builtins_of(made) + macros_of(made):
         if (name, arity) in EXCLUDED:
             continue
-        engine = make_engine(out=io.StringIO())
+        engine = judge_engine(out=io.StringIO())
         for _ in range(CALLS_PER_BUILTIN):
             query = PREFIX + random_goal(rng, name, arity)
             try:

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from clpkernel import make_engine
-from clpkernel.errors import ExpansionError
+from clpkernel.errors import EngineError, ExpansionError, RangeError
 from clpkernel.terms import Atom, Struct, Var, deref, proper_list
 
 
@@ -246,6 +246,79 @@ def test_struct_declarations_are_module_scoped(engine):
     assert engine.main.lookup_struct("point") is None
 
 
+_FIELD_NAMES = ["a", "b", "c", "d", "e"]
+
+
+def _field_case(rng):
+    """The fields of a struct declaration, a field list for it as text,
+    and the values the list sets by argument position, None when it is
+    not valid: its items are fields of the struct (duplicates among
+    them), unknown fields, numbers or variables as names, and bare atoms,
+    in a proper list, a partial list or a non-list."""
+    fields = rng.sample(_FIELD_NAMES, rng.randint(1, 4))
+    items, values, valid = [], {}, True
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice(["field"] * 6 + ["unknown", "number", "var", "bare"])
+        value = rng.randint(0, 99)
+        name = {"field": rng.choice(fields), "number": str(value % 10),
+                "var": "V", "bare": None,
+                "unknown": rng.choice([f for f in _FIELD_NAMES + ["z"]
+                                       if f not in fields])}[kind]
+        items.append("x%d" % value if name is None
+                     else "%s:%d" % (name, value))
+        pos = fields.index(name) + 1 if kind == "field" else None
+        valid = valid and pos is not None and pos not in values
+        values[pos] = value
+    shape = rng.choice(["list"] * 6 + ["partial", "other"])
+    if shape == "list":
+        text = "[%s]" % ", ".join(items)
+    elif shape == "partial":
+        text = "[%s|Tail]" % ", ".join(items) if items else "Tail"
+    else:
+        text = rng.choice(["foo", "a:1", "3", "f(a:1)"])
+    return fields, text, values if valid and shape == "list" else None
+
+
+def _outcome(run):
+    """The struct ``run()`` builds, as its arguments with None for an
+    unbound one, or the class of the error it raises."""
+    try:
+        t = deref(run())
+    except EngineError as e:
+        return type(e)
+    return [None if isinstance(deref(a), Var) else deref(a) for a in t.args]
+
+
+def test_with_and_update_struct_read_fields_alike():
+    """``S{F}`` and ``update_struct(S, F, _, New)`` over random field
+    lists raise the same error or build the same struct, both called and
+    in a loaded clause.  A field list that is not a proper list is
+    written ``with(S, F)``, which is what ``S{F}`` reads as."""
+    rng = random.Random(2701)
+    engine = make_engine()
+    valid = 0
+    for case in range(300):
+        fields, text, values = _field_case(rng)
+        name = "s%d" % case
+        engine.load(":- local struct(%s(%s)).\n" % (name, ", ".join(fields)))
+        with_t = ("%s{%s}" % (name, text[1:-1]) if values is not None
+                  else "with(%s, %s)" % (name, text))
+        update_t = "update_struct(%s, %s, _, E)" % (name, text)
+        called = [_outcome(lambda: engine.once(goal)["E"])
+                  for goal in ("E = " + with_t, update_t)]
+
+        def loaded(head, body):
+            engine.load("%s :- %s.\n" % (head, body))
+            return engine.once(head)["E"]
+        compiled = [_outcome(lambda: loaded("w%d(E)" % case, "E = " + with_t)),
+                    _outcome(lambda: loaded("u%d(E)" % case, update_t))]
+        want = ExpansionError if values is None else \
+            [values.get(i) for i in range(1, len(fields) + 1)]
+        assert called == compiled == [want, want], (with_t, update_t)
+        valid += values is not None
+    assert 50 < valid < 250
+
+
 # ----------------------------------------------------------------------
 # a seeded differential test of do-loops against a Python model
 #
@@ -298,8 +371,12 @@ def _peano(n, end="z"):
 def _loop_case(rng):
     """(loop goal text, input bindings, the walks, the other iterators):
     ``others`` maps "count", "down" and "end" to the count's end, the
-    countdown's start and the variable end, None for an unbound end, for
-    those that the loop has."""
+    countdown's start and the variable end, None for an unbound end,
+    "for" to the values a ``for`` takes and "arg" to the arguments a
+    ``foreacharg`` visits and whether it names their index, for those
+    that the loop has.  The ``for`` and ``foreacharg`` hand what they
+    visit to a ``foreach`` over an unbound list, which can stop at any
+    step."""
     seqs = []
     for k in range(rng.randint(1, 2)):
         role = rng.choice(["foreach", "walk", "peano"])
@@ -327,23 +404,58 @@ def _loop_case(rng):
         iters.append("fromto(0, J0, J1, E)")
         body.append("J1 is J0 + 1")
         setup.append(None if n is None else "E = %d" % n)
+    if rng.random() < 0.5:
+        # up, down or empty; a step written in the loop, one bound before
+        # it (a variable when the loop is loaded), or none
+        step = rng.choice([None, 1, 2, -1, -2])
+        lo, n, by = rng.randint(-3, 3), rng.randint(0, 3), step or 1
+        # n values, the end between the last value and the next one
+        hi = lo + by * (n - 1) + (1 if by > 0 else -1) * rng.randrange(abs(by))
+        others["for"] = [lo + by * i for i in range(n)]
+        if step is None:
+            iters.append("for(F, %d, %d)" % (lo, hi))
+        elif rng.random() < 0.5:
+            iters.append("for(F, %d, %d, %d)" % (lo, hi, step))
+        else:
+            iters.append("for(F, %d, %d, St)" % (lo, hi))
+            setup.append("St = %d" % step)
+        iters.append("foreach(F, Fs)")
+    if rng.random() < 0.5:
+        args = [rng.randint(0, 9) for _ in range(rng.randint(1, 3))]
+        indexed = rng.random() < 0.5
+        others["arg"] = args, indexed
+        setup.append("T = f(%s)" % ", ".join(map(str, args)))
+        iters += ["foreacharg(A, T, K)" if indexed else "foreacharg(A, T)",
+                  "foreach(A, As)"]
+        if indexed:
+            iters.append("foreach(K, Ks)")
     rng.shuffle(iters)
     loop = "( %s do %s )" % (", ".join(iters),
                              ", ".join(b for b in body if b is not None))
     return loop, [s for s in setup if s is not None], seqs, others
 
 
+#: what `_model` gives for a loop whose ``foreacharg`` must step past the
+#: last argument: ``arg/3`` raises a range error there
+_PAST_LAST_ARG = "range error"
+
+
 def _model(seqs, others, p):
-    """The bindings the loop leaves, as text, or None when it fails."""
+    """The bindings the loop leaves, as text, None when it fails, or
+    `_PAST_LAST_ARG`."""
     made = [[] for _ in seqs]      # the elements each walk made up
     pos = [0] * len(seqs)
     step = 0
     count, end = others.get("count"), others.get("end")
     down = others.get("down")
+    fors = others.get("for")
+    args = others["arg"][0] if "arg" in others else None
     while True:
         if (all(pos[k] == len(s.items) for k, s in enumerate(seqs))
                 and count in (None, step) and end in (None, step)
-                and down in (None, step)):
+                and down in (None, step)
+                and (fors is None or len(fors) == step)
+                and (args is None or len(args) == step)):
             break
         for k, s in enumerate(seqs):
             if pos[k] < len(s.items):
@@ -352,6 +464,8 @@ def _model(seqs, others, p):
                 made[k].append(step + 1)
             else:
                 return None
+        if args is not None and step == len(args):
+            return _PAST_LAST_ARG  # a step's first goals run before its body
         step += 1
         if step > p or (down is not None and step > down):
             return None  # G1 =< P fails, or D0 > 0
@@ -360,6 +474,14 @@ def _model(seqs, others, p):
         out["N"] = str(step)
     if "end" in others and end is None:
         out["E"] = str(step)
+    if fors is not None:
+        # past its last value a for goes on counting until the guard stops
+        # the loop, so a loop that stops has taken exactly its values
+        out["Fs"] = plist(fors)
+    if args is not None:
+        out["As"] = plist(args)
+        if others["arg"][1]:
+            out["Ks"] = plist(range(1, len(args) + 1))
     for k, s in enumerate(seqs):
         if s.role == "peano":
             out[s.name] = _peano(len(s.items) + len(made[k]))
@@ -379,20 +501,24 @@ def test_do_loops_agree_with_a_model():
     for case in range(300):
         loop, setup, seqs, others = _loop_case(rng)
         ps = sorted(rng.sample(range(0, 8), 3))
-        expected = [a for a in (_model(seqs, others, p) for p in ps)
-                    if a is not None]
+        outcomes = [_model(seqs, others, p) for p in ps]
+        expected = [a for a in outcomes if a not in (None, _PAST_LAST_ARG)]
         names = list(expected[0]) if expected else []
         members = "member(P, %s)" % plist(ps)
+
+        def check(goal):
+            if _PAST_LAST_ARG in outcomes:
+                with pytest.raises(RangeError):
+                    engine.ask(goal)
+            else:
+                assert _answers(engine, goal, names) == expected, goal
         # called: expanded as it runs
-        goal = ", ".join([members] + setup + [loop])
-        got = _answers(engine, goal, names)
-        assert got == expected, goal
+        check(", ".join([members] + setup + [loop]))
         # in a program clause: expanded as it loads
-        head = "loop_%d(P, S, N, E, %s)" % (
+        head = "loop_%d(P, S, N, E, St, T, Fs, As, Ks, %s)" % (
             case, ", ".join(s.name for s in seqs))
         engine.load("%s :- %s." % (head, loop))
-        goal = ", ".join([members] + setup + [head])
-        assert _answers(engine, goal, names) == expected, goal
+        check(", ".join([members] + setup + [head]))
 
 
 def test_a_constant_end_loop_pushes_no_choicepoint_per_step(
@@ -415,3 +541,14 @@ def test_a_constant_end_loop_pushes_no_choicepoint_per_step(
     # a few per query: its base mark, the call of each, and the last step,
     # where the end could also be the current value
     assert len(pushed) < 10
+
+
+def test_no_goal_is_both_a_builtin_and_a_goal_macro(engine):
+    """A goal has one implementation: a metacall runs a builtin before it
+    looks for a goal macro, so a goal that is both runs the builtin when
+    called and the macro when loaded, and the two can drift apart."""
+    main = engine.main
+    macros = {k for m in engine.modules.values() for k in m.goal_macros}
+    both = [k for k in macros if main.lookup_goal_macro(*k) is not None
+            and getattr(main.lookup_pred(*k), "builtin", None) is not None]
+    assert macros and both == []

@@ -275,7 +275,7 @@ OWNERSHIP_QUERIES = [
     ("L = [f, a, b], T =.. L, setarg(1, T, z)", {"L": "[f, a, b]",
                                                   "T": "f(z, b)"}),
     ("T = f(a, b), T =.. [_ | As], setarg(1, As, z)", {"T": "f(a, b)"}),
-    # update_struct/4, as the builtin (a metacall) and expanded in place
+    # update_struct/4, metacalled and expanded in place
     ("G = update_struct(emp, [age: 34], Old, New), call(G), "
      "setarg(1, New, ann)", {"Old": "emp(_, _)", "New": "emp(ann, 34)"}),
     ("update_struct(emp, [age: 34], Old, New), setarg(1, New, ann)",
