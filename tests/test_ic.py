@@ -598,6 +598,41 @@ def test_neq_punches_its_hole_once_the_domain_becomes_integral(first, fmt):
               "Y = 0, impose_integrality(X)")
     assert b["X"] == 1 and b.delayed == []
 
+
+@pytest.mark.parametrize("rel, word", [
+    ("=<", "inequality"), ("=", "equality"), ("\\=", "disequality")])
+def test_a_ground_constraint_over_a_straddling_breal_is_undecidable(
+        engine, rel, word):
+    # -0.5 + 0.4__0.6 lies in -0.1..0.1, which holds 0 and points either side
+    with pytest.raises(UncertaintyError,
+                       match="^cannot decide %s over bounded reals$" % word):
+        engine.once("ic_lin_con(%s, -0.5, [1*0.4__0.6])" % rel)
+
+
+@pytest.mark.parametrize("goal, holds", [
+    ("ic_lin_con(=<, 0, [1*0.4__0.6])", False),
+    ("ic_lin_con(=, 0, [1*0.4__0.6])", False),
+    ("ic_lin_con(\\=, 0, [1*0.4__0.6])", True),
+    ("ic_lin_con(=<, -1, [1*0.4__0.6])", True),
+])
+def test_a_ground_constraint_over_a_breal_off_zero_is_decided(
+        ask, goal, holds):
+    got = ask(goal)
+    assert len(got) == holds
+    assert all(a.delayed == [] for a in got)
+
+
+def test_a_disequality_decides_a_bound_breal_once_nothing_is_free(
+        ask, engine):
+    # the run that sees the breal has no variable left: it decides on the
+    # interval of the sum, or cannot
+    post = "X :: -1.0..1.0, ic_lin_con(\\=, 0, [1*X, 1*Y]), Y = 0"
+    [a] = ask(post + ", X = 0.4__0.6")
+    assert a.delayed == []
+    with pytest.raises(UncertaintyError,
+                       match="^cannot decide disequality over bounded reals$"):
+        engine.once(post + ", X = -0.1__0.1")
+
 @pytest.mark.parametrize("query", [
     "X :: 1..3, Y :: 1..3, X #\\= Y, X = Y",
     "X #\\= Y, X = Y",

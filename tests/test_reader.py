@@ -133,6 +133,18 @@ def test_custom_operator_declaration():
         parse_term("a ~> b", ops=ops)
 
 
+def test_postfix_operators_read_and_write():
+    ops = standard_ops()
+    ops.declare(100, "xf", "kg")
+    t, _ = parse_term("f(3 kg, (1 + 2) kg)", ops=ops)
+    three, sum_ = t.args
+    assert terms_equal(three, Struct("kg", [3]))
+    assert terms_equal(sum_, Struct("kg", [Struct("+", [1, 2])]))
+    assert write_term(three, ops=ops) == "3 kg"
+    text = write_term(t, ops=ops)
+    assert text == "f(3 kg, (1 + 2) kg)"
+    assert terms_equal(parse_term(text, ops=ops)[0], t)
+
 def test_ops_parent_chain_sees_exported_only():
     parent = Ops()
     parent.declare(700, "xfx", "pub", exported=True)

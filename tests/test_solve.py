@@ -1,6 +1,7 @@
 """The resolution engine: control constructs, bindings, modules."""
 
 import gc
+import io
 import logging
 import os
 import re
@@ -369,6 +370,34 @@ def test_clause_contiguity_warning(engine, caplog):
     with caplog.at_level(logging.WARNING, logger="clpkernel"):
         engine.load(":- discontiguous(c/1).\nc(1).\nd(1).\nc(2).\n")
     assert not any("not contiguous" in r.getMessage() for r in caplog.records)
+
+
+
+def test_a_demon_directive_keeps_a_woken_goal_suspended():
+    out = io.StringIO()
+    engine = make_engine(out=out)
+    engine.load(":- demon(w/1).\nw(_) :- writeln(woke).\n"
+                "v(_) :- writeln(once).\n")
+    assert engine.main.preds[("w", 1)].demon
+    assert not engine.main.preds[("v", 1)].demon
+    wake_twice = ("suspend(%s(X), 3, X -> constrained), "
+                  "notify_constrained(X), notify_constrained(X)")
+    [a] = engine.ask(wake_twice % "w")
+    assert a.delayed == ["w(_)"]  # a demon runs and stays
+    [b] = engine.ask(wake_twice % "v")
+    assert b.delayed == []
+    assert out.getvalue() == "woke\nwoke\nonce\n"
+
+
+def test_a_plain_op_directive_declares_an_operator_for_its_module(engine):
+    engine.load(":- op(700, xfx, ===>).\n")
+    assert engine.main.ops.infix_op("===>") == (700, "xfx")
+    [a] = engine.ask("X = (a ===> b), X =.. L")
+    assert engine.format_term(a["X"]) == "a ===> b"
+    assert engine.format_term(a["L"]) == "[===>, a, b]"
+    # it is not exported: a module that imports main does not see it
+    other = engine.new_module("other", imports=(engine.kernel, engine.main))
+    assert other.ops.infix_op("===>") is None
 
 
 # ----------------------------------------------------------------------

@@ -131,6 +131,17 @@ def test_kill_is_undone_by_backtracking(engine):
     assert s.state == SUSPENDED
 
 
+def test_kill_suspension_from_prolog_drops_a_live_suspension(engine):
+    [a] = engine.ask("make_suspension(writeln(hi), 3, S)")
+    assert a.delayed == ["writeln(hi)"]
+    [b] = engine.ask("make_suspension(writeln(hi), 3, S), kill_suspension(S)")
+    assert b.delayed == []
+    # backtracking past the kill revives the suspension
+    [c] = engine.ask("make_suspension(writeln(hi), 3, S), "
+                     "( kill_suspension(S), fail ; true )")
+    assert c.delayed == ["writeln(hi)"]
+
+
 def test_suspension_record_is_undone_by_backtracking(engine):
     st = engine.store
     m = st.push_choicepoint()

@@ -298,3 +298,17 @@ def test_call_with_extra_arguments_builds_a_term_of_its_own(engine):
         new, _ = bi_call(engine, call.args, engine.main)
         engine.store.set_arg(1, new, Atom("z"))
         assert call.args == [goal, Atom("b")] and g.args == [Atom("a")]
+
+
+@pytest.mark.parametrize("order, keys", [
+    ("<", [1, 2, 3]), ("=<", [1, 2, 2, 3]),
+    (">", [3, 2, 1]), (">=", [3, 2, 2, 1])])
+def test_sort4_orders_by_key(first, fmt, order, keys):
+    got = first("sort(1, %s, [f(2, a), f(3, b), f(1, c), f(2, d)], S)"
+                % order)
+    items = [deref(x) for x in proper_list(got["S"])]
+    assert [deref(x.args[0]) for x in items] == keys
+    if order in ("<", "=<"):
+        # ascending: of equal keys the first kept comes first in the input
+        assert fmt(got["S"]) == ("[f(1, c), f(2, a), f(3, b)]" if order == "<"
+                                 else "[f(1, c), f(2, a), f(2, d), f(3, b)]")
