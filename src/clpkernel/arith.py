@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .errors import (ArithmeticError_, DomainError, InstantiationError,
                      RangeError, TypeError_, UncertaintyError)
-from .terms import Atom, Breal, Struct, Var, deref
+from .terms import _NUM_RANK, Atom, Breal, Struct, Var, _cmp_scalar, deref
 
 _MAXF = sys.float_info.max
 
@@ -182,11 +182,8 @@ def breal_pow(x, n):
 # ----------------------------------------------------------------------
 # the coercion lattice
 
-_RANKS = {int: 0, Fraction: 1, float: 2, Breal: 3}
-
-
 def _coerce_pair(a, b):
-    ra, rb = _RANKS[type(a)], _RANKS[type(b)]
+    ra, rb = _NUM_RANK[type(a)], _NUM_RANK[type(b)]
     if ra == rb:
         return a, b
     hi = max(ra, rb)
@@ -295,17 +292,6 @@ def num_mod(a, b):
     return a % b
 
 
-def _cmp_exact(a, b):
-    # exact scalar comparison across int / Fraction / float
-    if type(a) is float and not math.isinf(a) and not math.isnan(a):
-        a = Fraction(a)
-    if type(b) is float and not math.isinf(b) and not math.isnan(b):
-        b = Fraction(b)
-    if a == b:
-        return 0
-    return -1 if a < b else 1
-
-
 def compare_numeric(a, b):
     """-1 / 0 / 1, or raise UncertaintyError for overlapping Breals.
 
@@ -318,12 +304,12 @@ def compare_numeric(a, b):
         b = to_breal(b)
         if a.lo == a.hi == b.lo == b.hi:
             return 0
-        if _cmp_exact(a.hi, b.lo) < 0:
+        if a.hi < b.lo:
             return -1
-        if _cmp_exact(a.lo, b.hi) > 0:
+        if a.lo > b.hi:
             return 1
         raise UncertaintyError("comparison of overlapping bounded reals: %r vs %r" % (a, b))
-    return _cmp_exact(a, b)
+    return _cmp_scalar(a, b)
 
 
 def num_min(a, b):

@@ -10,12 +10,18 @@ goal's first argument as WAM's ``switch_on_term`` does: it tests a few
 keys in a chain, or reads many from a dict, and enters the candidate
 clauses.  A single candidate whose key the chain tested runs inline in
 the predicate's code, generated once per predicate shape.
+
+The Prolog parts of the kernel, ic and search libraries, their preludes,
+are read once, when their Python modules are imported (`read_prelude`),
+and every engine loads the same steps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InternalError
+from .reader import read_terms
 from .terms import TRUE, Atom, Breal, Struct, Var, deref, flatten_conj
 
 
@@ -638,3 +644,33 @@ def _indexed(module, table, rest, every):
         return enter(engine, module, cands, 0, args,
                      len(engine.store.choicepoints), cont)
     return pred
+
+
+#: the directives a prelude may hold, by name and arity
+_DECLARATIONS = frozenset({("export", 1), ("local", 1), ("op", 3),
+                           ("demon", 1), ("dynamic", 1),
+                           ("discontiguous", 1)})
+
+
+def read_prelude(text):
+    """The steps of loading a library's Prolog source, read with the
+    standard operators and no macros: ``(name, arity, Clause)`` for a
+    clause, the directive term for a declaration.  The clauses are
+    snapshots holding no live variable, so every engine adds the same
+    ones (`Engine._load_prelude`).  Any other directive is refused: a
+    goal could bind variables in terms all engines share."""
+    steps = []
+    for t, _, _ in read_terms(text):
+        if type(t) is Struct and t.name == ":-" and len(t.args) == 1:
+            d = t.args[0]
+            if (type(d) is not Struct
+                    or (d.name, len(d.args)) not in _DECLARATIONS):
+                raise InternalError("a prelude directive must be a "
+                                    "declaration, not a goal: %r" % (d,))
+            steps.append(d)
+            continue
+        head, body = (t.args if type(t) is Struct and t.name == ":-"
+                      and len(t.args) == 2 else (t, TRUE))
+        arity = len(head.args) if type(head) is Struct else 0
+        steps.append((head.name, arity, Clause(head, body)))
+    return steps

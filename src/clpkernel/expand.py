@@ -52,7 +52,7 @@ from fractions import Fraction
 
 from .errors import ExpansionError
 from .terms import (NIL, TRUE, Atom, Struct, Var, deref, flatten_conj,
-                    proper_list, term_vars)
+                    proper_list, term_vars, var_counts)
 
 log = logging.getLogger("clpkernel")
 
@@ -68,18 +68,6 @@ def mk_conj(goals):
     for g in reversed(goals[:-1]):
         out = Struct(",", [g, out])
     return out
-
-
-def _var_counts(t):
-    counts = {}
-    stack = [t]
-    while stack:
-        x = deref(stack.pop())
-        if isinstance(x, Var):
-            counts[id(x)] = counts.get(id(x), 0) + 1
-        elif isinstance(x, Struct):
-            stack.extend(x.args)
-    return counts
 
 
 # ----------------------------------------------------------------------
@@ -187,10 +175,10 @@ class ExpandContext:
         self._counts = None
 
     def clause_counts(self):
-        """Occurrences of each variable of the clause, by id.  Only
-        do-loops read them, so they are counted on the first one."""
+        """Occurrences of each variable of the clause.  Only do-loops read
+        them, so they are counted on the first one."""
         if self._counts is None:
-            self._counts = {} if self.clause is None else _var_counts(self.clause)
+            self._counts = {} if self.clause is None else var_counts(self.clause)
         return self._counts
 
 
@@ -319,15 +307,15 @@ def expand_do(ctx, t):
         raise ExpansionError("do-loop without iteration specifiers")
 
     setup, quads, pre = [], [], []
-    iter_var_ids = set()
+    iter_vars = set()
     for it in iters:
         s, q, p = _iter_plan(it, strict=not ctx.metacall)
         setup += s
         quads += q
         pre += p
-        iter_var_ids.update(id(v) for v in term_vars(it))
+        iter_vars.update(var_counts(it))
 
-    _warn_body_scope(ctx, t, body, iter_var_ids)
+    _warn_body_scope(ctx, t, body, iter_vars)
 
     body_x, aux = expand_body(ctx, body)
 
@@ -360,16 +348,15 @@ def expand_do(ctx, t):
     return mk_conj(setup + [Struct(name, call)]), aux
 
 
-def _warn_body_scope(ctx, do_term, body, iter_var_ids):
+def _warn_body_scope(ctx, do_term, body, iter_vars):
     if ctx.clause is None:
         return
     counts = ctx.clause_counts()
-    do_counts = _var_counts(do_term)
+    do_counts = var_counts(do_term)
     for v in term_vars(body):
-        vid = id(v)
-        if vid in iter_var_ids:
+        if v in iter_vars:
             continue
-        outside = counts.get(vid, 0) - do_counts.get(vid, 0)
+        outside = counts.get(v, 0) - do_counts.get(v, 0)
         if outside > 0:
             log.warning("variable %s occurs in a do-loop body and outside it; "
                         "loop bodies do not share variables with the clause "

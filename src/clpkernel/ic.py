@@ -73,6 +73,7 @@ from fractions import Fraction
 from .arith import eval_arith, exact_float, float_down, float_up
 from .attvar import (AttributeSpec, add_attr, get_attr, init_attr, join_lists,
                      suspend_record)
+from .clauses import read_prelude
 from .errors import (DomainError, InstantiationError, TypeError_,
                      UncertaintyError)
 from .linear import (exact_number, exact_quotient, int_if_integral,
@@ -288,13 +289,7 @@ def exclude_value(engine, x, v):
         if not d.integral:
             raise TypeError_(
                 "exclude: variable does not have an integer domain")
-        if isinstance(v, float):
-            if math.isinf(v):
-                return True
-            if not v.is_integer():
-                return True
-            v = int(v)
-        if isinstance(v, Fraction) and v.denominator != 1:
+        if v % 1:  # not an integer, or inf: no integral domain holds it
             return True
         v = int(v)
     if v < d.lo or v > d.hi or (d.holes and v in d.holes):
@@ -344,11 +339,8 @@ def _install_attribute(engine):
                   and d.lo <= value <= d.hi
                   and not (d.holes and value in d.holes))
         elif type(value) in (int, float, Fraction):
-            if type(value) is float and (math.isinf(value) or math.isnan(value)):
-                ok = False
-            else:
-                q = Fraction(value)
-                ok = d.lo <= q <= d.hi
+            ok = ((type(value) is not float or math.isfinite(value))
+                  and d.lo <= value <= d.hi)
         elif type(value) is Breal:
             inside = d.lo <= value.lo and value.hi <= d.hi
             outside = value.hi < d.lo or value.lo > d.hi
@@ -373,11 +365,8 @@ def _install_attribute(engine):
         return float_down(payload.lo), float_up(payload.hi)
 
     def bounds_set(var, payload, lo, hi):
-        if not impose_min(engine, var, lo if isinstance(lo, float) and math.isinf(lo)
-                          else Fraction(lo)):
-            return False
-        return impose_max(engine, var, hi if isinstance(hi, float) and math.isinf(hi)
-                          else Fraction(hi))
+        return (impose_min(engine, var, exact_float(lo))
+                and impose_max(engine, var, exact_float(hi)))
 
     def get_list(eng, var, name):
         slot = _LIST_SLOTS.get(name)
@@ -521,24 +510,24 @@ def _decide_ground(rel, const, pairs):
         clo, chi = (c * blo, c * bhi) if c > 0 else (c * bhi, c * blo)
         lo += clo
         hi += chi
+    return _decide(rel, lo, hi)
+
+
+def _decide(rel, lo, hi):
+    """Whether ``s REL 0`` holds for a sum s known to lie in lo..hi, or
+    an UncertaintyError when the interval does not tell."""
     if rel == "=<":
         if hi <= 0:
             return True
         if lo > 0:
             return False
         raise UncertaintyError("cannot decide inequality over bounded reals")
-    if rel == "=":
-        if lo == hi:
-            return lo == 0
-        if lo > 0 or hi < 0:
-            return False
-        raise UncertaintyError("cannot decide equality over bounded reals")
-    # \=
-    if lo == hi:
-        return lo != 0
     if lo > 0 or hi < 0:
-        return True
-    raise UncertaintyError("cannot decide disequality over bounded reals")
+        return rel != "="
+    if lo == hi:  # the sum is 0
+        return rel == "="
+    raise UncertaintyError("cannot decide %s over bounded reals"
+                           % ("equality" if rel == "=" else "disequality"))
 
 
 def _propagate_bounds(engine, s, module):
@@ -671,18 +660,11 @@ def _propagate_neq(engine, s, module):
                 lo_acc += clo
                 hi_acc += chi
     free = [(c, v) for c, v in merged.values() if c != 0]
-    if uncertain:
-        lo, hi = total + lo_acc, total + hi_acc
-        if len(free) == 0:
-            if lo > 0 or hi < 0:
-                engine.kill_suspension(s)
-                return True
-            raise UncertaintyError("cannot decide disequality over bounded reals")
-        return True
-    if len(free) == 0:
+    if not free:
+        ok = _decide("\\=", total + lo_acc, total + hi_acc)
         engine.kill_suspension(s)
-        return total != 0
-    if len(free) == 1:
+        return ok
+    if len(free) == 1 and not uncertain:
         c, v = free[0]
         q = exact_quotient(-total, c)
         d = get_attr(v, "ic")
@@ -873,16 +855,17 @@ def _parse_domain_spec(spec):
 # ----------------------------------------------------------------------
 # reflection builtins
 
-def _get_bound(engine, x, which):
+def _get_bounds(x):
+    """The bounds get_min/2 and get_max/2 give: a number's own, exact,
+    or a variable's domain's."""
     x = deref(x)
     if is_number(x):
-        lo, hi = exact_bounds(x)
-        q = lo if which == "lo" else hi
-        return int_if_integral(q) if isinstance(q, Fraction) else q
+        return [int_if_integral(q) if isinstance(q, Fraction) else q
+                for q in exact_bounds(x)]
     d = get_domain(x)
     if d is None:
         raise InstantiationError("variable has no domain")
-    return d.lo if which == "lo" else d.hi
+    return d.lo, d.hi
 
 
 def install(engine):
@@ -916,14 +899,15 @@ def install(engine):
     bi("alldifferent", 1, bi_alldifferent)
 
     def bi_get_min(engine_, args, module):
-        return engine_.store.unify(args[1], _get_bound(engine_, args[0], "lo"))
+        return engine_.store.unify(args[1], _get_bounds(args[0])[0])
 
     def bi_get_max(engine_, args, module):
-        return engine_.store.unify(args[1], _get_bound(engine_, args[0], "hi"))
+        return engine_.store.unify(args[1], _get_bounds(args[0])[1])
 
     def bi_get_bounds(engine_, args, module):
-        return (engine_.store.unify(args[1], _get_bound(engine_, args[0], "lo"))
-                and engine_.store.unify(args[2], _get_bound(engine_, args[0], "hi")))
+        lo, hi = _get_bounds(args[0])
+        return (engine_.store.unify(args[1], lo)
+                and engine_.store.unify(args[2], hi))
 
     def _exactify(v):
         v = eval_arith(v)
@@ -956,7 +940,7 @@ def install(engine):
 
     ic.add_output_macro("ic_lin_con", 3, _lin_con_display, exported=True)
 
-    engine._load_prelude(_IC_PRELUDE, ic, "<ic>")
+    engine._load_prelude(_IC_PRELUDE, ic)
 
 
 def _lin_con_display(t):
@@ -982,7 +966,7 @@ def _lin_con_display(t):
     return Struct(rel, [expr, 0])
 
 
-_IC_PRELUDE = """
+_IC_SOURCE = """
 :- export(geq/2).
 
 geq(X, Y) :-
@@ -1003,3 +987,4 @@ geq(X, Y) :-
         )
     ).
 """
+_IC_PRELUDE = read_prelude(_IC_SOURCE)

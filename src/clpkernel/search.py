@@ -22,6 +22,7 @@ from functools import partial
 from itertools import filterfalse
 
 from .builtins import all_solutions
+from .clauses import read_prelude
 from .errors import DomainError, TypeError_
 from .ic import get_domain
 from .terms import Atom, Var, deref, proper_list
@@ -166,7 +167,7 @@ def bi_count_solutions(engine, args, module):
                          "count_solutions: a solution left goals delayed")
 
 
-_SEARCH_PRELUDE = """
+_SEARCH_SOURCE = """
 :- export(labeling/1).
 
 labeling([]).
@@ -174,6 +175,7 @@ labeling([X|Xs]) :-
     indomain(X),
     labeling(Xs).
 """
+_SEARCH_PRELUDE = read_prelude(_SEARCH_SOURCE)
 
 
 def install(engine):
@@ -181,4 +183,4 @@ def install(engine):
     engine.add_builtin(ic, "indomain", 1, bi_indomain)
     engine.add_builtin(ic, "labeling", 2, bi_labeling2)
     engine.add_builtin(ic, "count_solutions", 2, bi_count_solutions)
-    engine._load_prelude(_SEARCH_PRELUDE, ic, "<search>")
+    engine._load_prelude(_SEARCH_PRELUDE, ic)

@@ -86,19 +86,13 @@ them, so clauses added after the call began are not tried, and each
 retry goes through `enter` again.
 
 The Prolog parts of the kernel, ic and search libraries (the preludes)
-are read once per process.  The first engine loads each one through
-`load` and records what the load did, in order: every clause as its
-compiled `Clause`, every declaration as its directive term, and the final
-``aux_n`` of each module loaded into.  Every later engine replays that
-record (`_load_prelude`): it appends the shared `Clause` objects, which
-are snapshots holding no live variable, to its own predicates and runs
-the declarations through `_directive`.  A prelude may hold neither a goal
-directive, which could bind variables in a term all engines share, nor a
-clause with an attributed variable: recording either raises
-`InternalError`.  Whatever a user can change stays per engine: modules,
-predicates and their clause lists, operator tables (the kernel's is a
-copy of a table built at import), and the attribute registry with its
-hooks.
+are read when their modules are imported (`clauses.read_prelude`), and
+every engine loads them the same way (`_load_prelude`): it appends the
+shared `Clause` objects to its own predicates and runs the declarations
+through `_directive`.  Whatever a user can change stays per engine:
+modules, predicates and their clause lists, operator tables (the
+kernel's is a copy of a table built at import), and the attribute
+registry with its hooks.
 """
 
 from __future__ import annotations
@@ -106,7 +100,7 @@ from __future__ import annotations
 import logging
 from functools import partial
 
-from .clauses import Clause, enter, pred_code
+from .clauses import Clause, enter, pred_code, read_prelude
 from .errors import (EngineError, ExistenceError, FlounderingError, Halt,
                      InstantiationError, InternalError, ReaderError,
                      TypeError_, UnsupportedError)
@@ -118,7 +112,7 @@ from .susp import (EXECUTED, MAIN_PRIORITY, SCHEDULED, SUSPENDED, Scheduler,
                    Suspension)
 from .terms import (Atom, Struct, Var, copy_term, deref, flatten_conj,
                     is_callable_term, proper_list)
-from . import attvar
+from . import attvar, builtins, ic, search
 from .writer import write_term
 
 log = logging.getLogger("clpkernel")
@@ -295,20 +289,16 @@ class Engine:
         # (name, arity) of every term macro of any module: the reader
         # offers only these compounds to `_live_hook`
         self.term_macro_keys = set()
-        self._record = None  # a prelude's record while it is being made
 
         self.kernel = self.new_module("kernel", imports=())
         self.kernel.ops = standard_ops()
-        from . import builtins as _builtins
-        _builtins.install(self)
+        builtins.install(self)
         install_kernel_macros(self.kernel)
-        self._load_prelude(_KERNEL_PRELUDE, self.kernel, "<kernel>")
+        self._load_prelude(_KERNEL_PRELUDE, self.kernel)
 
-        from . import ic as _ic
         self.ic = self.new_module("ic", imports=(self.kernel,))
-        _ic.install(self)
-        from . import search as _search
-        _search.install(self)
+        ic.install(self)
+        search.install(self)
 
         self.main = self.new_module("main", imports=(self.kernel, self.ic))
 
@@ -644,33 +634,14 @@ class Engine:
                 raise _position_error(e, filename, line)
         return self._load_module
 
-    def _load_prelude(self, text, module, filename):
-        """Load a library's source text into ``module`` while the engine is
-        being built.  The first engine in the process loads it and records
-        what the load did; every later engine replays that record instead
-        of reading the text again.  The record is keyed by module name and
-        text only, so it is right only for a module in the state a new
-        engine gives it: call this from engine set-up, never later."""
-        key = (module.name, text)
-        record = _PRELUDES.get(key)
-        if record is None:
-            steps = self._record = []
-            try:
-                self.load(text, module=module, filename=filename)
-            finally:
-                self._record = None
-            names = {module.name}.union(step[0] for step in steps)
-            _PRELUDES[key] = steps, {n: self.modules[n].aux_n for n in names}
-            return
-        steps, aux_n = record
+    def _load_prelude(self, steps, module):
+        """Load a library's prelude, read by `read_prelude`, into
+        ``module``: add each clause and run each declaration."""
         for step in steps:
-            m = self.modules[step[0]]
-            if len(step) == 2:
-                self._directive(step[1], m, None, filename)
+            if type(step) is tuple:
+                module.ensure_pred(step[0], step[1]).add(step[2])
             else:
-                m.ensure_pred(step[1], step[2]).add(step[3])
-        for name, n in aux_n.items():
-            self.modules[name].aux_n = n
+                self._directive(step, module, None, None)
 
     def _live_hook(self, t):
         fn = self._load_module.lookup_term_macro(t.name, t.arity)
@@ -683,28 +654,16 @@ class Engine:
         t = deref(term)
         if isinstance(t, Struct) and t.name == ":-" and t.arity == 1:
             self._directive(t.args[0], module, pos, filename)
-            if self._record is not None:
-                self._record.append((module.name, t.args[0]))
             return last_pred
         ctx = ExpandContext(module, self)
         head, body, aux = expand_clause(ctx, t)
-        pred = self._add_loaded(module, head, body)
+        pred = self.add_clause(module, head, body)
         for h, b in aux:
-            self._add_loaded(module, h, b)
+            self.add_clause(module, h, b)
         if (last_pred is not None and pred is not last_pred
                 and len(pred.clauses) > 1 and not pred.no_warn):
             log.warning("%s: clauses of %s are not contiguous",
                         filename or "<text>", pred.indicator)
-        return pred
-
-    def _add_loaded(self, module, head, body):
-        pred = self.add_clause(module, head, body)
-        if self._record is not None:
-            clause = pred.clauses[-1]
-            if "A" in clause.shape:
-                raise InternalError("a prelude clause of %s holds an "
-                                    "attributed variable" % pred.indicator)
-            self._record.append((module.name, pred.name, pred.arity, clause))
         return pred
 
     def _directive(self, d, module, pos, filename):
@@ -741,9 +700,6 @@ class Engine:
                     module.ensure_pred(n, a).no_warn = True
                 return
         # anything else: run it as a goal at load time
-        if self._record is not None:
-            raise InternalError("a prelude directive must be a declaration,"
-                                " not a goal: %s" % self.format_term(d, module))
         if not self.run_goal_once(d, module):
             log.warning("%s:%s: directive failed: %s",
                         filename or "<text>", pos[0], self.format_term(d, module))
@@ -870,14 +826,7 @@ def _position_error(e, filename, line):
         return e
 
 
-#: what loading each prelude did, recorded by the first engine of the
-#: process and replayed by the others: (module name, text) -> (steps,
-#: aux_n).  A step is a clause, (module name, name, arity, Clause), or a
-#: declaration, (module name, directive term); aux_n maps each module
-#: loaded into to its ``aux_n`` after the load.
-_PRELUDES = {}
-
-_KERNEL_PRELUDE = """
+_KERNEL_SOURCE = """
 :- export(member/2).
 :- export(append/3).
 :- export(length/2).
@@ -899,6 +848,7 @@ length_fixed([_|T], N) :- N > 0, N1 is N - 1, length_fixed(T, N1).
 length_count([], N, N).
 length_count([_|T], N0, N) :- N1 is N0 + 1, length_count(T, N1, N).
 """
+_KERNEL_PRELUDE = read_prelude(_KERNEL_SOURCE)
 
 
 def make_engine(out=None):

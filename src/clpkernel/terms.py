@@ -232,7 +232,8 @@ def _num_bounds(t):
 
 
 def _cmp_scalar(a, b):
-    # a, b: int | Fraction | float (possibly inf); exact comparison
+    """-1, 0 or 1 for two values Python orders: strings by code point, and
+    numbers (int, Fraction, float) exactly, as CPython compares them."""
     if a == b:
         return 0
     return -1 if a < b else 1
@@ -304,9 +305,9 @@ def compare_terms(a, b):
             elif ra == _R_NUM:
                 c = compare_numbers(a, b)
             elif ra == _R_ATOM:
-                c = _cmp_py(a.name, b.name)
+                c = _cmp_scalar(a.name, b.name)
             elif ra == _R_STR:
-                c = _cmp_py(a, b)
+                c = _cmp_scalar(a, b)
             else:
                 # opaque values (suspensions): by identity, stable in a run
                 c = 0 if a is b else -1 if id(a) < id(b) else 1
@@ -317,30 +318,27 @@ def compare_terms(a, b):
         a, b = todo.pop()
 
 
-def _cmp_py(a, b):
-    if a == b:
-        return 0
-    return -1 if a < b else 1
-
-
 def terms_equal(a, b):
     return compare_terms(a, b) == 0
 
 
-def term_vars(t):
-    """All distinct unbound variables in t, in first-occurrence order."""
-    seen = []
-    seen_ids = set()
+def var_counts(t):
+    """The occurrences of each unbound variable in t, keyed by the
+    variable, in first-occurrence order."""
+    counts = {}
     stack = [t]
     while stack:
         x = deref(stack.pop())
         if type(x) is Var:
-            if id(x) not in seen_ids:
-                seen_ids.add(id(x))
-                seen.append(x)
+            counts[x] = counts.get(x, 0) + 1
         elif type(x) is Struct:
             stack.extend(reversed(x.args))
-    return seen
+    return counts
+
+
+def term_vars(t):
+    """All distinct unbound variables in t, in first-occurrence order."""
+    return list(var_counts(t))
 
 
 def copy_term(t, attr_hook=None):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .terms import Atom, Breal, Struct, Var, deref, list_parts
+from .terms import Atom, Breal, Struct, Var, deref, list_parts, var_counts
 
 _ALPHA_ATOM = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 _SYM_ATOM = re.compile(r"[+\-*/\\^<>=~:.?@#&$]+\Z")
@@ -71,21 +71,12 @@ class Writer:
 
     # -- variables -------------------------------------------------------
 
-    def _count_vars(self, t):
-        stack = [t]
-        while stack:
-            x = deref(stack.pop())
-            if isinstance(x, Var):
-                self._var_counts[id(x)] = self._var_counts.get(id(x), 0) + 1
-            elif isinstance(x, Struct):
-                stack.extend(x.args)
-
     def _var_text(self, v):
         nm = self.names.get(id(v))
         base = None
         if nm is not None:
             base = nm
-        elif self._var_counts.get(id(v), 0) <= 1:
+        elif self._var_counts.get(v, 0) <= 1:
             base = "_"
         else:
             base = "_G%d" % v.serial
@@ -101,8 +92,7 @@ class Writer:
     # -- entry point -------------------------------------------------------
 
     def format(self, t):
-        self._var_counts = {}
-        self._count_vars(t)
+        self._var_counts = var_counts(t)
         return self._write(t, 1200, transform=True)
 
     # -- dispatch ----------------------------------------------------------

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from clpkernel import clauses, make_engine, solve
+from clpkernel import clauses, ic, make_engine, search, solve
 from clpkernel.clauses import Clause
 from clpkernel.errors import (ExistenceError, FlounderingError, Halt,
                               InstantiationError, InternalError, ReaderError,
@@ -417,8 +417,8 @@ def test_member_append_length(engine):
 
 
 # ----------------------------------------------------------------------
-# the prelude record: the first engine of a process loads the preludes,
-# later ones replay what that load did
+# the preludes: read when their modules are imported, and loaded by every
+# engine from what was read
 
 def _declared_state(engine):
     """Modules, predicates with their clause counts and flags, operator
@@ -448,11 +448,21 @@ def _answers(engine, text):
 
 
 def test_prelude_replay_matches_a_full_load(monkeypatch):
-    Engine()  # the record exists from here on
+    """An engine that loads each prelude's source through `Engine.load`
+    ends up as one that loads what `read_prelude` read."""
     replayed = Engine()
-    monkeypatch.setattr(solve, "_PRELUDES", {})
+    sources = {id(solve._KERNEL_PRELUDE): solve._KERNEL_SOURCE,
+               id(ic._IC_PRELUDE): ic._IC_SOURCE,
+               id(search._SEARCH_PRELUDE): search._SEARCH_SOURCE}
+    loads = []
+
+    def load_source(self, steps, module):
+        loads.append(module.name)
+        self.load(sources[id(steps)], module=module)
+    monkeypatch.setattr(Engine, "_load_prelude", load_source)
     loaded = Engine()
-    assert len(solve._PRELUDES) == 3  # loaded read all three again
+    monkeypatch.undo()
+    assert loads == ["kernel", "ic", "ic"]
     assert _declared_state(replayed) == _declared_state(loaded)
     for text in PRELUDE_QUERIES:
         assert _answers(replayed, text) == _answers(loaded, text), text
@@ -474,37 +484,36 @@ def test_prelude_changes_stay_in_their_engine():
             other.ask("X = (p ~~~ q)")
 
 
-def test_later_engines_do_not_read_the_preludes(monkeypatch):
-    Engine()
-    calls = []
-    tokenize = solve.tokenize
-    monkeypatch.setattr(solve, "tokenize",
-                        lambda *args: calls.append(args) or tokenize(*args))
-    Engine()
-    assert calls == []
+def test_no_engine_reads_the_preludes():
+    """In a fresh interpreter, even the first engine reads no text: the
+    preludes were read when their modules were imported."""
+    code = (
+        "import sys\n"
+        "import clpkernel\n"
+        "calls = []\n"
+        "for mod in list(sys.modules.values()):\n"
+        "    if mod.__name__.startswith('clpkernel') and "
+        "hasattr(mod, 'tokenize'):\n"
+        "        tokenize = mod.tokenize\n"
+        "        mod.tokenize = lambda *a, f=tokenize: calls.append(a) or f(*a)\n"
+        "engine = clpkernel.Engine()\n"
+        "print(len(calls))\n"
+        "engine.once('true')\n"
+        "print(len(calls))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                          capture_output=True, check=True)
+    assert done.stdout.split() == ["0", "1"]  # the query is read
 
 
-def test_a_prelude_goal_directive_is_refused(monkeypatch):
-    monkeypatch.setattr(solve, "_PRELUDES", {})
-    e = Engine()
+def test_a_prelude_goal_directive_is_refused():
     with pytest.raises(InternalError, match="not a goal"):
-        e._load_prelude(":- export(p/0).\np.\n:- p.\n", e.main, "<test>")
-    assert (e.main.name, ":- export(p/0).\np.\n:- p.\n") not in \
-        solve._PRELUDES
-
-
-def test_a_prelude_clause_with_an_attributed_variable_is_refused(
-        monkeypatch):
-    monkeypatch.setattr(solve, "_PRELUDES", {})
-    e = Engine()
-
-    def attributed(module, t):
-        v = Var()
-        v.attrs = {"test": None}
-        return v
-    e.main.add_term_macro("av", 1, attributed)
-    with pytest.raises(InternalError, match="attributed variable"):
-        e._load_prelude("p(av(x)).\n", e.main, "<test>")
+        clauses.read_prelude(":- p.")
+    with pytest.raises(InternalError, match="not a goal"):
+        clauses.read_prelude(":- export(p/0).\np.\n:- writeln(p).\n")
+    steps = clauses.read_prelude(":- export(p/0).\np :- q.\n")
+    assert [type(s) for s in steps] == [Struct, tuple]
+    assert steps[1][:2] == ("p", 0) and type(steps[1][2]) is Clause
 
 
 def test_term_inspection(engine):
