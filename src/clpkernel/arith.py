@@ -30,7 +30,8 @@ from fractions import Fraction
 
 from .errors import (ArithmeticError_, DomainError, InstantiationError,
                      RangeError, TypeError_, UncertaintyError)
-from .terms import _NUM_RANK, Atom, Breal, Struct, Var, _cmp_scalar, deref
+from .terms import (_NUM_RANK, Atom, Breal, Struct, Var, _cmp_scalar, deref,
+                    proper_list)
 
 _MAXF = sys.float_info.max
 
@@ -385,60 +386,88 @@ def subscript_get(array, indices):
 # ----------------------------------------------------------------------
 # evaluation
 
+_NUMBERS = (int, Fraction, float, Breal)
+
+#: the evaluable functions, by name and arity
+_FUNCTIONS = {("-", 1): num_neg, ("+", 1): lambda x: x, ("abs", 1): num_abs,
+              ("+", 2): num_add, ("-", 2): num_sub, ("*", 2): num_mul,
+              ("/", 2): num_div, ("//", 2): num_intdiv, ("mod", 2): num_mod,
+              ("min", 2): num_min, ("max", 2): num_max, ("^", 2): num_pow,
+              ("**", 2): num_pow}
+
+
+def _of_numbers(t):
+    """The value of the compound term t if it is an evaluable function of
+    two numbers, as most expressions are (a counter's step), else None."""
+    if len(t.args) != 2:
+        return None
+    x, y = t.args
+    while type(x) is Var and x.ref is not None:
+        x = x.ref
+    while type(y) is Var and y.ref is not None:
+        y = y.ref
+    fn = _FUNCTIONS.get((t.name, 2))
+    if fn is None or type(x) not in _NUMBERS or type(y) not in _NUMBERS:
+        return None
+    return fn(x, y)
+
+
 def eval_arith(t):
     """Evaluate an arithmetic expression term to a Python numeric value.
-    A float result out of range raises ArithmeticError_."""
-    try:
-        t = deref(t)
-        ty = type(t)
-        if ty is Var:
-            raise InstantiationError("arithmetic: unbound variable")
-        if ty in (int, Fraction, float, Breal):
-            return t
-        if ty is Atom:
-            raise TypeError_("arithmetic: not a number: %s" % t.name)
-        if ty is not Struct:
-            raise TypeError_("arithmetic: not an expression: %r" % (t,))
+    A float result out of range raises ArithmeticError_.
 
-        name, args = t.name, t.args
-        n = len(args)
-        if name == "subscript" and n == 2:
-            from .terms import proper_list
-            idx = proper_list(args[1])
-            if idx is None:
-                raise TypeError_("subscript: index list must be a proper list")
-            return eval_arith(subscript_get(args[0], idx))
-        if n == 1:
-            x = eval_arith(args[0])
-            if name == "-":
-                return num_neg(x)
-            if name == "+":
-                return x
-            if name == "abs":
-                return num_abs(x)
-            raise TypeError_("arithmetic: unknown function %s/1" % name)
-        if n == 2:
-            x = eval_arith(args[0])
-            y = eval_arith(args[1])
-            if name == "+":
-                return num_add(x, y)
-            if name == "-":
-                return num_sub(x, y)
-            if name == "*":
-                return num_mul(x, y)
-            if name == "/":
-                return num_div(x, y)
-            if name == "//":
-                return num_intdiv(x, y)
-            if name == "mod":
-                return num_mod(x, y)
-            if name == "min":
-                return num_min(x, y)
-            if name == "max":
-                return num_max(x, y)
-            if name == "^" or name == "**":
-                return num_pow(x, y)
-            raise TypeError_("arithmetic: unknown function %s/2" % name)
-        raise TypeError_("arithmetic: unknown function %s/%d" % (name, n))
+    An expression is evaluated from a work stack, so its size is bounded
+    by memory, not by Python's stack: the arguments of a compound term
+    are evaluated left to right, then its function is looked up, by a
+    ``(name, arity)`` entry that waits below them, and applied to their
+    values.  A function of two numbers is applied at once (`_of_numbers`)."""
+    try:
+        while type(t) is Var and t.ref is not None:
+            t = t.ref
+        if type(t) in _NUMBERS:
+            return t
+        if type(t) is Struct and (value := _of_numbers(t)) is not None:
+            return value
+        values = []
+        todo = [t]
+        while todo:
+            t = todo.pop()
+            while type(t) is Var and t.ref is not None:
+                t = t.ref
+            ty = type(t)
+            if ty is Struct:
+                n = len(t.args)
+                if (value := _of_numbers(t)) is not None:
+                    values.append(value)
+                elif t.name == "subscript" and n == 2:
+                    idx = proper_list(t.args[1])
+                    if idx is None:
+                        raise TypeError_("subscript: index list must be a "
+                                         "proper list")
+                    todo.append(subscript_get(t.args[0], idx))
+                elif n == 1 or n == 2:
+                    todo.append((t.name, n))
+                    todo += reversed(t.args)
+                else:
+                    raise TypeError_("arithmetic: unknown function %s/%d"
+                                     % (t.name, n))
+            elif ty in _NUMBERS:
+                values.append(t)
+            elif ty is tuple:
+                fn = _FUNCTIONS.get(t)
+                if fn is None:
+                    raise TypeError_("arithmetic: unknown function %s/%d" % t)
+                if t[1] == 1:
+                    values[-1] = fn(values[-1])
+                else:
+                    y = values.pop()
+                    values[-1] = fn(values[-1], y)
+            elif ty is Var:
+                raise InstantiationError("arithmetic: unbound variable")
+            elif ty is Atom:
+                raise TypeError_("arithmetic: not a number: %s" % t.name)
+            else:
+                raise TypeError_("arithmetic: not an expression: %r" % (t,))
+        return values[0]
     except OverflowError:
         raise ArithmeticError_("arithmetic: float overflow") from None

@@ -104,7 +104,7 @@ def notify_constrained(engine, var):
     """Signal a generic 'became more constrained' event on var."""
     rec = get_attr(var, "suspend")
     if rec is not None and rec.constrained:
-        engine.wake(rec.constrained)
+        engine.sched.schedule(rec.constrained)
 
 
 def join_lists(store, into, extra, slots):
@@ -144,16 +144,16 @@ def install(engine):
     def on_unify(value, payload, var):
         if type(value) is not Var:  # instantiation
             if payload is not None:  # else value's own binding woke it
-                engine.wake(payload.inst + payload.bound + payload.constrained)
+                engine.sched.schedule(payload.inst + payload.bound + payload.constrained)
             return True
         other = get_attr(value, "suspend")
         if payload is None:
-            engine.wake(other.bound + other.constrained)
+            engine.sched.schedule(other.bound + other.constrained)
         elif other is None:
-            engine.wake(payload.bound + payload.constrained)
+            engine.sched.schedule(payload.bound + payload.constrained)
             add_attr(engine.store, value, "suspend", payload)
         else:
-            engine.wake(payload.bound + payload.constrained + other.bound
+            engine.sched.schedule(payload.bound + payload.constrained + other.bound
                         + other.constrained)
             join_lists(engine.store, other, payload, lists)
         return True

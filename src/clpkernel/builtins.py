@@ -210,10 +210,15 @@ def bi_functor(engine, args, module):
 
 
 def bi_arg(engine, args, module):
+    """arg/3, which fails for an integer index outside 1..arity, as ISO's
+    does; `arg_at` raises there for sort/4's key."""
     i = deref(args[0])
     if type(i) is Var:
         raise InstantiationError("arg: unbound index")
-    return engine.store.unify(args[2], arg_at(i, args[1]))
+    t = deref(args[1])
+    if type(i) is int and type(t) is Struct and not 1 <= i <= len(t.args):
+        return False
+    return engine.store.unify(args[2], arg_at(i, t))
 
 
 def bi_univ(engine, args, module):
@@ -386,7 +391,7 @@ def bi_suspend(engine, args, module):
             attached += _attach_cond(engine, s, v, cond, module)
     if attached == 0:
         # everything already instantiated: the condition is trivially met
-        engine.wake((s,))
+        engine.sched.schedule((s,))
     return True
 
 

@@ -160,7 +160,10 @@ def expand_of(module, t):
 # ----------------------------------------------------------------------
 # goal expansion driver
 
-_CONTROL2 = {",", ";", "->"}
+#: the argument positions that hold goals, of each control construct
+_GOAL_ARGS = {(",", 2): (0, 1), (";", 2): (0, 1), ("->", 2): (0, 1),
+              ("\\+", 1): (0,), ("once", 1): (0,), ("not", 1): (0,),
+              ("call", 1): (0,), ("findall", 3): (1,)}
 
 
 class ExpandContext:
@@ -183,39 +186,53 @@ class ExpandContext:
 
 
 def expand_body(ctx, goal):
-    """Returns (expanded_goal, aux_clauses)."""
-    g = deref(goal)
-    if isinstance(g, Var):
-        return g, []
-    if isinstance(g, Struct):
-        if g.name in _CONTROL2 and g.arity == 2:
-            a, aux1 = expand_body(ctx, g.args[0])
-            b, aux2 = expand_body(ctx, g.args[1])
-            return Struct(g.name, [a, b]), aux1 + aux2
-        if g.name in ("\\+", "once", "not", "call") and g.arity == 1:
-            a, aux = expand_body(ctx, g.args[0])
-            return Struct(g.name, [a]), aux
-        if g.name == "findall" and g.arity == 3:
-            inner, aux = expand_body(ctx, g.args[1])
-            return Struct("findall", [g.args[0], inner, g.args[2]]), aux
-        if g.name == ":" and g.arity == 2:
-            mod_t = deref(g.args[0])
-            if isinstance(mod_t, Atom) and ctx.engine is not None:
-                target = ctx.engine.modules.get(mod_t.name)
-                if target is not None:
-                    sub = ExpandContext(target, ctx.engine, ctx.clause,
-                                        ctx.metacall)
-                    inner, aux = expand_body(sub, g.args[1])
-                    return Struct(":", [mod_t, inner]), aux
-            return g, []
-        macro = ctx.module.lookup_goal_macro(g.name, g.arity)
-        if macro is not None:
-            return macro(ctx, g)
-    elif isinstance(g, Atom):
-        macro = ctx.module.lookup_goal_macro(g.name, 0)
-        if macro is not None:
-            return macro(ctx, g)
-    return g, []
+    """Returns (expanded_goal, aux_clauses).  The goals of control
+    constructs (`_GOAL_ARGS`) and of a qualification ``Module:Goal`` wait
+    on a work stack, each with its context, and are expanded left to
+    right; the constructs are rebuilt from them.  So the size of a body
+    is bounded by memory, not by Python's stack."""
+    aux = []
+    done = []  # the expanded goals, in order
+    todo = [(ctx, goal)]
+    while todo:
+        ctx, g = todo.pop()
+        if ctx is None:  # rebuild a construct from its last expanded goals
+            name, args, holes = g
+            k = len(done) - len(holes)
+            for i, x in zip(holes, done[k:]):
+                args[i] = x
+            del done[k:]
+            done.append(Struct(name, args))
+            continue
+        g = deref(g)
+        macro = None
+        if isinstance(g, Struct):
+            arity = len(g.args)
+            holes = _GOAL_ARGS.get((g.name, arity))
+            sub = ctx
+            if g.name == ":" and arity == 2:
+                mod_t = deref(g.args[0])
+                if not (isinstance(mod_t, Atom) and ctx.engine is not None
+                        and mod_t.name in ctx.engine.modules):
+                    done.append(g)
+                    continue
+                holes = (1,)
+                sub = ExpandContext(ctx.engine.modules[mod_t.name],
+                                    ctx.engine, ctx.clause, ctx.metacall)
+            if holes is not None:
+                todo.append((None, (g.name, list(g.args), holes)))
+                todo += [(sub, g.args[i]) for i in reversed(holes)]
+                continue
+            macro = ctx.module.lookup_goal_macro(g.name, arity)
+        elif isinstance(g, Atom):
+            macro = ctx.module.lookup_goal_macro(g.name, 0)
+        if macro is None:
+            done.append(g)
+        else:
+            g, more = macro(ctx, g)
+            done.append(g)
+            aux += more
+    return done[0], aux
 
 
 def expand_clause(ctx, term):

@@ -242,7 +242,7 @@ def _update(engine, x, d, lo, hi, holes, integral, joined=None):
         if rec is not None:
             wake += rec.constrained
     if wake:
-        engine.wake(wake)
+        engine.sched.schedule(wake)
     return True
 
 
@@ -354,7 +354,7 @@ def _install_attribute(engine):
         if ok:
             wake = d.w_min + d.w_max + d.w_hole + d.w_type
             if wake:
-                engine_.wake(wake)
+                engine_.sched.schedule(wake)
         return ok
 
     def on_copy(payload, fresh):

@@ -273,7 +273,7 @@ class Engine:
         import sys
         self.out = out if out is not None else sys.stdout
         self.store = Store()
-        self.sched = Scheduler()
+        self.sched = Scheduler(self.store)
         self.registry = attvar.AttributeRegistry()
         self.store.attr_registry = self.registry
         attvar.install(self)
@@ -321,9 +321,6 @@ class Engine:
         p.builtin = fn
         p.exported = exported
         return p
-
-    def wake(self, susps):
-        self.sched.schedule(susps, self.store)
 
     # ------------------------------------------------------------------
     # suspensions

@@ -103,19 +103,22 @@ class Suspension:
 class Scheduler:
     """Twelve FIFO buckets of scheduled suspensions.  ``count`` is the
     number of entries in the buckets, stale ones included.  Every bucket
-    more urgent than ``low`` is empty."""
+    more urgent than ``low`` is empty.  ``store`` is the store whose
+    trail records the scheduling."""
 
-    def __init__(self):
+    def __init__(self, store):
+        self.store = store
         self.buckets = [deque() for _ in range(NUM_PRIORITIES + 1)]  # index 1..12
         self.count = 0
         self.low = NUM_PRIORITIES + 1
 
-    def schedule(self, susps, store):
+    def schedule(self, susps):
         """Move suspended suspensions into the queue.  Already-scheduled and
         executed ones are skipped (redundant waking is harmless).  Each
         ``state`` write is trailed as `Store.set_slot` would trail it, at
         most once per segment, against the top choicepoint's stamp read
         once for the whole call."""
+        store = self.store
         cps = store.choicepoints
         cur = cps[-1].stamp if cps else 0
         trail = store.trail

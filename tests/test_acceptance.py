@@ -318,14 +318,14 @@ def test_criterion_4_scheduler_order_and_demons():
     shuffled = susps[:]
     rng.shuffle(shuffled)
     for start in range(0, len(shuffled), 7):
-        eng.wake([s for (_, _, s) in shuffled[start:start + 7]])
+        eng.sched.schedule([s for (_, _, s) in shuffled[start:start + 7]])
     if not eng.drain():
         problems.append("drain failed")
     expected = [tag for _, tag, _ in
                 sorted(shuffled, key=lambda x: x[0])]  # stable: FIFO ties
     if runs != expected:
         problems.append("execution order %r != %r" % (runs, expected))
-    eng.wake([s for (_, _, s) in susps])
+    eng.sched.schedule([s for (_, _, s) in susps])
     eng.drain()
     if len(runs) != 40:
         problems.append("a non-demon ran more than once")
@@ -340,12 +340,12 @@ def test_criterion_4_scheduler_order_and_demons():
     pred.demon = True
     s = eng.make_suspension(Atom("dprobe"), 4)
     for _ in range(5):
-        eng.wake([s])
+        eng.sched.schedule([s])
         eng.drain()
     if len(demon_runs) != 5:
         problems.append("demon fired %d times, wanted 5" % len(demon_runs))
     eng.kill_suspension(s)
-    eng.wake([s])
+    eng.sched.schedule([s])
     eng.drain()
     if len(demon_runs) != 5:
         problems.append("killed demon fired again")

@@ -19,7 +19,7 @@ from clpkernel.arith import (breal_add, breal_div, breal_from_exact, breal_mul,
 from clpkernel.errors import (ArithmeticError_, InstantiationError, TypeError_,
                               UncertaintyError)
 from clpkernel.reader import parse_term
-from clpkernel.terms import Breal
+from clpkernel.terms import Breal, Struct, Var
 
 
 def hx(s):
@@ -110,6 +110,36 @@ def test_eval_errors():
         ev("foo + 1")
     with pytest.raises(TypeError_):
         ev("sin(1)")
+
+
+@pytest.mark.parametrize("text, error, message", [
+    # arguments are evaluated left to right before the function is looked up
+    ("foo + Y", TypeError_, "arithmetic: not a number: foo"),
+    ("Y + foo", InstantiationError, "arithmetic: unbound variable"),
+    ("sin(Y)", InstantiationError, "arithmetic: unbound variable"),
+    ("1 + sin(2 * 3)", TypeError_, "arithmetic: unknown function sin/1"),
+    ("atan2(1, 2) + Y", TypeError_, "arithmetic: unknown function atan2/2"),
+    # any other arity is refused before its arguments are looked at
+    ("f(Y, 1, 2)", TypeError_, "arithmetic: unknown function f/3"),
+    ("1 - \"s\"", TypeError_, "arithmetic: not an expression: 's'"),
+])
+def test_eval_error_order(text, error, message):
+    with pytest.raises(error) as got:
+        ev(text)
+    assert str(got.value) == message
+
+
+def test_a_long_expression_is_bounded_by_memory(first):
+    """An expression of 100,000 terms evaluates at the default recursion
+    limit, nested to the left as read and to the right as built."""
+    got = first("X is " + " + ".join(["1"] * 100000))
+    assert got["X"] == 100000
+    t = Struct("+", [1, 2])
+    for i in range(99998):
+        t = Struct("-" if i % 2 else "*", [1, t])
+    assert eval_arith(t) == -2  # 3, 1 * 3, 1 - 3, 1 * -2, 1 - -2, ...
+    with pytest.raises(InstantiationError):
+        eval_arith(Struct("+", [t, Var()]))
 
 
 def test_subscript_in_expressions(first):

@@ -30,7 +30,7 @@ PERFBENCH = [ROOT / "perfbench" / "tracer.py", ROOT / "perfbench" / "run.py"]
 #: attributes read on objects that the two files reach only at run time
 INSTANCE_NAMES = [
     (Store(), "trail"),            # tracer: st.trail, replaced by a counter
-    (Scheduler(), "buckets"),      # tracer: args[0].buckets
+    (Scheduler(Store()), "buckets"),  # tracer: args[0].buckets
 ]
 
 

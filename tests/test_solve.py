@@ -17,8 +17,8 @@ import pytest
 from clpkernel import clauses, ic, make_engine, search, solve
 from clpkernel.clauses import Clause
 from clpkernel.errors import (ExistenceError, FlounderingError, Halt,
-                              InstantiationError, InternalError, ReaderError,
-                              TypeError_)
+                              InstantiationError, InternalError, RangeError,
+                              ReaderError, TypeError_)
 from clpkernel.expand import mk_conj
 from clpkernel.solve import Engine
 from clpkernel.store import Store
@@ -528,6 +528,21 @@ def test_term_inspection(engine):
                                                          Atom("b")]
     got = engine.once("T =.. [h, 1, 2]")
     assert got["T"].name == "h"
+
+
+def test_arg_fails_for_an_index_outside_the_arguments(ask):
+    # the ISO examples, and a do-loop that steps a foreacharg past the end
+    assert ask("arg(0, foo(a, b), foo)") == []
+    assert ask("arg(3, foo(3, 4), N)") == []
+    assert ask("arg(-1, f(a), X)") == []
+    assert ask("( foreacharg(X, f(a)), count(I, 1, 3) do true )") == []
+    # the errors stay, and sort/4's key still raises out of range
+    with pytest.raises(TypeError_):
+        ask("arg(a, f(a), X)")
+    with pytest.raises(TypeError_):
+        ask("arg(1, a, X)")
+    with pytest.raises(RangeError):
+        ask("sort(2, =<, [f(1)], L)")
 
 
 def test_setarg_backtracks(engine):

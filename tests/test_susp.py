@@ -33,21 +33,21 @@ def test_twelve_levels_main_weaker_than_all():
 
 def test_pop_runnable_is_strictly_below_the_limit():
     st = Store()
-    sched = Scheduler()
+    sched = Scheduler(st)
     s = Suspension(1, Atom("g"), 5, None)
-    sched.schedule([s], st)
+    sched.schedule([s])
     assert sched.pop_runnable(5) is None  # own priority does not interrupt
     assert sched.pop_runnable(6) is s
 
 
 def test_urgency_order_and_fifo_within_a_bucket():
     st = Store()
-    sched = Scheduler()
+    sched = Scheduler(st)
     a = Suspension(1, Atom("a"), 7, None)
     b = Suspension(2, Atom("b"), 2, None)
     c = Suspension(3, Atom("c"), 7, None)
     for s in (a, b, c):
-        sched.schedule([s], st)
+        sched.schedule([s])
     order = []
     s = sched.pop_runnable(MAIN_PRIORITY)
     while s is not None:
@@ -59,10 +59,10 @@ def test_urgency_order_and_fifo_within_a_bucket():
 
 def test_redundant_waking_is_harmless():
     st = Store()
-    sched = Scheduler()
+    sched = Scheduler(st)
     s = Suspension(1, Atom("g"), 3, None)
-    sched.schedule([s], st)
-    sched.schedule([s], st)
+    sched.schedule([s])
+    sched.schedule([s])
     assert sched.pop_runnable(MAIN_PRIORITY) is s
     st.set_slot(s, "state", EXECUTED)
     assert sched.pop_runnable(MAIN_PRIORITY) is None
@@ -70,15 +70,15 @@ def test_redundant_waking_is_harmless():
 
 def test_backtracking_unschedules_and_queue_skips_stale_entries():
     st = Store()
-    sched = Scheduler()
+    sched = Scheduler(st)
     s = Suspension(1, Atom("g"), 3, None)
     m = st.push_choicepoint()
-    sched.schedule([s], st)
+    sched.schedule([s])
     assert s.state == SCHEDULED
     st.backtrack_to(m)
     assert s.state == SUSPENDED  # the state change was trailed
     assert sched.pop_runnable(MAIN_PRIORITY) is None  # stale entry dropped
-    sched.schedule([s], st)
+    sched.schedule([s])
     assert sched.pop_runnable(MAIN_PRIORITY) is s
 
 
@@ -91,7 +91,7 @@ def test_waking_is_two_stage(engine):
 
     engine.add_builtin(engine.main, "tick", 0, bi)
     s = engine.make_suspension(Atom("tick"), 5)
-    engine.wake([s])
+    engine.sched.schedule([s])
     assert runs == []  # only moved to the queue
     assert s.state == SCHEDULED
     assert engine.drain()
@@ -111,12 +111,12 @@ def test_demon_goes_back_to_suspended_and_fires_repeatedly(engine):
     s = engine.make_suspension(Atom("tick"), 4)
     assert s.demon
     for _ in range(5):
-        engine.wake([s])
+        engine.sched.schedule([s])
         assert engine.drain()
         assert s.state == SUSPENDED
     assert len(runs) == 5
     engine.kill_suspension(s)
-    engine.wake([s])
+    engine.sched.schedule([s])
     assert engine.drain()
     assert len(runs) == 5  # killed demons never run again
 
@@ -160,7 +160,7 @@ def test_more_urgent_wakings_interrupt_a_running_goal(engine):
         return True
 
     def bi_kick(eng, args, module):
-        eng.wake([susps[deref(args[0]).name]])
+        eng.sched.schedule([susps[deref(args[0]).name]])
         return True
 
     engine.add_builtin(engine.main, "emit", 1, bi_emit)
@@ -202,7 +202,7 @@ def test_woken_goal_leaves_its_alternatives(engine):
 
 def test_drain_reports_waking_failure(engine):
     s = engine.make_suspension(Struct("=", [Atom("a"), Atom("b")]), 5)
-    engine.wake([s])
+    engine.sched.schedule([s])
     assert not engine.drain()
 
 
@@ -241,7 +241,7 @@ def test_scheduler_count_stays_exact(engine):
     for _ in range(2000):
         r = rng.random()
         if r < 0.3:
-            sched.schedule(rng.sample(susps, rng.randint(1, 4)), st)
+            sched.schedule(rng.sample(susps, rng.randint(1, 4)))
         elif r < 0.45:
             engine.kill_suspension(rng.choice(susps))
         elif r < 0.6:
@@ -271,7 +271,7 @@ def test_scheduler_pops_what_a_full_scan_finds(engine):
     for _ in range(3000):
         r = rng.random()
         if r < 0.35:
-            sched.schedule(rng.sample(susps, rng.randint(1, 4)), st)
+            sched.schedule(rng.sample(susps, rng.randint(1, 4)))
         elif r < 0.45:
             engine.kill_suspension(rng.choice(susps))
         elif r < 0.55:
@@ -311,7 +311,8 @@ def test_schedule_trails_state_as_set_slot_does():
     for _ in range(2):
         susps = [Suspension(i, Atom("g"), p, None)
                  for i, p in enumerate(prios)]
-        worlds.append((Store(), Scheduler(), susps))
+        st = Store()
+        worlds.append((st, Scheduler(st), susps))
 
     def states(w):
         return [s.state for s in w[2]]
@@ -325,7 +326,7 @@ def test_schedule_trails_state_as_set_slot_does():
             st, sched, susps = worlds[0]
             before = len(st.trail)
             moved += sum(susps[i].state == SUSPENDED for i in picked)
-            sched.schedule([susps[i] for i in picked], st)
+            sched.schedule([susps[i] for i in picked])
             trailed += len(st.trail) - before
             st, _, susps = worlds[1]
             for i in picked:
@@ -560,7 +561,7 @@ def test_a_pop_in_a_younger_segment_is_undone_by_backtracking(engine):
     s = engine.make_suspension(Atom("tick"), 4)
     other = engine.make_suspension(Atom("tick"), 4)
     base = st.push_choicepoint()
-    engine.wake([s, other])
+    engine.sched.schedule([s, other])
     m = st.push_choicepoint()
     assert engine.drain() and runs == [1, 1]
     assert s.state == SUSPENDED and sched.count == 0
