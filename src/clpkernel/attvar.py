@@ -142,19 +142,21 @@ def install(engine):
     lists = ("inst", "bound", "constrained")
 
     def on_unify(value, payload, var):
+        sched = engine.sched
         if type(value) is not Var:  # instantiation
             if payload is not None:  # else value's own binding woke it
-                engine.sched.schedule(payload.inst + payload.bound + payload.constrained)
+                sched.schedule(payload.inst + payload.bound
+                               + payload.constrained)
             return True
         other = get_attr(value, "suspend")
         if payload is None:
-            engine.sched.schedule(other.bound + other.constrained)
+            sched.schedule(other.bound + other.constrained)
         elif other is None:
-            engine.sched.schedule(payload.bound + payload.constrained)
+            sched.schedule(payload.bound + payload.constrained)
             add_attr(engine.store, value, "suspend", payload)
         else:
-            engine.sched.schedule(payload.bound + payload.constrained + other.bound
-                        + other.constrained)
+            sched.schedule(payload.bound + payload.constrained + other.bound
+                           + other.constrained)
             join_lists(engine.store, other, payload, lists)
         return True
 

@@ -10,10 +10,6 @@ goal's first argument as WAM's ``switch_on_term`` does: it tests a few
 keys in a chain, or reads many from a dict, and enters the candidate
 clauses.  A single candidate whose key the chain tested runs inline in
 the predicate's code, generated once per predicate shape.
-
-The Prolog parts of the kernel, ic and search libraries, their preludes,
-are read once, when their Python modules are imported (`read_prelude`),
-and every engine loads the same steps.
 """
 
 from __future__ import annotations

@@ -514,8 +514,8 @@ def _decide_ground(rel, const, pairs):
 
 
 def _decide(rel, lo, hi):
-    """Whether ``s REL 0`` holds for a sum s known to lie in lo..hi, or
-    an UncertaintyError when the interval does not tell."""
+    """Whether ``s REL 0`` holds for a sum s known to lie in lo..hi;
+    raises UncertaintyError when the interval does not tell."""
     if rel == "=<":
         if hi <= 0:
             return True
