@@ -396,22 +396,6 @@ _FUNCTIONS = {("-", 1): num_neg, ("+", 1): lambda x: x, ("abs", 1): num_abs,
               ("**", 2): num_pow}
 
 
-def _of_numbers(t):
-    """The value of the compound term t if it is an evaluable function of
-    two numbers, as most expressions are (a counter's step), else None."""
-    if len(t.args) != 2:
-        return None
-    x, y = t.args
-    while type(x) is Var and x.ref is not None:
-        x = x.ref
-    while type(y) is Var and y.ref is not None:
-        y = y.ref
-    fn = _FUNCTIONS.get((t.name, 2))
-    if fn is None or type(x) not in _NUMBERS or type(y) not in _NUMBERS:
-        return None
-    return fn(x, y)
-
-
 def eval_arith(t):
     """Evaluate an arithmetic expression term to a Python numeric value.
     A float result out of range raises ArithmeticError_.
@@ -420,14 +404,12 @@ def eval_arith(t):
     by memory, not by Python's stack: the arguments of a compound term
     are evaluated left to right, then its function is looked up, by a
     ``(name, arity)`` entry that waits below them, and applied to their
-    values.  A function of two numbers is applied at once (`_of_numbers`)."""
+    values."""
     try:
         while type(t) is Var and t.ref is not None:
             t = t.ref
         if type(t) in _NUMBERS:
             return t
-        if type(t) is Struct and (value := _of_numbers(t)) is not None:
-            return value
         values = []
         todo = [t]
         while todo:
@@ -437,9 +419,20 @@ def eval_arith(t):
             ty = type(t)
             if ty is Struct:
                 n = len(t.args)
-                if (value := _of_numbers(t)) is not None:
-                    values.append(value)
-                elif t.name == "subscript" and n == 2:
+                if n == 2:
+                    # a function of two numbers, such as a counter's step,
+                    # is applied at once
+                    x, y = t.args
+                    while type(x) is Var and x.ref is not None:
+                        x = x.ref
+                    while type(y) is Var and y.ref is not None:
+                        y = y.ref
+                    fn = _FUNCTIONS.get((t.name, 2))
+                    if (fn is not None and type(x) in _NUMBERS
+                            and type(y) in _NUMBERS):
+                        values.append(fn(x, y))
+                        continue
+                if t.name == "subscript" and n == 2:
                     idx = proper_list(t.args[1])
                     if idx is None:
                         raise TypeError_("subscript: index list must be a "

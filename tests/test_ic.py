@@ -978,6 +978,9 @@ def test_bounds_builtins(first):
     a = first("X :: 2..7, get_min(X, L), get_max(X, H), get_bounds(X, L2, H2)")
     assert (a["L"], a["H"]) == (2, 7)
     assert (a["L2"], a["H2"]) == (2, 7)
+    # both bounds are read before either is unified, as ECLiPSe reads them
+    b = first("X :: 2..7, get_bounds(X, X, H)")
+    assert (b["X"], b["H"]) == (2, 7)
 
 
 def test_bounds_builtins_on_numbers(first):
