@@ -160,10 +160,11 @@ def expand_of(module, t):
 # ----------------------------------------------------------------------
 # goal expansion driver
 
-#: the argument positions that hold goals, of each control construct
-_GOAL_ARGS = {(",", 2): (0, 1), (";", 2): (0, 1), ("->", 2): (0, 1),
-              ("\\+", 1): (0,), ("once", 1): (0,), ("not", 1): (0,),
-              ("call", 1): (0,), ("findall", 3): (1,)}
+#: the arity of each control construct and the positions of its
+#: arguments that hold goals; a qualification ``Module:Goal`` is one
+_CONTROL = {",": (2, (0, 1)), ";": (2, (0, 1)), "->": (2, (0, 1)),
+            "\\+": (1, (0,)), "once": (1, (0,)), "not": (1, (0,)),
+            "call": (1, (0,)), "findall": (3, (1,)), ":": (2, (1,))}
 
 
 class ExpandContext:
@@ -187,10 +188,9 @@ class ExpandContext:
 
 def expand_body(ctx, goal):
     """Returns (expanded_goal, aux_clauses).  The goals of control
-    constructs (`_GOAL_ARGS`) and of a qualification ``Module:Goal`` wait
-    on a work stack, each with its context, and are expanded left to
-    right; the constructs are rebuilt from them.  So the size of a body
-    is bounded by memory, not by Python's stack."""
+    constructs (`_CONTROL`) wait on a work stack, each with its context,
+    and are expanded left to right; the constructs are rebuilt from them.
+    So the size of a body is bounded by memory, not by Python's stack."""
     aux = []
     done = []  # the expanded goals, in order
     todo = [(ctx, goal)]
@@ -198,34 +198,33 @@ def expand_body(ctx, goal):
         ctx, g = todo.pop()
         if ctx is None:  # rebuild a construct from its last expanded goals
             name, args, holes = g
-            k = len(done) - len(holes)
-            for i, x in zip(holes, done[k:]):
-                args[i] = x
-            del done[k:]
+            for i in reversed(holes):
+                args[i] = done.pop()
             done.append(Struct(name, args))
             continue
-        g = deref(g)
-        macro = None
-        if isinstance(g, Struct):
-            arity = len(g.args)
-            holes = _GOAL_ARGS.get((g.name, arity))
-            sub = ctx
-            if g.name == ":" and arity == 2:
-                mod_t = deref(g.args[0])
-                if not (isinstance(mod_t, Atom) and ctx.engine is not None
-                        and mod_t.name in ctx.engine.modules):
-                    done.append(g)
-                    continue
-                holes = (1,)
-                sub = ExpandContext(ctx.engine.modules[mod_t.name],
-                                    ctx.engine, ctx.clause, ctx.metacall)
-            if holes is not None:
+        while type(g) is Var and g.ref is not None:
+            g = g.ref
+        if type(g) is Struct:
+            control = _CONTROL.get(g.name)
+            if control is not None and control[0] == len(g.args):
+                holes = control[1]
+                if g.name == ":":
+                    mod_t = deref(g.args[0])
+                    if not (type(mod_t) is Atom and ctx.engine is not None
+                            and mod_t.name in ctx.engine.modules):
+                        done.append(g)
+                        continue
+                    ctx = ExpandContext(ctx.engine.modules[mod_t.name],
+                                        ctx.engine, ctx.clause, ctx.metacall)
                 todo.append((None, (g.name, list(g.args), holes)))
-                todo += [(sub, g.args[i]) for i in reversed(holes)]
+                for i in reversed(holes):
+                    todo.append((ctx, g.args[i]))
                 continue
-            macro = ctx.module.lookup_goal_macro(g.name, arity)
-        elif isinstance(g, Atom):
+            macro = ctx.module.lookup_goal_macro(g.name, len(g.args))
+        elif type(g) is Atom:
             macro = ctx.module.lookup_goal_macro(g.name, 0)
+        else:
+            macro = None
         if macro is None:
             done.append(g)
         else:
