@@ -22,16 +22,15 @@ handlers:
       invoked by copy_term for each attributed variable; typically
       attaches a copy of the payload (minus suspension lists) to the
       fresh variable.
-* bounds_get(var, payload) -> (lo, hi) floats or None
-* bounds_set(var, payload, lo, hi) -> bool
-      generic numeric-bounds access: get intersects over all
-      bounds-capable attributes, set broadcasts to all of them.
 * get_list(engine, var, list_name) -> (owner, slot) or None
       resolves a suspension list (e.g. ic's min/max/hole/type) to a
       trailable location so that `Engine.attach_suspension` can append
       to it.
 * portray(var, payload) -> str or None
       a print hook for the writer ("_{1..5}" and friends).
+
+There is no bounds hook: ic is the only solver with bounds, and its
+builtins read and narrow them directly.
 
 The ``suspend`` attribute (`install`) holds the generic suspension lists
 in a `Suspend` record, which `suspend_record` finds or makes on the first
@@ -45,12 +44,11 @@ can be read back, and vanish when the variable is instantiated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import InstantiationError, RegistrationError, UnsupportedError
-from .terms import Breal, Var, deref, is_number
+from .errors import InstantiationError, RegistrationError
+from .terms import Var, deref
 
 
 @dataclass
@@ -58,8 +56,6 @@ class AttributeSpec:
     name: str
     unify: Optional[Callable] = None
     copy: Optional[Callable] = None
-    bounds_get: Optional[Callable] = None
-    bounds_set: Optional[Callable] = None
     get_list: Optional[Callable] = None
     portray: Optional[Callable] = None
 
@@ -168,51 +164,3 @@ def install(engine):
     engine.registry.register(AttributeSpec(
         name="suspend", unify=on_unify, get_list=get_list))
 
-
-def _point_bounds(value):
-    if type(value) is Breal:
-        return value.lo, value.hi
-    return float(value), float(value)
-
-
-def get_var_bounds(registry, v):
-    """(lo, hi) as floats: the intersection over all bounds-capable
-    attributes; numbers give a point interval; a plain variable is
-    unbounded."""
-    v = deref(v)
-    if is_number(v):
-        return _point_bounds(v)
-    lo, hi = -math.inf, math.inf
-    if type(v) is Var:
-        for name, payload in v.attrs.items():
-            spec = registry.lookup(name)
-            if spec is not None and spec.bounds_get is not None:
-                got = spec.bounds_get(v, payload)
-                if got is not None:
-                    lo = max(lo, got[0])
-                    hi = min(hi, got[1])
-    return lo, hi
-
-
-def set_var_bounds(registry, v, lo, hi):
-    """Broadcast a bounds restriction to every bounds-capable attribute.
-    Returns False on failure (empty intersection).  A number succeeds iff
-    it lies within [lo, hi]; a variable without any bounds-capable
-    attribute is an error."""
-    v = deref(v)
-    if is_number(v):
-        plo, phi = _point_bounds(v)
-        return lo <= plo and phi <= hi
-    if type(v) is not Var:
-        raise UnsupportedError("set_var_bounds: not a variable or number: %r" % (v,))
-    handlers = []
-    for name, payload in v.attrs.items():
-        spec = registry.lookup(name)
-        if spec is not None and spec.bounds_set is not None:
-            handlers.append((spec, payload))
-    if not handlers:
-        raise UnsupportedError("set_var_bounds: variable has no bounds-capable attribute")
-    for spec, payload in handlers:
-        if not spec.bounds_set(v, payload, lo, hi):
-            return False
-    return True

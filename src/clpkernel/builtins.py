@@ -16,10 +16,9 @@ from fractions import Fraction
 
 from .arith import (array_dims, compare_numeric, dim_create, eval_arith,
                     subscript_get)
-from .attvar import AttributeSpec, add_attr, get_attr, get_var_bounds, \
-    notify_constrained, set_var_bounds
-from .errors import (DomainError, Halt, InstantiationError,
-                     ExistenceError, RangeError, TypeError_)
+from .attvar import AttributeSpec, add_attr, get_attr, notify_constrained
+from .errors import (DomainError, ExistenceError, FlounderingError, Halt,
+                     InstantiationError, RangeError, TypeError_)
 from .susp import Suspension
 from .terms import (TRUE, Atom, Breal, Struct, Var, arg_at,
                     compare_terms, copy_term, deref, is_callable_term,
@@ -71,7 +70,10 @@ def all_solutions(engine, goal, module, template, out, message):
         return goal, module, m.index + 1, (collect, module, 0, None)
 
     def collect(cont):
-        engine.check_floundering(watermark, module, message)
+        fresh = engine.pending(watermark)
+        if fresh:
+            raise FlounderingError(message, [engine.format_goal(s, module)
+                                             for s in fresh])
         found.append(None if template is None else copy_term(
             template, attr_hook=engine._copy_attr_hook))
         return False
@@ -300,9 +302,8 @@ def _sort(engine, key, order, in_t, out_t):
         return t if key == 0 else arg_at(key, t)
 
     dec = [(keyof(x), x) for x in items]
-    dec.sort(key=functools.cmp_to_key(lambda a, b: compare_terms(a[0], b[0])))
-    if order in (">", ">="):
-        dec.reverse()
+    dec.sort(key=functools.cmp_to_key(lambda a, b: compare_terms(a[0], b[0])),
+             reverse=order in (">", ">="))
     if order in ("<", ">"):
         pruned = []
         for k, x in dec:
@@ -418,7 +419,7 @@ def bi_kill_suspension(engine, args, module):
 
 
 # ----------------------------------------------------------------------
-# attributes and bounds
+# attributes
 
 def bi_notify_constrained(engine, args, module):
     notify_constrained(engine, args[0])
@@ -448,20 +449,6 @@ def bi_get_attr(engine, args, module):
     if payload is None:
         return False
     return engine.store.unify(args[2], payload)
-
-
-def bi_get_var_bounds(engine, args, module):
-    lo, hi = get_var_bounds(engine.registry, args[0])
-    return (engine.store.unify(args[1], lo)
-            and engine.store.unify(args[2], hi))
-
-
-def bi_set_var_bounds(engine, args, module):
-    lo = eval_arith(args[1])
-    hi = eval_arith(args[2])
-    lo = lo.lo if type(lo) is Breal else float(lo)
-    hi = hi.hi if type(hi) is Breal else float(hi)
-    return set_var_bounds(engine.registry, args[0], lo, hi)
 
 
 # ----------------------------------------------------------------------
@@ -549,7 +536,5 @@ def install(engine):
     bi("notify_constrained", 1, bi_notify_constrained)
     bi("add_attr", 3, bi_add_attr)
     bi("get_attr", 3, bi_get_attr)
-    bi("get_var_bounds", 3, bi_get_var_bounds)
-    bi("set_var_bounds", 3, bi_set_var_bounds)
 
     bi("loop_for_setup", 6, bi_loop_for_setup)

@@ -56,7 +56,7 @@ def _answer_lines(engine, varmap, canonical):
         if text == name:
             continue  # an aliased variable reporting itself
         lines.append("%s = %s" % (name, text))
-    delayed = engine.delayed_goals()
+    delayed = engine.pending()
     if delayed:
         lines.append("Delayed goals:")
         for s in delayed:

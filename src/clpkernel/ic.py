@@ -75,9 +75,8 @@ from .attvar import (AttributeSpec, add_attr, get_attr, init_attr, join_lists,
                      suspend_record)
 from .clauses import read_prelude
 from .errors import (DomainError, InstantiationError, TypeError_,
-                     UncertaintyError)
-from .linear import (exact_number, exact_quotient, int_if_integral,
-                     normalize_relation)
+                     UncertaintyError, UnsupportedError)
+from .linear import exact_number, exact_quotient, normalize_relation
 from .susp import EXECUTED
 from .terms import (NIL, Atom, Breal, Struct, Var, deref, is_number,
                     list_parts, mk_list, proper_list)
@@ -361,13 +360,6 @@ def _install_attribute(engine):
         init_attr(fresh, "ic",
                   Domain(payload.lo, payload.hi, payload.integral, payload.holes))
 
-    def bounds_get(var, payload):
-        return float_down(payload.lo), float_up(payload.hi)
-
-    def bounds_set(var, payload, lo, hi):
-        return (impose_min(engine, var, exact_float(lo))
-                and impose_max(engine, var, exact_float(hi)))
-
     def get_list(eng, var, name):
         slot = _LIST_SLOTS.get(name)
         if slot is None:
@@ -378,8 +370,8 @@ def _install_attribute(engine):
         return format_domain(payload)
 
     engine.registry.register(AttributeSpec(
-        name="ic", unify=on_unify, copy=on_copy, bounds_get=bounds_get,
-        bounds_set=bounds_set, get_list=get_list, portray=portray))
+        name="ic", unify=on_unify, copy=on_copy, get_list=get_list,
+        portray=portray))
 
 
 # ----------------------------------------------------------------------
@@ -856,16 +848,28 @@ def _parse_domain_spec(spec):
 # reflection builtins
 
 def _get_bounds(x):
-    """The bounds get_min/2 and get_max/2 give: a number's own, exact,
-    or a variable's domain's."""
+    """(lo, hi) as the reflection builtins read them: a domain's (None
+    without one), a number's own value, a bounded real's endpoints."""
     x = deref(x)
-    if is_number(x):
-        return [int_if_integral(q) if isinstance(q, Fraction) else q
-                for q in exact_bounds(x)]
-    d = get_domain(x)
-    if d is None:
-        raise InstantiationError("variable has no domain")
-    return d.lo, d.hi
+    ty = type(x)
+    if ty is Var:
+        d = x.attrs.get("ic")
+        return None if d is None else (d.lo, d.hi)
+    if ty is int or ty is float or ty is Fraction:
+        return x, x
+    if ty is Breal:
+        return x.lo, x.hi
+    raise TypeError_("not a numeric term: %r" % (x,))
+
+
+def _exact(v):
+    """An evaluated bound made exact; an infinite float stays (isinstance
+    first, as math.isinf overflows on a huge int)."""
+    if type(v) is Breal:
+        raise TypeError_("bounds must be exact numbers")
+    if isinstance(v, float) and math.isinf(v):
+        return v
+    return Fraction(v)
 
 
 def install(engine):
@@ -898,34 +902,48 @@ def install(engine):
     bi("ic_lin_con", 3, bi_ic_lin_con)
     bi("alldifferent", 1, bi_alldifferent)
 
+    def domain_bounds(x):
+        b = _get_bounds(x)
+        if b is None:
+            raise InstantiationError("variable has no domain")
+        return b
+
     def bi_get_min(engine_, args, module):
-        return engine_.store.unify(args[1], _get_bounds(args[0])[0])
+        return engine_.store.unify(args[1], domain_bounds(args[0])[0])
 
     def bi_get_max(engine_, args, module):
-        return engine_.store.unify(args[1], _get_bounds(args[0])[1])
+        return engine_.store.unify(args[1], domain_bounds(args[0])[1])
 
     def bi_get_bounds(engine_, args, module):
-        lo, hi = _get_bounds(args[0])
+        lo, hi = domain_bounds(args[0])
         return (engine_.store.unify(args[1], lo)
                 and engine_.store.unify(args[2], hi))
 
-    def _exactify(v):
-        v = eval_arith(v)
-        if type(v) is Breal:
-            raise TypeError_("bounds must be exact numbers")
-        if isinstance(v, float) and math.isinf(v):
-            return v
-        return Fraction(v)
+    def bi_get_var_bounds(engine_, args, module):
+        b = _get_bounds(args[0]) or (-_INF, _INF)
+        return (engine_.store.unify(args[1], float_down(b[0]))
+                and engine_.store.unify(args[2], float_up(b[1])))
+
+    def bi_set_var_bounds(engine_, args, module):
+        lo, hi = eval_arith(args[1]), eval_arith(args[2])
+        lo = _exact(lo.lo if type(lo) is Breal else lo)
+        hi = _exact(hi.hi if type(hi) is Breal else hi)
+        x = deref(args[0])
+        if type(x) is not Var:
+            xlo, xhi = exact_bounds(x)
+            return lo <= xlo and xhi <= hi
+        if x.attrs.get("ic") is None:
+            raise UnsupportedError("set_var_bounds: variable has no domain")
+        return impose_min(engine_, x, lo) and impose_max(engine_, x, hi)
 
     def bi_impose_min(engine_, args, module):
-        return impose_min(engine_, args[0], _exactify(args[1]))
+        return impose_min(engine_, args[0], _exact(eval_arith(args[1])))
 
     def bi_impose_max(engine_, args, module):
-        return impose_max(engine_, args[0], _exactify(args[1]))
+        return impose_max(engine_, args[0], _exact(eval_arith(args[1])))
 
     def bi_exclude(engine_, args, module):
-        v = _exactify(args[1])
-        return exclude_value(engine_, args[0], v)
+        return exclude_value(engine_, args[0], _exact(eval_arith(args[1])))
 
     def bi_impose_integrality(engine_, args, module):
         return impose_integrality(engine_, args[0])
@@ -933,6 +951,8 @@ def install(engine):
     bi("get_min", 2, bi_get_min)
     bi("get_max", 2, bi_get_max)
     bi("get_bounds", 3, bi_get_bounds)
+    engine.add_builtin(engine.kernel, "get_var_bounds", 3, bi_get_var_bounds)
+    engine.add_builtin(engine.kernel, "set_var_bounds", 3, bi_set_var_bounds)
     bi("impose_min", 2, bi_impose_min)
     bi("impose_max", 2, bi_impose_max)
     bi("exclude", 2, bi_exclude)

@@ -673,9 +673,12 @@ class Parser:
         return term, self.varmap, (start.line, start.col)
 
 
-def parse_term(text, ops=None, filename=None):
-    """Parse a single term (a trailing '.' is allowed but not required)."""
-    p = Parser(tokenize(text, filename), ops or standard_ops(), filename=filename)
+def parse_term(text, ops=None, filename=None, macro_hook=None,
+               macro_keys=()):
+    """Parse a single term (a trailing '.' is allowed but not required);
+    ``macro_hook`` and ``macro_keys`` are the `Parser`'s."""
+    p = Parser(tokenize(text, filename), ops or standard_ops(), macro_hook,
+               filename, macro_keys)
     term, _ = p.parse(1200)
     t = p.next()
     if t.kind not in ("eof", "end"):

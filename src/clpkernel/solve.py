@@ -101,12 +101,11 @@ import logging
 from functools import partial
 
 from .clauses import Clause, enter, pred_code, read_prelude
-from .errors import (EngineError, ExistenceError, FlounderingError, Halt,
-                     InstantiationError, InternalError, ReaderError,
-                     TypeError_, UnsupportedError)
+from .errors import (EngineError, ExistenceError, Halt, InstantiationError,
+                     InternalError, ReaderError, TypeError_, UnsupportedError)
 from .expand import (ExpandContext, expand_clause, install_kernel_macros,
                      parse_struct_decl)
-from .reader import Ops, Parser, standard_ops, tokenize
+from .reader import Ops, Parser, parse_term, standard_ops, tokenize
 from .store import Store
 from .susp import (EXECUTED, MAIN_PRIORITY, SCHEDULED, SUSPENDED, Scheduler,
                    Suspension)
@@ -375,24 +374,19 @@ class Engine:
         if susp.state != EXECUTED:
             self.store.set_slot(susp, "state", EXECUTED)
 
-    def delayed_goals(self):
-        return [s for s in self.suspensions.values()
-                if s.state in (SUSPENDED, SCHEDULED)]
-
-    def check_floundering(self, watermark, module, message):
-        """Raise FlounderingError when a suspension made after the sid
-        ``watermark`` is still pending.  ``suspensions`` is in sid order
-        (sids only grow and are never re-inserted), so the scan stops at
+    def pending(self, since=0):
+        """The suspensions made after the sid ``since`` that are still
+        pending, in sid order.  ``suspensions`` is in sid order (sids only
+        grow and are never re-inserted), so the walk backwards stops at
         the first older one."""
         fresh = []
         for s in reversed(self.suspensions.values()):
-            if s.sid <= watermark:
+            if s.sid <= since:
                 break
             if s.state in (SUSPENDED, SCHEDULED):
                 fresh.append(s)
-        if fresh:
-            raise FlounderingError(message, [self.format_goal(s, module)
-                                             for s in reversed(fresh)])
+        fresh.reverse()
+        return fresh
 
     # ------------------------------------------------------------------
     # waking
@@ -734,15 +728,9 @@ class Engine:
 
     def parse_goal(self, text, module=None):
         module = module or self.main
-        tokens = tokenize(text)
         self._load_module = module
-        parser = Parser(tokens, module.ops, macro_hook=self._live_hook,
-                        macro_keys=self.term_macro_keys)
-        goal, _ = parser.parse(1200)
-        t = parser.next()
-        if t.kind not in ("eof", "end"):
-            parser.error("unexpected trailing input", t)
-        return goal, parser.varmap
+        return parse_term(text, module.ops, macro_hook=self._live_hook,
+                          macro_keys=self.term_macro_keys)
 
     def solutions(self, goal, module=None):
         """Top-level solution generator; restores the store when done or
@@ -764,7 +752,7 @@ class Engine:
             # one copy for all bindings, so they keep sharing variables
             copied = copy_term(query_vars, attr_hook=self._copy_attr_hook)
             bindings = dict(zip(varmap, copied.args))
-            delayed = [self.format_goal(s, module) for s in self.delayed_goals()]
+            delayed = [self.format_goal(s, module) for s in self.pending()]
             answers.append(Answer(bindings, delayed))
             if limit is not None and len(answers) >= limit:
                 break

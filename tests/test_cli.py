@@ -11,7 +11,7 @@ import pytest
 
 from clpkernel import cli, make_engine
 from clpkernel.cli import main
-from clpkernel.errors import FlounderingError
+from clpkernel.errors import FlounderingError, ReaderError
 
 
 def run_main(capsys, *argv):
@@ -61,6 +61,17 @@ def test_goal_errors_exit_2(capsys):
     rc, _, err = run_main(capsys, "-g", "f(")
     assert rc == 2
     assert "error:" in err
+
+
+def test_text_after_the_goal_is_refused(capsys):
+    # a query is one term: a '.' may end it, but nothing may follow
+    assert make_engine().once("X = 1.")["X"] == 1
+    with pytest.raises(ReaderError, match="trailing input"):
+        make_engine().once("X = 1. Y = 2")
+    rc, out, err = run_main(capsys, "-g", "X = 1. Y = 2")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "trailing input" in err
 
 
 def test_add_attr_of_a_solver_attribute_exits_2_with_one_line(capsys):

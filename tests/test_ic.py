@@ -498,7 +498,7 @@ def test_rational_coefficients_keep_exact_fractions(engine, fmt):
     for _ in engine.solutions(goal):
         assert fmt(varmap["X"]) == "_{0..6}"
         assert fmt(varmap["Y"]) == "_{0..3}"
-        [s] = engine.delayed_goals()
+        [s] = engine.pending()
         rel, const, pairs = s.payload
         assert s.run is ic._propagate_bounds
         assert rel == "="
@@ -882,7 +882,7 @@ def test_the_first_constraint_makes_the_suspend_record(engine):
         x, y, z = (deref(vs[n]) for n in "XYZ")
         assert list(x.attrs) == ["ic", "suspend"]
         rec = get_attr(x, "suspend")
-        [s, t] = engine.delayed_goals()
+        [s, t] = engine.pending()
         assert rec.bound == (s, t)
         assert get_attr(y, "suspend").bound == (s,)
         assert get_attr(z, "suspend").bound == (t,)
@@ -984,8 +984,15 @@ def test_bounds_builtins(first):
 
 
 def test_bounds_builtins_on_numbers(first):
-    a = first("get_bounds(4, L, H)")
-    assert (a["L"], a["H"]) == (4, 4)
+    # a number's bounds are its own value, of its own type; a bounded
+    # real's are its endpoints
+    for number, lo, hi in [("4", 4, 4), ("0.25", 0.25, 0.25),
+                           ("1_3", Fraction(1, 3), Fraction(1, 3)),
+                           ("0.5__1.0", 0.5, 1.0)]:
+        a = first("get_bounds(%s, L, H), get_min(%s, L), get_max(%s, H)"
+                  % (number, number, number))
+        assert (a["L"], a["H"]) == (lo, hi), number
+        assert (type(a["L"]), type(a["H"])) == (type(lo), type(hi)), number
 
 
 def test_bounds_need_a_domain(engine):
@@ -993,9 +1000,152 @@ def test_bounds_need_a_domain(engine):
         engine.once("get_min(X, L)")
 
 
+@pytest.mark.parametrize("goal", ["get_min(foo, L)",
+                                  "get_var_bounds(foo, L, H)"])
+def test_bounds_of_a_non_number_are_a_type_error(engine, goal):
+    with pytest.raises(TypeError_):
+        engine.once(goal)
+
+
+def test_var_bounds_round_outward(first):
+    a = first("get_var_bounds(1_10, L, H)")
+    assert (a["L"], a["H"]) == (0.09999999999999999, 0.1)
+    for goal in ["Y :: 0.0..1.0, geq(1_3, Y), Y = 1_3",
+                 "X :: 0.0..1.0, geq(X, 1_10), X = 1_10",
+                 "X :: 0.0..1.0, set_var_bounds(X, 1_10, 1), X = 1_10"]:
+        assert first(goal) is not None, goal
+    # a bound too large for a float is compared exactly
+    b = first("X :: 0..10, set_var_bounds(X, 0, 10**400)")
+    assert format_domain(get_domain(b["X"])) == "{0..10}"
+    c = first("get_var_bounds(X, L, H)")
+    assert (c["L"], c["H"]) == (-math.inf, math.inf)
+
+
 def test_get_min_reports_rounded_continuous_bound(first):
     a = first("X :: 0.0..1.0, impose_min(X, 1_3), get_min(X, L)")
     assert a["L"] == hx("0x1.5555555555555p-2")
+
+
+# ----------------------------------------------------------------------
+# the bounds builtins against exact arithmetic
+
+def _solve(*goals):
+    """A new engine that has run the conjunction of the goal terms, or
+    None when it fails."""
+    eng = make_engine()
+    goal = goals[-1]
+    for g in reversed(goals[:-1]):
+        goal = Struct(",", [g, goal])
+    return eng if eng.run_goal_once(goal, eng.main) else None
+
+
+def _exact_term(q):
+    """A rational as the engine holds it: an int when integral."""
+    return int(q) if q.denominator == 1 else q
+
+
+def _random_number(rng, span):
+    """An int, float, rational or bounded real within about -span..span."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randint(-span, span)
+    if kind == 2:
+        den = rng.randint(2, 10 ** rng.randint(1, 6))
+        return _exact_term(Fraction(rng.randint(-span * den, span * den), den))
+    fspan = min(span, 1e300)
+    if kind == 1:
+        return rng.uniform(-fspan, fspan)
+    return Breal(*sorted(rng.uniform(-fspan, fspan) for _ in range(2)))
+
+
+def _random_domain(rng, x, span):
+    """A goal that gives x a random integral or continuous domain."""
+    if rng.random() < 0.5:
+        lo = rng.randint(-span, span)
+        hi = lo + rng.randint(1, span)
+    else:
+        lo = rng.uniform(-span, span)
+        hi = lo + rng.uniform(0.5, span)
+    return Struct("::", [x, Struct("..", [lo, hi])])
+
+
+def _nearest_floats(lo_f, hi_f, lo, hi):
+    """lo_f is the largest float at most lo and hi_f the smallest at least
+    hi (Python compares ints, Fractions and floats exactly)."""
+    assert type(lo_f) is float and type(hi_f) is float
+    assert lo_f <= lo and hi <= hi_f
+    assert math.nextafter(lo_f, math.inf) > lo
+    assert math.nextafter(hi_f, -math.inf) < hi
+
+
+def test_get_var_bounds_gives_the_nearest_enclosing_floats():
+    rng = Random(7741)
+    for _ in range(400):
+        lo_v, hi_v = Var(), Var()
+        if rng.random() < 0.6:
+            t = _random_number(rng, rng.choice([10, 10 ** 20, 10 ** 400]))
+            assert _solve(Struct("get_var_bounds", [t, lo_v, hi_v]))
+            lo, hi = (t.lo, t.hi) if type(t) is Breal else (t, t)
+        else:
+            t = Var()
+            post = _random_domain(rng, t, rng.choice([10, 10 ** 20]))
+            q = _exact_term(Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                                     rng.randint(1, 999)))
+            eng = _solve(post, Struct("impose_min", [t, q]),
+                         Struct("get_var_bounds", [t, lo_v, hi_v]))
+            if eng is None or type(deref(t)) is not Var:
+                continue
+            lo, hi = get_domain(t).lo, get_domain(t).hi
+        _nearest_floats(deref(lo_v), deref(hi_v), lo, hi)
+
+
+def test_set_var_bounds_narrows_as_impose_min_and_max():
+    rng = Random(5290)
+    for _ in range(300):
+        lo, hi = _random_number(rng, 12), _random_number(rng, 12)
+        seed = rng.random()
+        x, y = Var(), Var()
+        a = _solve(_random_domain(Random(seed), x, 10),
+                   Struct("set_var_bounds", [x, lo, hi]))
+        b = _solve(_random_domain(Random(seed), y, 10),
+                   Struct("impose_min", [y, lo.lo if type(lo) is Breal
+                                         else lo]),
+                   Struct("impose_max", [y, hi.hi if type(hi) is Breal
+                                         else hi]))
+        assert (a is None) == (b is None), (lo, hi)
+        if a is not None:
+            assert a.format_term(x) == b.format_term(y), (lo, hi)
+
+
+def _random_rational(rng, lo, hi):
+    den = rng.randint(1, 60)
+    return _exact_term(Fraction(rng.randint(math.ceil(lo * den),
+                                            math.floor(hi * den)), den))
+
+
+def test_geq_keeps_every_rational_solution():
+    """geq(X, C), geq(C, X) and geq(X, Y) over domains within 0..10 keep
+    every rational (integral domains: int) sample that satisfies them."""
+    rng = Random(3168)
+    for _ in range(120):
+        integral = rng.random() < 0.3
+        c = _random_rational(rng, -1, 11)
+        form = rng.randrange(3)
+        for _s in range(4):
+            xs = rng.randint(0, 10) if integral else _random_rational(rng, 0, 10)
+            if not integral and form < 2 and 0 <= c <= 10 \
+                    and rng.random() < 0.5:
+                xs = c  # the bound itself, which rounding must not cut
+            ys = rng.randint(0, 10) if integral else _random_rational(rng, 0, 10)
+            if not [xs >= c, c >= xs, xs >= ys][form]:
+                continue
+            x, y = Var(), Var()
+            dom = Struct("..", [0, 10] if integral else [0.0, 10.0])
+            args = [[x, c], [c, x], [x, y]][form]
+            got = _solve(Struct("::", [x, dom]), Struct("::", [y, dom]),
+                         Struct("geq", args), Struct("=", [x, xs]),
+                         Struct("=", [y, ys]))
+            assert got is not None, (args, xs, ys)
 
 
 # ----------------------------------------------------------------------
@@ -1166,7 +1316,7 @@ def test_woken_propagation_sound_against_enumeration():
                     assert _neq_forward_checked(con, xs), where
             if all(type(deref(x)) is not Var for x in xs):
                 assert pts != [], where
-                assert eng.delayed_goals() == [], where
+                assert eng.pending() == [], where
                 break
         for mark, text in reversed(marks):
             eng.store.drop_to(mark)
@@ -1193,7 +1343,7 @@ def _kernel_forward_check(eng, query, a, b, c, rng):
     goal, varmap = eng.parse_goal(query)
     assert eng.run_goal_once(goal, eng.main), query
     x, y = varmap["X"], varmap["Y"]
-    [s] = eng.delayed_goals()
+    [s] = eng.pending()
     assert s.run is ic._neq2
     (cb, bound, other), ca = rng.choice([((a, x, y), b), ((b, y, x), a)])
     before = _live_values(other)
@@ -1206,7 +1356,7 @@ def _kernel_forward_check(eng, query, a, b, c, rng):
     assert ok == bool(before - forced), where
     if ok:
         assert _live_values(other) == before - forced, where
-        assert eng.delayed_goals() == [], where
+        assert eng.pending() == [], where
     eng.store.drop_to(mark)
     assert _live_values(other) == before, where
 
@@ -1273,7 +1423,7 @@ def _kernel_alias_check(eng, query, ab, c):
     goal, varmap = eng.parse_goal(query)
     assert eng.run_goal_once(goal, eng.main), query
     x, y = varmap["X"], varmap["Y"]
-    [s] = eng.delayed_goals()
+    [s] = eng.pending()
     assert s.run is ic._neq2
     both = _live_values(x) & _live_values(y)
     if ab:
@@ -1299,12 +1449,12 @@ def _kernel_continuous(eng, a, b, c, ys, rng):
     val = rng.choice(ys)
     assert eng.store.unify(y, val) and eng.drain(), query
     assert format_domain(get_domain(x)) == "{0.0..4.0}", query
-    assert len(eng.delayed_goals()) == 1, query
+    assert len(eng.pending()) == 1, query
     rest = c + b * val
     forced = {-rest // a} if rest % a == 0 else set()
     assert impose_integrality(eng, x) and eng.drain(), query
     assert _live_values(x) == set(range(5)) - forced, query
-    assert eng.delayed_goals() == [], query
+    assert eng.pending() == [], query
 
 
 # ----------------------------------------------------------------------

@@ -403,7 +403,7 @@ def test_failing_demon_writes_are_undone_by_the_callers_mark(
     def snapshot(eng, args, module):
         snaps.append((
             [eng.format_term(v) for v in args],
-            [eng.format_goal(s) for s in eng.delayed_goals()],
+            [eng.format_goal(s) for s in eng.pending()],
             {sid: s.state for sid, s in eng.suspensions.items()}))
         taken_at.append(len(narrowings))
         return True
