@@ -8,21 +8,23 @@ narrowing events:
     w_min   lower bound raised          w_hole  interior value removed
     w_max   upper bound lowered         w_type  became integral
 
-One function, _update, writes a domain's bounds, holes and integrality;
-impose_min, impose_max, exclude_value, impose_integrality, X :: [...]
-and aliasing check their arguments, return early when nothing would
-change, and hand it the new bounds and holes.  It normalises them, fails
-on an empty domain, and instantiates the variable when one value is
-left, which wakes all four solver lists: anyone watching any aspect of
-the domain must get a chance to react to the strongest possible event.
-Otherwise it trails the slots that changed and wakes the lists of the
-events that happened (min and max when a bound moves, hole when a value
-strictly inside the new bounds goes, type when the domain becomes
-integral), then the constrained list of its suspend attribute.  Aliasing
-two domain variables intersects their domains and wakes each side's
-lists for the events its own domain saw; the younger variable's lists
-then join the survivor's.  A variable without a domain aliased to one
-leaves the survivor's domain as it is (payload None).
+One function, _update, writes a domain's bounds, holes and integrality.
+A demon run calls it with the domain it read; the entry points for
+callers that hold a term (impose_min, impose_max, exclude_value,
+impose_integrality), X :: [...] and aliasing find the domain, return
+early when nothing would change, and hand it the new bounds and holes.
+It normalises them, fails on an empty domain, and instantiates the
+variable when one value is left, which wakes all four solver lists:
+anyone watching any aspect of the domain must get a chance to react to
+the strongest possible event.  Otherwise it trails the slots that
+changed and wakes the lists of the events that happened (min and max
+when a bound moves, hole when a value strictly inside the new bounds
+goes, type when the domain becomes integral), then the constrained list
+of its suspend attribute.  Aliasing two domain variables intersects
+their domains and wakes each side's lists for the events its own domain
+saw; the younger variable's lists then join the survivor's.  A variable
+without a domain aliased to one leaves the survivor's domain as it is
+(payload None).
 
 Only integral domains have holes, and every hole lies strictly between
 lo and hi: a narrowing that would leave a hole at a bound moves the bound
@@ -54,15 +56,14 @@ list wakes on instantiation and on aliasing, and a disequality sums the
 coefficients of the variables that alias each other, so ``X #\\= Y, X =
 Y`` fails at once.  A run of the bounds propagator (=< and =) reads each
 variable's domain once, sums the terms' bounds, and then narrows each
-variable to the slack the other terms leave, calling impose_min /
-impose_max only where that bound tightens the domain.  A disequality
-over two variables with int coefficients and constant has its own run,
-which decides in constant time: once one side is bound, it excludes the
-other side's quotient from an integral domain if the division is exact,
-and dies either way.  ic_lin_con/3 posts such a constraint from its
-arguments.  alldifferent/1 is a forward-checking demon at priority 4 on
-the bound lists too, with its list as its payload; it fails when two of
-its variables alias.
+variable to the slack the other terms leave, writing that domain only
+where the bound tightens it.  A disequality over two variables with int
+coefficients and constant has its own run, which decides in constant
+time: once one side is bound, it excludes the other side's quotient from
+an integral domain if the division is exact, and dies either way.
+ic_lin_con/3 posts such a constraint from its arguments.  alldifferent/1
+is a forward-checking demon at priority 4 on the bound lists too, with
+its list as its payload; it fails when two of its variables alias.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ from .linear import exact_number, exact_quotient, normalize_relation
 from .susp import EXECUTED
 from .terms import (NIL, Atom, Breal, Struct, Var, deref, is_number,
                     list_parts, mk_list, proper_list)
+from .writer import float_text
 
 _INF = float("inf")
 
@@ -128,7 +130,7 @@ def _seg(a, b):
 
 
 def _bound_text(b):
-    return repr(b) if isinstance(b, float) else str(b)
+    return float_text(b) if isinstance(b, float) else str(b)
 
 
 # ----------------------------------------------------------------------
@@ -528,10 +530,9 @@ def _propagate_bounds(engine, s, module):
     One read of each domain: the summing loop derefs each pair, finds a
     variable's ic domain and keeps (c, x, domain, c*lo, c*hi); the
     narrowing loop bounds each variable by the slack the other terms leave
-    in those sums, as read at the start of the pass.  A bound is imposed
-    only where it tightens the domain (below hi for an upper bound, above
-    lo for a lower one): any other call of impose_max / impose_min would
-    change nothing."""
+    in those sums, as read at the start of the pass, and writes the
+    domain it kept through _update only where the bound tightens it
+    (below hi for an upper bound, above lo for a lower one)."""
     rel, const, pairs = s.payload
     eq = rel == "="
     info = []
@@ -597,18 +598,20 @@ def _propagate_bounds(engine, s, module):
             whole_n = whole and type(n) is int
             if c > 0:
                 b = n // c if whole_n else exact_quotient(n, c)
-                if b < d.hi and not impose_max(engine, v, b):
+                if b < d.hi and not _update(engine, v, d, d.lo, b, d.holes,
+                                            d.integral):
                     return False
             else:
                 b = -(-n // c) if whole_n else exact_quotient(n, c)
-                if b > d.lo and not impose_min(engine, v, b):
+                if b > d.lo and not _update(engine, v, d, b, d.hi, d.holes,
+                                            d.integral):
                     return False
         if not eq:
             continue
         # c*x >= -(const + the other terms' maximum).  If the narrowing
         # above bound x, it bound it to the bound of d it kept (lo for
-        # c > 0, hi for c < 0), so the test below still reads x's value,
-        # and impose_min / impose_max deref x themselves.
+        # c > 0, hi for c < 0), and d is unchanged: a bound that tightens
+        # d then excludes x's value, and fails without a write.
         if type(chi) is float:
             n = None if n_max_inf > 1 else -s_max
         else:
@@ -617,11 +620,13 @@ def _propagate_bounds(engine, s, module):
             whole_n = whole and type(n) is int
             if c > 0:
                 b = -(-n // c) if whole_n else exact_quotient(n, c)
-                if b > d.lo and not impose_min(engine, v, b):
+                if b > d.lo and (v.ref is not None or not _update(
+                        engine, v, d, b, d.hi, d.holes, d.integral)):
                     return False
             else:
                 b = n // c if whole_n else exact_quotient(n, c)
-                if b < d.hi and not impose_max(engine, v, b):
+                if b < d.hi and (v.ref is not None or not _update(
+                        engine, v, d, d.lo, b, d.holes, d.integral)):
                     return False
     return True
 
@@ -659,17 +664,31 @@ def _propagate_neq(engine, s, module):
     if len(free) == 1 and not uncertain:
         c, v = free[0]
         q = exact_quotient(-total, c)
-        d = get_attr(v, "ic")
+        d = v.attrs.get("ic")
         if d is None or not d.integral:
             # no hole can be punched in a continuous domain: wait for v's
             # value, failing now only when its domain is the point q
             lo, hi = exact_bounds(v)
             return lo != hi or lo != q
-        if not exclude_value(engine, v, q):
+        if not _exclude(engine, v, d, q):
             return False
         engine.kill_suspension(s)
         return True
     return True
+
+
+def _exclude(engine, v, d, q):
+    """v != q, for a demon run that read v's integral domain d: a v that
+    an earlier exclusion of the run bound is tested by its value."""
+    if v.ref is not None:
+        return v.ref != q
+    if type(q) is not int:
+        if q % 1:
+            return True
+        q = int(q)
+    if q < d.lo or q > d.hi or (d.holes and q in d.holes):
+        return True
+    return _update(engine, v, d, d.lo, d.hi, d.holes | {q}, True)
 
 
 def _neq2(engine, s, module):
@@ -763,10 +782,10 @@ def _alldiff_check(engine, items, s):
             return False
         seen.add(blo)
     for v in free.values():
-        d = get_domain(v)
+        d = v.attrs.get("ic")
         if d is not None and d.integral:
             for val in seen:
-                if not exclude_value(engine, v, val):
+                if not _exclude(engine, v, d, val):
                     return False
     if s is not None and len(free) <= 1:
         engine.kill_suspension(s)

@@ -29,6 +29,7 @@ bounded by memory.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -204,7 +205,7 @@ class Token:
         return "Token(%s, %r)" % (self.kind, self.val)
 
 
-_NUM = r"\d+\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d+"
+_NUM = r"\d+\.\d+(?:[eE][+-]?\d+|Inf)?|\d+[eE][+-]?\d+|\d+"
 # One alternation, the most frequent lexemes first.  Branches that share a
 # first character keep their order (a block comment before a symbol atom,
 # the numeric forms longest first); the last branch takes any other
@@ -215,7 +216,7 @@ _LEXEME_RE = re.compile(
     r"|[()\[\]{},|!;]"
     r"|[A-Z_][A-Za-z0-9_]*"
     r"|(?:" + _NUM + r")__-?(?:" + _NUM + r")"
-    r"|\d+\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+"
+    r"|\d+\.\d+(?:[eE][+-]?\d+|Inf)?|\d+[eE][+-]?\d+"
     r"|\d+_\d+|\d+"
     r"|%[^\n]*"
     r"|/\*.*?\*/"
@@ -288,13 +289,24 @@ def _number(lexeme, filename, line, col):
         return "int", int(lexeme)
     if "__" in lexeme:
         lo_txt, hi_txt = lexeme.split("__", 1)
-        return "breal", (float(lo_txt), float(hi_txt))
+        return "breal", (_float(lo_txt, filename, line, col),
+                         _float(hi_txt, filename, line, col))
     if "_" in lexeme:
         num_txt, den_txt = lexeme.split("_", 1)
         if int(den_txt) == 0:
             raise ReaderError("rational with zero denominator", filename, line, col)
         return "rat", Fraction(int(num_txt), int(den_txt))
-    return "float", float(lexeme)
+    return "float", _float(lexeme, filename, line, col)
+
+
+def _float(lexeme, filename, line, col):
+    """The value of a float lexeme; ``1.0Inf`` is infinity, as in ECLiPSe."""
+    if lexeme[-1] != "f":
+        return float(lexeme)
+    if lexeme != "1.0Inf":
+        raise ReaderError("an infinite float is written 1.0Inf", filename,
+                          line, col)
+    return math.inf
 
 
 def tokenize(text, filename=None):

@@ -59,8 +59,8 @@ def _finite_values(d):
     return range(int(d.lo), int(d.hi) + 1)
 
 
-def _require_finite(x):
-    d = get_domain(x)
+def _require_finite(d):
+    """d, the domain of a variable to label, if it is integral and finite."""
     if d is None or not d.integral or math.isinf(d.lo) or math.isinf(d.hi):
         raise DomainError("indomain: variable has no finite integer domain")
     return d
@@ -116,7 +116,7 @@ def _label(engine, items, dynamic, start, cont):
     if picked is None:
         return cont
     v, start = picked
-    values = iter(_finite_values(_require_finite(v)))
+    values = iter(_finite_values(_require_finite(v.attrs.get("ic"))))
     m = engine.store.push_choicepoint()  # after the pick: see `store`
     m.alt = partial(_next_value, engine, v, values,
                     partial(_label, engine, items, dynamic, start))

@@ -15,6 +15,7 @@ variables print as ``_`` when they occur once in the printed term and as
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -45,7 +46,11 @@ def _escape_string(s):
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _float_text(f):
+def float_text(f):
+    """A float as the reader reads it back: an infinity as ECLiPSe writes
+    it, ``1.0Inf`` or ``-1.0Inf``."""
+    if math.isinf(f):
+        return "1.0Inf" if f > 0 else "-1.0Inf"
     return repr(f)
 
 
@@ -125,11 +130,11 @@ class Writer:
         if isinstance(t, int):
             return str(t)
         if isinstance(t, float):
-            return _float_text(t)
+            return float_text(t)
         if isinstance(t, Fraction):
             return "%d_%d" % (t.numerator, t.denominator)
         if isinstance(t, Breal):
-            return "%s__%s" % (_float_text(t.lo), _float_text(t.hi))
+            return "%s__%s" % (float_text(t.lo), float_text(t.hi))
         if isinstance(t, str):
             if self.quoted:
                 return '"%s"' % _escape_string(t)

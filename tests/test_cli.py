@@ -95,6 +95,13 @@ def test_float_overflow_exits_2_with_one_line(capsys):
     assert (rc, out, err) == (2, "", "error: arithmetic: float overflow\n")
 
 
+def test_infinite_bounds_print_as_they_read(capsys):
+    rc, out, _ = run_main(capsys, "-g", "get_var_bounds(X, L, H)")
+    assert (rc, out) == (0, "L = -1.0Inf\nH = 1.0Inf\nyes\n")
+    rc, out, _ = run_main(capsys, "-g", "X is 1.0Inf, Y is -X")
+    assert (rc, out) == (0, "X = 1.0Inf\nY = -1.0Inf\nyes\n")
+
+
 def _lower_recursion_limit(headroom):
     """Leave only ``headroom`` frames above the current depth."""
     limit = 1

@@ -36,7 +36,7 @@ def test_format_domain_texts():
     assert format_domain(Domain(1, 5, integral=True)) == "{1..5}"
     assert format_domain(Domain(3, 3, integral=True)) == "{3..3}"
     assert format_domain(Domain(0.5, 2.5)) == "{0.5..2.5}"
-    assert format_domain(Domain(-math.inf, math.inf)) == "{-inf..inf}"
+    assert format_domain(Domain(-math.inf, math.inf)) == "{-1.0Inf..1.0Inf}"
     # holes split an integer domain into segments
     assert (format_domain(Domain(1, 10, integral=True, holes=frozenset({4})))
             == "{[1..3, 5..10]}")
@@ -1625,8 +1625,8 @@ def _domain_state(x):
 
 
 def test_every_narrowing_of_the_bounds_pass_tightens_or_fails(monkeypatch):
-    """Over the benchmark's linear programs, every impose_min / impose_max
-    call that _propagate_bounds makes changes the domain or fails."""
+    """Over the benchmark's linear programs, every write (`ic._update`)
+    that _propagate_bounds makes changes the domain or fails."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import workloads
@@ -1634,6 +1634,7 @@ def test_every_narrowing_of_the_bounds_pass_tightens_or_fails(monkeypatch):
         sys.path.remove(str(ROOT / "perfbench"))
     in_pass = [0]
     calls = []
+    update = ic._update
 
     def passing(fn):
         def wrapper(*args):
@@ -1644,26 +1645,23 @@ def test_every_narrowing_of_the_bounds_pass_tightens_or_fails(monkeypatch):
                 in_pass[0] -= 1
         return wrapper
 
-    def narrowing(fn):
-        def wrapper(engine, x, b):
-            if not in_pass[0]:
-                return fn(engine, x, b)
-            before = _domain_state(x)
-            ok = fn(engine, x, b)
-            calls.append((fn.__name__, before, b, ok, _domain_state(x)))
-            return ok
-        return wrapper
+    def narrowing(engine, x, *args):
+        if not in_pass[0]:
+            return update(engine, x, *args)
+        before = _domain_state(x)
+        ok = update(engine, x, *args)
+        calls.append((before, args[1:3], ok, _domain_state(x)))
+        return ok
 
     monkeypatch.setattr(ic, "_propagate_bounds",
                         passing(ic._propagate_bounds))
-    monkeypatch.setattr(ic, "impose_min", narrowing(ic.impose_min))
-    monkeypatch.setattr(ic, "impose_max", narrowing(ic.impose_max))
+    monkeypatch.setattr(ic, "_update", narrowing)
     engine = make_engine()
     engine.load(workloads.LINEAR_PROGRAM)
     assert engine.once("coins(40, C)")["C"] == 31
     assert engine.once("send_more(L)") is not None
     assert len(calls) > 50
-    idle = [c for c in calls if c[3] and c[1] == c[4]]
+    idle = [c for c in calls if c[2] and c[0] == c[3]]
     assert idle == []
 
 
@@ -1671,31 +1669,29 @@ def test_a_pass_that_binds_a_variable_narrows_it_no_further(monkeypatch):
     """A narrowing can bind a variable that the same pass reads again:
     3*X + Y #= 6 reads X in 1..5 and Y in 1..2 (or 1..3); its =< side
     lowers X's maximum to 1, which binds X, and its = side then needs
-    X >= 2 (or X >= 1), which fails (or holds without a call).  After
+    X >= 2 (or X >= 1), which fails (or holds) without a write.  After
     X = Y, X + Y + 3*Z #= 11 holds two pairs over X; the first binds it
     and the second is left alone."""
-    on_bound = []
+    writes = []
+    update = ic._update
 
-    def recording(fn):
-        def wrapper(engine, x, b):
-            bound = deref(x)
-            ok = fn(engine, x, b)
-            if type(bound) is not Var:
-                on_bound.append((fn.__name__, bound, b, ok))
-            return ok
-        return wrapper
+    def recording(engine, x, *args):
+        free = type(deref(x)) is Var
+        ok = update(engine, x, *args)
+        writes.append((free, ok, deref(x)))
+        return ok
 
-    monkeypatch.setattr(ic, "impose_min", recording(ic.impose_min))
-    monkeypatch.setattr(ic, "impose_max", recording(ic.impose_max))
+    monkeypatch.setattr(ic, "_update", recording)
     assert make_engine().once("X :: 1..5, Y :: 1..2, 3*X + Y #= 6") is None
-    assert on_bound == [("impose_min", 1, 2, False)]
-    del on_bound[:]
+    # the pass's last write bound X to 1; none wrote to it once bound
+    assert writes[-1] == (True, True, 1)
+    assert all(free for free, _, _ in writes)
     a = make_engine().once("X :: 1..5, Y :: 1..3, 3*X + Y #= 6")
     assert (a["X"], a["Y"], a.delayed) == (1, 3, [])
     a = make_engine().once("X :: 2..5, Y :: 3..4, Z :: 1..6, "
                            "X + Y + 3*Z #= 11, X = Y")
     assert (a["X"], a["Y"], a["Z"], a.delayed) == (4, 4, 1, [])
-    assert on_bound == []
+    assert all(free for free, _, _ in writes)
 
 
 # ----------------------------------------------------------------------
@@ -1849,3 +1845,66 @@ def test_a_single_value_left_binds_whatever_the_write():
         init_attr(x, "ic", d)
         assert ic._update(e, x, d, d.lo, d.hi, frozenset(holes), True)
         assert deref(x) == 3
+
+
+# ----------------------------------------------------------------------
+# demons write through ic._update with the domain they read
+
+def test_demon_runs_narrow_without_the_term_entry_points(monkeypatch):
+    """While the benchmark's linear and queens programs run, no woken or
+    posted demon run calls impose_min, impose_max or exclude_value: each
+    narrows through `ic._update`, with the domain it already read."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    in_run = [0]
+    entered = Counter()
+
+    def running(fn):
+        def wrapper(*args):
+            in_run[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                in_run[0] -= 1
+        return wrapper
+
+    def entry(fn):
+        def wrapper(*args):
+            if in_run[0]:
+                entered[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("_propagate_bounds", "_propagate_neq", "_neq2",
+                 "_alldiff_check"):
+        monkeypatch.setattr(ic, name, running(getattr(ic, name)))
+    for name in ("impose_min", "impose_max", "exclude_value"):
+        monkeypatch.setattr(ic, name, entry(getattr(ic, name)))
+    engine = make_engine()
+    engine.load(workloads.LINEAR_PROGRAM + workloads.QUEENS_PROGRAM)
+    assert engine.once("coins(40, C)")["C"] == 31
+    assert engine.once("magic(C)")["C"] == 8
+    assert engine.once("send_more(L)") is not None
+    assert engine.once("count_queens(6, first_fail, C)")["C"] == 4
+    assert entered == Counter()
+
+
+@pytest.mark.parametrize("query, var, text", [
+    ("X :: 1..3, alldifferent([X, 1, 2, 3])", None, None),
+    ("X :: 1..4, alldifferent([X, Y, Z]), Y = 2.0, Z = 3", "X", "_{[1, 4]}"),
+    ("X :: 1..3, alldifferent([X, Y]), Y = 1_2", "X", "_{1..3}"),
+    ("X :: 0..5, Y :: 0..5, Z :: 0..5, X + Y + Z #\\= 7, Y = 1, Z = 2",
+     "X", "_{[0..3, 5]}"),
+    # the quotient 5/2 is not integral: nothing to exclude
+    ("X :: 0..5, Y :: 0..5, Z :: 0..5, 2*X + Y + Z #\\= 8, Y = 1, Z = 2",
+     "X", "_{0..5}"),
+])
+def test_demon_exclusions(first, fmt, query, var, text):
+    a = first(query)
+    if var is None:
+        assert a is None
+    else:
+        assert fmt(a[var]) == text

@@ -11,8 +11,10 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from clpkernel import make_engine
-from clpkernel.errors import EngineError
+from clpkernel.errors import EngineError, ReaderError
 from clpkernel.reader import _STANDARD, parse_term, standard_ops, tokenize
 from clpkernel.terms import Atom, Breal, Struct, Var, is_variant, mk_list
 from clpkernel.writer import write_term
@@ -109,12 +111,14 @@ def random_leaf(rng, variables):
         return rng.randint(-1000, 1000)
     if kind == 1:
         return rng.choice([-1.0, 1.0]) * rng.choice([0.5, 3.25, 1e-05,
-                                                     123456.789, 2.5e20])
+                                                     123456.789, 2.5e20,
+                                                     math.inf])
     if kind == 2:
         return Fraction(rng.randint(-50, 50), rng.randint(2, 9))
     if kind == 3:
         lo = rng.uniform(-10, 10)
-        return Breal(lo, lo + rng.choice([0.0, 0.125, 3.5]))
+        hi = lo + rng.choice([0.0, 0.125, 3.5])
+        return Breal(rng.choice([lo, -math.inf]), rng.choice([hi, math.inf]))
     if kind == 4:
         return Atom(rng.choice(ATOMS))
     if kind == 5:
@@ -152,7 +156,19 @@ def test_random_terms_read_back_as_written():
 
 
 def test_the_round_trip_keeps_float_and_breal_values():
-    for x in (-0.5, 1e-05, 2.5e20, -123456.789, math.pi):
+    for x in (-0.5, 1e-05, 2.5e20, -123456.789, math.pi, math.inf,
+              -math.inf):
         assert parse_term(write_term(x, quoted=True))[0] == x
-    b = parse_term(write_term(Breal(-1.5, -0.25), quoted=True))[0]
-    assert (b.lo, b.hi) == (-1.5, -0.25)
+    for lo, hi in ((-1.5, -0.25), (-math.inf, 2.0), (-math.inf, math.inf)):
+        b = parse_term(write_term(Breal(lo, hi), quoted=True))[0]
+        assert (b.lo, b.hi) == (lo, hi)
+
+
+def test_infinite_floats_read_as_eclipse_writes_them():
+    assert write_term(-math.inf) == "-1.0Inf"
+    assert parse_term("-1.0Inf")[0] == -math.inf
+    assert parse_term("1.0Inf")[0] == math.inf
+    # one lexeme: no variable Inf follows the float
+    assert parse_term("f(1.0Inf)")[1] == {}
+    with pytest.raises(ReaderError):
+        parse_term("2.0Inf")

@@ -1116,6 +1116,12 @@ def test_inference_counts_the_benchmark_relies_on(monkeypatch):
                          ("\\+ \\+ nrev(%s, R)" % xs, 68)]:
         assert _count_inferences(monkeypatch, workloads.CORE_PROGRAM,
                                  query) == count, query
+    # the seed-1 pools, each query counted once up to its first answer
+    for name, total in [("core", 81754), ("queens", 85706),
+                        ("linear", 27623), ("wide", 242)]:
+        w = workloads.WORKLOADS[name]
+        assert sum(_count_inferences(monkeypatch, w.program, q.goal)
+                   for q in w.make_pool(Random(1))) == total, name
 
 
 def test_recursion_depth_floor():
