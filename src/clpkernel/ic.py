@@ -277,25 +277,31 @@ def impose_max(engine, x, b):
 def exclude_value(engine, x, v):
     """x != v for an exact value v; integral domains only."""
     x = deref(x)
-    d = x.attrs.get("ic") if type(v) is int and type(x) is Var else None
-    if d is None or not d.integral:
-        # the general case: anything but an int against an integral domain
-        if is_number(x):
-            lo, hi = exact_bounds(x)
-            if lo == hi:
-                return lo != v
-            # an uncertain ground value against != stays undecided; be safe
-            return True
-        d = ensure_domain(engine, x)
-        if not d.integral:
-            raise TypeError_(
-                "exclude: variable does not have an integer domain")
-        if v % 1:  # not an integer, or inf: no integral domain holds it
-            return True
-        v = int(v)
-    if v < d.lo or v > d.hi or (d.holes and v in d.holes):
+    if is_number(x):
+        lo, hi = exact_bounds(x)
+        if lo == hi:
+            return lo != v
+        # an uncertain ground value against != stays undecided; be safe
         return True
-    return _update(engine, x, d, d.lo, d.hi, d.holes | {v}, True)
+    d = ensure_domain(engine, x)
+    if not d.integral:
+        raise TypeError_("exclude: variable does not have an integer domain")
+    return _exclude(engine, x, d, v)
+
+
+def _exclude(engine, v, d, q):
+    """v != q, for a caller that read v's integral domain d: a demon run
+    or ``exclude_value``.  A v that an earlier exclusion of the run bound
+    is tested by its value."""
+    if v.ref is not None:
+        return v.ref != q
+    if type(q) is not int:
+        if q % 1:  # not an integer, or inf: no integral domain holds it
+            return True
+        q = int(q)
+    if q < d.lo or q > d.hi or (d.holes and q in d.holes):
+        return True
+    return _update(engine, v, d, d.lo, d.hi, d.holes | {q}, True)
 
 
 def impose_integrality(engine, x):
@@ -675,20 +681,6 @@ def _propagate_neq(engine, s, module):
         engine.kill_suspension(s)
         return True
     return True
-
-
-def _exclude(engine, v, d, q):
-    """v != q, for a demon run that read v's integral domain d: a v that
-    an earlier exclusion of the run bound is tested by its value."""
-    if v.ref is not None:
-        return v.ref != q
-    if type(q) is not int:
-        if q % 1:
-            return True
-        q = int(q)
-    if q < d.lo or q > d.hi or (d.holes and q in d.holes):
-        return True
-    return _update(engine, v, d, d.lo, d.hi, d.holes | {q}, True)
 
 
 def _neq2(engine, s, module):

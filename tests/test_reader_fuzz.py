@@ -106,23 +106,26 @@ STRINGS = ["", "text", 'say "hi"', "back\\slash", "two\nlines"]
 
 
 def random_leaf(rng, variables):
-    kind = rng.randrange(8)
+    kind = rng.randrange(9)
     if kind == 0:
         return rng.randint(-1000, 1000)
     if kind == 1:
         return rng.choice([-1.0, 1.0]) * rng.choice([0.5, 3.25, 1e-05,
-                                                     123456.789, 2.5e20,
-                                                     math.inf])
+                                                     123456.789, 2.5e20])
     if kind == 2:
         return Fraction(rng.randint(-50, 50), rng.randint(2, 9))
     if kind == 3:
         lo = rng.uniform(-10, 10)
-        hi = lo + rng.choice([0.0, 0.125, 3.5])
-        return Breal(rng.choice([lo, -math.inf]), rng.choice([hi, math.inf]))
+        return Breal(lo, lo + rng.choice([0.0, 0.125, 3.5]))
     if kind == 4:
         return Atom(rng.choice(ATOMS))
     if kind == 5:
         return rng.choice(STRINGS)
+    if kind == 6:
+        # an infinite float, alone or as an end of a bounded real
+        x = rng.uniform(-10, 10)
+        return rng.choice([math.inf, -math.inf, Breal(-math.inf, x),
+                           Breal(x, math.inf), Breal(-math.inf, math.inf)])
     return rng.choice(variables)
 
 
