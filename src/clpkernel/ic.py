@@ -8,31 +8,34 @@ narrowing events:
     w_min   lower bound raised          w_hole  interior value removed
     w_max   upper bound lowered         w_type  became integral
 
-One function, _update, writes a domain's bounds, holes and integrality.
-A demon run calls it with the domain it read; the entry points for
-callers that hold a term (impose_min, impose_max, exclude_value,
-impose_integrality), X :: [...] and aliasing find the domain, return
-early when nothing would change, and hand it the new bounds and holes.
-It normalises them, fails on an empty domain, and instantiates the
-variable when one value is left, which wakes all four solver lists:
-anyone watching any aspect of the domain must get a chance to react to
-the strongest possible event.  Otherwise it trails the slots that
-changed and wakes the lists of the events that happened (min and max
-when a bound moves, hole when a value strictly inside the new bounds
-goes, type when the domain becomes integral), then the constrained list
-of its suspend attribute.  Aliasing two domain variables intersects
-their domains and wakes each side's lists for the events its own domain
-saw; the younger variable's lists then join the survivor's.  A variable
-without a domain aliased to one leaves the survivor's domain as it is
-(payload None).
+One function, _update, writes a domain's bounds, holes and integrality;
+a demon run calls it with the domain it read.  Every caller that holds a
+term goes through narrow (X :: ..., impose_min/max, impose_integrality,
+set_var_bounds/3, #= posts): it tests a number, hands a domain to
+_update once and only when something would change, and gives a variable
+without a domain one whose slots carry the current trail segment's stamp
+(store.py), so attaching it is its only trail entry.  exclude_value
+punches its hole through _exclude, and aliasing intersects through
+_update.  _update normalises the bounds and holes, fails on an empty
+domain, and instantiates the variable when one value is left, which
+wakes all four solver lists: anyone watching any aspect of the domain
+must get a chance to react to the strongest possible event.  Otherwise
+it trails the slots that changed and wakes the lists of the events that
+happened (min and max when a bound moves, hole when a value strictly
+inside the new bounds goes, type when the domain becomes integral), then
+the constrained list of its suspend attribute.  Aliasing two domain
+variables intersects their domains and wakes each side's lists for the
+events its own domain saw; the younger variable's lists then join the
+survivor's.  A variable without a domain aliased to one leaves the
+survivor's domain as it is (payload None).
 
 Only integral domains have holes, and every hole lies strictly between
 lo and hi: a narrowing that would leave a hole at a bound moves the bound
 past it instead, which is a bound event, not a hole event.  No operation
 enumerates lo..hi: printing walks the sorted holes, and labeling
 (search.py) filters them out lazily.  Posting an enumerated domain
-X :: [...] walks its span once, but every value it passes there is
-listed or becomes a hole.
+X :: [...] walks the span it leaves once, and every value it passes
+there is listed or becomes a hole.
 
 Domain bounds are stored exactly for integral domains (Python ints) and
 as outward-rounded floats for continuous ones.  All constraint arithmetic
@@ -247,31 +250,56 @@ def _update(engine, x, d, lo, hi, holes, integral, joined=None):
     return True
 
 
-def impose_min(engine, x, b):
-    """x >= b (b exact).  True unless the domain empties."""
-    x = deref(x)
-    if is_number(x):
-        lo, hi = exact_bounds(x)
-        return hi >= b
-    if isinstance(b, float) and math.isinf(b):
-        return b < 0
-    d = ensure_domain(engine, x)
-    if b <= d.lo:
+def narrow(engine, x, lo=-_INF, hi=_INF, integral=False, keep=None):
+    """Narrow the term x to lo..hi (exact), to the integers when integral,
+    and to the ints of the set keep (within lo..hi) when given.  True
+    unless x's values empty."""
+    while type(x) is Var and x.ref is not None:  # deref(x) inline
+        x = x.ref
+    if type(x) is not Var:
+        xlo, xhi = exact_bounds(x)
+        if xhi < lo or xlo > hi:
+            return False
+        # an interval one wide holds an int: ceil and floor see finite ends
+        if integral and not (xlo % 1 == 0 if xlo == xhi else xhi - xlo >= 1
+                             or math.ceil(xlo) <= math.floor(xhi)):
+            return False
+        return keep is None or xlo != xhi or xlo in keep
+    if lo == _INF or hi == -_INF:
+        return False  # a domain holds no infinity
+    d = x.attrs.get("ic")
+    if d is None:
+        # undoing this segment detaches it: its slots need no trail entry
+        d = Domain()
+        d._stamps = dict.fromkeys(("lo", "hi", "holes", "integral"),
+                                  engine.store.current_stamp())
+        add_attr(engine.store, x, "ic", d)
+    if lo <= d.lo:
+        lo = d.lo
+    if hi >= d.hi:
+        hi = d.hi
+    holes = d.holes
+    if keep is not None:
+        holes = holes.union(v for v in range(math.ceil(lo), math.floor(hi) + 1)
+                            if v not in keep)
+    integral = integral or d.integral
+    if (lo is d.lo and hi is d.hi and integral is d.integral
+            and len(holes) == len(d.holes)):
         return True
-    return _update(engine, x, d, b, d.hi, d.holes, d.integral)
+    return _update(engine, x, d, lo, hi, holes, integral)
+
+
+def impose_min(engine, x, b):
+    """x >= b (b exact).  True unless x's values empty."""
+    return narrow(engine, x, lo=b)
 
 
 def impose_max(engine, x, b):
-    x = deref(x)
-    if is_number(x):
-        lo, hi = exact_bounds(x)
-        return lo <= b
-    if isinstance(b, float) and math.isinf(b):
-        return b > 0
-    d = ensure_domain(engine, x)
-    if b >= d.hi:
-        return True
-    return _update(engine, x, d, d.lo, b, d.holes, d.integral)
+    return narrow(engine, x, hi=b)
+
+
+def impose_integrality(engine, x):
+    return narrow(engine, x, integral=True)
 
 
 def exclude_value(engine, x, v):
@@ -302,22 +330,6 @@ def _exclude(engine, v, d, q):
     if q < d.lo or q > d.hi or (d.holes and q in d.holes):
         return True
     return _update(engine, v, d, d.lo, d.hi, d.holes | {q}, True)
-
-
-def impose_integrality(engine, x):
-    x = deref(x)
-    if is_number(x):
-        if type(x) is int:
-            return True
-        if type(x) is Fraction:
-            return x.denominator == 1
-        if type(x) is float:
-            return x.is_integer()
-        return math.ceil(x.lo) <= math.floor(x.hi)  # breal: may contain an int
-    d = ensure_domain(engine, x)
-    if d.integral:
-        return True
-    return _update(engine, x, d, d.lo, d.hi, d.holes, True)
 
 
 # ----------------------------------------------------------------------
@@ -390,7 +402,7 @@ def _bound(n, c, integral, up):
     integral.  Two ints over an integral domain divide in int, rounded
     toward the inside of the domain (up: the ceiling, for a lower bound;
     else the floor); anything else gives the exact quotient, which
-    impose_min / impose_max round themselves."""
+    _update rounds."""
     if integral and type(n) is int and type(c) is int:
         return -(-n // c) if up else n // c
     return exact_quotient(n, c)
@@ -461,8 +473,8 @@ def _post_lin_con(engine, module, rel, const, pairs, goal=None):
             return impose_max(engine, v, bound) if c > 0 else \
                 impose_min(engine, v, bound)
         if rel == "=":
-            return impose_min(engine, v, _bound(-const, c, integral, up=True)) \
-                and impose_max(engine, v, _bound(-const, c, integral, up=False))
+            return narrow(engine, v, _bound(-const, c, integral, up=True),
+                          _bound(-const, c, integral, up=False))
         if integral:
             return exclude_value(engine, v, exact_quotient(-const, c))
     if rel != "\\=":
@@ -804,38 +816,13 @@ def _domain_targets(t):
 
 
 def bi_domain(engine, args, module):
-    spec = deref(args[1])
-    targets = _domain_targets(args[0])
-    integral, lo, hi, values = _parse_domain_spec(spec)
-    for x in targets:
-        x = deref(x)
+    integral, lo, hi, keep = _parse_domain_spec(deref(args[1]))
+    for x in _domain_targets(args[0]):
         if not (type(x) is Var or is_number(x)):
             raise TypeError_(":: applies to variables and numbers")
-        if integral and not impose_integrality(engine, x):
-            return False
-        if not impose_min(engine, x, lo):
-            return False
-        if not impose_max(engine, x, hi):
-            return False
-        if values is not None and not _keep_only(engine, x, values):
+        if not narrow(engine, x, lo, hi, integral, keep):
             return False
     return True
-
-
-def _keep_only(engine, x, values):
-    """Remove from x's integral domain every value not in the sorted list
-    values, whose span already bounds the domain, in one update."""
-    x = deref(x)
-    present = set(values)
-    if type(x) is not Var:
-        lo, hi = exact_bounds(x)
-        return lo != hi or lo in present
-    d = get_domain(x)
-    holes = d.holes.union(v for v in range(d.lo, d.hi + 1)
-                          if v not in present)
-    if len(holes) == len(d.holes):
-        return True
-    return _update(engine, x, d, d.lo, d.hi, holes, True)
 
 
 def _parse_domain_spec(spec):
@@ -848,10 +835,10 @@ def _parse_domain_spec(spec):
         return integral, lo, hi, None
     items = proper_list(spec)
     if items is not None and items:
-        values = sorted(deref(eval_arith(i)) for i in items)
+        values = [deref(eval_arith(i)) for i in items]
         if not all(isinstance(v, int) for v in values):
             raise TypeError_(":: enumerated domains must be integers")
-        return True, values[0], values[-1], values
+        return True, min(values), max(values), frozenset(values)
     raise DomainError(":: domain must be Lo..Hi or a list of integers")
 
 
@@ -899,10 +886,8 @@ def install(engine):
     def rel_builtin(relname):
         def fn(engine_, args, module):
             rel, const, pairs = normalize_relation(relname, args[0], args[1])
-            for _, v in pairs:  # normalize_relation dereferenced them
-                d = v.attrs.get("ic")
-                if (d is None or not d.integral) and \
-                        not impose_integrality(engine_, v):
+            for _, v in pairs:
+                if not narrow(engine_, v, integral=True):
                     return False
             return _post_lin_con(engine_, module, rel, const, pairs)
         return fn
@@ -945,7 +930,7 @@ def install(engine):
             return lo <= xlo and xhi <= hi
         if x.attrs.get("ic") is None:
             raise UnsupportedError("set_var_bounds: variable has no domain")
-        return impose_min(engine_, x, lo) and impose_max(engine_, x, hi)
+        return narrow(engine_, x, lo, hi)
 
     def bi_impose_min(engine_, args, module):
         return impose_min(engine_, args[0], _exact(eval_arith(args[1])))

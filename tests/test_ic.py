@@ -18,7 +18,8 @@ from clpkernel.ic import (Domain, ensure_domain, exclude_value, format_domain,
                           impose_min)
 from clpkernel.linear import normalize_relation
 from clpkernel.susp import EXECUTED, SCHEDULED, SUSPENDED
-from clpkernel.terms import Atom, Breal, Struct, Var, deref, mk_list
+from clpkernel.terms import (Atom, Breal, Struct, Var, deref, mk_list,
+                             proper_list)
 
 from brute import feasible_points
 
@@ -237,6 +238,14 @@ def _model_step(m, op, arg):
         return _Model.of_ints(m.ints & set(arg))
     if op == "integral":
         return _Model.of_ints(m.ints)
+    if op == "range":
+        lo, hi = arg
+        if type(lo) is int and type(hi) is int:
+            m = _Model.of_ints(m.ints)
+        m = _model_step(m, "min", lo)
+        return m and _model_step(m, "max", hi)
+    if op == "fresh":
+        return m
     # aliasing with another model
     if not (m.integral or arg.integral):
         return _Model.real(max(m.lo, arg.lo), min(m.hi, arg.hi))
@@ -292,7 +301,9 @@ def _texts(xs):
 
 
 def _random_bound(rng, integral):
-    """An int, or a half as a Fraction or a float."""
+    """An int, a half as a Fraction or a float, or an infinity."""
+    if rng.random() < 0.1:
+        return rng.choice((-math.inf, math.inf))
     b = Fraction(rng.randint(-2, 26), 2)
     if integral and rng.random() < 0.5:
         return int(b)
@@ -309,10 +320,15 @@ def _post_model(eng, rng, v):
         return _Model.real(lo, hi)
     lo = rng.randint(0, 6)
     values = set(range(lo, lo + rng.randint(2, 8)))
+    inside = sorted(values)[1:-1]
+    holes = rng.sample(inside, rng.randint(0, min(2, len(inside))))
+    if rng.random() < 0.3:  # one post of the list on the fresh variable
+        values.difference_update(holes)
+        assert ic.bi_domain(eng, [v, mk_list(sorted(values))], eng.main)
+        return _Model.of_ints(values)
     assert impose_integrality(eng, v)
     assert impose_min(eng, v, lo) and impose_max(eng, v, max(values))
-    inside = sorted(values)[1:-1]
-    for w in rng.sample(inside, rng.randint(0, min(2, len(inside)))):
+    for w in holes:
         values.discard(w)
         assert exclude_value(eng, v, w)
     return _Model.of_ints(values)
@@ -320,7 +336,9 @@ def _post_model(eng, rng, v):
 
 def test_every_domain_change_matches_a_model_of_its_values():
     """Random sequences of impose_min, impose_max, exclude_value, X :: [...],
-    impose_integrality and aliasing over small domains.  After each step
+    X :: Lo..Hi, impose_integrality and aliasing over small domains, with
+    infinite bounds among the bounds, and aliasing with variables that
+    have no domain, older and younger than x.  After each step
     the domain holds the model's values in its normal form, and probes on
     ic:min, ic:max, ic:hole and ic:type fire exactly for the events the
     model saw.  Backtracking over the steps restores every domain text."""
@@ -337,10 +355,11 @@ def test_every_domain_change_matches_a_model_of_its_values():
 
         eng.add_builtin(eng.main, "probe", 1, probe).demon = True
         # the older variable survives aliasing: spares on both sides of x
-        older = [Var(), Var()]
+        older = [Var(), Var(), Var()]
         x = Var()
-        spares = older + [Var(), Var()]
-        every = [x] + spares
+        spares = older[:2] + [Var(), Var()]
+        fresh = [older[2], Var()]
+        every = [x] + spares + fresh
         m = _post_model(eng, rng, x)
         d = get_domain(x)
         for event, slot in lists.items():
@@ -350,11 +369,13 @@ def test_every_domain_change_matches_a_model_of_its_values():
         where = ["trial %d" % trial]
         for _step in range(rng.randint(1, 8)):
             marks.append((eng.store.push_choicepoint(), _texts(every)))
-            ops = ["min", "max", "list", "integral"]
+            ops = ["min", "max", "list", "integral", "range"]
             if m.integral:
                 ops.append("exclude")
             if spares:
                 ops.append("alias")
+            if fresh:
+                ops.append("fresh")
             op = rng.choice(ops)
             if op == "min":
                 arg = _random_bound(rng, m.integral)
@@ -371,6 +392,13 @@ def test_every_domain_change_matches_a_model_of_its_values():
             elif op == "integral":
                 arg = None
                 ok = impose_integrality(eng, x)
+            elif op == "range":
+                arg = (_random_bound(rng, rng.random() < 0.5),
+                       _random_bound(rng, rng.random() < 0.5))
+                ok = ic.bi_domain(eng, [x, Struct("..", list(arg))], eng.main)
+            elif op == "fresh":
+                arg = None
+                ok = eng.store.unify(x, fresh.pop(rng.randrange(len(fresh))))
             else:
                 y = spares.pop(rng.randrange(len(spares)))
                 arg = _post_model(eng, rng, y)
@@ -425,21 +453,62 @@ def test_domain_posting_over_lists_and_arrays(engine, first):
 
 def test_enumerated_domain_updates_holes_once(engine, monkeypatch):
     calls = Counter()
-    for name in ("exclude_value", "impose_min", "impose_max"):
-        def counted(*args, _fn=getattr(ic, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(ic, name, counted)
+
+    def counted(*args, _fn=ic._update):
+        calls["_update"] += 1
+        return _fn(*args)
+    monkeypatch.setattr(ic, "_update", counted)
     store = engine.store
     store.push_choicepoint()
     x = Var()
     trail_before = len(store.trail)
     assert ic.bi_domain(engine, [x, mk_list([1, 20000])], engine.main)
     # one holes update, not one exclusion per missing value
-    assert len(store.trail) - trail_before <= 8
-    assert sum(calls.values()) <= 4
+    assert len(store.trail) - trail_before == 1
+    assert calls["_update"] == 1
     assert format_domain(get_domain(x)) == "{[1, 20000]}"
     assert len(get_domain(x).holes) == 19998
+
+
+@pytest.mark.parametrize("goal, text", [
+    ("length(L, 20000), L :: 0..1000000", "_{0..1000000}"),
+    ("length(L, 20000), L :: [1, 5, 9]", "_{[1, 5, 9]}")])
+def test_a_fresh_domain_costs_one_trail_entry(engine, goal, text):
+    """A variable without a domain gets one born with its bounds, type and
+    holes: attaching it is the variable's only trail entry."""
+    goal, names = engine.parse_goal(goal)
+    sols = engine.solutions(goal)
+    next(sols)
+    assert len(engine.store.trail) <= 20002
+    items = proper_list(names["L"])
+    assert len(items) == 20000
+    assert {engine.format_term(v) for v in items} == {text}
+    sols.close()
+
+
+def test_infinite_bounds_make_a_domain(first, fmt):
+    a = first("X :: -1.0Inf..1.0Inf")
+    assert fmt(a["X"]) == "_{-1.0Inf..1.0Inf}"
+    b = first("impose_min(X, -1.0Inf), get_bounds(X, L, H)")
+    assert (b["L"], b["H"]) == (-math.inf, math.inf)
+    c = first("impose_max(X, 1.0Inf), X :: -1.0Inf..5")
+    assert fmt(c["X"]) == "_{-1.0Inf..5.0}"
+    assert first("impose_min(X, 1.0Inf)") is None
+    assert first("impose_max(X, -1.0Inf)") is None
+
+
+@pytest.mark.parametrize("goal, wakes", [
+    ("X :: 1..5", True), ("impose_integrality(X)", True),
+    ("X :: [2, 4]", True), ("impose_max(X, 3)", True),
+    ("X :: -1.0Inf..1.0Inf", False), ("impose_min(X, -1.0Inf)", False)])
+def test_a_fresh_domain_wakes_the_constrained_list(engine, goal, wakes):
+    """A variable's first domain wakes its constrained list exactly when
+    the domain says more than -1.0Inf..1.0Inf."""
+    calls = []
+    engine.add_builtin(engine.main, "probe", 0,
+                       lambda e, args, module: calls.append(1) or True)
+    assert engine.once("suspend(probe, 3, X -> constrained), " + goal)
+    assert bool(calls) == wakes
 
 
 def test_enumerated_domain_within_a_narrower_one(ask, first, fmt):
