@@ -20,6 +20,13 @@ largest finite float below / infinity above, which keeps containment.
 
 Comparisons involving overlapping (non-point) Breals have no definite
 answer and raise UncertaintyError.
+
+A float result that is undefined (NaN, as of ``1.0Inf - 1.0Inf``) raises
+ArithmeticError_, as division by zero and float overflow do, so no
+variable is ever bound to NaN.  An integer or rational power ``^`` /
+``**`` whose result would have more than MAX_INT_BITS bits (2**22, about
+1.3 million decimal digits) raises RangeError before it is computed:
+``b * (bit_length(a) - 1)`` bounds the size of ``a ** b`` from below.
 """
 
 from __future__ import annotations
@@ -31,9 +38,12 @@ from fractions import Fraction
 from .errors import (ArithmeticError_, DomainError, InstantiationError,
                      RangeError, TypeError_, UncertaintyError)
 from .terms import (_NUM_RANK, Atom, Breal, Struct, Var, _cmp_scalar, deref,
-                    proper_list)
+                    proper_list, show)
 
 _MAXF = sys.float_info.max
+
+#: the most bits the result of an exact power may have
+MAX_INT_BITS = 1 << 22
 
 
 def float_down(x):
@@ -77,6 +87,8 @@ def _exact_bounds(b):
 
 
 def _outward(lo, hi):
+    if lo != lo or hi != hi:  # an infinity less itself
+        raise ArithmeticError_("arithmetic: undefined")
     return Breal(float_down(lo), float_up(hi))
 
 
@@ -160,7 +172,7 @@ def breal_abs(x):
 def breal_pow(x, n):
     """x ** n for integer n (the only exponent form supported on Breals)."""
     if not isinstance(n, int):
-        raise TypeError_("breal ** requires an integer exponent, got %r" % (n,))
+        raise TypeError_("breal ** requires an integer exponent, got %s" % show(n))
     if n == 0:
         return Breal(1.0, 1.0)
     if n < 0:
@@ -196,11 +208,13 @@ def _coerce_pair(a, b):
 
 
 def _finite(r, a, b):
-    """The result r of a float operation on a and b, or an overflow error
-    when finite operands gave an infinity."""
-    if (type(r) is float and math.isinf(r) and math.isfinite(a)
-            and math.isfinite(b)):
-        raise ArithmeticError_("arithmetic: float overflow")
+    """The result r of a float operation on a and b, or an error when it
+    is undefined (NaN) or an infinity from finite operands (overflow)."""
+    if type(r) is float and not math.isfinite(r):
+        if r != r:
+            raise ArithmeticError_("arithmetic: undefined")
+        if math.isfinite(a) and math.isfinite(b):
+            raise ArithmeticError_("arithmetic: float overflow")
     return r
 
 
@@ -261,6 +275,11 @@ def num_pow(a, b):
                 raise TypeError_("breal ** requires an integer exponent")
         return breal_pow(to_breal(a), b)
     if type(b) is int:
+        if type(a) is not float:  # an int or a rational grows with b
+            k = max(abs(a.numerator), a.denominator).bit_length()
+            if k > 1 and (k - 1) * abs(b) >= MAX_INT_BITS:
+                raise RangeError("arithmetic: a power of more than %d bits"
+                                 % MAX_INT_BITS)
         if type(a) is int:
             if b >= 0:
                 return a ** b
@@ -278,7 +297,7 @@ def num_pow(a, b):
 
 def num_intdiv(a, b):
     if type(a) is not int or type(b) is not int:
-        raise TypeError_("// requires integers, got %r and %r" % (a, b))
+        raise TypeError_("// requires integers, got %s and %s" % (show(a), show(b)))
     if b == 0:
         raise ArithmeticError_("division by zero")
     q = abs(a) // abs(b)
@@ -287,7 +306,7 @@ def num_intdiv(a, b):
 
 def num_mod(a, b):
     if type(a) is not int or type(b) is not int:
-        raise TypeError_("mod requires integers, got %r and %r" % (a, b))
+        raise TypeError_("mod requires integers, got %s and %s" % (show(a), show(b)))
     if b == 0:
         raise ArithmeticError_("division by zero")
     return a % b
@@ -330,9 +349,9 @@ def dim_create(dims):
         raise DomainError("dim: empty dimension list")
     for d in dims:
         if not isinstance(d, int) or isinstance(d, bool):
-            raise TypeError_("dim: dimensions must be integers, got %r" % (d,))
+            raise TypeError_("dim: dimensions must be integers, got %s" % show(d))
         if d < 1:
-            raise DomainError("dim: dimensions must be >= 1, got %d" % d)
+            raise DomainError("dim: dimensions must be >= 1, got %s" % show(d))
 
     def build(ds):
         n, rest = ds[0], ds[1:]
@@ -348,7 +367,7 @@ def array_dims(t):
     of one common arity."""
     t = deref(t)
     if type(t) is not Struct or t.name != "[]":
-        raise TypeError_("dim: not an array: %r" % (t,))
+        raise TypeError_("dim: not an array: %s" % show(t))
     dims = []
     while type(t) is Struct and t.name == "[]":
         dims.append(len(t.args))
@@ -371,14 +390,14 @@ def subscript_get(array, indices):
         if type(ix) is Var:
             raise InstantiationError("subscript: unbound index")
         if not isinstance(ix, int) or isinstance(ix, bool):
-            raise TypeError_("subscript: index must be an integer: %r" % (ix,))
+            raise TypeError_("subscript: index must be an integer: %s" % show(ix))
         if type(t) is Var:
             raise InstantiationError("subscript: unbound array")
         if type(t) is not Struct:
-            raise TypeError_("subscript: not a compound term: %r" % (t,))
+            raise TypeError_("subscript: not a compound term: %s" % show(t))
         if not 1 <= ix <= len(t.args):
-            raise RangeError("subscript: index %d out of range for %s/%d"
-                             % (ix, t.name, len(t.args)))
+            raise RangeError("subscript: index %s out of range for %s/%d"
+                             % (show(ix), t.name, len(t.args)))
         t = deref(t.args[ix - 1])
     return t
 
@@ -460,7 +479,7 @@ def eval_arith(t):
             elif ty is Atom:
                 raise TypeError_("arithmetic: not a number: %s" % t.name)
             else:
-                raise TypeError_("arithmetic: not an expression: %r" % (t,))
+                raise TypeError_("arithmetic: not an expression: %s" % show(t))
         return values[0]
     except OverflowError:
         raise ArithmeticError_("arithmetic: float overflow") from None

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import InstantiationError, RegistrationError
-from .terms import Var, deref
+from .terms import Var, deref, show
 
 
 @dataclass
@@ -83,7 +83,7 @@ def add_attr(store, var, name, payload):
     trailed: the mapping is replaced, so the trail keeps the old one."""
     var = deref(var)
     if type(var) is not Var:
-        raise InstantiationError("add_attr: not an unbound variable: %r" % (var,))
+        raise InstantiationError("add_attr: not an unbound variable: %s" % show(var))
     store.set_slot(var, "attrs", {**var.attrs, name: payload})
     return var
 

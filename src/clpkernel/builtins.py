@@ -22,7 +22,8 @@ from .errors import (DomainError, ExistenceError, FlounderingError, Halt,
 from .susp import Suspension
 from .terms import (TRUE, Atom, Breal, Struct, Var, arg_at,
                     compare_terms, copy_term, deref, is_callable_term,
-                    is_number, mk_list, proper_list, term_vars, terms_equal)
+                    is_number, mk_list, proper_list, show, term_vars,
+                    terms_equal)
 
 
 # ----------------------------------------------------------------------
@@ -98,7 +99,7 @@ def bi_qualified(engine, args, module):
             out = Struct(",", [Struct(":", [m, goal]), out])
         return out, module
     if not isinstance(mt, Atom):
-        raise TypeError_("qualified call: module must be an atom: %r" % (mt,))
+        raise TypeError_("qualified call: module must be an atom: %s" % show(mt))
     target = engine.modules.get(mt.name)
     if target is None:
         raise ExistenceError("module %s does not exist" % mt.name)
@@ -203,7 +204,7 @@ def bi_functor(engine, args, module):
     if not isinstance(a, int) or isinstance(a, bool):
         raise TypeError_("functor: arity must be an integer")
     if a < 0:
-        raise RangeError("functor: negative arity %d" % a)
+        raise RangeError("functor: negative arity %s" % show(a))
     if a == 0:
         return engine.store.unify(t, f)
     if type(f) is not Atom:

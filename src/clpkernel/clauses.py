@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from .errors import InternalError
 from .reader import read_terms
-from .terms import TRUE, Atom, Breal, Struct, Var, deref, flatten_conj
+from .terms import (TRUE, Atom, Breal, Struct, Var, deref, flatten_conj,
+                    show)
 
 
 class Clause:
@@ -662,7 +663,7 @@ def read_prelude(text):
             if (type(d) is not Struct
                     or (d.name, len(d.args)) not in _DECLARATIONS):
                 raise InternalError("a prelude directive must be a "
-                                    "declaration, not a goal: %r" % (d,))
+                                    "declaration, not a goal: %s" % show(d))
             steps.append(d)
             continue
         head, body = (t.args if type(t) is Struct and t.name == ":-"

@@ -52,7 +52,7 @@ from fractions import Fraction
 
 from .errors import ExpansionError
 from .terms import (NIL, TRUE, Atom, Struct, Var, deref, flatten_conj,
-                    proper_list, term_vars, var_counts)
+                    proper_list, show, term_vars, var_counts)
 
 log = logging.getLogger("clpkernel")
 
@@ -87,12 +87,12 @@ def parse_struct_decl(term):
     """Validate a declaration like struct(emp(name, age))."""
     t = deref(term)
     if not (isinstance(t, Struct) and t.arity >= 1):
-        raise ExpansionError("struct declaration needs at least one field: %r" % (t,))
+        raise ExpansionError("struct declaration needs at least one field: %s" % show(t))
     fields = []
     for a in t.args:
         a = deref(a)
         if not isinstance(a, Atom):
-            raise ExpansionError("struct field names must be atoms: %r" % (a,))
+            raise ExpansionError("struct field names must be atoms: %s" % show(a))
         if a.name in fields:
             raise ExpansionError("duplicate struct field %r" % a.name)
         fields.append(a.name)
@@ -105,8 +105,8 @@ def _field_values(module, name, fields, what):
     position.  ``what`` names the construct in error messages."""
     name = deref(name)
     if not isinstance(name, Atom):
-        raise ExpansionError("%s: struct name must be an atom: %r"
-                             % (what, name))
+        raise ExpansionError("%s: struct name must be an atom: %s"
+                             % (what, show(name)))
     decl = module.lookup_struct(name.name)
     if decl is None:
         raise ExpansionError("unknown structure %r" % name.name)
@@ -118,11 +118,11 @@ def _field_values(module, name, fields, what):
         item = deref(item)
         if not (isinstance(item, Struct) and item.name == ":" and item.arity == 2):
             raise ExpansionError("%s: struct field must be written "
-                                 "name:Value: %r" % (what, item))
+                                 "name:Value: %s" % (what, show(item)))
         field = deref(item.args[0])
         if not isinstance(field, Atom):
-            raise ExpansionError("%s: struct field name must be an atom: %r"
-                                 % (what, field))
+            raise ExpansionError("%s: struct field name must be an atom: %s"
+                                 % (what, show(field)))
         i = decl.index(field.name)
         if i is None:
             raise ExpansionError("structure %r has no field %r"
@@ -311,9 +311,9 @@ def _iter_plan(it, strict=True):
                 for v in a:
                     if not isinstance(deref(v), Var):
                         raise ExpansionError("param arguments must be "
-                                             "variables: %r" % (deref(v),))
+                                             "variables: %s" % show(deref(v)))
             return [], [(v, v, v, None) for v in a], []
-    raise ExpansionError("unknown iteration specifier: %r" % (it,))
+    raise ExpansionError("unknown iteration specifier: %s" % show(it))
 
 
 def expand_do(ctx, t):

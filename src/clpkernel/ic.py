@@ -82,8 +82,8 @@ from .errors import (DomainError, InstantiationError, TypeError_,
                      UncertaintyError, UnsupportedError)
 from .linear import exact_number, exact_quotient, normalize_relation
 from .susp import EXECUTED
-from .terms import (NIL, Atom, Breal, Struct, Var, deref, is_number,
-                    list_parts, mk_list, proper_list)
+from .terms import (NIL, Atom, Breal, Struct, Var, deref, int_text,
+                    is_number, list_parts, mk_list, proper_list, show)
 from .writer import float_text
 
 _INF = float("inf")
@@ -129,11 +129,11 @@ def format_domain(d):
 
 
 def _seg(a, b):
-    return str(a) if a == b else "%d..%d" % (a, b)
+    return int_text(a) if a == b else int_text(a) + ".." + int_text(b)
 
 
 def _bound_text(b):
-    return float_text(b) if isinstance(b, float) else str(b)
+    return float_text(b) if isinstance(b, float) else int_text(b)
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +174,7 @@ def exact_bounds(t):
         return q, q
     if ty is Breal:
         return exact_float(t.lo), exact_float(t.hi)
-    raise TypeError_("not a numeric term: %r" % (t,))
+    raise TypeError_("not a numeric term: %s" % show(t))
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +434,7 @@ def _lin_number(t):
     t = deref(t)
     if type(t) not in (int, Fraction, float):
         _lin_error(t, "a number")
-    if not math.isfinite(t):
+    if type(t) is float and not math.isfinite(t):
         _lin_error(t, "a number", DomainError)
     return exact_number(t)
 
@@ -445,7 +445,7 @@ def _lin_error(t, what, atom_error=TypeError_):
     if type(t) is Var:
         raise InstantiationError("ic_lin_con: %s is unbound" % what)
     raise (atom_error if type(t) is Atom else TypeError_)(
-        "ic_lin_con: not %s: %r" % (what, t))
+        "ic_lin_con: not %s: %s" % (what, show(t)))
 
 
 def bi_ic_lin_con(engine, args, module):
@@ -857,7 +857,7 @@ def _get_bounds(x):
         return x, x
     if ty is Breal:
         return x.lo, x.hi
-    raise TypeError_("not a numeric term: %r" % (x,))
+    raise TypeError_("not a numeric term: %s" % show(x))
 
 
 def _exact(v):

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .arith import eval_arith, subscript_get
 from .errors import DomainError, TypeError_, UnsupportedError
-from .terms import Breal, Struct, Var, deref, proper_list
+from .terms import Breal, Struct, Var, deref, proper_list, show
 
 
 def int_if_integral(q):
@@ -96,7 +96,7 @@ def normalize_relation(relname, lhs, rhs):
             k, first_vars = first
             if first_vars:
                 if side:
-                    raise UnsupportedError("nonlinear term: %r" % (node,))
+                    raise UnsupportedError("nonlinear term: %s" % show(node))
                 k, side_const, side = side_const, k, first_vars
             k *= m
             const += k * side_const
@@ -163,7 +163,7 @@ def normalize_relation(relname, lhs, rhs):
             raise UnsupportedError("bounded reals cannot appear in exact "
                                    "linear constraints")
         else:
-            raise TypeError_("not usable in a linear constraint: %r" % (t,))
+            raise TypeError_("not usable in a linear constraint: %s" % show(t))
     return (rel, int_if_integral(const),
             [(c if type(c) is int else int_if_integral(c), v)
              for v, c in coeffs.items() if c != 0])

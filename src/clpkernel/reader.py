@@ -34,7 +34,7 @@ import re
 from fractions import Fraction
 
 from .errors import ReaderError
-from .terms import NIL, Atom, Breal, Struct, Var, mk_list
+from .terms import NIL, Atom, Breal, Struct, Var, int_value, mk_list
 
 # ----------------------------------------------------------------------
 # operator tables
@@ -286,16 +286,17 @@ def _unescape(body, quote, filename, line, col):
 def _number(lexeme, filename, line, col):
     """(kind, value) of a numeric lexeme."""
     if lexeme.isdigit():
-        return "int", int(lexeme)
+        return "int", int_value(lexeme)
     if "__" in lexeme:
         lo_txt, hi_txt = lexeme.split("__", 1)
         return "breal", (_float(lo_txt, filename, line, col),
                          _float(hi_txt, filename, line, col))
     if "_" in lexeme:
         num_txt, den_txt = lexeme.split("_", 1)
-        if int(den_txt) == 0:
+        den = int_value(den_txt)
+        if den == 0:
             raise ReaderError("rational with zero denominator", filename, line, col)
-        return "rat", Fraction(int(num_txt), int(den_txt))
+        return "rat", Fraction(int_value(num_txt), den)
     return "float", _float(lexeme, filename, line, col)
 
 

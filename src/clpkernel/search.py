@@ -25,7 +25,7 @@ from .builtins import all_solutions
 from .clauses import read_prelude
 from .errors import DomainError, TypeError_
 from .ic import get_domain
-from .terms import Atom, Var, deref, proper_list
+from .terms import Atom, Var, deref, proper_list, show
 
 
 def _size(lo, hi, holes):
@@ -61,14 +61,14 @@ def _finite_values(d):
 
 def _require_finite(d):
     """d, the domain of a variable to label, if it is integral and finite."""
-    if d is None or not d.integral or math.isinf(d.lo) or math.isinf(d.hi):
+    if d is None or not d.integral or d.lo == -math.inf or d.hi == math.inf:
         raise DomainError("indomain: variable has no finite integer domain")
     return d
 
 
 def _dom_size(x):
     d = get_domain(x)
-    if d is None or math.isinf(d.lo) or math.isinf(d.hi):
+    if d is None or d.lo == -math.inf or d.hi == math.inf:
         return math.inf
     return _size(int(d.lo), int(d.hi), d.holes)
 
@@ -141,7 +141,7 @@ def bi_indomain(engine, args, module):
     if type(x) is not Var:
         if isinstance(x, int):
             return True
-        raise TypeError_("indomain: not an integer variable: %r" % (x,))
+        raise TypeError_("indomain: not an integer variable: %s" % show(x))
     return partial(_label, engine, [x], False, 0), module
 
 

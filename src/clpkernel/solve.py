@@ -110,7 +110,7 @@ from .store import Store
 from .susp import (EXECUTED, MAIN_PRIORITY, SCHEDULED, SUSPENDED, Scheduler,
                    Suspension)
 from .terms import (Atom, Struct, Var, copy_term, deref, flatten_conj,
-                    is_callable_term, proper_list)
+                    is_callable_term, proper_list, show)
 from . import attvar, builtins, ic, search
 from .writer import write_term
 
@@ -712,7 +712,7 @@ class Engine:
     def _op_directive(self, module, args, exported):
         prio = deref(args[0])
         if not isinstance(prio, int):
-            raise TypeError_("operator priority must be an integer: %r" % (prio,))
+            raise TypeError_("operator priority must be an integer: %s" % show(prio))
         typ = _atom_name(args[1], "operator type")
         names = deref(args[2])
         for it in proper_list(names) or [names]:
@@ -787,7 +787,7 @@ def _atom_name(t, what):
     t = deref(t)
     if isinstance(t, Atom):
         return t.name
-    raise TypeError_("%s must be an atom: %r" % (what, t))
+    raise TypeError_("%s must be an atom: %s" % (what, show(t)))
 
 
 def _conj_items(t):
@@ -801,7 +801,7 @@ def _pred_indicator(t):
             and isinstance(deref(t.args[0]), Atom)
             and isinstance(deref(t.args[1]), int)):
         return deref(t.args[0]).name, deref(t.args[1])
-    raise TypeError_("expected a Name/Arity predicate indicator: %r" % (t,))
+    raise TypeError_("expected a Name/Arity predicate indicator: %s" % show(t))
 
 
 def _position_error(e, filename, line):

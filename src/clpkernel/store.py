@@ -54,7 +54,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InternalError, RangeError, TypeError_
-from .terms import Atom, Breal, Struct, Var, deref, serials
+from .terms import Atom, Breal, Struct, Var, deref, serials, show
 
 
 class Mark:
@@ -194,12 +194,12 @@ class Store:
         """setarg/3: destructively update argument i (1-based), trailed."""
         struct = deref(struct)
         if type(struct) is not Struct:
-            raise TypeError_("setarg: not a compound term: %r" % (struct,))
+            raise TypeError_("setarg: not a compound term: %s" % show(struct))
         if not isinstance(i, int) or isinstance(i, bool):
-            raise TypeError_("setarg: index must be an integer: %r" % (i,))
+            raise TypeError_("setarg: index must be an integer: %s" % show(i))
         if not 1 <= i <= len(struct.args):
-            raise RangeError("setarg: index %d out of range for %s/%d"
-                             % (i, struct.name, len(struct.args)))
+            raise RangeError("setarg: index %s out of range for %s/%d"
+                             % (show(i), struct.name, len(struct.args)))
         self.trail_value(struct, i - 1, struct.args[i - 1])
         struct.args[i - 1] = new
 

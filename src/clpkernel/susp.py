@@ -53,6 +53,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import DomainError
+from .terms import show
 
 SUSPENDED = "suspended"
 SCHEDULED = "scheduled"
@@ -78,8 +79,8 @@ class Suspension:
 
     def __init__(self, sid, goal, priority, module, demon=False, run=None):
         if not isinstance(priority, int) or not 1 <= priority <= NUM_PRIORITIES:
-            raise DomainError("suspension priority must be in 1..%d, got %r"
-                              % (NUM_PRIORITIES, priority))
+            raise DomainError("suspension priority must be in 1..%d, got %s"
+                              % (NUM_PRIORITIES, show(priority)))
         self.sid = sid
         self.goal = goal
         self.priority = priority

@@ -107,7 +107,7 @@ class Struct:
         return len(self.args)
 
     def __repr__(self):
-        """Functional notation, every argument by its ``repr``.  Compound
+        """Functional notation, every argument by its `show`.  Compound
         arguments are expanded from an explicit stack of pending text and
         terms, so the depth of a term is bounded by memory, not by
         Python's recursion limit."""
@@ -123,7 +123,7 @@ class Struct:
             args = t.args
             for i in range(len(args) - 1, -1, -1):
                 a = args[i]
-                todo.append(a if type(a) is Struct else repr(a))
+                todo.append(a if type(a) is Struct else show(a))
                 if i:
                     todo.append(", ")
         return "".join(out)
@@ -180,11 +180,12 @@ def arg_at(i, t):
     from .errors import RangeError, TypeError_
     t = deref(t)
     if type(t) is not Struct:
-        raise TypeError_("arg: not a compound term: %r" % (t,))
+        raise TypeError_("arg: not a compound term: %s" % show(t))
     if not isinstance(i, int) or isinstance(i, bool):
-        raise TypeError_("arg: index must be an integer: %r" % (i,))
+        raise TypeError_("arg: index must be an integer: %s" % show(i))
     if not 1 <= i <= len(t.args):
-        raise RangeError("arg: index %d out of range for %s/%d" % (i, t.name, len(t.args)))
+        raise RangeError("arg: index %s out of range for %s/%d" % (show(i), t.name,
+                                                           len(t.args)))
     return t.args[i - 1]
 
 
@@ -414,3 +415,64 @@ def is_variant(a, b):
         elif compare_terms(x, y) != 0:
             return False
     return True
+
+
+# ----------------------------------------------------------------------
+# integers as decimal text, of any length
+
+#: digits per str() or int() call: under the least limit CPython allows
+#: for its own conversions (640; ``sys.get_int_max_str_digits()``)
+_CHUNK = 256
+
+
+def int_text(n):
+    """The decimal text of the int n.  Past _CHUNK digits n is split at
+    powers of ten, divide and conquer, and never converted whole."""
+    if n < 0:
+        return "-" + int_text(-n)
+    pows = [10 ** _CHUNK]
+    if n < pows[0]:
+        return str(n)
+    while pows[-1] <= n:
+        pows.append(pows[-1] * pows[-1])
+    return _digits(n, pows, len(pows) - 2).lstrip("0")
+
+
+def _digits(n, pows, i):
+    """The digits of n < pows[i] ** 2, zero-padded to _CHUNK * 2 ** (i + 1);
+    pows[i] is 10 ** (_CHUNK * 2 ** i)."""
+    if i < 0:
+        return str(n).zfill(_CHUNK)
+    hi, lo = divmod(n, pows[i])
+    return _digits(hi, pows, i - 1) + _digits(lo, pows, i - 1)
+
+
+def int_value(digits):
+    """The int of a string of decimal digits, split as int_text splits."""
+    pows = [(_CHUNK, 10 ** _CHUNK)]
+    while 2 * pows[-1][0] < len(digits):
+        k, p = pows[-1]
+        pows.append((2 * k, p * p))
+    return _value(digits, pows, len(pows) - 1)
+
+
+def _value(digits, pows, i):
+    """The int of digits, at most 2 * k long for (k, 10 ** k) = pows[i]."""
+    if len(digits) <= _CHUNK:
+        return int(digits)
+    k, p = pows[i]
+    if len(digits) <= k:
+        return _value(digits, pows, i - 1)
+    return (_value(digits[:-k], pows, i - 1) * p
+            + _value(digits[-k:], pows, i - 1))
+
+
+def show(t):
+    """repr(t) for an error message, with ints and rationals of any length
+    in decimal."""
+    if type(t) is int:
+        return int_text(t)
+    if type(t) is Fraction:
+        return "Fraction(%s, %s)" % (int_text(t.numerator),
+                                     int_text(t.denominator))
+    return repr(t)

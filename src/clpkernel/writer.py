@@ -19,7 +19,8 @@ import math
 import re
 from fractions import Fraction
 
-from .terms import Atom, Breal, Struct, Var, deref, list_parts, var_counts
+from .terms import (Atom, Breal, Struct, Var, deref, int_text, list_parts,
+                    var_counts)
 
 _ALPHA_ATOM = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 _SYM_ATOM = re.compile(r"[+\-*/\\^<>=~:.?@#&$]+\Z")
@@ -128,11 +129,11 @@ class Writer:
         if isinstance(t, bool):
             return "true" if t else "fail"
         if isinstance(t, int):
-            return str(t)
+            return int_text(t)
         if isinstance(t, float):
             return float_text(t)
         if isinstance(t, Fraction):
-            return "%d_%d" % (t.numerator, t.denominator)
+            return "%s_%s" % (int_text(t.numerator), int_text(t.denominator))
         if isinstance(t, Breal):
             return "%s__%s" % (float_text(t.lo), float_text(t.hi))
         if isinstance(t, str):

@@ -16,8 +16,8 @@ from clpkernel.arith import (breal_add, breal_div, breal_from_exact, breal_mul,
                              float_down, float_up, num_add, num_div,
                              num_intdiv, num_mod, num_mul, num_pow, num_sub,
                              to_breal)
-from clpkernel.errors import (ArithmeticError_, InstantiationError, TypeError_,
-                              UncertaintyError)
+from clpkernel.errors import (ArithmeticError_, InstantiationError,
+                              RangeError, TypeError_, UncertaintyError)
 from clpkernel.reader import parse_term
 from clpkernel.terms import Breal, Struct, Var
 
@@ -292,7 +292,33 @@ def test_infinite_operands_are_not_an_overflow():
     assert num_add(math.inf, 1.0) == math.inf
     assert num_mul(-math.inf, 2.0) == -math.inf
     assert num_div(math.inf, 0.5) == math.inf
-    assert math.isnan(num_sub(math.inf, math.inf))
+    with pytest.raises(ArithmeticError_, match="undefined"):
+        num_sub(math.inf, math.inf)
+
+
+@pytest.mark.parametrize("goal", [
+    "X is 1.0Inf - 1.0Inf", "X is 1.0Inf * 0", "X is 0.0 * 1.0Inf",
+    "X is 1.0Inf / 1.0Inf", "X is -1.0Inf + 1.0Inf",
+    "X is 1.0Inf__1.0Inf - 1.0Inf__1.0Inf"])
+def test_an_undefined_float_result_is_an_evaluation_error(engine, goal):
+    with pytest.raises(ArithmeticError_, match="arithmetic: undefined"):
+        engine.once(goal)
+
+
+@pytest.mark.parametrize("goal", [
+    "X is 10 ^ (10 ^ 10)", "X is 2 ** (2 ** 22)", "X is 3 ^ -(2 ** 22)",
+    "X is 1_3 ^ (2 ** 22)"])
+def test_an_exact_power_past_the_size_bound_is_refused(engine, goal):
+    with pytest.raises(RangeError, match="power of more than 4194304 bits"):
+        engine.once(goal)
+
+
+def test_exact_powers_under_the_size_bound_answer(first):
+    assert first("X is 2 ** (2 ** 22 - 1), Y is X mod 1000")["Y"] == pow(
+        2, 2 ** 22 - 1, 1000)
+    for goal, value in [("X is 1 ^ (10 ^ 10)", 1), ("X is 0 ^ (10 ^ 10)", 0),
+                        ("X is (-1) ^ (10 ^ 10 + 1)", -1)]:
+        assert first(goal)["X"] == value
 
 
 def test_is_and_comparisons(ask, first):

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,20 @@ def test_a_builtin_that_raises_exits_2_with_one_line(capsys):
 def test_float_overflow_exits_2_with_one_line(capsys):
     rc, out, err = run_main(capsys, "-g", "X is 2.0 ** 10000")
     assert (rc, out, err) == (2, "", "error: arithmetic: float overflow\n")
+
+
+@pytest.mark.parametrize("goal, rc, out, err", [
+    ("X is 10^5000", 0, "X = 1%s\nyes\n" % ("0" * 5000), ""),
+    ("X = %s" % ("7" * 5001), 0, "X = %s\nyes\n" % ("7" * 5001), ""),
+    ("X is 1.0Inf - 1.0Inf", 2, "", "error: arithmetic: undefined\n"),
+    ("X is 10^(10^10)", 2, "",
+     "error: arithmetic: a power of more than 4194304 bits\n"),
+    ("X :: -1.0Inf..1.0Inf", 0, "X = _{-1.0Inf..1.0Inf}\nyes\n", "")])
+def test_numbers_at_their_limits_end_in_an_answer_or_one_line(
+        capsys, goal, rc, out, err):
+    t0 = time.process_time()
+    assert run_main(capsys, "-g", goal) == (rc, out, err)
+    assert time.process_time() - t0 < 1
 
 
 def test_infinite_bounds_print_as_they_read(capsys):

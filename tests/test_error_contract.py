@@ -19,7 +19,12 @@ from clpkernel import make_engine
 from clpkernel.errors import EngineError
 from clpkernel.susp import MAIN_PRIORITY
 
-#: argument texts: atoms, ints, a 20-digit int, floats, rationals, a
+#: a positive int of more digits than CPython converts to and from text
+#: by default (4300)
+BIG = "9" * 5001
+
+#: argument texts: atoms, ints, a 20-digit int, ints past 4300 digits,
+#: floats, the infinities, rationals, a
 #: string, unbound, constrained (C) and suspended (S) variables, partial
 #: and proper lists, compounds, and terms that get past the first checks
 #: of some builtins (a relation, a linear list, a domain, a labeling
@@ -28,7 +33,8 @@ from clpkernel.susp import MAIN_PRIORITY
 #: compound holds those, so no call can bind a variable to a term that
 #: contains it (printing such a cyclic answer would not terminate).
 POOL = ["a", "[]", "'hello world'", "0", "3", "-7", "12345678901234567890",
-        "2.5", "-0.0", "1.0e10", "1_3", "-2_5", '"abc"', "X{}", "Y{}", "C",
+        BIG, "-" + BIG, "2.5", "-0.0", "1.0e10", "1.0Inf", "-1.0Inf", "1_3",
+        "-2_5", '"abc"', "X{}", "Y{}", "C",
         "S", "[a|T{}]", "[1, 2]", "[X{}, 3]", "f(X{}, b)", "1 + Y{}",
         "g(Y{}, [Z{}])", "'=<'", "[2*X{}, -1*Y{}]", "0..9", "first_fail",
         "X{} -> inst"]
@@ -49,6 +55,9 @@ EXCLUDED = {
 #: reason
 EXCLUDED_ARGS = {
     ("functor", 3, 2, "12345678901234567890"):
+        "builds a term with that many arguments: no answer in bounded "
+        "memory",
+    ("functor", 3, 2, BIG):
         "builds a term with that many arguments: no answer in bounded "
         "memory",
 }
@@ -151,6 +160,7 @@ def test_every_builtin_is_called():
 
 
 def test_builtins_answer_fail_or_raise_an_engine_error():
+    """Each answer is also formatted: printing it must not raise either."""
     rng = Random(20261019)
     broken = []
     outcomes = {"answered": 0, "failed": 0, "raised": 0}
@@ -164,6 +174,9 @@ def test_builtins_answer_fail_or_raise_an_engine_error():
             query = PREFIX + random_goal(rng, name, arity)
             try:
                 got = engine.ask(query, limit=2)
+                for answer in got:
+                    for value in answer.bindings.values():
+                        engine.format_term(value)
             except EngineError:
                 outcomes["raised"] += 1
             except Exception as e:  # the breach this test is for

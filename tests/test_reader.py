@@ -1,6 +1,12 @@
 """Tokenizer and parser: literals, operators, and the syntax extensions."""
 
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -30,6 +36,67 @@ def test_numeric_literals():
     assert kinds("1e3") == [("float", 1000.0)]
     assert kinds("3_4") == [("rat", Fraction(3, 4))]
     assert kinds("0.99__1.01") == [("breal", (0.99, 1.01))]
+
+
+def _horner(digits):
+    """The int of a digit string, 200 digits per int() call: a reference
+    that never needs more than CPython's least conversion limit (640)."""
+    value = 0
+    for i in range(0, len(digits), 200):
+        chunk = digits[i:i + 200]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def long_int_round_trip(seed=20261020):
+    """Integers of 1 to 20,000 digits, both signs, as integers and as the
+    parts of a rational: each reads to the reference value, prints to its
+    own text and reads back."""
+    rng = Random(seed)
+    sizes = [1, 255, 256, 257, 512, 513, 640, 641, 4300, 4301, 20000]
+    sizes += [rng.randint(1, 20000) for _ in range(30)]
+    for n in sizes:
+        digits = str(rng.randint(1, 9)) + "".join(
+            rng.choice("0123456789") for _ in range(n - 1))
+        value = _horner(digits)
+        for text, want in [(digits, value), ("-" + digits, -value)]:
+            got = pt(text)
+            assert type(got) is int and got == want, n
+            assert write_term(got) == text, n
+            assert pt(write_term(got)) == want, n
+        q = pt(digits + "_" + digits[::-1].lstrip("0") + "1")
+        assert q == Fraction(value, _horner(digits[::-1].lstrip("0") + "1"))
+        assert pt(write_term(q)) == q, n
+
+
+def test_integers_of_any_length_read_and_print():
+    long_int_round_trip()
+
+
+def test_integers_of_any_length_under_the_least_conversion_limit():
+    """The same round trip in an interpreter whose limit on int/str
+    conversion is the least CPython accepts: nothing relies on the
+    default limit of 4300 digits."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640",
+               PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                           str(root / "tests")]))
+    code = ("import sys\n"
+            "assert sys.get_int_max_str_digits() == 640\n"
+            "from test_reader import long_int_round_trip\n"
+            "long_int_round_trip()\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_100000_digit_integer_reads_and_prints_in_under_a_second():
+    digits = "1234567890" * 10000
+    t0 = time.process_time()
+    value = pt(digits)
+    text = write_term(value)
+    assert time.process_time() - t0 < 1
+    assert text == digits and value % 10 ** 10 == 1234567890
 
 
 def test_zero_denominator_rational_is_rejected():
