@@ -254,8 +254,7 @@ def narrow(engine, x, lo=-_INF, hi=_INF, integral=False, keep=None):
     """Narrow the term x to lo..hi (exact), to the integers when integral,
     and to the ints of the set keep (within lo..hi) when given.  True
     unless x's values empty."""
-    while type(x) is Var and x.ref is not None:  # deref(x) inline
-        x = x.ref
+    x = deref(x)
     if type(x) is not Var:
         xlo, xhi = exact_bounds(x)
         if xhi < lo or xlo > hi:

@@ -423,16 +423,17 @@ def is_variant(a, b):
 #: digits per str() or int() call: under the least limit CPython allows
 #: for its own conversions (640; ``sys.get_int_max_str_digits()``)
 _CHUNK = 256
+_BASE = 10 ** _CHUNK
 
 
 def int_text(n):
     """The decimal text of the int n.  Past _CHUNK digits n is split at
     powers of ten, divide and conquer, and never converted whole."""
+    if -_BASE < n < _BASE:
+        return str(n)
     if n < 0:
         return "-" + int_text(-n)
-    pows = [10 ** _CHUNK]
-    if n < pows[0]:
-        return str(n)
+    pows = [_BASE]
     while pows[-1] <= n:
         pows.append(pows[-1] * pows[-1])
     return _digits(n, pows, len(pows) - 2).lstrip("0")
@@ -449,7 +450,9 @@ def _digits(n, pows, i):
 
 def int_value(digits):
     """The int of a string of decimal digits, split as int_text splits."""
-    pows = [(_CHUNK, 10 ** _CHUNK)]
+    if len(digits) <= _CHUNK:
+        return int(digits)
+    pows = [(_CHUNK, _BASE)]
     while 2 * pows[-1][0] < len(digits):
         k, p = pows[-1]
         pows.append((2 * k, p * p))
