@@ -10,8 +10,7 @@ narrowing events:
 
 One function, _update, writes a domain's bounds, holes and integrality;
 a demon run calls it with the domain it read.  Every caller that holds a
-term goes through narrow (X :: ..., impose_min/max, impose_integrality,
-set_var_bounds/3, #= posts): it tests a number, hands a domain to
+term goes through narrow, which tests a number, hands a domain to
 _update once and only when something would change, and gives a variable
 without a domain one whose slots carry the current trail segment's stamp
 (store.py), so attaching it is its only trail entry.  exclude_value
@@ -147,11 +146,9 @@ def get_domain(v):
 
 
 def ensure_domain(engine, v):
-    d = get_domain(v)
-    if d is None:
-        d = Domain()
-        add_attr(engine.store, deref(v), "ic", d)
-    return d
+    """The variable v's domain, made by narrow if it has none."""
+    narrow(engine, v)
+    return get_domain(v)
 
 
 def exact_bounds(t):
@@ -885,8 +882,10 @@ def install(engine):
     def rel_builtin(relname):
         def fn(engine_, args, module):
             rel, const, pairs = normalize_relation(relname, args[0], args[1])
-            for _, v in pairs:
-                if not narrow(engine_, v, integral=True):
+            for _, v in pairs:  # normalize_relation dereferenced them
+                d = v.attrs.get("ic")
+                if (d is None or not d.integral) and not narrow(
+                        engine_, v, integral=True):
                     return False
             return _post_lin_con(engine_, module, rel, const, pairs)
         return fn
