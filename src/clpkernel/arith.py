@@ -172,7 +172,8 @@ def breal_abs(x):
 def breal_pow(x, n):
     """x ** n for integer n (the only exponent form supported on Breals)."""
     if not isinstance(n, int):
-        raise TypeError_("breal ** requires an integer exponent, got %s" % show(n))
+        raise TypeError_("breal ** requires an integer exponent, got %s"
+                         % show(n))
     if n == 0:
         return Breal(1.0, 1.0)
     if n < 0:
@@ -297,7 +298,8 @@ def num_pow(a, b):
 
 def num_intdiv(a, b):
     if type(a) is not int or type(b) is not int:
-        raise TypeError_("// requires integers, got %s and %s" % (show(a), show(b)))
+        raise TypeError_("// requires integers, got %s and %s"
+                         % (show(a), show(b)))
     if b == 0:
         raise ArithmeticError_("division by zero")
     q = abs(a) // abs(b)
@@ -306,7 +308,8 @@ def num_intdiv(a, b):
 
 def num_mod(a, b):
     if type(a) is not int or type(b) is not int:
-        raise TypeError_("mod requires integers, got %s and %s" % (show(a), show(b)))
+        raise TypeError_("mod requires integers, got %s and %s"
+                         % (show(a), show(b)))
     if b == 0:
         raise ArithmeticError_("division by zero")
     return a % b
@@ -349,7 +352,8 @@ def dim_create(dims):
         raise DomainError("dim: empty dimension list")
     for d in dims:
         if not isinstance(d, int) or isinstance(d, bool):
-            raise TypeError_("dim: dimensions must be integers, got %s" % show(d))
+            raise TypeError_("dim: dimensions must be integers, got %s"
+                             % show(d))
         if d < 1:
             raise DomainError("dim: dimensions must be >= 1, got %s" % show(d))
 
@@ -390,7 +394,8 @@ def subscript_get(array, indices):
         if type(ix) is Var:
             raise InstantiationError("subscript: unbound index")
         if not isinstance(ix, int) or isinstance(ix, bool):
-            raise TypeError_("subscript: index must be an integer: %s" % show(ix))
+            raise TypeError_("subscript: index must be an integer: %s"
+                             % show(ix))
         if type(t) is Var:
             raise InstantiationError("subscript: unbound array")
         if type(t) is not Struct:

@@ -83,7 +83,8 @@ def add_attr(store, var, name, payload):
     trailed: the mapping is replaced, so the trail keeps the old one."""
     var = deref(var)
     if type(var) is not Var:
-        raise InstantiationError("add_attr: not an unbound variable: %s" % show(var))
+        raise InstantiationError("add_attr: not an unbound variable: %s"
+                                 % show(var))
     store.set_slot(var, "attrs", {**var.attrs, name: payload})
     return var
 

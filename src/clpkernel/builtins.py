@@ -99,7 +99,8 @@ def bi_qualified(engine, args, module):
             out = Struct(",", [Struct(":", [m, goal]), out])
         return out, module
     if not isinstance(mt, Atom):
-        raise TypeError_("qualified call: module must be an atom: %s" % show(mt))
+        raise TypeError_("qualified call: module must be an atom: %s"
+                         % show(mt))
     target = engine.modules.get(mt.name)
     if target is None:
         raise ExistenceError("module %s does not exist" % mt.name)

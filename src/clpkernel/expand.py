@@ -87,12 +87,14 @@ def parse_struct_decl(term):
     """Validate a declaration like struct(emp(name, age))."""
     t = deref(term)
     if not (isinstance(t, Struct) and t.arity >= 1):
-        raise ExpansionError("struct declaration needs at least one field: %s" % show(t))
+        raise ExpansionError("struct declaration needs at least one field: %s"
+                             % show(t))
     fields = []
     for a in t.args:
         a = deref(a)
         if not isinstance(a, Atom):
-            raise ExpansionError("struct field names must be atoms: %s" % show(a))
+            raise ExpansionError("struct field names must be atoms: %s"
+                                 % show(a))
         if a.name in fields:
             raise ExpansionError("duplicate struct field %r" % a.name)
         fields.append(a.name)

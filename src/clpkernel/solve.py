@@ -712,7 +712,8 @@ class Engine:
     def _op_directive(self, module, args, exported):
         prio = deref(args[0])
         if not isinstance(prio, int):
-            raise TypeError_("operator priority must be an integer: %s" % show(prio))
+            raise TypeError_("operator priority must be an integer: %s"
+                             % show(prio))
         typ = _atom_name(args[1], "operator type")
         names = deref(args[2])
         for it in proper_list(names) or [names]:

@@ -184,8 +184,8 @@ def arg_at(i, t):
     if not isinstance(i, int) or isinstance(i, bool):
         raise TypeError_("arg: index must be an integer: %s" % show(i))
     if not 1 <= i <= len(t.args):
-        raise RangeError("arg: index %s out of range for %s/%d" % (show(i), t.name,
-                                                           len(t.args)))
+        raise RangeError("arg: index %s out of range for %s/%d"
+                         % (show(i), t.name, len(t.args)))
     return t.args[i - 1]
 
 
