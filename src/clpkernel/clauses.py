@@ -9,7 +9,12 @@ as one more function, its code (`pred_code`), which switches on the
 goal's first argument as WAM's ``switch_on_term`` does: it tests a few
 keys in a chain, or reads many from a dict, and enters the candidate
 clauses.  A single candidate whose key the chain tested runs inline in
-the predicate's code, generated once per predicate shape.
+the predicate's code, generated once per predicate shape.  The code of a
+predicate also resolves the calls of the clause it inlines: a body goal
+that names a predicate of the same module, with clauses and no builtin,
+and is no control construct, becomes a cell holding that `Pred` and the
+goal's arguments, and no goal term is built.  A clause's own function
+resolves nothing, as every engine that loads a prelude shares it.
 """
 
 from __future__ import annotations
@@ -43,16 +48,18 @@ class Clause:
     ``(goal, module, cut, next)`` cell per goal, ending in ``cont``.
     ``store`` is the engine's.  Goals the head match woke run in
     `Engine.solve`, before the first body goal.  An attributed variable
-    of the clause is copied with ``engine._copy_attr_hook``.
+    of the clause is copied with ``engine._copy_attr_hook``.  ``calls``
+    says which predicate each body goal may call (`_compile`), for the
+    predicate's code to resolve.
     """
 
-    __slots__ = ("key", "shape", "params", "fn")
+    __slots__ = ("key", "shape", "params", "calls", "fn")
 
     def __init__(self, head, body):
         h = deref(head)
         args = h.args if type(h) is Struct else ()
         self.key = index_key(args[0]) if args else None
-        self.shape, self.params = _compile(args, body)
+        self.shape, self.params, self.calls = _compile(args, body)
         self.fn = None
 
     def compile(self):
@@ -65,20 +72,33 @@ class Clause:
 
 
 def _compile(args, body):
-    """The shape and the parameters of a clause with head arguments
-    ``args``.  The shape is the head's arity, the number of body goals,
-    then the tokens of the head arguments and of the goals, each term in
-    prefix order: a compound term of arity n is ``-1 - n`` (its name a
-    parameter), a variable's first occurrence ``"F"`` (``"A"``, with the
-    variable as a parameter, if it has attributes), a later occurrence the
-    variable's number, and a constant ``"K"`` (its value a parameter).
-    Variables are numbered by first occurrence, head then body."""
+    """The shape, the parameters and the calls of a clause with head
+    arguments ``args``.  The shape is the head's arity, the number of body
+    goals, then the tokens of the head arguments and of the goals, each
+    term in prefix order: a compound term of arity n is ``-1 - n`` (its
+    name a parameter), a variable's first occurrence ``"F"`` (``"A"``,
+    with the variable as a parameter, if it has attributes), a later
+    occurrence the variable's number, and a constant ``"K"`` (its value a
+    parameter).  Variables are numbered by first occurrence, head then
+    body.  The calls say, for each body goal, the name and arity of the
+    predicate it may call and the index of the parameter that holds its
+    name (an atom goal's atom), or None for a variable, a non-callable
+    term or a control construct."""
     goals = [g for g in flatten_conj(body) if g is not TRUE]
     shape = [len(args), len(goals)]
     params = []
+    calls = []
     slots = {}
     stack = [*reversed(goals), *reversed(args)]
+    left = len(stack) - len(args)  # goals not yet started
     while stack:
+        if len(stack) == left:  # the next goal starts here
+            left -= 1
+            g = deref(stack[-1])
+            key = ((g.name, len(g.args)) if type(g) is Struct
+                   else (g.name, 0) if type(g) is Atom else None)
+            calls.append(None if key is None or key in _CONTROL
+                         else (*key, len(params)))
         t = stack.pop()
         while type(t) is Var and t.ref is not None:
             t = t.ref
@@ -99,7 +119,13 @@ def _compile(args, body):
         else:
             shape.append("K")
             params.append(t)
-    return tuple(shape), params
+    return tuple(shape), params, tuple(calls)
+
+
+#: the control constructs, which `Engine.solve` runs itself whatever a
+#: module defines
+_CONTROL = frozenset({(",", 2), (";", 2), ("->", 2), ("!", 0), ("true", 0),
+                      ("fail", 0), ("false", 0)})
 
 
 #: the factory of every clause shape generated so far in this process.
@@ -273,12 +299,14 @@ class _Codegen:
             return v
         return v if kind == "again" else p
 
-    def clause(self, first=None, inline=False):
+    def clause(self, first=None, inline=False, resolved=()):
         """The body of a clause function.  ``inline`` for a clause inlined
         in its predicate's code, which computes the cut height itself;
         ``first`` is then the local holding the goal's first argument,
         dereferenced, when the code has tested that it has the key of the
-        head's first argument."""
+        head's first argument, and ``resolved`` the positions of the body
+        goals whose name parameter holds the predicate they call: each
+        becomes a resolved cell ``(pred, args, None, next)``."""
         arity, ngoals = self.take(), self.take()
         roots = ["a%d" % k for k in range(arity)]
         if first is not None:
@@ -288,15 +316,17 @@ class _Codegen:
             roots[0] = "_"
         if roots and roots != ["_"]:
             self.lines.insert(0, "        %s, = args" % ", ".join(roots))
-        if inline and ngoals:
+        if inline and len(resolved) < ngoals:
             self.emit(2, "cut = len(store.choicepoints)")
-        goals = [self.build(2) for _ in range(ngoals)]
-        if not goals:
+        cells = [self.build(2, True) + ", None" if k in resolved
+                 else self.build(2) + ", module, cut"
+                 for k in range(ngoals)]
+        if not cells:
             self.emit(2, "return cont")
         else:
-            for g in reversed(goals[1:]):
-                self.emit(2, "cont = (%s, module, cut, cont)" % g)
-            self.emit(2, "return (%s, module, cut, cont)" % goals[0])
+            for cell in reversed(cells[1:]):
+                self.emit(2, "cont = (%s, cont)" % cell)
+            self.emit(2, "return (%s, cont)" % cells[0])
         return "\n".join(self.lines)
 
     def head(self, roots, proven=False):
@@ -411,19 +441,25 @@ class _Codegen:
             parent.vals.append("t%d" % j)
         self.emit(4, "return False")
 
-    def build(self, d):
-        """Emit the build of the next term; return its expression."""
+    def build(self, d, call=False):
+        """Emit the build of the next term; return its expression, or for
+        a ``call`` the expressions of its name parameter and of its
+        argument list."""
         tok = self.take()
         if not _is_compound(tok):
+            if call:
+                return "%s, ()" % self.param()
             return self.build_leaf(d, self.leaf(tok))
         node = _Node(self.nj, self.param(), -1 - tok, None)
         self.nj += 1
         while True:
             if not node.left:
-                expr = "Struct(%s, [%s])" % (node.name, ", ".join(node.vals))
+                args = ", ".join(node.vals)
                 if node.parent is None:
-                    return expr
-                self.emit(d, "t%d = %s" % (node.j, expr))
+                    return ("%s, [%s]" if call else "Struct(%s, [%s])") % (
+                        node.name, args)
+                self.emit(d, "t%d = Struct(%s, [%s])" % (node.j, node.name,
+                                                        args))
                 node.parent.vals.append("t%d" % node.j)
                 node = node.parent
                 continue
@@ -518,7 +554,15 @@ def pred_code(pred):
     a short shape runs inline, and when the chain has tested its key the
     match of its first argument starts from what the test proved.  A
     predicate with more keys reads its candidates from a dict
-    (`_indexed`)."""
+    (`_indexed`).
+
+    A body goal of an inlined clause is resolved when it names a
+    predicate of the same module that has clauses and no builtin (see
+    `Clause` for the calls): the `Pred` replaces the goal's name
+    parameter, the shape records the goal's position, and the code
+    builds the cell ``(pred, args, None, next)`` where it would build the
+    goal term.  A predicate without clauses yet, which `add_builtin` may
+    still take, is not resolved, nor a `PredName` goal."""
     clauses = pred.clauses
     table, rest = _switch(clauses)
     if len(table) > _CHAIN:
@@ -526,6 +570,7 @@ def pred_code(pred):
         return code
     shape = [pred.arity]
     params = []
+    preds = pred.module.preds
 
     def run(cands):
         if not cands:
@@ -534,8 +579,17 @@ def pred_code(pred):
             shape.append(1)
             params.append(cands)
         else:
-            shape.append(cands[0].shape)
-            params.extend(cands[0].params)
+            c = cands[0]
+            ps = list(c.params)
+            resolved = []
+            for k, call in enumerate(c.calls):
+                # a PredName, a subclass of str, is no module's to resolve
+                callee = call and type(call[0]) is str and preds.get(call[:2])
+                if callee and callee.builtin is None and callee.clauses:
+                    resolved.append(k)
+                    ps[call[2]] = callee
+            shape.append((c.shape, tuple(resolved)))
+            params.extend(ps)
 
     run(tuple(clauses))
     if table:
@@ -588,7 +642,8 @@ def _pred_factory(shape):
     argument, then, if some clause has a key, each key's test and run, and
     the run of a key no clause has.  A test is a type, an arity or None
     (`_TESTS`); a run is 0 (no candidate), 1 (a tuple of candidates,
-    entered) or the shape of the one candidate, inlined."""
+    entered) or, for the one candidate inlined, its shape and the
+    positions of its body goals resolved (`pred_code`)."""
     gen = _Codegen(shape)
     if len(shape) == 2:  # nothing to switch on
         _run(gen, 2, shape[1], False)
@@ -623,11 +678,11 @@ def _run(gen, d, run, proven):
         gen.emit(d, "return enter(engine, module, %s, 0, args, "
                     "len(store.choicepoints), cont)" % gen.param())
     else:
-        sub = _Codegen(run)
+        sub = _Codegen(run[0])
         sub.np = gen.np
         indent = "    " * (d - 2)
-        gen.lines += [indent + line for line in
-                      sub.clause("x" if proven else None, True).split("\n")]
+        gen.lines += [indent + line for line in sub.clause(
+            "x" if proven else None, True, run[1]).split("\n")]
         gen.np = sub.np
 
 

@@ -678,16 +678,17 @@ def _compiled_against_copy_and_unify(rng, head_arg, goal_arg):
         old = ok_old and copy_term(Struct("r", [goal, renamed.args[1]]))
         store.backtrack_to(mark)
 
-        pred = solve.Pred("p", arity, None)
+        module = solve.Module("m", None)
+        pred = solve.Pred("p", arity, module)
         pred.add(Clause(head, body))
         for run in (lambda: pred.clauses[0].compile()(
-                        goal.args, None, store, None, 1, None),
+                        goal.args, None, store, module, 1, None),
                     lambda: clauses.pred_code(pred)(
                         goal.args, SimpleNamespace(store=store), None)):
             got = run()
             ok_new = got is not False
             new = ok_new and copy_term(Struct("r", [goal, got[0]]))
-            assert not ok_new or got[1:] == (None, 1, None)
+            assert not ok_new or got[1:] == (module, 1, None)
             store.backtrack_to(mark)
             assert ok_old == ok_new == expected, (head, goal)
             if ok_new:
@@ -1241,3 +1242,75 @@ def test_pure_resolution_never_polls_the_queue(engine, monkeypatch):
     got = engine.once("nrev(%s, R)" % list(range(30)))
     assert engine.format_term(got["R"]) == str(list(range(29, -1, -1)))
     assert calls == []
+
+
+# ----------------------------------------------------------------------
+# calls resolved when a predicate's code is made
+
+def test_a_resolved_call_builds_no_goal_term(engine, monkeypatch):
+    """nrev and app call each other through resolved cells: of the terms
+    built while solving nrev of 30, only the list cells are left, the 30
+    ``[H]`` and the 0 + 1 + ... + 29 cells app copies."""
+    engine.load(NREV)
+    goal, varmap = engine.parse_goal("nrev(%s, R)" % list(range(30)))
+    built = []
+    init = Struct.__init__
+    monkeypatch.setattr(Struct, "__init__", lambda self, name, args: (
+        built.append(name), init(self, name, args))[1])
+    for _ in engine.solutions(goal):
+        break
+    monkeypatch.undo()
+    assert built == ["."] * (30 + 30 * 29 // 2)
+    # the first call made each predicate's code and resolved both callees
+    nrev = engine.main.preds[("nrev", 2)]
+    cell = nrev.code([Struct(".", [1, Atom("[]")]), Var()], engine, None)
+    assert type(cell[0]) is solve.Pred and cell[0] is nrev
+    assert type(cell[3][0]) is solve.Pred and cell[3][0].name == "app"
+
+
+def test_a_module_predicate_named_like_a_control_construct_is_not_called(
+        engine):
+    """A module may define ``;``, ``->``, ``!``, ``true`` or ``fail``, but
+    a body goal of that name still runs as the control construct."""
+    engine.load("';'(_, _) :- undefined_here.\n"
+                "'->'(_, _) :- undefined_here.\n"
+                "'!' :- undefined_here.\n"
+                "true :- undefined_here.\n"
+                "fail.\n"
+                "t(X) :- (X = a ; X = b).\n"
+                "u(X) :- (X = a -> true ; X = c).\n"
+                "v :- true, !, fail.\n")
+    assert sols(engine, "t(X)") == [Atom("a"), Atom("b")]
+    assert len(engine.ask("u(a)")) == 1 and len(engine.ask("u(c)")) == 1
+    assert engine.ask("u(b)") == [] and engine.ask("v") == []
+
+
+def test_a_callee_loaded_after_its_caller_ran_is_called(engine):
+    engine.load("p(X) :- q(X).\n"
+                ":- dynamic(r/1).\n"
+                "s(X) :- r(X).\n")
+    with pytest.raises(ExistenceError):
+        engine.ask("p(X)")
+    assert engine.ask("s(X)") == []  # r has no clauses yet
+    engine.load("q(1).\nq(2).\nr(3).\n")
+    assert sols(engine, "p(X)") == [1, 2]
+    assert sols(engine, "s(X)") == [3]
+
+
+def test_a_callee_imported_after_its_caller_ran_is_called(engine):
+    engine.load(":- module(lib).\n:- export(q/1).\nq(lib).\n")
+    engine.load("p(X) :- q(X).\n")
+    with pytest.raises(ExistenceError):
+        engine.ask("p(X)")
+    engine.load(":- import(lib).\n")
+    assert sols(engine, "p(X)") == [Atom("lib")]
+
+
+def test_an_undefined_callee_raises_the_existence_error(engine):
+    engine.load("p :- undefined_here(1).\n"
+                "p2 :- true, undefined_here.\n")
+    for goal, name in [("p", "undefined_here/1"), ("p2", "undefined_here/0")]:
+        with pytest.raises(ExistenceError) as got:
+            engine.ask(goal)
+        assert str(got.value) == (
+            "procedure %s is not defined in module main" % name)
