@@ -27,6 +27,9 @@ variable is ever bound to NaN.  An integer or rational power ``^`` /
 ``**`` whose result would have more than MAX_INT_BITS bits (2**22, about
 1.3 million decimal digits) raises RangeError before it is computed:
 ``b * (bit_length(a) - 1)`` bounds the size of ``a ** b`` from below.
+A bounded real's power that big is computed from its endpoints' float
+powers instead, each widened by one ulp, as C's ``pow`` is accurate to
+within one; past the largest float it saturates to infinity.
 """
 
 from __future__ import annotations
@@ -179,18 +182,38 @@ def breal_pow(x, n):
     if n < 0:
         return breal_div(Breal(1.0, 1.0), breal_pow(x, -n))
     xl, xh = _exact_bounds(x)
+    exact = not any(type(v) is Fraction and _power_too_big(v, n)
+                    for v in (xl, xh))
 
     def p(v):
+        """Bounds on v ** n: exact, or from a float power when the exact
+        one would pass MAX_INT_BITS."""
         if isinstance(v, float) and math.isinf(v):
-            if n % 2 == 0:
-                return math.inf
-            return v if v > 0 else -math.inf
-        return v ** n
+            r = math.inf if n % 2 == 0 or v > 0 else -math.inf
+            return r, r
+        if exact:
+            r = v ** n
+            return r, r
+        try:
+            m = abs(float(v)) ** n
+        except OverflowError:  # of the result, or of n converted
+            m = math.inf if abs(v) > 1 else 0.0
+        lo, hi = ((_MAXF, math.inf) if m == math.inf
+                  else (math.nextafter(m, 0.0), math.nextafter(m, math.inf)))
+        return (lo, hi) if v > 0 or n % 2 == 0 else (-hi, -lo)
 
-    a, b = p(xl), p(xh)
+    (al, ah), (bl, bh) = p(xl), p(xh)
     if n % 2 == 0 and xl < 0 < xh:
-        return _outward(Fraction(0), max(a, b))
-    return _outward(min(a, b), max(a, b))
+        return _outward(Fraction(0), max(ah, bh))
+    return _outward(min(al, bl), max(ah, bh))
+
+
+def _power_too_big(a, b):
+    """Whether the exact power a ** b of an int or a rational a would have
+    more than MAX_INT_BITS bits: ``abs(b) * (k - 1)`` bounds its size from
+    below, k the bit length of a's larger term."""
+    k = max(abs(a.numerator), a.denominator).bit_length()
+    return k > 1 and (k - 1) * abs(b) >= MAX_INT_BITS
 
 
 # ----------------------------------------------------------------------
@@ -276,11 +299,10 @@ def num_pow(a, b):
                 raise TypeError_("breal ** requires an integer exponent")
         return breal_pow(to_breal(a), b)
     if type(b) is int:
-        if type(a) is not float:  # an int or a rational grows with b
-            k = max(abs(a.numerator), a.denominator).bit_length()
-            if k > 1 and (k - 1) * abs(b) >= MAX_INT_BITS:
-                raise RangeError("arithmetic: a power of more than %d bits"
-                                 % MAX_INT_BITS)
+        # an int or a rational grows with b
+        if type(a) is not float and _power_too_big(a, b):
+            raise RangeError("arithmetic: a power of more than %d bits"
+                             % MAX_INT_BITS)
         if type(a) is int:
             if b >= 0:
                 return a ** b

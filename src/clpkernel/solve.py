@@ -281,7 +281,11 @@ class Answer:
         return self.bindings[name]
 
     def __repr__(self):
-        return "Answer(%r, delayed=%r)" % (self.bindings, self.delayed)
+        """As a dict's repr, each value by `show`, so integers of any
+        length print."""
+        return "Answer({%s}, delayed=%r)" % (", ".join(
+            "%r: %s" % (name, show(value))
+            for name, value in self.bindings.items()), self.delayed)
 
 
 class Engine:

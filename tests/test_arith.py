@@ -5,8 +5,12 @@ Fraction endpoint arithmetic and directional rounding, then frozen as hex
 float literals.
 """
 
+import decimal
 import math
 import random
+import sys
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -194,6 +198,26 @@ def test_breal_pow_even_spanning_zero():
     assert (r.lo, r.hi) == (-8.0, 27.0)
 
 
+def test_breal_powers_past_the_size_bound_end_at_once():
+    """An exact endpoint power past MAX_INT_BITS is never computed: its
+    float power, widened one ulp each side, bounds it, saturating past
+    the largest float."""
+    t0 = time.process_time()
+    r = breal_pow(Breal(1.5, 1.5), 10 ** 10)
+    assert (r.lo, r.hi) == (sys.float_info.max, math.inf)
+    r = breal_pow(Breal(0.5, 0.75), 10 ** 10)
+    assert (r.lo, r.hi) == (0.0, math.nextafter(0.0, 1.0))
+    r = breal_pow(Breal(-1.5, -0.5), 10 ** 400 + 1)
+    assert (r.lo, r.hi) == (-math.inf, -0.0)
+    r = breal_pow(Breal(1.0000001, 1.0000001), 10 ** 7)
+    near = decimal.Context(prec=50).power(Decimal(1.0000001), 10 ** 7)
+    assert Decimal(r.lo) < near < Decimal(r.hi)
+    assert r.hi < r.lo * (1 + 2 ** -50)
+    assert time.process_time() - t0 < 1
+    r = breal_pow(Breal(1.5, 1.5), 3)
+    assert (r.lo, r.hi) == (3.375, 3.375)
+
+
 def test_directional_rounding_brackets_the_exact_value():
     q = Fraction(1, 3)
     assert Fraction(float_down(q)) <= q <= Fraction(float_up(q))
@@ -311,6 +335,12 @@ def test_an_undefined_float_result_is_an_evaluation_error(engine, goal):
 def test_an_exact_power_past_the_size_bound_is_refused(engine, goal):
     with pytest.raises(RangeError, match="power of more than 4194304 bits"):
         engine.once(goal)
+
+
+def test_an_answer_with_a_long_integer_prints(engine):
+    text = repr(engine.once("X is 10^5000, Y = f(X)"))
+    assert text == "Answer({'X': 1%s, 'Y': f(1%s)}, delayed=[])" % (
+        "0" * 5000, "0" * 5000)
 
 
 def test_exact_powers_under_the_size_bound_answer(first):

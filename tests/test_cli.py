@@ -102,7 +102,11 @@ def test_float_overflow_exits_2_with_one_line(capsys):
     ("X is 1.0Inf - 1.0Inf", 2, "", "error: arithmetic: undefined\n"),
     ("X is 10^(10^10)", 2, "",
      "error: arithmetic: a power of more than 4194304 bits\n"),
-    ("X :: -1.0Inf..1.0Inf", 0, "X = _{-1.0Inf..1.0Inf}\nyes\n", "")])
+    ("X :: -1.0Inf..1.0Inf", 0, "X = _{-1.0Inf..1.0Inf}\nyes\n", ""),
+    ("X is 1.5__1.5 ^ (10^10)", 0,
+     "X = 1.7976931348623157e+308__1.0Inf\nyes\n", ""),
+    ("X is 0.5__0.75 ^ (10^10)", 0, "X = 0.0__5e-324\nyes\n", ""),
+    ("X is 1.5__1.5 ^ 3", 0, "X = 3.375__3.375\nyes\n", "")])
 def test_numbers_at_their_limits_end_in_an_answer_or_one_line(
         capsys, goal, rc, out, err):
     t0 = time.process_time()
