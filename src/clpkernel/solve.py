@@ -63,20 +63,13 @@ A goal is resolved by one rule, `Module.lookup_pred`, in the loop and
 in `make_suspension`: the calling module's own predicate, else an
 exported one of its imports, else that of a `PredName`.  The loop reads
 the module's own ``preds`` inline and calls the rest of the rule,
-`Module.lookup_imported`, only when that misses.  So a definition, an
-import or an export counts from the next call on.  One kind of call is
-resolved when its code is made, as the WAM's ``call`` instruction names
-its procedure: when `pred_code` inlines a predicate's single candidate
-clause, a body goal that names a predicate of the same module, with
-clauses and no builtin, becomes a *resolved cell* ``(pred, args, None,
-next)``: that `Pred` and a fresh argument list, and no goal term.  The
-loop hands such a cell to `_call_user` before it tests for any term.
-The rule could give no other predicate later: no code removes a
-module's `Pred` or makes one with clauses a builtin, and a module's own
-predicate shadows every import.  A goal named like a control construct
-is never resolved, whatever the module defines, and every other goal,
-like a callee loaded after its caller's code was made, takes the path
-above.
+`Module.lookup_imported`, only when that misses.  Nothing is cached, so
+a definition, an import or an export counts from the next call on, but
+for a *resolved cell* ``(pred, args, None, next)``: a goal of a clause
+that `pred_code` inlined, naming a predicate of its own module with
+clauses, which no later change can make call another.  The loop hands
+it to `_call_user` before any term test, as the WAM's ``call`` names its
+procedure.
 
 User clauses run as generated Python functions (the `clauses` module).
 A clause is compiled when it is added, so it is a snapshot of its terms
@@ -140,8 +133,7 @@ class Pred:
     the first argument, as Warren's ``switch_on_term``, and enters the
     candidate clauses.  It is made on the first call after a change and
     dropped by `add`, so the candidates a call takes from it are the
-    snapshot of the clauses that call may try.  It may hold predicates
-    of the same module: the callees its inlined clause resolved."""
+    snapshot of the clauses that call may try."""
 
     __slots__ = ("name", "arity", "module", "clauses", "code", "builtin",
                  "exported", "demon", "no_warn")
@@ -207,12 +199,10 @@ class Module:
     def lookup_pred(self, name, arity):
         """The predicate a goal ``name/arity`` calls in this module: its
         own, else an import's exported one, else that of a `PredName`;
-        None when there is none.  Nothing here is cached, so a predicate,
-        an import or an export added later counts from the next call on.
-        Only the calls of a clause inlined in its predicate's code to a
-        predicate of this module that already has clauses are resolved
-        ahead of time (`clauses.pred_code`): no later change gives those
-        another predicate."""
+        None when there is none.  Nothing is cached, so a predicate, an
+        import or an export added later counts from the next call on;
+        only `clauses.pred_code` resolves calls ahead of time, to this
+        module's own predicates that have clauses."""
         p = self.preds.get((name, arity))
         if p is not None:
             return p
@@ -281,8 +271,7 @@ class Answer:
         return self.bindings[name]
 
     def __repr__(self):
-        """As a dict's repr, each value by `show`, so integers of any
-        length print."""
+        # values through `show`: an int's repr stops at 4300 digits
         return "Answer({%s}, delayed=%r)" % (", ".join(
             "%r: %s" % (name, show(value))
             for name, value in self.bindings.items()), self.delayed)
