@@ -48,18 +48,16 @@ class Clause:
     ``(goal, module, cut, next)`` cell per goal, ending in ``cont``.
     ``store`` is the engine's.  Goals the head match woke run in
     `Engine.solve`, before the first body goal.  An attributed variable
-    of the clause is copied with ``engine._copy_attr_hook``.  ``calls``
-    says which predicate each body goal may call (`_compile`), for the
-    predicate's code to resolve.
+    of the clause is copied with ``engine._copy_attr_hook``.
     """
 
-    __slots__ = ("key", "shape", "params", "calls", "fn")
+    __slots__ = ("key", "shape", "params", "fn")
 
     def __init__(self, head, body):
         h = deref(head)
         args = h.args if type(h) is Struct else ()
         self.key = index_key(args[0]) if args else None
-        self.shape, self.params, self.calls = _compile(args, body)
+        self.shape, self.params = _compile(args, body)
         self.fn = None
 
     def compile(self):
@@ -72,33 +70,20 @@ class Clause:
 
 
 def _compile(args, body):
-    """The shape, the parameters and the calls of a clause with head
-    arguments ``args``.  The shape is the head's arity, the number of body
-    goals, then the tokens of the head arguments and of the goals, each
-    term in prefix order: a compound term of arity n is ``-1 - n`` (its
-    name a parameter), a variable's first occurrence ``"F"`` (``"A"``,
-    with the variable as a parameter, if it has attributes), a later
-    occurrence the variable's number, and a constant ``"K"`` (its value a
-    parameter).  Variables are numbered by first occurrence, head then
-    body.  The calls say, for each body goal, the name and arity of the
-    predicate it may call and the index of the parameter that holds its
-    name (an atom goal's atom), or None for a variable, a non-callable
-    term or a control construct."""
+    """The shape and the parameters of a clause with head arguments
+    ``args``.  The shape is the head's arity, the number of body goals,
+    then the tokens of the head arguments and of the goals, each term in
+    prefix order: a compound term of arity n is ``-1 - n`` (its name a
+    parameter), a variable's first occurrence ``"F"`` (``"A"``, with the
+    variable as a parameter, if it has attributes), a later occurrence the
+    variable's number, and a constant ``"K"`` (its value a parameter).
+    Variables are numbered by first occurrence, head then body."""
     goals = [g for g in flatten_conj(body) if g is not TRUE]
     shape = [len(args), len(goals)]
     params = []
-    calls = []
     slots = {}
     stack = [*reversed(goals), *reversed(args)]
-    left = len(stack) - len(args)  # goals not yet started
     while stack:
-        if len(stack) == left:  # the next goal starts here
-            left -= 1
-            g = deref(stack[-1])
-            key = ((g.name, len(g.args)) if type(g) is Struct
-                   else (g.name, 0) if type(g) is Atom else None)
-            calls.append(None if key is None or key in _CONTROL
-                         else (*key, len(params)))
         t = stack.pop()
         while type(t) is Var and t.ref is not None:
             t = t.ref
@@ -119,13 +104,47 @@ def _compile(args, body):
         else:
             shape.append("K")
             params.append(t)
-    return tuple(shape), params, tuple(calls)
+    return tuple(shape), params
 
 
 #: the control constructs, which `Engine.solve` runs itself whatever a
 #: module defines
 _CONTROL = frozenset({(",", 2), (";", 2), ("->", 2), ("!", 0), ("true", 0),
                       ("fail", 0), ("false", 0)})
+
+
+def _calls(shape, params):
+    """For each body goal of a clause, the name and arity of the predicate
+    it may call and the index of the parameter that holds its name (an
+    atom goal's atom); None for a variable, another constant or a control
+    construct.  Read from the clause's shape (`_compile`): each term is
+    skipped token by token, counting the parameters it takes."""
+    arity, ngoals = shape[0], shape[1]
+    pos = 2  # the next token
+    p = 0  # the next parameter
+    calls = []
+    for k in range(arity + ngoals):
+        if k >= arity:
+            tok = shape[pos]
+            if _is_compound(tok):
+                key = params[p], -1 - tok
+            elif tok == "K" and type(params[p]) is Atom:
+                key = params[p].name, 0
+            else:
+                key = None
+            calls.append(None if key is None or key in _CONTROL
+                         else (*key, p))
+        left = 1
+        while left:
+            tok = shape[pos]
+            pos += 1
+            left -= 1
+            if _is_compound(tok):
+                left += -1 - tok
+                p += 1
+            elif tok == "K" or tok == "A":
+                p += 1
+    return calls
 
 
 #: the factory of every clause shape generated so far in this process.
@@ -557,8 +576,8 @@ def pred_code(pred):
     (`_indexed`).
 
     A body goal of an inlined clause is resolved when it names a
-    predicate of the same module that has clauses and no builtin (see
-    `Clause` for the calls): the `Pred` replaces the goal's name
+    predicate of the same module that has clauses and no builtin
+    (`_calls`): the `Pred` replaces the goal's name
     parameter, the shape records the goal's position, and the code
     builds the cell ``(pred, args, None, next)`` where it would build the
     goal term.  A predicate without clauses yet, which `add_builtin` may
@@ -582,7 +601,7 @@ def pred_code(pred):
             c = cands[0]
             ps = list(c.params)
             resolved = []
-            for k, call in enumerate(c.calls):
+            for k, call in enumerate(_calls(c.shape, c.params)):
                 # a PredName, a subclass of str, is no module's to resolve
                 callee = call and type(call[0]) is str and preds.get(call[:2])
                 if callee and callee.builtin is None and callee.clauses:
