@@ -133,5 +133,5 @@ def test_the_engine_agrees_with_the_reference_resolver(seed):
             answered += bool(want)
             assert engine.store.choicepoints == []
     # most queries are judged, and neither answers nor failures are rare
-    assert compared >= 0.8 * 5 * PROGRAMS // 4
+    assert compared >= 0.8 * 5 * (PROGRAMS // 4)
     assert 0.2 * compared < answered < 0.9 * compared
