@@ -26,7 +26,8 @@ ArithmeticError_, as division by zero and float overflow do, so no
 variable is ever bound to NaN.  An integer or rational power ``^`` /
 ``**`` whose result would have more than MAX_INT_BITS bits (2**22, about
 1.3 million decimal digits) raises RangeError before it is computed:
-``b * (bit_length(a) - 1)`` bounds the size of ``a ** b`` from below.
+``a ** b`` has ``floor(b * log2(a)) + 1`` bits, and the float product
+estimates that within far less than a bit.
 A bounded real's power that big is computed from its endpoints' float
 powers instead, each widened by one ulp, as C's ``pow`` is accurate to
 within one; past the largest float it saturates to infinity.
@@ -210,10 +211,12 @@ def breal_pow(x, n):
 
 def _power_too_big(a, b):
     """Whether the exact power a ** b of an int or a rational a would have
-    more than MAX_INT_BITS bits: ``abs(b) * (k - 1)`` bounds its size from
-    below, k the bit length of a's larger term."""
-    k = max(abs(a.numerator), a.denominator).bit_length()
-    return k > 1 and (k - 1) * abs(b) >= MAX_INT_BITS
+    more than MAX_INT_BITS bits: m ** abs(b), m a's larger term, has
+    ``floor(abs(b) * log2(m)) + 1`` bits.  An exponent of MAX_INT_BITS or
+    more is too big for any m > 1, and is never converted to a float."""
+    m = max(abs(a.numerator), a.denominator)
+    b = abs(b)
+    return m > 1 and (b >= MAX_INT_BITS or b * math.log2(m) >= MAX_INT_BITS)
 
 
 # ----------------------------------------------------------------------
@@ -379,13 +382,21 @@ def dim_create(dims):
         if d < 1:
             raise DomainError("dim: dimensions must be >= 1, got %s" % show(d))
 
-    def build(ds):
-        n, rest = ds[0], ds[1:]
-        if rest:
-            return Struct("[]", [build(rest) for _ in range(n)])
-        return Struct("[]", [Var() for _ in range(n)])
-
-    return build(list(dims))
+    # top-down on a stack: a popped array fills its arguments with the
+    # next dimension's arrays, or with variables at the last dimension
+    root = Struct("[]", [None] * dims[0])
+    stack = [(root, 1)]
+    while stack:
+        t, depth = stack.pop()
+        args = t.args
+        if depth == len(dims):
+            for i in range(len(args)):
+                args[i] = Var()
+            continue
+        for i in range(len(args)):
+            args[i] = Struct("[]", [None] * dims[depth])
+            stack.append((args[i], depth + 1))
+    return root
 
 
 def array_dims(t):

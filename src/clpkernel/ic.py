@@ -8,64 +8,56 @@ narrowing events:
     w_min   lower bound raised          w_hole  interior value removed
     w_max   upper bound lowered         w_type  became integral
 
-One function, _update, writes a domain's bounds, holes and integrality;
-a demon run calls it with the domain it read.  Every caller that holds a
-term goes through narrow, which tests a number, hands a domain to
-_update once and only when something would change, and gives a variable
-without a domain one whose slots carry the current trail segment's stamp
-(store.py), so attaching it is its only trail entry.  exclude_value
-punches its hole through _exclude, and aliasing intersects through
-_update.  _update normalises the bounds and holes, fails on an empty
-domain, and instantiates the variable when one value is left, which
-wakes all four solver lists: anyone watching any aspect of the domain
-must get a chance to react to the strongest possible event.  Otherwise
-it trails the slots that changed and wakes the lists of the events that
-happened (min and max when a bound moves, hole when a value strictly
-inside the new bounds goes, type when the domain becomes integral), then
-the constrained list of its suspend attribute.  Aliasing two domain
-variables intersects their domains and wakes each side's lists for the
-events its own domain saw; the younger variable's lists then join the
-survivor's.  A variable without a domain aliased to one leaves the
-survivor's domain as it is (payload None).
+One function, admits, decides a number against a set of values, so a
+number meets a domain goal alike before and after the goal: the unify
+handler, narrow (::, impose_min/2, impose_max/2, impose_integrality/1,
+set_var_bounds/3) and exclude_value all ask it.  An integral set holds
+only ints (not 3.0, 3_1 or 3.0__3.0) within its bounds, outside its holes
+and, when enumerated, listed.  A continuous set holds an int, a rational
+or a finite float within its bounds, compared exactly (no domain holds an
+infinity), and a bounded real inside it; a bounded real that only partly
+overlaps it raises UncertaintyError.
 
-Only integral domains have holes, and every hole lies strictly between
-lo and hi: a narrowing that would leave a hole at a bound moves the bound
-past it instead, which is a bound event, not a hole event.  No operation
-enumerates lo..hi: printing walks the sorted holes, and labeling
-(search.py) filters them out lazily.  Posting an enumerated domain
-X :: [...] walks the span it leaves once, and every value it passes
-there is listed or becomes a hole.
+One function, _update, writes a domain's bounds, holes and integrality:
+a demon run calls it with the domain it read, and every other caller
+through narrow, which calls it once and only when something would change
+and gives a variable without a domain one whose slots carry the current
+trail segment's stamp (store.py), so attaching it is its only trail
+entry.  exclude_value punches its hole through _exclude.  A single value
+left instantiates the variable and wakes all four lists; otherwise the
+lists of the events that happened wake, then the constrained list of the
+suspend attribute.  Aliasing two domain variables intersects their
+domains through _update, waking each side's lists for the events its own
+domain saw, and the younger variable's lists join the survivor's; a
+variable without a domain leaves the survivor's as it is.
 
-Domain bounds are stored exactly for integral domains (Python ints) and
-as outward-rounded floats for continuous ones.  All constraint arithmetic
-is exact, so propagation never cuts a feasible value: a linear constraint
-whose constant and coefficients are integers computes in Python ints over
-integral domains, dividing with floor or ceiling toward the inside of the
-domain; rational coefficients and continuous domains compute in
-Fractions, and their bounds are rounded outward only when stored.
+Only integral domains have holes, each strictly between lo and hi: a
+hole at a bound moves the bound instead (a bound event, not a hole
+event).  No operation enumerates lo..hi: printing walks the sorted holes,
+labeling (search.py) filters them lazily, and X :: [...] walks once the
+span it leaves, listing or punching each value.
 
-Linear constraints normalise (linear.py) to ``const + sum(c_i * x_i)
-REL  0`` with REL one of =< / = / \\=, and each is enforced by a demon
-at priority 5: a suspension whose ``run`` is its propagator, chosen at
-posting, with the relation, the constant and the pairs as its payload.
-A woken run is one call of that run; no goal term is built at posting,
-only when something prints the delayed goal (``ic_lin_con(Rel, C,
-[C1*X1, ...])``, shown as ``#=`` and the like).  The demon attaches
-itself to the w_min / w_max lists its coefficients make it sensitive to
-(=< and =), or to the variables' bound lists (\\=, which waits until at
-most one variable is free, then excludes the forced value).  A bound
-list wakes on instantiation and on aliasing, and a disequality sums the
-coefficients of the variables that alias each other, so ``X #\\= Y, X =
-Y`` fails at once.  A run of the bounds propagator (=< and =) reads each
-variable's domain once, sums the terms' bounds, and then narrows each
-variable to the slack the other terms leave, writing that domain only
-where the bound tightens it.  A disequality over two variables with int
-coefficients and constant has its own run, which decides in constant
-time: once one side is bound, it excludes the other side's quotient from
-an integral domain if the division is exact, and dies either way.
-ic_lin_con/3 posts such a constraint from its arguments.  alldifferent/1
-is a forward-checking demon at priority 4 on the bound lists too, with
-its list as its payload; it fails when two of its variables alias.
+Integral domains store exact int bounds, continuous ones outward-rounded
+floats.  Constraint arithmetic is exact, so propagation never cuts a
+feasible value: int constants and coefficients over integral domains
+compute in ints, dividing toward the inside of the domain; the rest
+computes in Fractions, rounded outward only when stored.
+
+Linear constraints normalise (linear.py) to ``const + sum(c_i * x_i) REL
+0`` with REL one of =< / = / \\=, each enforced by a demon at priority 5:
+a suspension whose ``run`` is its propagator, chosen at posting, with the
+relation, the constant and the pairs as its payload.  Its goal term
+(``ic_lin_con(Rel, C, [C1*X1, ...])``, shown as ``#=`` and the like) is
+built only when printed.  =< and = wake on the w_min / w_max lists their
+coefficients make them sensitive to; \\= waits on the bound lists until
+at most one variable is free, then excludes the forced value.  A bound
+list wakes on aliasing too, and a disequality sums the coefficients of
+aliased variables, so ``X #\\= Y, X = Y`` fails at once.  A disequality
+over two variables with int coefficients and constant has its own
+constant-time run (_neq2).  ic_lin_con/3 posts a constraint from its
+arguments.  alldifferent/1 is a forward-checking demon at priority 4 on
+the bound lists, with its list as its payload; it fails when two of its
+variables alias.
 """
 
 from __future__ import annotations
@@ -247,20 +239,41 @@ def _update(engine, x, d, lo, hi, holes, integral, joined=None):
     return True
 
 
+def admits(x, lo, hi, integral, holes=None, keep=None):
+    """Whether the set lo..hi holds the term x: the one test of a number
+    against a domain.  An integral set holds only ints, outside holes and,
+    when keep is given, among its values; a continuous set holds ints,
+    rationals and finite floats, and a bounded real inside it.  Bounds
+    compare exactly.  A bounded real that only partly overlaps a
+    continuous set raises UncertaintyError."""
+    if type(x) is int:
+        return (lo <= x <= hi and not (holes and x in holes)
+                and (keep is None or x in keep))
+    if integral:
+        return False
+    ty = type(x)
+    if ty is Breal:
+        if lo <= x.lo and x.hi <= hi:
+            return True
+        if x.hi < lo or x.lo > hi:
+            return False
+        raise UncertaintyError(
+            "bounded real %s only partially overlaps the domain {%s..%s}"
+            % (show(x), float_text(float_down(lo)), float_text(float_up(hi))))
+    # no domain holds an infinity
+    return (ty is Fraction or ty is float and math.isfinite(x)) and \
+        lo <= x <= hi
+
+
 def narrow(engine, x, lo=-_INF, hi=_INF, integral=False, keep=None):
     """Narrow the term x to lo..hi (exact), to the integers when integral,
     and to the ints of the set keep (within lo..hi) when given.  True
-    unless x's values empty."""
+    unless x's values empty; a number is tested by admits."""
     x = deref(x)
     if type(x) is not Var:
-        xlo, xhi = exact_bounds(x)
-        if xhi < lo or xlo > hi:
-            return False
-        # an interval one wide holds an int: ceil and floor see finite ends
-        if integral and not (xlo % 1 == 0 if xlo == xhi else xhi - xlo >= 1
-                             or math.ceil(xlo) <= math.floor(xhi)):
-            return False
-        return keep is None or xlo != xhi or xlo in keep
+        if not is_number(x):
+            raise TypeError_("not a numeric term: %s" % show(x))
+        return admits(x, lo, hi, integral, None, keep)
     if lo == _INF or hi == -_INF:
         return False  # a domain holds no infinity
     d = x.attrs.get("ic")
@@ -299,14 +312,11 @@ def impose_integrality(engine, x):
 
 
 def exclude_value(engine, x, v):
-    """x != v for an exact value v; integral domains only."""
+    """x != v for an exact value v: a number that the set {v} admits
+    fails, and a variable needs an integral domain."""
     x = deref(x)
     if is_number(x):
-        lo, hi = exact_bounds(x)
-        if lo == hi:
-            return lo != v
-        # an uncertain ground value against != stays undecided; be safe
-        return True
+        return not admits(x, v, v, False)
     d = ensure_domain(engine, x)
     if not d.integral:
         raise TypeError_("exclude: variable does not have an integer domain")
@@ -323,7 +333,7 @@ def _exclude(engine, v, d, q):
         if q % 1:  # not an integer, or inf: no integral domain holds it
             return True
         q = int(q)
-    if q < d.lo or q > d.hi or (d.holes and q in d.holes):
+    if not admits(q, d.lo, d.hi, True, d.holes):
         return True
     return _update(engine, v, d, d.lo, d.hi, d.holes | {q}, True)
 
@@ -346,31 +356,12 @@ def _install_attribute(engine):
             return _update(engine, value, other, max(other.lo, d.lo),
                            min(other.hi, d.hi), other.holes | d.holes,
                            other.integral or d.integral, d)
-        return _check_value(engine, value, d)
-
-    def _check_value(engine_, value, d):
-        if d.integral:
-            ok = (type(value) is int
-                  and d.lo <= value <= d.hi
-                  and not (d.holes and value in d.holes))
-        elif type(value) in (int, float, Fraction):
-            ok = ((type(value) is not float or math.isfinite(value))
-                  and d.lo <= value <= d.hi)
-        elif type(value) is Breal:
-            inside = d.lo <= value.lo and value.hi <= d.hi
-            outside = value.hi < d.lo or value.lo > d.hi
-            if not inside and not outside:
-                raise UncertaintyError(
-                    "bounded real %r only partially overlaps the domain %s"
-                    % (value, format_domain(d)))
-            ok = inside
-        else:
-            ok = False
-        if ok:
-            wake = d.w_min + d.w_max + d.w_hole + d.w_type
-            if wake:
-                engine_.sched.schedule(wake)
-        return ok
+        if not admits(value, d.lo, d.hi, d.integral, d.holes):
+            return False
+        wake = d.w_min + d.w_max + d.w_hole + d.w_type
+        if wake:
+            engine.sched.schedule(wake)
+        return True
 
     def on_copy(payload, fresh):
         init_attr(fresh, "ic",
@@ -723,7 +714,7 @@ def _neq2(engine, s, module):
         if d is None or not d.integral:
             return _propagate_neq(engine, s, module)
         q, r = divmod(-k, c)
-        if (r == 0 and d.lo <= q <= d.hi and q not in d.holes
+        if (r == 0 and admits(q, d.lo, d.hi, True, d.holes)
                 and not _update(engine, v, d, d.lo, d.hi, d.holes | {q},
                                 True)):
             return False
@@ -796,19 +787,20 @@ def _alldiff_check(engine, items, s):
 # domain declaration  X :: Lo..Hi
 
 def _domain_targets(t):
-    t = deref(t)
-    items = proper_list(t)
-    if items is not None:
-        out = []
-        for x in items:
-            out.extend(_domain_targets(x))
-        return out
-    if type(t) is Struct and t.name == "[]":
-        out = []
-        for a in t.args:
-            out.extend(_domain_targets(a))
-        return out
-    return [t]
+    """The terms of t, nested lists and arrays flattened in order, walked
+    on a stack."""
+    out = []
+    stack = [t]
+    while stack:
+        t = deref(stack.pop())
+        items = proper_list(t)
+        if items is None and type(t) is Struct and t.name == "[]":
+            items = t.args
+        if items is None:
+            out.append(t)
+        else:
+            stack.extend(reversed(items))
+    return out
 
 
 def bi_domain(engine, args, module):
@@ -923,10 +915,7 @@ def install(engine):
         lo = _exact(lo.lo if type(lo) is Breal else lo)
         hi = _exact(hi.hi if type(hi) is Breal else hi)
         x = deref(args[0])
-        if type(x) is not Var:
-            xlo, xhi = exact_bounds(x)
-            return lo <= xlo and xhi <= hi
-        if x.attrs.get("ic") is None:
+        if type(x) is Var and x.attrs.get("ic") is None:
             raise UnsupportedError("set_var_bounds: variable has no domain")
         return narrow(engine_, x, lo, hi)
 

@@ -5,7 +5,9 @@ order, one choicepoint per variable (`_label`), and return to the
 resolution loop after each binding, so propagation runs before the next
 variable is picked.  labeling/2 takes a selection strategy first:
 input_order, or first_fail (label a variable with the fewest remaining
-values next, which tends to hit dead ends early).  The values are
+values next, which tends to hit dead ends early).  An int item counts as
+labelled and any other item that is not a variable is a type error,
+which labeling/2 raises when it is called.  The values are
 enumerated lazily from a snapshot of the domain's bounds and holes,
 never built as a list, so labeling a domain costs the values it tries
 and the holes it skips, not its width.
@@ -136,12 +138,20 @@ def _next_value(engine, v, values, step, mark):
     return False
 
 
+def _labelled(x):
+    """Whether the dereferenced item x of a labeling is labelled already:
+    it is an int.  A variable is not, and any other term is a TypeError_."""
+    if type(x) is Var:
+        return False
+    if type(x) is int:
+        return True
+    raise TypeError_("indomain: not an integer variable: %s" % show(x))
+
+
 def bi_indomain(engine, args, module):
     x = deref(args[0])
-    if type(x) is not Var:
-        if isinstance(x, int):
-            return True
-        raise TypeError_("indomain: not an integer variable: %s" % show(x))
+    if _labelled(x):
+        return True
     return partial(_label, engine, [x], False, 0), module
 
 
@@ -159,6 +169,8 @@ def bi_labeling2(engine, args, module):
     items = proper_list(args[1])
     if items is None:
         raise TypeError_("labeling: needs a proper list of variables")
+    for x in items:
+        _labelled(deref(x))
     return partial(_label, engine, items, dynamic, 0), module
 
 

@@ -87,12 +87,6 @@ class Store:
         self.attr_registry = None    # the engine's; None when standalone
 
     # ------------------------------------------------------------------
-    # variables
-
-    def new_var(self, name=None):
-        return Var(name)
-
-    # ------------------------------------------------------------------
     # choicepoints and timestamps
 
     def current_stamp(self):
@@ -293,13 +287,3 @@ class Store:
         ok = self.unify(a, b)
         self.drop_to(mark)
         return ok
-
-    # ------------------------------------------------------------------
-    # introspection (used by tests and the toplevel)
-
-    def trail_length(self):
-        return len(self.trail)
-
-    def value_entry_locations(self, since=0):
-        """(id(owner), slot) of every value entry above ``since``."""
-        return [(id(e[1]), e[2]) for e in self.trail[since:] if e[0] == "val"]

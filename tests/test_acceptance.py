@@ -245,7 +245,7 @@ def test_criterion_3_trail_restoration():
 
         def run_level(depth):
             before = snapshot()
-            tlen = st.trail_length()
+            tlen = len(st.trail)
             my_undos = 0
             mark = st.push_choicepoint()
             for _ in range(rng.randint(3, 12)):
@@ -274,7 +274,8 @@ def test_criterion_3_trail_restoration():
                 else:
                     st.register_undo(lambda: undo_log.append(1))
                     my_undos += 1
-            locs = st.value_entry_locations(tlen)
+            locs = [(id(e[1]), e[2]) for e in st.trail[tlen:]
+                    if e[0] == "val"]
             if len(locs) != len(set(locs)):
                 problems.append("trial %d: duplicate value entries" % trial)
             if rng.random() < 0.6 and depth < 3:
@@ -285,7 +286,7 @@ def test_criterion_3_trail_restoration():
             st.backtrack_to(mark)
             if snapshot() != before:
                 problems.append("trial %d: state not restored" % trial)
-            if st.trail_length() != tlen:
+            if len(st.trail) != tlen:
                 problems.append("trial %d: trail not unwound" % trial)
             if len(undo_log) - pre_bt != my_undos:
                 problems.append("trial %d: undo closures ran %d/%d times"

@@ -337,6 +337,27 @@ def test_an_exact_power_past_the_size_bound_is_refused(engine, goal):
         engine.once(goal)
 
 
+def test_the_size_bound_holds_from_both_sides(first, engine):
+    """3^2600000 has 4,120,903 bits and computes; 3^2700000 would have
+    4,279,399 and is refused before any of it is computed, as is a
+    rational of the same size."""
+    got = first("X is 3^2600000, N is X mod 1000")
+    assert got["N"] == pow(3, 2600000, 1000)
+    assert got["X"].bit_length() == 4120903
+    for goal in ("X is 3^2700000", "X is 3_7^2700000", "X is 3^4000000"):
+        t0 = time.process_time()
+        with pytest.raises(RangeError, match="power of more than"):
+            engine.once(goal)
+        assert time.process_time() - t0 < 0.1, goal
+
+
+def test_dim_builds_an_array_100000_deep_on_a_stack(first):
+    assert sys.getrecursionlimit() == 1000
+    got = first("dim(A, [%s]), dim(A, D), length(D, N)"
+                % ", ".join(["1"] * 100000))
+    assert got["N"] == 100000
+
+
 def test_an_answer_with_a_long_integer_prints(engine):
     text = repr(engine.once("X is 10^5000, Y = f(X)"))
     assert text == "Answer({'X': 1%s, 'Y': f(1%s)}, delayed=[])" % (

@@ -102,6 +102,8 @@ def test_float_overflow_exits_2_with_one_line(capsys):
     ("X is 1.0Inf - 1.0Inf", 2, "", "error: arithmetic: undefined\n"),
     ("X is 10^(10^10)", 2, "",
      "error: arithmetic: a power of more than 4194304 bits\n"),
+    ("X is 3^4000000", 2, "",
+     "error: arithmetic: a power of more than 4194304 bits\n"),
     ("X :: -1.0Inf..1.0Inf", 0, "X = _{-1.0Inf..1.0Inf}\nyes\n", ""),
     ("X is 1.5__1.5 ^ (10^10)", 0,
      "X = 1.7976931348623157e+308__1.0Inf\nyes\n", ""),

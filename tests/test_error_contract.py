@@ -24,17 +24,18 @@ from clpkernel.susp import MAIN_PRIORITY
 BIG = "9" * 5001
 
 #: argument texts: atoms, ints, a 20-digit int, ints past 4300 digits,
-#: floats, the infinities, rationals, a
-#: string, unbound, constrained (C) and suspended (S) variables, partial
-#: and proper lists, compounds, and terms that get past the first checks
-#: of some builtins (a relation, a linear list, a domain, a labeling
-#: strategy, a waking condition).  ``{}`` is the argument's position:
-#: the arguments of a call share no variable but C and S, and no
-#: compound holds those, so no call can bind a variable to a term that
-#: contains it (printing such a cyclic answer would not terminate).
+#: floats, the infinities, rationals (one of them integral), bounded
+#: reals (one of them a point), a string, unbound, constrained (C) and
+#: suspended (S) variables, partial and proper lists, compounds, and
+#: terms that get past the first checks of some builtins (a relation, a
+#: linear list, a domain, a labeling strategy, a waking condition).
+#: ``{}`` is the argument's position: the arguments of a call share no
+#: variable but C and S, and no compound holds those, so no call can bind
+#: a variable to a term that contains it (printing such a cyclic answer
+#: would not terminate).
 POOL = ["a", "[]", "'hello world'", "0", "3", "-7", "12345678901234567890",
         BIG, "-" + BIG, "2.5", "-0.0", "1.0e10", "1.0Inf", "-1.0Inf", "1_3",
-        "-2_5", '"abc"', "X{}", "Y{}", "C",
+        "-2_5", "3_1", "0.5__1.5", "3.0__3.0", '"abc"', "X{}", "Y{}", "C",
         "S", "[a|T{}]", "[1, 2]", "[X{}, 3]", "f(X{}, b)", "1 + Y{}",
         "g(Y{}, [Z{}])", "'=<'", "[2*X{}, -1*Y{}]", "0..9", "first_fail",
         "X{} -> inst"]

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from clpkernel import make_engine
+from clpkernel import make_engine, search
 from clpkernel.errors import DomainError, FlounderingError, TypeError_
 from clpkernel.ic import (ensure_domain, exclude_value, get_domain,
                           impose_integrality, impose_max, impose_min)
@@ -86,6 +86,32 @@ def test_labeling2_bad_arguments(engine):
         engine.once("X :: 1..2, labeling(7, [X])")
     with pytest.raises(TypeError_):
         engine.once("X :: 1..2, labeling(ff, foo)")
+
+
+@pytest.mark.parametrize("goal", [
+    "indomain(3.0)", "X :: 1..2, labeling([X, 3.0])",
+    "X :: 1..2, labeling(input_order, [X, 3.0])",
+    "X :: 1..2, labeling(first_fail, [3.0, X])", "labeling(first_fail, [a])",
+    "labeling(ff, [f(_)])", "labeling(input_order, [1, 1_1])"])
+def test_labeling_items_follow_one_rule(engine, goal):
+    """An int item is labelled already; any other item that is not a
+    variable is indomain/1's type error, from labeling/1 and /2 alike."""
+    with pytest.raises(TypeError_, match="indomain: not an integer"):
+        engine.once(goal)
+
+
+def test_labeling2_checks_its_items_once_when_called(engine, monkeypatch):
+    checked = []
+    check = search._labelled
+
+    def counted(x):
+        checked.append(x)
+        return check(x)
+
+    monkeypatch.setattr(search, "_labelled", counted)
+    assert len(engine.ask("X :: 1..3, Y :: 1..3, labeling(ff, [X, 2, Y])")) \
+        == 9
+    assert len(checked) == 3
 
 
 def test_labeling_empty_list(ask):

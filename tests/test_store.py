@@ -94,11 +94,11 @@ def test_timestamp_dedup_single_entry_per_slot_per_choicepoint():
     st = Store()
     s = Struct("cell", [0])
     st.push_choicepoint()
-    base = st.trail_length()
+    base = len(st.trail)
     for i in range(10):
         st.set_arg(1, s, i)
     # only the first write in this choicepoint segment is trailed
-    assert st.trail_length() == base + 1
+    assert len(st.trail) == base + 1
 
 
 def test_timestamp_dedup_resets_across_choicepoints():
@@ -107,9 +107,9 @@ def test_timestamp_dedup_resets_across_choicepoints():
     st.push_choicepoint()
     st.set_arg(1, s, 1)
     st.push_choicepoint()
-    base = st.trail_length()
+    base = len(st.trail)
     st.set_arg(1, s, 2)
-    assert st.trail_length() == base + 1
+    assert len(st.trail) == base + 1
 
 
 def test_retrailing_after_backtrack():
@@ -210,7 +210,7 @@ def test_randomized_restoration():
                     == snap
                 if written:
                     k = rng.choice(sorted(written))
-                    before = st.trail_length()
+                    before = len(st.trail)
                     st.set_arg(1, cells[k], 100)
                     st.set_arg(1, cells[k], 101)
                     st.set_slot(objs[k], "value", 100)
@@ -346,7 +346,7 @@ def test_conditional_trailing_keeps_backtracking_sound():
 
         def run_level(depth, older):
             before = [_sig(v) for v in older]
-            tlen = st.trail_length()
+            tlen = len(st.trail)
             mark = st.push_choicepoint()
             vars_ = older + [Var() for _ in range(rng.randint(1, 4))]
             work(vars_)
@@ -358,7 +358,7 @@ def test_conditional_trailing_keeps_backtracking_sound():
                 return
             st.drop_to(mark)
             assert [_sig(v) for v in older] == before
-            assert st.trail_length() == tlen
+            assert len(st.trail) == tlen
 
         run_level(0, [Var() for _ in range(6)])
     assert untrailed[0] > 100, "no binding went untrailed"

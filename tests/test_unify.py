@@ -6,7 +6,7 @@ from clpkernel.attvar import (AttributeSpec, add_attr, get_attr,
                               notify_constrained)
 from clpkernel.errors import EngineError
 from clpkernel.susp import SUSPENDED
-from clpkernel.terms import NO_ATTRS, Atom, Struct, deref
+from clpkernel.terms import NO_ATTRS, Atom, Struct, Var, deref
 
 
 def probe(engine):
@@ -24,7 +24,7 @@ def probe(engine):
 def test_instantiation_wakes_inst_bound_and_constrained(engine):
     calls = probe(engine)
     st = engine.store
-    x = st.new_var()
+    x = Var()
     for cond in ("inst", "bound", "constrained"):
         s = engine.make_suspension(Struct("probe", [Atom(cond)]), 5)
         engine.attach_suspension(s, x, cond)
@@ -36,12 +36,12 @@ def test_instantiation_wakes_inst_bound_and_constrained(engine):
 def test_aliasing_wakes_bound_but_not_inst(engine):
     calls = probe(engine)
     st = engine.store
-    x = st.new_var()
+    x = Var()
     si = engine.make_suspension(Struct("probe", [Atom("inst")]), 5)
     engine.attach_suspension(si, x, "inst")
     sb = engine.make_suspension(Struct("probe", [Atom("bound")]), 5)
     engine.attach_suspension(sb, x, "bound")
-    assert st.unify(x, st.new_var())
+    assert st.unify(x, Var())
     assert engine.drain()
     assert calls == ["bound"]
     # the inst suspension is still alive and fires on real instantiation
@@ -54,8 +54,8 @@ def test_aliasing_wakes_bound_but_not_inst(engine):
 def test_aliasing_merges_lists_into_survivor(engine):
     calls = probe(engine)
     st = engine.store
-    older = st.new_var()
-    younger = st.new_var()
+    older = Var()
+    younger = Var()
     s = engine.make_suspension(Struct("probe", [Atom("mig")]), 5)
     engine.attach_suspension(s, younger, "inst")
     assert st.unify(older, younger)
@@ -85,13 +85,13 @@ def test_waking_matrix(engine):
     st = engine.store
     for (event, cond), expected in fires.items():
         del calls[:]
-        x = st.new_var()
+        x = Var()
         s = engine.make_suspension(Struct("probe", [Atom(cond)]), 5)
         engine.attach_suspension(s, x, cond)
         if event == "instantiate":
             assert st.unify(x, 1)
         elif event == "alias":
-            assert st.unify(x, st.new_var())
+            assert st.unify(x, Var())
         else:
             notify_constrained(engine, x)
         assert engine.drain()
@@ -104,7 +104,7 @@ def test_unify_handler_can_veto(engine):
 
     engine.registry.register(AttributeSpec(name="even_only", unify=only_even))
     st = engine.store
-    x = st.new_var()
+    x = Var()
     add_attr(st, x, "even_only", True)
     m = st.push_choicepoint()
     assert not st.unify(x, 3)
@@ -123,7 +123,7 @@ def test_unify_handler_sees_the_bound_variable(engine):
 
     engine.registry.register(AttributeSpec(name="spy", unify=spy))
     st = engine.store
-    x = st.new_var()
+    x = Var()
     add_attr(st, x, "spy", "mark")
     assert st.unify(x, Atom("done"))
     # the variable already dereferences to its new value inside the hook
@@ -132,7 +132,7 @@ def test_unify_handler_sees_the_bound_variable(engine):
 
 def test_attribute_attach_is_trailed(engine):
     st = engine.store
-    x = st.new_var()
+    x = Var()
     m = st.push_choicepoint()
     add_attr(st, x, "tag", 7)
     assert get_attr(x, "tag") == 7
@@ -142,7 +142,7 @@ def test_attribute_attach_is_trailed(engine):
 
 def test_backtracking_past_the_first_attribute_restores_no_attrs(engine):
     st = engine.store
-    x = st.new_var()
+    x = Var()
     m = st.push_choicepoint()
     add_attr(st, x, "tag", 7)
     add_attr(st, x, "other", 8)
@@ -152,7 +152,7 @@ def test_backtracking_past_the_first_attribute_restores_no_attrs(engine):
 
 def test_a_replaced_attribute_keeps_its_place(engine):
     st = engine.store
-    x = st.new_var()
+    x = Var()
     add_attr(st, x, "tag", 1)
     add_attr(st, x, "other", 2)
     add_attr(st, x, "tag", 3)
@@ -174,11 +174,11 @@ def test_aliasing_runs_handlers_in_attach_order(engine):
         engine.registry.register(AttributeSpec(name=name,
                                                unify=recorder(name)))
     st = engine.store
-    survivor = st.new_var()
+    survivor = Var()
     add_attr(st, survivor, "d", "d0")
     add_attr(st, survivor, "a", "a0")
     add_attr(st, survivor, "c", "c0")
-    bound = st.new_var()  # younger, so unify binds it to the survivor
+    bound = Var()  # younger, so unify binds it to the survivor
     add_attr(st, bound, "b", "b1")
     add_attr(st, bound, "a", "a1")
     assert st.unify(survivor, bound)
@@ -188,7 +188,7 @@ def test_aliasing_runs_handlers_in_attach_order(engine):
 
 def test_attribute_replaced_not_duplicated(engine):
     st = engine.store
-    x = st.new_var()
+    x = Var()
     add_attr(st, x, "tag", 1)
     add_attr(st, x, "tag", 2)
     assert get_attr(x, "tag") == 2
@@ -198,7 +198,7 @@ def test_attribute_replaced_not_duplicated(engine):
 def test_inert_attribute_rides_along(engine):
     # attributes without registered handlers never block unification
     st = engine.store
-    x = st.new_var()
+    x = Var()
     add_attr(st, x, "luggage", ["a", "b"])
     assert st.unify(x, Struct("f", [Atom("y")]))
     assert deref(x).name == "f"
@@ -207,7 +207,7 @@ def test_inert_attribute_rides_along(engine):
 def test_plain_variables_stay_plain(engine):
     # nothing waits on them, so binding them attaches nothing
     st = engine.store
-    xs = [st.new_var() for _ in range(6)]
+    xs = [Var() for _ in range(6)]
     assert st.unify(xs[0], xs[1])
     assert st.unify(xs[2], xs[1])
     assert st.unify(xs[3], Struct("f", [xs[4], xs[0]]))
