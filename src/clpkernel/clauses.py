@@ -9,7 +9,9 @@ as one more function, its code (`pred_code`), which switches on the
 goal's first argument as WAM's ``switch_on_term`` does: it tests a few
 keys in a chain, or reads many from a dict, and enters the candidate
 clauses.  A single candidate whose key the chain tested runs inline in
-the predicate's code, generated once per predicate shape.  The code of a
+the predicate's code, generated once per predicate shape; when it is the
+predicate's only clause, an unbound first argument is bound to its first
+head argument, built, and the code goes on as for that key.  The code of a
 predicate also resolves the calls of the clause it inlines: a body goal
 that names a predicate of the same module, with clauses and no builtin,
 and is no control construct, becomes a cell holding that `Pred` and the
@@ -23,8 +25,8 @@ from fractions import Fraction
 
 from .errors import InternalError
 from .reader import read_terms
-from .terms import (TRUE, Atom, Breal, Struct, Var, deref, flatten_conj,
-                    show)
+from .terms import (NO_ATTRS, TRUE, Atom, Breal, Struct, Var, deref,
+                    flatten_conj, show)
 
 
 class Clause:
@@ -134,17 +136,24 @@ def _calls(shape, params):
                 key = None
             calls.append(None if key is None or key in _CONTROL
                          else (*key, p))
-        left = 1
-        while left:
-            tok = shape[pos]
-            pos += 1
-            left -= 1
-            if _is_compound(tok):
-                left += -1 - tok
-                p += 1
-            elif tok == "K" or tok == "A":
-                p += 1
+        pos, p = _skip(shape, pos, p)
     return calls
+
+
+def _skip(shape, pos, p):
+    """The positions of the next token and parameter after the term whose
+    first token is at ``pos`` and whose first parameter is the p-th."""
+    left = 1
+    while left:
+        tok = shape[pos]
+        pos += 1
+        left -= 1
+        if _is_compound(tok):
+            left += -1 - tok
+            p += 1
+        elif tok == "K" or tok == "A":
+            p += 1
+    return pos, p
 
 
 #: the factory of every clause shape generated so far in this process.
@@ -176,16 +185,18 @@ def _make(gen, names, header, body):
               "%s\n"
               "    return %s\n" % (", ".join(names), header, body, name))
     namespace = {"Var": Var, "Struct": Struct, "Fraction": Fraction,
-                 "_open": _open, "_const": _const, "_KEYED": _KEYED,
-                 "enter": enter}
+                 "NO_ATTRS": NO_ATTRS, "_open": _open, "_const": _const,
+                 "_KEYED": _KEYED, "enter": enter}
     exec(compile(source, "<%s>" % name, "exec"), namespace)
     return namespace["make"]
 
 
 def _open(g, name, n):
-    """What a head compound term with this name and arity meets in the
-    goal: the goal term's argument list, an unbound variable, or None
-    when neither."""
+    """What a head compound term with this name and arity, below another
+    head compound term, meets in the goal: the goal term's argument list,
+    an unbound variable, or None when neither.  The code matches a
+    compound met at the top of a head argument in place
+    (`_Codegen.open`)."""
     while type(g) is Var:
         if g.ref is None:
             return g
@@ -250,14 +261,22 @@ class _Codegen:
     The head is matched against the goal's arguments in place.  A first
     occurrence takes the goal subterm as it is, a later one unifies with
     it, and a constant is matched by `_const` unless the goal subterm is
-    that very constant.  A compound term takes what it meets from
-    `_open`: against a compound goal term it is matched argument by
-    argument; against an unbound variable it is built and bound with one
-    ``bind``, and its arguments are not matched.  A compound term whose
-    arguments are all variables and constants is done in one ``if``.
-    Any other keeps its choice in ``m<j>`` (True when matched) and what
-    it met in ``s<j>``; its arguments are generated after it, each for
-    both choices, and it is built into ``t<j>`` after its last argument.
+    that very constant.  A compound term is matched against a compound
+    goal term argument by argument; against an unbound variable it is
+    built and bound once, and its arguments are not matched.  One met at
+    a head argument, or at an argument of a first argument whose key the
+    predicate's code has tested, is matched by the code itself, as WAM's
+    ``get_structure`` is: it dereferences the goal term, tests its name
+    and arity, and binds a variable by `bind`, in place when the variable
+    has no attributes.  One below another compound term takes what it
+    meets from `_open` and binds with ``store.bind``: matching those in
+    place too would add the same dozen lines at every level, and a
+    clause's first call, most of it CPython's ``compile()``, pays for
+    every line.  A compound term whose arguments are all variables and
+    constants is done in one statement.  Any other keeps its choice in
+    ``m<j>`` (True when matched) and what it met in ``s<j>``; its
+    arguments are generated after it, each for both choices, and it is
+    built into ``t<j>`` after its last argument.
     Fresh variables are made and the copy hook called in prefix order,
     as a recursive build would.  The body is built after the head
     matched, one statement per compound term below a goal.
@@ -307,6 +326,20 @@ class _Codegen:
             self.emit(d, "if %s is not %s and not _const(%s, %s, store):"
                       % (src, p, src, p))
         self.emit(d + 1, "return False")
+
+    def match_args(self, d, leaves, src):
+        """Emit the match of a compound's leaf arguments against the
+        items of the list ``src``."""
+        if leaves and all(kind == "F" or kind == "A" for kind, _, _ in leaves):
+            self.emit(d, "%s, = %s" % (", ".join([v for _, v, _ in leaves]),
+                                       src))
+            return
+        if src != "s":
+            self.emit(d, "s = %s" % src)
+        for i, leaf in enumerate(leaves):
+            self.match_leaf(d, leaf, "s[%d]" % i)
+        if not leaves:
+            self.emit(d, "pass")
 
     def build_leaf(self, d, leaf):
         """Emit what building the leaf takes; return its expression."""
@@ -400,7 +433,8 @@ class _Codegen:
         """Emit the matching of a head compound of arity n met at ``src``.
         A compound whose arguments are all leaves is done here; for any
         other, and for one met at a ``proven`` compound goal term, return
-        its node, whose arguments come next."""
+        its node, whose arguments come next.  One met where no ``m<j>``
+        guards it (``parent.cond`` false) is matched in place."""
         emit = self.emit
         name = self.param()
         j = self.nj
@@ -413,37 +447,68 @@ class _Codegen:
                 return None
             emit(2, "s%d = %s.args" % (j, src))
             return _Node(j, name, n, parent, False)
-        if any(map(_is_compound, self.shape[self.pos:self.pos + n])):
-            emit(2, "s%d = _open(%s, %s, %d)%s" % (
-                j, src, name, n,
-                "" if not parent.cond else " if m%d else False" % parent.j))
+        nested = any(map(_is_compound, self.shape[self.pos:self.pos + n]))
+        if not parent.cond:
+            s = "s%d" % j if nested else "s"
+            emit(2, "%s = %s" % (s, src))
+            emit(2, "while True:")
+            emit(3, "if type(%s) is not Var:" % s)
+            emit(4, "if type({0}) is not Struct or {0}.name != {1} "
+                    "or len({0}.args) != {2}:".format(s, name, n))
+            emit(5, "return False")
+            if nested:
+                emit(4, "%s = %s.args" % (s, s))
+                emit(4, "m%d = True" % j)
+            else:
+                leaves = [self.leaf(self.take()) for _ in range(n)]
+                self.match_args(4, leaves, "s.args")
+            emit(4, "break")
+            emit(3, "if %s.ref is None:" % s)
+            if nested:
+                emit(4, "m%d = False" % j)
+            else:
+                emit(4, "t = Struct(%s, [%s])" % (name, ", ".join(
+                    [self.build_leaf(4, leaf) for leaf in leaves])))
+                self.bind(4, s, "t")
+            emit(4, "break")
+            emit(3, "%s = %s.ref" % (s, s))
+            return _Node(j, name, n, parent) if nested else None
+        if nested:
+            emit(2, "s%d = _open(%s, %s, %d) if m%d else False"
+                 % (j, src, name, n, parent.j))
             emit(2, "if s%d is None:" % j)
             emit(3, "return False")
             emit(2, "m%d = type(s%d) is list" % (j, j))
             return _Node(j, name, n, parent)
-        d = 3 if parent.cond else 2
-        if d == 3:
-            emit(2, "if m%d:" % parent.j)
         leaves = [self.leaf(self.take()) for _ in range(n)]
-        emit(d, "s = _open(%s, %s, %d)" % (src, name, n))
-        emit(d, "if s is None:")
-        emit(d + 1, "return False")
-        emit(d, "if type(s) is list:")
-        for i, leaf in enumerate(leaves):
-            self.match_leaf(d + 1, leaf, "s[%d]" % i)
-        if not n:
-            emit(d + 1, "pass")
-        emit(d, "else:")
-        built = "Struct(%s, [%s])" % (name, ", ".join(
-            [self.build_leaf(d + 1, leaf) for leaf in leaves]))
-        emit(d + 1, "if not store.bind(s, %s):" % built)
-        emit(d + 2, "return False")
-        if d == 3:
-            emit(2, "else:")
-            emit(3, "t%d = Struct(%s, [%s])" % (j, name, ", ".join(
-                [self.build_leaf(3, leaf) for leaf in leaves])))
-            parent.vals.append("t%d" % j)
+        emit(2, "if m%d:" % parent.j)
+        emit(3, "s = _open(%s, %s, %d)" % (src, name, n))
+        emit(3, "if s is None:")
+        emit(4, "return False")
+        emit(3, "if type(s) is list:")
+        self.match_args(4, leaves, "s")
+        emit(3, "else:")
+        emit(4, "if not store.bind(s, Struct(%s, [%s])):" % (name, ", ".join(
+            [self.build_leaf(4, leaf) for leaf in leaves])))
+        emit(5, "return False")
+        emit(2, "else:")
+        emit(3, "t%d = Struct(%s, [%s])" % (j, name, ", ".join(
+            [self.build_leaf(3, leaf) for leaf in leaves])))
+        parent.vals.append("t%d" % j)
         return None
+
+    def bind(self, d, var, term):
+        """Emit the binding of the unbound variable ``var`` to ``term``:
+        in place when it has no attributes, trailed by `Store.bind`'s
+        rule, written here once; else through ``store.bind``, so its
+        hooks run."""
+        self.emit(d, "if %s.attrs is NO_ATTRS:" % var)
+        self.emit(d + 1, "%s.ref = %s" % (var, term))
+        self.emit(d + 1, "if (cps := store.choicepoints) and "
+                         "%s.serial <= cps[-1].var_serial:" % var)
+        self.emit(d + 2, "store.trail.append((\"bind\", %s))" % var)
+        self.emit(d, "elif not store.bind(%s, %s):" % (var, term))
+        self.emit(d + 1, "return False")
 
     def close(self, node):
         """Emit the build of a head compound after its last argument, and
@@ -453,12 +518,12 @@ class _Codegen:
         self.emit(3, "t%d = Struct(%s, [%s])" % (j, node.name,
                                                ", ".join(node.vals)))
         if not parent.cond:
-            self.emit(3, "if not store.bind(s%d, t%d):" % (j, j))
-        else:
-            self.emit(3, "if m%d and not store.bind(s%d, t%d):"
-                      % (parent.j, j, j))
-            parent.vals.append("t%d" % j)
+            self.bind(3, "s%d" % j, "t%d" % j)
+            return
+        self.emit(3, "if m%d and not store.bind(s%d, t%d):"
+                  % (parent.j, j, j))
         self.emit(4, "return False")
+        parent.vals.append("t%d" % j)
 
     def build(self, d, call=False):
         """Emit the build of the next term; return its expression, or for
@@ -565,7 +630,10 @@ def pred_code(pred):
     the goal's first argument: the clauses with its key (`index_key`) and
     those whose first argument is a variable, in source order, or every
     clause for an unbound argument.  It enters them with `enter`, which
-    pushes a retry mark when there are several.
+    pushes a retry mark when there are several.  A predicate of one
+    clause that has a key binds an unbound first argument to the clause's
+    first head argument, built, and goes on to the key's test, which it
+    passes: its code holds the clause once, not twice.
 
     A predicate with up to `_CHAIN` keys tests them in a chain, each by
     its type and value; its code is generated from Python source once per
@@ -597,6 +665,9 @@ def pred_code(pred):
         elif len(cands) > 1 or len(cands[0].shape) > _INLINE:
             shape.append(1)
             params.append(cands)
+        elif cands is every and table:  # one clause, and it has a key
+            shape.append(2)
+            params.extend(cands[0].params[:_skip(cands[0].shape, 2, 0)[1]])
         else:
             c = cands[0]
             ps = list(c.params)
@@ -610,7 +681,8 @@ def pred_code(pred):
             shape.append((c.shape, tuple(resolved)))
             params.extend(ps)
 
-    run(tuple(clauses))
+    every = tuple(clauses)
+    run(every)
     if table:
         for key, cands in table.items():
             if key is _OTHER_KEY:
@@ -661,8 +733,10 @@ def _pred_factory(shape):
     argument, then, if some clause has a key, each key's test and run, and
     the run of a key no clause has.  A test is a type, an arity or None
     (`_TESTS`); a run is 0 (no candidate), 1 (a tuple of candidates,
-    entered) or, for the one candidate inlined, its shape and the
-    positions of its body goals resolved (`pred_code`)."""
+    entered), 2 (the unbound first argument bound to the first head
+    argument of the clause the first key's run inlines, only as the run
+    of an unbound first argument) or, for the one candidate inlined, its
+    shape and the positions of its body goals resolved (`pred_code`)."""
     gen = _Codegen(shape)
     if len(shape) == 2:  # nothing to switch on
         _run(gen, 2, shape[1], False)
@@ -670,7 +744,7 @@ def _pred_factory(shape):
         gen.emit(2, "x = args[0]")
         gen.emit(2, "while type(x) is Var:")
         gen.emit(3, "if x.ref is None:")
-        _run(gen, 4, shape[1], False)
+        _run(gen, 4, shape[1], False, shape[3])
         gen.emit(3, "x = x.ref")
         for i in range(2, len(shape) - 1, 2):
             test = shape[i]
@@ -687,15 +761,25 @@ def _pred_factory(shape):
                  "        store = engine.store\n" + "\n".join(gen.lines))
 
 
-def _run(gen, d, run, proven):
+def _run(gen, d, run, proven, keyed=None):
     """Emit, at depth d, the code that enters a run's candidates (see
     `_pred_factory`): a clause inlined matches its first argument from
-    ``x`` when ``proven``."""
+    ``x`` when ``proven``.  Run 2 binds the unbound ``x`` to the first
+    head argument of the clause the ``keyed`` run inlines, built, and
+    goes on to that run's key test."""
     if run == 0:
         gen.emit(d, "return False")
     elif run == 1:
         gen.emit(d, "return enter(engine, module, %s, 0, args, "
                     "len(store.choicepoints), cont)" % gen.param())
+    elif run == 2:
+        shape = keyed[0]
+        sub = _Codegen(shape[2:_skip(shape, 2, 0)[0]])
+        sub.np = gen.np
+        sub.emit(d, "t = %s" % sub.build(d))
+        sub.bind(d, "x", "t")
+        gen.lines += sub.lines
+        gen.np = sub.np
     else:
         sub = _Codegen(run[0])
         sub.np = gen.np

@@ -209,6 +209,10 @@ class Store:
         Returns False when a handler vetoes the binding.  The partial
         state is left in place; the caller is expected to hold a
         choicepoint and backtrack on failure.
+
+        Generated head code (`clauses._Codegen.bind`) binds a variable
+        without attributes itself, by the same trail rule, so a change
+        to the rule must change both.
         """
         if var.ref is not None:
             raise InternalError("bind: variable already bound")
@@ -238,7 +242,9 @@ class Store:
     # unification
 
     def unify(self, a, b):
-        """Structural unification, no occurs check.
+        """Structural unification, no occurs check.  Arguments are unified
+        left to right, as the generated head code matches them, so the
+        attributes' handlers run in the same order either way.
 
         On failure, bindings already made are *not* undone here; backtrack
         to a mark taken before the call to restore them.
@@ -268,7 +274,7 @@ class Store:
             if tx is Struct:
                 if x.name != y.name or len(x.args) != len(y.args):
                     return False
-                stack.extend(zip(x.args, y.args))
+                stack.extend(zip(reversed(x.args), reversed(y.args)))
             elif tx is Atom:
                 return False  # distinct interned atoms never unify
             elif tx is int or tx is float or tx is Fraction or tx is str:

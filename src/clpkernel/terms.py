@@ -20,6 +20,8 @@ compare =:= where that is decidable.
 
 from __future__ import annotations
 
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact,
+                     localcontext)
 from fractions import Fraction
 from itertools import count
 from types import MappingProxyType
@@ -427,25 +429,52 @@ _BASE = 10 ** _CHUNK
 
 
 def int_text(n):
-    """The decimal text of the int n.  Past _CHUNK digits n is split at
-    powers of ten, divide and conquer, and never converted whole."""
+    """The decimal text of the int n.  Past _CHUNK digits n is converted
+    to a `Decimal` by binary splitting, as CPython 3.12's
+    ``_pylong.int_to_decimal_string`` does: the low and high halves of
+    its bits are converted apart and joined as ``lo + hi * 2 ** half``,
+    whose products `decimal` computes in subquadratic time.  A local
+    context makes every step exact; the int/str conversion limit is
+    neither read nor changed."""
     if -_BASE < n < _BASE:
         return str(n)
-    if n < 0:
-        return "-" + int_text(-n)
-    pows = [_BASE]
-    while pows[-1] <= n:
-        pows.append(pows[-1] * pows[-1])
-    return _digits(n, pows, len(pows) - 2).lstrip("0")
+    with localcontext() as ctx:
+        ctx.prec = MAX_PREC
+        ctx.Emax = MAX_EMAX
+        ctx.Emin = MIN_EMIN
+        ctx.traps[Inexact] = True
+        return str(_decimal(n, n.bit_length(), {}) if n > 0
+                   else -_decimal(-n, n.bit_length(), {}))
 
 
-def _digits(n, pows, i):
-    """The digits of n < pows[i] ** 2, zero-padded to _CHUNK * 2 ** (i + 1);
-    pows[i] is 10 ** (_CHUNK * 2 ** i)."""
-    if i < 0:
-        return str(n).zfill(_CHUNK)
-    hi, lo = divmod(n, pows[i])
-    return _digits(hi, pows, i - 1) + _digits(lo, pows, i - 1)
+#: ints of at most this many bits become a `Decimal` directly
+_SPLIT_BITS = 128
+
+
+def _decimal(n, bits, pows):
+    """The `Decimal` of the int 0 <= n < 2 ** bits; ``pows`` caches the
+    powers of two by exponent."""
+    if bits <= _SPLIT_BITS:
+        return Decimal(n)
+    half = bits >> 1
+    hi = n >> half
+    return (_decimal(n - (hi << half), half, pows)
+            + _decimal(hi, bits - half, pows) * _power(half, pows))
+
+
+def _power(k, pows):
+    """2 ** k as a `Decimal`, cached in ``pows``, from the powers already
+    there where it can be."""
+    p = pows.get(k)
+    if p is None:
+        if k <= _SPLIT_BITS:
+            p = Decimal(2) ** k
+        elif k - 1 in pows:
+            p = pows[k - 1] * 2
+        else:
+            p = _power(k >> 1, pows) * _power(k - (k >> 1), pows)
+        pows[k] = p
+    return p
 
 
 def int_value(digits):

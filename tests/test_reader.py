@@ -99,6 +99,16 @@ def test_a_100000_digit_integer_reads_and_prints_in_under_a_second():
     assert text == digits and value % 10 ** 10 == 1234567890
 
 
+def test_a_300000_digit_integer_prints_in_under_a_second():
+    """Printing converts through `decimal` in subquadratic time: CPython's
+    long division would take seconds here."""
+    value = 7 ** 355000 + 1
+    t0 = time.process_time()
+    text = write_term(value)
+    assert time.process_time() - t0 < 1
+    assert len(text) == 300010 and pt(text) == value
+
+
 def test_zero_denominator_rational_is_rejected():
     with pytest.raises(ReaderError):
         tokenize("1_0")

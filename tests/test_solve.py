@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from clpkernel import clauses, ic, make_engine, search, solve
+from clpkernel.attvar import AttributeRegistry, AttributeSpec
 from clpkernel.clauses import Clause
 from clpkernel.errors import (ExistenceError, FlounderingError, Halt,
                               InstantiationError, InternalError, RangeError,
@@ -645,7 +646,7 @@ def _reference_unify(a, b):
         elif type(x) is Struct and type(y) is Struct:
             if x.name != y.name or len(x.args) != len(y.args):
                 return False
-            stack.extend(zip(x.args, y.args))
+            stack.extend(zip(reversed(x.args), reversed(y.args)))
         elif type(x) is not type(y) or x != y:
             return False
     return True
@@ -657,42 +658,74 @@ def _compiled_against_copy_and_unify(rng, head_arg, goal_arg):
     whole clause by copy_term and unifying the head with Store.unify; so
     does the code of a predicate of that one clause, which runs it inline,
     from the first argument it tested when the head's is not a variable.
-    ``head_arg(rng, pool)`` and ``goal_arg(rng, head argument, pool)``
-    make the arguments of 500 random heads and goals."""
+    Each run leaves as many bind entries on the trail as Store.unify, and
+    every goal variable unbound after backtracking; the youngest goal
+    variable is the last made before the choicepoint.  The two others
+    carry an attribute whose unify hook records its calls, which must be
+    Store.unify's, in number and order: a variable the head binds in
+    place has no attribute.  ``head_arg(rng, pool)`` and
+    ``goal_arg(rng, head argument, pool)`` make the arguments of 500
+    random heads and goals."""
     outcomes = {True: 0, False: 0}
+    calls = []
+
+    def hook(value, payload, var):
+        calls.append((var, payload, (value.name, len(value.args))
+                      if type(value) is Struct else value))
+        return True
+
+    registry = AttributeRegistry()
+    registry.register(AttributeSpec("rec", unify=hook))
     for _ in range(500):
         hvars = [Var(), Var(), Var()]
+        fresh = Var()
+        # the last variable made before the mark is pushed, and plain
         gvars = [Var(), Var(), Var()]
+        gvars[0].attrs = {"rec": 0}
+        gvars[1].attrs = {"rec": 1}
         arity = rng.randrange(1, 4)
         head = Struct("p", [head_arg(rng, hvars) for _ in range(arity)])
         goal = Struct("p", [goal_arg(rng, a, gvars) for a in head.args])
-        fresh = Var()
         body = Struct("b", hvars + [fresh, Struct("f", [fresh])])
         expected = _reference_unify(head, goal)
         if expected is None:
             continue
         store = Store()
+        store.attr_registry = registry
         mark = store.push_choicepoint()
-        renamed = copy_term(Struct(":-", [head, body]))
-        ok_old = store.unify(renamed.args[0], goal)
-        old = ok_old and copy_term(Struct("r", [goal, renamed.args[1]]))
-        store.backtrack_to(mark)
+
+        def observed(run):
+            """What a run returns, its bind entries and the hook calls
+            on goal variables; the run is undone after."""
+            del calls[:]
+            got = run()
+            binds = sum(e[0] == "bind" for e in store.trail)
+            seen = [c for c in calls if any(c[0] is v for v in gvars)]
+            if got is not False:
+                got = copy_term(Struct("r", [goal, got[0]])), got[1:]
+            store.backtrack_to(mark)
+            assert all(v.ref is None for v in gvars), (head, goal)
+            return got, binds, seen
 
         module = solve.Module("m", None)
+        renamed = copy_term(Struct(":-", [head, body]))
+        old, old_binds, old_calls = observed(lambda: store.unify(
+            renamed.args[0], goal) and (renamed.args[1], module, 1, None))
+        ok_old = old is not False
         pred = solve.Pred("p", arity, module)
         pred.add(Clause(head, body))
         for run in (lambda: pred.clauses[0].compile()(
                         goal.args, None, store, module, 1, None),
                     lambda: clauses.pred_code(pred)(
                         goal.args, SimpleNamespace(store=store), None)):
-            got = run()
-            ok_new = got is not False
-            new = ok_new and copy_term(Struct("r", [goal, got[0]]))
-            assert not ok_new or got[1:] == (module, 1, None)
-            store.backtrack_to(mark)
+            new, binds, new_calls = observed(run)
+            ok_new = new is not False
             assert ok_old == ok_new == expected, (head, goal)
             if ok_new:
-                assert is_variant(old, new), (head, goal, old, new)
+                assert new[1] == (module, 1, None)
+                assert is_variant(old[0], new[0]), (head, goal, old, new)
+            assert binds == old_binds, (head, goal)
+            assert new_calls == old_calls, (head, goal)
         store.drop_to(mark)
         assert store.trail == [] and store.choicepoints == []
         outcomes[ok_new] += 1
@@ -713,6 +746,39 @@ def test_compiled_deep_heads_match_as_copy_and_unify_do():
     outcomes = _compiled_against_copy_and_unify(
         Random(20261019), _random_deep_term, _instance_of)
     assert outcomes[True] >= 100 and outcomes[False] >= 100, outcomes
+
+
+def test_a_head_compound_binds_a_domain_variable_through_its_hook(engine):
+    """Only a variable without attributes is bound in place: ic's unify
+    hook refuses a list for a domain variable, whether the list is the
+    head's first argument, built on an unbound first argument, a later
+    argument, or the head of a clause entered as one of two."""
+    engine.load("p([_|_]).\nq(a, [_|_]).\nr([_|_]).\nr(f(_)).\n")
+    for goal in ("p(X)", "q(a, X)", "r(X)"):
+        assert engine.ask("X :: 1..3, " + goal) == [], goal
+        assert engine.ask(goal + ", X = [_|_]") != [], goal
+
+
+def test_a_head_binding_in_place_is_undone_on_backtracking(engine):
+    """X is older than q/1's choicepoint, so binding it in place trails
+    it, and the second answer finds it unbound again: for a first
+    argument built on an unbound goal argument, for a later argument,
+    and in a clause entered as one of two."""
+    engine.load("q(1).\nq(2).\n"
+                "p(f(a), 1).\n"
+                "s(1, f(a)).\ns(2, g(b)).\n"
+                "r(1, f(a)).\nr(N, g(N)).\n")
+    for text, want in [("q(N), (N == 1 -> p(X, _) ; X = g(b))",
+                        ["f(a)", "g(b)"]),
+                       ("q(N), s(N, X)", ["f(a)", "g(b)"]),
+                       ("q(N), r(N, X)", ["f(a)", "g(1)", "g(2)"])]:
+        goal, varmap = engine.parse_goal(text)
+        x = varmap["X"]
+        got = []
+        for _ in engine.solutions(goal):
+            got.append(engine.format_term(x))
+        assert got == want, text
+        assert x.ref is None
 
 
 def test_repeated_head_variable_unifies_goal_arguments(engine):
@@ -1016,6 +1082,40 @@ def test_large_clauses_load_and_run_at_the_default_recursion_limit(engine):
         prev = nxt
     engine.add_clause(engine.main, Struct("many", [n0, prev]), mk_conj(goals))
     assert engine.once("many(0, N)")["N"] == 1000
+
+
+def _generated_bytecode(rng, count):
+    """The bytecode size of the functions generated for ``count`` random
+    one-clause predicates: each clause's own function and its
+    predicate's code, which inlines it."""
+    total = 0
+    for _ in range(count):
+        pool = [Var(), Var(), Var()]
+        make = rng.choice((_random_term, _random_deep_term))
+        head = Struct("p", [make(rng, pool)
+                            for _ in range(rng.randrange(1, 4))])
+        body = mk_conj([Struct("=", [rng.choice(pool + [Var()]),
+                                     _random_term(rng, pool)])
+                        for _ in range(rng.randrange(3))])
+        pred = solve.Pred("p", len(head.args), solve.Module("m", None))
+        pred.add(Clause(head, body))
+        for fn in (pred.clauses[0].compile(), clauses.pred_code(pred)):
+            total += len(fn.__code__.co_code)
+    return total
+
+
+#: what `_generated_bytecode(Random(20261021), 300)` gave before head
+#: compounds were matched in place, by Python version
+_BYTECODE_BEFORE = {(3, 11): 842326}
+
+
+def test_generated_code_of_random_shapes_stays_small():
+    """The first call of a clause pays for generating and compiling its
+    code, so the code of 300 random shapes may grow by at most 10%."""
+    before = _BYTECODE_BEFORE.get(sys.version_info[:2])
+    if before is None:
+        pytest.skip("measured on CPython 3.11 only")
+    assert _generated_bytecode(Random(20261021), 300) <= before * 1.1
 
 
 def test_deterministic_recursion_pushes_no_choicepoints(engine, monkeypatch):
