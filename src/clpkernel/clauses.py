@@ -439,15 +439,14 @@ class _Codegen:
         name = self.param()
         j = self.nj
         self.nj += 1
-        if proven:
-            toks = self.shape[self.pos:self.pos + n]
-            if n and all(tok == "F" or tok == "A" for tok in toks):
-                emit(2, "%s, = %s.args" % (", ".join(
-                    [self.leaf(self.take())[1] for _ in toks]), src))
-                return None
+        nested = any(map(_is_compound, self.shape[self.pos:self.pos + n]))
+        if proven and nested:
             emit(2, "s%d = %s.args" % (j, src))
             return _Node(j, name, n, parent, False)
-        nested = any(map(_is_compound, self.shape[self.pos:self.pos + n]))
+        if proven:
+            self.match_args(2, [self.leaf(self.take()) for _ in range(n)],
+                            src + ".args")
+            return None
         if not parent.cond:
             s = "s%d" % j if nested else "s"
             emit(2, "%s = %s" % (s, src))
@@ -665,9 +664,6 @@ def pred_code(pred):
         elif len(cands) > 1 or len(cands[0].shape) > _INLINE:
             shape.append(1)
             params.append(cands)
-        elif cands is every and table:  # one clause, and it has a key
-            shape.append(2)
-            params.extend(cands[0].params[:_skip(cands[0].shape, 2, 0)[1]])
         else:
             c = cands[0]
             ps = list(c.params)
@@ -681,8 +677,14 @@ def pred_code(pred):
             shape.append((c.shape, tuple(resolved)))
             params.extend(ps)
 
-    every = tuple(clauses)
-    run(every)
+    if table and len(clauses) == 1 and len(clauses[0].shape) <= _INLINE:
+        # one clause with a key: its first argument is built for an
+        # unbound goal argument
+        c = clauses[0]
+        shape.append(2)
+        params.extend(c.params[:_skip(c.shape, 2, 0)[1]])
+    else:
+        run(tuple(clauses))
     if table:
         for key, cands in table.items():
             if key is _OTHER_KEY:

@@ -619,7 +619,9 @@ def _instance_of(rng, t, pool):
 def _reference_unify(a, b):
     """Unification with occurs check over a substitution: True, False on a
     clash, None when the occurs check stops it (a cyclic term would be
-    made without it)."""
+    made without it).  Arguments are taken left to right, as Store.unify
+    and head code take them: whether unifying without the check makes a
+    cyclic term can depend on the order."""
     subst = {}
 
     def walk(t):
