@@ -115,13 +115,21 @@ def join_lists(store, into, extra, slots):
 class Suspend:
     """The ``suspend`` attribute's payload.  ``inst`` wakes on
     instantiation, ``bound`` also on aliasing, ``constrained`` also on
-    any narrowing (`notify_constrained`, ic's domain writer)."""
+    any narrowing (`notify_constrained`, ic's domain writer).  The three
+    lists are trailed together, under one ``stamp`` (store.py)."""
 
-    __slots__ = ("inst", "bound", "constrained", "_stamps")
+    __slots__ = ("inst", "bound", "constrained", "stamp")
+    _trailed = None  # several: _saved and _restore
 
-    def __init__(self):
+    def __init__(self, stamp=0):
         self.inst = self.bound = self.constrained = ()
-        self._stamps = None
+        self.stamp = stamp
+
+    def _saved(self):
+        return self.inst, self.bound, self.constrained
+
+    def _restore(self, saved):
+        self.inst, self.bound, self.constrained = saved
 
 
 def suspend_record(engine, var):
@@ -129,8 +137,9 @@ def suspend_record(engine, var):
     the one way to find the record that a suspension is attached to."""
     rec = var.attrs.get("suspend")
     if rec is None:
-        rec = Suspend()
-        add_attr(engine.store, var, "suspend", rec)
+        store = engine.store
+        rec = Suspend(store.current_stamp())
+        add_attr(store, var, "suspend", rec)
     return rec
 
 

@@ -64,10 +64,7 @@ class Clause:
 
     def compile(self):
         """Make and return ``fn``."""
-        make = _FACTORIES.get(self.shape)
-        if make is None:
-            make = _FACTORIES[self.shape] = _factory(self.shape)
-        fn = self.fn = make(*self.params)
+        fn = self.fn = _cached(_FACTORIES, self.shape, _factory)(*self.params)
         return fn
 
 
@@ -156,9 +153,26 @@ def _skip(shape, pos, p):
     return pos, p
 
 
-#: the factory of every clause shape generated so far in this process.
-#: It holds code only: no clause, term or predicate.
+#: the factories of the clause shapes generated in this process, oldest
+#: first.  It holds code only: no clause, term or predicate.
 _FACTORIES = {}
+
+#: each factory cache keeps at most this many shapes: a process that makes
+#: clauses of ever new shapes would otherwise keep code without bound.  A
+#: whole tier-1 test run makes about 2,400 clause and 2,000 predicate
+#: shapes.
+CACHE_CAP = 4096
+
+
+def _cached(cache, shape, build):
+    """The factory of shape in cache, built by build(shape) and added when
+    missing, after dropping the oldest entries of a full cache."""
+    make = cache.get(shape)
+    if make is None:
+        while len(cache) >= CACHE_CAP:
+            del cache[next(iter(cache))]
+        make = cache[shape] = build(shape)
+    return make
 
 #: parameters beyond this many are read from a tuple: compiling a closure
 #: over thousands of cells takes time superlinear in their number
@@ -605,8 +619,9 @@ _CHAIN = 8
 #: in its predicate's code: its code is made once, as the clause's own
 _INLINE = 64
 
-#: the factory of every predicate shape generated so far in this process.
-#: It holds code only: no clause, term or predicate.
+#: the factories of the predicate shapes generated in this process, oldest
+#: first, at most `CACHE_CAP` of them.  It holds code only: no clause, term
+#: or predicate.
 _PREDS = {}
 
 #: the test of a chain for a first-argument key of each type, on the
@@ -700,10 +715,7 @@ def pred_code(pred):
                 params.append(key[0])
             run(cands)
         run(rest)
-    shape = tuple(shape)
-    make = _PREDS.get(shape)
-    if make is None:
-        make = _PREDS[shape] = _pred_factory(shape)
+    make = _cached(_PREDS, tuple(shape), _pred_factory)
     code = pred.code = make(pred.module, *params)
     return code
 

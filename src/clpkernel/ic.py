@@ -21,9 +21,11 @@ overlaps it raises UncertaintyError.
 One function, _update, writes a domain's bounds, holes and integrality:
 a demon run calls it with the domain it read, and every other caller
 through narrow, which calls it once and only when something would change
-and gives a variable without a domain one whose slots carry the current
-trail segment's stamp (store.py), so attaching it is its only trail
-entry.  exclude_value punches its hole through _exclude.  A single value
+and gives a variable without a domain one stamped with the current trail
+segment's stamp (store.py), so attaching it is its only trail entry.
+Removing one int from an integral domain (_exclude, behind exclude_value,
+and the two-variable disequality _neq2) goes through _punch, which
+computes in place what _update would.  A single value
 left instantiates the variable and wakes all four lists; otherwise the
 lists of the events that happened wake, then the constrained list of the
 suspend attribute.  Aliasing two domain variables intersects their
@@ -35,7 +37,8 @@ Only integral domains have holes, each strictly between lo and hi: a
 hole at a bound moves the bound instead (a bound event, not a hole
 event).  No operation enumerates lo..hi: printing walks the sorted holes,
 labeling (search.py) filters them lazily, and X :: [...] walks once the
-span it leaves, listing or punching each value.
+span it leaves, listing or punching each value; a span of more than
+ENUM_SPAN_MAX values raises RangeError.
 
 Integral domains store exact int bounds, continuous ones outward-rounded
 floats.  Constraint arithmetic is exact, so propagation never cuts a
@@ -69,7 +72,7 @@ from .arith import eval_arith, exact_float, float_down, float_up
 from .attvar import (AttributeSpec, add_attr, get_attr, init_attr, join_lists,
                      suspend_record)
 from .clauses import read_prelude
-from .errors import (DomainError, InstantiationError, TypeError_,
+from .errors import (DomainError, InstantiationError, RangeError, TypeError_,
                      UncertaintyError, UnsupportedError)
 from .linear import exact_number, exact_quotient, normalize_relation
 from .susp import EXECUTED
@@ -82,12 +85,23 @@ _INF = float("inf")
 LIN_PRIORITY = 5
 ALLDIFF_PRIORITY = 4
 
+#: the most values an enumerated domain (``X :: [...]``) may span within
+#: the bounds it narrows: each value of the span that the list leaves out
+#: becomes a hole, so a wider span would take time and memory without
+#: bound.  A stopgap until finite domains are range lists.
+ENUM_SPAN_MAX = 1 << 22
+
 
 class Domain:
-    __slots__ = ("lo", "hi", "integral", "holes",
-                 "w_min", "w_max", "w_hole", "w_type", "_stamps")
+    """An ic domain.  One trail entry holds all of its slots but
+    ``stamp``, its trail stamp (store.py)."""
 
-    def __init__(self, lo=-_INF, hi=_INF, integral=False, holes=frozenset()):
+    __slots__ = ("lo", "hi", "integral", "holes",
+                 "w_min", "w_max", "w_hole", "w_type", "stamp")
+    _trailed = None  # several: _saved and _restore
+
+    def __init__(self, lo=-_INF, hi=_INF, integral=False, holes=frozenset(),
+                 stamp=0):
         self.lo = lo
         self.hi = hi
         self.integral = integral
@@ -96,7 +110,15 @@ class Domain:
         self.w_max = ()
         self.w_hole = ()
         self.w_type = ()
-        self._stamps = None
+        self.stamp = stamp
+
+    def _saved(self):
+        return (self.lo, self.hi, self.holes, self.integral,
+                self.w_min, self.w_max, self.w_hole, self.w_type)
+
+    def _restore(self, saved):
+        (self.lo, self.hi, self.holes, self.integral,
+         self.w_min, self.w_max, self.w_hole, self.w_type) = saved
 
     def __repr__(self):
         return "<dom %s>" % format_domain(self)
@@ -217,20 +239,15 @@ def _update(engine, x, d, lo, hi, holes, integral, joined=None):
         join_lists(store, d, joined, _LIST_SLOTS.values())
     if lo == hi:
         return store.bind(x, lo)
-    changed = False
-    if lo is not d.lo and (lo != d.lo or type(lo) is not type(d.lo)):
-        store.set_slot(d, "lo", lo)
-        changed = True
-    if hi is not d.hi and (hi != d.hi or type(hi) is not type(d.hi)):
-        store.set_slot(d, "hi", hi)
-        changed = True
-    if holes is not d.holes and holes != d.holes:
-        store.set_slot(d, "holes", holes)
-        changed = True
-    if integral is not d.integral:
-        store.set_slot(d, "integral", integral)
-        changed = True
-    if changed:
+    if ((lo is not d.lo and (lo != d.lo or type(lo) is not type(d.lo)))
+            or (hi is not d.hi and (hi != d.hi or type(hi) is not type(d.hi)))
+            or (holes is not d.holes and holes != d.holes)
+            or integral is not d.integral):
+        store.save(d)
+        d.lo = lo
+        d.hi = hi
+        d.holes = holes
+        d.integral = integral
         rec = x.attrs.get("suspend")
         if rec is not None:
             wake += rec.constrained
@@ -278,19 +295,22 @@ def narrow(engine, x, lo=-_INF, hi=_INF, integral=False, keep=None):
         return False  # a domain holds no infinity
     d = x.attrs.get("ic")
     if d is None:
-        # undoing this segment detaches it: its slots need no trail entry
-        d = Domain()
-        d._stamps = dict.fromkeys(("lo", "hi", "holes", "integral"),
-                                  engine.store.current_stamp())
-        add_attr(engine.store, x, "ic", d)
+        # stamped now: undoing this segment detaches it, so its writes in
+        # this segment push nothing
+        store = engine.store
+        d = Domain(stamp=store.current_stamp())
+        add_attr(store, x, "ic", d)
     if lo <= d.lo:
         lo = d.lo
     if hi >= d.hi:
         hi = d.hi
     holes = d.holes
     if keep is not None:
-        holes = holes.union(v for v in range(math.ceil(lo), math.floor(hi) + 1)
-                            if v not in keep)
+        lo_i, hi_i = math.ceil(lo), math.floor(hi)
+        if hi_i - lo_i >= ENUM_SPAN_MAX:
+            raise RangeError(":: an enumerated domain may span at most %d "
+                             "values" % ENUM_SPAN_MAX)
+        holes = holes.union(v for v in range(lo_i, hi_i + 1) if v not in keep)
     integral = integral or d.integral
     if (lo is d.lo and hi is d.hi and integral is d.integral
             and len(holes) == len(d.holes)):
@@ -333,9 +353,46 @@ def _exclude(engine, v, d, q):
         if q % 1:  # not an integer, or inf: no integral domain holds it
             return True
         q = int(q)
-    if not admits(q, d.lo, d.hi, True, d.holes):
+    return _punch(engine, v, d, q)
+
+
+def _punch(engine, v, d, q):
+    """Remove the int q from the integral domain d of the free variable
+    v: what _update does with ``d.holes | {q}``, computed in place.  A q
+    at a bound moves it past the holes behind it (a bound event), any
+    other q becomes a hole (a hole event)."""
+    lo, hi, holes = d.lo, d.hi, d.holes
+    # ic.admits's test of an int against an integral domain, in place
+    if not lo <= q <= hi or q in holes:
         return True
-    return _update(engine, v, d, d.lo, d.hi, d.holes | {q}, True)
+    if q == lo:
+        lo += 1
+        while lo in holes:
+            lo += 1
+        wake = d.w_min
+    elif q == hi:
+        hi -= 1
+        while hi in holes:
+            hi -= 1
+        wake = d.w_max
+    else:
+        holes = holes | {q}
+        wake = d.w_hole
+    if lo != d.lo or hi != d.hi:
+        if lo == hi:
+            return engine.store.bind(v, lo)
+        if holes:
+            holes = frozenset(h for h in holes if lo < h < hi)
+    engine.store.save(d)
+    d.lo = lo
+    d.hi = hi
+    d.holes = holes
+    rec = v.attrs.get("suspend")
+    if rec is not None:
+        wake += rec.constrained
+    if wake:
+        engine.sched.schedule(wake)
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -364,8 +421,8 @@ def _install_attribute(engine):
         return True
 
     def on_copy(payload, fresh):
-        init_attr(fresh, "ic",
-                  Domain(payload.lo, payload.hi, payload.integral, payload.holes))
+        init_attr(fresh, "ic", Domain(payload.lo, payload.hi, payload.integral,
+                                      payload.holes, store.current_stamp()))
 
     def get_list(eng, var, name):
         slot = _LIST_SLOTS.get(name)
@@ -714,12 +771,16 @@ def _neq2(engine, s, module):
         if d is None or not d.integral:
             return _propagate_neq(engine, s, module)
         q, r = divmod(-k, c)
-        if (r == 0 and admits(q, d.lo, d.hi, True, d.holes)
-                and not _update(engine, v, d, d.lo, d.hi, d.holes | {q},
-                                True)):
+        if r == 0 and not _punch(engine, v, d, q):
             return False
         ok = True
-    engine.store.set_slot(s, "state", EXECUTED)
+    # the kill, with Store.set_slot's stamp test inline
+    store = engine.store
+    cps = store.choicepoints
+    if cps and s.stamp == cps[-1].stamp:
+        s.state = EXECUTED
+    else:
+        store.set_slot(s, "state", EXECUTED)
     return ok
 
 

@@ -278,6 +278,8 @@ class Answer:
 
 
 class Engine:
+    _trailed = "running_priority"  # the value-trailed slot (store.py)
+
     def __init__(self, out=None):
         import sys
         self.out = out if out is not None else sys.stdout
@@ -288,8 +290,11 @@ class Engine:
         attvar.install(self)
         self.suspensions = {}
         self._sid = 0
+        # the stamp of the segment whose undo entry drops the newest
+        # table entries (make_suspension)
+        self._table_stamp = -1
         self.running_priority = MAIN_PRIORITY
-        self._stamps = None  # running_priority is value-trailed
+        self.stamp = 0
         # always None: a woken run gets its suspension as its arguments.
         # Kept because perfbench/tracer.py reads it to tell woken ic runs
         # from posts.
@@ -342,7 +347,14 @@ class Engine:
         ``goal`` is a callable term, resolved here as the loop would: a
         builtin's goal gets a run that calls the builtin with its
         arguments, any other runs in the resolvent, and a ``demon``
-        declaration of its predicate counts."""
+        declaration of its predicate counts.
+
+        The suspension is stamped with the current segment's stamp, and
+        the table gets one undo entry per segment, at its first
+        suspension, which drops the entries of that suspension and of
+        every newer one, newest first, and kills each: a stale queue
+        entry of a suspension whose state was never trailed is then
+        skipped."""
         module = module or self.main
         demon = run is not None
         if run is None:
@@ -358,12 +370,22 @@ class Engine:
                 demon = pred.demon
                 if pred.builtin is not None:
                     run = partial(_call_builtin, pred.builtin)
+        cps = self.store.choicepoints
+        cur = cps[-1].stamp if cps else 0
         self._sid += 1
-        s = Suspension(self._sid, goal, priority, module, demon, run)
-        self.suspensions[s.sid] = s
-        sid = s.sid
-        self.store.register_undo(lambda: self.suspensions.pop(sid, None))
+        sid = self._sid
+        if cps and self._table_stamp != cur:
+            self._table_stamp = cur
+            self.store.register_undo(partial(self._drop_suspensions, sid))
+        s = Suspension(sid, goal, priority, module, demon, run, cur)
+        self.suspensions[sid] = s
         return s
+
+    def _drop_suspensions(self, sid):
+        """Undo the table entries from ``sid`` on (make_suspension)."""
+        table = self.suspensions
+        while table and next(reversed(table)) >= sid:
+            table.popitem()[1].state = EXECUTED
 
     def attach_suspension(self, susp, var, cond, attr="suspend"):
         """Append susp to the list ``attr:cond`` of a dereferenced free var."""
@@ -418,7 +440,7 @@ class Engine:
         cur = cps[-1].stamp if cps else 0  # builtins leave no choicepoint
         s = pop(limit)
         while s is not None:
-            if s._stamps.get("state") != cur:
+            if s.stamp != cur:
                 # see the re-queue rule in the susp module docstring
                 store.register_undo(partial(self.sched.requeue, s))
             if s.demon:

@@ -3,7 +3,10 @@
 Three kinds of trail entries:
 
 * ('bind', var)                  -- reset var.ref to None on unwind
-* ('val', owner, slot, old)      -- restore a slot to its old value
+* ('val', owner, slot, old)      -- restore a slot to its old value:
+                                    ``slot`` names it, is the index of a
+                                    struct's argument, or is a function
+                                    that restores several slots from old
 * ('undo', closure)              -- run an arbitrary undo action
 
 Bind entries are conditional, as in Warren's abstract machine: a binding
@@ -20,27 +23,44 @@ Code that keeps a variable across a backtrack must make it before the
 mark it backtracks to (`search._label` picks a variable, then pushes the
 mark of its level).
 
-Value entries carry timestamp-based deduplication: a slot is trailed at
-most once per choicepoint segment.  Timestamps are a plain monotone
-counter, bumped on every choicepoint push and on every backtrack to a
-mark, which restarts the mark's segment under a fresh stamp.  So the
-stamps of dead (popped or cut) choicepoints and of undone segments are
-never reused, and a simple equality test decides "already trailed in
-this segment".  Two places make that test inline
-against the top choicepoint's stamp: `set_slot`, the write behind every
-solver update, so a trailed write costs one Python call, and
-`Scheduler.schedule` (susp.py), which reads the stamp once per call and
-applies the rule to the ``state`` write of each suspension it queues.
-`trail_value` applies the same rule for `set_arg`, which writes the
-argument itself.  Undo entries are never deduplicated: the closures may
-be non-idempotent.
+Value entries follow one rule, after ECLiPSe's time stamps (Aggoun and
+Beldiceanu, 1990): an owner is trailed at most once per choicepoint
+segment, and an owner made after the youngest live choicepoint is not
+trailed at all.  Every choicepoint carries a stamp from a plain monotone
+counter, bumped on every push and on every backtrack to a mark, which
+restarts the mark's segment under a fresh stamp; so the stamps of dead
+(popped or cut) choicepoints and of undone segments are never reused.
+An owner (a `Var`'s attributes, an ic `Domain`, a `Suspend` record, a
+`Suspension`, the `Engine`) carries one int, ``stamp``: the stamp of the
+segment in which its slots are already safe.  A write to an owner whose
+stamp is the top choicepoint's pushes nothing.  Otherwise `_save` pushes
+one entry that holds every trailed slot of the owner and sets the
+stamp.  The owner's class names its one trailed slot in ``_trailed``;
+a class with several (a `Domain`'s bounds, holes, integrality and wake
+lists, a `Suspend` record's lists) sets ``_trailed`` to None and reads
+them as one tuple with ``_saved(owner)``, which ``_restore(owner,
+saved)`` writes back.  An owner
+is stamped when it is made, so its writes in the segment that made it
+push nothing: undoing that segment makes it unreachable.  A `Var` is
+stamped 0 instead, as `Var()` must stay cheap, and judged by its
+``serial`` as bindings are.  Without any choicepoint nothing is trailed.
 
-An integer slot means ``owner.args[slot]`` (struct arguments); a string
-slot means ``setattr(owner, slot, ...)``.  Owners participating in value
-trailing carry a ``_stamps`` dict mapping slot -> stamp of the last trail
-entry.  Unwinding an entry leaves its stamp in the dict: the stamp
-belongs to an undone segment, so it equals no live stamp, and a later
-update in the restarted segment re-trails correctly.
+`set_slot` makes the stamp test inline, so a write that needs no entry
+is one call, and `save` serves a caller that writes the slots itself
+(`ic._update`).  Three more places make the test inline against the top
+choicepoint's stamp: `Scheduler.schedule` (susp.py), once per call, for
+the ``state`` of each suspension it queues, `Engine.drain` for the
+re-queue rule, and `ic._neq2` for the kill of its demon, the most
+frequent state write.  Unwinding an entry leaves the owner's stamp as it
+is: it belongs to an undone segment, so it equals no live stamp, and a
+later write in the restarted segment is trailed again.
+
+A struct's arguments are trailed one at a time, by `trail_value`, for
+`set_arg`: an array written one cell per segment would otherwise copy
+every cell each time.  A struct keeps one stamp per argument, in a list
+made at its first trailed write, and its entries are
+``('val', struct, index, old)``.  Undo entries are never deduplicated:
+the closures may be non-idempotent.
 
 Unification lives here too, because it is the operation that creates most
 trail entries.  A binding sets ``ref``, trails it and runs the unify
@@ -140,46 +160,69 @@ class Store:
                 entry[1].ref = None
             elif kind == "val":
                 _, owner, slot, old = entry
-                if type(slot) is str:
+                ts = type(slot)
+                if ts is str:
                     setattr(owner, slot, old)
-                else:
+                elif ts is int:
                     owner.args[slot] = old
+                else:
+                    slot(owner, old)
             else:  # undo closure
                 entry[1]()
 
     # ------------------------------------------------------------------
     # trailing primitives
 
+    def _save(self, owner, top):
+        """The trail rule for an owner whose stamp is not the top
+        choicepoint's: stamp it, and push one entry holding its trailed
+        slots, unless it is a variable made after the top choicepoint."""
+        owner.stamp = top.stamp
+        if type(owner) is Var and owner.serial > top.var_serial:
+            return
+        slot = owner._trailed
+        if slot is None:
+            self.trail.append(("val", owner, type(owner)._restore,
+                               owner._saved()))
+        else:
+            self.trail.append(("val", owner, slot, getattr(owner, slot)))
+
+    def save(self, owner):
+        """Trail owner's slots as a write to them would, for a caller
+        that then writes them itself."""
+        cps = self.choicepoints
+        if cps:
+            top = cps[-1]
+            if owner.stamp != top.stamp:
+                self._save(owner, top)
+
+    def set_slot(self, owner, slot, new):
+        """Write ``owner.slot``, trailing the owner at most once per
+        segment.  The stamp test is inline, so a write is one call."""
+        if getattr(owner, slot) is new:
+            return
+        cps = self.choicepoints
+        if cps:
+            top = cps[-1]
+            if owner.stamp != top.stamp:
+                self._save(owner, top)
+        setattr(owner, slot, new)
+
     def trail_value(self, owner, slot, old):
-        """Record the old value of owner/slot, at most once per segment,
-        for `set_arg`, which makes its own write; `set_slot` applies the
-        same rule inline."""
-        cur = self.current_stamp()
-        stamps = owner._stamps
+        """Record the old value of argument ``slot`` of the struct owner,
+        at most once per segment, for `set_arg`, which makes its own
+        write.  The struct keeps one stamp per argument."""
+        cps = self.choicepoints
+        if not cps:
+            return
+        cur = cps[-1].stamp
+        stamps = owner.stamps
         if stamps is None:
-            stamps = {}
-            owner._stamps = stamps
-        elif stamps.get(slot) == cur:
+            stamps = owner.stamps = [-1] * len(owner.args)
+        elif stamps[slot] == cur:
             return
         stamps[slot] = cur
         self.trail.append(("val", owner, slot, old))
-
-    def set_slot(self, owner, slot, new):
-        """Write ``owner.slot``, trailing its old value at most once per
-        segment.  The stamp test is inline, so a write is one call."""
-        old = getattr(owner, slot)
-        if old is new:
-            return
-        cps = self.choicepoints
-        cur = cps[-1].stamp if cps else 0
-        stamps = owner._stamps
-        if stamps is None:
-            owner._stamps = {slot: cur}
-            self.trail.append(("val", owner, slot, old))
-        elif stamps.get(slot) != cur:
-            stamps[slot] = cur
-            self.trail.append(("val", owner, slot, old))
-        setattr(owner, slot, new)
 
     def register_undo(self, closure):
         self.trail.append(("undo", closure))

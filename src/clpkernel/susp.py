@@ -9,30 +9,34 @@ Demons go back to ``suspended`` instead of ``executed`` when they are
 picked for execution, so the same suspension keeps living in its
 suspension lists and can fire again.  Every other state change goes
 through the store's value trail, so backtracking revives killed
-suspensions and un-schedules scheduled ones.  `Scheduler.schedule`
+suspensions and un-schedules scheduled ones.  ``state`` is a
+suspension's only trailed slot, and a suspension is stamped with the
+current segment's stamp when it is made, so its state changes in that
+segment push nothing: undoing the segment removes it from the engine's
+table, which kills it (`Engine.make_suspension`).  `Scheduler.schedule`
 makes its trailed writes itself: it reads the top choicepoint's stamp
 once per call and applies `Store.set_slot`'s once-per-segment rule
 inline to each suspension it queues, pushing the same ``val`` entries.
 
 The demon's reset to ``suspended`` when `Engine.drain` pops it is a
-plain, untrailed write.  When the pop happens in the trail segment that
-scheduled the demon (``s._stamps["state"]`` equals the store's current
-stamp), the ``scheduled`` entry that `Scheduler.schedule` trailed there
-already restores ``suspended`` on any backtracking past the pop, so a
-trailed reset would add nothing.  A woken goal that is not a builtin
-runs in the resolvent and may leave choicepoints, and a less urgent
-entry scheduled before such a choicepoint may be popped after it.
-Backtracking into the choicepoint must then find the entry queued again,
-though the queue itself is not trailed.  So the re-queue rule: a pop in
-another segment than the last trailed write of the entry's state (a
-younger one, or an older one after a cut) pushes an undo entry,
-`Scheduler.requeue`, which puts the entry back in state ``scheduled`` at
-the front of its bucket.  Every pop in the benchmark's programs happens
-in the segment that scheduled the entry (`tests/test_susp.py` checks
-this), so there the rule costs one stamp comparison per pop.  A kill
-goes through `Store.set_slot`, so a demon killed in the segment that
-scheduled it adds no trail entry: the scheduling's entry revives it.
-Running a non-demon stays trailed.
+plain, untrailed write.  When the pop happens in the segment of the
+entry's stamp (``s.stamp`` equals the store's current stamp), any
+backtracking past the pop restores ``suspended``: through the
+``scheduled`` entry that `Scheduler.schedule` trailed there, or, for a
+suspension made in that segment, by killing it.  So a trailed reset
+would add nothing.  A woken goal that is not a builtin runs in the
+resolvent and may leave choicepoints, and a less urgent entry scheduled
+before such a choicepoint may be popped after it.  Backtracking into the
+choicepoint must then find the entry queued again, though the queue
+itself is not trailed.  So the re-queue rule: a pop in another segment
+than the entry's stamp (a younger one, or an older one after a cut)
+pushes an undo entry, `Scheduler.requeue`, which puts the entry back in
+state ``scheduled`` at the front of its bucket.  Every pop in the
+benchmark's programs happens in the segment of the entry's stamp
+(`tests/test_susp.py` checks this), so there the rule costs one stamp
+comparison per pop.  A kill follows `Store.set_slot`'s rule, so a demon
+killed in the segment that scheduled it adds no trail entry: the
+scheduling's entry revives it.  Running a non-demon stays trailed.
 
 Waking is two-stage on purpose: events only move suspensions into the
 priority queue; the queued goals actually run when the resolution loop
@@ -72,12 +76,16 @@ class Suspension:
     resolvent.  ``payload`` is free for a run to keep its data in.
     ``goal`` is the goal term, or, for a demon posted without one, a
     function of the suspension that builds it from the payload; whatever
-    prints a suspension reads its goal through `goal_term`."""
+    prints a suspension reads its goal through `goal_term`.  ``stamp`` is
+    the trail stamp of ``state`` (store.py), the current one when the
+    suspension is made by the engine."""
 
     __slots__ = ("sid", "goal", "priority", "module", "state", "demon",
-                 "run", "payload", "_stamps")
+                 "run", "payload", "stamp")
+    _trailed = "state"
 
-    def __init__(self, sid, goal, priority, module, demon=False, run=None):
+    def __init__(self, sid, goal, priority, module, demon=False, run=None,
+                 stamp=0):
         if not isinstance(priority, int) or not 1 <= priority <= NUM_PRIORITIES:
             raise DomainError("suspension priority must be in 1..%d, got %s"
                               % (NUM_PRIORITIES, show(priority)))
@@ -89,7 +97,7 @@ class Suspension:
         self.demon = demon
         self.run = run
         self.payload = None
-        self._stamps = None
+        self.stamp = stamp
 
     def goal_term(self):
         """The suspended goal as a term, built now when it was posted
@@ -121,19 +129,19 @@ class Scheduler:
         once for the whole call."""
         store = self.store
         cps = store.choicepoints
-        cur = cps[-1].stamp if cps else 0
-        trail = store.trail
+        if cps:
+            cur = cps[-1].stamp
+            trail = store.trail
+        else:  # nothing to undo: the entries go nowhere
+            cur = 0
+            trail = []
         buckets = self.buckets
         low = self.low
         n = 0
         for s in susps:
             if s.state == SUSPENDED:
-                stamps = s._stamps
-                if stamps is None:
-                    s._stamps = {"state": cur}
-                    trail.append(("val", s, "state", SUSPENDED))
-                elif stamps.get("state") != cur:
-                    stamps["state"] = cur
+                if s.stamp != cur:
+                    s.stamp = cur
                     trail.append(("val", s, "state", SUSPENDED))
                 s.state = SCHEDULED
                 p = s.priority
@@ -146,9 +154,9 @@ class Scheduler:
 
     def requeue(self, s):
         """Undo the pop of ``s``: the undo entry `Engine.drain` trails
-        when it pops ``s`` in another segment than the one that last
-        trailed its state.  ``s`` goes back to the front of its bucket,
-        where the pop took it from."""
+        when it pops ``s`` in another segment than that of its stamp.
+        ``s`` goes back to the front of its bucket, where the pop took it
+        from."""
         s.state = SCHEDULED
         p = s.priority
         self.buckets[p].appendleft(s)

@@ -44,7 +44,8 @@ class Var:
     variable holds `NO_ATTRS`; an attributed one a dict that is replaced
     on every write, never changed in place, so the trail can restore the
     old one (attvar.py).  ``serial`` orders variables by
-    age; it is drawn from the module-level counter `serials`.
+    age; it is drawn from the module-level counter `serials`.  ``stamp``
+    is the trail stamp of ``attrs`` (store.py).
 
     No attribute of this class (or of any other class of the package) is
     written after import.  On CPython 3.11 and later such a write resets
@@ -54,14 +55,15 @@ class Var:
     threefold.
     """
 
-    __slots__ = ("ref", "serial", "name", "attrs", "_stamps")
+    __slots__ = ("ref", "serial", "name", "attrs", "stamp")
+    _trailed = "attrs"  # the slot the store's value trail restores
 
     def __init__(self, name=None):
         self.serial = next(serials)
         self.ref = None
         self.name = name
         self.attrs = NO_ATTRS
-        self._stamps = None
+        self.stamp = 0
 
     def __repr__(self):
         return "_%d%s" % (self.serial, "" if self.name is None else ":" + self.name)
@@ -97,12 +99,12 @@ class Struct:
     ``list(...)`` of a sequence it keeps or of another term's ``args``).
     Otherwise a setarg/3 on one term would write into the other."""
 
-    __slots__ = ("name", "args", "_stamps")
+    __slots__ = ("name", "args", "stamps")
 
     def __init__(self, name, args):
         self.name = name
         self.args = args
-        self._stamps = None
+        self.stamps = None  # per argument, made by setarg/3's trailing
 
     @property
     def arity(self):

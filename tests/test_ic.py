@@ -1,7 +1,10 @@
 """Interval domains and the linear constraint solver."""
 
+import gc
 import math
 import sys
+import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +15,8 @@ import pytest
 from clpkernel import ic, make_engine
 from clpkernel.attvar import get_attr, init_attr
 from clpkernel.errors import (DomainError, EngineError, InstantiationError,
-                              TypeError_, UncertaintyError, UnsupportedError)
+                              RangeError, TypeError_, UncertaintyError,
+                              UnsupportedError)
 from clpkernel.ic import (Domain, ensure_domain, exclude_value, format_domain,
                           get_domain, impose_integrality, impose_max,
                           impose_min)
@@ -459,11 +463,11 @@ def test_enumerated_domain_updates_holes_once(engine, monkeypatch):
         return _fn(*args)
     monkeypatch.setattr(ic, "_update", counted)
     store = engine.store
+    x = Var()  # older than the choicepoint, so attaching is trailed
     store.push_choicepoint()
-    x = Var()
     trail_before = len(store.trail)
     assert ic.bi_domain(engine, [x, mk_list([1, 20000])], engine.main)
-    # one holes update, not one exclusion per missing value
+    # the attach, and no entry per missing value
     assert len(store.trail) - trail_before == 1
     assert calls["_update"] == 1
     assert format_domain(get_domain(x)) == "{[1, 20000]}"
@@ -484,6 +488,53 @@ def test_a_fresh_domain_costs_one_trail_entry(engine, goal, text):
     assert len(items) == 20000
     assert {engine.format_term(v) for v in items} == {text}
     sols.close()
+
+
+def test_a_domain_per_variable_stays_small(engine):
+    """Each variable of ``length(L, 20000), L :: 0..1000000`` costs under
+    750 bytes, its domain and variable included (1,065 with a stamp dict
+    on each)."""
+    goal, _ = engine.parse_goal("length(L, 20000), L :: 0..1000000")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sols = engine.solutions(goal)
+        next(sols)
+        used, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sols.close()
+    assert used / 20000 < 750
+
+
+def test_a_deterministic_loop_of_posts_leaves_no_value_entry(engine):
+    """Each step's owners are made after the youngest choicepoint, so
+    none of their writes is trailed: ``loop(20000)`` leaves no ``val``
+    entry and under 100 entries in all (it left 100,000 ``val`` and
+    20,000 ``undo`` entries with an undo closure per suspension)."""
+    engine.load("loop(0) :- !.\n"
+                "loop(N) :- X :: 1..10, Y :: 1..10, X #\\= Y, X = 5, Y = 6,"
+                " N1 is N - 1, loop(N1).\n")
+    goal, _ = engine.parse_goal("loop(20000)")
+    sols = engine.solutions(goal)
+    next(sols)
+    trail = engine.store.trail
+    assert not [e for e in trail if e[0] == "val"]
+    assert len(trail) < 100
+    sols.close()
+
+
+def test_an_enumerated_domain_past_the_span_bound_raises_at_once(engine):
+    """The span an enumerated domain leaves within its bounds is bounded,
+    so a list with a 5001-digit integer raises `RangeError` before it
+    makes a hole, and a list spanning three million values answers."""
+    start = time.process_time()
+    with pytest.raises(RangeError):
+        engine.once("X :: [1, %s]" % ("9" * 5001))
+    assert time.process_time() - start < 1.0
+    got = engine.once("X :: [1, 3000000], get_bounds(X, L, H)")
+    assert (got["L"], got["H"]) == (1, 3000000)
+    assert engine.once("X :: 0..10, X :: [1, %s]" % ("9" * 5001)) is not None
 
 
 def test_infinite_bounds_make_a_domain(first, fmt):

@@ -913,6 +913,54 @@ def test_switch_tries_one_of_a_thousand_facts(engine, monkeypatch):
         assert got["X"] is Atom(value) and pushed == base, query
 
 
+def _shape_program(n):
+    """Predicates p<i> of one clause and q<i> of two, for i < n: the head
+    arguments after the first are variables or f/1 terms by the bits of
+    i, so each p<i> has a predicate shape of its own and the first clause
+    of each q<i>, which is entered, a clause shape of its own."""
+    lines = []
+    for i in range(n):
+        rest = ", ".join("f(X%d)" % j if i >> j & 1 else "X%d" % j
+                         for j in range(13))
+        lines.append("p%d(%d, %s)." % (i, i, rest))
+        lines.append("q%d(%d, %s)." % (i, i, rest))
+        lines.append("q%d(none, %s)." % (i, rest))
+    return "\n".join(lines)
+
+
+def _shape_answers(engine, i):
+    blanks = ", ".join(["_"] * 13)
+    return (engine.once("p%d(R, %s)" % (i, blanks))["R"],
+            engine.once("q%d(R, %s)" % (i, blanks))["R"])
+
+
+def test_code_caches_drop_their_oldest_shape_past_the_cap(monkeypatch):
+    """More new shapes than `clauses.CACHE_CAP` leave each factory cache
+    at the cap, and a shape dropped from it is made again and runs.  The
+    cap is lowered to 64, as every new shape costs about a millisecond;
+    a cache filled by earlier tests shrinks to it at its next new
+    shape."""
+    monkeypatch.setattr(clauses, "CACHE_CAP", 64)
+    n = clauses.CACHE_CAP + 20
+    program = _shape_program(n)
+    engine = make_engine()
+    engine.load(program)
+    assert _shape_answers(engine, 0) == (0, 0)
+    first = [next(reversed(cache))
+             for cache in (clauses._PREDS, clauses._FACTORIES)]
+    for i in range(1, n):
+        assert _shape_answers(engine, i) == (i, i)
+    for shape, cache in zip(first, (clauses._PREDS, clauses._FACTORIES)):
+        assert len(cache) <= clauses.CACHE_CAP
+        assert shape not in cache
+    again = make_engine()
+    again.load(program)
+    assert _shape_answers(again, 0) == (0, 0)
+    for shape, cache in zip(first, (clauses._PREDS, clauses._FACTORIES)):
+        assert len(cache) <= clauses.CACHE_CAP
+        assert shape in cache
+
+
 def test_large_fact_tables_stay_cheap_to_call(engine):
     """A predicate with thousands of keys makes no code per clause: its
     first call and an enumeration of all its clauses stay cheap, and

@@ -4,8 +4,12 @@ import random
 
 import pytest
 
+from clpkernel import make_engine
+from clpkernel.attvar import Suspend, add_attr
 from clpkernel.errors import InternalError
+from clpkernel.ic import Domain
 from clpkernel.store import Store
+from clpkernel.susp import EXECUTED, SCHEDULED, SUSPENDED
 from clpkernel.terms import Atom, Struct, Var, deref
 
 
@@ -226,11 +230,12 @@ def test_randomized_restoration():
 
 
 class _Slots:
-    __slots__ = ("value", "_stamps")
+    __slots__ = ("value", "stamp")
+    _trailed = "value"
 
     def __init__(self, value):
         self.value = value
-        self._stamps = None
+        self.stamp = 0
 
 
 def test_set_slot_and_set_arg_trail_alike():
@@ -362,3 +367,112 @@ def test_conditional_trailing_keeps_backtracking_sound():
 
         run_level(0, [Var() for _ in range(6)])
     assert untrailed[0] > 100, "no binding went untrailed"
+
+
+# ----------------------------------------------------------------------
+# one trail rule for every owner: a model that copies the whole state
+
+def _state(owner):
+    """Every trailed slot of an owner, read without the owner's help."""
+    if type(owner) is Domain:
+        return (owner.lo, owner.hi, owner.holes, owner.integral, owner.w_min,
+                owner.w_max, owner.w_hole, owner.w_type)
+    if type(owner) is Suspend:
+        return owner.inst, owner.bound, owner.constrained
+    if type(owner) is Var:
+        return dict(owner.attrs)
+    if type(owner) is Struct:
+        return list(owner.args)
+    if hasattr(owner, "sid"):
+        return owner.state
+    return owner.running_priority
+
+
+def test_every_owner_kind_restores_a_model_of_its_push():
+    """Random writes to every kind of value-trailed owner (domain values
+    and lists, a suspension's state, a suspend record's lists, a
+    variable's attributes, a setarg struct and the running priority),
+    random pushes, backtracks and cuts, and owners made along the way:
+    after every backtrack each owner that existed at the mark's push
+    holds what a copy of the whole state taken then held, and the
+    suspension table holds the suspensions it held."""
+    rng = random.Random(20261021)
+    checked = 0
+    for _ in range(30):
+        engine = make_engine()
+        st = engine.store
+        owners = [engine, Struct("cell", [0, 0, 0])]
+        marks = []  # (mark, owners then, their states, table sids then)
+
+        def make(kind):
+            cur = st.current_stamp()
+            if kind == 0:
+                owner = Domain(0, 9, True, stamp=cur)
+            elif kind == 1:
+                owner = Suspend(cur)
+            elif kind == 2:
+                owner = Var()
+            elif kind == 3:
+                owner = Struct("cell", [0, 0, 0])
+            else:
+                owner = engine.make_suspension(Atom("true"),
+                                               rng.randint(1, 12))
+            owners.append(owner)
+
+        for kind in range(5):
+            make(kind)
+        for _step in range(rng.randrange(50, 250)):
+            op = rng.random()
+            if op < 0.12 or not marks:
+                marks.append((st.push_choicepoint(), list(owners),
+                              [_state(o) for o in owners],
+                              list(engine.suspensions)))
+            elif op < 0.2:
+                make(rng.randrange(5))
+            elif op < 0.75:
+                owner = rng.choice(owners)
+                v = rng.randrange(100)
+                if type(owner) is Domain:
+                    if rng.random() < 0.5:
+                        # as ic._update writes: save, then write in place
+                        st.save(owner)
+                        owner.lo, owner.hi = v, v + rng.randrange(1, 9)
+                        owner.holes = frozenset([v + 1])
+                        owner.integral = rng.random() < 0.5
+                    else:
+                        slot = rng.choice(["w_min", "w_max", "w_hole",
+                                           "w_type"])
+                        st.set_slot(owner, slot, getattr(owner, slot) + (v,))
+                elif type(owner) is Suspend:
+                    slot = rng.choice(["inst", "bound", "constrained"])
+                    st.set_slot(owner, slot, getattr(owner, slot) + (v,))
+                elif type(owner) is Var:
+                    add_attr(st, owner, rng.choice("ab"), v)
+                elif type(owner) is Struct:
+                    st.set_arg(rng.randint(1, 3), owner, v)
+                elif owner is engine:
+                    st.set_slot(engine, "running_priority", rng.randint(1, 13))
+                elif rng.random() < 0.5:
+                    engine.sched.schedule([owner])
+                else:
+                    st.set_slot(owner, "state",
+                                rng.choice([SUSPENDED, SCHEDULED, EXECUTED]))
+            elif op < 0.9:
+                k = rng.randrange(len(marks))
+                del marks[k + 1:]
+                mark, then, states, table = marks[k]
+                st.backtrack_to(mark)
+                assert [_state(o) for o in then] == states
+                assert list(engine.suspensions) == table
+                owners[:] = then
+                checked += 1
+            else:
+                k = rng.randrange(len(marks))
+                st.commit_to(marks[k][0])
+                del marks[k:]
+        if marks:
+            mark, then, states, table = marks[0]
+            st.backtrack_to(mark)
+            assert [_state(o) for o in then] == states
+            assert list(engine.suspensions) == table
+    assert checked > 500

@@ -341,8 +341,7 @@ def test_schedule_trails_state_as_set_slot_does():
             # scheduled it (the invariant in the susp module docstring)
             for st, _, susps in worlds:
                 s = susps[picked[0]]
-                if s.state == SCHEDULED and \
-                        s._stamps.get("state") == st.current_stamp():
+                if s.state == SCHEDULED and s.stamp == st.current_stamp():
                     s.state = SUSPENDED
         elif r < 0.75 or not marks:
             marks.append(([w[0].push_choicepoint() for w in worlds],
@@ -356,8 +355,8 @@ def test_schedule_trails_state_as_set_slot_does():
         assert states(worlds[0]) == states(worlds[1])
         assert _trail_shape(worlds[0][0], worlds[0][2]) \
             == _trail_shape(worlds[1][0], worlds[1][2])
-        assert [s._stamps for s in worlds[0][2]] \
-            == [s._stamps for s in worlds[1][2]]
+        assert [s.stamp for s in worlds[0][2]] \
+            == [s.stamp for s in worlds[1][2]]
     # both the first write of a segment and a repeated one were seen
     assert moved > trailed > 100
 
@@ -449,7 +448,7 @@ def test_demons_are_popped_in_the_segment_that_scheduled_them(monkeypatch):
     def checking(self, priority_limit):
         s = pop(self, priority_limit)
         if s is not None:
-            assert s._stamps["state"] == store[0].current_stamp(), s
+            assert s.stamp == store[0].current_stamp(), s
             checked.append(s)
         return s
 
