@@ -5,18 +5,19 @@ as a Python function that matches its head against a goal's arguments
 and builds its body (`Clause`).  The functions are generated from Python
 source, once per clause shape in a process, so clauses that differ only
 in their names and constants share one piece of code.  A predicate runs
-as one more function, its code (`pred_code`), which switches on the
-goal's first argument as WAM's ``switch_on_term`` does: it tests a few
-keys in a chain, or reads many from a dict, and enters the candidate
-clauses.  A single candidate whose key the chain tested runs inline in
-the predicate's code, generated once per predicate shape; when it is the
-predicate's only clause, an unbound first argument is bound to its first
-head argument, built, and the code goes on as for that key.  The code of a
-predicate also resolves the calls of the clause it inlines: a body goal
-that names a predicate of the same module, with clauses and no builtin,
-and is no control construct, becomes a cell holding that `Pred` and the
-goal's arguments, and no goal term is built.  A clause's own function
-resolves nothing, as every engine that loads a prelude shares it.
+as one more function, its code (`pred_code`).  The code of a predicate
+of one clause runs that clause, inline unless it is long, with no
+switch: there is nothing to choose.  The code of a predicate of several
+clauses switches on the goal's first argument as WAM's
+``switch_on_term`` does: it tests a few keys in a chain, or reads many
+from a dict, and enters the candidate clauses; a single candidate whose
+key the chain tested runs inline, its first argument matched from what
+the test proved.  The code of a predicate also resolves the calls of the
+clause it inlines: a body goal that names a predicate of the same
+module, with clauses and no builtin, and is no control construct,
+becomes a cell holding that `Pred` and the goal's arguments, and no goal
+term is built.  A clause's own function resolves nothing, as every
+engine that loads a prelude shares it.
 """
 
 from __future__ import annotations
@@ -640,14 +641,14 @@ def pred_code(pred):
     it: ``code(args, engine, cont)`` returns the continuation of the
     call's first candidate clause, or False.
 
-    As Warren's ``switch_on_term``, the code selects the candidates by
-    the goal's first argument: the clauses with its key (`index_key`) and
-    those whose first argument is a variable, in source order, or every
-    clause for an unbound argument.  It enters them with `enter`, which
-    pushes a retry mark when there are several.  A predicate of one
-    clause that has a key binds an unbound first argument to the clause's
-    first head argument, built, and goes on to the key's test, which it
-    passes: its code holds the clause once, not twice.
+    A predicate of one clause runs it as a predicate without keys runs
+    its clauses: inline when its shape is short, else entered, with no
+    switch.  For several clauses, as Warren's ``switch_on_term``, the
+    code selects the candidates by the goal's first argument: the clauses
+    with its key (`index_key`) and those whose first argument is a
+    variable, in source order, or every clause for an unbound argument.
+    It enters them with `enter`, which pushes a retry mark when there are
+    several.
 
     A predicate with up to `_CHAIN` keys tests them in a chain, each by
     its type and value; its code is generated from Python source once per
@@ -692,15 +693,8 @@ def pred_code(pred):
             shape.append((c.shape, tuple(resolved)))
             params.extend(ps)
 
-    if table and len(clauses) == 1 and len(clauses[0].shape) <= _INLINE:
-        # one clause with a key: its first argument is built for an
-        # unbound goal argument
-        c = clauses[0]
-        shape.append(2)
-        params.extend(c.params[:_skip(c.shape, 2, 0)[1]])
-    else:
-        run(tuple(clauses))
-    if table:
+    run(tuple(clauses))
+    if len(clauses) > 1 and table:
         for key, cands in table.items():
             if key is _OTHER_KEY:
                 shape.append(None)
@@ -744,13 +738,12 @@ def _pred_factory(shape):
     """Generate, compile and return the factory for predicates of a
     shape: called with the module and the parameters, it returns the
     predicate's code.  The shape is the arity, the run of an unbound first
-    argument, then, if some clause has a key, each key's test and run, and
-    the run of a key no clause has.  A test is a type, an arity or None
-    (`_TESTS`); a run is 0 (no candidate), 1 (a tuple of candidates,
-    entered), 2 (the unbound first argument bound to the first head
-    argument of the clause the first key's run inlines, only as the run
-    of an unbound first argument) or, for the one candidate inlined, its
-    shape and the positions of its body goals resolved (`pred_code`)."""
+    argument (of every call when there is nothing to switch on), then, if
+    the predicate has several clauses and some has a key, each key's test
+    and run, and the run of a key no clause has.  A test is a type, an
+    arity or None (`_TESTS`); a run is 0 (no candidate), 1 (a tuple of
+    candidates, entered) or, for the one candidate inlined, its shape and
+    the positions of its body goals resolved (`pred_code`)."""
     gen = _Codegen(shape)
     if len(shape) == 2:  # nothing to switch on
         _run(gen, 2, shape[1], False)
@@ -758,7 +751,7 @@ def _pred_factory(shape):
         gen.emit(2, "x = args[0]")
         gen.emit(2, "while type(x) is Var:")
         gen.emit(3, "if x.ref is None:")
-        _run(gen, 4, shape[1], False, shape[3])
+        _run(gen, 4, shape[1], False)
         gen.emit(3, "x = x.ref")
         for i in range(2, len(shape) - 1, 2):
             test = shape[i]
@@ -775,25 +768,15 @@ def _pred_factory(shape):
                  "        store = engine.store\n" + "\n".join(gen.lines))
 
 
-def _run(gen, d, run, proven, keyed=None):
+def _run(gen, d, run, proven):
     """Emit, at depth d, the code that enters a run's candidates (see
     `_pred_factory`): a clause inlined matches its first argument from
-    ``x`` when ``proven``.  Run 2 binds the unbound ``x`` to the first
-    head argument of the clause the ``keyed`` run inlines, built, and
-    goes on to that run's key test."""
+    ``x`` when ``proven``."""
     if run == 0:
         gen.emit(d, "return False")
     elif run == 1:
         gen.emit(d, "return enter(engine, module, %s, 0, args, "
                     "len(store.choicepoints), cont)" % gen.param())
-    elif run == 2:
-        shape = keyed[0]
-        sub = _Codegen(shape[2:_skip(shape, 2, 0)[0]])
-        sub.np = gen.np
-        sub.emit(d, "t = %s" % sub.build(d))
-        sub.bind(d, "x", "t")
-        gen.lines += sub.lines
-        gen.np = sub.np
     else:
         sub = _Codegen(run[0])
         sub.np = gen.np

@@ -129,7 +129,8 @@ _CUT = Atom("!")
 class Pred:
     """A predicate: its clauses, or a builtin, and its declarations.
 
-    ``code`` is the predicate's call code (`pred_code`): it switches on
+    ``code`` is the predicate's call code (`pred_code`): it runs the
+    clause of a one-clause predicate, and for more clauses switches on
     the first argument, as Warren's ``switch_on_term``, and enters the
     candidate clauses.  It is made on the first call after a change and
     dropped by `add`, so the candidates a call takes from it are the
@@ -868,7 +869,7 @@ length(L, N) :-
     ;
         length_count(L, 0, N)
     ).
-length_fixed([], 0).
+length_fixed([], 0) :- !.
 length_fixed([_|T], N) :- N > 0, N1 is N - 1, length_fixed(T, N1).
 length_count([], N, N).
 length_count([_|T], N0, N) :- N1 is N0 + 1, length_count(T, N1, N).

@@ -475,11 +475,14 @@ def test_enumerated_domain_updates_holes_once(engine, monkeypatch):
 
 
 @pytest.mark.parametrize("goal, text", [
-    ("length(L, 20000), L :: 0..1000000", "_{0..1000000}"),
-    ("length(L, 20000), L :: [1, 5, 9]", "_{[1, 5, 9]}")])
+    ("length(L, 20000), (true ; true), L :: 0..1000000", "_{0..1000000}"),
+    ("length(L, 20000), (true ; true), L :: [1, 5, 9]", "_{[1, 5, 9]}")],
+    ids=["interval", "enumerated"])
 def test_a_fresh_domain_costs_one_trail_entry(engine, goal, text):
     """A variable without a domain gets one born with its bounds, type and
-    holes: attaching it is the variable's only trail entry."""
+    holes: attaching it is the variable's only trail entry.  The
+    disjunction leaves a choicepoint younger than the variables, so each
+    attach is trailed."""
     goal, names = engine.parse_goal(goal)
     sols = engine.solutions(goal)
     next(sols)
@@ -491,10 +494,11 @@ def test_a_fresh_domain_costs_one_trail_entry(engine, goal, text):
 
 
 def test_a_domain_per_variable_stays_small(engine):
-    """Each variable of ``length(L, 20000), L :: 0..1000000`` costs under
-    750 bytes, its domain and variable included (1,065 with a stamp dict
-    on each)."""
-    goal, _ = engine.parse_goal("length(L, 20000), L :: 0..1000000")
+    """Each variable of ``length(L, 20000), (true ; true), L ::
+    0..1000000`` costs under 750 bytes, its domain, variable and trail
+    entry included (1,065 with a stamp dict on each)."""
+    goal, _ = engine.parse_goal(
+        "length(L, 20000), (true ; true), L :: 0..1000000")
     gc.collect()
     tracemalloc.start()
     try:
@@ -505,6 +509,24 @@ def test_a_domain_per_variable_stays_small(engine):
         tracemalloc.stop()
     sols.close()
     assert used / 20000 < 750
+
+
+def test_a_list_of_fixed_length_leaves_no_choicepoint(engine):
+    """length/2 with an integer length is deterministic, so the list's
+    variables are younger than the top choicepoint and their new domains
+    are not trailed: ``length(L, 20000), L :: 0..1000000`` leaves the
+    choicepoints of ``true`` and two bind entries (20,002 entries when
+    length/2 left a choicepoint)."""
+    sols = engine.solutions(engine.parse_goal("true")[0])
+    next(sols)
+    base = len(engine.store.choicepoints)
+    sols.close()
+    goal, _ = engine.parse_goal("length(L, 20000), L :: 0..1000000")
+    sols = engine.solutions(goal)
+    next(sols)
+    assert len(engine.store.choicepoints) == base
+    assert [e[0] for e in engine.store.trail] == ["bind", "bind"]
+    sols.close()
 
 
 def test_a_deterministic_loop_of_posts_leaves_no_value_entry(engine):
