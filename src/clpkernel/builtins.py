@@ -63,7 +63,7 @@ def all_solutions(engine, goal, module, template, out, message):
     a step that pushes a collector mark, then runs the goal, cut height
     above the mark, and a step that records the solution and fails.  The
     exhausted goal backtracks into the mark, which unifies the output."""
-    store, watermark, found = engine.store, engine._sid, []
+    store, watermark, found = engine.store, engine.store.sid, []
 
     def run(cont):
         m = store.push_choicepoint()

@@ -35,32 +35,36 @@ class Clause:
 
     When the clause is added, one walk over its terms (`_compile`) takes
     its *shape*, a tuple that says everything about the clause except the
-    values in it, and its parameters, those values: functor names,
-    constants and the attributed variables.  The body's top-level
-    conjunction is split into goals there and ``true`` dropped.  The
-    clause is a snapshot taken when it is added, as ISO ``assert`` does:
-    later bindings of its variables do not change it.  ``key`` is the
-    first-argument index key (None for a variable).
+    values in it, its parameters, those values: functor names, constants
+    and the attributed variables, and ``calls``, the call site of each
+    body goal: the name and arity of the predicate it may call and the
+    index of the parameter that holds its name (an atom goal's atom), or
+    None for a variable, another constant or a control construct.  The
+    body's top-level conjunction is split into goals there and ``true``
+    dropped.  The clause is a snapshot taken when it is added, as ISO
+    ``assert`` does: later bindings of its variables do not change it.
+    ``key`` is the first-argument index key (None for a variable).
 
     The first call makes ``fn``: the factory generated for the shape
     (`_factory`, once per shape in a process) is called with the
-    parameters.  The shape and parameters are kept, as the code of the
-    clause's predicate may inline the clause (`pred_code`).  ``fn(args,
-    engine, store, module, cut, cont)`` matches the head against the
-    goal's arguments and returns False or the body's continuation: one
-    ``(goal, module, cut, next)`` cell per goal, ending in ``cont``.
-    ``store`` is the engine's.  Goals the head match woke run in
-    `Engine.solve`, before the first body goal.  An attributed variable
-    of the clause is copied with ``engine._copy_attr_hook``.
+    parameters.  The shape, parameters and call sites are kept, as the
+    code of the clause's predicate may inline the clause and resolve its
+    calls (`pred_code`).  ``fn(args, engine, store, module, cut, cont)``
+    matches the head against the goal's arguments and returns False or
+    the body's continuation: one ``(goal, module, cut, next)`` cell per
+    goal, ending in ``cont``.  ``store`` is the engine's.  Goals the head
+    match woke run in `Engine.solve`, before the first body goal.  An
+    attributed variable of the clause is copied with
+    ``engine._copy_attr_hook``.
     """
 
-    __slots__ = ("key", "shape", "params", "fn")
+    __slots__ = ("key", "shape", "params", "calls", "fn")
 
     def __init__(self, head, body):
         h = deref(head)
         args = h.args if type(h) is Struct else ()
         self.key = index_key(args[0]) if args else None
-        self.shape, self.params = _compile(args, body)
+        self.shape, self.params, self.calls = _compile(args, body)
         self.fn = None
 
     def compile(self):
@@ -70,88 +74,56 @@ class Clause:
 
 
 def _compile(args, body):
-    """The shape and the parameters of a clause with head arguments
-    ``args``.  The shape is the head's arity, the number of body goals,
-    then the tokens of the head arguments and of the goals, each term in
-    prefix order: a compound term of arity n is ``-1 - n`` (its name a
-    parameter), a variable's first occurrence ``"F"`` (``"A"``, with the
-    variable as a parameter, if it has attributes), a later occurrence the
-    variable's number, and a constant ``"K"`` (its value a parameter).
-    Variables are numbered by first occurrence, head then body."""
+    """The shape, the parameters and the call sites of a clause with head
+    arguments ``args``.  The shape is the head's arity, the number of body
+    goals, then the tokens of the head arguments and of the goals, each
+    term in prefix order: a compound term of arity n is ``-1 - n`` (its
+    name a parameter), a variable's first occurrence ``"F"`` (``"A"``,
+    with the variable as a parameter, if it has attributes), a later
+    occurrence the variable's number, and a constant ``"K"`` (its value a
+    parameter).  Variables are numbered by first occurrence, head then
+    body.  The call sites are those of `Clause.calls`, one per goal."""
     goals = [g for g in flatten_conj(body) if g is not TRUE]
     shape = [len(args), len(goals)]
     params = []
+    calls = []
     slots = {}
-    stack = [*reversed(goals), *reversed(args)]
-    while stack:
-        t = stack.pop()
-        while type(t) is Var and t.ref is not None:
-            t = t.ref
-        ty = type(t)
-        if ty is Struct:
-            shape.append(-1 - len(t.args))
-            params.append(t.name)
-            stack += reversed(t.args)
-        elif ty is Var:
-            i = slots.get(t)
-            if i is None:
-                slots[t] = len(slots)
-                shape.append("A" if t.attrs else "F")
-                if t.attrs:
-                    params.append(t)
+    for k, root in enumerate((*args, *goals)):
+        if k >= len(args):  # goals are dereferenced by flatten_conj
+            ty = type(root)
+            key = ((root.name, len(root.args)) if ty is Struct
+                   else (root.name, 0) if ty is Atom else None)
+            calls.append(None if key is None or key in _CONTROL
+                         else (*key, len(params)))
+        stack = [root]
+        while stack:
+            t = stack.pop()
+            while type(t) is Var and t.ref is not None:
+                t = t.ref
+            ty = type(t)
+            if ty is Struct:
+                shape.append(-1 - len(t.args))
+                params.append(t.name)
+                stack += reversed(t.args)
+            elif ty is Var:
+                i = slots.get(t)
+                if i is None:
+                    slots[t] = len(slots)
+                    shape.append("A" if t.attrs else "F")
+                    if t.attrs:
+                        params.append(t)
+                else:
+                    shape.append(i)
             else:
-                shape.append(i)
-        else:
-            shape.append("K")
-            params.append(t)
-    return tuple(shape), params
+                shape.append("K")
+                params.append(t)
+    return tuple(shape), params, calls
 
 
 #: the control constructs, which `Engine.solve` runs itself whatever a
 #: module defines
 _CONTROL = frozenset({(",", 2), (";", 2), ("->", 2), ("!", 0), ("true", 0),
                       ("fail", 0), ("false", 0)})
-
-
-def _calls(shape, params):
-    """For each body goal of a clause, the name and arity of the predicate
-    it may call and the index of the parameter that holds its name (an
-    atom goal's atom); None for a variable, another constant or a control
-    construct.  Read from the clause's shape (`_compile`): each term is
-    skipped token by token, counting the parameters it takes."""
-    arity, ngoals = shape[0], shape[1]
-    pos = 2  # the next token
-    p = 0  # the next parameter
-    calls = []
-    for k in range(arity + ngoals):
-        if k >= arity:
-            tok = shape[pos]
-            if _is_compound(tok):
-                key = params[p], -1 - tok
-            elif tok == "K" and type(params[p]) is Atom:
-                key = params[p].name, 0
-            else:
-                key = None
-            calls.append(None if key is None or key in _CONTROL
-                         else (*key, p))
-        pos, p = _skip(shape, pos, p)
-    return calls
-
-
-def _skip(shape, pos, p):
-    """The positions of the next token and parameter after the term whose
-    first token is at ``pos`` and whose first parameter is the p-th."""
-    left = 1
-    while left:
-        tok = shape[pos]
-        pos += 1
-        left -= 1
-        if _is_compound(tok):
-            left += -1 - tok
-            p += 1
-        elif tok == "K" or tok == "A":
-            p += 1
-    return pos, p
 
 
 #: the factories of the clause shapes generated in this process, oldest
@@ -659,8 +631,8 @@ def pred_code(pred):
     (`_indexed`).
 
     A body goal of an inlined clause is resolved when it names a
-    predicate of the same module that has clauses and no builtin
-    (`_calls`): the `Pred` replaces the goal's name
+    predicate of the same module that has clauses and no builtin (its
+    call site, `Clause.calls`): the `Pred` replaces the goal's name
     parameter, the shape records the goal's position, and the code
     builds the cell ``(pred, args, None, next)`` where it would build the
     goal term.  A predicate without clauses yet, which `add_builtin` may
@@ -684,7 +656,7 @@ def pred_code(pred):
             c = cands[0]
             ps = list(c.params)
             resolved = []
-            for k, call in enumerate(_calls(c.shape, c.params)):
+            for k, call in enumerate(c.calls):
                 # a PredName, a subclass of str, is no module's to resolve
                 callee = call and type(call[0]) is str and preds.get(call[:2])
                 if callee and callee.builtin is None and callee.clauses:

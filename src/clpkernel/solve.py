@@ -34,7 +34,7 @@ and before it yields a solution, when the scheduler's ``count`` says
 some entry is queued and its ``low`` bound says one may be more urgent
 than the running priority, so a step that woke nothing pays one test,
 and a woken goal with only less urgent entries queued pays two.
-`drain` runs the entries more urgent than `running_priority`, most
+`drain` runs the entries more urgent than the running priority, most
 urgent first.  Every suspension that needs no resolvent has a ``run``,
 set when it is made, and `drain` calls it through `_run_builtin` with the
 suspension as the arguments: the ic demons' runs are their propagators,
@@ -50,14 +50,15 @@ run (a user predicate's), or a pair a run returns (a woken ``call/1`` or
 the continuation, the goal with the choicepoint height as its cut
 height (so its cut is local to it), then a step that restores the
 running priority, and it may leave alternatives.  While it runs,
-`running_priority` is its priority, so more urgent wakings interrupt it
-before its next goal and less urgent ones wait.  `running_priority` is
-value-trailed on the engine, so backtracking into a woken goal's
-alternative runs it at the goal's priority again, and backtracking past
-it restores the priority it interrupted.  `_run_builtin` is the one call
-site of every builtin call and every woken run, and `_call_user` of
-every user call.  Both are looked up on the engine at each call, so a
-wrapper put on the class sees every call.
+the store's ``running_priority`` is its priority, so more urgent wakings
+interrupt it before its next goal and less urgent ones wait.  Every
+choicepoint saves the running priority and backtracking restores it
+(`Store.backtrack_to`), so backtracking into a woken goal's alternative
+runs it at the goal's priority again, and backtracking past it restores
+the priority it interrupted.  `_run_builtin` is the one call site of
+every builtin call and every woken run, and `_call_user` of every user
+call.  Both are looked up on the engine at each call, so a wrapper put
+on the class sees every call.
 
 A goal is resolved by one rule, `Module.lookup_pred`, in the loop and
 in `make_suspension`: the calling module's own predicate, else an
@@ -107,13 +108,13 @@ from functools import partial
 
 from .clauses import Clause, enter, pred_code, read_prelude
 from .errors import (EngineError, ExistenceError, Halt, InstantiationError,
-                     InternalError, ReaderError, TypeError_, UnsupportedError)
+                     InternalError, RangeError, ReaderError, TypeError_,
+                     UnsupportedError)
 from .expand import (ExpandContext, expand_clause, install_kernel_macros,
                      parse_struct_decl)
 from .reader import Ops, Parser, parse_term, standard_ops, tokenize
 from .store import Store
-from .susp import (EXECUTED, MAIN_PRIORITY, SCHEDULED, SUSPENDED, Scheduler,
-                   Suspension)
+from .susp import EXECUTED, SCHEDULED, SUSPENDED, Scheduler, Suspension
 from .terms import (Atom, Struct, Var, copy_term, deref, flatten_conj,
                     is_callable_term, proper_list, show)
 from . import attvar, builtins, ic, search
@@ -279,8 +280,6 @@ class Answer:
 
 
 class Engine:
-    _trailed = "running_priority"  # the value-trailed slot (store.py)
-
     def __init__(self, out=None):
         import sys
         self.out = out if out is not None else sys.stdout
@@ -289,13 +288,7 @@ class Engine:
         self.registry = attvar.AttributeRegistry()
         self.store.attr_registry = self.registry
         attvar.install(self)
-        self.suspensions = {}
-        self._sid = 0
-        # the stamp of the segment whose undo entry drops the newest
-        # table entries (make_suspension)
-        self._table_stamp = -1
-        self.running_priority = MAIN_PRIORITY
-        self.stamp = 0
+        self.suspensions = self.store.suspensions
         # always None: a woken run gets its suspension as its arguments.
         # Kept because perfbench/tracer.py reads it to tell woken ic runs
         # from posts.
@@ -350,12 +343,11 @@ class Engine:
         arguments, any other runs in the resolvent, and a ``demon``
         declaration of its predicate counts.
 
-        The suspension is stamped with the current segment's stamp, and
-        the table gets one undo entry per segment, at its first
-        suspension, which drops the entries of that suspension and of
-        every newer one, newest first, and kills each: a stale queue
-        entry of a suspension whose state was never trailed is then
-        skipped."""
+        The suspension is stamped with the current segment's stamp and
+        takes the next sid, the store's register, as its key in the
+        table: backtracking to a choicepoint drops it from the table and
+        kills it when its sid is above the one the choicepoint saved
+        (`Store.backtrack_to`)."""
         module = module or self.main
         demon = run is not None
         if run is None:
@@ -371,22 +363,12 @@ class Engine:
                 demon = pred.demon
                 if pred.builtin is not None:
                     run = partial(_call_builtin, pred.builtin)
-        cps = self.store.choicepoints
-        cur = cps[-1].stamp if cps else 0
-        self._sid += 1
-        sid = self._sid
-        if cps and self._table_stamp != cur:
-            self._table_stamp = cur
-            self.store.register_undo(partial(self._drop_suspensions, sid))
-        s = Suspension(sid, goal, priority, module, demon, run, cur)
-        self.suspensions[sid] = s
+        store = self.store
+        store.sid = sid = store.sid + 1
+        s = Suspension(sid, goal, priority, module, demon, run,
+                       store.current_stamp())
+        store.suspensions[sid] = s
         return s
-
-    def _drop_suspensions(self, sid):
-        """Undo the table entries from ``sid`` on (make_suspension)."""
-        table = self.suspensions
-        while table and next(reversed(table)) >= sid:
-            table.popitem()[1].state = EXECUTED
 
     def attach_suspension(self, susp, var, cond, attr="suspend"):
         """Append susp to the list ``attr:cond`` of a dereferenced free var."""
@@ -435,8 +417,8 @@ class Engine:
         return changes the running priority, so the limit is read once, and
         `Scheduler.pop_runnable` is looked up once per call."""
         pop = self.sched.pop_runnable
-        limit = self.running_priority
         store = self.store
+        limit = store.running_priority
         cps = store.choicepoints
         cur = cps[-1].stamp if cps else 0  # builtins leave no choicepoint
         s = pop(limit)
@@ -455,9 +437,9 @@ class Engine:
                 res = self._run_builtin(run, s, s.module)
             if type(res) is tuple:
                 def restore(cont):
-                    store.set_slot(self, "running_priority", limit)
+                    store.running_priority = limit
                     return cont
-                store.set_slot(self, "running_priority", s.priority)
+                store.running_priority = s.priority
                 return res[0], res[1], len(cps), (restore, res[1], 0, cont)
             if not res:
                 return False
@@ -484,7 +466,7 @@ class Engine:
         base = store.push_choicepoint()
         cont = (goal, module, len(cps), None)
         while True:
-            if (sched.count and sched.low < self.running_priority
+            if (sched.count and sched.low < store.running_priority
                     and (woken := self.drain(cont)) is not True):
                 if woken is not False:
                     cont = woken
@@ -841,7 +823,11 @@ def _pred_indicator(t):
     if (isinstance(t, Struct) and t.name == "/" and t.arity == 2
             and isinstance(deref(t.args[0]), Atom)
             and isinstance(deref(t.args[1]), int)):
-        return deref(t.args[0]).name, deref(t.args[1])
+        arity = deref(t.args[1])
+        if arity < 0:  # as functor/3 refuses one
+            raise RangeError("negative arity in predicate indicator %s"
+                             % show(t))
+        return deref(t.args[0]).name, arity
     raise TypeError_("expected a Name/Arity predicate indicator: %s" % show(t))
 
 

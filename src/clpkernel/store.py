@@ -31,11 +31,11 @@ counter, bumped on every push and on every backtrack to a mark, which
 restarts the mark's segment under a fresh stamp; so the stamps of dead
 (popped or cut) choicepoints and of undone segments are never reused.
 An owner (a `Var`'s attributes, an ic `Domain`, a `Suspend` record, a
-`Suspension`, the `Engine`) carries one int, ``stamp``: the stamp of the
-segment in which its slots are already safe.  A write to an owner whose
-stamp is the top choicepoint's pushes nothing.  Otherwise `_save` pushes
-one entry that holds every trailed slot of the owner and sets the
-stamp.  The owner's class names its one trailed slot in ``_trailed``;
+`Suspension`) carries one int, ``stamp``: the stamp of the segment in
+which its slots are already safe.  A write to an owner whose stamp is
+the top choicepoint's pushes nothing.  Otherwise `_save` pushes one
+entry that holds every trailed slot of the owner and sets the stamp.
+The owner's class names its one trailed slot in ``_trailed``;
 a class with several (a `Domain`'s bounds, holes, integrality and wake
 lists, a `Suspend` record's lists) sets ``_trailed`` to None and reads
 them as one tuple with ``_saved(owner)``, which ``_restore(owner,
@@ -54,6 +54,15 @@ re-queue rule, and `ic._neq2` for the kill of its demon, the most
 frequent state write.  Unwinding an entry leaves the owner's stamp as it
 is: it belongs to an undone segment, so it equals no live stamp, and a
 later write in the restarted segment is trailed again.
+
+Two registers of the store are not trailed but saved in every
+choicepoint, as a WAM's choicepoint saves the machine's registers: the
+running priority, which `Engine.drain` writes while a woken goal runs,
+and ``sid``, the sid last given to a suspension, the key of the
+suspension table.  `backtrack_to` writes the priority back and takes
+every suspension made after the push out of the table, killing it;
+`commit_to` leaves both.  So the only undo closure the engine pushes is
+the re-queue rule's (susp.py).
 
 A struct's arguments are trailed one at a time, by `trail_value`, for
 `set_arg`: an array written one cell per segment would otherwise copy
@@ -74,22 +83,27 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InternalError, RangeError, TypeError_
+from .susp import EXECUTED, MAIN_PRIORITY
 from .terms import Atom, Breal, Struct, Var, deref, serials, show
 
 
 class Mark:
     """A choicepoint handle: trail length, unique timestamp, a serial
-    between those of the variables made before and after its push, and
-    the ``alt`` and ``cont`` of `Engine.solve` (None on a bare mark)."""
+    between those of the variables made before and after its push, the
+    store's two registers at its push (the running priority and the sid
+    last given to a suspension), and the ``alt`` and ``cont`` of
+    `Engine.solve` (None on a bare mark)."""
 
-    __slots__ = ("trail_len", "stamp", "index", "var_serial", "alive", "alt",
-                 "cont")
+    __slots__ = ("trail_len", "stamp", "index", "var_serial", "priority",
+                 "sid", "alive", "alt", "cont")
 
-    def __init__(self, trail_len, stamp, index, var_serial):
+    def __init__(self, trail_len, stamp, index, var_serial, priority, sid):
         self.trail_len = trail_len
         self.stamp = stamp
         self.index = index
         self.var_serial = var_serial
+        self.priority = priority
+        self.sid = sid
         self.alive = True
         self.alt = None
         self.cont = None
@@ -105,6 +119,12 @@ class Store:
         self.choicepoints = []
         self._stamp_counter = 0
         self.attr_registry = None    # the engine's; None when standalone
+        # the registers a choicepoint saves: the priority of the running
+        # goal, and the sid last given to a suspension, the key of the
+        # suspension table (sid -> Suspension, in sid order)
+        self.running_priority = MAIN_PRIORITY
+        self.sid = 0
+        self.suspensions = {}
 
     # ------------------------------------------------------------------
     # choicepoints and timestamps
@@ -116,7 +136,7 @@ class Store:
     def push_choicepoint(self):
         self._stamp_counter += 1
         m = Mark(len(self.trail), self._stamp_counter, len(self.choicepoints),
-                 next(serials))
+                 next(serials), self.running_priority, self.sid)
         self.choicepoints.append(m)
         return m
 
@@ -126,10 +146,19 @@ class Store:
             raise InternalError("dead or foreign choicepoint mark: %r" % (mark,))
 
     def backtrack_to(self, mark):
-        """Unwind the trail to the mark and discard younger choicepoints.
-        The mark itself stays live and becomes the top choicepoint."""
+        """Unwind the trail to the mark, put back the running priority it
+        saved and discard younger choicepoints.  The mark itself stays
+        live and becomes the top choicepoint.  The suspensions whose sid
+        is above the mark's leave the table, newest first, and are killed
+        by a plain write, so a stale queue entry of one is skipped.  Sids
+        only grow: ``sid`` itself is not put back."""
         self._check_live(mark)
         self._unwind(mark.trail_len)
+        self.running_priority = mark.priority
+        if self.sid > mark.sid:
+            table = self.suspensions
+            while table and next(reversed(table)) > mark.sid:
+                table.popitem()[1].state = EXECUTED
         cps = self.choicepoints
         while len(cps) > mark.index + 1:
             cps.pop().alive = False

@@ -12,11 +12,12 @@ through the store's value trail, so backtracking revives killed
 suspensions and un-schedules scheduled ones.  ``state`` is a
 suspension's only trailed slot, and a suspension is stamped with the
 current segment's stamp when it is made, so its state changes in that
-segment push nothing: undoing the segment removes it from the engine's
-table, which kills it (`Engine.make_suspension`).  `Scheduler.schedule`
-makes its trailed writes itself: it reads the top choicepoint's stamp
-once per call and applies `Store.set_slot`'s once-per-segment rule
-inline to each suspension it queues, pushing the same ``val`` entries.
+segment push nothing: backtracking to a choicepoint pushed before it was
+made takes it out of the suspension table and kills it
+(`Store.backtrack_to`).  `Scheduler.schedule` makes its trailed writes
+itself: it reads the top choicepoint's stamp once per call and applies
+`Store.set_slot`'s once-per-segment rule inline to each suspension it
+queues, pushing the same ``val`` entries.
 
 The demon's reset to ``suspended`` when `Engine.drain` pops it is a
 plain, untrailed write.  When the pop happens in the segment of the

@@ -56,7 +56,7 @@ def _check_left_clean(engine):
     """After a query the store holds no choicepoint and the engine runs at
     the main resolvent's priority again."""
     assert engine.store.choicepoints == []
-    assert engine.running_priority == MAIN_PRIORITY
+    assert engine.store.running_priority == MAIN_PRIORITY
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import pytest
 
 from clpkernel import cli, make_engine
 from clpkernel.cli import main
-from clpkernel.errors import FlounderingError, ReaderError
+from clpkernel.errors import FlounderingError, RangeError, ReaderError
 
 
 def run_main(capsys, *argv):
@@ -227,6 +227,24 @@ def test_loads_program_files(capsys, tmp_path):
     rc, out, _ = run_main(capsys, str(f), "-g", "p(X)", "-a")
     assert rc == 0
     assert out == "X = 1\n\nX = 2\n\nyes\n"
+
+
+@pytest.mark.parametrize("directive", ["dynamic", "export", "local",
+                                       "demon", "discontiguous"])
+def test_a_negative_arity_in_a_declaration_exits_2_with_one_line(
+        capsys, tmp_path, directive):
+    """A predicate indicator of negative arity is refused as functor/3
+    refuses one, at the line of its directive."""
+    f = tmp_path / "neg.pl"
+    f.write_text("p(1).\n:- %s(foo/(-1)).\n" % directive)
+    rc, out, err = run_main(capsys, str(f), "-g", "true")
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1
+    assert "neg.pl:2: negative arity" in err
+    engine = make_engine()
+    with pytest.raises(RangeError):
+        engine.load(":- %s(foo/(-1)).\n" % directive)
+    assert ("foo", -1) not in engine.main.preds
 
 
 def test_missing_file_exits_2(capsys):

@@ -185,7 +185,7 @@ def test_builtins_answer_fail_or_raise_an_engine_error():
             else:
                 outcomes["answered" if got else "failed"] += 1
             assert engine.store.choicepoints == [], query
-            assert engine.running_priority == MAIN_PRIORITY, query
+            assert engine.store.running_priority == MAIN_PRIORITY, query
     assert broken == []
     assert min(outcomes.values()) > 100, outcomes
     assert time.process_time() - t0 < 10

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 from types import SimpleNamespace
@@ -758,6 +759,25 @@ def test_compiled_deep_heads_match_as_copy_and_unify_do():
     below matched compound terms."""
     outcomes = _compiled_against_copy_and_unify(
         Random(20261019), _random_deep_term, _instance_of)
+    assert outcomes[True] >= 100 and outcomes[False] >= 100, outcomes
+
+
+def _numeric_twin(rng, t, pool):
+    """For a number t, its value as an int, a float or a rational, chosen
+    at random (1, 1.0 or 1_1); else a random term."""
+    if type(t) in (int, float, Fraction):
+        return rng.choice((int(t), float(t), Fraction(t)))
+    return _random_term(rng, pool)
+
+
+def test_compiled_heads_tell_one_value_in_numeric_types_apart():
+    """A goal whose arguments hold a numeric head argument's value in
+    another numeric type, the first argument included: the clause, the
+    code of its predicate and the first-argument switch's key tests match
+    exactly when Store.unify says the goal unifies."""
+    rng = Random(20261022)
+    outcomes = _compiled_against_copy_and_unify(rng, _random_term,
+                                                _numeric_twin)
     assert outcomes[True] >= 100 and outcomes[False] >= 100, outcomes
 
 

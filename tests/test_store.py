@@ -383,25 +383,26 @@ def _state(owner):
         return dict(owner.attrs)
     if type(owner) is Struct:
         return list(owner.args)
-    if hasattr(owner, "sid"):
-        return owner.state
-    return owner.running_priority
+    if type(owner) is Store:  # the register a choicepoint saves
+        return owner.running_priority
+    return owner.state
 
 
 def test_every_owner_kind_restores_a_model_of_its_push():
     """Random writes to every kind of value-trailed owner (domain values
     and lists, a suspension's state, a suspend record's lists, a
-    variable's attributes, a setarg struct and the running priority),
-    random pushes, backtracks and cuts, and owners made along the way:
-    after every backtrack each owner that existed at the mark's push
-    holds what a copy of the whole state taken then held, and the
-    suspension table holds the suspensions it held."""
+    variable's attributes, a setarg struct), plain writes to the store's
+    running priority register, random pushes, backtracks and cuts, and
+    owners made along the way: after every backtrack each owner that
+    existed at the mark's push holds what a copy of the whole state
+    taken then held, and the suspension table holds the suspensions it
+    held."""
     rng = random.Random(20261021)
     checked = 0
     for _ in range(30):
         engine = make_engine()
         st = engine.store
-        owners = [engine, Struct("cell", [0, 0, 0])]
+        owners = [st, Struct("cell", [0, 0, 0])]
         marks = []  # (mark, owners then, their states, table sids then)
 
         def make(kind):
@@ -450,8 +451,8 @@ def test_every_owner_kind_restores_a_model_of_its_push():
                     add_attr(st, owner, rng.choice("ab"), v)
                 elif type(owner) is Struct:
                     st.set_arg(rng.randint(1, 3), owner, v)
-                elif owner is engine:
-                    st.set_slot(engine, "running_priority", rng.randint(1, 13))
+                elif owner is st:  # as Engine.drain writes it
+                    st.running_priority = rng.randint(1, 13)
                 elif rng.random() < 0.5:
                     engine.sched.schedule([owner])
                 else:

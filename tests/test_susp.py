@@ -531,16 +531,16 @@ def test_backtracking_restores_a_woken_goals_priority(engine):
         " suspend(writeln(lazy), 7, W -> inst), Y = a, Z >= 2")
     assert got["Z"] == 2
     assert out.getvalue().split() == ["g(1)", "lazy", "g(2)", "lazy"]
-    assert engine.running_priority == MAIN_PRIORITY
+    assert engine.store.running_priority == MAIN_PRIORITY
 
 
 def test_the_running_priority_is_restored_after_a_failure_or_an_error(
         engine):
     assert engine.once("suspend(fail, 3, Y -> inst), Y = a") is None
-    assert engine.running_priority == MAIN_PRIORITY
+    assert engine.store.running_priority == MAIN_PRIORITY
     with pytest.raises(EngineError):
         engine.once("suspend(no_such_predicate, 3, Y -> inst), Y = a")
-    assert engine.running_priority == MAIN_PRIORITY
+    assert engine.store.running_priority == MAIN_PRIORITY
     assert engine.store.choicepoints == [] and engine.store.trail == []
 
 
